@@ -13,6 +13,10 @@ from .order import ResourceGuardError
 from .labeling import LabelingError
 from .signed import CycleNotationError, format_cycles, identity, parse_cycles
 
+# --format choices: only the poset renderers print DOT.
+FORMATS = ("json", "table")
+POSET_FORMATS = ("json", "dot", "table")
+
 
 def _build_poset(args) -> order.Poset:
     if getattr(args, "ideal", None) == "coxeter":
@@ -38,11 +42,6 @@ def _emit_poset(p: order.Poset, fmt: str) -> None:
 
 
 def _cmd_poset(args) -> int:
-    _emit_poset(_build_poset(args), args.format)
-    return 0
-
-
-def _cmd_interval(args) -> int:
     _emit_poset(_build_poset(args), args.format)
     return 0
 
@@ -205,14 +204,17 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok() else 1
 
 
-def _add_common(sub, group=True, n=True, top=False):
-    sub.add_argument("--format", choices=("json", "dot", "table"),
-                     default="table")
-    sub.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    if group:
-        sub.add_argument("--group", choices=("S", "B", "D"), default="B")
-    if n:
-        sub.add_argument("--n", type=int, required=True)
+def _rank(text: str) -> int:
+    """The --n argument: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"the rank must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _add_common(sub, top=False):
+    sub.add_argument("--group", choices=("S", "B", "D"), default="B")
+    sub.add_argument("--n", type=_rank, required=True)
     if top:
         sub.add_argument("--top", help="top element in cycle notation")
         sub.add_argument("--bottom", help="bottom element (default identity)")
@@ -228,14 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("poset", help="render a whole group poset")
     _add_common(sub)
+    sub.add_argument("--format", choices=POSET_FORMATS, default="table")
     sub.set_defaults(handler=_cmd_poset)
 
     sub = subs.add_parser("interval", help="render a closed interval")
     _add_common(sub, top=True)
-    sub.set_defaults(handler=_cmd_interval)
+    sub.add_argument("--format", choices=POSET_FORMATS, default="table")
+    sub.set_defaults(handler=_cmd_poset)
 
     sub = subs.add_parser("ideal", help="render an order ideal")
     _add_common(sub)
+    sub.add_argument("--format", choices=POSET_FORMATS, default="table")
     which = sub.add_mutually_exclusive_group(required=True)
     which.add_argument("--coxeter", action="store_true",
                        help="ideal generated by all maximal cycles")
@@ -245,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("check-el", help="verify an edge labeling")
     _add_common(sub, top=True)
+    sub.add_argument("--format", choices=FORMATS, default="table")
     sub.add_argument("--labeling",
                      choices=("letter", "collapsed", "join-position"),
                      default="letter")
@@ -254,12 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("lattice-scan",
                           help="compare lattice predictions with brute force")
     _add_common(sub)
+    sub.add_argument("--format", choices=FORMATS, default="table")
     sub.add_argument("--guard", type=int, default=None)
     sub.set_defaults(handler=_cmd_lattice_scan)
 
     sub = subs.add_parser("invariants",
                           help="census a poset, or confront a closed form")
     _add_common(sub, top=True)
+    sub.add_argument("--format", choices=FORMATS, default="table")
     sub.add_argument("--family", choices=("coxeter", "flip", "cycle-flip"))
     sub.add_argument("--k", type=int)
     sub.add_argument("--r", type=int)
@@ -268,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("topology",
                           help="homology and Cohen-Macaulay checks")
     _add_common(sub, top=True)
+    sub.add_argument("--format", choices=FORMATS, default="table")
+    sub.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     sub.add_argument("--ideal", choices=("coxeter",),
                      help="use the maximal-cycle ideal instead of an interval")
     sub.add_argument("--strip", choices=("none", "endpoints"),
@@ -281,17 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--family", choices=("sym", "hyper"), required=True)
     sub.add_argument("--upto", type=int, required=True)
     sub.add_argument("--crosscheck", action="store_true")
-    sub.add_argument("--format", choices=("json", "dot", "table"),
-                     default="table")
-    sub.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    sub.add_argument("--format", choices=FORMATS, default="table")
     sub.set_defaults(handler=_cmd_gf)
 
     sub = subs.add_parser("verify", help="run the claim suite")
     sub.add_argument("--profile", choices=("quick", "full"), default="quick")
     sub.add_argument("--inject-fault", metavar="CLAIM",
                      help="deliberately falsify one claim's verdict")
-    sub.add_argument("--format", choices=("json", "dot", "table"),
-                     default="table")
+    sub.add_argument("--format", choices=FORMATS, default="table")
     sub.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     sub.set_defaults(handler=_cmd_verify)
 

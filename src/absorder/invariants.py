@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .order import Poset, build_interval
+from .order import Poset, bits, build_interval
 from .signed import (
     SignedPermutation,
     balanced_cycle,
@@ -128,19 +128,10 @@ def multichain_count(p: Poset, m: int) -> int:
         raise ValueError("multichain length parameter must be >= 1")
     if m == 1:
         return 1
-    size = len(p)
-    below_lists = []
-    for j in range(size):
-        mask = p.below[j]
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length() - 1)
-            mask ^= low
-        below_lists.append(members)
-    counts = [1] * size
+    below_lists = [list(bits(mask)) for mask in p.below]
+    counts = [1] * len(p)
     for _ in range(m - 2):
-        counts = [sum(counts[i] for i in below_lists[j]) for j in range(size)]
+        counts = [sum(counts[i] for i in below) for below in below_lists]
     return sum(counts)
 
 
@@ -152,26 +143,13 @@ def mobius(p: Poset, x=None, y=None) -> int:
         raise ValueError("mobius endpoints undefined; pass x and y explicitly")
     if not p.leq(xi, yi):
         raise ValueError("mobius is undefined on incomparable pairs")
-    members_mask = p.above[xi] & p.below[yi]
-    members = []
-    mask = members_mask
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    members.sort(key=lambda i: p.rank[i])
     values = {}
-    for z in members:
+    for z in bits(p.above[xi] & p.below[yi]):
         if z == xi:
             values[z] = 1
             continue
-        acc = 0
         inner = p.above[xi] & p.below[z] & ~(1 << z)
-        while inner:
-            low = inner & -inner
-            acc += values[low.bit_length() - 1]
-            inner ^= low
-        values[z] = -acc
+        values[z] = -sum(values[i] for i in bits(inner))
     return values[yi]
 
 

@@ -15,7 +15,8 @@ fixed total order of all reflections.
 
 from dataclasses import dataclass
 
-from .order import Poset, ResourceGuardError
+from .lattice import join
+from .order import Poset, ResourceGuardError, bits
 from .signed import SignedPermutation, cycle_decomposition, from_cycles
 
 
@@ -106,22 +107,6 @@ def collapsed_reflection_label(a: SignedPermutation, b: SignedPermutation) -> tu
     return (1, signature[1], signature[2])
 
 
-def join_index(p: Poset, i: int, j: int):
-    """Index of the least upper bound of two elements, or None."""
-    mask = p.above[i] & p.above[j]
-    minimal = []
-    probe = mask
-    while probe:
-        low = probe & -probe
-        idx = low.bit_length() - 1
-        if p.below[idx] & mask == low:
-            minimal.append(idx)
-            if len(minimal) > 1:
-                return None
-        probe ^= low
-    return minimal[0] if len(minimal) == 1 else None
-
-
 def join_position_labeler(p: Poset):
     """Edge labeler for the involution sublattice built from joins.
 
@@ -140,7 +125,7 @@ def join_position_labeler(p: Poset):
         if got is not None:
             return got
         for pos, ti in enumerate(positions, start=1):
-            if ti is not None and join_index(p, ti, ai) == bi:
+            if ti is not None and join(p, ti, ai) == b:
                 cache[(ai, bi)] = pos
                 return pos
         raise LabelingError(
@@ -214,11 +199,7 @@ def verify_el(p: Poset, labeler=None, key=None, chain_guard: int = 10 ** 6) -> E
     chains_total = 0
     size = len(p)
     for x in range(size):
-        above = p.above[x] & ~(1 << x)
-        while above:
-            low = above & -above
-            y = low.bit_length() - 1
-            above ^= low
+        for y in bits(p.above[x] & ~(1 << x)):
             intervals += 1
             chains = _maximal_chains(p, x, y, chain_guard)
             chains_total += len(chains)

@@ -9,23 +9,17 @@ existence over a whole group at once.
 
 from dataclasses import dataclass
 
-from .order import Poset, ResourceGuardError, full_poset
+from .order import (Poset, ResourceGuardError, abs_leq, bits, elements_below,
+                    full_poset)
 from .signed import SignedPermutation, is_hook, is_member, mu_partition
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _maximal_of(p: Poset, mask: int) -> list:
-    return [i for i in _bits(mask) if p.above[i] & mask == 1 << i]
+    return [i for i in bits(mask) if p.above[i] & mask == 1 << i]
 
 
 def _minimal_of(p: Poset, mask: int) -> list:
-    return [i for i in _bits(mask) if p.below[i] & mask == 1 << i]
+    return [i for i in bits(mask) if p.below[i] & mask == 1 << i]
 
 
 def meet(p: Poset, x, y):
@@ -74,20 +68,28 @@ def is_lattice(p: Poset) -> LatticeVerdict:
     """
     if not p.is_bounded():
         raise ValueError("lattice check needs a bounded poset")
-    size = len(p)
-    for i in range(size):
-        for j in range(i + 1, size):
+    witness = _meet_failure(p, list(range(len(p))))
+    return LatticeVerdict(witness is None, witness)
+
+
+def _meet_failure(p: Poset, members: list):
+    """Witness for the first pair of members without a meet in p, or None.
+
+    Lower bounds are taken in all of p, so for the members below one
+    element of p this decides whether the interval under it is a lattice.
+    """
+    for a, i in enumerate(members):
+        for j in members[a + 1:]:
             if p.leq(i, j) or p.leq(j, i):
                 continue
             tops = _maximal_of(p, p.below[i] & p.below[j])
             if len(tops) != 1:
-                witness = {
+                return {
                     "x": repr(p.elements[i]),
                     "y": repr(p.elements[j]),
                     "maximal_lower_bounds": sorted(repr(p.elements[t]) for t in tops),
                 }
-                return LatticeVerdict(False, witness)
-    return LatticeVerdict(True, None)
+    return None
 
 
 def predict_lattice(w: SignedPermutation, kind: str = "B") -> bool:
@@ -142,7 +144,8 @@ def prediction_scan(kind: str, n: int, guard: int | None = None) -> ScanReport:
     mismatches = []
     for wi, w in enumerate(ambient.elements):
         predicted = predict_lattice(w, kind)
-        found, witness = _interval_is_lattice(ambient, wi)
+        witness = _meet_failure(ambient, list(bits(ambient.below[wi])))
+        found = witness is None
         if found != predicted:
             mismatches.append({
                 "w": repr(w),
@@ -161,30 +164,7 @@ def maximal_common_lower_bounds(u: SignedPermutation, v: SignedPermutation,
     Built on the intersection of the two principal ideals, which is enough:
     maximality only needs comparisons against other common lower bounds.
     """
-    from .order import Poset as _P, abs_leq, elements_below
-
     common = [w for w in elements_below(u, kind) if abs_leq(w, v, kind)]
-    sub = _P(common, kind=kind, label="common lower bounds")
+    sub = Poset(common, kind=kind, label="common lower bounds")
     return [sub.elements[i] for i in _maximal_of(sub, (1 << len(sub)) - 1)]
 
-
-def _interval_is_lattice(ambient: Poset, top: int):
-    """Meet existence for all pairs below a fixed element, via ambient masks."""
-    members = list(_bits(ambient.below[top]))
-    for a in range(len(members)):
-        i = members[a]
-        for b in range(a + 1, len(members)):
-            j = members[b]
-            if ambient.leq(i, j) or ambient.leq(j, i):
-                continue
-            tops = _maximal_of(ambient, ambient.below[i] & ambient.below[j])
-            if len(tops) != 1:
-                witness = {
-                    "x": repr(ambient.elements[i]),
-                    "y": repr(ambient.elements[j]),
-                    "maximal_lower_bounds": sorted(
-                        repr(ambient.elements[t]) for t in tops
-                    ),
-                }
-                return False, witness
-    return True, None

@@ -24,10 +24,15 @@ from .signed import (
     from_cycles,
     coxeter_elements,
     group_elements,
+    group_order,
     identity,
     is_member,
     reflection_set,
 )
+
+
+# Largest group `full_poset` builds: S7 (5,040 elements) fits, D6 does not.
+POSET_GUARD = 10_000
 
 
 class ResourceGuardError(RuntimeError):
@@ -203,12 +208,27 @@ def sn_leq_noncrossing(u: SignedPermutation, v: SignedPermutation) -> bool:
     return True
 
 
+def bits(mask: int):
+    """Yield the indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Poset:
     """A finite ranked subposet of an absolute order.
 
     `below[i]` is a bitmask over element indices j with element_j <= element_i
     (including i itself); `above` is the transpose.  Ranks are reflection
-    lengths shifted so the minimum is 0.
+    lengths shifted so the minimum is 0, and indices ascend with rank.
+
+    The element set must be convex: with x <= z <= y and x, y in the set,
+    z is in it too.  Whole groups, intervals and ideals all are.  The order
+    is graded by length and each cover multiplies by a single reflection,
+    so on a convex set it is the transitive closure of the covers found by
+    one reflection step down.  `subposet` gives the induced order on any
+    other subset.
     """
 
     __slots__ = ("elements", "kind", "label", "n", "rank", "index",
@@ -224,34 +244,21 @@ class Poset:
         self.rank = [lengths[w] - base for w in self.elements]
         self.index = {w: i for i, w in enumerate(self.elements)}
         k = len(self.elements)
-        below = [1 << i for i in range(k)]
-        for j in range(k):
-            wj = self.elements[j]
-            for i in range(k):
-                if self.rank[i] < self.rank[j] and abs_leq(self.elements[i], wj, kind):
-                    below[j] |= 1 << i
-        self.below = below
-        above = [1 << i for i in range(k)]
-        for j in range(k):
-            mask = below[j]
-            while mask:
-                low = mask & -mask
-                above[low.bit_length() - 1] |= 1 << j
-                mask ^= low
-        self.above = above
+        refs = reflection_set(kind, self.n)
+        below = [1 << j for j in range(k)]
         self.hasse_up = [[] for _ in range(k)]
-        for i in range(k):
-            strict_up = above[i] ^ (1 << i)
-            mask = strict_up
-            while mask:
-                low = mask & -mask
-                j = low.bit_length() - 1
-                between = strict_up & (self.below[j] ^ (1 << j))
-                if between == 0:
+        for j, wj in enumerate(self.elements):
+            for t in refs:
+                i = self.index.get(wj * t)
+                if i is not None and self.rank[i] == self.rank[j] - 1:
+                    below[j] |= below[i]
                     self.hasse_up[i].append(j)
-                mask ^= low
-        for ups in self.hasse_up:
-            ups.sort()
+        above = [1 << i for i in range(k)]
+        for i in reversed(range(k)):
+            for j in self.hasse_up[i]:
+                above[i] |= above[j]
+        self.below = below
+        self.above = above
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -297,19 +304,12 @@ class Poset:
     def chain_counts(self) -> list:
         """counts[j] = number of chains of j elements, j >= 0."""
         k = len(self.elements)
-        order = sorted(range(k), key=lambda i: self.rank[i])
-        ending = [{} for _ in range(k)]
+        ending = [{1: 1} for _ in range(k)]
         counts = [1, k]
-        for i in order:
-            ending[i][1] = 1
-        for j in order:
-            mask = self.below[j] ^ (1 << j)
-            while mask:
-                low = mask & -mask
-                i = low.bit_length() - 1
+        for j in range(k):
+            for i in bits(self.below[j] ^ (1 << j)):
                 for size, cnt in ending[i].items():
                     ending[j][size + 1] = ending[j].get(size + 1, 0) + cnt
-                mask ^= low
         top_size = max((max(d) for d in ending if d), default=1)
         for size in range(2, top_size + 1):
             counts.append(sum(d.get(size, 0) for d in ending))
@@ -324,13 +324,37 @@ class Poset:
         k = len(self.elements)
         paths = [0] * k
         paths[self.bottom()] = 1
-        for i in sorted(range(k), key=lambda i: self.rank[i]):
+        for i in range(k):
             for j in self.hasse_up[i]:
                 paths[j] += paths[i]
         return paths[self.top()]
 
     def subposet(self, indices, label: str = "sub") -> "Poset":
-        return Poset([self.elements[i] for i in indices], self.kind, label)
+        """The induced order on any subset, by restricting this one's masks."""
+        keep = sorted(set(indices))
+        where = {i: a for a, i in enumerate(keep)}
+
+        def restrict(mask):
+            out = 0
+            for i in bits(mask):
+                if i in where:
+                    out |= 1 << where[i]
+            return out
+
+        sub = Poset.__new__(Poset)
+        sub.elements = [self.elements[i] for i in keep]
+        sub.kind, sub.label, sub.n = self.kind, label, self.n
+        base = min((self.rank[i] for i in keep), default=0)
+        sub.rank = [self.rank[i] - base for i in keep]
+        sub.index = {w: a for a, w in enumerate(sub.elements)}
+        sub.below = [restrict(self.below[i]) for i in keep]
+        sub.above = [restrict(self.above[i]) for i in keep]
+        sub.hasse_up = []
+        for a, up in enumerate(sub.above):
+            strict = up ^ (1 << a)
+            sub.hasse_up.append([j for j in bits(strict)
+                                 if strict & sub.below[j] == 1 << j])
+        return sub
 
     def to_json(self) -> str:
         return json.dumps({
@@ -375,10 +399,14 @@ def elements_below(v: SignedPermutation, kind: str = "B") -> set:
 
 
 def build_interval(u: SignedPermutation, v: SignedPermutation, kind: str = "B") -> Poset:
-    """The closed interval [u, v] as a Poset (rank 0 at u)."""
+    """The closed interval [u, v] as a Poset (rank 0 at u).
+
+    Given u <= v, z lies in [u, v] exactly when u^{-1} z lies in
+    [e, u^{-1} v], so left multiplication by u carries one onto the other.
+    """
     if not abs_leq(u, v, kind):
         raise ValueError(f"{u!r} is not below {v!r} in kind {kind}")
-    members = [z for z in elements_below(v, kind) if abs_leq(u, z, kind)]
+    members = [u * z for z in elements_below(u.inverse() * v, kind)]
     return Poset(members, kind, "interval")
 
 
@@ -402,7 +430,17 @@ def coxeter_ideal(n: int, kind: str = "B") -> Poset:
 
 
 def full_poset(kind: str, n: int) -> Poset:
-    """The whole group as a poset under the absolute order."""
+    """The whole group as a poset under the absolute order.
+
+    Refused before any element is generated when the group has more than
+    POSET_GUARD elements.
+    """
+    size = group_order(kind, n)
+    if size > POSET_GUARD:
+        raise ResourceGuardError(
+            f"full_poset({kind}, {n}) has {size} elements, more than the "
+            f"guard {POSET_GUARD}"
+        )
     return Poset(list(group_elements(kind, n)), kind, "full")
 
 
@@ -540,11 +578,7 @@ def fiber_ideal_identity_ok(ambient: Poset, i: int | None = None) -> bool:
         }
         generated = set()
         for g in fiber:
-            mask = ambient.below[g]
-            while mask:
-                low = mask & -mask
-                generated.add(low.bit_length() - 1)
-                mask ^= low
+            generated.update(bits(ambient.below[g]))
         if preimage_of_ideal != generated:
             return False
     return True

@@ -10,19 +10,13 @@ homology concentrated in its top dimension.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .order import (Poset, ResourceGuardError, build_ideal, coxeter_ideal,
-                    fiber_ideal_M, full_poset, project_pi)
+from .order import (Poset, ResourceGuardError, bits, build_ideal,
+                    coxeter_ideal, fiber_ideal_M, full_poset, project_pi)
 from .signed import cycle_decomposition, format_cycles
 
 FACE_GUARD = 5_000_000
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class SimplicialComplex:
@@ -67,7 +61,7 @@ def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD) -> list:
     """
     faces_by_dim = []
     total = 0
-    stack = [((v,), p.above[v] & mask & ~(1 << v)) for v in _bits(mask)]
+    stack = [((v,), p.above[v] & mask & ~(1 << v)) for v in bits(mask)]
     while stack:
         chain, up = stack.pop()
         d = len(chain) - 1
@@ -79,16 +73,15 @@ def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD) -> list:
             raise ResourceGuardError(
                 f"face guard exceeded: more than {face_guard} chains"
             )
-        for v in _bits(up):
+        for v in bits(up):
             stack.append((chain + (v,), up & p.above[v] & ~(1 << v)))
     for faces in faces_by_dim:
         faces.sort()
     return faces_by_dim
 
 
-def order_complex(p: Poset, strip: str = "none",
-                  face_guard: int = FACE_GUARD) -> SimplicialComplex:
-    """The chain complex of a poset, optionally with endpoints removed.
+def _strip_mask(p: Poset, strip: str) -> int:
+    """Mask of the elements kept under a strip mode.
 
     strip="endpoints" drops the minimum and maximum when they exist and
     dominate; a poset with many maximal elements only loses its bottom.
@@ -100,6 +93,13 @@ def order_complex(p: Poset, strip: str = "none",
         for end in (p.bottom(), p.top()):
             if end is not None:
                 mask &= ~(1 << end)
+    return mask
+
+
+def order_complex(p: Poset, strip: str = "none",
+                  face_guard: int = FACE_GUARD) -> SimplicialComplex:
+    """The chain complex of a poset, optionally with endpoints removed."""
+    mask = _strip_mask(p, strip)
     faces = _chains_in_mask(p, mask, face_guard)
     return SimplicialComplex(p, mask, faces,
                              label=f"chains of {p.label} (strip={strip})")
@@ -163,6 +163,20 @@ def _rank_sparse(columns: list) -> int:
     return rank
 
 
+def _boundary_columns(faces_by_dim: list, d: int) -> list:
+    """The boundary map from d-faces to (d-1)-faces, as row->sign columns."""
+    row_index = {face: k for k, face in enumerate(faces_by_dim[d - 1])}
+    columns = []
+    for face in faces_by_dim[d]:
+        col = {}
+        sign = 1
+        for k in range(d + 1):
+            col[row_index[face[:k] + face[k + 1:]]] = sign
+            sign = -sign
+        columns.append(col)
+    return columns
+
+
 def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     if not faces_by_dim or not faces_by_dim[0]:
         return HomologyProfile((), -1)
@@ -170,17 +184,7 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     ranks = [0] * (top + 2)
     ranks[0] = 1
     for d in range(1, top + 1):
-        row_index = {face: k for k, face in enumerate(faces_by_dim[d - 1])}
-        columns = []
-        for face in faces_by_dim[d]:
-            col = {}
-            sign = 1
-            for k in range(d + 1):
-                sub = face[:k] + face[k + 1:]
-                col[row_index[sub]] = sign
-                sign = -sign
-            columns.append(col)
-        ranks[d] = _rank_sparse(columns)
+        ranks[d] = _rank_sparse(_boundary_columns(faces_by_dim, d))
     betti = tuple(len(faces_by_dim[d]) - ranks[d] - ranks[d + 1]
                   for d in range(top + 1))
     euler = -1 + sum((-1) ** d * len(faces_by_dim[d]) for d in range(top + 1))
@@ -199,17 +203,11 @@ def chain_euler_characteristic(p: Poset, strip: str = "none") -> int:
     Signed chain counting needs no boundary matrices, so this gives an
     independent route to the Euler characteristic for cross-checking.
     """
-    if strip not in ("none", "endpoints"):
-        raise ValueError(f"unknown strip mode {strip!r}")
-    mask = (1 << len(p)) - 1
-    if strip == "endpoints":
-        for end in (p.bottom(), p.top()):
-            if end is not None:
-                mask &= ~(1 << end)
+    mask = _strip_mask(p, strip)
     signed = {}
-    for i in _bits(mask):
+    for i in bits(mask):
         below = p.below[i] & mask & ~(1 << i)
-        signed[i] = -1 - sum(signed[j] for j in _bits(below))
+        signed[i] = -1 - sum(signed[j] for j in bits(below))
     return -(1 + sum(signed.values()))
 
 
@@ -245,7 +243,7 @@ def cm_check(c: SimplicialComplex, mode: str = "all", seed: int = 0,
     p = c.poset
     comparable = {
         v: (p.below[v] | p.above[v]) & c.member_mask & ~(1 << v)
-        for v in _bits(c.member_mask)
+        for v in bits(c.member_mask)
     }
     checked = 0
 
@@ -323,16 +321,10 @@ def _smith_normal_form_diagonal(columns: list, rows: int) -> list:
         for k in range(len(diag) - 1):
             if diag[k + 1] % diag[k]:
                 a, b = diag[k], diag[k + 1]
-                g = _gcd(a, b)
+                g = gcd(a, b)
                 diag[k], diag[k + 1] = g, a * b // g
                 changed = True
     return diag
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass
@@ -443,15 +435,7 @@ def torsion_profile(c: SimplicialComplex, entry_guard: int = 250_000) -> dict:
             raise ResourceGuardError(
                 f"torsion guard exceeded at dimension {d}: {rows}x{cols}"
             )
-        row_index = {face: k for k, face in enumerate(c.faces_by_dim[d - 1])}
-        columns = []
-        for face in c.faces_by_dim[d]:
-            col = {}
-            sign = 1
-            for k in range(d + 1):
-                col[row_index[face[:k] + face[k + 1:]]] = sign
-                sign = -sign
-            columns.append(col)
-        diag = _smith_normal_form_diagonal(columns, rows)
+        diag = _smith_normal_form_diagonal(
+            _boundary_columns(c.faces_by_dim, d), rows)
         out[d] = [v for v in diag if v > 1]
     return out

@@ -222,7 +222,7 @@ def _claim_el(profile, rng):
         bad = None
         intervals = 0
         for idx in ids:
-            members = [i for i in _mask_bits(ambient.below[idx])]
+            members = list(order.bits(ambient.below[idx]))
             sub = ambient.subposet(members, label=f"[e, {format_cycles(ambient.elements[idx])}]")
             rep = labeling.verify_el(sub)
             intervals += rep.intervals_checked
@@ -482,7 +482,7 @@ def _claim_zeta_battery(profile, rng):
     bad = None
     for w in ambient.elements:
         sizes = ambient.subposet(
-            list(_mask_bits(ambient.below[ambient.index[w]]))).rank_sizes()
+            list(order.bits(ambient.below[ambient.index[w]]))).rank_sizes()
         if sizes != sizes[::-1]:
             bad = (format_cycles(w), sizes)
             break
@@ -557,13 +557,6 @@ def _claim_series_identity(profile, rng):
         else "coefficient mismatch",
         verdict=ok,
     )]
-
-
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 CLAIM_SECTIONS = [

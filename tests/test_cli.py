@@ -1,10 +1,11 @@
 """Command line interface: exit codes and output formats."""
 
 import json
+import time
 
 import pytest
 
-from absorder.cli import main
+from absorder.cli import build_parser, main
 
 
 def test_poset_table(capsys):
@@ -154,3 +155,80 @@ def test_verify_unknown_fault(capsys):
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_negative_or_bad_rank_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["poset", "--group", "B", "--n", value])
+    assert exc.value.code == 2
+    assert "rank must be a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["poset", "--n", "2"],
+    ["interval", "--n", "2", "--top", "[1,2]"],
+    ["ideal", "--n", "2", "--coxeter"],
+    ["check-el", "--n", "2"],
+    ["lattice-scan", "--n", "2"],
+    ["invariants", "--n", "2"],
+    ["gf", "--family", "sym", "--upto", "4"],
+])
+def test_seed_only_where_it_is_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_seed_accepted_by_topology_and_verify(capsys):
+    assert main(["topology", "--group", "S", "--n", "3", "--cm",
+                 "--cm-mode", "sampled", "--seed", "3"]) == 0
+    assert main(["verify", "--profile", "quick", "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-el", "--n", "2"],
+    ["lattice-scan", "--n", "2"],
+    ["invariants", "--n", "2"],
+    ["topology", "--n", "2"],
+    ["gf", "--family", "sym", "--upto", "4"],
+    ["verify"],
+])
+def test_dot_only_where_dot_is_printed(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "dot"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["interval", "--n", "2", "--top", "[1,2]"],
+    ["ideal", "--n", "2", "--coxeter"],
+])
+def test_dot_rendering_of_intervals_and_ideals(capsys, argv):
+    assert main(argv + ["--format", "dot"]) == 0
+    assert capsys.readouterr().out.startswith("digraph")
+
+
+def test_interval_renders_like_poset(capsys):
+    parser = build_parser()
+    poset = parser.parse_args(["poset", "--n", "2"])
+    interval = parser.parse_args(["interval", "--n", "2", "--top", "[1,2]"])
+    assert poset.handler is interval.handler
+    assert main(["interval", "--group", "S", "--n", "3",
+                 "--top", "((1,2,3))", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == [0, 1, 1, 1, 2]
+
+
+def test_full_poset_guard_trips_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["poset", "--group", "B", "--n", "6"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "resource guard" in err and "46080" in err
+
+
+def test_largest_signed_group_in_reach(capsys):
+    assert main(["poset", "--group", "B", "--n", "5"]) == 0
+    assert "3840 elements" in capsys.readouterr().out
