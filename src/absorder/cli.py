@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 a checked claim failed, 2 usage or domain error,
 
 import argparse
 import json
+import os
 import sys
 
 from . import invariants, labeling, lattice, order, series, topology, verify
@@ -305,17 +306,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ClosedPipeGuard:
+    """Stdout that goes on into os.devnull once its reader has gone.
+
+    A reader such as `head` may close the pipe before a command is done.
+    The rest of the output is dropped, as in the Python documentation's
+    recipe for SIGPIPE, but the command still runs to its end, so it exits
+    with the code its handler returns and prints nothing on stderr.
+    """
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def _call(self, method, *args):
+        try:
+            return method(*args)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, self._stream.fileno())
+            os.close(devnull)
+            return method(*args)
+
+    def write(self, text):
+        return self._call(self._stream.write, text)
+
+    def flush(self):
+        return self._call(self._stream.flush)
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    stdout = sys.stdout
+    sys.stdout = _ClosedPipeGuard(stdout)
     try:
-        return args.handler(args)
+        code = args.handler(args)
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except (LabelingError, CycleNotationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
+    return code
 
 
 if __name__ == "__main__":

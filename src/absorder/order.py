@@ -31,7 +31,8 @@ from .signed import (
 )
 
 
-# Largest group `full_poset` builds: S7 (5,040 elements) fits, D6 does not.
+# Largest group `full_poset` builds, and the most elements one downward
+# search may reach: S7 (5,040 elements) fits, D6 does not.
 POSET_GUARD = 10_000
 
 
@@ -380,21 +381,41 @@ class Poset:
         return "\n".join(lines)
 
 
-def elements_below(v: SignedPermutation, kind: str = "B") -> set:
-    """The principal ideal {z : z <= v}, by downward multiplication search."""
+def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> set:
+    """The principal ideal {z : z <= v}, by downward cover search.
+
+    Level d of the search holds elements of length l(v) - d; a product z*t
+    by a reflection joins the next level when its length drops by one.
+    Given `seen`, an order ideal owned by the caller (such as the result of
+    earlier calls), the search adds into it and returns it, and never
+    re-expands an element already there, whose ideal is there already:
+    this is how `build_ideal` and `fiber_ideal_M` run one shared search
+    over all their generators, visiting each element once.  Raises
+    ResourceGuardError once `seen` holds more than POSET_GUARD elements.
+    """
+    length = absolute_length(v, kind) - 1
+    if seen is None:
+        seen = set()
+    elif v in seen:
+        return seen
+    seen.add(v)
     refs = reflection_set(kind, v.n)
-    seen = {v}
     frontier = [v]
     while frontier:
         nxt = []
         for z in frontier:
-            lz = absolute_length(z, kind)
             for t in refs:
                 zt = z * t
-                if zt not in seen and absolute_length(zt, "B") == lz - 1:
+                if zt not in seen and absolute_length(zt, "B") == length:
                     seen.add(zt)
                     nxt.append(zt)
+            if len(seen) > POSET_GUARD:
+                raise ResourceGuardError(
+                    f"the downward search from {format_cycles(v)} in kind "
+                    f"{kind} reached {len(seen)} elements, more than the "
+                    f"guard {POSET_GUARD}")
         frontier = nxt
+        length -= 1
     return seen
 
 
@@ -411,12 +432,17 @@ def build_interval(u: SignedPermutation, v: SignedPermutation, kind: str = "B") 
 
 
 def build_ideal(generators, kind: str = "B", label: str = "ideal") -> Poset:
-    """The order ideal generated by the given elements."""
+    """The order ideal generated by the given elements.
+
+    One downward search is shared by all generators, so each element of
+    the ideal is visited once however many generators lie above it, and
+    the whole search is bounded by POSET_GUARD.
+    """
     members = set()
     for g in generators:
         if not is_member(g, kind):
             raise ValueError(f"generator {g!r} is not in kind {kind}")
-        members |= elements_below(g, kind)
+        elements_below(g, kind, members)
     return Poset(members, kind, label)
 
 
@@ -524,7 +550,7 @@ def fiber_ideal_M(u: SignedPermutation, ambient: Poset, i: int | None = None) ->
         raise ValueError(f"{u!r} has empty fiber in the ambient ideal")
     members = set()
     for g in gens:
-        members |= elements_below(g, ambient.kind)
+        elements_below(g, ambient.kind, members)
     if not all(v in ambient.index for v in members):
         raise ValueError("fiber ideal escapes the ambient poset")
     return Poset(members, ambient.kind, "fiber-ideal")

@@ -17,6 +17,12 @@ Cycle conventions used throughout:
 Canonical form of a cycle word: rotate so the entry of smallest absolute
 value comes first, and take that entry positive.  Composition is right
 to left: (u * v)(i) = u(v(i)).
+
+Reflection length, `gamma` and the D-membership test only need how many
+orbits are paired and how many balanced, so they count them in one walk
+over the image tuple (`_orbit_counts`) and build no `Cycle` objects.
+`cycle_decomposition` stays the definitional route: it serves formatting,
+projection and `mu_partition`, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -53,7 +59,9 @@ class SignedPermutation:
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         """Composition: (u * v)(i) = u(v(i))."""
-        return SignedPermutation(self(x) for x in other.images)
+        images = self.images
+        return SignedPermutation([images[x - 1] if x > 0 else -images[-x - 1]
+                                  for x in other.images])
 
     def inverse(self) -> "SignedPermutation":
         inv = [0] * len(self.images)
@@ -287,6 +295,33 @@ def _check_kind(kind):
         raise ValueError(f"unknown group kind {kind!r}")
 
 
+def _orbit_counts(w: SignedPermutation) -> tuple:
+    """(paired, balanced): how many orbits of w are of each sort.
+
+    One walk over the image tuple: an orbit that returns to +start is
+    paired (fixed points included), one that reaches -start is balanced.
+    """
+    images = w.images
+    seen = [False] * (len(images) + 1)
+    paired = balanced = 0
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        x = images[start - 1]
+        while x != start and x != -start:
+            if x > 0:
+                seen[x] = True
+                x = images[x - 1]
+            else:
+                seen[-x] = True
+                x = -images[-x - 1]
+        if x == start:
+            paired += 1
+        else:
+            balanced += 1
+    return paired, balanced
+
+
 def is_member(w: SignedPermutation, kind: str) -> bool:
     """Membership test: S = sign-free, D = evenly many balanced cycles."""
     _check_kind(kind)
@@ -294,13 +329,12 @@ def is_member(w: SignedPermutation, kind: str) -> bool:
         return True
     if kind == "S":
         return all(j > 0 for j in w.images)
-    return len(cycle_decomposition(w).balanced) % 2 == 0
+    return _orbit_counts(w)[1] % 2 == 0
 
 
 def gamma(w: SignedPermutation) -> int:
     """Number of paired cycles, counting each fixed point as a paired 1-cycle."""
-    dec = cycle_decomposition(w)
-    return len(dec.paired) + len(dec.fixed_points)
+    return _orbit_counts(w)[0]
 
 
 def absolute_length(w: SignedPermutation, kind: str = "B") -> int:
@@ -308,11 +342,15 @@ def absolute_length(w: SignedPermutation, kind: str = "B") -> int:
 
     The same count is correct for all three groups; for S_n every cycle is
     paired and for D_n the length is the restriction of the B_n length.
+    The paired and balanced orbits are counted in one walk over the images
+    (`_orbit_counts`), which also settles D-membership; an element outside
+    the kind raises ValueError.
     """
     _check_kind(kind)
-    if not is_member(w, kind):
+    paired, balanced = _orbit_counts(w)
+    if kind == "D" and balanced % 2 or kind == "S" and not is_member(w, "S"):
         raise ValueError(f"{w!r} is not in kind {kind}")
-    return w.n - gamma(w)
+    return w.n - paired
 
 
 def reflection_set(kind: str, n: int) -> tuple:

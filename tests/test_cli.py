@@ -1,7 +1,11 @@
 """Command line interface: exit codes and output formats."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +236,52 @@ def test_full_poset_guard_trips_at_once(capsys):
 def test_largest_signed_group_in_reach(capsys):
     assert main(["poset", "--group", "B", "--n", "5"]) == 0
     assert "3840 elements" in capsys.readouterr().out
+
+
+def test_coxeter_ideal_guard_trips(capsys):
+    assert main(["ideal", "--group", "B", "--n", "6", "--coxeter"]) == 3
+    err = capsys.readouterr().err
+    assert "resource guard" in err and "downward search" in err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _absorder_process(*argv):
+    """`python -m absorder ARGV...` in a child process, stdout piped."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.Popen([sys.executable, "-m", "absorder", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _absorder_process("poset", "--group", "S", "--n", "3",
+                             "--format", "json")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert len(json.loads(out)["elements"]) == 6
+
+
+def test_reader_closing_after_the_first_line_is_not_an_error():
+    # The JSON (about 110 kB) outgrows the pipe buffer, so the command is
+    # still writing when the reader goes.
+    proc = _absorder_process("poset", "--group", "B", "--n", "4",
+                             "--format", "json")
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert first == b"{\n"
+    assert err == b""
+
+
+def test_closed_pipe_keeps_the_handler_exit_code():
+    proc = _absorder_process("verify", "--profile", "quick",
+                             "--inject-fault", "zeta-consistency")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
