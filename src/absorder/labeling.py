@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .lattice import join
 from .order import Poset, ResourceGuardError, bits
-from .signed import SignedPermutation, cycle_decomposition, from_cycles
+from .signed import (SignedPermutation, cycle_decomposition, from_cycles,
+                     reflection_set)
 
 
 class LabelingError(ValueError):
@@ -77,10 +78,7 @@ def reflection_order(n: int) -> list:
     Sign flips ascending, then both-positive swaps lexicographically, then
     sign-mixing swaps lexicographically.
     """
-    flips = [("balanced", (i,)) for i in range(1, n + 1)]
-    plain = [("paired", (i, j)) for i in range(1, n) for j in range(i + 1, n + 1)]
-    mixed = [("paired", (i, -j)) for i in range(1, n) for j in range(i + 1, n + 1)]
-    return [from_cycles([word], n) for word in flips + plain + mixed]
+    return sorted(reflection_set("B", n), key=reflection_signature)
 
 
 def reflection_signature(t: SignedPermutation) -> tuple:
@@ -175,7 +173,7 @@ def _maximal_chains(p: Poset, x: int, y: int, guard: int):
     return chains
 
 
-def verify_el(p: Poset, labeler=None, key=None, chain_guard: int = 10 ** 6) -> ELReport:
+def verify_el(p: Poset, labeler=None, chain_guard: int = 10 ** 6) -> ELReport:
     """Check the EL property of a labeling on every closed interval of p.
 
     For each comparable pair x < y, every maximal chain of [x, y] is labeled;
@@ -184,14 +182,12 @@ def verify_el(p: Poset, labeler=None, key=None, chain_guard: int = 10 ** 6) -> E
     """
     if labeler is None:
         labeler = support_size_label
-    if key is None:
-        key = lambda lab: lab
     label_cache = {}
 
     def edge_label(i: int, j: int):
         got = label_cache.get((i, j))
         if got is None:
-            got = key(labeler(p.elements[i], p.elements[j]))
+            got = labeler(p.elements[i], p.elements[j])
             label_cache[(i, j)] = got
         return got
 

@@ -9,7 +9,7 @@ existence over a whole group at once.
 
 from dataclasses import dataclass
 
-from .order import (Poset, ResourceGuardError, abs_leq, bits, elements_below,
+from .order import (Poset, ResourceGuardError, bits, elements_below,
                     full_poset)
 from .signed import SignedPermutation, is_hook, is_member, mu_partition
 
@@ -164,7 +164,7 @@ def maximal_common_lower_bounds(u: SignedPermutation, v: SignedPermutation,
     Built on the intersection of the two principal ideals, which is enough:
     maximality only needs comparisons against other common lower bounds.
     """
-    common = [w for w in elements_below(u, kind) if abs_leq(w, v, kind)]
+    common = elements_below(u, kind) & elements_below(v, kind)
     sub = Poset(common, kind=kind, label="common lower bounds")
     return [sub.elements[i] for i in _maximal_of(sub, (1 << len(sub)) - 1)]
 

@@ -593,14 +593,14 @@ def fiber_ideal_identity_ok(ambient: Poset, i: int | None = None) -> bool:
     n = ambient.n
     if i is None:
         i = n
+    image = [fiber_map(w, i) for w in ambient.elements]
     points = {}
-    for idx, w in enumerate(ambient.elements):
-        points.setdefault(fiber_map(w, i), set()).add(idx)
+    for idx, p in enumerate(image):
+        points.setdefault(p, set()).add(idx)
     kind = ambient.kind
     for q, fiber in points.items():
         preimage_of_ideal = {
-            idx for idx, w in enumerate(ambient.elements)
-            if fiber_leq(fiber_map(w, i), q, kind)
+            idx for idx, p in enumerate(image) if fiber_leq(p, q, kind)
         }
         generated = set()
         for g in fiber:

@@ -361,15 +361,13 @@ def _single_cycles_with_projection(ambient: Poset, target) -> list:
     return gens
 
 
-def _checked_ideal(name: str, ideal: Poset, expected_rank: int,
-                   cm_mode: str) -> IdealCheck:
-    report = cm_check(order_complex(ideal, strip="endpoints"), mode=cm_mode)
+def _checked_ideal(name: str, ideal: Poset, expected_rank: int) -> IdealCheck:
+    report = cm_check(order_complex(ideal, strip="endpoints"))
     return IdealCheck(name, len(ideal), ideal.height(), expected_rank,
                       ideal.is_graded_by_rank(), report)
 
 
-def appendix_ideal_checks(kind: str, n: int, include_fibers: bool = True,
-                          cm_mode: str = "all") -> list:
+def appendix_ideal_checks(kind: str, n: int) -> list:
     """Rank and Cohen-Macaulay checks for the structural ideals.
 
     Long-cycle fiber ideals (n >= 3): the ideal generated by all single
@@ -389,13 +387,13 @@ def appendix_ideal_checks(kind: str, n: int, include_fibers: bool = True,
             gens = _single_cycles_with_projection(ambient, target)
             ideal = build_ideal(gens, "S", label="long-cycle fiber ideal")
             checks.append(_checked_ideal(
-                "plain long-cycle fiber ideal", ideal, n - 1, cm_mode))
-        if include_fibers and n >= 2:
+                "plain long-cycle fiber ideal", ideal, n - 1))
+        if n >= 2:
             for u in full_poset("S", n - 1).elements:
                 ideal = fiber_ideal_M(u, ambient)
                 checks.append(_checked_ideal(
                     f"fiber ideal over {format_cycles(u)}",
-                    ideal, absolute_length(u, "S") + 1, cm_mode))
+                    ideal, absolute_length(u, "S") + 1))
     elif kind == "B":
         if n >= 3:
             ambient = full_poset("B", n)
@@ -403,19 +401,19 @@ def appendix_ideal_checks(kind: str, n: int, include_fibers: bool = True,
             gens = _single_cycles_with_projection(ambient, target)
             ideal = build_ideal(gens, "B", label="long-cycle fiber ideal")
             checks.append(_checked_ideal(
-                "pair-type long-cycle fiber ideal", ideal, n - 1, cm_mode))
+                "pair-type long-cycle fiber ideal", ideal, n - 1))
             target = balanced_cycle(tuple(range(1, n)), n)
             gens = _single_cycles_with_projection(ambient, target)
             ideal = build_ideal(gens, "B", label="long-cycle fiber ideal")
             checks.append(_checked_ideal(
-                "balanced long-cycle fiber ideal", ideal, n, cm_mode))
-        if include_fibers and n >= 2:
+                "balanced long-cycle fiber ideal", ideal, n))
+        if n >= 2:
             ambient = coxeter_ideal(n, "B")
             for u in coxeter_ideal(n - 1, "B").elements:
                 ideal = fiber_ideal_M(u, ambient)
                 checks.append(_checked_ideal(
                     f"fiber ideal over {format_cycles(u)}",
-                    ideal, absolute_length(u, "B") + 1, cm_mode))
+                    ideal, absolute_length(u, "B") + 1))
     else:
         raise ValueError(f"no ideal checks for kind {kind!r}")
     return checks

@@ -1,5 +1,7 @@
 """Meets, joins, lattice detection, and the interval lattice scans."""
 
+import random
+
 import pytest
 
 from absorder import (
@@ -15,6 +17,8 @@ from absorder import (
     predict_lattice,
     prediction_scan,
 )
+from absorder.order import abs_leq, elements_below
+from absorder.signed import group_elements
 
 
 def test_meet_and_join_on_a_lattice_interval():
@@ -136,3 +140,20 @@ def test_three_maximal_lower_bounds_spot_check():
     v = parse_cycles("[1][2][3][5]", 5)
     bounds = maximal_common_lower_bounds(u, v, "D")
     assert sorted(map(str, bounds)) == ["[1][2]", "[1][3]", "[2][3]"]
+
+
+def _maximal_by_filter(u, v, kind):
+    """Maximal common lower bounds by filtering u's ideal with `abs_leq`."""
+    common = [w for w in elements_below(u, kind) if abs_leq(w, v, kind)]
+    return {w for w in common
+            if not any(x != w and abs_leq(w, x, kind) for x in common)}
+
+
+@pytest.mark.parametrize("kind,n", [("B", 4), ("D", 4), ("S", 5), ("D", 5)])
+def test_maximal_common_lower_bounds_match_abs_leq_filter(kind, n):
+    rng = random.Random(20261018)
+    elements = list(group_elements(kind, n))
+    for _ in range(50):
+        u, v = rng.choice(elements), rng.choice(elements)
+        assert (set(maximal_common_lower_bounds(u, v, kind))
+                == _maximal_by_filter(u, v, kind)), (u, v)

@@ -1,8 +1,12 @@
 """The claim-by-claim verification suite."""
 
+from dataclasses import fields
+
 import pytest
 
-from absorder import run_verify_suite
+from absorder import ClaimResult, run_verify_suite
+
+QUICK_CLAIMS = [r.claim for r in run_verify_suite(profile="quick").results]
 
 
 def test_quick_profile_all_claims_pass():
@@ -41,3 +45,23 @@ def test_unknown_fault_is_rejected():
 def test_unknown_profile_is_rejected():
     with pytest.raises(ValueError):
         run_verify_suite(profile="exhaustive")
+
+
+def test_verdict_is_derived_from_the_two_texts():
+    assert "verdict" not in {f.name for f in fields(ClaimResult)}
+    result = ClaimResult("c", "s", {"n": 1}, "4 vs 6", "4 vs 6")
+    assert result.verdict
+    assert list(result.to_json()) == ["claim", "statement", "parameters",
+                                      "expected", "computed", "verdict"]
+    result.computed = "4 vs 5"
+    assert not result.verdict
+    assert result.to_json()["verdict"] is False
+
+
+@pytest.mark.parametrize("claim", QUICK_CLAIMS)
+def test_fault_injection_fails_exactly_the_named_claim(claim):
+    report = run_verify_suite(profile="quick", fault=claim)
+    assert not report.ok()
+    bad = [r for r in report.results if not r.verdict]
+    assert [r.claim for r in bad] == [claim]
+    assert bad[0].computed == bad[0].expected + " [injected fault]"
