@@ -136,8 +136,7 @@ def _cmd_topology(args) -> int:
     }
     ok = payload["chi_by_counting"] == profile.euler
     if args.cm:
-        report = topology.cm_check(complex_, mode=args.cm_mode,
-                                   seed=args.seed)
+        report = topology.cm_check(complex_)
         payload["cm"] = report.to_json()
         ok = ok and report.ok
     if args.torsion:
@@ -278,13 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="homology and Cohen-Macaulay checks")
     _add_common(sub, top=True)
     sub.add_argument("--format", choices=FORMATS, default="table")
-    sub.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     sub.add_argument("--ideal", choices=("coxeter",),
                      help="use the maximal-cycle ideal instead of an interval")
     sub.add_argument("--strip", choices=("none", "endpoints"),
                      default="endpoints")
     sub.add_argument("--cm", action="store_true")
-    sub.add_argument("--cm-mode", choices=("all", "sampled"), default="all")
     sub.add_argument("--torsion", action="store_true")
     sub.set_defaults(handler=_cmd_topology)
 

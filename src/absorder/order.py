@@ -389,8 +389,9 @@ def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> set:
     Given `seen`, an order ideal owned by the caller (such as the result of
     earlier calls), the search adds into it and returns it, and never
     re-expands an element already there, whose ideal is there already:
-    this is how `build_ideal` and `fiber_ideal_M` run one shared search
-    over all their generators, visiting each element once.  Raises
+    this is how `build_ideal` (and through it `coxeter_ideal` and
+    `fiber_ideal_M`) runs one shared search over all its generators,
+    visiting each element once.  Raises
     ResourceGuardError once `seen` holds more than POSET_GUARD elements.
     """
     length = absolute_length(v, kind) - 1
@@ -548,12 +549,10 @@ def fiber_ideal_M(u: SignedPermutation, ambient: Poset, i: int | None = None) ->
     gens = [v for v in ambient.elements if project_pi(v, i) == u]
     if not gens:
         raise ValueError(f"{u!r} has empty fiber in the ambient ideal")
-    members = set()
-    for g in gens:
-        elements_below(g, ambient.kind, members)
-    if not all(v in ambient.index for v in members):
+    ideal = build_ideal(gens, ambient.kind, "fiber-ideal")
+    if not all(v in ambient.index for v in ideal.elements):
         raise ValueError("fiber ideal escapes the ambient poset")
-    return Poset(members, ambient.kind, "fiber-ideal")
+    return ideal
 
 
 def cover_lifting_ok(ambient: Poset, i: int | None = None) -> bool:

@@ -385,12 +385,15 @@ def coxeter_elements(kind: str, n: int):
     """Yield the Coxeter elements, deduplicated as permutations.
 
     S_n: the n-cycles; B_n: the balanced n-cycles; D_n: the products
-    [a1,...,a_{n-1}][a_n] of a balanced (n-1)-cycle and a sign flip.
+    [a1,...,a_{n-1}][a_n] of a balanced (n-1)-cycle and a sign flip.  The
+    trivial groups S_0, S_1, B_0, D_0 and D_1 have one Coxeter element, the
+    identity, the product of their empty set of simple reflections.
     """
     _check_kind(kind)
+    if n < (1 if kind == "B" else 2):
+        yield identity(n)
+        return
     if kind == "S":
-        if n < 2:
-            return
         for rest in itertools.permutations(range(2, n + 1)):
             yield paired_cycle((1,) + rest, n)
         return
@@ -398,8 +401,6 @@ def coxeter_elements(kind: str, n: int):
         for rest in itertools.permutations(range(2, n + 1)):
             for signs in itertools.product((1, -1), repeat=n - 1):
                 yield balanced_cycle((1,) + tuple(s * a for s, a in zip(signs, rest)), n)
-        return
-    if n < 2:
         return
     seen = set()
     for single in range(1, n + 1):
@@ -434,7 +435,7 @@ def group_order(kind: str, n: int) -> int:
         return math.factorial(n)
     if kind == "B":
         return (2 ** n) * math.factorial(n)
-    return (2 ** (n - 1)) * math.factorial(n)
+    return (2 ** max(n - 1, 0)) * math.factorial(n)
 
 
 def exponents(kind: str, n: int) -> tuple:

@@ -7,9 +7,10 @@ the link criterion: every link, the empty face included, must have reduced
 homology concentrated in its top dimension.
 """
 
-import random
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from .order import (Poset, ResourceGuardError, bits, build_ideal,
@@ -213,6 +214,8 @@ def chain_euler_characteristic(p: Poset, strip: str = "none") -> int:
 
 @dataclass
 class CMReport:
+    """The outcome of `cm_check`; `mode` is always "all" (every link)."""
+
     ok: bool
     mode: str
     faces_checked: int
@@ -228,51 +231,54 @@ class CMReport:
         return data
 
 
-def cm_check(c: SimplicialComplex, mode: str = "all", seed: int = 0,
-             edge_samples: int = 200,
-             face_guard: int = FACE_GUARD) -> CMReport:
+def _poly_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two integer polynomials given as coefficient tuples."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def cm_check(c: SimplicialComplex) -> CMReport:
     """Link criterion for Cohen-Macaulayness over the rationals.
 
-    Checks the empty face first (the whole complex), then faces by ascending
-    dimension.  In sampled mode only the empty face, every vertex link, and
-    a seeded sample of edge links are examined; a passing sampled report is
-    evidence, not a proof.
+    Checks the empty face first (the whole complex), then faces by
+    ascending dimension, up to the first link whose reduced homology is not
+    concentrated in its top dimension.  The link of a chain c_0 < ... < c_k
+    is the join of its gaps, the open intervals below c_0, between
+    consecutive elements and above c_k; the empty face has one gap, the
+    whole complex.  Over a field the reduced Betti numbers of a join
+    multiply (Kunneth): with P(X) = sum_i b_i(X) t^(i+1), P(X * Y) =
+    P(X) P(Y), and an empty gap has P = 1.  So each distinct gap's homology
+    is computed once, and a link's Betti numbers are the coefficients from
+    t^1 up of the product over its gaps, kept at full length so that the
+    tuple has one entry per dimension of the link.
     """
-    if mode not in ("all", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     p = c.poset
-    comparable = {
-        v: (p.below[v] | p.above[v]) & c.member_mask & ~(1 << v)
-        for v in bits(c.member_mask)
-    }
-    checked = 0
+    polys = {}
 
-    def link_ok(face):
-        nonlocal checked
-        link_mask = c.member_mask
-        for v in face:
-            link_mask &= comparable[v]
-        profile = _homology_from_faces(_chains_in_mask(p, link_mask, face_guard))
-        checked += 1
-        return profile.concentrated_in_top(), profile
+    def gap(lo, hi) -> tuple:
+        """P of the open interval (lo, hi); an end that is None is open."""
+        if (lo, hi) not in polys:
+            mask = c.member_mask
+            if lo is not None:
+                mask &= p.above[lo] & ~(1 << lo)
+            if hi is not None:
+                mask &= p.below[hi] & ~(1 << hi)
+            betti = _homology_from_faces(_chains_in_mask(p, mask)).reduced_betti
+            polys[lo, hi] = (0,) + betti if betti else (1,)
+        return polys[lo, hi]
 
-    ok, profile = link_ok(())
-    if not ok:
-        return CMReport(False, mode, checked, (), profile.reduced_betti)
-    for d in range(len(c.faces_by_dim)):
-        faces = c.faces_by_dim[d]
-        if mode == "sampled":
-            if d == 1 and len(faces) > edge_samples:
-                faces = random.Random(seed).sample(faces, edge_samples)
-            elif d > 1:
-                break
-        for face in faces:
-            ok, profile = link_ok(face)
-            if not ok:
-                names = tuple(c.vertex_name(v) for v in face)
-                return CMReport(False, mode, checked, names,
-                                profile.reduced_betti)
-    return CMReport(True, mode, checked, None, None)
+    faces = itertools.chain([()], *c.faces_by_dim)
+    for checked, face in enumerate(faces, 1):
+        ends = (None,) + face + (None,)
+        betti = reduce(_poly_mul, map(gap, ends, ends[1:]))[1:]
+        if any(betti[:-1]):
+            names = tuple(c.vertex_name(v) for v in face)
+            return CMReport(False, "all", checked, names, betti)
+    return CMReport(True, "all", 1 + c.face_count(), None, None)
 
 
 def _smith_normal_form_diagonal(columns: list, rows: int) -> list:
@@ -351,20 +357,21 @@ class IdealCheck:
         }
 
 
-def _single_cycles_with_projection(ambient: Poset, target) -> list:
-    gens = []
-    for v in ambient.elements:
-        if len(cycle_decomposition(v).cycles) != 1:
-            continue
-        if project_pi(v, ambient.n) == target:
-            gens.append(v)
-    return gens
-
-
 def _checked_ideal(name: str, ideal: Poset, expected_rank: int) -> IdealCheck:
     report = cm_check(order_complex(ideal, strip="endpoints"))
     return IdealCheck(name, len(ideal), ideal.height(), expected_rank,
                       ideal.is_graded_by_rank(), report)
+
+
+def _long_cycle_check(flavor: str, ambient: Poset, target,
+                      expected_rank: int) -> IdealCheck:
+    """Check the ideal generated by the single cycles projecting to target."""
+    gens = [v for v in ambient.elements
+            if len(cycle_decomposition(v).cycles) == 1
+            and project_pi(v, ambient.n) == target]
+    ideal = build_ideal(gens, ambient.kind, label="long-cycle fiber ideal")
+    return _checked_ideal(f"{flavor} long-cycle fiber ideal", ideal,
+                          expected_rank)
 
 
 def appendix_ideal_checks(kind: str, n: int) -> list:
@@ -379,43 +386,27 @@ def appendix_ideal_checks(kind: str, n: int) -> list:
     """
     from .signed import absolute_length, balanced_cycle, paired_cycle
 
-    checks = []
-    if kind == "S":
-        ambient = full_poset("S", n)
-        if n >= 3:
-            target = paired_cycle(tuple(range(1, n)), n)
-            gens = _single_cycles_with_projection(ambient, target)
-            ideal = build_ideal(gens, "S", label="long-cycle fiber ideal")
-            checks.append(_checked_ideal(
-                "plain long-cycle fiber ideal", ideal, n - 1))
-        if n >= 2:
-            for u in full_poset("S", n - 1).elements:
-                ideal = fiber_ideal_M(u, ambient)
-                checks.append(_checked_ideal(
-                    f"fiber ideal over {format_cycles(u)}",
-                    ideal, absolute_length(u, "S") + 1))
-    elif kind == "B":
-        if n >= 3:
-            ambient = full_poset("B", n)
-            target = paired_cycle(tuple(range(1, n)), n)
-            gens = _single_cycles_with_projection(ambient, target)
-            ideal = build_ideal(gens, "B", label="long-cycle fiber ideal")
-            checks.append(_checked_ideal(
-                "pair-type long-cycle fiber ideal", ideal, n - 1))
-            target = balanced_cycle(tuple(range(1, n)), n)
-            gens = _single_cycles_with_projection(ambient, target)
-            ideal = build_ideal(gens, "B", label="long-cycle fiber ideal")
-            checks.append(_checked_ideal(
-                "balanced long-cycle fiber ideal", ideal, n))
-        if n >= 2:
-            ambient = coxeter_ideal(n, "B")
-            for u in coxeter_ideal(n - 1, "B").elements:
-                ideal = fiber_ideal_M(u, ambient)
-                checks.append(_checked_ideal(
-                    f"fiber ideal over {format_cycles(u)}",
-                    ideal, absolute_length(u, "B") + 1))
-    else:
+    if kind not in ("S", "B"):
         raise ValueError(f"no ideal checks for kind {kind!r}")
+    checks = []
+    letters = tuple(range(1, n))
+    if n >= 3:
+        group = full_poset(kind, n)
+        if kind == "S":
+            checks.append(_long_cycle_check(
+                "plain", group, paired_cycle(letters, n), n - 1))
+        else:
+            checks.append(_long_cycle_check(
+                "pair-type", group, paired_cycle(letters, n), n - 1))
+            checks.append(_long_cycle_check(
+                "balanced", group, balanced_cycle(letters, n), n))
+    if n >= 2:
+        # the Coxeter ideal of S_n is all of S_n
+        ambient = coxeter_ideal(n, kind)
+        for u in coxeter_ideal(n - 1, kind).elements:
+            checks.append(_checked_ideal(
+                f"fiber ideal over {format_cycles(u)}",
+                fiber_ideal_M(u, ambient), absolute_length(u, kind) + 1))
     return checks
 
 

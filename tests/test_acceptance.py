@@ -235,7 +235,7 @@ def test_11_proper_parts_are_cohen_macaulay():
     for n in (2, 3, 4):
         probes.append(order_complex(coxeter_ideal(n, "B"), strip="endpoints"))
     for c in probes:
-        report = cm_check(c, mode="all")
+        report = cm_check(c)
         assert report.ok, (c.label, report.failing_face)
         assert homology(c).concentrated_in_top(), c.label
     print("PASS link criterion and top-degree concentration on stripped "

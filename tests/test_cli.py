@@ -177,6 +177,7 @@ def test_negative_or_bad_rank_is_a_usage_error(capsys, value):
     ["lattice-scan", "--n", "2"],
     ["invariants", "--n", "2"],
     ["gf", "--family", "sym", "--upto", "4"],
+    ["topology", "--n", "2"],
 ])
 def test_seed_only_where_it_is_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -186,9 +187,21 @@ def test_seed_only_where_it_is_read(capsys, argv):
 
 
 def test_seed_accepted_by_topology_and_verify(capsys):
-    assert main(["topology", "--group", "S", "--n", "3", "--cm",
-                 "--cm-mode", "sampled", "--seed", "3"]) == 0
     assert main(["verify", "--profile", "quick", "--seed", "3"]) == 0
+
+
+def test_cm_mode_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["topology", "--group", "S", "--n", "3", "--cm",
+              "--cm-mode", "all"])
+    assert exc.value.code == 2
+    assert "--cm-mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", ["S", "B", "D"])
+def test_rank_zero_coxeter_ideal_is_the_identity(capsys, group):
+    assert main(["ideal", "--group", group, "--n", "0", "--coxeter"]) == 0
+    assert "1 elements" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

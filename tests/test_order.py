@@ -20,7 +20,7 @@ from absorder.order import (
     sn_leq_noncrossing,
     translate_interval,
 )
-from absorder.signed import format_cycles, identity, parse_cycles
+from absorder.signed import format_cycles, group_order, identity, parse_cycles
 
 
 def test_leq_by_length_additivity():
@@ -117,6 +117,18 @@ def test_coxeter_ideal_sizes():
     assert len(full_poset("S", 3)) == 6
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_coxeter_ideal_of_a_symmetric_group_is_all_of_it(n):
+    assert set(coxeter_ideal(n, "S").elements) == set(full_poset("S", n).elements)
+
+
+def test_trivial_groups_have_the_identity_as_coxeter_element():
+    for kind, n in (("B", 0), ("D", 0), ("D", 1)):
+        assert coxeter_ideal(n, kind).elements == [identity(n)]
+    assert group_order("D", 0) == 1
+    assert [group_order("D", n) for n in range(1, 4)] == [1, 4, 24]
+
+
 def test_translate_interval_is_isomorphism():
     u = parse_cycles("((1,2))", 3)
     v = parse_cycles("[1,2,3]", 3)
@@ -148,6 +160,15 @@ def test_fiber_ideal_smallest_case():
     assert ideal.height() == 1
     assert {format_cycles(w) for w in ideal.elements} == {
         "e", "[2]", "((1,2))", "((1,-2))"}
+
+
+def test_fiber_ideal_refuses_empty_fibers_and_escapes():
+    with pytest.raises(ValueError, match="empty fiber"):
+        fiber_ideal_M(parse_cycles("((1,2))", 2), full_poset("S", 3).subposet([0]))
+    # an interval above [1] is not an order ideal: the fiber's ideal holds e
+    above_flip = build_interval(parse_cycles("[1]", 3), parse_cycles("[1,2,3]", 3), "B")
+    with pytest.raises(ValueError, match="escapes the ambient poset"):
+        fiber_ideal_M(parse_cycles("[1]", 2), above_flip)
 
 
 def test_cover_lifting_small_scopes():

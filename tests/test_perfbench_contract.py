@@ -1,23 +1,42 @@
-"""The benchmark tracer's targets still exist in the package.
+"""The benchmark's contract with the package, checked in the test suite.
 
 `perfbench/tracer.py` wraps each `(owner, attribute)` in its TARGETS with
-`getattr`, so a traced function that is deleted or renamed would break
-only a benchmark run.  This test makes such a change fail here instead.
+`getattr`, and `perfbench/run.py` checks every op's answers against
+`perfbench/references.json`.  A traced function that is deleted or renamed,
+or an answer that drifts, would otherwise break only a benchmark run; these
+tests make such a change fail here instead.  They read `perfbench/` and
+change nothing there.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SEED = 3
+
+
+def _perfbench_module(name):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        return importlib.import_module(name)
 
 
 @pytest.fixture(scope="module")
 def targets():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(PERFBENCH))
-        return importlib.import_module("tracer").TARGETS
+    return _perfbench_module("tracer").TARGETS
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench_module("workloads")
+
+
+@pytest.fixture(scope="module")
+def references():
+    return json.loads((PERFBENCH / "references.json").read_text())
 
 
 def test_every_traced_target_exists(targets):
@@ -26,3 +45,23 @@ def test_every_traced_target_exists(targets):
                for owner, attr, _layer, _timed in targets
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def _ops(workloads, workload):
+    inputs = workloads.Inputs(SEED)
+    if workload == "construct":
+        return workloads.construct_ops(inputs)
+    posets = {name: build()
+              for name, build in workloads.analyze_setup_steps(inputs)}
+    return workloads.analyze_ops(posets)
+
+
+@pytest.mark.parametrize("workload", ["construct", "analyze"])
+def test_benchmark_answers_match_references(workloads, references, workload):
+    want = {name: value for name, value in references[workload].items()
+            if not name.startswith("setup:")}
+    got = {name: json.loads(json.dumps(fn()))
+           for name, fn in _ops(workloads, workload)}
+    assert sorted(got) == sorted(want)
+    wrong = sorted(name for name in got if got[name] != want[name])
+    assert {name: got[name] for name in wrong} == {name: want[name] for name in wrong}

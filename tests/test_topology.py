@@ -1,5 +1,7 @@
 """Order complexes, homology, Cohen-Macaulay checks, torsion, ideal battery."""
 
+import random
+
 import pytest
 
 from absorder import (
@@ -16,7 +18,9 @@ from absorder import (
     parse_cycles,
     torsion_profile,
 )
-from absorder.topology import _smith_normal_form_diagonal
+from absorder.order import bits
+from absorder.topology import (_chains_in_mask, _homology_from_faces,
+                               _smith_normal_form_diagonal)
 
 
 def test_stripped_coxeter_ideal_two_letters():
@@ -100,14 +104,64 @@ def test_cm_holds_on_stripped_plain_poset():
     assert report.mode == "all"
 
 
-def test_sampled_cm_agrees_on_coxeter_ideal():
-    c = order_complex(coxeter_ideal(3, "B"), strip="endpoints")
-    full = cm_check(c, mode="all")
-    sampled = cm_check(c, mode="sampled", seed=7, edge_samples=40)
-    assert full.ok and sampled.ok
-    assert sampled.faces_checked < full.faces_checked
-    with pytest.raises(ValueError):
-        cm_check(c, mode="bogus")
+def _links_from_scratch(c):
+    """The link criterion by eliminating every link on its own.
+
+    The reference for `cm_check`, which multiplies gap homologies instead:
+    here the link of a face is the set of vertices comparable with all of
+    its elements, and its homology comes from its own chains.
+    """
+    p = c.poset
+    comparable = {v: (p.below[v] | p.above[v]) & c.member_mask & ~(1 << v)
+                  for v in bits(c.member_mask)}
+    faces = [()] + [face for dim_faces in c.faces_by_dim for face in dim_faces]
+    for checked, face in enumerate(faces, 1):
+        mask = c.member_mask
+        for v in face:
+            mask &= comparable[v]
+        profile = _homology_from_faces(_chains_in_mask(p, mask))
+        if not profile.concentrated_in_top():
+            return {"ok": False, "mode": "all", "faces_checked": checked,
+                    "failing_face": [c.vertex_name(v) for v in face],
+                    "failing_betti": list(profile.reduced_betti)}
+    return {"ok": True, "mode": "all", "faces_checked": len(faces)}
+
+
+def _oracle_complexes():
+    four_flips = build_interval(identity(4), parse_cycles("[1][2][3][4]", 4), "D")
+    cases = [
+        ("coxeter-ideal-B3", order_complex(coxeter_ideal(3, "B"), strip="endpoints")),
+        ("S4", order_complex(full_poset("S", 4), strip="endpoints")),
+        ("four-flips-D4-endpoints", order_complex(four_flips, strip="endpoints")),
+        ("four-flips-D4-none", order_complex(four_flips, strip="none")),
+        ("empty", order_complex(full_poset("S", 2), strip="endpoints")),
+    ]
+    # Random subsets of B4 mostly fail at the empty face; subsets of an
+    # interval [e, w] kept with both ends are double cones, which pass
+    # there and mostly fail at a link further on.
+    b4 = full_poset("B", 4)
+    tops = [i for i in range(len(b4)) if b4.rank[i] == 4]
+    rng = random.Random(20261018)
+    for k in range(12):
+        keep = rng.sample(range(len(b4)), rng.randint(12, 40))
+        sub = b4.subposet(keep, label=f"sample {k}")
+        cases.append((f"subposet-B4-{k}", order_complex(sub, strip="none")))
+        w = rng.choice(tops)
+        inside = [i for i in bits(b4.below[w]) if i not in (0, w)]
+        keep = rng.sample(inside, rng.randint(8, 30)) + [0, w]
+        sub = b4.subposet(keep, label=f"bounded sample {k}")
+        cases.append((f"bounded-subposet-B4-{k}", order_complex(sub, strip="none")))
+    return cases
+
+
+def test_cm_check_matches_links_from_scratch():
+    reports = {}
+    for name, c in _oracle_complexes():
+        reports[name] = cm_check(c).to_json()
+        assert reports[name] == _links_from_scratch(c), name
+    failing_faces = [r["failing_face"] for r in reports.values() if not r["ok"]]
+    assert len(failing_faces) >= 20
+    assert sum(len(face) > 1 for face in failing_faces) >= 10
 
 
 def test_face_guard_trips():
