@@ -127,7 +127,11 @@ def _cmd_invariants(args) -> int:
 def _cmd_topology(args) -> int:
     p = _build_poset(args)
     complex_ = topology.order_complex(p, strip=args.strip)
-    profile = topology.homology(complex_)
+    if args.cm:
+        report = topology.cm_check(complex_)
+        profile = report.homology
+    else:
+        profile = topology.homology(complex_)
     payload = {
         "complex": complex_.to_json(),
         "homology": profile.to_json(),
@@ -136,7 +140,6 @@ def _cmd_topology(args) -> int:
     }
     ok = payload["chi_by_counting"] == profile.euler
     if args.cm:
-        report = topology.cm_check(complex_)
         payload["cm"] = report.to_json()
         ok = ok and report.ok
     if args.torsion:

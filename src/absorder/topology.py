@@ -128,29 +128,39 @@ def _normalized(col: dict, pivot_row) -> dict:
             for r, v in col.items()}
 
 
+def _reduce(col: dict, pivots: dict) -> dict:
+    """Clear, in place, every pivot row of `col`.
+
+    `pivots` maps a pivot row to its column, normalised to 1 on that row
+    and zero on the rows of the pivots found before it; integer columns
+    with unit pivots stay integer.
+    """
+    while col:
+        hit = None
+        for r in col:
+            if r in pivots:
+                hit = r
+                break
+        if hit is None:
+            break
+        v = col.pop(hit)
+        for rr, vv in pivots[hit].items():
+            if rr == hit:
+                continue
+            nv = col.get(rr, 0) - v * vv
+            if nv:
+                col[rr] = nv
+            else:
+                col.pop(rr, None)
+    return col
+
+
 def _rank_sparse(columns: list) -> int:
     """Rank over the rationals of a matrix given as row->value columns."""
     pivots = {}
     rank = 0
     for col in columns:
-        col = dict(col)
-        while col:
-            hit = None
-            for r in col:
-                if r in pivots:
-                    hit = r
-                    break
-            if hit is None:
-                break
-            v = col.pop(hit)
-            for rr, vv in pivots[hit].items():
-                if rr == hit:
-                    continue
-                nv = col.get(rr, 0) - v * vv
-                if nv:
-                    col[rr] = nv
-                else:
-                    col.pop(rr, None)
+        col = _reduce(dict(col), pivots)
         if col:
             prow = None
             for r, v in col.items():
@@ -189,7 +199,10 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     betti = tuple(len(faces_by_dim[d]) - ranks[d] - ranks[d + 1]
                   for d in range(top + 1))
     euler = -1 + sum((-1) ** d * len(faces_by_dim[d]) for d in range(top + 1))
-    assert sum((-1) ** d * b for d, b in enumerate(betti)) == euler
+    if sum((-1) ** d * b for d, b in enumerate(betti)) != euler:
+        raise ArithmeticError(
+            f"Betti numbers {betti} disagree with the face count's reduced "
+            f"Euler characteristic {euler}")
     return HomologyProfile(betti, euler)
 
 
@@ -214,13 +227,18 @@ def chain_euler_characteristic(p: Poset, strip: str = "none") -> int:
 
 @dataclass
 class CMReport:
-    """The outcome of `cm_check`; `mode` is always "all" (every link)."""
+    """The outcome of `cm_check`; `mode` is always "all" (every link).
+
+    `homology` is the complex's own, the link of the empty face; it is not
+    part of the JSON report.
+    """
 
     ok: bool
     mode: str
     faces_checked: int
     failing_face: tuple | None
     failing_betti: tuple | None
+    homology: HomologyProfile
 
     def to_json(self) -> dict:
         data = {"ok": self.ok, "mode": self.mode,
@@ -249,15 +267,20 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     concentrated in its top dimension.  The link of a chain c_0 < ... < c_k
     is the join of its gaps, the open intervals below c_0, between
     consecutive elements and above c_k; the empty face has one gap, the
-    whole complex.  Over a field the reduced Betti numbers of a join
-    multiply (Kunneth): with P(X) = sum_i b_i(X) t^(i+1), P(X * Y) =
-    P(X) P(Y), and an empty gap has P = 1.  So each distinct gap's homology
-    is computed once, and a link's Betti numbers are the coefficients from
-    t^1 up of the product over its gaps, kept at full length so that the
-    tuple has one entry per dimension of the link.
+    whole complex, whose chains are the faces of `c`.  Over a field the
+    reduced Betti numbers of a join multiply (Kunneth): with P(X) =
+    sum_i b_i(X) t^(i+1), P(X * Y) = P(X) P(Y), and an empty gap has P = 1.
+    So each distinct gap's homology is computed once, and a link's Betti
+    numbers are the coefficients from t^1 up of the product over its gaps,
+    kept at full length so that the tuple has one entry per dimension of
+    the link.
     """
     p = c.poset
+    whole = _homology_from_faces(c.faces_by_dim)
     polys = {}
+
+    def poly(betti) -> tuple:
+        return (0,) + betti if betti else (1,)
 
     def gap(lo, hi) -> tuple:
         """P of the open interval (lo, hi); an end that is None is open."""
@@ -267,9 +290,11 @@ def cm_check(c: SimplicialComplex) -> CMReport:
                 mask &= p.above[lo] & ~(1 << lo)
             if hi is not None:
                 mask &= p.below[hi] & ~(1 << hi)
-            betti = _homology_from_faces(_chains_in_mask(p, mask)).reduced_betti
-            polys[lo, hi] = (0,) + betti if betti else (1,)
+            polys[lo, hi] = poly(
+                _homology_from_faces(_chains_in_mask(p, mask)).reduced_betti)
         return polys[lo, hi]
+
+    polys[None, None] = poly(whole.reduced_betti)
 
     faces = itertools.chain([()], *c.faces_by_dim)
     for checked, face in enumerate(faces, 1):
@@ -277,12 +302,16 @@ def cm_check(c: SimplicialComplex) -> CMReport:
         betti = reduce(_poly_mul, map(gap, ends, ends[1:]))[1:]
         if any(betti[:-1]):
             names = tuple(c.vertex_name(v) for v in face)
-            return CMReport(False, "all", checked, names, betti)
-    return CMReport(True, "all", 1 + c.face_count(), None, None)
+            return CMReport(False, "all", checked, names, betti, whole)
+    return CMReport(True, "all", 1 + c.face_count(), None, None, whole)
 
 
 def _smith_normal_form_diagonal(columns: list, rows: int) -> list:
-    """Invariant factors of an integer matrix (small, dense computation)."""
+    """Invariant factors of an integer matrix, by dense elimination.
+
+    `_invariant_factors` runs it on what unit pivots leave; tests use it on
+    whole matrices as the reference.
+    """
     mat = [[0] * len(columns) for _ in range(rows)]
     for j, col in enumerate(columns):
         for r, v in col.items():
@@ -410,21 +439,55 @@ def appendix_ideal_checks(kind: str, n: int) -> list:
     return checks
 
 
+def _invariant_factors(columns: list) -> list:
+    """Invariant factors of an integer matrix given as row->value columns.
+
+    Unit pivots are eliminated sparsely and the dense Smith normal form
+    runs only on the residual, the columns left with no unit entry.  Over
+    Z this is exact: reducing a column by an integer multiple of a pivot
+    column normalised to 1 is unimodular, and the pivot columns on their
+    pivot rows form a unit triangular block.  Once every residual column is
+    zero on every pivot row, SNF(M) = 1^(#pivots) + SNF(residual), so the
+    residual is reduced again after each pass that found a new pivot.
+    """
+    pivots = {}
+    todo = columns
+    found = True
+    while found:
+        found = False
+        residual = []
+        for col in todo:
+            col = _reduce(dict(col), pivots)
+            prow = next((r for r, v in col.items() if v == 1 or v == -1),
+                        None)
+            if prow is not None:
+                pivots[prow] = _normalized(col, prow)
+                found = True
+            elif col:
+                residual.append(col)
+        todo = residual
+    used = sorted({r for col in todo for r in col})
+    rows = {r: k for k, r in enumerate(used)}
+    rest = [{rows[r]: v for r, v in col.items()} for col in todo]
+    return [1] * len(pivots) + _smith_normal_form_diagonal(rest, len(rows))
+
+
 def torsion_profile(c: SimplicialComplex, entry_guard: int = 250_000) -> dict:
     """Torsion coefficients of each boundary map, via Smith normal form.
 
     Returns {d: [invariant factors > 1]}; all empty means the integral
     homology is free, so the rational Betti numbers tell the whole story.
+    The guard bounds the dense size rows x cols of every boundary map and
+    is checked for all of them before any is eliminated.
     """
-    out = {}
-    for d in range(1, len(c.faces_by_dim)):
-        rows = len(c.faces_by_dim[d - 1])
-        cols = len(c.faces_by_dim[d])
-        if rows * cols > entry_guard:
+    f = c.f_vector()
+    for d in range(1, len(f)):
+        if f[d - 1] * f[d] > entry_guard:
             raise ResourceGuardError(
-                f"torsion guard exceeded at dimension {d}: {rows}x{cols}"
+                f"torsion guard exceeded at dimension {d}: {f[d - 1]}x{f[d]}"
             )
-        diag = _smith_normal_form_diagonal(
-            _boundary_columns(c.faces_by_dim, d), rows)
+    out = {}
+    for d in range(1, len(f)):
+        diag = _invariant_factors(_boundary_columns(c.faces_by_dim, d))
         out[d] = [v for v in diag if v > 1]
     return out

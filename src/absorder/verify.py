@@ -282,9 +282,7 @@ def _claim_alt_labelings(profile, rng):
 def _claim_disconnected(profile, rng):
     iv = order.build_interval(parse_cycles("e", 4),
                               parse_cycles("[1][2][3][4]", 4), "D")
-    complex_ = topology.order_complex(iv, strip="endpoints")
-    h = topology.homology(complex_)
-    cm = topology.cm_check(complex_)
+    cm = topology.cm_check(topology.order_complex(iv, strip="endpoints"))
     return [_claim(
         claim="disconnected-even-interval",
         statement=("the open interval below the four-flip product in the "
@@ -292,7 +290,7 @@ def _claim_disconnected(profile, rng):
                    "criterion already fails at the empty face"),
         parameters={"interval": "(e, [1][2][3][4])", "kind": "D"},
         expected="3 components; failure at the empty face",
-        computed=(f"{h.reduced_betti[0] + 1} components; "
+        computed=(f"{cm.homology.reduced_betti[0] + 1} components; "
                   + ("failure at the empty face" if not cm.ok
                      and cm.failing_face == () else "no failure at the empty face")),
     )]
@@ -344,12 +342,11 @@ def _claim_proper_part_cm(profile, rng):
     for kind, n in scopes:
         p = (order.full_poset("S", n) if kind == "S"
              else order.coxeter_ideal(n, "B"))
-        c = topology.order_complex(p, strip="endpoints")
-        h = topology.homology(c)
-        cm = topology.cm_check(c)
+        cm = topology.cm_check(topology.order_complex(p, strip="endpoints"))
         key = f"{kind}{n}"
         expected[key] = {"cm": True, "concentrated": True}
-        computed[key] = {"cm": cm.ok, "concentrated": h.concentrated_in_top()}
+        computed[key] = {"cm": cm.ok,
+                         "concentrated": cm.homology.concentrated_in_top()}
     return [_claim(
         claim="proper-part-cm",
         statement=("the stripped plain-group and coxeter-ideal complexes "

@@ -18,9 +18,11 @@ from absorder import (
     parse_cycles,
     torsion_profile,
 )
+from absorder import topology
 from absorder.order import bits
-from absorder.topology import (_chains_in_mask, _homology_from_faces,
-                               _smith_normal_form_diagonal)
+from absorder.topology import (SimplicialComplex, _boundary_columns,
+                               _chains_in_mask, _homology_from_faces,
+                               _invariant_factors, _smith_normal_form_diagonal)
 
 
 def test_stripped_coxeter_ideal_two_letters():
@@ -174,6 +176,80 @@ def test_torsion_free_small_complex():
     assert torsion_profile(c) == {1: []}
     with pytest.raises(ResourceGuardError):
         torsion_profile(c, entry_guard=1)
+
+
+def test_torsion_guard_refuses_before_eliminating(monkeypatch):
+    # dimension 1 of stripped S5 is 119x1570 and within the guard, but
+    # dimension 2 (1570x4260) is not; nothing may be eliminated first
+    def no_elimination(*args):
+        raise AssertionError("eliminated before the guard was checked")
+
+    monkeypatch.setattr(topology, "_invariant_factors", no_elimination)
+    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", no_elimination)
+    c = order_complex(full_poset("S", 5), strip="endpoints")
+    with pytest.raises(ResourceGuardError, match="dimension 2: 1570x4260"):
+        torsion_profile(c)
+
+
+def test_real_projective_plane_has_two_torsion():
+    # the six-vertex triangulation of RP^2: H_1 = Z/2
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+    edges = sorted({t[:k] + t[k + 1:] for t in triangles for k in range(3)})
+    faces = [[(v,) for v in range(6)], edges, sorted(triangles)]
+    assert len(edges) == 15
+    c = SimplicialComplex(None, 0, faces, label="RP^2")
+    assert homology(c).reduced_betti == (0, 0, 0)
+    assert torsion_profile(c) == {1: [], 2: [2]}
+
+
+def _boundary_maps():
+    four_flips = build_interval(identity(4), parse_cycles("[1][2][3][4]", 4), "D")
+    posets = (full_poset("B", 3), full_poset("S", 4), coxeter_ideal(3, "B"),
+              four_flips)
+    for p in posets:
+        faces = order_complex(p, strip="endpoints").faces_by_dim
+        for d in range(1, len(faces)):
+            yield (f"{p.label} d={d}", _boundary_columns(faces, d),
+                   len(faces[d - 1]))
+
+
+def test_sparse_first_smith_matches_dense_on_boundary_maps():
+    names = []
+    for name, columns, rows in _boundary_maps():
+        assert _invariant_factors(columns) == \
+            _smith_normal_form_diagonal(columns, rows), name
+        names.append(name)
+    assert len(names) == 8
+
+
+def _random_matrix(rng):
+    rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+    values = [0] * 6 + [1, -1, 2, -2, 3, -3, 4, 6, -6, 9]
+    columns = [{} if rng.random() < 0.2
+               else {r: v for r in range(rows) if (v := rng.choice(values))}
+               for _ in range(cols)]
+    return columns, rows
+
+
+def test_sparse_first_smith_matches_dense_on_random_matrices():
+    rng = random.Random(20261018)
+    with_torsion = 0
+    for k in range(300):
+        columns, rows = _random_matrix(rng)
+        dense = _smith_normal_form_diagonal(columns, rows)
+        assert _invariant_factors(columns) == dense, (k, columns, rows)
+        with_torsion += any(v > 1 for v in dense)
+    assert with_torsion >= 50
+
+
+def test_cm_report_carries_the_complex_homology():
+    four_flips = build_interval(identity(4), parse_cycles("[1][2][3][4]", 4), "D")
+    for p in (full_poset("S", 4), four_flips, full_poset("S", 2)):
+        c = order_complex(p, strip="endpoints")
+        report = cm_check(c)
+        assert report.homology == homology(c), p.label
+        assert "homology" not in report.to_json()
 
 
 def test_smith_normal_form_units():
