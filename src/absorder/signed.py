@@ -322,6 +322,24 @@ def _orbit_counts(w: SignedPermutation) -> tuple:
     return paired, balanced
 
 
+def cycle_type(w: SignedPermutation) -> tuple:
+    """The B_n conjugacy class of w: sorted paired and balanced orbit
+    lengths, fixed points as paired 1-cycles, in one walk over the images."""
+    images = w.images
+    seen = [False] * (len(images) + 1)
+    paired, balanced = [], []
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        x, size = images[start - 1], 1
+        while x != start and x != -start:
+            seen[abs(x)] = True
+            x = images[x - 1] if x > 0 else -images[-x - 1]
+            size += 1
+        (paired if x == start else balanced).append(size)
+    return tuple(sorted(paired)), tuple(sorted(balanced))
+
+
 def is_member(w: SignedPermutation, kind: str) -> bool:
     """Membership test: S = sign-free, D = evenly many balanced cycles."""
     _check_kind(kind)

@@ -14,8 +14,9 @@ from functools import reduce
 from math import gcd
 
 from .order import (Poset, ResourceGuardError, bits, build_ideal,
-                    coxeter_ideal, fiber_ideal_M, full_poset, project_pi)
-from .signed import cycle_decomposition, format_cycles
+                    build_interval, coxeter_ideal, fiber_ideal_M, full_poset,
+                    project_pi)
+from .signed import cycle_decomposition, cycle_type, format_cycles, identity
 
 FACE_GUARD = 5_000_000
 
@@ -72,8 +73,8 @@ def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD) -> list:
         total += 1
         if total > face_guard:
             raise ResourceGuardError(
-                f"face guard exceeded: more than {face_guard} chains"
-            )
+                f"face guard exceeded: the poset {p.label!r} has more than "
+                f"the guard {face_guard} chains")
         for v in bits(up):
             stack.append((chain + (v,), up & p.above[v] & ~(1 << v)))
     for faces in faces_by_dim:
@@ -155,25 +156,6 @@ def _reduce(col: dict, pivots: dict) -> dict:
     return col
 
 
-def _rank_sparse(columns: list) -> int:
-    """Rank over the rationals of a matrix given as row->value columns."""
-    pivots = {}
-    rank = 0
-    for col in columns:
-        col = _reduce(dict(col), pivots)
-        if col:
-            prow = None
-            for r, v in col.items():
-                if v == 1 or v == -1:
-                    prow = r
-                    break
-            if prow is None:
-                prow = next(iter(col))
-            pivots[prow] = _normalized(col, prow)
-            rank += 1
-    return rank
-
-
 def _boundary_columns(faces_by_dim: list, d: int) -> list:
     """The boundary map from d-faces to (d-1)-faces, as row->sign columns."""
     row_index = {face: k for k, face in enumerate(faces_by_dim[d - 1])}
@@ -189,20 +171,40 @@ def _boundary_columns(faces_by_dim: list, d: int) -> list:
 
 
 def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
+    """Reduced Betti numbers over Q, by cohomology with clearing.
+
+    The coboundaries delta^d are reduced for d = 0, 1, ... by lowest-row
+    pivots, skipping the pivot rows of delta^(d-1) (Chen and Kerber): a
+    reduced column of delta^(d-1) with lowest row i is a cocycle, so column
+    i of delta^d is a combination of earlier columns, by induction of kept
+    ones.  The augmentation (ranks[0] = 1) clears the last vertex.
+    """
     if not faces_by_dim or not faces_by_dim[0]:
         return HomologyProfile((), -1)
-    top = len(faces_by_dim) - 1
-    ranks = [0] * (top + 2)
-    ranks[0] = 1
-    for d in range(1, top + 1):
-        ranks[d] = _rank_sparse(_boundary_columns(faces_by_dim, d))
-    betti = tuple(len(faces_by_dim[d]) - ranks[d] - ranks[d + 1]
-                  for d in range(top + 1))
-    euler = -1 + sum((-1) ** d * len(faces_by_dim[d]) for d in range(top + 1))
-    if sum((-1) ** d * b for d, b in enumerate(betti)) != euler:
-        raise ArithmeticError(
-            f"Betti numbers {betti} disagree with the face count's reduced "
-            f"Euler characteristic {euler}")
+    ranks = [1] + [0] * len(faces_by_dim)
+    cleared = {len(faces_by_dim[0]) - 1}
+    for d in range(len(faces_by_dim) - 1):
+        columns = [{} for _ in faces_by_dim[d]]
+        for i, col in enumerate(_boundary_columns(faces_by_dim, d + 1)):
+            for r, v in col.items():
+                columns[r][i] = v
+        pivots = {}
+        for j, col in enumerate(columns):
+            low = None if j in cleared else max(col, default=None)
+            while low in pivots:
+                v = col[low]
+                for r, pv in pivots[low].items():
+                    col[r] = col.get(r, 0) - v * pv
+                    if not col[r]:
+                        del col[r]
+                low = max(col, default=None)
+            if low is not None:
+                pivots[low] = _normalized(col, low)
+        ranks[d + 1] = len(pivots)
+        cleared = pivots
+    betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
+                  for d, faces in enumerate(faces_by_dim))
+    euler = -1 + sum((-1) ** d * len(f) for d, f in enumerate(faces_by_dim))
     return HomologyProfile(betti, euler)
 
 
@@ -262,25 +264,31 @@ def _poly_mul(a: tuple, b: tuple) -> tuple:
 def cm_check(c: SimplicialComplex) -> CMReport:
     """Link criterion for Cohen-Macaulayness over the rationals.
 
-    Checks the empty face first (the whole complex), then faces by
-    ascending dimension, up to the first link whose reduced homology is not
-    concentrated in its top dimension.  The link of a chain c_0 < ... < c_k
-    is the join of its gaps, the open intervals below c_0, between
-    consecutive elements and above c_k; the empty face has one gap, the
-    whole complex, whose chains are the faces of `c`.  Over a field the
-    reduced Betti numbers of a join multiply (Kunneth): with P(X) =
-    sum_i b_i(X) t^(i+1), P(X * Y) = P(X) P(Y), and an empty gap has P = 1.
-    So each distinct gap's homology is computed once, and a link's Betti
-    numbers are the coefficients from t^1 up of the product over its gaps,
-    kept at full length so that the tuple has one entry per dimension of
-    the link.
+    The link of a chain c_0 < ... < c_k is the join of its gaps, the open
+    intervals below c_0, between its elements and above c_k; over a field
+    P(X) = sum_i b_i(X) t^(i+1) (reduced Betti numbers) is multiplicative on
+    joins, with P = 1 for an empty gap.  Every gap is one of a face of
+    dimension at most 1, so when every gap's P is concentrated in its top
+    degree, so is every link's (the interval criterion of Bjorner, Garsia
+    and Stanley).  Otherwise faces are walked by dimension, the empty face
+    first, to the first link whose Betti numbers (P from t^1 up) fail.
+
+    A gap (x, y) lies in the group interval (x, y) (an open end stands for
+    a stripped bottom or top), which x^-1 carries onto (e, x^-1 y); one
+    signed cycle type is one conjugacy class of S_n (kind S) or of B_n (an
+    automorphism of D's order too), so each type is eliminated once.  A gap
+    of the same size is that interval; any other is eliminated apart.
     """
     p = c.poset
-    whole = _homology_from_faces(c.faces_by_dim)
-    polys = {}
 
-    def poly(betti) -> tuple:
-        return (0,) + betti if betti else (1,)
+    def poly_of(h: HomologyProfile) -> tuple:
+        return (0,) + h.reduced_betti if h.reduced_betti else (1,)
+
+    whole = _homology_from_faces(c.faces_by_dim)
+    polys = {(None, None): poly_of(whole)}
+    classes = {}
+    bottom, top = (end if end is not None and not c.member_mask >> end & 1
+                   else None for end in (p.bottom(), p.top()))
 
     def gap(lo, hi) -> tuple:
         """P of the open interval (lo, hi); an end that is None is open."""
@@ -290,19 +298,33 @@ def cm_check(c: SimplicialComplex) -> CMReport:
                 mask &= p.above[lo] & ~(1 << lo)
             if hi is not None:
                 mask &= p.below[hi] & ~(1 << hi)
-            polys[lo, hi] = poly(
-                _homology_from_faces(_chains_in_mask(p, mask)).reduced_betti)
+            x, y = bottom if lo is None else lo, top if hi is None else hi
+            size = poly = None
+            if x is not None and y is not None:
+                w = p.elements[x].inverse() * p.elements[y]
+                key = cycle_type(w)
+                if key not in classes:
+                    iv = build_interval(identity(p.n), w, p.kind)
+                    classes[key] = (len(iv) - 2, poly_of(homology(
+                        order_complex(iv, strip="endpoints"))))
+                size, poly = classes[key]
+            if size != mask.bit_count():
+                poly = poly_of(_homology_from_faces(_chains_in_mask(p, mask)))
+            polys[lo, hi] = poly
         return polys[lo, hi]
 
-    polys[None, None] = poly(whole.reduced_betti)
-
-    faces = itertools.chain([()], *c.faces_by_dim)
-    for checked, face in enumerate(faces, 1):
+    def gaps(face) -> map:
         ends = (None,) + face + (None,)
-        betti = reduce(_poly_mul, map(gap, ends, ends[1:]))[1:]
-        if any(betti[:-1]):
-            names = tuple(c.vertex_name(v) for v in face)
-            return CMReport(False, "all", checked, names, betti, whole)
+        return map(gap, ends, ends[1:])
+
+    low_faces = itertools.chain([()], *c.faces_by_dim[:2])
+    if any(any(poly[:-1]) for face in low_faces for poly in gaps(face)):
+        faces = itertools.chain([()], *c.faces_by_dim)
+        for checked, face in enumerate(faces, 1):
+            betti = reduce(_poly_mul, gaps(face))[1:]
+            if any(betti[:-1]):
+                names = tuple(c.vertex_name(v) for v in face)
+                return CMReport(False, "all", checked, names, betti, whole)
     return CMReport(True, "all", 1 + c.face_count(), None, None, whole)
 
 
@@ -485,7 +507,7 @@ def torsion_profile(c: SimplicialComplex, entry_guard: int = 250_000) -> dict:
         if f[d - 1] * f[d] > entry_guard:
             raise ResourceGuardError(
                 f"torsion guard exceeded at dimension {d}: {f[d - 1]}x{f[d]}"
-            )
+                f" entries, more than the guard {entry_guard} entries")
     out = {}
     for d in range(1, len(f)):
         diag = _invariant_factors(_boundary_columns(c.faces_by_dim, d))

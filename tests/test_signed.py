@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from absorder.signed import (
@@ -7,6 +9,7 @@ from absorder.signed import (
     balanced_cycle,
     coxeter_elements,
     cycle_decomposition,
+    cycle_type,
     exponents,
     format_cycles,
     from_cycles,
@@ -150,3 +153,36 @@ def test_mu_partition_and_hooks():
 def test_identity_formatting():
     assert format_cycles(identity(3)) == "e"
     assert parse_cycles("e", 3) == identity(3)
+
+
+def _cycle_type_from_decomposition(w):
+    dec = cycle_decomposition(w)
+    paired = [c.length for c in dec.paired] + [1] * len(dec.fixed_points)
+    balanced = [c.length for c in dec.balanced]
+    return tuple(sorted(paired)), tuple(sorted(balanced))
+
+
+@pytest.mark.parametrize("kind,n", [("B", 5), ("D", 5), ("S", 6)])
+def test_cycle_type_matches_cycle_decomposition(kind, n):
+    for w in group_elements(kind, n):
+        assert cycle_type(w) == _cycle_type_from_decomposition(w), w
+
+
+def test_cycle_type_matches_on_seeded_b7_elements():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        perm = rng.sample(range(1, 8), 7)
+        w = SignedPermutation(rng.choice((1, -1)) * a for a in perm)
+        assert cycle_type(w) == _cycle_type_from_decomposition(w), w
+
+
+def test_cycle_type_is_the_conjugacy_class():
+    group = list(group_elements("B", 4))
+    classes = {}
+    for w in group:
+        classes.setdefault(cycle_type(w), set()).add(w)
+    for members in classes.values():
+        w = next(iter(members))
+        assert {g * w * g.inverse() for g in group} == members
+    # B4 has one class per pair of partitions of total size 4
+    assert len(classes) == 20

@@ -1,5 +1,6 @@
 """Order complexes, homology, Cohen-Macaulay checks, torsion, ideal battery."""
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,8 @@ from absorder import topology
 from absorder.order import bits
 from absorder.topology import (SimplicialComplex, _boundary_columns,
                                _chains_in_mask, _homology_from_faces,
-                               _invariant_factors, _smith_normal_form_diagonal)
+                               _invariant_factors, _normalized, _reduce,
+                               _smith_normal_form_diagonal)
 
 
 def test_stripped_coxeter_ideal_two_letters():
@@ -280,3 +282,166 @@ def test_ideal_battery_signed_three_letters():
     assert (balanced.size, balanced.rank) == (33, 3)
     fibers = [c for c in checks if c.name.startswith("fiber ideal over")]
     assert len(fibers) == 7
+
+
+def _rank_sparse(columns):
+    """Rank over the rationals of row->value columns, by plain elimination.
+
+    The reference for the ranks behind `_homology_from_faces`: every column
+    of the boundary map is cleared of every pivot row found before it, with
+    a unit entry preferred as the next pivot, and no column is skipped.
+    """
+    pivots = {}
+    rank = 0
+    for col in columns:
+        col = _reduce(dict(col), pivots)
+        if col:
+            prow = None
+            for r, v in col.items():
+                if v == 1 or v == -1:
+                    prow = r
+                    break
+            if prow is None:
+                prow = next(iter(col))
+            pivots[prow] = _normalized(col, prow)
+            rank += 1
+    return rank
+
+
+def _ranks_from_betti(faces):
+    """The boundary ranks behind `_homology_from_faces`, recovered from its
+    Betti numbers: b_d = f_d - r_d - r_(d+1), with r_0 = 1."""
+    ranks = [1]
+    for d, b in enumerate(_homology_from_faces(faces).reduced_betti):
+        ranks.append(len(faces[d]) - ranks[d] - b)
+    return ranks
+
+
+def _oracle_ranks(faces):
+    return [1] + [_rank_sparse(_boundary_columns(faces, d))
+                  for d in range(1, len(faces))] + [0]
+
+
+# the six-vertex real projective plane; over Q its coboundaries reduce to
+# pivots of 2
+_RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+
+
+def _random_complex(rng):
+    """A face-closed complex from random maximal faces on 6-9 vertices, half
+    of them around a copy of RP^2 with shuffled vertices."""
+    vertices = rng.randint(6, 9)
+    tops = []
+    if rng.random() < 0.5:
+        place = rng.sample(range(vertices), 6)
+        tops += [[place[v] for v in triangle] for triangle in _RP2]
+    for _ in range(rng.randint(1, 12)):
+        tops.append(rng.sample(range(vertices), rng.choice((1, 2, 2, 3, 3, 4))))
+    faces = set()
+    for top in tops:
+        for k in range(1, len(top) + 1):
+            faces.update(itertools.combinations(sorted(top), k))
+    by_dim = [[] for _ in range(max(map(len, faces)))]
+    for face in faces:
+        by_dim[len(face) - 1].append(face)
+    return [sorted(dim_faces) for dim_faces in by_dim]
+
+
+def test_ranks_match_the_reference_on_order_complexes():
+    four_flips = build_interval(identity(4), parse_cycles("[1][2][3][4]", 4), "D")
+    posets = (full_poset("B", 3), full_poset("S", 4), full_poset("S", 5),
+              coxeter_ideal(3, "B"), coxeter_ideal(4, "B"), four_flips)
+    maps = 0
+    for p in posets:
+        faces = order_complex(p, strip="endpoints").faces_by_dim
+        assert _ranks_from_betti(faces) == _oracle_ranks(faces), p.label
+        maps += len(faces) - 1
+    assert maps == 14
+
+
+def test_ranks_match_the_reference_on_random_complexes(monkeypatch):
+    # the reference binds its own `_normalized`; only the new path records
+    non_unit = []
+
+    def recording(col, pivot_row):
+        non_unit[-1] |= any(abs(v) > 1 for v in col.values())
+        return _normalized(col, pivot_row)
+
+    monkeypatch.setattr(topology, "_normalized", recording)
+    rng = random.Random(20261018)
+    low_homology = zero_columns = 0
+    for k in range(200):
+        faces = _random_complex(rng)
+        non_unit.append(False)
+        assert _ranks_from_betti(faces) == _oracle_ranks(faces), (k, faces)
+        low_homology += any(_homology_from_faces(faces).reduced_betti[:-1])
+        cofaces = {face[:i] + face[i + 1:]
+                   for dim_faces in faces[1:] for face in dim_faces
+                   for i in range(len(face))}
+        zero_columns += any(face not in cofaces
+                            for dim_faces in faces[:-1] for face in dim_faces)
+    assert low_homology >= 100
+    assert zero_columns >= 100
+    assert sum(non_unit) >= 20
+
+
+def test_cm_check_eliminates_each_interval_class_once(monkeypatch):
+    calls = []
+    eliminate = topology._homology_from_faces
+
+    def counting(faces_by_dim):
+        calls.append(len(faces_by_dim))
+        return eliminate(faces_by_dim)
+
+    def no_walk(*args):
+        raise AssertionError("walked the faces although every gap passes")
+
+    c = order_complex(coxeter_ideal(4, "B"), strip="endpoints")
+    monkeypatch.setattr(topology, "_homology_from_faces", counting)
+    monkeypatch.setattr(topology, "_poly_mul", no_walk)
+    report = cm_check(c)
+    assert report.ok and report.faces_checked == 1 + c.face_count() == 33729
+    # the whole complex, 11 signed cycle types, 280 gaps above an element
+    assert len(calls) <= 1 + 11 + 280
+
+
+def test_cm_check_matches_links_on_stripped_subposets():
+    # intervals [e, w] of B4 less a few rank-2 elements, stripped of both
+    # ends: gaps at the open ends and between members are smaller than the
+    # group intervals they lie in, and must be eliminated on their own
+    b4 = full_poset("B", 4)
+    tops = [i for i in range(len(b4)) if b4.rank[i] == 4]
+    rng = random.Random(20261019)
+    reports = []
+    for k in range(12):
+        below = list(bits(b4.below[rng.choice(tops)]))
+        drop = rng.sample([i for i in below if b4.rank[i] == 2],
+                          rng.randint(1, 6))
+        sub = b4.subposet([i for i in below if i not in drop],
+                          label=f"sample {k}")
+        c = order_complex(sub, strip="endpoints")
+        reports.append(cm_check(c).to_json())
+        assert reports[-1] == _links_from_scratch(c), k
+    assert 3 <= sum(r["ok"] for r in reports) <= 9
+
+
+def test_cm_check_matches_links_when_the_ends_are_kept():
+    # the D4 four-flip interval less one interior element, ends kept: a gap
+    # with an open end holds the kept bottom or top, so it is not the group
+    # interval (e, w) even when it has as many elements
+    iv = build_interval(identity(4), parse_cycles("[1][2][3][4]", 4), "D")
+    for z in range(1, len(iv) - 1, 3):
+        sub = iv.subposet([i for i in range(len(iv)) if i != z], label="sub")
+        c = order_complex(sub, strip="none")
+        assert cm_check(c).to_json() == _links_from_scratch(c), z
+
+
+def test_guard_messages_state_the_limit():
+    with pytest.raises(ResourceGuardError,
+                       match="'full' has more than the guard 10 chains"):
+        order_complex(full_poset("B", 3), strip="endpoints", face_guard=10)
+    c = order_complex(full_poset("S", 5), strip="endpoints")
+    with pytest.raises(ResourceGuardError,
+                       match="1570x4260 entries, more than the guard 250000"):
+        torsion_profile(c)
