@@ -16,7 +16,8 @@ from math import gcd
 from .order import (Poset, ResourceGuardError, bits, build_ideal,
                     build_interval, coxeter_ideal, fiber_ideal_M, full_poset,
                     project_pi)
-from .signed import cycle_decomposition, cycle_type, format_cycles, identity
+from .signed import (balanced_cycle, cycle_decomposition, cycle_type,
+                     format_cycles, identity, paired_cycle)
 
 FACE_GUARD = 5_000_000
 
@@ -261,6 +262,66 @@ def _poly_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def _conjugation_invariant(p: Poset, mask: int) -> bool:
+    """Whether conjugating each member by each simple generator (adjacent
+    transpositions, and for kinds B and D the sign change of 1) lands on a
+    member; then g M g^-1 = M for the whole group, as M is finite."""
+    gens = [paired_cycle((i, i + 1), p.n) for i in range(1, p.n)]
+    gens += [balanced_cycle((1,), p.n)] if p.kind != "S" and p.n else []
+    # a conjugate outside p gets index len(p), a bit no mask has
+    return all(mask >> p.index.get(s * p.elements[i] * s, len(p)) & 1
+               for i in bits(mask) for s in gens)
+
+
+def _poly_of(h: HomologyProfile) -> tuple:
+    return (0,) + h.reduced_betti if h.reduced_betti else (1,)
+
+
+def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
+    """P of each gap (lo, hi) of `cm_check`, memoised; a None end is open."""
+    p = c.poset
+    polys = {(None, None): _poly_of(whole)}
+    classes, sides = {}, {}
+    invariant = None
+    bottom, top = (end if end is not None and not c.member_mask >> end & 1
+                   else None for end in (p.bottom(), p.top()))
+
+    def eliminate(mask: int) -> tuple:
+        return _poly_of(_homology_from_faces(_chains_in_mask(p, mask)))
+
+    def gap(lo, hi) -> tuple:
+        nonlocal invariant
+        if (lo, hi) not in polys:
+            mask = c.member_mask
+            if lo is not None:
+                mask &= p.above[lo] & ~(1 << lo)
+            if hi is not None:
+                mask &= p.below[hi] & ~(1 << hi)
+            x, y = bottom if lo is None else lo, top if hi is None else hi
+            if x is not None and y is not None:
+                w = p.elements[x].inverse() * p.elements[y]
+                key = cycle_type(w)
+                if key not in classes:
+                    iv = build_interval(identity(p.n), w, p.kind)
+                    classes[key] = (len(iv) - 2, _poly_of(homology(
+                        order_complex(iv, strip="endpoints"))))
+                size, poly = classes[key]
+                polys[lo, hi] = (poly if size == mask.bit_count()
+                                 else eliminate(mask))
+            else:
+                if invariant is None:
+                    invariant = _conjugation_invariant(p, c.member_mask)
+                end = hi if lo is None else lo  # below end iff lo is None
+                key = ((lo is None, cycle_type(p.elements[end])) if invariant
+                       else (lo, hi))
+                if key not in sides:
+                    sides[key] = eliminate(mask)
+                polys[lo, hi] = sides[key]
+        return polys[lo, hi]
+
+    return gap
+
+
 def cm_check(c: SimplicialComplex) -> CMReport:
     """Link criterion for Cohen-Macaulayness over the rationals.
 
@@ -278,40 +339,15 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     signed cycle type is one conjugacy class of S_n (kind S) or of B_n (an
     automorphism of D's order too), so each type is eliminated once.  A gap
     of the same size is that interval; any other is eliminated apart.
+
+    A gap open at one end, (x, open) or (open, y), lies in no interval.
+    When the member set M is closed under conjugation (decided once, when
+    such a gap first occurs), g carries (x, open) onto (g x g^-1, open)
+    inside M, so each side and cycle type of the end is eliminated once;
+    for any other M each such gap is eliminated apart.
     """
-    p = c.poset
-
-    def poly_of(h: HomologyProfile) -> tuple:
-        return (0,) + h.reduced_betti if h.reduced_betti else (1,)
-
     whole = _homology_from_faces(c.faces_by_dim)
-    polys = {(None, None): poly_of(whole)}
-    classes = {}
-    bottom, top = (end if end is not None and not c.member_mask >> end & 1
-                   else None for end in (p.bottom(), p.top()))
-
-    def gap(lo, hi) -> tuple:
-        """P of the open interval (lo, hi); an end that is None is open."""
-        if (lo, hi) not in polys:
-            mask = c.member_mask
-            if lo is not None:
-                mask &= p.above[lo] & ~(1 << lo)
-            if hi is not None:
-                mask &= p.below[hi] & ~(1 << hi)
-            x, y = bottom if lo is None else lo, top if hi is None else hi
-            size = poly = None
-            if x is not None and y is not None:
-                w = p.elements[x].inverse() * p.elements[y]
-                key = cycle_type(w)
-                if key not in classes:
-                    iv = build_interval(identity(p.n), w, p.kind)
-                    classes[key] = (len(iv) - 2, poly_of(homology(
-                        order_complex(iv, strip="endpoints"))))
-                size, poly = classes[key]
-            if size != mask.bit_count():
-                poly = poly_of(_homology_from_faces(_chains_in_mask(p, mask)))
-            polys[lo, hi] = poly
-        return polys[lo, hi]
+    gap = _gap_polys(c, whole)
 
     def gaps(face) -> map:
         ends = (None,) + face + (None,)
