@@ -523,11 +523,6 @@ def fiber_map(w: SignedPermutation, i: int) -> FiberPoint:
     return FiberPoint(project_pi(w, i), 0 if w(i) == i else 1)
 
 
-def fiber_leq(p: FiberPoint, q: FiberPoint, kind: str = "B") -> bool:
-    """Componentwise order on (projection, flag) pairs."""
-    return p.moved <= q.moved and abs_leq(p.base, q.base, kind)
-
-
 def embed(w: SignedPermutation, n: int) -> SignedPermutation:
     """Include an element of B_m into B_n (n >= m) fixing the new letters."""
     if n < w.n:
@@ -588,22 +583,24 @@ def cover_lifting_ok(ambient: Poset, i: int | None = None) -> bool:
 
 def fiber_ideal_identity_ok(ambient: Poset, i: int | None = None) -> bool:
     """Preimages of principal ideals under the fiber map are ideals
-    generated by the fiber: f^{-1}(<q>) = <f^{-1}(q)> for every point q."""
-    n = ambient.n
-    if i is None:
-        i = n
-    image = [fiber_map(w, i) for w in ambient.elements]
-    points = {}
-    for idx, p in enumerate(image):
-        points.setdefault(p, set()).add(idx)
-    kind = ambient.kind
-    for q, fiber in points.items():
-        preimage_of_ideal = {
-            idx for idx, p in enumerate(image) if fiber_leq(p, q, kind)
-        }
-        generated = set()
-        for g in fiber:
-            generated.update(bits(ambient.below[g]))
-        if preimage_of_ideal != generated:
-            return False
+    generated by the fiber: f^{-1}(<q>) = <f^{-1}(q)> for every point q.
+
+    Points are ordered componentwise (abs_leq on projections, then the moved
+    flag), so abs_leq runs once per pair of distinct projections.
+    """
+    image = {}  # projection -> [mask of i fixed, mask of i moved]
+    for idx, w in enumerate(ambient.elements):
+        point = fiber_map(w, ambient.n if i is None else i)
+        image.setdefault(point.base, [0, 0])[point.moved] |= 1 << idx
+    for base, fibers in image.items():
+        lower = [0, 0]
+        for b, masks in image.items():
+            if abs_leq(b, base, ambient.kind):
+                lower = [lower[0] | masks[0], lower[1] | masks[1]]
+        for moved, fiber in enumerate(fibers):
+            generated = 0
+            for g in bits(fiber):
+                generated |= ambient.below[g]
+            if fiber and generated != lower[0] | (lower[1] if moved else 0):
+                return False
     return True

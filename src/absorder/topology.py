@@ -8,10 +8,12 @@ homology concentrated in its top dimension.
 """
 
 import itertools
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+from operator import and_
 
 from .order import (Poset, ResourceGuardError, bits, build_ideal,
                     build_interval, coxeter_ideal, fiber_ideal_M, full_poset,
@@ -59,27 +61,28 @@ class SimplicialComplex:
 def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD) -> list:
     """All chains of the induced subposet on `mask`, grouped by size - 1.
 
-    Chains extend upward from their largest element, so each chain is
-    produced exactly once, in ascending index (hence rank) order.
+    Chains grow depth first, in ascending index (hence rank) order; that
+    pre-order of a prefix tree is lexicographic, so each dimension is sorted.
     """
     faces_by_dim = []
     total = 0
-    stack = [((v,), p.above[v] & mask & ~(1 << v)) for v in bits(mask)]
+    strictly_above = [up & ~(1 << v) for v, up in enumerate(p.above)]
+    stack = [((v,), mask & strictly_above[v]) for v in reversed([*bits(mask)])]
     while stack:
         chain, up = stack.pop()
-        d = len(chain) - 1
-        while len(faces_by_dim) <= d:
+        if len(faces_by_dim) < len(chain):
             faces_by_dim.append([])
-        faces_by_dim[d].append(chain)
+        faces_by_dim[len(chain) - 1].append(chain)
         total += 1
         if total > face_guard:
             raise ResourceGuardError(
                 f"face guard exceeded: the poset {p.label!r} has more than "
                 f"the guard {face_guard} chains")
-        for v in bits(up):
-            stack.append((chain + (v,), up & p.above[v] & ~(1 << v)))
-    for faces in faces_by_dim:
-        faces.sort()
+        rest = up
+        while rest:  # highest first, so the stack pops them ascending
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            stack.append((chain + (v,), up & strictly_above[v]))
     return faces_by_dim
 
 
@@ -130,6 +133,16 @@ def _normalized(col: dict, pivot_row) -> dict:
             for r, v in col.items()}
 
 
+def _subtract(col: dict, v, pivot: dict) -> None:
+    """col -= v * pivot, in place, dropping the entries that vanish."""
+    for r, pv in pivot.items():
+        nv = col.get(r, 0) - v * pv
+        if nv:
+            col[r] = nv
+        else:
+            col.pop(r, None)
+
+
 def _reduce(col: dict, pivots: dict) -> dict:
     """Clear, in place, every pivot row of `col`.
 
@@ -138,22 +151,12 @@ def _reduce(col: dict, pivots: dict) -> dict:
     with unit pivots stay integer.
     """
     while col:
-        hit = None
         for r in col:
             if r in pivots:
-                hit = r
+                _subtract(col, col[r], pivots[r])
                 break
-        if hit is None:
+        else:
             break
-        v = col.pop(hit)
-        for rr, vv in pivots[hit].items():
-            if rr == hit:
-                continue
-            nv = col.get(rr, 0) - v * vv
-            if nv:
-                col[rr] = nv
-            else:
-                col.pop(rr, None)
     return col
 
 
@@ -171,6 +174,18 @@ def _boundary_columns(faces_by_dim: list, d: int) -> list:
     return columns
 
 
+def _cofaces(face: tuple, neighbours: list, upper: set):
+    """(face with u inserted at k, (-1)^k) in `upper`, highest u first."""
+    common = reduce(and_, map(neighbours.__getitem__, face))
+    while common:
+        u = common.bit_length() - 1
+        common ^= 1 << u
+        k = bisect(face, u)
+        coface = face[:k] + (u,) + face[k:]
+        if coface in upper:
+            yield coface, -1 if k & 1 else 1
+
+
 def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     """Reduced Betti numbers over Q, by cohomology with clearing.
 
@@ -179,25 +194,39 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     reduced column of delta^(d-1) with lowest row i is a cocycle, so column
     i of delta^d is a combination of earlier columns, by induction of kept
     ones.  The augmentation (ranks[0] = 1) clears the last vertex.
+
+    Columns are implicit (as in Ripser, Bauer 2021).  A coface of s inserts
+    a common neighbour u of its vertices at a position growing with u, so in
+    the sorted lists the lowest row of column s is s plus the highest u
+    giving a face (the first u in a flag complex such as an order complex),
+    the key of its pivot.  A column whose lowest row is no pivot yet is kept
+    as its face and built only when a later column reduces against it.
     """
     if not faces_by_dim or not faces_by_dim[0]:
         return HomologyProfile((), -1)
+    neighbours = [0] * (faces_by_dim[0][-1][0] + 1)
+    for a, b in faces_by_dim[1] if len(faces_by_dim) > 1 else ():
+        neighbours[a] |= 1 << b
+        neighbours[b] |= 1 << a
     ranks = [1] + [0] * len(faces_by_dim)
-    cleared = {len(faces_by_dim[0]) - 1}
+    cleared = {faces_by_dim[0][-1]}
     for d in range(len(faces_by_dim) - 1):
-        columns = [{} for _ in faces_by_dim[d]]
-        for i, col in enumerate(_boundary_columns(faces_by_dim, d + 1)):
-            for r, v in col.items():
-                columns[r][i] = v
+        upper = set(faces_by_dim[d + 1])
         pivots = {}
-        for j, col in enumerate(columns):
-            low = None if j in cleared else max(col, default=None)
+        for face in faces_by_dim[d]:
+            low = None if face in cleared else next(
+                _cofaces(face, neighbours, upper), (None,))[0]
+            if low not in pivots:
+                if low is not None:
+                    pivots[low] = face
+                continue
+            col = dict(_cofaces(face, neighbours, upper))
             while low in pivots:
-                v = col[low]
-                for r, pv in pivots[low].items():
-                    col[r] = col.get(r, 0) - v * pv
-                    if not col[r]:
-                        del col[r]
+                pivot = pivots[low]
+                if type(pivot) is tuple:
+                    pivot = pivots[low] = _normalized(
+                        dict(_cofaces(pivot, neighbours, upper)), low)
+                _subtract(col, col[low], pivot)
                 low = max(col, default=None)
             if low is not None:
                 pivots[low] = _normalized(col, low)
@@ -298,7 +327,18 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
             if hi is not None:
                 mask &= p.below[hi] & ~(1 << hi)
             x, y = bottom if lo is None else lo, top if hi is None else hi
-            if x is not None and y is not None:
+            if x is None or y is None:
+                if invariant is None:
+                    invariant = _conjugation_invariant(p, c.member_mask)
+                end = hi if lo is None else lo  # below end iff lo is None
+                key = ((lo is None, cycle_type(p.elements[end])) if invariant
+                       else (lo, hi))
+                if key not in sides:
+                    sides[key] = eliminate(mask)
+                polys[lo, hi] = sides[key]
+            elif p.rank[y] - p.rank[x] <= 2:
+                polys[lo, hi] = (0, mask.bit_count() - 1) if mask else (1,)
+            else:
                 w = p.elements[x].inverse() * p.elements[y]
                 key = cycle_type(w)
                 if key not in classes:
@@ -308,15 +348,6 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
                 size, poly = classes[key]
                 polys[lo, hi] = (poly if size == mask.bit_count()
                                  else eliminate(mask))
-            else:
-                if invariant is None:
-                    invariant = _conjugation_invariant(p, c.member_mask)
-                end = hi if lo is None else lo  # below end iff lo is None
-                key = ((lo is None, cycle_type(p.elements[end])) if invariant
-                       else (lo, hi))
-                if key not in sides:
-                    sides[key] = eliminate(mask)
-                polys[lo, hi] = sides[key]
         return polys[lo, hi]
 
     return gap
@@ -338,7 +369,9 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     a stripped bottom or top), which x^-1 carries onto (e, x^-1 y); one
     signed cycle type is one conjugacy class of S_n (kind S) or of B_n (an
     automorphism of D's order too), so each type is eliminated once.  A gap
-    of the same size is that interval; any other is eliminated apart.
+    of the same size is that interval; any other is eliminated apart.  When
+    y is at most two ranks above x the gap lies in one rank, an antichain:
+    k points have P = (k - 1) t and no points P = 1, with no elimination.
 
     A gap open at one end, (x, open) or (open, y), lies in no interval.
     When the member set M is closed under conjugation (decided once, when

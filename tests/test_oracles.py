@@ -1,22 +1,29 @@
 """The structural checks' shortcuts against their definitional routes.
 
-`cm_check` keys the gaps open at one end by conjugacy class, `meet`,
-`join` and `_meet_failure` decide existence by one mask comparison, and
-`verify_el` labels all chains up from a bottom in one walk.  Each is
-compared here with the route it replaces.
+`cm_check` keys the gaps open at one end by conjugacy class and reads
+antichain gaps off their size, `meet`, `join` and `_meet_failure` decide
+existence by one mask comparison, `verify_el` labels all chains up from a
+bottom in one walk, homology builds a coboundary column only when a
+reduction needs it, chains come out sorted from one walk, and the fiber law
+compares distinct projections.  Each is compared here with the route it
+replaces.
 """
 
+import itertools
 import random
 
 import pytest
 
 from absorder import (
     ResourceGuardError,
+    abs_leq,
     build_ideal,
     build_interval,
     cm_check,
     collapsed_reflection_label,
     coxeter_ideal,
+    fiber_ideal_identity_ok,
+    fiber_map,
     full_poset,
     identity,
     join,
@@ -31,6 +38,7 @@ from absorder import lattice, topology
 from absorder.labeling import ELReport
 from absorder.order import bits
 from absorder.signed import cycle_type, group_elements
+from absorder.topology import HomologyProfile, _boundary_columns, _normalized
 
 
 # --- Cohen-Macaulay gaps keyed by conjugacy class ---------------------------
@@ -307,3 +315,242 @@ def test_el_chain_guard_trips_before_any_chain_is_labeled():
     with pytest.raises(ResourceGuardError) as got:
         verify_el(p, chain_guard=3)
     assert str(got.value) == str(expected.value)
+
+
+# --- homology by lowest cofaces ----------------------------------------------
+
+def _homology_by_boundary_matrices(faces_by_dim):
+    """Cohomology with clearing on explicit columns: every boundary map is
+    built and transposed, and each column's lowest row found by max."""
+    if not faces_by_dim or not faces_by_dim[0]:
+        return HomologyProfile((), -1)
+    ranks = [1] + [0] * len(faces_by_dim)
+    cleared = {len(faces_by_dim[0]) - 1}
+    for d in range(len(faces_by_dim) - 1):
+        columns = [{} for _ in faces_by_dim[d]]
+        for i, col in enumerate(_boundary_columns(faces_by_dim, d + 1)):
+            for r, v in col.items():
+                columns[r][i] = v
+        pivots = {}
+        for j, col in enumerate(columns):
+            low = None if j in cleared else max(col, default=None)
+            while low in pivots:
+                v = col[low]
+                for r, pv in pivots[low].items():
+                    col[r] = col.get(r, 0) - v * pv
+                    if not col[r]:
+                        del col[r]
+                low = max(col, default=None)
+            if low is not None:
+                pivots[low] = _normalized(col, low)
+        ranks[d + 1] = len(pivots)
+        cleared = pivots
+    betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
+                  for d, faces in enumerate(faces_by_dim))
+    euler = -1 + sum((-1) ** d * len(f) for d, f in enumerate(faces_by_dim))
+    return HomologyProfile(betti, euler)
+
+
+def _chains_by_stack_and_sort(p, mask, face_guard=topology.FACE_GUARD):
+    """Chains of the induced subposet on `mask`, each grown upward from its
+    largest element in any order, then every dimension sorted."""
+    faces_by_dim = []
+    total = 0
+    stack = [((v,), p.above[v] & mask & ~(1 << v)) for v in bits(mask)]
+    while stack:
+        chain, up = stack.pop()
+        d = len(chain) - 1
+        while len(faces_by_dim) <= d:
+            faces_by_dim.append([])
+        faces_by_dim[d].append(chain)
+        total += 1
+        if total > face_guard:
+            raise ResourceGuardError(
+                f"face guard exceeded: the poset {p.label!r} has more than "
+                f"the guard {face_guard} chains")
+        for v in bits(up):
+            stack.append((chain + (v,), up & p.above[v] & ~(1 << v)))
+    for faces in faces_by_dim:
+        faces.sort()
+    return faces_by_dim
+
+
+def _homology_posets():
+    return [full_poset("S", 4), full_poset("S", 5), full_poset("B", 3),
+            full_poset("D", 4), coxeter_ideal(3, "B"), coxeter_ideal(4, "B")]
+
+
+@pytest.mark.parametrize("strip", ["endpoints", "none"])
+def test_homology_matches_boundary_matrix_elimination(strip):
+    profiles = []
+    for p in _homology_posets():
+        faces = order_complex(p, strip=strip).faces_by_dim
+        profiles.append(topology._homology_from_faces(faces))
+        assert profiles[-1] == _homology_by_boundary_matrices(faces), p.label
+    # stripped, D4 has homology below its top dimension; with their ends
+    # kept, all six complexes are cones
+    assert sum(not h.concentrated_in_top() for h in profiles) == (
+        strip == "endpoints")
+
+
+def test_homology_and_chains_match_on_random_submasks():
+    # random members at random densities: induced subposets that are not
+    # convex, whose complexes often have homology below their top dimension
+    rng = random.Random(20261023)
+    low_homology = 0
+    for p in (full_poset("B", 3), full_poset("S", 5), coxeter_ideal(4, "B")):
+        for k in range(40):
+            density = rng.uniform(0.1, 0.5)
+            mask = sum(1 << i for i in range(len(p)) if rng.random() < density)
+            faces = topology._chains_in_mask(p, mask)
+            assert faces == _chains_by_stack_and_sort(p, mask), (p.label, k)
+            profile = topology._homology_from_faces(faces)
+            assert profile == _homology_by_boundary_matrices(faces), (
+                p.label, k)
+            low_homology += not profile.concentrated_in_top()
+    assert low_homology >= 20
+
+
+def _random_non_flag_complex(rng):
+    """The face closure of random top faces on 5-9 vertices: where the
+    edges of a triangle come from different tops, the triangle is no face."""
+    vertices = rng.randint(5, 9)
+    faces = set()
+    for _ in range(rng.randint(2, 10)):
+        size = rng.choice((1, 2, 2, 3, 3, 4))
+        top = sorted(rng.sample(range(vertices), size))
+        for k in range(1, len(top) + 1):
+            faces.update(itertools.combinations(top, k))
+    by_dim = [[] for _ in range(max(map(len, faces)))]
+    for face in faces:
+        by_dim[len(face) - 1].append(face)
+    return [sorted(dim_faces) for dim_faces in by_dim]
+
+
+def _skips_a_common_neighbour(faces_by_dim):
+    """Whether some face with a common neighbour u of all its vertices does
+    not span a face with u: the complex is not flag there."""
+    faces = {face for dim_faces in faces_by_dim for face in dim_faces}
+    edges = faces_by_dim[1] if len(faces_by_dim) > 1 else []
+    adjacent = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}
+    vertices = [v for v, in faces_by_dim[0]]
+    return any(tuple(sorted(face + (u,))) not in faces
+               for face in faces for u in vertices
+               if all((v, u) in adjacent for v in face))
+
+
+def test_homology_matches_boundary_matrix_elimination_on_non_flag_complexes():
+    rng = random.Random(20261024)
+    non_flag = low_homology = 0
+    for k in range(200):
+        faces = _random_non_flag_complex(rng)
+        profile = topology._homology_from_faces(faces)
+        assert profile == _homology_by_boundary_matrices(faces), (k, faces)
+        non_flag += _skips_a_common_neighbour(faces)
+        low_homology += not profile.concentrated_in_top()
+    assert non_flag >= 100
+    assert low_homology >= 100
+
+
+def test_face_guard_trips_one_past_the_guard_with_the_same_message():
+    p = full_poset("B", 3)
+    mask = topology._strip_mask(p, "endpoints")
+    total = sum(map(len, topology._chains_in_mask(p, mask)))
+    assert topology._chains_in_mask(p, mask, face_guard=total) == (
+        _chains_by_stack_and_sort(p, mask))
+    with pytest.raises(ResourceGuardError) as expected:
+        _chains_by_stack_and_sort(p, mask, face_guard=total - 1)
+    with pytest.raises(ResourceGuardError) as got:
+        topology._chains_in_mask(p, mask, face_guard=total - 1)
+    assert str(got.value) == str(expected.value) == (
+        f"face guard exceeded: the poset 'full' has more than the guard "
+        f"{total - 1} chains")
+
+
+# --- antichain gaps ----------------------------------------------------------
+
+@pytest.mark.parametrize("name,antichains,two_ended", [
+    ("coxeter-ideal-B4", 4456, 5408), ("S5", 1375, 1689),
+    ("S4-ends-kept", None, None), ("D4", None, None)])
+def test_antichain_gaps_match_the_oracle_without_elimination(
+        name, antichains, two_ended, monkeypatch):
+    build, strip = GAP_CASES[name]
+    c = order_complex(build(), strip=strip)
+    p = c.poset
+    gap = topology._gap_polys(c, topology.homology(c))
+    bottom, top = (end if end is not None and not c.member_mask >> end & 1
+                   else None for end in (p.bottom(), p.top()))
+    vertices = list(bits(c.member_mask))
+    ends = ([(None, v) for v in vertices] + [(v, None) for v in vertices]
+            + list(c.faces_by_dim[1]))
+    spans = {}  # two-ended gaps; an open end at a stripped bottom or top
+    for lo, hi in ends:
+        x, y = bottom if lo is None else lo, top if hi is None else hi
+        if x is not None and y is not None:
+            spans[lo, hi] = (x, y)
+    flat = [gap_ends for gap_ends, (x, y) in spans.items()
+            if p.rank[y] - p.rank[x] <= 2]
+
+    def no_call(*args):
+        raise AssertionError("an antichain gap was eliminated or keyed")
+
+    for attr in ("_homology_from_faces", "build_interval", "cycle_type"):
+        monkeypatch.setattr(topology, attr, no_call)
+    polys = {(lo, hi): gap(lo, hi) for lo, hi in flat}
+    monkeypatch.undo()
+    for (lo, hi), poly in polys.items():
+        assert poly == _direct_gap_by_oracle(c, lo, hi), (name, lo, hi)
+    if antichains is not None:
+        assert (len(flat), len(spans)) == (antichains, two_ended)
+    assert {len(poly) for poly in polys.values()} == {1, 2}
+
+
+def _direct_gap_by_oracle(c, lo, hi):
+    p, mask = c.poset, c.member_mask
+    if lo is not None:
+        mask &= p.above[lo] & ~(1 << lo)
+    if hi is not None:
+        mask &= p.below[hi] & ~(1 << hi)
+    return topology._poly_of(_homology_by_boundary_matrices(
+        _chains_by_stack_and_sort(p, mask)))
+
+
+# --- the fiber law on distinct projections -----------------------------------
+
+def _fiber_identity_by_pairs(ambient, i=None):
+    """The fiber law with the componentwise order evaluated on every
+    (element, fiber point) pair."""
+    i = ambient.n if i is None else i
+    image = [fiber_map(w, i) for w in ambient.elements]
+    points = {}
+    for idx, point in enumerate(image):
+        points.setdefault(point, set()).add(idx)
+    for q, fiber in points.items():
+        preimage = {idx for idx, point in enumerate(image)
+                    if point.moved <= q.moved
+                    and abs_leq(point.base, q.base, ambient.kind)}
+        generated = set()
+        for g in fiber:
+            generated.update(bits(ambient.below[g]))
+        if preimage != generated:
+            return False
+    return True
+
+
+def test_fiber_identity_matches_the_pairwise_check():
+    # whole groups and Coxeter ideals satisfy the law for every deleted
+    # letter; seeded subsets of B3, mostly not ideals, often break it
+    cases = [full_poset("S", 3), full_poset("S", 4), full_poset("B", 3),
+             coxeter_ideal(3, "B"), coxeter_ideal(4, "B")]
+    b3 = cases[2]
+    rng = random.Random(20261025)
+    for k in range(24):
+        keep = rng.sample(range(len(b3)), rng.randint(4, 40))
+        cases.append(b3.subposet(keep, label=f"sample {k}"))
+    verdicts = []
+    for p in cases:
+        for i in range(1, p.n + 1):
+            verdicts.append(fiber_ideal_identity_ok(p, i))
+            assert verdicts[-1] is _fiber_identity_by_pairs(p, i), (p.label, i)
+    assert verdicts[:17] == [True] * 17
+    assert verdicts.count(False) >= 20
