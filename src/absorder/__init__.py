@@ -34,7 +34,6 @@ from .order import (
     abs_leq,
     build_ideal,
     build_interval,
-    covered_by,
     covers,
     covers_by_pattern,
     cover_lifting_ok,
@@ -45,7 +44,6 @@ from .order import (
     full_poset,
     project_pi,
     sn_leq_noncrossing,
-    translate_interval,
 )
 from .invariants import (
     InvariantReport,

@@ -65,8 +65,7 @@ def _cmd_check_el(args) -> int:
         labeler = labeling.collapsed_reflection_label
     else:
         labeler = labeling.join_position_labeler(p)
-    report = labeling.verify_el(p, labeler=labeler,
-                                chain_guard=args.chain_guard)
+    report = labeling.verify_el(p, labeler=labeler)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -80,7 +79,7 @@ def _cmd_check_el(args) -> int:
 
 
 def _cmd_lattice_scan(args) -> int:
-    report = lattice.prediction_scan(args.group, args.n, guard=args.guard)
+    report = lattice.prediction_scan(args.group, args.n)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -173,8 +172,8 @@ def _cmd_gf(args) -> int:
                 p = order.full_poset("S", n)
             else:
                 p = order.coxeter_ideal(n, "B")
-            computed = topology.homology(
-                topology.order_complex(p, strip="endpoints")).euler
+            computed = topology.chain_euler_characteristic(
+                p, strip="endpoints")
             rows[n]["computed"] = computed
             ok = ok and computed == chi
     if args.format == "json":
@@ -257,14 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--labeling",
                      choices=("letter", "collapsed", "join-position"),
                      default="letter")
-    sub.add_argument("--chain-guard", type=int, default=10 ** 6)
     sub.set_defaults(handler=_cmd_check_el)
 
     sub = subs.add_parser("lattice-scan",
                           help="compare lattice predictions with brute force")
     _add_common(sub)
     sub.add_argument("--format", choices=FORMATS, default="table")
-    sub.add_argument("--guard", type=int, default=None)
     sub.set_defaults(handler=_cmd_lattice_scan)
 
     sub = subs.add_parser("invariants",

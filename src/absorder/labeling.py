@@ -20,6 +20,9 @@ from .order import Poset, ResourceGuardError, bits
 from .signed import (SignedPermutation, cycle_decomposition, from_cycles,
                      reflection_set)
 
+# Most maximal chains `verify_el` builds for one interval.
+CHAIN_GUARD = 10 ** 6
+
 
 class LabelingError(ValueError):
     """A labeling was applied to an edge outside its domain."""
@@ -152,7 +155,7 @@ class ELReport:
         return data
 
 
-def verify_el(p: Poset, labeler=None, chain_guard: int = 10 ** 6) -> ELReport:
+def verify_el(p: Poset, labeler=None) -> ELReport:
     """Check the EL property of a labeling on every closed interval of p.
 
     For each comparable pair x < y, every maximal chain of [x, y] is labeled;
@@ -163,7 +166,7 @@ def verify_el(p: Poset, labeler=None, chain_guard: int = 10 ** 6) -> ELReport:
     such path stays inside [x, y], so one walk up from x serves every y:
     the sequences of y extend those of its lower covers above x by one
     label, for y in ascending index (a linear extension of the order).
-    Paths are counted first: the first y with more than `chain_guard`
+    Paths are counted first: the first y with more than CHAIN_GUARD
     raises ResourceGuardError before any chain from x is built.
     """
     if labeler is None:
@@ -188,10 +191,10 @@ def verify_el(p: Poset, labeler=None, chain_guard: int = 10 ** 6) -> ELReport:
         paths = {x: 1}
         for y in tops:
             paths[y] = sum(paths.get(i, 0) for i in lower_covers[y])
-            if paths[y] > chain_guard:
+            if paths[y] > CHAIN_GUARD:
                 raise ResourceGuardError(
                     f"interval [{p.elements[x]!r}, {p.elements[y]!r}] exceeds "
-                    f"{chain_guard} maximal chains"
+                    f"{CHAIN_GUARD} maximal chains"
                 )
         ending = {x: [()]}
         for y in tops:

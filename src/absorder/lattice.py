@@ -9,8 +9,7 @@ existence over a whole group at once.
 
 from dataclasses import dataclass
 
-from .order import (Poset, ResourceGuardError, bits, elements_below,
-                    full_poset)
+from .order import Poset, bits, elements_below, full_poset
 from .signed import SignedPermutation, is_hook, is_member, mu_partition
 
 
@@ -134,17 +133,16 @@ class ScanReport:
         }
 
 
-def prediction_scan(kind: str, n: int, guard: int | None = None) -> ScanReport:
+def prediction_scan(kind: str, n: int) -> ScanReport:
     """Compare predict_lattice with brute force over every interval [e, w].
 
     Works inside one ambient group poset, so each interval check is a pure
     bitmask pass; mismatching elements are reported with their witnesses.
+    Only kinds B and D have a prediction; `full_poset`'s POSET_GUARD bounds
+    the group.
     """
-    limit = guard if guard is not None else (4 if kind == "B" else 5)
-    if n > limit:
-        raise ResourceGuardError(
-            f"prediction_scan({kind}, {n}) exceeds the guard {limit}"
-        )
+    if kind not in ("B", "D"):
+        raise ValueError(f"no lattice prediction for kind {kind!r}")
     ambient = full_poset(kind, n)
     mismatches = []
     for wi, w in enumerate(ambient.elements):

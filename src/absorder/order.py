@@ -25,7 +25,6 @@ from .signed import (
     coxeter_elements,
     group_elements,
     group_order,
-    identity,
     is_member,
     reflection_set,
 )
@@ -56,17 +55,6 @@ def covers(w: SignedPermutation, kind: str = "B") -> set:
     for t in reflection_set(kind, w.n):
         wt = w * t
         if absolute_length(wt, "B") == lw + 1:
-            out.add(wt)
-    return out
-
-
-def covered_by(w: SignedPermutation, kind: str = "B") -> set:
-    """All elements covered by w (products wt dropping length by 1)."""
-    lw = absolute_length(w, kind)
-    out = set()
-    for t in reflection_set(kind, w.n):
-        wt = w * t
-        if absolute_length(wt, "B") == lw - 1:
             out.add(wt)
     return out
 
@@ -293,10 +281,6 @@ class Poset:
     def is_bounded(self) -> bool:
         return self.bottom() is not None and self.top() is not None
 
-    def maximal_indices(self) -> list:
-        k = len(self.elements)
-        return [i for i in range(k) if self.above[i] == 1 << i]
-
     def is_graded_by_rank(self) -> bool:
         """Every Hasse edge climbs exactly one rank."""
         return all(self.rank[j] == self.rank[i] + 1
@@ -469,33 +453,6 @@ def full_poset(kind: str, n: int) -> Poset:
             f"guard {POSET_GUARD}"
         )
     return Poset(list(group_elements(kind, n)), kind, "full")
-
-
-def translate_interval(u: SignedPermutation, v: SignedPermutation, kind: str = "B"):
-    """The bijection z -> u^{-1} z from [u, v] onto [e, u^{-1} v].
-
-    Returns (mapping, ok): ok confirms the map is a rank-preserving
-    order isomorphism onto the target interval, checked exhaustively.
-    """
-    source = build_interval(u, v, kind)
-    uinv = u.inverse()
-    target = build_interval(identity(u.n), uinv * v, kind)
-    mapping = {z: uinv * z for z in source.elements}
-    ok = set(mapping.values()) == set(target.elements)
-    if ok:
-        k = len(source.elements)
-        for i in range(k):
-            zi = source.elements[i]
-            for j in range(k):
-                zj = source.elements[j]
-                fwd = source.leq(i, j)
-                gt = abs_leq(mapping[zi], mapping[zj], kind)
-                if fwd != gt:
-                    ok = False
-                    break
-            if not ok:
-                break
-    return mapping, ok
 
 
 def project_pi(w: SignedPermutation, i: int) -> SignedPermutation:

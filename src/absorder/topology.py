@@ -22,6 +22,9 @@ from .signed import (balanced_cycle, cycle_decomposition, cycle_type,
                      format_cycles, identity, paired_cycle)
 
 FACE_GUARD = 5_000_000
+# Most nonzeros of one boundary map, and most entries of the residual that
+# goes to the dense Smith normal form, that `torsion_profile` accepts.
+TORSION_GUARD = 250_000
 
 
 class SimplicialComplex:
@@ -114,7 +117,13 @@ def order_complex(p: Poset, strip: str = "none",
 @dataclass
 class HomologyProfile:
     reduced_betti: tuple
-    euler: int
+
+    @property
+    def euler(self) -> int:
+        """Reduced Euler characteristic, sum (-1)^i b_i; -1 when empty."""
+        if not self.reduced_betti:
+            return -1
+        return sum((-1) ** i * b for i, b in enumerate(self.reduced_betti))
 
     def concentrated_in_top(self) -> bool:
         return all(b == 0 for b in self.reduced_betti[:-1])
@@ -203,7 +212,7 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     as its face and built only when a later column reduces against it.
     """
     if not faces_by_dim or not faces_by_dim[0]:
-        return HomologyProfile((), -1)
+        return HomologyProfile(())
     neighbours = [0] * (faces_by_dim[0][-1][0] + 1)
     for a, b in faces_by_dim[1] if len(faces_by_dim) > 1 else ():
         neighbours[a] |= 1 << b
@@ -234,8 +243,7 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
         cleared = pivots
     betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
                   for d, faces in enumerate(faces_by_dim))
-    euler = -1 + sum((-1) ** d * len(f) for d, f in enumerate(faces_by_dim))
-    return HomologyProfile(betti, euler)
+    return HomologyProfile(betti)
 
 
 def homology(c: SimplicialComplex) -> HomologyProfile:
@@ -530,7 +538,7 @@ def appendix_ideal_checks(kind: str, n: int) -> list:
     return checks
 
 
-def _invariant_factors(columns: list) -> list:
+def _invariant_factors(columns: list, dim: int | None = None) -> list:
     """Invariant factors of an integer matrix given as row->value columns.
 
     Unit pivots are eliminated sparsely and the dense Smith normal form
@@ -540,6 +548,8 @@ def _invariant_factors(columns: list) -> list:
     pivot rows form a unit triangular block.  Once every residual column is
     zero on every pivot row, SNF(M) = 1^(#pivots) + SNF(residual), so the
     residual is reduced again after each pass that found a new pivot.
+    A residual of more than TORSION_GUARD entries raises ResourceGuardError
+    before the dense form starts; `dim` names the map in its message.
     """
     pivots = {}
     todo = columns
@@ -558,27 +568,34 @@ def _invariant_factors(columns: list) -> list:
                 residual.append(col)
         todo = residual
     used = sorted({r for col in todo for r in col})
+    if len(used) * len(todo) > TORSION_GUARD:
+        raise ResourceGuardError(
+            f"torsion guard exceeded at dimension {dim}: a residual of "
+            f"{len(used)}x{len(todo)} entries for the dense Smith form, more "
+            f"than the guard {TORSION_GUARD}")
     rows = {r: k for k, r in enumerate(used)}
     rest = [{rows[r]: v for r, v in col.items()} for col in todo]
     return [1] * len(pivots) + _smith_normal_form_diagonal(rest, len(rows))
 
 
-def torsion_profile(c: SimplicialComplex, entry_guard: int = 250_000) -> dict:
+def torsion_profile(c: SimplicialComplex) -> dict:
     """Torsion coefficients of each boundary map, via Smith normal form.
 
     Returns {d: [invariant factors > 1]}; all empty means the integral
     homology is free, so the rational Betti numbers tell the whole story.
-    The guard bounds the dense size rows x cols of every boundary map and
-    is checked for all of them before any is eliminated.
+    TORSION_GUARD bounds the nonzeros (d + 1) f_d of every boundary map,
+    checked for all of them before any is eliminated, and the residual
+    each leaves for the dense Smith form (see `_invariant_factors`).
     """
     f = c.f_vector()
     for d in range(1, len(f)):
-        if f[d - 1] * f[d] > entry_guard:
+        if (d + 1) * f[d] > TORSION_GUARD:
             raise ResourceGuardError(
-                f"torsion guard exceeded at dimension {d}: {f[d - 1]}x{f[d]}"
-                f" entries, more than the guard {entry_guard} entries")
+                f"torsion guard exceeded at dimension {d}: a boundary map "
+                f"with {(d + 1) * f[d]} nonzeros, more than the guard "
+                f"{TORSION_GUARD}")
     out = {}
     for d in range(1, len(f)):
-        diag = _invariant_factors(_boundary_columns(c.faces_by_dim, d))
+        diag = _invariant_factors(_boundary_columns(c.faces_by_dim, d), d)
         out[d] = [v for v in diag if v > 1]
     return out

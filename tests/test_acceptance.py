@@ -6,7 +6,6 @@ complexes, the generating-function predictions, and the structural ideal
 and projection laws.  Each test prints a single summary line on success.
 """
 
-import random
 import time
 from math import comb
 
@@ -54,8 +53,6 @@ from absorder import (
     verify_el,
     zeta_polynomial,
 )
-
-SEED = 20260816
 
 
 def test_01_noncrossing_census_matches_closed_forms():
@@ -151,19 +148,10 @@ def test_07_letter_labeling_is_el():
     report = verify_el(full_poset("B", 3))
     assert report.ok, report.failure
 
-    rng = random.Random(SEED)
     ambient = full_poset("B", 4)
-    ids = rng.sample(range(len(ambient)), 50)
-    for idx in ids:
-        members = []
-        mask = ambient.below[idx]
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length() - 1)
-            mask ^= low
-        sub = ambient.subposet(members, label="sampled interval")
-        rep = verify_el(sub)
-        assert rep.ok, (format_cycles(ambient.elements[idx]), rep.failure)
+    report = verify_el(ambient)
+    assert report.ok, report.failure
+    assert report.intervals_checked == 10041
 
     for w in ambient.elements:
         chain = canonical_chain(w)
@@ -178,8 +166,8 @@ def test_07_letter_labeling_is_el():
     w = parse_cycles("[3,-4]((1,2))", 4)
     expected = ["e", "((1,2))", "((1,2))[3]", "((1,2))[3,-4]"]
     assert [format_cycles(x) for x in canonical_chain(w)] == expected
-    print("PASS letter labeling EL on all of rank 3, 50 seeded rank-4 "
-          "intervals, and both worked chains")
+    print("PASS letter labeling EL on all of ranks 3 and 4, and both "
+          "worked chains")
 
 
 def test_08_alternate_labelings_are_el_on_flip_intervals():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from absorder import topology
 from absorder.cli import build_parser, main
 
 
@@ -78,10 +79,21 @@ def test_check_el_collapsed_on_flip_interval(capsys):
 def test_lattice_scan_and_guard(capsys):
     assert main(["lattice-scan", "--group", "B", "--n", "3"]) == 0
     capsys.readouterr()
-    assert main(["lattice-scan", "--group", "B", "--n", "5"]) == 3
+    assert main(["lattice-scan", "--group", "B", "--n", "6"]) == 3
     assert "resource guard" in capsys.readouterr().err
-    assert main(["lattice-scan", "--group", "B", "--n", "3",
-                 "--guard", "2"]) == 3
+    assert main(["lattice-scan", "--group", "S", "--n", "3"]) == 2
+    assert "no lattice prediction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice-scan", "--group", "B", "--n", "3", "--guard", "2"],
+    ["check-el", "--group", "B", "--n", "2", "--chain-guard", "-5"],
+])
+def test_guard_flags_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_invariants_family_agreement(capsys):
@@ -124,6 +136,22 @@ def test_topology_with_torsion(capsys):
                  "--torsion", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["torsion"] == {"1": []}
+
+
+def test_topology_torsion_guard_exits_before_eliminating(capsys, monkeypatch):
+    # the largest boundary map of stripped S5 has 12780 nonzeros
+    assert main(["topology", "--group", "S", "--n", "5", "--torsion",
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["torsion"] == {"1": [], "2": [], "3": []}
+
+    def no_elimination(*args):
+        raise AssertionError("eliminated before the guard was checked")
+
+    monkeypatch.setattr(topology, "_invariant_factors", no_elimination)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 12779)
+    assert main(["topology", "--group", "S", "--n", "5", "--torsion"]) == 3
+    assert "12780 nonzeros" in capsys.readouterr().err
 
 
 def test_gf_values_and_guard(capsys):

@@ -17,6 +17,7 @@ from absorder import (
     predict_lattice,
     prediction_scan,
 )
+from absorder import lattice, order
 from absorder.order import abs_leq, elements_below
 from absorder.signed import group_elements
 
@@ -121,11 +122,37 @@ def test_prediction_scan_even_small():
     assert report.checked == 24
 
 
-def test_prediction_scan_guard():
-    with pytest.raises(ResourceGuardError):
-        prediction_scan("B", 5)
-    with pytest.raises(ResourceGuardError):
-        prediction_scan("B", 3, guard=2)
+def test_prediction_scan_guard(monkeypatch):
+    def no_elements(*args):
+        raise AssertionError("elements generated past the guard")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(order, "group_elements", no_elements)
+        with pytest.raises(ResourceGuardError, match="46080 elements"):
+            prediction_scan("B", 6)
+        with pytest.raises(ResourceGuardError, match="23040 elements"):
+            prediction_scan("D", 6)
+    monkeypatch.setattr(order, "POSET_GUARD", 48)
+    assert prediction_scan("B", 3).checked == 48
+    monkeypatch.setattr(order, "POSET_GUARD", 47)
+    with pytest.raises(ResourceGuardError,
+                       match="48 elements, more than the guard 47$"):
+        prediction_scan("B", 3)
+
+
+def test_prediction_scan_rejects_kind_s_before_building(monkeypatch):
+    def no_poset(*args):
+        raise AssertionError("built a poset for a kind with no prediction")
+
+    monkeypatch.setattr(lattice, "full_poset", no_poset)
+    with pytest.raises(ValueError, match="no lattice prediction for kind 'S'"):
+        prediction_scan("S", 3)
+
+
+def test_prediction_scan_even_rank_five():
+    report = prediction_scan("D", 5)
+    assert report.ok()
+    assert report.checked == 1920
 
 
 def test_two_maximal_lower_bounds_witness_pair():

@@ -34,7 +34,7 @@ from absorder import (
     support_size_label,
     verify_el,
 )
-from absorder import lattice, topology
+from absorder import labeling, lattice, topology
 from absorder.labeling import ELReport
 from absorder.order import bits
 from absorder.signed import cycle_type, group_elements
@@ -301,19 +301,20 @@ def test_verify_el_matches_per_interval_enumeration_on_flip_intervals():
                 == _verify_el_per_interval(p, labeler).to_json())
 
 
-def test_el_chain_guard_trips_before_any_chain_is_labeled():
+def test_el_chain_guard_trips_before_any_chain_is_labeled(monkeypatch):
     def no_label(a, b):
         raise AssertionError("labeled a chain before the guard was checked")
 
+    monkeypatch.setattr(labeling, "CHAIN_GUARD", 3)
     p = full_poset("B", 3)
     with pytest.raises(ResourceGuardError,
                        match=r"^interval \[e, \[1,-3\]\] exceeds 3 maximal "
                              r"chains$"):
-        verify_el(p, labeler=no_label, chain_guard=3)
+        verify_el(p, labeler=no_label)
     with pytest.raises(ResourceGuardError) as expected:
         _verify_el_per_interval(p, support_size_label, chain_guard=3)
     with pytest.raises(ResourceGuardError) as got:
-        verify_el(p, chain_guard=3)
+        verify_el(p)
     assert str(got.value) == str(expected.value)
 
 
@@ -323,7 +324,7 @@ def _homology_by_boundary_matrices(faces_by_dim):
     """Cohomology with clearing on explicit columns: every boundary map is
     built and transposed, and each column's lowest row found by max."""
     if not faces_by_dim or not faces_by_dim[0]:
-        return HomologyProfile((), -1)
+        return HomologyProfile(())
     ranks = [1] + [0] * len(faces_by_dim)
     cleared = {len(faces_by_dim[0]) - 1}
     for d in range(len(faces_by_dim) - 1):
@@ -347,8 +348,7 @@ def _homology_by_boundary_matrices(faces_by_dim):
         cleared = pivots
     betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
                   for d, faces in enumerate(faces_by_dim))
-    euler = -1 + sum((-1) ** d * len(f) for d, f in enumerate(faces_by_dim))
-    return HomologyProfile(betti, euler)
+    return HomologyProfile(betti)
 
 
 def _chains_by_stack_and_sort(p, mask, face_guard=topology.FACE_GUARD):

@@ -6,7 +6,6 @@ from absorder.order import (
     abs_leq,
     build_ideal,
     build_interval,
-    covered_by,
     covers,
     covers_by_pattern,
     cover_lifting_ok,
@@ -18,8 +17,8 @@ from absorder.order import (
     full_poset,
     project_pi,
     sn_leq_noncrossing,
-    translate_interval,
 )
+from absorder.lattice import _maximal_of
 from absorder.signed import format_cycles, group_order, identity, parse_cycles
 
 
@@ -45,13 +44,6 @@ def test_covers_match_pattern_surgery():
             assert covers(w, "B") == covers_by_pattern(w), format_cycles(w)
 
 
-def test_covered_by_inverts_covers():
-    p = full_poset("B", 2)
-    for w in p.elements:
-        for v in covers(w, "B"):
-            assert w in covered_by(v, "B")
-
-
 def test_noncrossing_agreement_small():
     p = full_poset("S", 4)
     for u in p.elements:
@@ -67,7 +59,7 @@ def test_poset_shape():
     assert p.bottom() is not None and p.top() is None
     assert not p.is_bounded()
     assert p.is_graded_by_rank()
-    assert len(p.maximal_indices()) == 3
+    assert len(_maximal_of(p, (1 << len(p)) - 1)) == 3
 
 
 def test_bottom_requires_domination():
@@ -127,6 +119,23 @@ def test_trivial_groups_have_the_identity_as_coxeter_element():
         assert coxeter_ideal(n, kind).elements == [identity(n)]
     assert group_order("D", 0) == 1
     assert [group_order("D", n) for n in range(1, 4)] == [1, 4, 24]
+
+
+def translate_interval(u, v, kind="B"):
+    """The bijection z -> u^{-1} z from [u, v] onto [e, u^{-1} v].
+
+    Returns (mapping, ok): ok confirms, pair by pair against abs_leq, that
+    the map is an order isomorphism onto the target interval.
+    """
+    source = build_interval(u, v, kind)
+    uinv = u.inverse()
+    target = build_interval(identity(u.n), uinv * v, kind)
+    mapping = {z: uinv * z for z in source.elements}
+    ok = set(mapping.values()) == set(target.elements) and all(
+        source.leq(i, j) == abs_leq(mapping[zi], mapping[zj], kind)
+        for i, zi in enumerate(source.elements)
+        for j, zj in enumerate(source.elements))
+    return mapping, ok
 
 
 def test_translate_interval_is_isomorphism():

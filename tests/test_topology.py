@@ -173,24 +173,54 @@ def test_face_guard_trips():
         order_complex(full_poset("B", 3), strip="endpoints", face_guard=10)
 
 
-def test_torsion_free_small_complex():
+def test_torsion_free_small_complex(monkeypatch):
+    # the one boundary map has 2 * 8 = 16 nonzeros
     c = order_complex(coxeter_ideal(2, "B"), strip="endpoints")
     assert torsion_profile(c) == {1: []}
+    monkeypatch.setattr(topology, "TORSION_GUARD", 16)
+    assert torsion_profile(c) == {1: []}
+    monkeypatch.setattr(topology, "TORSION_GUARD", 15)
     with pytest.raises(ResourceGuardError):
-        torsion_profile(c, entry_guard=1)
+        torsion_profile(c)
 
 
 def test_torsion_guard_refuses_before_eliminating(monkeypatch):
-    # dimension 1 of stripped S5 is 119x1570 and within the guard, but
-    # dimension 2 (1570x4260) is not; nothing may be eliminated first
+    # the maps of stripped S5 have 3140, 12780 and 12000 nonzeros: under a
+    # guard of 12779 dimension 1 is within it and dimension 2 is not, and
+    # nothing may be eliminated first
     def no_elimination(*args):
         raise AssertionError("eliminated before the guard was checked")
 
     monkeypatch.setattr(topology, "_invariant_factors", no_elimination)
     monkeypatch.setattr(topology, "_smith_normal_form_diagonal", no_elimination)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 12779)
     c = order_complex(full_poset("S", 5), strip="endpoints")
-    with pytest.raises(ResourceGuardError, match="dimension 2: 1570x4260"):
+    with pytest.raises(ResourceGuardError,
+                       match="dimension 2: a boundary map with 12780 nonzeros"):
         torsion_profile(c)
+
+
+def test_stripped_s5_is_torsion_free_within_the_guard():
+    c = order_complex(full_poset("S", 5), strip="endpoints")
+    assert c.f_vector() == (119, 1570, 4260, 3000)
+    assert torsion_profile(c) == {1: [], 2: [], 3: []}
+
+
+def test_residual_over_the_guard_raises_before_the_dense_form(monkeypatch):
+    # 2 * identity(3) has no unit pivot, so all of it is a 3x3 residual
+    columns = [{0: 2}, {1: 2}, {2: 2}]
+    monkeypatch.setattr(topology, "TORSION_GUARD", 9)
+    assert _invariant_factors(columns) == [2, 2, 2]
+
+    def no_dense_form(*args):
+        raise AssertionError("dense Smith form started past the guard")
+
+    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", no_dense_form)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 8)
+    with pytest.raises(ResourceGuardError,
+                       match="dimension 2: a residual of 3x3 entries for the "
+                             "dense Smith form, more than the guard 8"):
+        _invariant_factors(columns, 2)
 
 
 def test_real_projective_plane_has_two_torsion():
@@ -437,11 +467,12 @@ def test_cm_check_matches_links_when_the_ends_are_kept():
         assert cm_check(c).to_json() == _links_from_scratch(c), z
 
 
-def test_guard_messages_state_the_limit():
+def test_guard_messages_state_the_limit(monkeypatch):
     with pytest.raises(ResourceGuardError,
                        match="'full' has more than the guard 10 chains"):
         order_complex(full_poset("B", 3), strip="endpoints", face_guard=10)
     c = order_complex(full_poset("S", 5), strip="endpoints")
+    monkeypatch.setattr(topology, "TORSION_GUARD", 12779)
     with pytest.raises(ResourceGuardError,
-                       match="1570x4260 entries, more than the guard 250000"):
+                       match="12780 nonzeros, more than the guard 12779$"):
         torsion_profile(c)

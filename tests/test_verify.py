@@ -4,7 +4,8 @@ from dataclasses import fields
 
 import pytest
 
-from absorder import ClaimResult, run_verify_suite
+from absorder import ClaimResult, run_verify_suite, topology
+from absorder.topology import HomologyProfile
 
 QUICK_CLAIMS = [r.claim for r in run_verify_suite(profile="quick").results]
 
@@ -65,3 +66,19 @@ def test_fault_injection_fails_exactly_the_named_claim(claim):
     bad = [r for r in report.results if not r.verdict]
     assert [r.claim for r in bad] == [claim]
     assert bad[0].computed == bad[0].expected + " [injected fault]"
+
+
+def test_a_wrong_top_betti_number_fails_the_homology_claims(monkeypatch):
+    # the Euler claims read the Betti numbers, and proper-part-cm compares
+    # the top one with the Mobius number, so neither may pass on wrong ranks
+    right = topology._homology_from_faces
+
+    def off_by_one(faces_by_dim):
+        betti = right(faces_by_dim).reduced_betti
+        return HomologyProfile(betti[:-1] + (betti[-1] + 1,) if betti else ())
+
+    monkeypatch.setattr(topology, "_homology_from_faces", off_by_one)
+    failed = {r.claim for r in run_verify_suite(profile="quick").results
+              if not r.verdict}
+    assert {"euler-three-way-plain", "euler-three-way-signed",
+            "proper-part-cm"} <= failed
