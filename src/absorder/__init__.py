@@ -38,9 +38,7 @@ from .order import (
     covers_by_pattern,
     cover_lifting_ok,
     coxeter_ideal,
-    fiber_ideal_M,
     fiber_ideal_identity_ok,
-    fiber_map,
     full_poset,
     project_pi,
     sn_leq_noncrossing,

@@ -13,11 +13,9 @@ DPs and transitive reductions cheap at desk scale.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .signed import (
     SignedPermutation,
-    Cycle,
     absolute_length,
     cycle_decomposition,
     format_cycles,
@@ -373,10 +371,10 @@ def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> set:
     Given `seen`, an order ideal owned by the caller (such as the result of
     earlier calls), the search adds into it and returns it, and never
     re-expands an element already there, whose ideal is there already:
-    this is how `build_ideal` (and through it `coxeter_ideal` and
-    `fiber_ideal_M`) runs one shared search over all its generators,
-    visiting each element once.  Raises
-    ResourceGuardError once `seen` holds more than POSET_GUARD elements.
+    this is how `build_ideal` (and through it `coxeter_ideal`) runs one
+    shared search over all its generators, visiting each element once.
+    Raises ResourceGuardError once `seen` holds more than POSET_GUARD
+    elements.
     """
     length = absolute_length(v, kind) - 1
     if seen is None:
@@ -468,73 +466,45 @@ def project_pi(w: SignedPermutation, i: int) -> SignedPermutation:
     return from_cycles(words, w.n)
 
 
-@dataclass(frozen=True)
-class FiberPoint:
-    """Image of w under the fiber map: its projection and a moved flag."""
+def _fibers(ambient: Poset, i: int) -> dict:
+    """The ambient's elements grouped by their projection deleting letter
+    i: {projection: [mask of those fixing i, mask of those moving i]}.
 
-    base: SignedPermutation
-    moved: int
-
-
-def fiber_map(w: SignedPermutation, i: int) -> FiberPoint:
-    return FiberPoint(project_pi(w, i), 0 if w(i) == i else 1)
-
-
-def embed(w: SignedPermutation, n: int) -> SignedPermutation:
-    """Include an element of B_m into B_n (n >= m) fixing the new letters."""
-    if n < w.n:
-        raise ValueError("cannot embed into a smaller group")
-    return SignedPermutation(tuple(w.images) + tuple(range(w.n + 1, n + 1)))
-
-
-def fiber_ideal_M(u: SignedPermutation, ambient: Poset, i: int | None = None) -> Poset:
-    """The ideal of the ambient poset generated by the fiber of u.
-
-    `ambient` is a downward-closed subposet of Abs (the Coxeter ideal or a
-    whole symmetric group); the generators are all v in it whose
-    projection (deleting letter i, default the last letter) equals u.
+    Kind D is refused: deleting a letter leaves D_n ([1][2] projects to
+    [2], which is not in D_n).
     """
-    n = ambient.n
-    if i is None:
-        i = n
-    u = embed(u, n)
-    gens = [v for v in ambient.elements if project_pi(v, i) == u]
-    if not gens:
-        raise ValueError(f"{u!r} has empty fiber in the ambient ideal")
-    ideal = build_ideal(gens, ambient.kind, "fiber-ideal")
-    if not all(v in ambient.index for v in ideal.elements):
-        raise ValueError("fiber ideal escapes the ambient poset")
-    return ideal
+    if ambient.kind == "D":
+        raise ValueError("no fibers in kind D: deleting a letter leaves D_n "
+                         "([1][2] projects to [2])")
+    fibers = {}
+    for idx, w in enumerate(ambient.elements):
+        fibers.setdefault(project_pi(w, i), [0, 0])[w(i) != i] |= 1 << idx
+    return fibers
 
 
 def cover_lifting_ok(ambient: Poset, i: int | None = None) -> bool:
     """Cover lifting along the projection deleting letter i.
 
-    For every w in the ambient ideal and every u fixing i with the
-    projection of w below u (equality and fixed w included), some v with
-    projection u covers u and lies above w.
+    For every u fixing i, every w whose projection lies below u (equality
+    and fixed w included) lies below some lift of u: a v moving i, with
+    projection u, that covers u.  The elements below u fix i, so each is
+    the projection of its own fiber.
     """
-    n = ambient.n
-    if i is None:
-        i = n
-    proj = [project_pi(v, i) for v in ambient.elements]
-    fixed = [k for k, u in enumerate(ambient.elements) if u(i) == i]
-    lifts = {}
-    for ui in fixed:
-        u = ambient.elements[ui]
-        lifts[ui] = [
-            vi for vi in range(len(ambient.elements))
-            if vi != ui and proj[vi] == u
-            and ambient.rank[vi] == ambient.rank[ui] + 1
-            and ambient.leq(ui, vi)
-        ]
-    for wi in range(len(ambient.elements)):
-        pwi = ambient.index[proj[wi]]
-        for ui in fixed:
-            if not ambient.leq(pwi, ui):
-                continue
-            if not any(ambient.leq(wi, vi) for vi in lifts[ui]):
-                return False
+    i = ambient.n if i is None else i
+    fibers = _fibers(ambient, i)
+    for ui, u in enumerate(ambient.elements):
+        if u(i) != i:
+            continue
+        lower = 0
+        for b in bits(ambient.below[ui]):
+            fixed, moved = fibers[ambient.elements[b]]
+            lower |= fixed | moved
+        upper = 0
+        for v in bits(fibers[u][1] & ambient.above[ui]):
+            if ambient.rank[v] == ambient.rank[ui] + 1:
+                upper |= ambient.below[v]
+        if lower & ~upper:
+            return False
     return True
 
 
@@ -542,13 +512,11 @@ def fiber_ideal_identity_ok(ambient: Poset, i: int | None = None) -> bool:
     """Preimages of principal ideals under the fiber map are ideals
     generated by the fiber: f^{-1}(<q>) = <f^{-1}(q)> for every point q.
 
-    Points are ordered componentwise (abs_leq on projections, then the moved
+    The fiber map sends w to its projection and whether it moves i.  Points
+    are ordered componentwise (abs_leq on projections, then the moved
     flag), so abs_leq runs once per pair of distinct projections.
     """
-    image = {}  # projection -> [mask of i fixed, mask of i moved]
-    for idx, w in enumerate(ambient.elements):
-        point = fiber_map(w, ambient.n if i is None else i)
-        image.setdefault(point.base, [0, 0])[point.moved] |= 1 << idx
+    image = _fibers(ambient, ambient.n if i is None else i)
     for base, fibers in image.items():
         lower = [0, 0]
         for b, masks in image.items():

@@ -15,9 +15,8 @@ from functools import reduce
 from math import gcd
 from operator import and_
 
-from .order import (Poset, ResourceGuardError, bits, build_ideal,
-                    build_interval, coxeter_ideal, fiber_ideal_M, full_poset,
-                    project_pi)
+from .order import (Poset, ResourceGuardError, _fibers, bits, build_interval,
+                    coxeter_ideal)
 from .signed import (balanced_cycle, cycle_decomposition, cycle_type,
                      format_cycles, identity, paired_cycle)
 
@@ -69,8 +68,9 @@ def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD) -> list:
     """
     faces_by_dim = []
     total = 0
-    strictly_above = [up & ~(1 << v) for v, up in enumerate(p.above)]
-    stack = [((v,), mask & strictly_above[v]) for v in reversed([*bits(mask)])]
+    members = [*bits(mask)]
+    above = {v: p.above[v] & mask & ~(1 << v) for v in members}
+    stack = [((v,), above[v]) for v in reversed(members)]
     while stack:
         chain, up = stack.pop()
         if len(faces_by_dim) < len(chain):
@@ -85,30 +85,33 @@ def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD) -> list:
         while rest:  # highest first, so the stack pops them ascending
             v = rest.bit_length() - 1
             rest ^= 1 << v
-            stack.append((chain + (v,), up & strictly_above[v]))
+            stack.append((chain + (v,), up & above[v]))
     return faces_by_dim
 
 
-def _strip_mask(p: Poset, strip: str) -> int:
-    """Mask of the elements kept under a strip mode.
+def _strip_mask(p: Poset, strip: str, mask: int) -> int:
+    """The members of `mask` kept under a strip mode.
 
-    strip="endpoints" drops the minimum and maximum when they exist and
-    dominate; a poset with many maximal elements only loses its bottom.
+    strip="endpoints" drops their minimum and maximum when they exist and
+    dominate; members with many maximal elements only lose their bottom.
+    Indices ascend with rank, so only the lowest and the highest member can
+    be a bottom or a top.
     """
     if strip not in ("none", "endpoints"):
         raise ValueError(f"unknown strip mode {strip!r}")
-    mask = (1 << len(p)) - 1
-    if strip == "endpoints":
-        for end in (p.bottom(), p.top()):
-            if end is not None:
-                mask &= ~(1 << end)
+    if strip == "endpoints" and mask:
+        low, high = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+        if not mask & ~p.above[low]:
+            mask ^= 1 << low
+        if not mask & ~p.below[high]:
+            mask &= ~(1 << high)
     return mask
 
 
 def order_complex(p: Poset, strip: str = "none",
                   face_guard: int = FACE_GUARD) -> SimplicialComplex:
     """The chain complex of a poset, optionally with endpoints removed."""
-    mask = _strip_mask(p, strip)
+    mask = _strip_mask(p, strip, (1 << len(p)) - 1)
     faces = _chains_in_mask(p, mask, face_guard)
     return SimplicialComplex(p, mask, faces,
                              label=f"chains of {p.label} (strip={strip})")
@@ -257,7 +260,7 @@ def chain_euler_characteristic(p: Poset, strip: str = "none") -> int:
     Signed chain counting needs no boundary matrices, so this gives an
     independent route to the Euler characteristic for cross-checking.
     """
-    mask = _strip_mask(p, strip)
+    mask = _strip_mask(p, strip, (1 << len(p)) - 1)
     signed = {}
     for i in bits(mask):
         below = p.below[i] & mask & ~(1 << i)
@@ -485,56 +488,67 @@ class IdealCheck:
         }
 
 
-def _checked_ideal(name: str, ideal: Poset, expected_rank: int) -> IdealCheck:
-    report = cm_check(order_complex(ideal, strip="endpoints"))
-    return IdealCheck(name, len(ideal), ideal.height(), expected_rank,
-                      ideal.is_graded_by_rank(), report)
-
-
-def _long_cycle_check(flavor: str, ambient: Poset, target,
-                      expected_rank: int) -> IdealCheck:
-    """Check the ideal generated by the single cycles projecting to target."""
-    gens = [v for v in ambient.elements
-            if len(cycle_decomposition(v).cycles) == 1
-            and project_pi(v, ambient.n) == target]
-    ideal = build_ideal(gens, ambient.kind, label="long-cycle fiber ideal")
-    return _checked_ideal(f"{flavor} long-cycle fiber ideal", ideal,
-                          expected_rank)
+def _checked_ideal(name: str, ambient: Poset, mask: int,
+                   expected_rank: int) -> IdealCheck:
+    """Rank, grading and link criterion of the ideal `mask` of `ambient`,
+    its bottom and top stripped."""
+    kept = _strip_mask(ambient, "endpoints", mask)
+    c = SimplicialComplex(ambient, kept, _chains_in_mask(ambient, kept),
+                          label=f"chains of {name} (strip=endpoints)")
+    ranks = [ambient.rank[i] for i in bits(mask)]
+    graded = all(ambient.rank[j] == ambient.rank[i] + 1
+                 for i in bits(mask) for j in ambient.hasse_up[i]
+                 if mask >> j & 1)
+    return IdealCheck(name, mask.bit_count(), max(ranks) - min(ranks),
+                      expected_rank, graded, cm_check(c))
 
 
 def appendix_ideal_checks(kind: str, n: int) -> list:
     """Rank and Cohen-Macaulay checks for the structural ideals.
 
+    Every ideal is a mask on one ambient poset, the Coxeter ideal of kind
+    S (all of S_n) or B, generated by a part of a fiber of the projection
+    deleting letter n.
     Long-cycle fiber ideals (n >= 3): the ideal generated by all single
     cycles projecting onto the full cycle on the first n-1 letters, in the
     plain (kind S) and both signed flavors (kind B); expected ranks are
     n-1 for the plain and pair-type targets and n for the balanced target.
-    Fiber ideals: for every u one rank down, the ideal generated by the
+    Fiber ideals: for every u fixing n, the ideal generated by the
     projection fiber of u, of expected rank one more than the length of u.
     """
-    from .signed import absolute_length, balanced_cycle, paired_cycle
-
     if kind not in ("S", "B"):
         raise ValueError(f"no ideal checks for kind {kind!r}")
+    if n < 2:
+        return []
+    ambient = coxeter_ideal(n, kind)
+    fibers = _fibers(ambient, n)
+
+    def generated(gens) -> int:
+        mask = 0
+        for g in gens:
+            mask |= ambient.below[g]
+        return mask
+
     checks = []
     letters = tuple(range(1, n))
-    if n >= 3:
-        group = full_poset(kind, n)
-        if kind == "S":
-            checks.append(_long_cycle_check(
-                "plain", group, paired_cycle(letters, n), n - 1))
-        else:
-            checks.append(_long_cycle_check(
-                "pair-type", group, paired_cycle(letters, n), n - 1))
-            checks.append(_long_cycle_check(
-                "balanced", group, balanced_cycle(letters, n), n))
-    if n >= 2:
-        # the Coxeter ideal of S_n is all of S_n
-        ambient = coxeter_ideal(n, kind)
-        for u in coxeter_ideal(n - 1, kind).elements:
+    targets = []
+    if n >= 3 and kind == "S":
+        targets = [("plain", paired_cycle(letters, n), n - 1)]
+    elif n >= 3:
+        targets = [("pair-type", paired_cycle(letters, n), n - 1),
+                   ("balanced", balanced_cycle(letters, n), n)]
+    for flavor, target, expected_rank in targets:
+        fixed, moved = fibers[target]
+        gens = [g for g in bits(fixed | moved)
+                if len(cycle_decomposition(ambient.elements[g]).cycles) == 1]
+        checks.append(_checked_ideal(f"{flavor} long-cycle fiber ideal",
+                                     ambient, generated(gens), expected_rank))
+    for ui, u in enumerate(ambient.elements):
+        if u(n) == n:
+            fixed, moved = fibers[u]
             checks.append(_checked_ideal(
-                f"fiber ideal over {format_cycles(u)}",
-                fiber_ideal_M(u, ambient), absolute_length(u, kind) + 1))
+                f"fiber ideal over {format_cycles(u)}", ambient,
+                generated(bits(fixed | moved)), ambient.rank[ui] + 1))
     return checks
 
 

@@ -154,6 +154,19 @@ def test_topology_torsion_guard_exits_before_eliminating(capsys, monkeypatch):
     assert "12780 nonzeros" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cm", [[], ["--cm"]])
+def test_topology_torsion_guard_refuses_before_homology(capsys, monkeypatch,
+                                                        cm):
+    def no_homology(*args):
+        raise AssertionError("homology ran before the torsion guard")
+
+    monkeypatch.setattr(topology, "_homology_from_faces", no_homology)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 1)
+    assert main(["topology", "--group", "S", "--n", "4", "--torsion",
+                 *cm]) == 3
+    assert "torsion guard exceeded at dimension 1" in capsys.readouterr().err
+
+
 def test_gf_values_and_guard(capsys):
     assert main(["gf", "--family", "sym", "--upto", "6"]) == 0
     capsys.readouterr()

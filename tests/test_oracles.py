@@ -4,9 +4,9 @@
 antichain gaps off their size, `meet`, `join` and `_meet_failure` decide
 existence by one mask comparison, `verify_el` labels all chains up from a
 bottom in one walk, homology builds a coboundary column only when a
-reduction needs it, chains come out sorted from one walk, and the fiber law
-compares distinct projections.  Each is compared here with the route it
-replaces.
+reduction needs it, chains come out sorted from one walk, the fiber law
+compares distinct projections, and fiber ideals and cover lifting are masks
+on one ambient poset.  Each is compared here with the route it replaces.
 """
 
 import itertools
@@ -17,28 +17,36 @@ import pytest
 from absorder import (
     ResourceGuardError,
     abs_leq,
+    absolute_length,
+    appendix_ideal_checks,
+    balanced_cycle,
     build_ideal,
     build_interval,
     cm_check,
     collapsed_reflection_label,
+    cover_lifting_ok,
     coxeter_ideal,
+    cycle_decomposition,
     fiber_ideal_identity_ok,
-    fiber_map,
+    format_cycles,
     full_poset,
     identity,
     join,
     join_position_labeler,
     meet,
     order_complex,
+    paired_cycle,
     parse_cycles,
+    project_pi,
     support_size_label,
     verify_el,
 )
 from absorder import labeling, lattice, topology
 from absorder.labeling import ELReport
 from absorder.order import bits
-from absorder.signed import cycle_type, group_elements
-from absorder.topology import HomologyProfile, _boundary_columns, _normalized
+from absorder.signed import SignedPermutation, cycle_type, group_elements
+from absorder.topology import (HomologyProfile, IdealCheck, _boundary_columns,
+                               _normalized)
 
 
 # --- Cohen-Macaulay gaps keyed by conjugacy class ---------------------------
@@ -454,7 +462,7 @@ def test_homology_matches_boundary_matrix_elimination_on_non_flag_complexes():
 
 def test_face_guard_trips_one_past_the_guard_with_the_same_message():
     p = full_poset("B", 3)
-    mask = topology._strip_mask(p, "endpoints")
+    mask = topology._strip_mask(p, "endpoints", (1 << len(p)) - 1)
     total = sum(map(len, topology._chains_in_mask(p, mask)))
     assert topology._chains_in_mask(p, mask, face_guard=total) == (
         _chains_by_stack_and_sort(p, mask))
@@ -521,14 +529,14 @@ def _fiber_identity_by_pairs(ambient, i=None):
     """The fiber law with the componentwise order evaluated on every
     (element, fiber point) pair."""
     i = ambient.n if i is None else i
-    image = [fiber_map(w, i) for w in ambient.elements]
+    image = [(project_pi(w, i), w(i) != i) for w in ambient.elements]
     points = {}
     for idx, point in enumerate(image):
         points.setdefault(point, set()).add(idx)
-    for q, fiber in points.items():
-        preimage = {idx for idx, point in enumerate(image)
-                    if point.moved <= q.moved
-                    and abs_leq(point.base, q.base, ambient.kind)}
+    for (q_base, q_moved), fiber in points.items():
+        preimage = {idx for idx, (base, moved) in enumerate(image)
+                    if moved <= q_moved
+                    and abs_leq(base, q_base, ambient.kind)}
         generated = set()
         for g in fiber:
             generated.update(bits(ambient.below[g]))
@@ -554,3 +562,101 @@ def test_fiber_identity_matches_the_pairwise_check():
             assert verdicts[-1] is _fiber_identity_by_pairs(p, i), (p.label, i)
     assert verdicts[:17] == [True] * 17
     assert verdicts.count(False) >= 20
+
+
+# --- fiber ideals and cover lifting as masks on one ambient -------------------
+
+def _ideal_checks_per_fiber(kind, n):
+    """`appendix_ideal_checks` with each ideal built as a poset of its own:
+    the long-cycle generators filtered from the whole group, the base
+    elements from the Coxeter ideal one letter down, each fiber found by
+    projecting every ambient element again.  Returns the checks and the
+    element set of each ideal."""
+    checks, members = [], []
+
+    def check(name, gens, expected_rank):
+        ideal = build_ideal(gens, kind)
+        checks.append(IdealCheck(
+            name, len(ideal), ideal.height(), expected_rank,
+            ideal.is_graded_by_rank(),
+            cm_check(order_complex(ideal, strip="endpoints"))))
+        members.append(set(ideal.elements))
+
+    letters = tuple(range(1, n))
+    if n >= 3:
+        group = full_poset(kind, n)
+        targets = ([("plain", paired_cycle(letters, n), n - 1)] if kind == "S"
+                   else [("pair-type", paired_cycle(letters, n), n - 1),
+                         ("balanced", balanced_cycle(letters, n), n)])
+        for flavor, target, expected_rank in targets:
+            check(f"{flavor} long-cycle fiber ideal",
+                  [v for v in group.elements
+                   if len(cycle_decomposition(v).cycles) == 1
+                   and project_pi(v, n) == target], expected_rank)
+    ambient = coxeter_ideal(n, kind)
+    for u in coxeter_ideal(n - 1, kind).elements:
+        u = SignedPermutation(u.images + (n,))
+        check(f"fiber ideal over {format_cycles(u)}",
+              [v for v in ambient.elements if project_pi(v, n) == u],
+              absolute_length(u, kind) + 1)
+    return checks, members
+
+
+@pytest.mark.parametrize("kind,n", [("S", 2), ("S", 3), ("S", 4), ("S", 5),
+                                    ("B", 2), ("B", 3), ("B", 4)])
+def test_ideal_checks_match_the_per_fiber_posets(kind, n, monkeypatch):
+    expected, expected_members = _ideal_checks_per_fiber(kind, n)
+    members = []
+    checked_ideal = topology._checked_ideal
+
+    def recording(name, ambient, mask, expected_rank):
+        members.append({ambient.elements[i] for i in bits(mask)})
+        return checked_ideal(name, ambient, mask, expected_rank)
+
+    monkeypatch.setattr(topology, "_checked_ideal", recording)
+    got = appendix_ideal_checks(kind, n)
+    assert [c.to_json() for c in got] == [c.to_json() for c in expected]
+    assert members == expected_members
+
+
+def _cover_lifting_by_lifts(ambient, i=None):
+    """Cover lifting with the lifts of each u listed and every (w, u) pair
+    compared."""
+    i = ambient.n if i is None else i
+    proj = [project_pi(v, i) for v in ambient.elements]
+    fixed = [k for k, u in enumerate(ambient.elements) if u(i) == i]
+    lifts = {}
+    for ui in fixed:
+        lifts[ui] = [
+            vi for vi in range(len(ambient.elements))
+            if vi != ui and proj[vi] == ambient.elements[ui]
+            and ambient.rank[vi] == ambient.rank[ui] + 1
+            and ambient.leq(ui, vi)
+        ]
+    for wi in range(len(ambient.elements)):
+        pwi = ambient.index[proj[wi]]
+        for ui in fixed:
+            if ambient.leq(pwi, ui) and not any(ambient.leq(wi, vi)
+                                                for vi in lifts[ui]):
+                return False
+    return True
+
+
+def test_cover_lifting_matches_the_per_lift_check():
+    # whole groups and Coxeter ideals lift covers for every deleted letter;
+    # seeded ideals of B3, whose lifts may lie outside, often do not
+    cases = [full_poset("S", 3), full_poset("S", 4), full_poset("S", 5),
+             full_poset("B", 3), full_poset("B", 4), coxeter_ideal(3, "B"),
+             coxeter_ideal(4, "B"), coxeter_ideal(5, "B")]
+    b3 = cases[3]
+    rng = random.Random(20261026)
+    for k in range(12):
+        gens = rng.sample(b3.elements, rng.randint(1, 4))
+        cases.append(build_ideal(gens, "B", label=f"sample {k}"))
+    verdicts = []
+    for p in cases:
+        for i in range(1, p.n + 1):
+            verdicts.append(cover_lifting_ok(p, i))
+            assert verdicts[-1] is _cover_lifting_by_lifts(p, i), (p.label, i)
+    assert verdicts[:31] == [True] * 31
+    assert verdicts.count(False) >= 24

@@ -3,23 +3,24 @@ import pytest
 from absorder.order import (
     Poset,
     ResourceGuardError,
+    _fibers,
     abs_leq,
     build_ideal,
+    bits,
     build_interval,
     covers,
     covers_by_pattern,
     cover_lifting_ok,
     coxeter_ideal,
     elements_below,
-    fiber_ideal_M,
     fiber_ideal_identity_ok,
-    fiber_map,
     full_poset,
     project_pi,
     sn_leq_noncrossing,
 )
 from absorder.lattice import _maximal_of
 from absorder.signed import format_cycles, group_order, identity, parse_cycles
+from absorder.topology import appendix_ideal_checks
 
 
 def test_leq_by_length_additivity():
@@ -154,30 +155,31 @@ def test_projection_deletes_letter():
     assert project_pi(fixed, 3) == fixed
 
 
-def test_fiber_map_splits_moved_flag():
-    w = parse_cycles("[1,2,3]", 3)
-    fp = fiber_map(w, 3)
-    assert fp.moved == 1 and format_cycles(fp.base) == "[1,2]"
-    fixed = parse_cycles("((1,2))", 3)
-    assert fiber_map(fixed, 3).moved == 0
+def test_fibers_split_by_moved_flag():
+    ambient = full_poset("B", 3)
+    fibers = _fibers(ambient, 3)
+    fixed, moved = fibers[parse_cycles("[1,2]", 3)]
+    assert {format_cycles(ambient.elements[i]) for i in bits(fixed)} == {"[1,2]"}
+    assert parse_cycles("[1,2,3]", 3) in {ambient.elements[i] for i in bits(moved)}
+    assert all(ambient.elements[i](3) != 3 for i in bits(moved))
+    # every element lies in exactly one fiber
+    masks = [mask for pair in fibers.values() for mask in pair]
+    assert sum(masks) == (1 << len(ambient)) - 1
+    assert sum(mask.bit_count() for mask in masks) == len(ambient)
 
 
 def test_fiber_ideal_smallest_case():
-    ambient = coxeter_ideal(2, "B")
-    ideal = fiber_ideal_M(identity(1), ambient)
-    assert len(ideal) == 4
-    assert ideal.height() == 1
-    assert {format_cycles(w) for w in ideal.elements} == {
-        "e", "[2]", "((1,2))", "((1,-2))"}
+    checks = {c.name: c for c in appendix_ideal_checks("B", 2)}
+    over_e = checks["fiber ideal over e"]
+    assert (over_e.size, over_e.rank, over_e.expected_rank) == (4, 1, 1)
+    assert over_e.ok()
 
 
-def test_fiber_ideal_refuses_empty_fibers_and_escapes():
-    with pytest.raises(ValueError, match="empty fiber"):
-        fiber_ideal_M(parse_cycles("((1,2))", 2), full_poset("S", 3).subposet([0]))
-    # an interval above [1] is not an order ideal: the fiber's ideal holds e
-    above_flip = build_interval(parse_cycles("[1]", 3), parse_cycles("[1,2,3]", 3), "B")
-    with pytest.raises(ValueError, match="escapes the ambient poset"):
-        fiber_ideal_M(parse_cycles("[1]", 2), above_flip)
+@pytest.mark.parametrize("law", [cover_lifting_ok, fiber_ideal_identity_ok])
+def test_fiber_laws_refuse_kind_d(law):
+    # deleting a letter leaves D_n: [1][2] projects to [2]
+    with pytest.raises(ValueError, match="no fibers in kind D"):
+        law(full_poset("D", 3))
 
 
 def test_cover_lifting_small_scopes():

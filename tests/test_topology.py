@@ -19,7 +19,7 @@ from absorder import (
     parse_cycles,
     torsion_profile,
 )
-from absorder import topology
+from absorder import order, topology
 from absorder.order import bits
 from absorder.topology import (SimplicialComplex, _boundary_columns,
                                _chains_in_mask, _homology_from_faces,
@@ -476,3 +476,28 @@ def test_guard_messages_state_the_limit(monkeypatch):
     with pytest.raises(ResourceGuardError,
                        match="12780 nonzeros, more than the guard 12779$"):
         torsion_profile(c)
+
+
+@pytest.mark.parametrize("kind,n", [("S", 4), ("B", 3)])
+def test_ideal_battery_builds_one_ambient_and_projects_once(kind, n,
+                                                            monkeypatch):
+    labels, projected = [], []
+    init, project_pi = order.Poset.__init__, order.project_pi
+
+    def counting_init(self, elements, kind, label):
+        labels.append(label)
+        init(self, elements, kind, label)
+
+    def counting_project_pi(w, i):
+        projected.append(w)
+        return project_pi(w, i)
+
+    monkeypatch.setattr(order.Poset, "__init__", counting_init)
+    monkeypatch.setattr(order, "project_pi", counting_project_pi)
+    checks = appendix_ideal_checks(kind, n)
+    assert all(c.ok() for c in checks)
+    # the other posets are the group intervals that key cm_check's gaps
+    assert [label for label in labels if label != "interval"] == [
+        "coxeter-ideal"]
+    assert sorted(projected, key=lambda w: w.images) == sorted(
+        coxeter_ideal(n, kind).elements, key=lambda w: w.images)
