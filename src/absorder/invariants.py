@@ -14,6 +14,7 @@ Every closed form ships with a brute-force oracle path: build the interval,
 run `census`, compare reports.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -122,17 +123,22 @@ def binomial_polynomial(scale: int, k: int) -> RationalPolynomial:
     return poly
 
 
+def _multichain_counts(p: Poset):
+    """multichain_count(p, m) for m = 1, 2, ..., from one sweep: counts
+    ending at each element are summed below it for the next m."""
+    yield 1
+    below_lists = [list(bits(mask)) for mask in p.below]
+    counts = [1] * len(p)
+    while True:
+        yield sum(counts)
+        counts = [sum([counts[i] for i in below]) for below in below_lists]
+
+
 def multichain_count(p: Poset, m: int) -> int:
     """Number of multichains x_1 <= x_2 <= ... <= x_{m-1} in p."""
     if m < 1:
         raise ValueError("multichain length parameter must be >= 1")
-    if m == 1:
-        return 1
-    below_lists = [list(bits(mask)) for mask in p.below]
-    counts = [1] * len(p)
-    for _ in range(m - 2):
-        counts = [sum(counts[i] for i in below) for below in below_lists]
-    return sum(counts)
+    return next(itertools.islice(_multichain_counts(p), m - 1, None))
 
 
 def mobius(p: Poset, x=None, y=None) -> int:
@@ -192,14 +198,14 @@ def mobius_element(w: SignedPermutation) -> int:
 def zeta_polynomial(p: Poset) -> RationalPolynomial:
     """Zeta polynomial of a bounded poset, by exact interpolation.
 
-    Multichain counts are gathered for m = 1..d+2 (d = top rank) and the
+    Multichain counts are swept for m = 1..d+2 (d = top rank) and the
     unique degree <= d+1 interpolant is formed; the degree must come out
     exactly d, which doubles as a structural sanity check.
     """
     if not p.is_bounded():
         raise ValueError("zeta polynomial needs a bounded poset")
     d = p.height()
-    points = [(m, multichain_count(p, m)) for m in range(1, d + 3)]
+    points = list(zip(range(1, d + 3), _multichain_counts(p)))
     poly = RationalPolynomial.from_points(points)
     if poly.degree() != d:
         raise AssertionError(
@@ -463,11 +469,10 @@ def annular_mixing_facts(k: int, max_m: int = 6) -> AnnularMixingFacts:
     complement = interval.subposet(
         [i for i in range(len(interval)) if i not in mixing], "mixing-free"
     )
-    counts = {}
-    formula = {}
-    for m in range(1, max_m + 1):
-        counts[m] = multichain_count(interval, m) - multichain_count(complement, m)
-        formula[m] = 2 * comb(m * k, k + 1)
+    sweeps = zip(range(1, max_m + 1), _multichain_counts(interval),
+                 _multichain_counts(complement))
+    counts = {m: whole - rest for m, whole, rest in sweeps}
+    formula = {m: 2 * comb(m * k, k + 1) for m in counts}
     return AnnularMixingFacts(
         k=k,
         cardinality=len(mixing),

@@ -162,12 +162,12 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
     exactly one label sequence must be strictly increasing and it must be
     strictly lexicographically smaller than every other sequence.
 
-    The maximal chains of [x, y] are the Hasse paths from x to y, and every
-    such path stays inside [x, y], so one walk up from x serves every y:
-    the sequences of y extend those of its lower covers above x by one
-    label, for y in ascending index (a linear extension of the order).
-    Paths are counted first: the first y with more than CHAIN_GUARD
-    raises ResourceGuardError before any chain from x is built.
+    The maximal chains of [x, y] are the Hasse paths from x to y, which stay
+    inside [x, y]; one walk up from x, in ascending index, serves every y.
+    Paths are counted first: the first y with more than CHAIN_GUARD raises
+    ResourceGuardError before any edge from x is labeled.  Each y keeps the
+    increasing label sequences of [x, y] and its least sequence of each
+    length (an appended label keeps the order only within one length).
     """
     if labeler is None:
         labeler = support_size_label
@@ -196,32 +196,36 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
                     f"interval [{p.elements[x]!r}, {p.elements[y]!r}] exceeds "
                     f"{CHAIN_GUARD} maximal chains"
                 )
-        ending = {x: [()]}
+        first, rising = {x: [()]}, {x: [()]}
         for y in tops:
             intervals += 1
-            labeled = []
+            chains_total += paths[y]
+            firsts, climbs = [], []
             for i in lower_covers[y]:
-                if i in ending:
+                if i in paths:
                     step = (edge_label(i, y),)
-                    labeled.extend(seq + step for seq in ending[i])
-            labeled.sort()
-            ending[y] = labeled
-            chains_total += len(labeled)
-            increasing = [seq for seq in labeled
-                          if all(a < b for a, b in zip(seq, seq[1:]))]
+                    firsts += [seq + step for seq in first[i]]
+                    climbs += [seq + step for seq in rising[i]
+                               if not seq or seq[-1] < step[0]]
+            first[y] = [*{len(s): s for s in sorted(firsts)[::-1]}.values()]
+            rising[y] = climbs
             reason = None
-            if len(increasing) != 1:
-                reason = f"{len(increasing)} strictly increasing chains"
-            elif labeled[0] != increasing[0]:
+            if len(climbs) != 1:
+                reason = f"{len(climbs)} strictly increasing chains"
+            elif min(first[y]) != climbs[0]:
                 reason = "increasing chain is not lexicographically first"
-            elif len(labeled) > 1 and labeled[1] == labeled[0]:
-                reason = "lexicographically first label sequence is not unique"
             if reason is not None:
+                ending = {x: [()]}
+                for z in bits(p.above[x] & p.below[y] & ~(1 << x)):
+                    ending[z] = [seq + (edge_label(i, z),)
+                                 for i in lower_covers[z] if i in ending
+                                 for seq in ending[i]]
                 failure = {
                     "bottom": repr(p.elements[x]),
                     "top": repr(p.elements[y]),
                     "reason": reason,
-                    "sequences": [list(map(str, seq)) for seq in labeled[:10]],
+                    "sequences": [list(map(str, seq))
+                                  for seq in sorted(ending[y])[:10]],
                 }
                 return ELReport(False, intervals, chains_total, failure)
     return ELReport(True, intervals, chains_total, None)

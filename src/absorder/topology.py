@@ -63,29 +63,23 @@ class SimplicialComplex:
 def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD) -> list:
     """All chains of the induced subposet on `mask`, grouped by size - 1.
 
-    Chains grow depth first, in ascending index (hence rank) order; that
-    pre-order of a prefix tree is lexicographic, so each dimension is sorted.
+    Level by level, each chain is extended by the members above its top
+    (hence above all of it) in ascending index order, which keeps every
+    level lexicographic.  The guard is checked against each level's size,
+    the sum of those counts, before the level is built.
     """
+    above = {v: [*bits(p.above[v] & mask & ~(1 << v))] for v in bits(mask)}
+    chains = [(v,) for v in above]
     faces_by_dim = []
-    total = 0
-    members = [*bits(mask)]
-    above = {v: p.above[v] & mask & ~(1 << v) for v in members}
-    stack = [((v,), above[v]) for v in reversed(members)]
-    while stack:
-        chain, up = stack.pop()
-        if len(faces_by_dim) < len(chain):
-            faces_by_dim.append([])
-        faces_by_dim[len(chain) - 1].append(chain)
-        total += 1
+    total = len(chains)
+    while chains:
         if total > face_guard:
             raise ResourceGuardError(
                 f"face guard exceeded: the poset {p.label!r} has more than "
                 f"the guard {face_guard} chains")
-        rest = up
-        while rest:  # highest first, so the stack pops them ascending
-            v = rest.bit_length() - 1
-            rest ^= 1 << v
-            stack.append((chain + (v,), up & above[v]))
+        faces_by_dim.append(chains)
+        total += sum(len(above[chain[-1]]) for chain in chains)
+        chains = [chain + (v,) for chain in chains for v in above[chain[-1]]]
     return faces_by_dim
 
 
@@ -186,15 +180,15 @@ def _boundary_columns(faces_by_dim: list, d: int) -> list:
     return columns
 
 
-def _cofaces(face: tuple, neighbours: list, upper: set):
-    """(face with u inserted at k, (-1)^k) in `upper`, highest u first."""
-    common = reduce(and_, map(neighbours.__getitem__, face))
+def _cofaces(face: tuple, common: int, upper: set | None):
+    """(face with u inserted at k, (-1)^k) for the vertices u of `common`,
+    highest first: all of them, or those giving a face in `upper`."""
     while common:
         u = common.bit_length() - 1
         common ^= 1 << u
         k = bisect(face, u)
         coface = face[:k] + (u,) + face[k:]
-        if coface in upper:
+        if upper is None or coface in upper:
             yield coface, -1 if k & 1 else 1
 
 
@@ -210,9 +204,13 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     Columns are implicit (as in Ripser, Bauer 2021).  A coface of s inserts
     a common neighbour u of its vertices at a position growing with u, so in
     the sorted lists the lowest row of column s is s plus the highest u
-    giving a face (the first u in a flag complex such as an order complex),
-    the key of its pivot.  A column whose lowest row is no pivot yet is kept
-    as its face and built only when a later column reduces against it.
+    giving a face, the key of its pivot.  A column whose lowest row is no
+    pivot yet is kept as its face and built only when a later column
+    reduces against it.  In a flag complex, such as an order complex, each
+    common neighbour gives a face: if the d-faces are the cliques of their
+    size and the common neighbours above the last vertex of each number
+    f_(d+1) in all, so are the (d+1)-faces.  From the first d where they do
+    not, cofaces are tested against the set of (d+1)-faces.
     """
     if not faces_by_dim or not faces_by_dim[0]:
         return HomologyProfile(())
@@ -220,30 +218,44 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     for a, b in faces_by_dim[1] if len(faces_by_dim) > 1 else ():
         neighbours[a] |= 1 << b
         neighbours[b] |= 1 << a
+    get = neighbours.__getitem__
     ranks = [1] + [0] * len(faces_by_dim)
     cleared = {faces_by_dim[0][-1]}
-    for d in range(len(faces_by_dim) - 1):
-        upper = set(faces_by_dim[d + 1])
-        pivots = {}
+    flag, d = True, 0
+    while d < len(faces_by_dim) - 1:
+        upper = None if flag else set(faces_by_dim[d + 1])
+        pivots, extensions = {}, 0
         for face in faces_by_dim[d]:
-            low = None if face in cleared else next(
-                _cofaces(face, neighbours, upper), (None,))[0]
+            common = reduce(and_, map(get, face))
+            extensions += (common >> face[-1] + 1).bit_count()
+            if face in cleared or not common:
+                continue
+            if upper is None:  # the highest common neighbour gives a face
+                u = common.bit_length() - 1
+                k = bisect(face, u)
+                low = face[:k] + (u,) + face[k:]
+            else:
+                low = next(_cofaces(face, common, upper), (None,))[0]
             if low not in pivots:
                 if low is not None:
                     pivots[low] = face
                 continue
-            col = dict(_cofaces(face, neighbours, upper))
+            col = dict(_cofaces(face, common, upper))
             while low in pivots:
                 pivot = pivots[low]
                 if type(pivot) is tuple:
-                    pivot = pivots[low] = _normalized(
-                        dict(_cofaces(pivot, neighbours, upper)), low)
+                    pivot = pivots[low] = _normalized(dict(_cofaces(
+                        pivot, reduce(and_, map(get, pivot)), upper)), low)
                 _subtract(col, col[low], pivot)
                 low = max(col, default=None)
             if low is not None:
                 pivots[low] = _normalized(col, low)
+        if flag and extensions != len(faces_by_dim[d + 1]):
+            flag = False  # and this d again, with `upper`
+            continue
         ranks[d + 1] = len(pivots)
         cleared = pivots
+        d += 1
     betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
                   for d, faces in enumerate(faces_by_dim))
     return HomologyProfile(betti)
@@ -371,10 +383,10 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     intervals below c_0, between its elements and above c_k; over a field
     P(X) = sum_i b_i(X) t^(i+1) (reduced Betti numbers) is multiplicative on
     joins, with P = 1 for an empty gap.  Every gap is one of a face of
-    dimension at most 1, so when every gap's P is concentrated in its top
-    degree, so is every link's (the interval criterion of Bjorner, Garsia
-    and Stanley).  Otherwise faces are walked by dimension, the empty face
-    first, to the first link whose Betti numbers (P from t^1 up) fail.
+    dimension at most 1, so when each distinct gap's P is concentrated in
+    its top degree, so is every link's (the interval criterion of Bjorner,
+    Garsia and Stanley).  Otherwise faces are walked by dimension, the empty
+    face first, to the first link whose Betti numbers (P from t^1 up) fail.
 
     A gap (x, y) lies in the group interval (x, y) (an open end stands for
     a stripped bottom or top), which x^-1 carries onto (e, x^-1 y); one
@@ -392,16 +404,15 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     """
     whole = _homology_from_faces(c.faces_by_dim)
     gap = _gap_polys(c, whole)
-
-    def gaps(face) -> map:
-        ends = (None,) + face + (None,)
-        return map(gap, ends, ends[1:])
-
-    low_faces = itertools.chain([()], *c.faces_by_dim[:2])
-    if any(any(poly[:-1]) for face in low_faces for poly in gaps(face)):
+    vertices, edges = (c.faces_by_dim + [[], []])[:2]
+    one_open = itertools.chain.from_iterable(((None, v), (v, None))
+                                             for (v,) in vertices)
+    distinct = itertools.chain([(None, None)], one_open, edges)
+    if any(any(gap(lo, hi)[:-1]) for lo, hi in distinct):
         faces = itertools.chain([()], *c.faces_by_dim)
         for checked, face in enumerate(faces, 1):
-            betti = reduce(_poly_mul, gaps(face))[1:]
+            ends = (None,) + face + (None,)
+            betti = reduce(_poly_mul, map(gap, ends, ends[1:]))[1:]
             if any(betti[:-1]):
                 names = tuple(c.vertex_name(v) for v in face)
                 return CMReport(False, "all", checked, names, betti, whole)
@@ -504,9 +515,16 @@ def _checked_ideal(name: str, ambient: Poset, mask: int,
 
 
 def appendix_ideal_checks(kind: str, n: int) -> list:
+    """`ambient_ideal_checks` of `coxeter_ideal(n, kind)`, kind S or B."""
+    if kind not in ("S", "B"):
+        raise ValueError(f"no ideal checks for kind {kind!r}")
+    return ambient_ideal_checks(coxeter_ideal(n, kind)) if n >= 2 else []
+
+
+def ambient_ideal_checks(ambient: Poset) -> list:
     """Rank and Cohen-Macaulay checks for the structural ideals.
 
-    Every ideal is a mask on one ambient poset, the Coxeter ideal of kind
+    Every ideal is a mask on the ambient poset, the Coxeter ideal of kind
     S (all of S_n) or B, generated by a part of a fiber of the projection
     deleting letter n.
     Long-cycle fiber ideals (n >= 3): the ideal generated by all single
@@ -516,11 +534,7 @@ def appendix_ideal_checks(kind: str, n: int) -> list:
     Fiber ideals: for every u fixing n, the ideal generated by the
     projection fiber of u, of expected rank one more than the length of u.
     """
-    if kind not in ("S", "B"):
-        raise ValueError(f"no ideal checks for kind {kind!r}")
-    if n < 2:
-        return []
-    ambient = coxeter_ideal(n, kind)
+    kind, n = ambient.kind, ambient.n
     fibers = _fibers(ambient, n)
 
     def generated(gens) -> int:

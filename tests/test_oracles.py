@@ -2,11 +2,12 @@
 
 `cm_check` keys the gaps open at one end by conjugacy class and reads
 antichain gaps off their size, `meet`, `join` and `_meet_failure` decide
-existence by one mask comparison, `verify_el` labels all chains up from a
+existence by one mask comparison, `verify_el` keeps label states up from a
 bottom in one walk, homology builds a coboundary column only when a
-reduction needs it, chains come out sorted from one walk, the fiber law
-compares distinct projections, and fiber ideals and cover lifting are masks
-on one ambient poset.  Each is compared here with the route it replaces.
+reduction needs it, chains come out sorted level by level, the fiber law
+compares distinct projections, fiber ideals and cover lifting are masks on
+one ambient poset, and multichain counts for every m come from one sweep.
+Each is compared here with the route it replaces.
 """
 
 import itertools
@@ -41,7 +42,7 @@ from absorder import (
     support_size_label,
     verify_el,
 )
-from absorder import labeling, lattice, topology
+from absorder import invariants, labeling, lattice, topology
 from absorder.labeling import ELReport
 from absorder.order import bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
@@ -164,6 +165,21 @@ def test_cm_check_eliminates_each_one_sided_class_once(monkeypatch):
     assert len(calls) <= 1 + 11 + len(types)
 
 
+def test_cm_check_reads_each_distinct_gap_once(monkeypatch):
+    reads = []
+    gap_polys = topology._gap_polys
+
+    def counting(c, whole):
+        gap = gap_polys(c, whole)
+        return lambda lo, hi: reads.append((lo, hi)) or gap(lo, hi)
+
+    monkeypatch.setattr(topology, "_gap_polys", counting)
+    c = order_complex(coxeter_ideal(4, "B"), strip="endpoints")
+    assert cm_check(c).ok
+    f = c.f_vector()
+    assert len(reads) == len(set(reads)) == 1 + 2 * f[0] + f[1]
+
+
 # --- one lattice test ---------------------------------------------------------
 
 def _maximal_of(p, mask):
@@ -221,7 +237,7 @@ def test_meet_and_join_match_the_maximal_and_minimal_bounds():
     assert subposets_with_failures >= 10
 
 
-# --- EL by one label walk per bottom ----------------------------------------
+# --- EL by label states, one walk per bottom ---------------------------------
 
 def _maximal_chains(p, x, y, guard):
     """Maximal chains of [x, y] as index tuples, one DFS per interval."""
@@ -307,6 +323,25 @@ def test_verify_el_matches_per_interval_enumeration_on_flip_intervals():
         labeler = join_position_labeler(p)
         assert (verify_el(p, labeler=labeler).to_json()
                 == _verify_el_per_interval(p, labeler).to_json())
+
+
+def test_verify_el_compares_first_sequences_of_one_length():
+    # in the induced subposet [e, i] has chains labeled (2, 3) and
+    # (2, 3, 1), so [e, y] has first sequence (2, 3, 1, 4), not the
+    # increasing (2, 3, 4) that extends the first sequence (2, 3) of [e, i]
+    names = ["((1,-4))((2,-3))", "[1]", "[1,-4]", "[1,-4]((2,-3))",
+             "[1,-4,-2,3]"]
+    e, (a, b, c, i, y) = identity(4), [parse_cycles(s, 4) for s in names]
+    iv = build_interval(e, y, "B")
+    p = iv.subposet([iv.index[w] for w in (e, a, b, c, i, y)],
+                    label="chains of two lengths")
+    labels = {(e, a): 2, (a, i): 3, (e, b): 2, (b, c): 3, (c, i): 1,
+              (i, y): 4}
+    labeler = lambda u, v: labels[u, v]  # noqa: E731
+    report = verify_el(p, labeler=labeler).to_json()
+    assert report == _verify_el_per_interval(p, labeler).to_json()
+    assert report["failure"]["top"] == repr(y)
+    assert report["failure"]["sequences"][0] == ["2", "3", "1", "4"]
 
 
 def test_el_chain_guard_trips_before_any_chain_is_labeled(monkeypatch):
@@ -423,10 +458,15 @@ def _random_non_flag_complex(rng):
     """The face closure of random top faces on 5-9 vertices: where the
     edges of a triangle come from different tops, the triangle is no face."""
     vertices = rng.randint(5, 9)
+    return _closure(sorted(rng.sample(range(vertices), rng.choice(
+        (1, 2, 2, 3, 3, 4)))) for _ in range(rng.randint(2, 10)))
+
+
+def _closure(tops):
+    """Faces by dimension, each sorted, of the complex the sorted `tops`
+    generate."""
     faces = set()
-    for _ in range(rng.randint(2, 10)):
-        size = rng.choice((1, 2, 2, 3, 3, 4))
-        top = sorted(rng.sample(range(vertices), size))
+    for top in tops:
         for k in range(1, len(top) + 1):
             faces.update(itertools.combinations(top, k))
     by_dim = [[] for _ in range(max(map(len, faces)))]
@@ -458,6 +498,22 @@ def test_homology_matches_boundary_matrix_elimination_on_non_flag_complexes():
         low_homology += not profile.concentrated_in_top()
     assert non_flag >= 100
     assert low_homology >= 100
+
+
+@pytest.mark.parametrize("tops,betti", [
+    # a 3-simplex and a hollow triangle: not flag at dimension 2, below a
+    # dimension 3 that exists
+    ([(0, 1, 2, 3), (4, 5), (4, 6), (5, 6)], (1, 1, 0, 0)),
+    # a 4-simplex and the boundary of a 3-simplex: flag up to dimension 3
+    ([(0, 1, 2, 3, 4)] + list(itertools.combinations(range(5, 9), 3)),
+     (1, 0, 1, 0, 0)),
+])
+def test_homology_leaves_the_flag_path_where_a_clique_is_no_face(tops, betti):
+    faces = _closure(tops)
+    assert _skips_a_common_neighbour(faces)
+    profile = topology._homology_from_faces(faces)
+    assert profile == _homology_by_boundary_matrices(faces)
+    assert profile.reduced_betti == betti
 
 
 def test_face_guard_trips_one_past_the_guard_with_the_same_message():
@@ -660,3 +716,41 @@ def test_cover_lifting_matches_the_per_lift_check():
             assert verdicts[-1] is _cover_lifting_by_lifts(p, i), (p.label, i)
     assert verdicts[:31] == [True] * 31
     assert verdicts.count(False) >= 24
+
+
+# --- multichain counts from one sweep -----------------------------------------
+
+def _multichain_count_by_recursion(p, m):
+    """Multichains x_1 <= ... <= x_(m-1), the recursion started afresh."""
+    if m == 1:
+        return 1
+    below_lists = [list(bits(mask)) for mask in p.below]
+    counts = [1] * len(p)
+    for _ in range(m - 2):
+        counts = [sum(counts[i] for i in below) for below in below_lists]
+    return sum(counts)
+
+
+def test_multichain_sweep_matches_the_recursion_for_each_m():
+    posets = _el_cases(support_size_label) + [
+        build(n) for n in range(1, 5) for build in (
+            invariants.build_coxeter_interval, invariants.build_flip_interval)]
+    for p in posets:
+        want = [_multichain_count_by_recursion(p, m) for m in range(1, 8)]
+        got = list(itertools.islice(invariants._multichain_counts(p), 7))
+        assert got == want, p.label
+        assert [invariants.multichain_count(p, m) for m in (1, 4)] == [
+            want[0], want[3]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_annular_mixing_facts_match_the_recursion(k):
+    interval = invariants.build_cycle_flip_interval(k, 1)
+    mixing = set(invariants.mixing_indices(interval, k))
+    rest = interval.subposet(
+        [i for i in range(len(interval)) if i not in mixing], "mixing-free")
+    facts = invariants.annular_mixing_facts(k)
+    assert facts.ok() and facts.cardinality == len(mixing)
+    assert facts.multichain_counts == {
+        m: _multichain_count_by_recursion(interval, m)
+        - _multichain_count_by_recursion(rest, m) for m in range(1, 7)}

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from absorder import ClaimResult, run_verify_suite, topology
+from absorder import ClaimResult, order, run_verify_suite, topology, verify
 from absorder.topology import HomologyProfile
 
 QUICK_CLAIMS = [r.claim for r in run_verify_suite(profile="quick").results]
@@ -82,3 +82,20 @@ def test_a_wrong_top_betti_number_fails_the_homology_claims(monkeypatch):
               if not r.verdict}
     assert {"euler-three-way-plain", "euler-three-way-signed",
             "proper-part-cm"} <= failed
+
+
+@pytest.mark.parametrize("profile,ambients", [("quick", 3), ("full", 7)])
+def test_fiber_machinery_builds_each_ambient_once(monkeypatch, profile,
+                                                  ambients):
+    # the other builds are the class intervals of the link criterion
+    built = []
+    init = order.Poset.__init__
+
+    def counting(self, elements, kind, label):
+        init(self, elements, kind, label)
+        if label != "interval":
+            built.append((kind, self.n))
+
+    monkeypatch.setattr(order.Poset, "__init__", counting)
+    assert all(r.verdict for r in verify._claim_fiber_machinery(profile))
+    assert len(built) == len(set(built)) == ambients
