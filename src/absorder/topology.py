@@ -63,24 +63,24 @@ class SimplicialComplex:
 def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD) -> list:
     """All chains of the induced subposet on `mask`, grouped by size - 1.
 
-    Level by level, each chain is extended by the members above its top
-    (hence above all of it) in ascending index order, which keeps every
-    level lexicographic.  The guard is checked against each level's size,
-    the sum of those counts, before the level is built.
+    Level by level from the empty chain, each chain is extended by the
+    members above its top (hence above all of it; every member for the
+    empty chain) in ascending index order, which keeps every level
+    lexicographic.  The guard is checked before each level is built.
     """
     above = {v: [*bits(p.above[v] & mask & ~(1 << v))] for v in bits(mask)}
-    chains = [(v,) for v in above]
-    faces_by_dim = []
-    total = len(chains)
-    while chains:
+    faces_by_dim, chains, total = [], [()], 0
+    while True:
+        ups = [above[chain[-1]] if chain else [*above] for chain in chains]
+        total += sum(map(len, ups))
         if total > face_guard:
             raise ResourceGuardError(
                 f"face guard exceeded: the poset {p.label!r} has more than "
                 f"the guard {face_guard} chains")
+        chains = [chain + (v,) for chain, up in zip(chains, ups) for v in up]
+        if not chains:
+            return faces_by_dim
         faces_by_dim.append(chains)
-        total += sum(len(above[chain[-1]]) for chain in chains)
-        chains = [chain + (v,) for chain in chains for v in above[chain[-1]]]
-    return faces_by_dim
 
 
 def _strip_mask(p: Poset, strip: str, mask: int) -> int:
@@ -515,13 +515,13 @@ def _checked_ideal(name: str, ambient: Poset, mask: int,
 
 
 def appendix_ideal_checks(kind: str, n: int) -> list:
-    """`ambient_ideal_checks` of `coxeter_ideal(n, kind)`, kind S or B."""
+    """`_ambient_ideal_checks` of `coxeter_ideal(n, kind)`, kind S or B."""
     if kind not in ("S", "B"):
         raise ValueError(f"no ideal checks for kind {kind!r}")
-    return ambient_ideal_checks(coxeter_ideal(n, kind)) if n >= 2 else []
+    return _ambient_ideal_checks(coxeter_ideal(n, kind)) if n >= 2 else []
 
 
-def ambient_ideal_checks(ambient: Poset) -> list:
+def _ambient_ideal_checks(ambient: Poset) -> list:
     """Rank and Cohen-Macaulay checks for the structural ideals.
 
     Every ideal is a mask on the ambient poset, the Coxeter ideal of kind

@@ -446,7 +446,7 @@ def _claim_fiber_machinery(profile):
     expected = {}
     computed = {}
     for kind, n in scopes:
-        checks = topology.ambient_ideal_checks(ambient[kind, n])
+        checks = topology._ambient_ideal_checks(ambient[kind, n])
         key = f"{kind}{n}"
         expected[key] = {"checks": len(checks), "failures": 0}
         computed[key] = {"checks": len(checks),

@@ -12,6 +12,8 @@ Each is compared here with the route it replaces.
 
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -529,6 +531,25 @@ def test_face_guard_trips_one_past_the_guard_with_the_same_message():
     assert str(got.value) == str(expected.value) == (
         f"face guard exceeded: the poset 'full' has more than the guard "
         f"{total - 1} chains")
+
+
+def test_face_guard_refuses_a_level_before_building_it():
+    # stripped B4: a guard of f_0 = 383 refuses the 9,658 edges, so the call
+    # must never hold them (freed 2-tuples are reused, hence B4, not B3)
+    p = full_poset("B", 4)
+    mask = topology._strip_mask(p, "endpoints", (1 << len(p)) - 1)
+    f_0 = mask.bit_count()
+    f_1 = sum((p.above[v] & mask).bit_count() - 1 for v in bits(mask))
+    assert (f_0, f_1) == (383, 9658)
+    edge_bytes = f_1 * (8 + sys.getsizeof((0, 0)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match=f"the guard {f_0} "):
+            topology._chains_in_mask(p, mask, face_guard=f_0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < edge_bytes
 
 
 # --- antichain gaps ----------------------------------------------------------
