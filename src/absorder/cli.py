@@ -206,6 +206,23 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok() else 1
 
 
+def _unread_option(args) -> str | None:
+    """Why an option given with the command would go unread, if one would."""
+    top, bottom = getattr(args, "top", None), getattr(args, "bottom", None)
+    if args.command == "interval" and not top:
+        return "interval needs --top"
+    if bottom and not top:
+        return "--bottom needs --top"
+    if getattr(args, "ideal", None) and (top or bottom):
+        return "--ideal coxeter takes no --top or --bottom"
+    if args.command == "invariants" and args.family and (top or bottom):
+        return "--family takes no --top or --bottom"
+    if (args.command == "invariants" and args.family != "cycle-flip"
+            and (args.k is not None or args.r is not None)):
+        return "--k and --r need --family cycle-flip"
+    return None
+
+
 def _rank(text: str) -> int:
     """The --n argument: a nonnegative integer."""
     if not text.isdecimal():
@@ -337,6 +354,9 @@ class _ClosedPipeGuard:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    unread = _unread_option(args)
+    if unread:
+        parser.error(unread)
     stdout = sys.stdout
     sys.stdout = _ClosedPipeGuard(stdout)
     try:

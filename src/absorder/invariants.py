@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .order import Poset, bits, build_interval
+from .order import Poset, _hall_mobius, bits, build_interval
+from .series import _convolve
 from .signed import (
     SignedPermutation,
     balanced_cycle,
@@ -60,10 +61,7 @@ class RationalPolynomial:
             for j, (xj, _) in enumerate(points):
                 if i == j:
                     continue
-                basis = [
-                    (basis[d - 1] if d else Fraction(0)) - xj * (basis[d] if d < len(basis) else Fraction(0))
-                    for d in range(len(basis) + 1)
-                ]
+                basis = _convolve(basis, (-xj, 1), len(basis) + 1)
                 scale /= xi - xj
             for d, c in enumerate(basis):
                 total[d] += scale * c
@@ -94,11 +92,8 @@ class RationalPolynomial:
     def __mul__(self, other):
         if not isinstance(other, RationalPolynomial):
             return RationalPolynomial([c * Fraction(other) for c in self.coefficients])
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients))
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return RationalPolynomial(out)
+        a, b = self.coefficients, other.coefficients
+        return RationalPolynomial(_convolve(a, b, len(a) + len(b)))
 
     __rmul__ = __mul__
 
@@ -142,21 +137,16 @@ def multichain_count(p: Poset, m: int) -> int:
 
 
 def mobius(p: Poset, x=None, y=None) -> int:
-    """Moebius function mu(x, y) of the poset, by the defining recursion."""
+    """Moebius function mu(x, y): 1 if x = y, else the Hall recursion on (x, y)."""
     xi = _resolve(p, x, p.bottom())
     yi = _resolve(p, y, p.top())
     if xi is None or yi is None:
         raise ValueError("mobius endpoints undefined; pass x and y explicitly")
     if not p.leq(xi, yi):
         raise ValueError("mobius is undefined on incomparable pairs")
-    values = {}
-    for z in bits(p.above[xi] & p.below[yi]):
-        if z == xi:
-            values[z] = 1
-            continue
-        inner = p.above[xi] & p.below[z] & ~(1 << z)
-        values[z] = -sum(values[i] for i in bits(inner))
-    return values[yi]
+    if xi == yi:
+        return 1
+    return _hall_mobius(p, p.above[xi] & p.below[yi] & ~(1 << xi | 1 << yi))
 
 
 def _resolve(p: Poset, key, default):
@@ -230,15 +220,18 @@ class InvariantReport:
 
     def check(self) -> None:
         """Internal consistency identities; raises AssertionError on failure."""
-        if self.rank_sizes is not None:
-            assert sum(self.rank_sizes) == self.cardinality
-        if self.zeta is not None:
-            assert self.zeta(2) == self.cardinality
-            if self.mobius_bottom_top is not None:
-                assert self.zeta(-1) == self.mobius_bottom_top
-            if self.max_chains is not None:
-                d = self.zeta.degree()
-                assert self.zeta.leading() * factorial(d) == self.max_chains
+        z = self.zeta
+        if (self.rank_sizes is not None
+                and sum(self.rank_sizes) != self.cardinality):
+            raise AssertionError("the rank sizes do not sum to the cardinality")
+        if z is not None and z(2) != self.cardinality:
+            raise AssertionError("zeta(2) is not the cardinality")
+        if (z is not None and self.mobius_bottom_top is not None
+                and z(-1) != self.mobius_bottom_top):
+            raise AssertionError("zeta(-1) is not the Mobius number")
+        if (z is not None and self.max_chains is not None
+                and z.leading() * factorial(z.degree()) != self.max_chains):
+            raise AssertionError("zeta's leading term is not the chain count")
 
     def matches(self, other: "InvariantReport") -> bool:
         """Field-by-field equality, skipping fields absent on either side."""
@@ -348,31 +341,23 @@ def closed_form_cycle_flip_interval(k: int, r: int, literal_boundary: bool = Fal
         return closed_form_flip_interval(r)
     n = k + r
 
-    def alpha(j: int) -> int:
+    def flip(j: int) -> InvariantReport:
+        """The flip-interval report the formulas read at depth j."""
         if literal_boundary and j <= 1:
-            return 1
-        return closed_form_flip_interval(j).cardinality
+            return InvariantReport(1, None, None, 1, RationalPolynomial([1]))
+        return closed_form_flip_interval(j)
 
-    def beta(j: int) -> RationalPolynomial:
-        if literal_boundary and j <= 1:
-            return RationalPolynomial([1])
-        return closed_form_flip_interval(j).zeta
-
-    def mu_abs(j: int) -> int:
-        if literal_boundary and j <= 1:
-            return 1
-        return abs(closed_form_flip_interval(j).mobius_bottom_top)
-
-    mix = Fraction(2 * r * k, k + 1)
-    card = comb(2 * k, k) * (mix * alpha(r - 1) + alpha(r) if r else Fraction(alpha(r)))
-    mob = (-1) ** n * comb(2 * k - 1, k) * (
-        2 * mix * mu_abs(r - 1) + mu_abs(r) if r else Fraction(mu_abs(r))
-    )
-    zeta = binomial_polynomial(k, k) * (
-        (mix * RationalPolynomial([-1, 1])) * beta(r - 1) + beta(r)
-        if r
-        else beta(r)
-    )
+    at = flip(r)
+    card, mob, zeta = (Fraction(at.cardinality),
+                       Fraction(abs(at.mobius_bottom_top)), at.zeta)
+    if r:
+        below, mix = flip(r - 1), Fraction(2 * r * k, k + 1)
+        card += mix * below.cardinality
+        mob += 2 * mix * abs(below.mobius_bottom_top)
+        zeta = mix * RationalPolynomial([-1, 1]) * below.zeta + zeta
+    card *= comb(2 * k, k)
+    mob *= (-1) ** n * comb(2 * k - 1, k)
+    zeta = binomial_polynomial(k, k) * zeta
     if card.denominator != 1 or mob.denominator != 1:
         raise AssertionError("cycle-flip closed forms must be integers")
     leading = zeta.leading() * factorial(zeta.degree())
@@ -455,12 +440,12 @@ class AnnularMixingFacts:
         }
 
 
-def annular_mixing_facts(k: int, max_m: int = 6) -> AnnularMixingFacts:
+def annular_mixing_facts(k: int) -> AnnularMixingFacts:
     """Check the two mixing-set formulas by brute force.
 
     The zeta-style count is the number of multichains of the full interval
-    that touch the mixing set at least once: total multichains minus
-    multichains confined to the mixing-free complement.
+    that touch the mixing set at least once, for m up to 6: total
+    multichains minus multichains confined to the mixing-free complement.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -469,7 +454,7 @@ def annular_mixing_facts(k: int, max_m: int = 6) -> AnnularMixingFacts:
     complement = interval.subposet(
         [i for i in range(len(interval)) if i not in mixing], "mixing-free"
     )
-    sweeps = zip(range(1, max_m + 1), _multichain_counts(interval),
+    sweeps = zip(range(1, 7), _multichain_counts(interval),
                  _multichain_counts(complement))
     counts = {m: whole - rest for m, whole, rest in sweeps}
     formula = {m: 2 * comb(m * k, k + 1) for m in counts}
@@ -486,8 +471,5 @@ def rank_generating_function(kind: str, n: int) -> tuple:
     """Coefficients of prod_i (1 + e_i t) over the degree exponents."""
     coeffs = [1]
     for e in exponents(kind, n):
-        coeffs = [
-            (coeffs[d] if d < len(coeffs) else 0) + (e * coeffs[d - 1] if d else 0)
-            for d in range(len(coeffs) + 1)
-        ]
+        coeffs = _convolve(coeffs, (1, e), len(coeffs) + 1)
     return tuple(coeffs)

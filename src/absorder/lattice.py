@@ -9,7 +9,8 @@ existence over a whole group at once.
 
 from dataclasses import dataclass
 
-from .order import Poset, bits, elements_below, full_poset
+from .order import (Poset, _greatest, _least, bits, elements_below,
+                    full_poset)
 from .signed import SignedPermutation, is_hook, is_member, mu_partition
 
 
@@ -17,30 +18,16 @@ def _maximal_of(p: Poset, mask: int) -> list:
     return [i for i in bits(mask) if p.above[i] & mask == 1 << i]
 
 
-def _meet_index(p: Poset, i: int, j: int):
-    """Index of the meet of elements i and j, or None.
-
-    Indices are a linear extension of the order (`Poset` sorts by rank,
-    `subposet` keeps that order), so the highest index m in L = below[i] &
-    below[j] is maximal in L, and the meet exists iff L == below[m].  The
-    join exists iff U == above[b], for b the lowest index in U, dually.
-    """
-    lower = p.below[i] & p.below[j]
-    m = lower.bit_length() - 1
-    return m if lower and lower == p.below[m] else None
-
-
 def meet(p: Poset, x, y):
-    """Greatest lower bound of two elements, or None (see `_meet_index`)."""
-    m = _meet_index(p, _index(p, x), _index(p, y))
+    """Greatest lower bound of two elements, or None."""
+    m = _greatest(p, p.below[_index(p, x)] & p.below[_index(p, y)])
     return None if m is None else p.elements[m]
 
 
 def join(p: Poset, x, y):
-    """Least upper bound of two elements, or None (see `_meet_index`)."""
-    upper = p.above[_index(p, x)] & p.above[_index(p, y)]
-    b = (upper & -upper).bit_length() - 1
-    return p.elements[b] if upper and upper == p.above[b] else None
+    """Least upper bound of two elements, or None."""
+    b = _least(p, p.above[_index(p, x)] & p.above[_index(p, y)])
+    return None if b is None else p.elements[b]
 
 
 def _index(p: Poset, x) -> int:
@@ -82,11 +69,11 @@ def _meet_failure(p: Poset, members: list):
 
     Lower bounds are taken in all of p, so for the members below one
     element of p this decides whether the interval under it is a lattice.
-    Each pair costs one mask comparison (`_meet_index`).
+    Each pair costs one mask comparison (`order._greatest`).
     """
     for a, i in enumerate(members):
         for j in members[a + 1:]:
-            if _meet_index(p, i, j) is None:
+            if _greatest(p, p.below[i] & p.below[j]) is None:
                 tops = _maximal_of(p, p.below[i] & p.below[j])
                 return {
                     "x": repr(p.elements[i]),

@@ -264,17 +264,10 @@ class Poset:
         return max(self.rank, default=0)
 
     def bottom(self):
-        mins = [i for i in range(len(self.elements)) if self.rank[i] == 0]
-        if len(mins) == 1 and all(self.leq(mins[0], j) for j in range(len(self.elements))):
-            return mins[0]
-        return None
+        return _least(self, (1 << len(self)) - 1)
 
     def top(self):
-        h = self.height()
-        maxs = [i for i in range(len(self.elements)) if self.rank[i] == h]
-        if len(maxs) == 1 and all(self.leq(i, maxs[0]) for i in range(len(self.elements))):
-            return maxs[0]
-        return None
+        return _greatest(self, (1 << len(self)) - 1)
 
     def is_bounded(self) -> bool:
         return self.bottom() is not None and self.top() is not None
@@ -361,6 +354,29 @@ class Poset:
                 lines.append(f"  v{i} -> v{j};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _least(p: Poset, mask: int):
+    """The least member of `mask`, or None.  Indices ascend with rank, so
+    only the lowest member can be least, and only the highest greatest."""
+    low = (mask & -mask).bit_length() - 1
+    return low if mask and not mask & ~p.above[low] else None
+
+
+def _greatest(p: Poset, mask: int):
+    """The greatest member of `mask`, or None (see `_least`)."""
+    high = mask.bit_length() - 1
+    return high if mask and not mask & ~p.below[high] else None
+
+
+def _hall_mobius(p: Poset, mask: int) -> int:
+    """mu(0, 1) of the members of `mask` with a least 0 and a greatest 1
+    adjoined, which is (P. Hall) the reduced Euler characteristic of their
+    order complex.  Indices ascend with rank, so each w < z comes first."""
+    mu = {}
+    for z in bits(mask):
+        mu[z] = -1 - sum(mu[w] for w in bits(p.below[z] & mask & ~(1 << z)))
+    return -1 - sum(mu.values())
 
 
 def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> set:

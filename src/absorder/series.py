@@ -7,13 +7,23 @@ every series carries an explicit truncation order, so arithmetic never
 pretends to more precision than it has.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .order import ResourceGuardError
 
 PREDICTION_GUARD = 20
+
+
+def _convolve(a, b, size: int) -> list:
+    """The first `size` coefficients, lowest first, of the product a * b."""
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[:size - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
 
 
 class FormalPowerSeries:
@@ -65,15 +75,7 @@ class FormalPowerSeries:
             return FormalPowerSeries([c * other for c in self.coeffs],
                                      self.order)
         n = self._common(other)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[:n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return FormalPowerSeries(out, n)
+        return FormalPowerSeries(_convolve(self.coeffs, other.coeffs, n + 1), n)
 
     __rmul__ = __mul__
 
@@ -171,7 +173,9 @@ def _extract_euler(series: FormalPowerSeries, first: int, upto: int) -> dict:
     out = {}
     for n in range(first, upto + 1):
         value = (-1) ** n * factorial(n) * series.coefficient(n)
-        assert value.denominator == 1
+        if value.denominator != 1:
+            raise AssertionError(f"coefficient {n} gives a non-integer "
+                                 f"Euler characteristic {value}")
         out[n] = int(value)
     return out
 

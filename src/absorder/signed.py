@@ -72,9 +72,6 @@ class SignedPermutation:
                 inv[-j - 1] = -i
         return SignedPermutation(inv)
 
-    def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images, start=1))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SignedPermutation) and self.images == other.images
 

@@ -15,8 +15,9 @@ from functools import reduce
 from math import gcd
 from operator import and_
 
-from .order import (Poset, ResourceGuardError, _fibers, bits, build_interval,
-                    coxeter_ideal)
+from .order import (Poset, ResourceGuardError, _fibers, _greatest,
+                    _hall_mobius, _least, bits, build_interval)
+from .series import _convolve
 from .signed import (balanced_cycle, cycle_decomposition, cycle_type,
                      format_cycles, identity, paired_cycle)
 
@@ -86,19 +87,15 @@ def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD) -> list:
 def _strip_mask(p: Poset, strip: str, mask: int) -> int:
     """The members of `mask` kept under a strip mode.
 
-    strip="endpoints" drops their minimum and maximum when they exist and
-    dominate; members with many maximal elements only lose their bottom.
-    Indices ascend with rank, so only the lowest and the highest member can
-    be a bottom or a top.
+    strip="endpoints" drops their least and greatest member when they
+    exist; members with many maximal elements only lose their bottom.
     """
     if strip not in ("none", "endpoints"):
         raise ValueError(f"unknown strip mode {strip!r}")
-    if strip == "endpoints" and mask:
-        low, high = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
-        if not mask & ~p.above[low]:
-            mask ^= 1 << low
-        if not mask & ~p.below[high]:
-            mask &= ~(1 << high)
+    if strip == "endpoints":
+        for end in (_least(p, mask), _greatest(p, mask)):
+            if end is not None:
+                mask &= ~(1 << end)
     return mask
 
 
@@ -269,15 +266,10 @@ def homology(c: SimplicialComplex) -> HomologyProfile:
 def chain_euler_characteristic(p: Poset, strip: str = "none") -> int:
     """Reduced Euler characteristic of the chain complex, by counting alone.
 
-    Signed chain counting needs no boundary matrices, so this gives an
-    independent route to the Euler characteristic for cross-checking.
+    It is `_hall_mobius` of the kept members (P. Hall's theorem), so no
+    boundary matrix is built: an independent route for cross-checking.
     """
-    mask = _strip_mask(p, strip, (1 << len(p)) - 1)
-    signed = {}
-    for i in bits(mask):
-        below = p.below[i] & mask & ~(1 << i)
-        signed[i] = -1 - sum(signed[j] for j in bits(below))
-    return -(1 + sum(signed.values()))
+    return _hall_mobius(p, _strip_mask(p, strip, (1 << len(p)) - 1))
 
 
 @dataclass
@@ -305,13 +297,8 @@ class CMReport:
 
 
 def _poly_mul(a: tuple, b: tuple) -> tuple:
-    """Product of two integer polynomials given as coefficient tuples."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
+    """Product of two integer coefficient tuples, trailing zeros kept."""
+    return tuple(_convolve(a, b, len(a) + len(b) - 1))
 
 
 def _conjugation_invariant(p: Poset, mask: int) -> bool:
@@ -514,19 +501,13 @@ def _checked_ideal(name: str, ambient: Poset, mask: int,
                       expected_rank, graded, cm_check(c))
 
 
-def appendix_ideal_checks(kind: str, n: int) -> list:
-    """`_ambient_ideal_checks` of `coxeter_ideal(n, kind)`, kind S or B."""
-    if kind not in ("S", "B"):
-        raise ValueError(f"no ideal checks for kind {kind!r}")
-    return _ambient_ideal_checks(coxeter_ideal(n, kind)) if n >= 2 else []
-
-
-def _ambient_ideal_checks(ambient: Poset) -> list:
+def appendix_ideal_checks(ambient: Poset) -> list:
     """Rank and Cohen-Macaulay checks for the structural ideals.
 
-    Every ideal is a mask on the ambient poset, the Coxeter ideal of kind
-    S (all of S_n) or B, generated by a part of a fiber of the projection
-    deleting letter n.
+    `ambient` is `coxeter_ideal(n, kind)` for kind S (all of S_n) or B;
+    other kinds raise ValueError, and below n = 2 there are no checks.
+    Every ideal is a mask on the ambient poset, generated by a part of a
+    fiber of the projection deleting letter n.
     Long-cycle fiber ideals (n >= 3): the ideal generated by all single
     cycles projecting onto the full cycle on the first n-1 letters, in the
     plain (kind S) and both signed flavors (kind B); expected ranks are
@@ -535,6 +516,10 @@ def _ambient_ideal_checks(ambient: Poset) -> list:
     projection fiber of u, of expected rank one more than the length of u.
     """
     kind, n = ambient.kind, ambient.n
+    if kind not in ("S", "B"):
+        raise ValueError(f"no ideal checks for kind {kind!r}")
+    if n < 2:
+        return []
     fibers = _fibers(ambient, n)
 
     def generated(gens) -> int:

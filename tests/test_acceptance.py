@@ -105,7 +105,7 @@ def test_03_cycle_flip_closed_forms_and_literal_seed():
 
 def test_04_mixing_set_counts():
     for k in range(1, 5):
-        facts = annular_mixing_facts(k, max_m=6)
+        facts = annular_mixing_facts(k)
         assert facts.cardinality == facts.cardinality_formula == \
             2 * comb(2 * k, k - 1)
         for m in range(1, 7):
@@ -278,10 +278,10 @@ def test_12_cross_validation_invariants():
 
 def test_13_structural_ideals_and_projection_laws():
     for n in range(2, 5):
-        for check in appendix_ideal_checks("B", n):
+        for check in appendix_ideal_checks(coxeter_ideal(n, "B")):
             assert check.ok(), (n, check.name)
     for n in range(2, 6):
-        for check in appendix_ideal_checks("S", n):
+        for check in appendix_ideal_checks(coxeter_ideal(n, "S")):
             assert check.ok(), (n, check.name)
     for n in range(2, 5):
         assert cover_lifting_ok(full_poset("S", n)), n

@@ -239,6 +239,24 @@ def test_cm_mode_is_gone(capsys):
     assert "--cm-mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["interval", "--group", "B", "--n", "2"], "--top"),
+    (["check-el", "--n", "2", "--bottom", "[1]"], "--bottom"),
+    (["invariants", "--n", "2", "--bottom", "[1]"], "--bottom"),
+    (["topology", "--n", "2", "--bottom", "[1]"], "--bottom"),
+    (["topology", "--group", "B", "--n", "2", "--ideal", "coxeter",
+      "--top", "[1]"], "--top"),
+    (["invariants", "--n", "2", "--k", "2", "--r", "9"], "--k and --r"),
+    (["invariants", "--n", "2", "--family", "coxeter", "--top", "[1]"],
+     "--top"),
+])
+def test_unread_options_are_usage_errors(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("group", ["S", "B", "D"])
 def test_rank_zero_coxeter_ideal_is_the_identity(capsys, group):
     assert main(["ideal", "--group", group, "--n", "0", "--coxeter"]) == 0

@@ -6,8 +6,10 @@ existence by one mask comparison, `verify_el` keeps label states up from a
 bottom in one walk, homology builds a coboundary column only when a
 reduction needs it, chains come out sorted level by level, the fiber law
 compares distinct projections, fiber ideals and cover lifting are masks on
-one ambient poset, and multichain counts for every m come from one sweep.
-Each is compared here with the route it replaces.
+one ambient poset, multichain counts for every m come from one sweep,
+Moebius numbers come from the Hall recursion on an open interval, and a
+poset's bottom and top from its lowest and highest element's masks.  Each
+is compared here with the route it replaces.
 """
 
 import itertools
@@ -691,7 +693,7 @@ def test_ideal_checks_match_the_per_fiber_posets(kind, n, monkeypatch):
         return checked_ideal(name, ambient, mask, expected_rank)
 
     monkeypatch.setattr(topology, "_checked_ideal", recording)
-    got = appendix_ideal_checks(kind, n)
+    got = appendix_ideal_checks(coxeter_ideal(n, kind))
     assert [c.to_json() for c in got] == [c.to_json() for c in expected]
     assert members == expected_members
 
@@ -775,3 +777,65 @@ def test_annular_mixing_facts_match_the_recursion(k):
     assert facts.multichain_counts == {
         m: _multichain_count_by_recursion(interval, m)
         - _multichain_count_by_recursion(rest, m) for m in range(1, 7)}
+
+
+# --- Moebius numbers by the Hall recursion, ends by the mask rule -------------
+
+def _mobius_by_recursion(p, x, y):
+    """mu(x, y) by the defining recursion up from x."""
+    values = {}
+    for z in bits(p.above[x] & p.below[y]):
+        inner = p.above[x] & p.below[z] & ~(1 << z)
+        values[z] = 1 if z == x else -sum(values[i] for i in bits(inner))
+    return values[y]
+
+
+def _ends_by_scan(p):
+    """(bottom, top): the only element of rank 0 (of the top rank) when it
+    is comparable with every element, else None."""
+    everything = range(len(p))
+    mins = [i for i in everything if p.rank[i] == 0]
+    maxs = [i for i in everything if p.rank[i] == p.height()]
+    bottom = (mins[0] if len(mins) == 1
+              and all(p.leq(mins[0], j) for j in everything) else None)
+    top = (maxs[0] if len(maxs) == 1
+           and all(p.leq(i, maxs[0]) for i in everything) else None)
+    return bottom, top
+
+
+def _hall_cases():
+    b3 = full_poset("B", 3)
+    cases = [b3, full_poset("D", 4), full_poset("S", 4), coxeter_ideal(3, "B")]
+    rng = random.Random(20261018)
+    for k in range(30):
+        if k % 2:
+            keep = rng.sample(range(len(b3)), rng.randint(1, 40))
+        else:  # below an element that is kept, so that it is the top
+            w = rng.randrange(len(b3))
+            below = list(bits(b3.below[w]))
+            keep = [w] + rng.sample(below, rng.randint(0, len(below)))
+        cases.append(b3.subposet(keep, label=f"sample {k}"))
+    return cases
+
+
+def test_mobius_matches_the_defining_recursion_on_every_pair():
+    pairs = 0
+    for p in _hall_cases():
+        for y in range(len(p)):
+            for x in bits(p.below[y]):
+                assert invariants.mobius(p, x, y) == _mobius_by_recursion(
+                    p, x, y), (p.label, x, y)
+                pairs += 1
+    assert pairs == 6551
+
+
+def test_bottom_and_top_match_the_rank_scans():
+    ends = []
+    for p in _hall_cases():
+        ends.append((p.bottom(), p.top()))
+        assert ends[-1] == _ends_by_scan(p), p.label
+        assert p.is_bounded() is (None not in ends[-1])
+    # bounded, bottom only, top only, neither
+    kinds = [(bottom is None, top is None) for bottom, top in ends]
+    assert [kinds.count(k) for k in itertools.product((False, True),
+                                                      repeat=2)] == [14, 11, 2, 7]

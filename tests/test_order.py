@@ -169,7 +169,7 @@ def test_fibers_split_by_moved_flag():
 
 
 def test_fiber_ideal_smallest_case():
-    checks = {c.name: c for c in appendix_ideal_checks("B", 2)}
+    checks = {c.name: c for c in appendix_ideal_checks(coxeter_ideal(2, "B"))}
     over_e = checks["fiber ideal over e"]
     assert (over_e.size, over_e.rank, over_e.expected_rank) == (4, 1, 1)
     assert over_e.ok()

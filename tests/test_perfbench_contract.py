@@ -8,11 +8,15 @@ tests make such a change fail here instead.  They read `perfbench/` and
 change nothing there.
 """
 
+import contextlib
 import importlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+
+from absorder import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 3
@@ -47,16 +51,30 @@ def test_every_traced_target_exists(targets):
     assert missing == []
 
 
+def _cli_op(workloads, name, argv):
+    """The cli workload's answers for one command, run through `cli.main`
+    in this process."""
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        return workloads.cli_answers(name, code, out.getvalue())
+    return run
+
+
 def _ops(workloads, workload):
     inputs = workloads.Inputs(SEED)
     if workload == "construct":
         return workloads.construct_ops(inputs)
+    if workload == "cli":
+        return [(name, _cli_op(workloads, name, argv))
+                for name, argv in workloads.cli_commands(inputs, SEED)]
     posets = {name: build()
               for name, build in workloads.analyze_setup_steps(inputs)}
     return workloads.analyze_ops(posets)
 
 
-@pytest.mark.parametrize("workload", ["construct", "analyze"])
+@pytest.mark.parametrize("workload", ["construct", "analyze", "cli"])
 def test_benchmark_answers_match_references(workloads, references, workload):
     want = {name: value for name, value in references[workload].items()
             if not name.startswith("setup:")}

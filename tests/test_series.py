@@ -1,6 +1,11 @@
 """Truncated power series arithmetic and the Euler-characteristic predictions."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,9 @@ from absorder import (
     predicted_chi_hyper,
     predicted_chi_sym,
 )
+from absorder.series import _convolve
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_series_arithmetic_basics():
@@ -100,3 +108,45 @@ def test_prediction_guard():
 def test_flip_exponential_identity():
     assert flip_exponential_identity_ok()
     assert flip_exponential_identity_ok(order=6)
+
+
+def test_convolve_matches_the_double_loop():
+    # trailing zeros on either side, sizes short of, at and past the product
+    rng = random.Random(20261018)
+    values = (0, 0, 1, -2, 3, Fraction(1, 3))
+    for _ in range(200):
+        a, b = (tuple(rng.choice(values) for _ in range(rng.randint(1, 6)))
+                + (0,) * rng.randint(0, 3) for _ in range(2))
+        product = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+        for size in range(len(product) + 3):
+            assert _convolve(a, b, size) == (product + [0] * 3)[:size]
+
+
+def test_consistency_checks_raise_under_python_optimise():
+    # `python -O` strips assert statements; both checks must still raise
+    code = """if True:
+        from fractions import Fraction
+        from absorder.invariants import InvariantReport
+        from absorder.series import FormalPowerSeries, _extract_euler
+        checks = [
+            lambda: InvariantReport(5, (1, 1), None, None, None).check(),
+            lambda: _extract_euler(
+                FormalPowerSeries([0, Fraction(1, 3)], 1), 1, 1),
+        ]
+        for check in checks:
+            try:
+                print("no error:", check())
+            except AssertionError as exc:
+                print("AssertionError:", exc)
+    """
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("AssertionError: ") for line in lines), lines

@@ -292,7 +292,7 @@ def test_smith_normal_form_units():
 
 
 def test_ideal_battery_plain_three_letters():
-    checks = appendix_ideal_checks("S", 3)
+    checks = appendix_ideal_checks(coxeter_ideal(3, "S"))
     assert len(checks) == 3
     assert all(c.ok() for c in checks)
     by_name = {c.name: c for c in checks}
@@ -301,7 +301,7 @@ def test_ideal_battery_plain_three_letters():
 
 
 def test_ideal_battery_signed_three_letters():
-    checks = appendix_ideal_checks("B", 3)
+    checks = appendix_ideal_checks(coxeter_ideal(3, "B"))
     assert len(checks) == 9
     assert all(c.ok() for c in checks)
     assert all(c.graded for c in checks)
@@ -312,6 +312,13 @@ def test_ideal_battery_signed_three_letters():
     assert (balanced.size, balanced.rank) == (33, 3)
     fibers = [c for c in checks if c.name.startswith("fiber ideal over")]
     assert len(fibers) == 7
+
+
+def test_ideal_battery_refuses_kind_d_and_is_empty_below_two_letters():
+    with pytest.raises(ValueError, match="no ideal checks for kind 'D'"):
+        appendix_ideal_checks(coxeter_ideal(3, "D"))
+    assert appendix_ideal_checks(coxeter_ideal(1, "B")) == []
+    assert appendix_ideal_checks(coxeter_ideal(1, "S")) == []
 
 
 def _rank_sparse(columns):
@@ -494,7 +501,7 @@ def test_ideal_battery_builds_one_ambient_and_projects_once(kind, n,
 
     monkeypatch.setattr(order.Poset, "__init__", counting_init)
     monkeypatch.setattr(order, "project_pi", counting_project_pi)
-    checks = appendix_ideal_checks(kind, n)
+    checks = appendix_ideal_checks(coxeter_ideal(n, kind))
     assert all(c.ok() for c in checks)
     # the other posets are the group intervals that key cm_check's gaps
     assert [label for label in labels if label != "interval"] == [
