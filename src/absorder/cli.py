@@ -99,8 +99,6 @@ def _cmd_invariants(args) -> int:
             closed = invariants.closed_form_flip_interval(args.n)
             built = invariants.build_flip_interval(args.n)
         else:
-            if args.k is None or args.r is None:
-                raise CycleNotationError("cycle-flip needs --k and --r")
             closed = invariants.closed_form_cycle_flip_interval(args.k, args.r)
             built = invariants.build_cycle_flip_interval(args.k, args.r)
         census = invariants.census(built)
@@ -155,25 +153,19 @@ def _cmd_topology(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    if args.family == "sym":
-        predicted = series.predicted_chi_sym(args.upto)
-        crosscheck_limit = 5
-        first = 3
-    else:
-        predicted = series.predicted_chi_hyper(args.upto)
-        crosscheck_limit = 4
-        first = 2
+    predict, ranks, build = {
+        "sym": (series.predicted_chi_sym, range(3, 6),
+                lambda n: order.full_poset("S", n)),
+        "hyper": (series.predicted_chi_hyper, range(2, 5),
+                  lambda n: order.coxeter_ideal(n, "B")),
+    }[args.family]
     rows = {}
     ok = True
-    for n, chi in predicted.items():
+    for n, chi in predict(args.upto).items():
         rows[n] = {"predicted": chi}
-        if args.crosscheck and first <= n <= crosscheck_limit:
-            if args.family == "sym":
-                p = order.full_poset("S", n)
-            else:
-                p = order.coxeter_ideal(n, "B")
+        if args.crosscheck and n in ranks:
             computed = topology.chain_euler_characteristic(
-                p, strip="endpoints")
+                build(n), strip="endpoints")
             rows[n]["computed"] = computed
             ok = ok and computed == chi
     if args.format == "json":
@@ -207,7 +199,7 @@ def _cmd_verify(args) -> int:
 
 
 def _unread_option(args) -> str | None:
-    """Why an option given with the command would go unread, if one would."""
+    """Why an option given would go unread, or one needed is missing."""
     top, bottom = getattr(args, "top", None), getattr(args, "bottom", None)
     if args.command == "interval" and not top:
         return "interval needs --top"
@@ -220,6 +212,11 @@ def _unread_option(args) -> str | None:
     if (args.command == "invariants" and args.family != "cycle-flip"
             and (args.k is not None or args.r is not None)):
         return "--k and --r need --family cycle-flip"
+    if args.command == "invariants" and args.family and args.group != "B":
+        return "--family builds kind-B intervals; --group must be B"
+    if args.command == "invariants" and args.family == "cycle-flip" and (
+            None in (args.k, args.r) or args.n != args.k + args.r):
+        return "--family cycle-flip needs --k and --r adding up to --n"
     return None
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .order import Poset, _hall_mobius, bits, build_interval
+from .order import Poset, _hall_mobius, _resolve, bits, build_interval
 from .series import _convolve
 from .signed import (
     SignedPermutation,
@@ -138,8 +138,8 @@ def multichain_count(p: Poset, m: int) -> int:
 
 def mobius(p: Poset, x=None, y=None) -> int:
     """Moebius function mu(x, y): 1 if x = y, else the Hall recursion on (x, y)."""
-    xi = _resolve(p, x, p.bottom())
-    yi = _resolve(p, y, p.top())
+    xi = p.bottom() if x is None else _resolve(p, x)
+    yi = p.top() if y is None else _resolve(p, y)
     if xi is None or yi is None:
         raise ValueError("mobius endpoints undefined; pass x and y explicitly")
     if not p.leq(xi, yi):
@@ -147,14 +147,6 @@ def mobius(p: Poset, x=None, y=None) -> int:
     if xi == yi:
         return 1
     return _hall_mobius(p, p.above[xi] & p.below[yi] & ~(1 << xi | 1 << yi))
-
-
-def _resolve(p: Poset, key, default):
-    if key is None:
-        return default
-    if isinstance(key, int):
-        return key
-    return p.index[key]
 
 
 def mobius_element(w: SignedPermutation) -> int:

@@ -9,8 +9,8 @@ existence over a whole group at once.
 
 from dataclasses import dataclass
 
-from .order import (Poset, _greatest, _least, bits, elements_below,
-                    full_poset)
+from .order import (Poset, _greatest, _least, _resolve, bits,
+                    elements_below, full_poset)
 from .signed import SignedPermutation, is_hook, is_member, mu_partition
 
 
@@ -20,23 +20,14 @@ def _maximal_of(p: Poset, mask: int) -> list:
 
 def meet(p: Poset, x, y):
     """Greatest lower bound of two elements, or None."""
-    m = _greatest(p, p.below[_index(p, x)] & p.below[_index(p, y)])
+    m = _greatest(p, p.below[_resolve(p, x)] & p.below[_resolve(p, y)])
     return None if m is None else p.elements[m]
 
 
 def join(p: Poset, x, y):
     """Least upper bound of two elements, or None."""
-    b = _least(p, p.above[_index(p, x)] & p.above[_index(p, y)])
+    b = _least(p, p.above[_resolve(p, x)] & p.above[_resolve(p, y)])
     return None if b is None else p.elements[b]
-
-
-def _index(p: Poset, x) -> int:
-    if isinstance(x, int):
-        return x
-    try:
-        return p.index[x]
-    except KeyError:
-        raise ValueError(f"{x!r} is not an element of {p.label}") from None
 
 
 @dataclass

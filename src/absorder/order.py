@@ -16,6 +16,7 @@ import json
 
 from .signed import (
     SignedPermutation,
+    _orbits,
     absolute_length,
     cycle_decomposition,
     format_cycles,
@@ -57,6 +58,33 @@ def covers(w: SignedPermutation, kind: str = "B") -> set:
     return out
 
 
+def _lower_covers(w: SignedPermutation, kind: str = "B") -> list:
+    """The products w*t of length l(w) - 1, t a reflection of the kind.
+
+    By the orbit rule (see `signed`): [i] for i in a balanced orbit,
+    ((a, b)) for signed letters a, b of one paired orbit, and ((i, +-j))
+    for i, j in balanced orbits.  No other product is built."""
+    def swap(a, b):
+        # w times the reflection exchanging a with b (and -a with -b)
+        new = list(w.images)
+        new[abs(a) - 1] = w(b) if a > 0 else -w(b)
+        new[abs(b) - 1] = w(a) if b > 0 else -w(a)
+        return SignedPermutation(new)
+
+    out, balanced = [], []
+    for orbit, is_balanced in _orbits(w):
+        if is_balanced:
+            balanced += [abs(a) for a in orbit]
+        else:
+            out += [swap(a, b) for p, a in enumerate(orbit) for b in orbit[p + 1:]]
+    for p, i in enumerate(balanced):
+        if kind == "B":
+            out.append(swap(i, -i))
+        for j in balanced[p + 1:]:
+            out += [swap(i, j), swap(i, -j)]
+    return out
+
+
 def _word_reps(word, kind):
     """Every cyclic-word representation of a cycle.
 
@@ -94,18 +122,11 @@ def covers_by_pattern(w: SignedPermutation) -> set:
     dec = cycle_decomposition(w)
     balanced = [c.entries for c in dec.balanced]
     paired = [c.entries for c in dec.paired] + [(i,) for i in sorted(dec.fixed_points)]
-    others: dict = {}
-
-    def rest_words(skip):
-        key = skip
-        if key not in others:
-            words = [("balanced", b) for b in balanced] + [("paired", p) for p in paired]
-            others[key] = [wd for wd in words if wd[1] not in skip]
-        return others[key]
+    words = [("balanced", b) for b in balanced] + [("paired", p) for p in paired]
 
     out = set()
     for p in paired:
-        base = rest_words((p,))
+        base = [wd for wd in words if wd[1] != p]
         m = len(p)
         for i in range(1, m + 1):
             word = p[:i] + tuple(-a for a in p[i:])
@@ -117,14 +138,14 @@ def covers_by_pattern(w: SignedPermutation) -> set:
                 out.add(from_cycles(base + [("balanced", first), ("balanced", second)], n))
     for b in balanced:
         for p in paired:
-            base = rest_words((b, p))
+            base = [wd for wd in words if wd[1] not in (b, p)]
             for brep in _word_reps(b, "balanced"):
                 for prep in _word_reps(p, "paired"):
                     out.add(from_cycles(base + [("balanced", brep + prep)], n))
     for a in range(len(paired)):
         for b_ in range(a + 1, len(paired)):
             p, q = paired[a], paired[b_]
-            base = rest_words((p, q))
+            base = [wd for wd in words if wd[1] not in (p, q)]
             for prep in _word_reps(p, "paired"):
                 for qrep in _word_reps(q, "paired"):
                     out.add(from_cycles(base + [("paired", prep + qrep)], n))
@@ -213,9 +234,9 @@ class Poset:
     The element set must be convex: with x <= z <= y and x, y in the set,
     z is in it too.  Whole groups, intervals and ideals all are.  The order
     is graded by length and each cover multiplies by a single reflection,
-    so on a convex set it is the transitive closure of the covers found by
-    one reflection step down.  `subposet` gives the induced order on any
-    other subset.
+    so on a convex set it is the transitive closure of the lower covers,
+    which `_lower_covers` reads off each element's orbits (Carter; Brady
+    and Watt).  `subposet` gives the induced order on any other subset.
     """
 
     __slots__ = ("elements", "kind", "label", "n", "rank", "index",
@@ -231,13 +252,12 @@ class Poset:
         self.rank = [lengths[w] - base for w in self.elements]
         self.index = {w: i for i, w in enumerate(self.elements)}
         k = len(self.elements)
-        refs = reflection_set(kind, self.n)
         below = [1 << j for j in range(k)]
         self.hasse_up = [[] for _ in range(k)]
         for j, wj in enumerate(self.elements):
-            for t in refs:
-                i = self.index.get(wj * t)
-                if i is not None and self.rank[i] == self.rank[j] - 1:
+            for z in _lower_covers(wj, kind):
+                i = self.index.get(z)
+                if i is not None:
                     below[j] |= below[i]
                     self.hasse_up[i].append(j)
         above = [1 << i for i in range(k)]
@@ -356,6 +376,14 @@ class Poset:
         return "\n".join(lines)
 
 
+def _resolve(p: Poset, x) -> int:
+    """The index of x in p, x given as an element or as an index."""
+    i = x if isinstance(x, int) else p.index.get(x)
+    if i is None or not 0 <= i < len(p):
+        raise ValueError(f"{x!r} is not an element of {p.label}")
+    return i
+
+
 def _least(p: Poset, mask: int):
     """The least member of `mask`, or None.  Indices ascend with rank, so
     only the lowest member can be least, and only the highest greatest."""
@@ -382,39 +410,35 @@ def _hall_mobius(p: Poset, mask: int) -> int:
 def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> set:
     """The principal ideal {z : z <= v}, by downward cover search.
 
-    Level d of the search holds elements of length l(v) - d; a product z*t
-    by a reflection joins the next level when its length drops by one.
-    Given `seen`, an order ideal owned by the caller (such as the result of
-    earlier calls), the search adds into it and returns it, and never
-    re-expands an element already there, whose ideal is there already:
-    this is how `build_ideal` (and through it `coxeter_ideal`) runs one
-    shared search over all its generators, visiting each element once.
-    Raises ResourceGuardError once `seen` holds more than POSET_GUARD
-    elements.
+    Level d of the search holds elements of length l(v) - d, and the next
+    level their lower covers, read off their orbits by `_lower_covers`
+    (Carter; Brady and Watt), so only l(v) is computed.  Given `seen`, an
+    order ideal owned by the caller (such as the result of earlier calls),
+    the search adds into it and returns it, and never re-expands an
+    element already there, whose ideal is there already: this is how
+    `build_ideal` (and through it `coxeter_ideal`) runs one shared search
+    over all its generators, visiting each element once.  Raises
+    ResourceGuardError once `seen` holds more than POSET_GUARD elements.
     """
-    length = absolute_length(v, kind) - 1
+    absolute_length(v, kind)  # ValueError outside the kind
     if seen is None:
         seen = set()
     elif v in seen:
         return seen
     seen.add(v)
-    refs = reflection_set(kind, v.n)
     frontier = [v]
     while frontier:
         nxt = []
         for z in frontier:
-            for t in refs:
-                zt = z * t
-                if zt not in seen and absolute_length(zt, "B") == length:
-                    seen.add(zt)
-                    nxt.append(zt)
+            fresh = [zt for zt in _lower_covers(z, kind) if zt not in seen]
+            seen.update(fresh)
+            nxt += fresh
             if len(seen) > POSET_GUARD:
                 raise ResourceGuardError(
                     f"the downward search from {format_cycles(v)} in kind "
                     f"{kind} reached {len(seen)} elements, more than the "
                     f"guard {POSET_GUARD}")
         frontier = nxt
-        length -= 1
     return seen
 
 

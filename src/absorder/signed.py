@@ -20,9 +20,12 @@ to left: (u * v)(i) = u(v(i)).
 
 Reflection length, `gamma` and the D-membership test only need how many
 orbits are paired and how many balanced, so they count them in one walk
-over the image tuple (`_orbit_counts`) and build no `Cycle` objects.
-`cycle_decomposition` stays the definitional route: it serves formatting,
-projection and `mu_partition`, and the tests compare the two.
+over the image tuple (`_orbit_counts`); the tests compare them with
+`cycle_decomposition`, which like `cycle_type` and the lower covers walks
+`_orbits`.  A reflection lies below w exactly when its root lies in the
+moved space of w (Carter 1972; Brady and Watt 2002): the sign flip [i]
+when i is in a balanced orbit, ((i, +-j)) when i and +-j share an orbit
+or i and j both lie in balanced orbits.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ class CycleDecomposition:
         return tuple(c for c in self.cycles if c.kind == "paired")
 
 
-def _canonical_word(word, kind):
+def _canonical_word(word):
     """Rotate/negate a cycle word so min |entry| leads with positive sign."""
     k = len(word)
     lead = min(range(k), key=lambda i: abs(word[i]))
@@ -144,6 +147,24 @@ def _canonical_word(word, kind):
     return tuple(word)
 
 
+def _orbits(w: SignedPermutation):
+    """Yield (orbit, balanced) for each orbit of w up to negation: the
+    letters from the least unseen start until the walk returns to +start
+    (paired, fixed points included) or reaches -start (balanced)."""
+    images = w.images
+    seen = [False] * (len(images) + 1)
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        orbit, x = [start], images[start - 1]
+        while x != start and x != -start:
+            orbit.append(x)
+            x = images[x - 1] if x > 0 else -images[-x - 1]
+        for a in orbit:
+            seen[abs(a)] = True
+        yield orbit, x != start
+
+
 def cycle_decomposition(w: SignedPermutation) -> CycleDecomposition:
     """Split w into balanced and paired cycles (fixed points set aside).
 
@@ -151,25 +172,13 @@ def cycle_decomposition(w: SignedPermutation) -> CycleDecomposition:
     negation; a paired cycle is one of a mirrored orbit pair.  Balanced
     1-cycles [i] (sign flips) count as nontrivial cycles.
     """
-    seen = set()
-    cycles = []
-    fixed = []
-    for start in range(1, w.n + 1):
-        if start in seen or -start in seen:
-            continue
-        orbit = [start]
-        x = w(start)
-        while x != start and x != -start:
-            orbit.append(x)
-            x = w(x)
-        for a in orbit:
-            seen.add(abs(a))
-        if x == -start:
-            cycles.append(Cycle("balanced", _canonical_word(tuple(orbit), "balanced")))
-        elif len(orbit) == 1:
-            fixed.append(start)
+    cycles, fixed = [], []
+    for orbit, balanced in _orbits(w):
+        if balanced or len(orbit) > 1:
+            kind = "balanced" if balanced else "paired"
+            cycles.append(Cycle(kind, _canonical_word(tuple(orbit))))
         else:
-            cycles.append(Cycle("paired", _canonical_word(tuple(orbit), "paired")))
+            fixed.append(orbit[0])
     cycles.sort(key=lambda c: min(c.support))
     return CycleDecomposition(tuple(cycles), frozenset(fixed))
 
@@ -321,19 +330,10 @@ def _orbit_counts(w: SignedPermutation) -> tuple:
 
 def cycle_type(w: SignedPermutation) -> tuple:
     """The B_n conjugacy class of w: sorted paired and balanced orbit
-    lengths, fixed points as paired 1-cycles, in one walk over the images."""
-    images = w.images
-    seen = [False] * (len(images) + 1)
+    lengths, fixed points as paired 1-cycles."""
     paired, balanced = [], []
-    for start in range(1, len(images) + 1):
-        if seen[start]:
-            continue
-        x, size = images[start - 1], 1
-        while x != start and x != -start:
-            seen[abs(x)] = True
-            x = images[x - 1] if x > 0 else -images[-x - 1]
-            size += 1
-        (paired if x == start else balanced).append(size)
+    for orbit, is_balanced in _orbits(w):
+        (balanced if is_balanced else paired).append(len(orbit))
     return tuple(sorted(paired)), tuple(sorted(balanced))
 
 

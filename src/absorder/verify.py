@@ -353,6 +353,22 @@ def _claim_order_agreement(profile):
         computed="identical cover sets for every element" if bad is None
         else f"mismatch at {bad}",
     ))
+    if profile != "quick":
+        groups = {"B4": ambient, "D4": order.full_poset("D", 4),
+                  "S5": order.full_poset("S", 5)}
+        bad = next((f"{key} {format_cycles(w)}" for key, p in groups.items()
+                    for w, up in zip(p.elements, p.hasse_up)
+                    if {p.elements[j] for j in up} != order.covers(w, p.kind)),
+                   None)
+        out.append(_claim(
+            claim="lower-cover-rule",
+            statement=("lower covers read off the orbits (Carter; Brady and "
+                       "Watt) are the covers found by trying each reflection"),
+            parameters={"groups": list(groups)},
+            expected="identical covers for every element",
+            computed="identical covers for every element" if bad is None
+            else f"mismatch at {bad}",
+        ))
     n = 4 if profile == "quick" else 5
     plain = order.full_poset("S", n)
     bad = next(((format_cycles(u), format_cycles(v))

@@ -249,6 +249,12 @@ def test_cm_mode_is_gone(capsys):
     (["invariants", "--n", "2", "--k", "2", "--r", "9"], "--k and --r"),
     (["invariants", "--n", "2", "--family", "coxeter", "--top", "[1]"],
      "--top"),
+    (["invariants", "--group", "D", "--n", "3", "--family", "coxeter"],
+     "--group"),
+    (["invariants", "--n", "9", "--family", "cycle-flip", "--k", "1",
+      "--r", "1"], "--n"),
+    (["invariants", "--n", "2", "--family", "cycle-flip", "--k", "1"],
+     "--r"),
 ])
 def test_unread_options_are_usage_errors(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:

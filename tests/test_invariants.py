@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from absorder.invariants import (
     rank_generating_function,
     zeta_polynomial,
 )
+from absorder.lattice import join, meet
 from absorder.order import build_interval, full_poset
 from absorder.signed import identity, parse_cycles
 
@@ -76,6 +78,17 @@ def test_mobius_rejects_incomparable_pair():
     p = full_poset("B", 2)
     with pytest.raises(ValueError):
         mobius(p, parse_cycles("[1]", 2), parse_cycles("((1,2))", 2))
+
+
+@pytest.mark.parametrize("stranger", [parse_cycles("[1,2,3]", 3), 8, -1])
+def test_mobius_and_meets_refuse_a_non_member_naming_the_poset(stranger):
+    p = full_poset("B", 2)
+    for call in (lambda: mobius(p, stranger), lambda: mobius(p, 0, stranger),
+                 lambda: meet(p, stranger, 0), lambda: join(p, 0, stranger)):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(repr(stranger))} is not an "
+                                 "element of full$"):
+            call()
 
 
 def test_zeta_degree_equals_height():

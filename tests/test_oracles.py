@@ -7,9 +7,10 @@ bottom in one walk, homology builds a coboundary column only when a
 reduction needs it, chains come out sorted level by level, the fiber law
 compares distinct projections, fiber ideals and cover lifting are masks on
 one ambient poset, multichain counts for every m come from one sweep,
-Moebius numbers come from the Hall recursion on an open interval, and a
-poset's bottom and top from its lowest and highest element's masks.  Each
-is compared here with the route it replaces.
+Moebius numbers come from the Hall recursion on an open interval, a
+poset's bottom and top from its lowest and highest element's masks, and
+lower covers from the orbits of an element.  Each is compared here with
+the route it replaces.
 """
 
 import itertools
@@ -43,12 +44,13 @@ from absorder import (
     paired_cycle,
     parse_cycles,
     project_pi,
+    reflection_set,
     support_size_label,
     verify_el,
 )
 from absorder import invariants, labeling, lattice, topology
 from absorder.labeling import ELReport
-from absorder.order import bits
+from absorder.order import _lower_covers, bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
 from absorder.topology import (HomologyProfile, IdealCheck, _boundary_columns,
                                _normalized)
@@ -839,3 +841,22 @@ def test_bottom_and_top_match_the_rank_scans():
     kinds = [(bottom is None, top is None) for bottom, top in ends]
     assert [kinds.count(k) for k in itertools.product((False, True),
                                                       repeat=2)] == [14, 11, 2, 7]
+
+
+# --- Lower covers by the orbit rule ------------------------------------------
+
+def _lower_covers_by_trial(w, kind):
+    """Every product w*t by a reflection of the kind, kept when its length
+    is one less than that of w."""
+    length = absolute_length(w, "B") - 1
+    return {w * t for t in reflection_set(kind, w.n)
+            if absolute_length(w * t, "B") == length}
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in "SBD"
+                                    for n in range(5)] + [("B", 5)])
+def test_lower_covers_match_every_reflection_product(kind, n):
+    for w in group_elements(kind, n):
+        got = _lower_covers(w, kind)
+        assert len(got) == len(set(got)), format_cycles(w)
+        assert set(got) == _lower_covers_by_trial(w, kind), format_cycles(w)

@@ -99,3 +99,19 @@ def test_fiber_machinery_builds_each_ambient_once(monkeypatch, profile,
     monkeypatch.setattr(order.Poset, "__init__", counting)
     assert all(r.verdict for r in verify._claim_fiber_machinery(profile))
     assert len(built) == len(set(built)) == ambients
+
+
+def test_lower_cover_rule_is_a_full_profile_claim_that_sees_a_wrong_rule(
+        monkeypatch):
+    assert "lower-cover-rule" not in QUICK_CLAIMS
+    claims = {r.claim: r for r in verify._claim_order_agreement("full")}
+    assert claims["lower-cover-rule"].verdict
+    right = order._lower_covers
+
+    def one_short(w, kind="B"):
+        return right(w, kind)[1:]
+
+    monkeypatch.setattr(order, "_lower_covers", one_short)
+    claims = {r.claim: r for r in verify._claim_order_agreement("full")}
+    assert not claims["lower-cover-rule"].verdict
+    assert claims["lower-cover-rule"].computed.startswith("mismatch at B4")
