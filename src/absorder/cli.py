@@ -124,14 +124,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_topology(args) -> int:
     p = _build_poset(args)
     complex_ = topology.order_complex(p, strip=args.strip)
-    # torsion first: its guard reads the f-vector alone, so a refused map
-    # costs no elimination
-    torsion = topology.torsion_profile(complex_) if args.torsion else None
-    if args.cm:
-        report = topology.cm_check(complex_)
-        profile = report.homology
-    else:
-        profile = topology.homology(complex_)
+    profile = topology.homology(complex_)
     payload = {
         "complex": complex_.to_json(),
         "homology": profile.to_json(),
@@ -140,10 +133,12 @@ def _cmd_topology(args) -> int:
     }
     ok = payload["chi_by_counting"] == profile.euler
     if args.cm:
+        report = topology.cm_check(complex_)
         payload["cm"] = report.to_json()
         ok = ok and report.ok
     if args.torsion:
-        payload["torsion"] = {str(d): factors for d, factors in torsion.items()}
+        payload["torsion"] = {str(d): factors for d, factors in
+                              topology.torsion_profile(complex_).items()}
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:

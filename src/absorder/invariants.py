@@ -25,6 +25,7 @@ from .signed import (
     SignedPermutation,
     balanced_cycle,
     cycle_decomposition,
+    cycle_type,
     exponents,
     from_cycles,
     identity,
@@ -161,19 +162,16 @@ def mobius_element(w: SignedPermutation) -> int:
     wrong (mu(e, [1][2]) is 3, not 1). Raises ValueError outside that scope;
     use mobius() on the interval for the general case.
     """
-    dec = cycle_decomposition(w)
-    balanced = sum(1 for cyc in dec.cycles if cyc.kind == "balanced")
-    if balanced > 1:
+    paired, balanced = cycle_type(w)
+    if len(balanced) > 1:
         raise ValueError(
-            "product form needs at most one balanced cycle, got %d" % balanced
-        )
+            "product form needs at most one balanced cycle, got %d"
+            % len(balanced))
     value = 1
-    for cyc in dec.cycles:
-        m = len(cyc.entries)
-        if cyc.kind == "balanced":
-            value *= (-1) ** m * comb(2 * m - 1, m)
-        else:
-            value *= (-1) ** (m - 1) * catalan(m - 1)
+    for m in balanced:
+        value *= (-1) ** m * comb(2 * m - 1, m)
+    for m in paired:
+        value *= (-1) ** (m - 1) * catalan(m - 1)
     return value
 
 

@@ -388,7 +388,7 @@ def reflection_set(kind: str, n: int) -> tuple:
 
 def mu_partition(w: SignedPermutation) -> tuple:
     """Lengths of the balanced cycles of w, weakly decreasing."""
-    return tuple(sorted((c.length for c in cycle_decomposition(w).balanced), reverse=True))
+    return cycle_type(w)[1][::-1]
 
 
 def is_hook(mu: tuple) -> bool:

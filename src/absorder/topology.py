@@ -9,7 +9,7 @@ homology concentrated in its top dimension.
 
 import itertools
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -22,8 +22,9 @@ from .signed import (balanced_cycle, cycle_decomposition, cycle_type,
                      format_cycles, identity, paired_cycle)
 
 FACE_GUARD = 5_000_000
-# Most nonzeros of one boundary map, and most entries of the residual that
-# goes to the dense Smith normal form, that `torsion_profile` accepts.
+# Most entries, rows x columns, of one boundary map that `torsion_profile`
+# hands to the dense Smith normal form; only complexes whose elimination met
+# a pivot other than +-1 go there.
 TORSION_GUARD = 250_000
 
 
@@ -31,7 +32,8 @@ class SimplicialComplex:
     """Faces grouped by dimension, over the vertex set of a host poset.
 
     Vertices are indices into `poset.elements`; every face tuple is sorted
-    ascending, which for poset chains means sorted by rank.
+    ascending, which for poset chains means sorted by rank.  `homology`
+    keeps its profile here, so each complex is eliminated once.
     """
 
     def __init__(self, poset: Poset, member_mask: int, faces_by_dim: list,
@@ -40,6 +42,7 @@ class SimplicialComplex:
         self.member_mask = member_mask
         self.faces_by_dim = faces_by_dim
         self.label = label
+        self._homology = None
 
     def dim(self) -> int:
         return len(self.faces_by_dim) - 1
@@ -110,7 +113,11 @@ def order_complex(p: Poset, strip: str = "none",
 
 @dataclass
 class HomologyProfile:
+    """Reduced Betti numbers over Q.  `unit_pivots`, which equality and
+    the JSON view leave out, says the elimination met only +-1 pivots."""
+
     reduced_betti: tuple
+    unit_pivots: bool = field(default=False, compare=False)
 
     @property
     def euler(self) -> int:
@@ -146,38 +153,7 @@ def _subtract(col: dict, v, pivot: dict) -> None:
             col.pop(r, None)
 
 
-def _reduce(col: dict, pivots: dict) -> dict:
-    """Clear, in place, every pivot row of `col`.
-
-    `pivots` maps a pivot row to its column, normalised to 1 on that row
-    and zero on the rows of the pivots found before it; integer columns
-    with unit pivots stay integer.
-    """
-    while col:
-        for r in col:
-            if r in pivots:
-                _subtract(col, col[r], pivots[r])
-                break
-        else:
-            break
-    return col
-
-
-def _boundary_columns(faces_by_dim: list, d: int) -> list:
-    """The boundary map from d-faces to (d-1)-faces, as row->sign columns."""
-    row_index = {face: k for k, face in enumerate(faces_by_dim[d - 1])}
-    columns = []
-    for face in faces_by_dim[d]:
-        col = {}
-        sign = 1
-        for k in range(d + 1):
-            col[row_index[face[:k] + face[k + 1:]]] = sign
-            sign = -sign
-        columns.append(col)
-    return columns
-
-
-def _cofaces(face: tuple, common: int, upper: set | None):
+def _cofaces(face: tuple, common: int, upper: set | dict | None):
     """(face with u inserted at k, (-1)^k) for the vertices u of `common`,
     highest first: all of them, or those giving a face in `upper`."""
     while common:
@@ -187,6 +163,15 @@ def _cofaces(face: tuple, common: int, upper: set | None):
         coface = face[:k] + (u,) + face[k:]
         if upper is None or coface in upper:
             yield coface, -1 if k & 1 else 1
+
+
+def _neighbours(faces_by_dim: list) -> list:
+    """The bit mask of each vertex's neighbours along the edges."""
+    neighbours = [0] * (faces_by_dim[0][-1][0] + 1)
+    for a, b in faces_by_dim[1] if len(faces_by_dim) > 1 else ():
+        neighbours[a] |= 1 << b
+        neighbours[b] |= 1 << a
+    return neighbours
 
 
 def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
@@ -208,20 +193,20 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     size and the common neighbours above the last vertex of each number
     f_(d+1) in all, so are the (d+1)-faces.  From the first d where they do
     not, cofaces are tested against the set of (d+1)-faces.
+
+    The profile records whether every pivot normalised was +-1.  A column
+    kept as its face has a lowest entry of +-1 already, so only reduced
+    columns are looked at, and only those of a dimension that is kept.
     """
     if not faces_by_dim or not faces_by_dim[0]:
-        return HomologyProfile(())
-    neighbours = [0] * (faces_by_dim[0][-1][0] + 1)
-    for a, b in faces_by_dim[1] if len(faces_by_dim) > 1 else ():
-        neighbours[a] |= 1 << b
-        neighbours[b] |= 1 << a
-    get = neighbours.__getitem__
+        return HomologyProfile((), unit_pivots=True)
+    get = _neighbours(faces_by_dim).__getitem__
     ranks = [1] + [0] * len(faces_by_dim)
     cleared = {faces_by_dim[0][-1]}
-    flag, d = True, 0
+    flag, unit_pivots, d = True, True, 0
     while d < len(faces_by_dim) - 1:
         upper = None if flag else set(faces_by_dim[d + 1])
-        pivots, extensions = {}, 0
+        pivots, extensions, units = {}, 0, True
         for face in faces_by_dim[d]:
             common = reduce(and_, map(get, face))
             extensions += (common >> face[-1] + 1).bit_count()
@@ -246,21 +231,26 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
                 _subtract(col, col[low], pivot)
                 low = max(col, default=None)
             if low is not None:
+                units = units and col[low] in (1, -1)
                 pivots[low] = _normalized(col, low)
         if flag and extensions != len(faces_by_dim[d + 1]):
             flag = False  # and this d again, with `upper`
             continue
         ranks[d + 1] = len(pivots)
         cleared = pivots
+        unit_pivots = unit_pivots and units
         d += 1
     betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
                   for d, faces in enumerate(faces_by_dim))
-    return HomologyProfile(betti)
+    return HomologyProfile(betti, unit_pivots)
 
 
 def homology(c: SimplicialComplex) -> HomologyProfile:
-    """Reduced rational Betti numbers and the reduced Euler characteristic."""
-    return _homology_from_faces(c.faces_by_dim)
+    """Reduced rational Betti numbers and the reduced Euler characteristic,
+    eliminated on the first call and kept on the complex."""
+    if c._homology is None:
+        c._homology = _homology_from_faces(c.faces_by_dim)
+    return c._homology
 
 
 def chain_euler_characteristic(p: Poset, strip: str = "none") -> int:
@@ -389,7 +379,7 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     inside M, so each side and cycle type of the end is eliminated once;
     for any other M each such gap is eliminated apart.
     """
-    whole = _homology_from_faces(c.faces_by_dim)
+    whole = homology(c)
     gap = _gap_polys(c, whole)
     vertices, edges = (c.faces_by_dim + [[], []])[:2]
     one_open = itertools.chain.from_iterable(((None, v), (v, None))
@@ -407,11 +397,8 @@ def cm_check(c: SimplicialComplex) -> CMReport:
 
 
 def _smith_normal_form_diagonal(columns: list, rows: int) -> list:
-    """Invariant factors of an integer matrix, by dense elimination.
-
-    `_invariant_factors` runs it on what unit pivots leave; tests use it on
-    whole matrices as the reference.
-    """
+    """Invariant factors of an integer matrix, by dense elimination;
+    `torsion_profile` runs it on whole boundary maps."""
     mat = [[0] * len(columns) for _ in range(rows)]
     for j, col in enumerate(columns):
         for r, v in col.items():
@@ -551,64 +538,36 @@ def appendix_ideal_checks(ambient: Poset) -> list:
     return checks
 
 
-def _invariant_factors(columns: list, dim: int | None = None) -> list:
-    """Invariant factors of an integer matrix given as row->value columns.
-
-    Unit pivots are eliminated sparsely and the dense Smith normal form
-    runs only on the residual, the columns left with no unit entry.  Over
-    Z this is exact: reducing a column by an integer multiple of a pivot
-    column normalised to 1 is unimodular, and the pivot columns on their
-    pivot rows form a unit triangular block.  Once every residual column is
-    zero on every pivot row, SNF(M) = 1^(#pivots) + SNF(residual), so the
-    residual is reduced again after each pass that found a new pivot.
-    A residual of more than TORSION_GUARD entries raises ResourceGuardError
-    before the dense form starts; `dim` names the map in its message.
-    """
-    pivots = {}
-    todo = columns
-    found = True
-    while found:
-        found = False
-        residual = []
-        for col in todo:
-            col = _reduce(dict(col), pivots)
-            prow = next((r for r, v in col.items() if v == 1 or v == -1),
-                        None)
-            if prow is not None:
-                pivots[prow] = _normalized(col, prow)
-                found = True
-            elif col:
-                residual.append(col)
-        todo = residual
-    used = sorted({r for col in todo for r in col})
-    if len(used) * len(todo) > TORSION_GUARD:
-        raise ResourceGuardError(
-            f"torsion guard exceeded at dimension {dim}: a residual of "
-            f"{len(used)}x{len(todo)} entries for the dense Smith form, more "
-            f"than the guard {TORSION_GUARD}")
-    rows = {r: k for k, r in enumerate(used)}
-    rest = [{rows[r]: v for r, v in col.items()} for col in todo]
-    return [1] * len(pivots) + _smith_normal_form_diagonal(rest, len(rows))
-
-
 def torsion_profile(c: SimplicialComplex) -> dict:
-    """Torsion coefficients of each boundary map, via Smith normal form.
+    """Torsion coefficients of each boundary map, {d: [factors > 1]}.
 
-    Returns {d: [invariant factors > 1]}; all empty means the integral
-    homology is free, so the rational Betti numbers tell the whole story.
-    TORSION_GUARD bounds the nonzeros (d + 1) f_d of every boundary map,
-    checked for all of them before any is eliminated, and the residual
-    each leaves for the dense Smith form (see `_invariant_factors`).
+    All empty means the integral homology is free.  When the elimination
+    `homology` keeps met only +-1 pivots, that is the answer: every column
+    operation was unimodular, and a column skipped by clearing is an
+    integer combination of earlier ones, its clearing cocycle having
+    leading entry +-1.  So each coboundary delta^(d-1) reduces over Z to
+    columns with distinct +-1 lowest entries, and its Smith form, that of
+    its transpose the boundary map d, is all ones.  Otherwise each
+    delta^(d-1), built by `_cofaces`, goes to the dense Smith normal form,
+    once TORSION_GUARD admits rows x columns of every one of them.
     """
-    f = c.f_vector()
-    for d in range(1, len(f)):
-        if (d + 1) * f[d] > TORSION_GUARD:
+    faces = c.faces_by_dim
+    if homology(c).unit_pivots:
+        return {d: [] for d in range(1, len(faces))}
+    for d in range(1, len(faces)):
+        rows, cols = len(faces[d - 1]), len(faces[d])
+        if rows * cols > TORSION_GUARD:
             raise ResourceGuardError(
-                f"torsion guard exceeded at dimension {d}: a boundary map "
-                f"with {(d + 1) * f[d]} nonzeros, more than the guard "
-                f"{TORSION_GUARD}")
+                f"torsion guard exceeded at dimension {d}: a boundary map of "
+                f"{rows}x{cols} entries for the dense Smith form, more than "
+                f"the guard {TORSION_GUARD}")
+    get = _neighbours(faces).__getitem__
     out = {}
-    for d in range(1, len(f)):
-        diag = _invariant_factors(_boundary_columns(c.faces_by_dim, d), d)
-        out[d] = [v for v in diag if v > 1]
+    for d in range(1, len(faces)):
+        row = {face: k for k, face in enumerate(faces[d])}
+        columns = [{row[coface]: sign for coface, sign in _cofaces(
+                        face, reduce(and_, map(get, face)), row)}
+                   for face in faces[d - 1]]
+        out[d] = [v for v in _smith_normal_form_diagonal(columns, len(row))
+                  if v > 1]
     return out

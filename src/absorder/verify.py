@@ -273,14 +273,16 @@ def _claim_disconnected(profile):
 
 
 def _claim_euler_three_way(profile):
-    """The two Euler claims, then proper-part-cm, from one stripped complex
-    per scope: where the link criterion covers a scope, its report's
-    homology is the complex's own."""
+    """The two Euler claims, then proper-part-cm and, in the full profile,
+    coxeter-ideal-torsion-free, from one stripped complex per scope, whose
+    elimination `topology.homology` keeps for the link criterion and the
+    torsion check."""
     out = []
     cm_scopes = ([("S", 3), ("B", 2)] if profile == "quick"
                  else [("S", 3), ("S", 4), ("B", 2), ("B", 3), ("B", 4)])
     cm_expected = {}
     cm_computed = {}
+    torsion = {}
     # below rank 3 the plain poset is bounded, endpoint stripping empties
     # it, and the prediction describes the bottom-stripped complex instead
     families = [
@@ -299,17 +301,18 @@ def _claim_euler_three_way(profile):
         for n in scope:
             p = build(n)
             c = topology.order_complex(p, strip="endpoints")
+            h = topology.homology(c)
             if (kind, n) in cm_scopes:
-                cm = topology.cm_check(c)
-                h = cm.homology
                 key = f"{kind}{n}"
                 cm_expected[key] = {"cm": True, "concentrated": True,
                                     "top_betti": abs(predictions[n])}
-                cm_computed[key] = {"cm": cm.ok,
+                cm_computed[key] = {"cm": topology.cm_check(c).ok,
                                     "concentrated": h.concentrated_in_top(),
                                     "top_betti": h.reduced_betti[-1]}
-            else:
-                h = topology.homology(c)
+                if profile != "quick":
+                    torsion[key] = {str(d): factors for d, factors in
+                                    topology.torsion_profile(c).items()
+                                    if factors}
             expected[n] = {"chi": predictions[n],
                            "chi_by_counting": predictions[n]}
             computed[n] = {
@@ -335,6 +338,16 @@ def _claim_euler_three_way(profile):
         expected=cm_expected,
         computed=cm_computed,
     ))
+    if profile != "quick":
+        out.append(_claim(
+            claim="coxeter-ideal-torsion-free",
+            statement=("the stripped plain-group and coxeter-ideal complexes "
+                       "have torsion-free integral homology, as homotopy "
+                       "Cohen-Macaulay complexes are wedges of spheres"),
+            parameters={"scopes": [list(s) for s in cm_scopes]},
+            expected={f"{kind}{n}": {} for kind, n in cm_scopes},
+            computed=torsion,
+        ))
     return out
 
 

@@ -139,32 +139,49 @@ def test_topology_with_torsion(capsys):
 
 
 def test_topology_torsion_guard_exits_before_eliminating(capsys, monkeypatch):
-    # the largest boundary map of stripped S5 has 12780 nonzeros
+    # stripped S5 meets only unit pivots, so no dense form runs; without
+    # that certificate its maps of 119x1570 and 1570x4260 entries go dense,
+    # and the second is refused before the first starts
     assert main(["topology", "--group", "S", "--n", "5", "--torsion",
                  "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["torsion"] == {"1": [], "2": [], "3": []}
 
-    def no_elimination(*args):
-        raise AssertionError("eliminated before the guard was checked")
+    eliminate = topology._homology_from_faces
 
-    monkeypatch.setattr(topology, "_invariant_factors", no_elimination)
-    monkeypatch.setattr(topology, "TORSION_GUARD", 12779)
+    def uncertified(faces_by_dim):
+        return topology.HomologyProfile(eliminate(faces_by_dim).reduced_betti)
+
+    def no_dense_form(*args):
+        raise AssertionError("the dense Smith form ran before the guard")
+
+    monkeypatch.setattr(topology, "_homology_from_faces", uncertified)
+    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", no_dense_form)
     assert main(["topology", "--group", "S", "--n", "5", "--torsion"]) == 3
-    assert "12780 nonzeros" in capsys.readouterr().err
+    assert ("dimension 2: a boundary map of 1570x4260 entries for the dense "
+            "Smith form, more than the guard 250000") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cm", [[], ["--cm"]])
-def test_topology_torsion_guard_refuses_before_homology(capsys, monkeypatch,
-                                                        cm):
-    def no_homology(*args):
-        raise AssertionError("homology ran before the torsion guard")
+def test_topology_torsion_eliminates_the_complex_once(capsys, monkeypatch, cm):
+    # the link criterion eliminates its gaps too, all smaller than the
+    # stripped S4, whose f-vector is (23, 102, 96)
+    eliminated = []
+    eliminate = topology._homology_from_faces
 
-    monkeypatch.setattr(topology, "_homology_from_faces", no_homology)
-    monkeypatch.setattr(topology, "TORSION_GUARD", 1)
+    def counting(faces_by_dim):
+        eliminated.append(tuple(map(len, faces_by_dim)))
+        return eliminate(faces_by_dim)
+
+    monkeypatch.setattr(topology, "_homology_from_faces", counting)
     assert main(["topology", "--group", "S", "--n", "4", "--torsion",
-                 *cm]) == 3
-    assert "torsion guard exceeded at dimension 1" in capsys.readouterr().err
+                 "--format", "json", *cm]) == 0
+    assert json.loads(capsys.readouterr().out)["torsion"] == {"1": [], "2": []}
+    assert eliminated.count((23, 102, 96)) == 1
+    if cm:
+        assert len(eliminated) > 1
+    else:
+        assert eliminated == [(23, 102, 96)]
 
 
 def test_gf_values_and_guard(capsys):

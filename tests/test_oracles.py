@@ -8,15 +8,17 @@ reduction needs it, chains come out sorted level by level, the fiber law
 compares distinct projections, fiber ideals and cover lifting are masks on
 one ambient poset, multichain counts for every m come from one sweep,
 Moebius numbers come from the Hall recursion on an open interval, a
-poset's bottom and top from its lowest and highest element's masks, and
-lower covers from the orbits of an element.  Each is compared here with
-the route it replaces.
+poset's bottom and top from its lowest and highest element's masks,
+lower covers from the orbits of an element, and the balanced profile and
+the Moebius product from the cycle type.  Each is compared here with the
+route it replaces.
 """
 
 import itertools
 import random
 import sys
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -40,6 +42,7 @@ from absorder import (
     join,
     join_position_labeler,
     meet,
+    mu_partition,
     order_complex,
     paired_cycle,
     parse_cycles,
@@ -52,8 +55,7 @@ from absorder import invariants, labeling, lattice, topology
 from absorder.labeling import ELReport
 from absorder.order import _lower_covers, bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
-from absorder.topology import (HomologyProfile, IdealCheck, _boundary_columns,
-                               _normalized)
+from absorder.topology import HomologyProfile, IdealCheck, _normalized
 
 
 # --- Cohen-Macaulay gaps keyed by conjugacy class ---------------------------
@@ -368,6 +370,13 @@ def test_el_chain_guard_trips_before_any_chain_is_labeled(monkeypatch):
 
 
 # --- homology by lowest cofaces ----------------------------------------------
+
+def _boundary_columns(faces_by_dim, d):
+    """The boundary map from d-faces to (d-1)-faces, as row->sign columns."""
+    row_index = {face: k for k, face in enumerate(faces_by_dim[d - 1])}
+    return [{row_index[face[:k] + face[k + 1:]]: (-1) ** k
+             for k in range(d + 1)} for face in faces_by_dim[d]]
+
 
 def _homology_by_boundary_matrices(faces_by_dim):
     """Cohomology with clearing on explicit columns: every boundary map is
@@ -860,3 +869,44 @@ def test_lower_covers_match_every_reflection_product(kind, n):
         got = _lower_covers(w, kind)
         assert len(got) == len(set(got)), format_cycles(w)
         assert set(got) == _lower_covers_by_trial(w, kind), format_cycles(w)
+
+
+# --- balanced profiles and Moebius products from the cycle type ---------------
+
+def _mu_partition_by_decomposition(w):
+    return tuple(sorted((c.length for c in cycle_decomposition(w).balanced),
+                        reverse=True))
+
+
+def _mobius_element_by_decomposition(w):
+    dec = cycle_decomposition(w)
+    balanced = sum(1 for cyc in dec.cycles if cyc.kind == "balanced")
+    if balanced > 1:
+        raise ValueError(
+            "product form needs at most one balanced cycle, got %d" % balanced)
+    value = 1
+    for cyc in dec.cycles:
+        m = len(cyc.entries)
+        if cyc.kind == "balanced":
+            value *= (-1) ** m * comb(2 * m - 1, m)
+        else:
+            value *= (-1) ** (m - 1) * invariants.catalan(m - 1)
+    return value
+
+
+def _outcome(f, w):
+    try:
+        return f(w)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_cycle_type_reads_match_the_decomposition(kind):
+    refused = 0
+    for w in group_elements(kind, 4):
+        assert mu_partition(w) == _mu_partition_by_decomposition(w), w
+        got = _outcome(invariants.mobius_element, w)
+        assert got == _outcome(_mobius_element_by_decomposition, w), w
+        refused += isinstance(got, str)
+    assert refused > 0

@@ -126,11 +126,15 @@ def test_convolve_matches_the_double_loop():
 
 
 def test_consistency_checks_raise_under_python_optimise():
-    # `python -O` strips assert statements; both checks must still raise
+    # `python -O` strips assert statements: both checks must still raise,
+    # and torsion must still come out of the unit-pivot certificate (the
+    # stripped B3) and of the dense fallback (RP^2)
     code = """if True:
         from fractions import Fraction
+        from absorder import full_poset, order_complex, torsion_profile
         from absorder.invariants import InvariantReport
         from absorder.series import FormalPowerSeries, _extract_euler
+        from absorder.topology import SimplicialComplex
         checks = [
             lambda: InvariantReport(5, (1, 1), None, None, None).check(),
             lambda: _extract_euler(
@@ -141,6 +145,13 @@ def test_consistency_checks_raise_under_python_optimise():
                 print("no error:", check())
             except AssertionError as exc:
                 print("AssertionError:", exc)
+        rp2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+               (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+        edges = sorted({t[:k] + t[k + 1:] for t in rp2 for k in range(3)})
+        faces = [[(v,) for v in range(6)], edges, sorted(rp2)]
+        print(torsion_profile(SimplicialComplex(None, 0, faces)))
+        print(torsion_profile(order_complex(full_poset("B", 3),
+                                            strip="endpoints")))
     """
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
@@ -148,5 +159,6 @@ def test_consistency_checks_raise_under_python_optimise():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2
-    assert all(line.startswith("AssertionError: ") for line in lines), lines
+    assert len(lines) == 4
+    assert all(line.startswith("AssertionError: ") for line in lines[:2]), lines
+    assert lines[2:] == ["{1: [], 2: [2]}", "{1: [], 2: []}"]

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -21,9 +22,8 @@ from absorder import (
 )
 from absorder import order, topology
 from absorder.order import bits
-from absorder.topology import (SimplicialComplex, _boundary_columns,
-                               _chains_in_mask, _homology_from_faces,
-                               _invariant_factors, _normalized, _reduce,
+from absorder.topology import (SimplicialComplex, _chains_in_mask,
+                               _homology_from_faces, _normalized, _subtract,
                                _smith_normal_form_diagonal)
 
 
@@ -173,30 +173,62 @@ def test_face_guard_trips():
         order_complex(full_poset("B", 3), strip="endpoints", face_guard=10)
 
 
+def _no_dense_form(*args):
+    raise AssertionError("the dense Smith form ran")
+
+
 def test_torsion_free_small_complex(monkeypatch):
-    # the one boundary map has 2 * 8 = 16 nonzeros
+    # the elimination behind the Betti numbers met only unit pivots, so no
+    # dense form runs and no guard applies
     c = order_complex(coxeter_ideal(2, "B"), strip="endpoints")
+    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 0)
+    assert homology(c).unit_pivots
     assert torsion_profile(c) == {1: []}
-    monkeypatch.setattr(topology, "TORSION_GUARD", 16)
-    assert torsion_profile(c) == {1: []}
-    monkeypatch.setattr(topology, "TORSION_GUARD", 15)
-    with pytest.raises(ResourceGuardError):
-        torsion_profile(c)
+
+
+# the six-vertex real projective plane; over Q its coboundaries reduce to
+# pivots of 2
+_RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+
+
+def _rp2():
+    """The six-vertex triangulation of the real projective plane."""
+    edges = sorted({t[:k] + t[k + 1:] for t in _RP2 for k in range(3)})
+    return SimplicialComplex(None, 0, [[(v,) for v in range(6)], edges,
+                                       sorted(_RP2)], label="RP^2")
 
 
 def test_torsion_guard_refuses_before_eliminating(monkeypatch):
-    # the maps of stripped S5 have 3140, 12780 and 12000 nonzeros: under a
-    # guard of 12779 dimension 1 is within it and dimension 2 is not, and
-    # nothing may be eliminated first
-    def no_elimination(*args):
-        raise AssertionError("eliminated before the guard was checked")
-
-    monkeypatch.setattr(topology, "_invariant_factors", no_elimination)
-    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", no_elimination)
-    monkeypatch.setattr(topology, "TORSION_GUARD", 12779)
-    c = order_complex(full_poset("S", 5), strip="endpoints")
+    # the maps of RP^2 are 6x15 and 15x10: at a guard of 150 both go to the
+    # dense form, at 149 dimension 2 is refused before either does
+    c = _rp2()
+    monkeypatch.setattr(topology, "TORSION_GUARD", 150)
+    assert torsion_profile(c) == {1: [], 2: [2]}
+    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 149)
     with pytest.raises(ResourceGuardError,
-                       match="dimension 2: a boundary map with 12780 nonzeros"):
+                       match=r"dimension 2: a boundary map of 15x10 entries "
+                             r"for the dense Smith form, more than the guard "
+                             r"149$"):
+        torsion_profile(c)
+
+
+def test_residual_over_the_guard_raises_before_the_dense_form(monkeypatch):
+    # no elimination of RP^2 meets only unit pivots, so each whole map is
+    # left to the dense form; its 6x15 map at dimension 1 trips a guard of 89
+    c = _rp2()
+    assert not homology(c).unit_pivots
+    monkeypatch.setattr(topology, "TORSION_GUARD", 90)
+    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
+    with pytest.raises(ResourceGuardError, match="dimension 2: "):
+        torsion_profile(c)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 89)
+    with pytest.raises(ResourceGuardError,
+                       match=r"dimension 1: a boundary map of 6x15 entries "
+                             r"for the dense Smith form, more than the guard "
+                             r"89$"):
         torsion_profile(c)
 
 
@@ -206,33 +238,64 @@ def test_stripped_s5_is_torsion_free_within_the_guard():
     assert torsion_profile(c) == {1: [], 2: [], 3: []}
 
 
-def test_residual_over_the_guard_raises_before_the_dense_form(monkeypatch):
-    # 2 * identity(3) has no unit pivot, so all of it is a 3x3 residual
-    columns = [{0: 2}, {1: 2}, {2: 2}]
-    monkeypatch.setattr(topology, "TORSION_GUARD", 9)
-    assert _invariant_factors(columns) == [2, 2, 2]
-
-    def no_dense_form(*args):
-        raise AssertionError("dense Smith form started past the guard")
-
-    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", no_dense_form)
-    monkeypatch.setattr(topology, "TORSION_GUARD", 8)
-    with pytest.raises(ResourceGuardError,
-                       match="dimension 2: a residual of 3x3 entries for the "
-                             "dense Smith form, more than the guard 8"):
-        _invariant_factors(columns, 2)
-
-
 def test_real_projective_plane_has_two_torsion():
-    # the six-vertex triangulation of RP^2: H_1 = Z/2
-    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
-                 (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
-    edges = sorted({t[:k] + t[k + 1:] for t in triangles for k in range(3)})
-    faces = [[(v,) for v in range(6)], edges, sorted(triangles)]
-    assert len(edges) == 15
-    c = SimplicialComplex(None, 0, faces, label="RP^2")
+    # H_1 = Z/2
+    c = _rp2()
+    assert len(c.faces_by_dim[1]) == 15
     assert homology(c).reduced_betti == (0, 0, 0)
+    assert not homology(c).unit_pivots
     assert torsion_profile(c) == {1: [], 2: [2]}
+
+
+def _boundary_columns(faces_by_dim, d):
+    """The boundary map from d-faces to (d-1)-faces, as row->sign columns."""
+    row_index = {face: k for k, face in enumerate(faces_by_dim[d - 1])}
+    return [{row_index[face[:k] + face[k + 1:]]: (-1) ** k
+             for k in range(d + 1)} for face in faces_by_dim[d]]
+
+
+def _reduce(col, pivots):
+    """Clear, in place, every pivot row of `col`; `pivots` maps a pivot row
+    to its column, normalised to 1 there and zero on earlier pivot rows."""
+    while col:
+        for r in col:
+            if r in pivots:
+                _subtract(col, col[r], pivots[r])
+                break
+        else:
+            break
+    return col
+
+
+def _smith_by_unit_pivots(columns, rows):
+    """Invariant factors by sparse elimination on unit pivots, the dense
+    form running on the columns left with no unit entry.
+
+    The reference for maps too large for the dense form alone: reducing by
+    an integer multiple of a column normalised to 1 is unimodular, and once
+    the residual is zero on every pivot row the Smith form splits.
+    """
+    pivots, todo, found = {}, columns, True
+    while found:
+        found, residual = False, []
+        for col in todo:
+            col = _reduce(dict(col), pivots)
+            prow = next((r for r, v in col.items() if v in (1, -1)), None)
+            if prow is not None:
+                pivots[prow] = _normalized(col, prow)
+                found = True
+            elif col:
+                residual.append(col)
+        todo = residual
+    used = {r: k for k, r in enumerate(sorted({r for col in todo for r in col}))}
+    rest = [{used[r]: v for r, v in col.items()} for col in todo]
+    return [1] * len(pivots) + _smith_normal_form_diagonal(rest, len(used))
+
+
+def _torsion_by_boundary_maps(faces, dense):
+    smith = _smith_normal_form_diagonal if dense else _smith_by_unit_pivots
+    return {d: [v for v in smith(_boundary_columns(faces, d), len(faces[d - 1]))
+                if v > 1] for d in range(1, len(faces))}
 
 
 def _boundary_maps():
@@ -240,19 +303,82 @@ def _boundary_maps():
     posets = (full_poset("B", 3), full_poset("S", 4), coxeter_ideal(3, "B"),
               four_flips)
     for p in posets:
-        faces = order_complex(p, strip="endpoints").faces_by_dim
-        for d in range(1, len(faces)):
-            yield (f"{p.label} d={d}", _boundary_columns(faces, d),
-                   len(faces[d - 1]))
+        yield p.label, order_complex(p, strip="endpoints")
 
 
-def test_sparse_first_smith_matches_dense_on_boundary_maps():
-    names = []
-    for name, columns, rows in _boundary_maps():
-        assert _invariant_factors(columns) == \
-            _smith_normal_form_diagonal(columns, rows), name
-        names.append(name)
-    assert len(names) == 8
+def test_torsion_matches_the_smith_form_of_boundary_maps():
+    # the dense form of explicit boundary maps on the smaller complexes; on
+    # stripped S5 and the B4 Coxeter ideal, unit pivots first, checked
+    # against the dense form here and on the random complexes below
+    maps = 0
+    for name, c in _boundary_maps():
+        faces = c.faces_by_dim
+        dense = _torsion_by_boundary_maps(faces, dense=True)
+        assert torsion_profile(c) == dense, name
+        assert _torsion_by_boundary_maps(faces, dense=False) == dense, name
+        maps += len(dense)
+    assert maps == 8
+    for p in (full_poset("S", 5), coxeter_ideal(4, "B")):
+        c = order_complex(p, strip="endpoints")
+        assert torsion_profile(c) == _torsion_by_boundary_maps(
+            c.faces_by_dim, dense=False) == {1: [], 2: [], 3: []}, p.label
+
+
+def test_torsion_matches_the_dense_smith_form_on_random_complexes():
+    # a random complex around RP^2 often meets a pivot of 2 and takes the
+    # dense fallback
+    rng = random.Random(20261018)
+    with_torsion = fallback = 0
+    for k in range(600):
+        faces = _random_complex(rng)
+        c = SimplicialComplex(None, 0, faces, label=f"random {k}")
+        dense = _torsion_by_boundary_maps(faces, dense=True)
+        assert torsion_profile(c) == dense, (k, faces)
+        with_torsion += any(dense.values())
+        fallback += not homology(c).unit_pivots
+    assert with_torsion >= 50
+    assert fallback >= 50
+
+
+def _subdivided_rp2():
+    """The maximal chains of the face poset of RP^2, on 31 vertices: an
+    order complex, so a flag complex, with H_1 = Z/2."""
+    cells = sorted({cell for t in _RP2 for k in (1, 2, 3)
+                    for cell in itertools.combinations(t, k)},
+                   key=lambda cell: (len(cell), cell))
+    index = {cell: i for i, cell in enumerate(cells)}
+    return [(index[t[a:a + 1]], index[tuple(sorted((t[a], t[b])))], index[t])
+            for t in _RP2 for a, b in itertools.permutations(range(3), 2)]
+
+
+def test_a_redone_dimension_keeps_the_pivots_met_below_it():
+    # the subdivided RP^2 meets a pivot of 2 below dimension 2; a hollow
+    # and a solid tetrahedron beside it make the complex not flag at
+    # dimension 2, which is then eliminated a second time
+    rp2 = _subdivided_rp2()
+    beside = [*itertools.combinations(range(31, 35), 3), (35, 36, 37, 38)]
+    for tops, torsion in ((rp2, {1: [], 2: [2]}),
+                          (rp2 + beside, {1: [], 2: [2], 3: []})):
+        c = SimplicialComplex(None, 0, _closure(tops))
+        assert torsion_profile(c) == torsion == _torsion_by_boundary_maps(
+            c.faces_by_dim, dense=True)
+
+
+def test_homology_is_eliminated_once_per_complex(monkeypatch):
+    calls = []
+    eliminate = topology._homology_from_faces
+
+    def counting(faces_by_dim):
+        calls.append(faces_by_dim)
+        return eliminate(faces_by_dim)
+
+    monkeypatch.setattr(topology, "_homology_from_faces", counting)
+    rp2, cone = _rp2(), order_complex(coxeter_ideal(2, "B"), strip="none")
+    for c in (rp2, cone, rp2, cone):
+        assert homology(c) == eliminate(c.faces_by_dim)
+        assert torsion_profile(c) == ({1: [], 2: [2]} if c is rp2
+                                      else {1: [], 2: []})
+    assert calls == [rp2.faces_by_dim, cone.faces_by_dim]
 
 
 def _random_matrix(rng):
@@ -264,13 +390,50 @@ def _random_matrix(rng):
     return columns, rows
 
 
-def test_sparse_first_smith_matches_dense_on_random_matrices():
+def _determinant(mat):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination."""
+    mat = [row[:] for row in mat]
+    n, sign, prev = len(mat), 1, 1
+    for k in range(n - 1):
+        if not mat[k][k]:
+            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
+            if swap is None:
+                return 0
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+        prev = mat[k][k]
+    return sign * mat[-1][-1] if n else 1
+
+
+def _by_determinantal_divisors(columns, rows):
+    """Invariant factors d_k / d_(k-1), d_k the gcd of the k x k minors."""
+    mat = [[col.get(r, 0) for col in columns] for r in range(rows)]
+    factors, previous = [], 1
+    for k in range(1, min(rows, len(columns)) + 1):
+        divisor = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(len(columns)), k):
+                divisor = gcd(divisor, _determinant(
+                    [[mat[r][c] for c in cs] for r in rs]))
+        if not divisor:
+            break
+        factors.append(divisor // previous)
+        previous = divisor
+    return factors
+
+
+def test_smith_normal_form_matches_determinantal_divisors():
     rng = random.Random(20261018)
     with_torsion = 0
     for k in range(300):
         columns, rows = _random_matrix(rng)
         dense = _smith_normal_form_diagonal(columns, rows)
-        assert _invariant_factors(columns) == dense, (k, columns, rows)
+        assert dense == _by_determinantal_divisors(columns, rows), (
+            k, columns, rows)
         with_torsion += any(v > 1 for v in dense)
     assert with_torsion >= 50
 
@@ -359,12 +522,6 @@ def _oracle_ranks(faces):
                   for d in range(1, len(faces))] + [0]
 
 
-# the six-vertex real projective plane; over Q its coboundaries reduce to
-# pivots of 2
-_RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
-        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
-
-
 def _random_complex(rng):
     """A face-closed complex from random maximal faces on 6-9 vertices, half
     of them around a copy of RP^2 with shuffled vertices."""
@@ -375,6 +532,11 @@ def _random_complex(rng):
         tops += [[place[v] for v in triangle] for triangle in _RP2]
     for _ in range(rng.randint(1, 12)):
         tops.append(rng.sample(range(vertices), rng.choice((1, 2, 2, 3, 3, 4))))
+    return _closure(tops)
+
+
+def _closure(tops):
+    """Faces by dimension, each sorted, of the complex the `tops` generate."""
     faces = set()
     for top in tops:
         for k in range(1, len(top) + 1):
@@ -474,15 +636,10 @@ def test_cm_check_matches_links_when_the_ends_are_kept():
         assert cm_check(c).to_json() == _links_from_scratch(c), z
 
 
-def test_guard_messages_state_the_limit(monkeypatch):
+def test_guard_messages_state_the_limit():
     with pytest.raises(ResourceGuardError,
                        match="'full' has more than the guard 10 chains"):
         order_complex(full_poset("B", 3), strip="endpoints", face_guard=10)
-    c = order_complex(full_poset("S", 5), strip="endpoints")
-    monkeypatch.setattr(topology, "TORSION_GUARD", 12779)
-    with pytest.raises(ResourceGuardError,
-                       match="12780 nonzeros, more than the guard 12779$"):
-        torsion_profile(c)
 
 
 @pytest.mark.parametrize("kind,n", [("S", 4), ("B", 3)])

@@ -115,3 +115,21 @@ def test_lower_cover_rule_is_a_full_profile_claim_that_sees_a_wrong_rule(
     claims = {r.claim: r for r in verify._claim_order_agreement("full")}
     assert not claims["lower-cover-rule"].verdict
     assert claims["lower-cover-rule"].computed.startswith("mismatch at B4")
+
+
+def test_torsion_claim_is_a_full_profile_claim_that_sees_torsion(monkeypatch):
+    assert "coxeter-ideal-torsion-free" not in QUICK_CLAIMS
+    claims = {r.claim: r for r in verify._claim_euler_three_way("full")}
+    claim = claims["coxeter-ideal-torsion-free"]
+    assert claim.verdict
+    assert claim.parameters["scopes"] == [["S", 3], ["S", 4], ["B", 2],
+                                          ["B", 3], ["B", 4]]
+    right = topology.torsion_profile
+
+    def two_torsion(c):
+        return {**right(c), 2: [2]}
+
+    monkeypatch.setattr(topology, "torsion_profile", two_torsion)
+    claims = {r.claim: r for r in verify._claim_euler_three_way("full")}
+    assert not claims["coxeter-ideal-torsion-free"].verdict
+    assert '"B4": {"2": [2]}' in claims["coxeter-ideal-torsion-free"].computed
