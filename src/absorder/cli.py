@@ -11,8 +11,7 @@ import sys
 
 from . import invariants, labeling, lattice, order, series, topology, verify
 from .order import ResourceGuardError
-from .labeling import LabelingError
-from .signed import CycleNotationError, format_cycles, identity, parse_cycles
+from .signed import format_cycles, identity, parse_cycles
 
 # --format choices: only the poset renderers print DOT.
 FORMATS = ("json", "table")
@@ -356,7 +355,7 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         code = 3
-    except (LabelingError, CycleNotationError, ValueError) as exc:
+    except ValueError as exc:  # LabelingError and CycleNotationError too
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     finally:

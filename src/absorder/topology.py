@@ -31,17 +31,20 @@ TORSION_GUARD = 250_000
 class SimplicialComplex:
     """Faces grouped by dimension, over the vertex set of a host poset.
 
-    Vertices are indices into `poset.elements`; every face tuple is sorted
-    ascending, which for poset chains means sorted by rank.  `homology`
-    keeps its profile here, so each complex is eliminated once.
+    Every face tuple is sorted ascending.  `indices[v]` is the poset index
+    of vertex v: an order complex labels its members in rank-descending
+    order (see `_chains_in_mask`).  None means v is poset index v, as for
+    hand-built complexes.  `homology` keeps its profile here, so each
+    complex is eliminated once.
     """
 
     def __init__(self, poset: Poset, member_mask: int, faces_by_dim: list,
-                 label: str = "complex"):
+                 label: str = "complex", indices: list | None = None):
         self.poset = poset
         self.member_mask = member_mask
         self.faces_by_dim = faces_by_dim
         self.label = label
+        self.indices = indices
         self._homology = None
 
     def dim(self) -> int:
@@ -53,8 +56,11 @@ class SimplicialComplex:
     def face_count(self) -> int:
         return sum(len(faces) for faces in self.faces_by_dim)
 
-    def vertex_name(self, i: int) -> str:
-        return format_cycles(self.poset.elements[i])
+    def vertex_index(self, v: int) -> int:
+        return v if self.indices is None else self.indices[v]
+
+    def vertex_name(self, v: int) -> str:
+        return format_cycles(self.poset.elements[self.vertex_index(v)])
 
     def to_json(self) -> dict:
         return {
@@ -64,26 +70,34 @@ class SimplicialComplex:
         }
 
 
-def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD) -> list:
-    """All chains of the induced subposet on `mask`, grouped by size - 1.
+def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD):
+    """(indices, faces_by_dim): all chains of the induced subposet on
+    `mask`, grouped by size - 1, over vertex labels 0, 1, ... that ascend
+    as rank descends, ties broken by poset index; `indices[v]` is the
+    poset index of label v.
 
     Level by level from the empty chain, each chain is extended by the
-    members above its top (hence above all of it; every member for the
-    empty chain) in ascending index order, which keeps every level
+    members below its lowest element (hence below all of it; every member
+    for the empty chain) in ascending label order, which keeps every level
     lexicographic.  The guard is checked before each level is built.
     """
-    above = {v: [*bits(p.above[v] & mask & ~(1 << v))] for v in bits(mask)}
+    indices = sorted(bits(mask), key=lambda v: (-p.rank[v], v))
+    label = {v: k for k, v in enumerate(indices)}
+    below = [sorted(label[u] for u in bits(p.below[v] & mask & ~(1 << v)))
+             for v in indices]
     faces_by_dim, chains, total = [], [()], 0
     while True:
-        ups = [above[chain[-1]] if chain else [*above] for chain in chains]
-        total += sum(map(len, ups))
+        downs = [below[chain[-1]] if chain else range(len(indices))
+                 for chain in chains]
+        total += sum(map(len, downs))
         if total > face_guard:
             raise ResourceGuardError(
                 f"face guard exceeded: the poset {p.label!r} has more than "
                 f"the guard {face_guard} chains")
-        chains = [chain + (v,) for chain, up in zip(chains, ups) for v in up]
+        chains = [chain + (v,) for chain, down in zip(chains, downs)
+                  for v in down]
         if not chains:
-            return faces_by_dim
+            return indices, faces_by_dim
         faces_by_dim.append(chains)
 
 
@@ -106,8 +120,8 @@ def order_complex(p: Poset, strip: str = "none",
                   face_guard: int = FACE_GUARD) -> SimplicialComplex:
     """The chain complex of a poset, optionally with endpoints removed."""
     mask = _strip_mask(p, strip, (1 << len(p)) - 1)
-    faces = _chains_in_mask(p, mask, face_guard)
-    return SimplicialComplex(p, mask, faces,
+    indices, faces = _chains_in_mask(p, mask, face_guard)
+    return SimplicialComplex(p, mask, faces, indices=indices,
                              label=f"chains of {p.label} (strip={strip})")
 
 
@@ -188,11 +202,15 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     the sorted lists the lowest row of column s is s plus the highest u
     giving a face, the key of its pivot.  A column whose lowest row is no
     pivot yet is kept as its face and built only when a later column
-    reduces against it.  In a flag complex, such as an order complex, each
-    common neighbour gives a face: if the d-faces are the cliques of their
-    size and the common neighbours above the last vertex of each number
-    f_(d+1) in all, so are the (d+1)-faces.  From the first d where they do
-    not, cofaces are tested against the set of (d+1)-faces.
+    reduces against it.  An order complex labels its vertices in
+    rank-descending order, so u is a member below the chain's bottom when
+    there is one; s then is the only face whose lowest row is s + (u,),
+    and in an ideal nearly every column is kept at once.  In a flag
+    complex, such as an order complex, each common neighbour gives a face:
+    if the d-faces are the cliques of their size and the common neighbours
+    above the last vertex of each number f_(d+1) in all, so are the
+    (d+1)-faces.  From the first d where they do not, cofaces are tested
+    against the set of (d+1)-faces.
 
     The profile records whether every pivot normalised was +-1.  A column
     kept as its face has a lowest entry of +-1 already, so only reduced
@@ -316,7 +334,7 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
                    else None for end in (p.bottom(), p.top()))
 
     def eliminate(mask: int) -> tuple:
-        return _poly_of(_homology_from_faces(_chains_in_mask(p, mask)))
+        return _poly_of(_homology_from_faces(_chains_in_mask(p, mask)[1]))
 
     def gap(lo, hi) -> tuple:
         nonlocal invariant
@@ -363,7 +381,8 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     dimension at most 1, so when each distinct gap's P is concentrated in
     its top degree, so is every link's (the interval criterion of Bjorner,
     Garsia and Stanley).  Otherwise faces are walked by dimension, the empty
-    face first, to the first link whose Betti numbers (P from t^1 up) fail.
+    face first and each dimension in lexicographic order of poset indices,
+    to the first link whose Betti numbers (P from t^1 up) fail.
 
     A gap (x, y) lies in the group interval (x, y) (an open end stands for
     a stripped bottom or top), which x^-1 carries onto (e, x^-1 y); one
@@ -381,17 +400,22 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     """
     whole = homology(c)
     gap = _gap_polys(c, whole)
-    vertices, edges = (c.faces_by_dim + [[], []])[:2]
+
+    def by_index(faces):  # poset indices, ascending: the lower end first
+        return sorted(tuple(sorted(map(c.vertex_index, f))) for f in faces)
+
+    vertices, edges = map(by_index, (c.faces_by_dim + [[], []])[:2])
     one_open = itertools.chain.from_iterable(((None, v), (v, None))
                                              for (v,) in vertices)
     distinct = itertools.chain([(None, None)], one_open, edges)
     if any(any(gap(lo, hi)[:-1]) for lo, hi in distinct):
-        faces = itertools.chain([()], *c.faces_by_dim)
+        faces = itertools.chain.from_iterable(map(by_index,
+                                                  [[()]] + c.faces_by_dim))
         for checked, face in enumerate(faces, 1):
             ends = (None,) + face + (None,)
             betti = reduce(_poly_mul, map(gap, ends, ends[1:]))[1:]
             if any(betti[:-1]):
-                names = tuple(c.vertex_name(v) for v in face)
+                names = tuple(format_cycles(c.poset.elements[v]) for v in face)
                 return CMReport(False, "all", checked, names, betti, whole)
     return CMReport(True, "all", 1 + c.face_count(), None, None, whole)
 
@@ -478,7 +502,8 @@ def _checked_ideal(name: str, ambient: Poset, mask: int,
     """Rank, grading and link criterion of the ideal `mask` of `ambient`,
     its bottom and top stripped."""
     kept = _strip_mask(ambient, "endpoints", mask)
-    c = SimplicialComplex(ambient, kept, _chains_in_mask(ambient, kept),
+    indices, faces = _chains_in_mask(ambient, kept)
+    c = SimplicialComplex(ambient, kept, faces, indices=indices,
                           label=f"chains of {name} (strip=endpoints)")
     ranks = [ambient.rank[i] for i in bits(mask)]
     graded = all(ambient.rank[j] == ambient.rank[i] + 1

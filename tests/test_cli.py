@@ -43,9 +43,11 @@ def test_interval_and_bad_endpoints(capsys):
 
 
 def test_bad_cycle_notation_is_a_usage_error(capsys):
+    # CycleNotationError is a ValueError, which `main` turns into exit 2
     assert main(["interval", "--group", "B", "--n", "2",
                  "--top", "((1,9))"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: entry 9 exceeds n=2 (at position 4)\n")
 
 
 def test_ideal_generators_and_coxeter(capsys):
@@ -62,10 +64,13 @@ def test_check_el_letter_labeling(capsys):
 
 
 def test_check_el_join_position_outside_domain(capsys):
+    # LabelingError is a ValueError, which `main` turns into exit 2
     code = main(["check-el", "--group", "B", "--n", "2",
                  "--labeling", "join-position"])
     assert code == 2
-    assert "involution" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: no reflection joins ((1,-2)) up to [1,-2]; labeler only "
+        "covers intervals of the involution sublattice\n")
 
 
 def test_check_el_collapsed_on_flip_interval(capsys):
@@ -129,6 +134,52 @@ def test_topology_disconnected_interval_fails(capsys):
     code = main(["topology", "--group", "D", "--n", "4",
                  "--top", "[1][2][3][4]", "--cm"])
     assert code == 1
+
+
+def test_topology_failing_cm_json_is_pinned(capsys):
+    # the failure walk reads faces in poset-index order, whatever order
+    # the elimination labels them in
+    assert main(["topology", "--group", "D", "--n", "4", "--cm",
+                 "--format", "json"]) == 1
+    assert capsys.readouterr().out == _D4_CM_JSON
+
+
+_D4_CM_JSON = """\
+{
+  "complex": {
+    "label": "chains of full (strip=endpoints)",
+    "dim": 3,
+    "f_vector": [
+      191,
+      3270,
+      9972,
+      7560
+    ]
+  },
+  "homology": {
+    "reduced_betti": [
+      0,
+      2,
+      0,
+      666
+    ],
+    "euler": -668
+  },
+  "chi_by_counting": -668,
+  "cm": {
+    "ok": false,
+    "mode": "all",
+    "faces_checked": 1,
+    "failing_face": [],
+    "failing_betti": [
+      0,
+      2,
+      0,
+      666
+    ]
+  }
+}
+"""
 
 
 def test_topology_with_torsion(capsys):

@@ -4,14 +4,14 @@
 antichain gaps off their size, `meet`, `join` and `_meet_failure` decide
 existence by one mask comparison, `verify_el` keeps label states up from a
 bottom in one walk, homology builds a coboundary column only when a
-reduction needs it, chains come out sorted level by level, the fiber law
-compares distinct projections, fiber ideals and cover lifting are masks on
-one ambient poset, multichain counts for every m come from one sweep,
-Moebius numbers come from the Hall recursion on an open interval, a
-poset's bottom and top from its lowest and highest element's masks,
-lower covers from the orbits of an element, and the balanced profile and
-the Moebius product from the cycle type.  Each is compared here with the
-route it replaces.
+reduction needs it, chains come out sorted level by level over labels
+descending in rank, the fiber law compares distinct projections, fiber
+ideals and cover lifting are masks on one ambient poset, multichain counts
+for every m come from one sweep, Moebius numbers come from the Hall
+recursion on an open interval, a poset's bottom and top from its lowest
+and highest element's masks, lower covers from the orbits of an element,
+and the balanced profile and the Moebius product from the cycle type.
+Each is compared here with the route it replaces.
 """
 
 import itertools
@@ -132,7 +132,19 @@ def _direct_gap(c, lo, hi):
     if hi is not None:
         mask &= p.below[hi] & ~(1 << hi)
     return topology._poly_of(topology._homology_from_faces(
-        topology._chains_in_mask(p, mask)))
+        topology._chains_in_mask(p, mask)[1]))
+
+
+def _by_index(indices, faces_by_dim):
+    """Faces over vertex labels as ascending tuples of the poset indices
+    `indices` gives them, each dimension sorted."""
+    return [sorted(tuple(sorted(indices[v] for v in face)) for face in faces)
+            for faces in faces_by_dim]
+
+
+def _edges_by_index(c):
+    """The gaps between the two ends of an edge, lower end first."""
+    return _by_index(c.indices, c.faces_by_dim[1:2])[0]
 
 
 @pytest.mark.parametrize("name", GAP_CASES)
@@ -143,7 +155,7 @@ def test_every_gap_polynomial_matches_its_direct_elimination(name):
     gap = topology._gap_polys(c, topology.homology(c))
     vertices = list(bits(c.member_mask))
     ends = ([(None, None)] + [(None, v) for v in vertices]
-            + [(v, None) for v in vertices] + list(c.faces_by_dim[1]))
+            + [(v, None) for v in vertices] + _edges_by_index(c))
     for lo, hi in ends:
         assert gap(lo, hi) == _direct_gap(c, lo, hi), (name, lo, hi)
 
@@ -433,6 +445,67 @@ def _chains_by_stack_and_sort(p, mask, face_guard=topology.FACE_GUARD):
     return faces_by_dim
 
 
+def _chains_by_index(p, mask):
+    """The walk `_chains_in_mask` made before it labelled members in
+    rank-descending order: level by level, each chain extended by the
+    members above its top in ascending poset-index order."""
+    above = {v: [*bits(p.above[v] & mask & ~(1 << v))] for v in bits(mask)}
+    faces_by_dim, chains = [], [()]
+    while True:
+        chains = [chain + (v,) for chain in chains
+                  for v in (above[chain[-1]] if chain else above)]
+        if not chains:
+            return faces_by_dim
+        faces_by_dim.append(chains)
+
+
+LABEL_ORDER_CASES = {
+    **{f"{kind}{n}": lambda kind=kind, n=n: full_poset(kind, n)
+       for kind, n in (("S", 3), ("S", 4), ("S", 5), ("B", 2), ("B", 3),
+                       ("B", 4), ("D", 4))},
+    **{f"coxeter-ideal-{kind}{n}": lambda kind=kind, n=n: coxeter_ideal(n, kind)
+       for kind, n in (("B", 2), ("B", 3), ("B", 4), ("D", 4))},
+    "interval-coxeter-B5": lambda: build_interval(
+        identity(5), balanced_cycle((1, 2, 3, 4, 5), 5), "B"),
+    "interval-flips-B5": lambda: build_interval(
+        identity(5), invariants.flip_interval_top(5), "B"),
+}
+
+
+def _same_as_the_index_walk(p, mask):
+    """The chains of `mask` under both walks agree after mapping, and so do
+    their Betti numbers and whether their eliminations met only +-1."""
+    indices, faces = topology._chains_in_mask(p, mask)
+    ranks = [p.rank[v] for v in indices]
+    assert ranks == sorted(ranks, reverse=True)
+    assert all(level == sorted(level) for level in faces)
+    old = _chains_by_index(p, mask)
+    assert _by_index(indices, faces) == old
+    new_profile = topology._homology_from_faces(faces)
+    old_profile = topology._homology_from_faces(old)
+    assert new_profile == old_profile
+    assert new_profile.unit_pivots == old_profile.unit_pivots
+    return new_profile
+
+
+@pytest.mark.parametrize("name", LABEL_ORDER_CASES)
+def test_rank_descending_labels_match_the_index_walk(name):
+    p = LABEL_ORDER_CASES[name]()
+    profile = _same_as_the_index_walk(
+        p, topology._strip_mask(p, "endpoints", (1 << len(p)) - 1))
+    # the D4 Coxeter ideal meets a pivot other than +-1 in either order
+    assert profile.unit_pivots is (name != "coxeter-ideal-D4")
+
+
+def test_rank_descending_labels_match_the_index_walk_on_random_submasks():
+    rng = random.Random(20261025)
+    for p in (full_poset("B", 3), full_poset("S", 5), coxeter_ideal(4, "B")):
+        for k in range(30):
+            density = rng.uniform(0.1, 0.5)
+            mask = sum(1 << i for i in range(len(p)) if rng.random() < density)
+            _same_as_the_index_walk(p, mask)
+
+
 def _homology_posets():
     return [full_poset("S", 4), full_poset("S", 5), full_poset("B", 3),
             full_poset("D", 4), coxeter_ideal(3, "B"), coxeter_ideal(4, "B")]
@@ -460,8 +533,9 @@ def test_homology_and_chains_match_on_random_submasks():
         for k in range(40):
             density = rng.uniform(0.1, 0.5)
             mask = sum(1 << i for i in range(len(p)) if rng.random() < density)
-            faces = topology._chains_in_mask(p, mask)
-            assert faces == _chains_by_stack_and_sort(p, mask), (p.label, k)
+            indices, faces = topology._chains_in_mask(p, mask)
+            assert _by_index(indices, faces) == _chains_by_stack_and_sort(
+                p, mask), (p.label, k)
             profile = topology._homology_from_faces(faces)
             assert profile == _homology_by_boundary_matrices(faces), (
                 p.label, k)
@@ -534,8 +608,8 @@ def test_homology_leaves_the_flag_path_where_a_clique_is_no_face(tops, betti):
 def test_face_guard_trips_one_past_the_guard_with_the_same_message():
     p = full_poset("B", 3)
     mask = topology._strip_mask(p, "endpoints", (1 << len(p)) - 1)
-    total = sum(map(len, topology._chains_in_mask(p, mask)))
-    assert topology._chains_in_mask(p, mask, face_guard=total) == (
+    total = sum(map(len, topology._chains_in_mask(p, mask)[1]))
+    assert _by_index(*topology._chains_in_mask(p, mask, face_guard=total)) == (
         _chains_by_stack_and_sort(p, mask))
     with pytest.raises(ResourceGuardError) as expected:
         _chains_by_stack_and_sort(p, mask, face_guard=total - 1)
@@ -580,7 +654,7 @@ def test_antichain_gaps_match_the_oracle_without_elimination(
                    else None for end in (p.bottom(), p.top()))
     vertices = list(bits(c.member_mask))
     ends = ([(None, v) for v in vertices] + [(v, None) for v in vertices]
-            + list(c.faces_by_dim[1]))
+            + _edges_by_index(c))
     spans = {}  # two-ended gaps; an open end at a stripped bottom or top
     for lo, hi in ends:
         x, y = bottom if lo is None else lo, top if hi is None else hi

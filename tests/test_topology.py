@@ -13,6 +13,7 @@ from absorder import (
     chain_euler_characteristic,
     cm_check,
     coxeter_ideal,
+    format_cycles,
     full_poset,
     homology,
     identity,
@@ -101,6 +102,18 @@ def test_disconnected_even_interval():
     assert report.failing_betti[0] == 2
 
 
+def test_vertices_are_labelled_from_the_top_down():
+    iv = build_interval(identity(4), parse_cycles("[1][2][3][4]", 4), "D")
+    c = order_complex(iv, strip="none")
+    vertices = [v for (v,) in c.faces_by_dim[0]]
+    ranks = [iv.rank[c.vertex_index(v)] for v in vertices]
+    assert ranks == sorted(ranks, reverse=True)
+    assert (c.vertex_name(vertices[0]), c.vertex_name(vertices[-1])) == (
+        "[1][2][3][4]", "e")
+    # every face runs from its top down
+    assert all(ranks[a] > ranks[b] for a, b in c.faces_by_dim[1])
+
+
 def test_cm_holds_on_stripped_plain_poset():
     report = cm_check(order_complex(full_poset("S", 3), strip="endpoints"))
     assert report.ok
@@ -118,17 +131,26 @@ def _links_from_scratch(c):
     p = c.poset
     comparable = {v: (p.below[v] | p.above[v]) & c.member_mask & ~(1 << v)
                   for v in bits(c.member_mask)}
-    faces = [()] + [face for dim_faces in c.faces_by_dim for face in dim_faces]
+    faces = [()] + [face for dim_faces in _faces_by_index(c)
+                    for face in dim_faces]
     for checked, face in enumerate(faces, 1):
         mask = c.member_mask
         for v in face:
             mask &= comparable[v]
-        profile = _homology_from_faces(_chains_in_mask(p, mask))
+        profile = _homology_from_faces(_chains_in_mask(p, mask)[1])
         if not profile.concentrated_in_top():
             return {"ok": False, "mode": "all", "faces_checked": checked,
-                    "failing_face": [c.vertex_name(v) for v in face],
+                    "failing_face": [format_cycles(p.elements[v])
+                                     for v in face],
                     "failing_betti": list(profile.reduced_betti)}
     return {"ok": True, "mode": "all", "faces_checked": len(faces)}
+
+
+def _faces_by_index(c):
+    """The faces of an order complex over poset indices, each ascending
+    and each dimension sorted: the order in which `cm_check` walks them."""
+    return [sorted(tuple(sorted(map(c.vertex_index, face))) for face in faces)
+            for faces in c.faces_by_dim]
 
 
 def _oracle_complexes():
@@ -166,6 +188,42 @@ def test_cm_check_matches_links_from_scratch():
     failing_faces = [r["failing_face"] for r in reports.values() if not r["ok"]]
     assert len(failing_faces) >= 20
     assert sum(len(face) > 1 for face in failing_faces) >= 10
+
+
+@pytest.mark.parametrize("top,strip,checked,face,betti", [
+    (None, "endpoints", 1, (), (0, 2, 0, 666)),
+    (None, "none", 2, ("e",), (0, 2, 0, 666)),
+    ("[1][2][3][4]", "endpoints", 1, (), (2, 0, 3)),
+    ("[1][2][3][4]", "none", 88, ("e", "[1][2][3][4]"), (2, 0, 3)),
+])
+def test_cm_failure_walk_is_pinned(top, strip, checked, face, betti):
+    # D4 and its four-flip interval; with both ends kept the interval is a
+    # double cone and fails first at the link of the edge from e to its top
+    p = (full_poset("D", 4) if top is None
+         else build_interval(identity(4), parse_cycles(top, 4), "D"))
+    report = cm_check(order_complex(p, strip=strip))
+    assert (report.ok, report.faces_checked, report.failing_face,
+            report.failing_betti) == (False, checked, face, betti)
+
+
+@pytest.mark.parametrize("build,cofaces,subtracts", [
+    (lambda: coxeter_ideal(4, "B"), 1343, 947),
+    (lambda: full_poset("S", 5), 432, 300),
+], ids=["coxeter-ideal-B4", "S5"])
+def test_elimination_work_stays_at_its_counts(monkeypatch, build, cofaces,
+                                              subtracts):
+    # labels in rank-descending order pair nearly every column with its
+    # lowest coface at once; in poset-index order these complexes took
+    # 3,280 and 702 built columns, 3,249 and 607 column subtractions
+    calls = {"_cofaces": 0, "_subtract": 0}
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(topology, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(topology, name, counting)
+    c = order_complex(build(), strip="endpoints")
+    assert homology(c).unit_pivots
+    assert calls["_cofaces"] <= cofaces and calls["_subtract"] <= subtracts
 
 
 def test_face_guard_trips():
@@ -349,6 +407,20 @@ def _subdivided_rp2():
     index = {cell: i for i, cell in enumerate(cells)}
     return [(index[t[a:a + 1]], index[tuple(sorted((t[a], t[b])))], index[t])
             for t in _RP2 for a, b in itertools.permutations(range(3), 2)]
+
+
+def test_torsion_answers_on_random_subposets_of_b4():
+    # induced subposets, mostly not convex; eliminated in poset-index
+    # order, 3 of these met a pivot of 2 with every map over the torsion
+    # guard.  The reference reads that order, where it fills in least.
+    b4 = full_poset("B", 4)
+    rng = random.Random(11)
+    for k in range(150):
+        keep = rng.sample(range(len(b4)), rng.randint(30, 250))
+        c = order_complex(b4.subposet(keep, label=f"sample {k}"),
+                          strip="endpoints")
+        assert torsion_profile(c) == _torsion_by_boundary_maps(
+            _faces_by_index(c), dense=False), k
 
 
 def test_a_redone_dimension_keeps_the_pivots_met_below_it():
