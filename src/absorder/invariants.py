@@ -119,12 +119,14 @@ def binomial_polynomial(scale: int, k: int) -> RationalPolynomial:
     return poly
 
 
-def _multichain_counts(p: Poset):
-    """multichain_count(p, m) for m = 1, 2, ..., from one sweep: counts
-    ending at each element are summed below it for the next m."""
+def _multichain_counts(p: Poset, mask: int = -1):
+    """multichain_count for m = 1, 2, ... of the members of `mask` (all of
+    p by default), from one sweep: counts ending at each member are summed
+    below it for the next m; a non-member has nothing below it."""
     yield 1
-    below_lists = [list(bits(mask)) for mask in p.below]
-    counts = [1] * len(p)
+    below_lists = [list(bits(below & mask)) if mask >> i & 1 else []
+                   for i, below in enumerate(p.below)]
+    counts = [mask >> i & 1 for i in range(len(p))]
     while True:
         yield sum(counts)
         counts = [sum([counts[i] for i in below]) for below in below_lists]
@@ -440,17 +442,14 @@ def annular_mixing_facts(k: int) -> AnnularMixingFacts:
     if k < 1:
         raise ValueError("need k >= 1")
     interval = build_cycle_flip_interval(k, 1)
-    mixing = set(mixing_indices(interval, k))
-    complement = interval.subposet(
-        [i for i in range(len(interval)) if i not in mixing], "mixing-free"
-    )
+    mixing = sum(1 << i for i in mixing_indices(interval, k))
     sweeps = zip(range(1, 7), _multichain_counts(interval),
-                 _multichain_counts(complement))
+                 _multichain_counts(interval, ~mixing))
     counts = {m: whole - rest for m, whole, rest in sweeps}
     formula = {m: 2 * comb(m * k, k + 1) for m in counts}
     return AnnularMixingFacts(
         k=k,
-        cardinality=len(mixing),
+        cardinality=mixing.bit_count(),
         cardinality_formula=2 * comb(2 * k, k - 1),
         multichain_counts=counts,
         multichain_formula=formula,

@@ -118,16 +118,11 @@ def join_position_labeler(p: Poset):
     """
     order = reflection_order(p.n)
     positions = [p.index.get(t) for t in order]
-    cache = {}
 
     def label(a: SignedPermutation, b: SignedPermutation) -> int:
-        ai, bi = p.index[a], p.index[b]
-        got = cache.get((ai, bi))
-        if got is not None:
-            return got
+        ai = p.index[a]
         for pos, ti in enumerate(positions, start=1):
             if ti is not None and join(p, ti, ai) == b:
-                cache[(ai, bi)] = pos
                 return pos
         raise LabelingError(
             f"no reflection joins {a!r} up to {b!r}; labeler only covers "

@@ -3,11 +3,12 @@
 The order is defined by length additivity: u <= v iff
 l(u) + l(u^{-1} v) = l(v), where l is reflection length.  It is graded by
 l, its covers multiply by a single reflection, and for S_n and D_n it is
-the subposet of Abs(B_n) induced on the subgroup (lengths restrict).
+the order Abs(B_n) induces on the subgroup (lengths restrict).
 
-Finite subposets are carried around as `Poset` objects with order
-relations stored as integer bitmasks, which keeps meets, joins, chain
-DPs and transitive reductions cheap at desk scale.
+Finite convex subsets are carried around as `Poset` objects with order
+relations stored as integer bitmasks, and any other member set as a
+bitmask on one, which keeps meets, joins, chain DPs and transitive
+reductions cheap at desk scale.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def bits(mask: int):
 
 
 class Poset:
-    """A finite ranked subposet of an absolute order.
+    """A finite convex subset of an absolute order, ranked.
 
     `below[i]` is a bitmask over element indices j with element_j <= element_i
     (including i itself); `above` is the transpose.  Ranks are reflection
@@ -236,7 +237,9 @@ class Poset:
     is graded by length and each cover multiplies by a single reflection,
     so on a convex set it is the transitive closure of the lower covers,
     which `_lower_covers` reads off each element's orbits (Carter; Brady
-    and Watt).  `subposet` gives the induced order on any other subset.
+    and Watt).  Any other member set is kept as a mask on a convex
+    `Poset`: its `below` and `above` masks, cut to the members, are the
+    induced order.
     """
 
     __slots__ = ("elements", "kind", "label", "n", "rank", "index",
@@ -292,11 +295,6 @@ class Poset:
     def is_bounded(self) -> bool:
         return self.bottom() is not None and self.top() is not None
 
-    def is_graded_by_rank(self) -> bool:
-        """Every Hasse edge climbs exactly one rank."""
-        return all(self.rank[j] == self.rank[i] + 1
-                   for i in range(len(self.elements)) for j in self.hasse_up[i])
-
     def chain_counts(self) -> list:
         """counts[j] = number of chains of j elements, j >= 0."""
         k = len(self.elements)
@@ -324,33 +322,6 @@ class Poset:
             for j in self.hasse_up[i]:
                 paths[j] += paths[i]
         return paths[self.top()]
-
-    def subposet(self, indices, label: str = "sub") -> "Poset":
-        """The induced order on any subset, by restricting this one's masks."""
-        keep = sorted(set(indices))
-        where = {i: a for a, i in enumerate(keep)}
-
-        def restrict(mask):
-            out = 0
-            for i in bits(mask):
-                if i in where:
-                    out |= 1 << where[i]
-            return out
-
-        sub = Poset.__new__(Poset)
-        sub.elements = [self.elements[i] for i in keep]
-        sub.kind, sub.label, sub.n = self.kind, label, self.n
-        base = min((self.rank[i] for i in keep), default=0)
-        sub.rank = [self.rank[i] - base for i in keep]
-        sub.index = {w: a for a, w in enumerate(sub.elements)}
-        sub.below = [restrict(self.below[i]) for i in keep]
-        sub.above = [restrict(self.above[i]) for i in keep]
-        sub.hasse_up = []
-        for a, up in enumerate(sub.above):
-            strict = up ^ (1 << a)
-            sub.hasse_up.append([j for j in bits(strict)
-                                 if strict & sub.below[j] == 1 << j])
-        return sub
 
     def to_json(self) -> str:
         return json.dumps({
@@ -395,6 +366,12 @@ def _greatest(p: Poset, mask: int):
     """The greatest member of `mask`, or None (see `_least`)."""
     high = mask.bit_length() - 1
     return high if mask and not mask & ~p.below[high] else None
+
+
+def _graded(p: Poset, mask: int) -> bool:
+    """Whether every Hasse edge between members of `mask` climbs one rank."""
+    return all(p.rank[j] == p.rank[i] + 1 for i in bits(mask)
+               for j in p.hasse_up[i] if mask >> j & 1)
 
 
 def _hall_mobius(p: Poset, mask: int) -> int:

@@ -18,9 +18,9 @@ Canonical form of a cycle word: rotate so the entry of smallest absolute
 value comes first, and take that entry positive.  Composition is right
 to left: (u * v)(i) = u(v(i)).
 
-Reflection length, `gamma` and the D-membership test only need how many
-orbits are paired and how many balanced, so they count them in one walk
-over the image tuple (`_orbit_counts`); the tests compare them with
+Reflection length and the D-membership test only need how many orbits
+are paired and how many balanced, so they count them in one walk over
+the image tuple (`_orbit_counts`); the tests compare them with
 `cycle_decomposition`, which like `cycle_type` and the lower covers walks
 `_orbits`.  A reflection lies below w exactly when its root lies in the
 moved space of w (Carter 1972; Brady and Watt 2002): the sign flip [i]
@@ -345,11 +345,6 @@ def is_member(w: SignedPermutation, kind: str) -> bool:
     if kind == "S":
         return all(j > 0 for j in w.images)
     return _orbit_counts(w)[1] % 2 == 0
-
-
-def gamma(w: SignedPermutation) -> int:
-    """Number of paired cycles, counting each fixed point as a paired 1-cycle."""
-    return _orbit_counts(w)[0]
 
 
 def absolute_length(w: SignedPermutation, kind: str = "B") -> int:

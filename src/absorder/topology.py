@@ -15,11 +15,11 @@ from functools import reduce
 from math import gcd
 from operator import and_
 
-from .order import (Poset, ResourceGuardError, _fibers, _greatest,
-                    _hall_mobius, _least, bits, build_interval)
+from .order import (Poset, ResourceGuardError, _fibers, _graded, _greatest,
+                    _hall_mobius, _least, bits)
 from .series import _convolve
 from .signed import (balanced_cycle, cycle_decomposition, cycle_type,
-                     format_cycles, identity, paired_cycle)
+                     format_cycles, paired_cycle)
 
 FACE_GUARD = 5_000_000
 # Most entries, rows x columns, of one boundary map that `torsion_profile`
@@ -59,9 +59,6 @@ class SimplicialComplex:
     def vertex_index(self, v: int) -> int:
         return v if self.indices is None else self.indices[v]
 
-    def vertex_name(self, v: int) -> str:
-        return format_cycles(self.poset.elements[self.vertex_index(v)])
-
     def to_json(self) -> dict:
         return {
             "label": self.label,
@@ -71,7 +68,7 @@ class SimplicialComplex:
 
 
 def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD):
-    """(indices, faces_by_dim): all chains of the induced subposet on
+    """(indices, faces_by_dim): all chains of the members of
     `mask`, grouped by size - 1, over vertex labels 0, 1, ... that ascend
     as rank descends, ties broken by poset index; `indices[v]` is the
     poset index of label v.
@@ -116,13 +113,19 @@ def _strip_mask(p: Poset, strip: str, mask: int) -> int:
     return mask
 
 
+def _mask_complex(p: Poset, mask: int, strip: str, name: str,
+                  face_guard: int = FACE_GUARD) -> SimplicialComplex:
+    """The chain complex of the members of `mask` kept under `strip`."""
+    kept = _strip_mask(p, strip, mask)
+    indices, faces = _chains_in_mask(p, kept, face_guard)
+    return SimplicialComplex(p, kept, faces, indices=indices,
+                             label=f"chains of {name} (strip={strip})")
+
+
 def order_complex(p: Poset, strip: str = "none",
                   face_guard: int = FACE_GUARD) -> SimplicialComplex:
     """The chain complex of a poset, optionally with endpoints removed."""
-    mask = _strip_mask(p, strip, (1 << len(p)) - 1)
-    indices, faces = _chains_in_mask(p, mask, face_guard)
-    return SimplicialComplex(p, mask, faces, indices=indices,
-                             label=f"chains of {p.label} (strip={strip})")
+    return _mask_complex(p, (1 << len(p)) - 1, strip, p.label, face_guard)
 
 
 @dataclass
@@ -356,16 +359,13 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
                 polys[lo, hi] = sides[key]
             elif p.rank[y] - p.rank[x] <= 2:
                 polys[lo, hi] = (0, mask.bit_count() - 1) if mask else (1,)
-            else:
-                w = p.elements[x].inverse() * p.elements[y]
-                key = cycle_type(w)
+            elif mask == p.above[x] & p.below[y] & ~(1 << x | 1 << y):
+                key = cycle_type(p.elements[x].inverse() * p.elements[y])
                 if key not in classes:
-                    iv = build_interval(identity(p.n), w, p.kind)
-                    classes[key] = (len(iv) - 2, _poly_of(homology(
-                        order_complex(iv, strip="endpoints"))))
-                size, poly = classes[key]
-                polys[lo, hi] = (poly if size == mask.bit_count()
-                                 else eliminate(mask))
+                    classes[key] = eliminate(mask)
+                polys[lo, hi] = classes[key]
+            else:
+                polys[lo, hi] = eliminate(mask)
         return polys[lo, hi]
 
     return gap
@@ -384,13 +384,15 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     face first and each dimension in lexicographic order of poset indices,
     to the first link whose Betti numbers (P from t^1 up) fail.
 
-    A gap (x, y) lies in the group interval (x, y) (an open end stands for
-    a stripped bottom or top), which x^-1 carries onto (e, x^-1 y); one
+    A gap (x, y) lies in the open interval (x, y) of the host poset (an
+    open end stands for a stripped bottom or top).  The host is convex, so
+    that is the group interval, which x^-1 carries onto (e, x^-1 y); one
     signed cycle type is one conjugacy class of S_n (kind S) or of B_n (an
-    automorphism of D's order too), so each type is eliminated once.  A gap
-    of the same size is that interval; any other is eliminated apart.  When
-    y is at most two ranks above x the gap lies in one rank, an antichain:
-    k points have P = (k - 1) t and no points P = 1, with no elimination.
+    automorphism of D's order too), so the first gap of each type that is
+    all of its interval is eliminated in place, and later ones reuse it.  A
+    gap with fewer members is eliminated apart.  When y is at most two
+    ranks above x the gap lies in one rank, an antichain: k points have
+    P = (k - 1) t and no points P = 1, with no elimination.
 
     A gap open at one end, (x, open) or (open, y), lies in no interval.
     When the member set M is closed under conjugation (decided once, when
@@ -501,16 +503,10 @@ def _checked_ideal(name: str, ambient: Poset, mask: int,
                    expected_rank: int) -> IdealCheck:
     """Rank, grading and link criterion of the ideal `mask` of `ambient`,
     its bottom and top stripped."""
-    kept = _strip_mask(ambient, "endpoints", mask)
-    indices, faces = _chains_in_mask(ambient, kept)
-    c = SimplicialComplex(ambient, kept, faces, indices=indices,
-                          label=f"chains of {name} (strip=endpoints)")
+    c = _mask_complex(ambient, mask, "endpoints", name)
     ranks = [ambient.rank[i] for i in bits(mask)]
-    graded = all(ambient.rank[j] == ambient.rank[i] + 1
-                 for i in bits(mask) for j in ambient.hasse_up[i]
-                 if mask >> j & 1)
     return IdealCheck(name, mask.bit_count(), max(ranks) - min(ranks),
-                      expected_rank, graded, cm_check(c))
+                      expected_rank, _graded(ambient, mask), cm_check(c))
 
 
 def appendix_ideal_checks(ambient: Poset) -> list:

@@ -429,10 +429,9 @@ def _claim_zeta_battery(profile):
     expected = {}
     computed = {}
     for name, p in posets:
-        report = invariants.census(p)
-        z = report.zeta
-        expected[name] = {"zeta_at_2": report.cardinality,
-                          "zeta_at_minus_1": report.mobius_bottom_top}
+        z = invariants.zeta_polynomial(p)
+        expected[name] = {"zeta_at_2": len(p),
+                          "zeta_at_minus_1": invariants.mobius(p)}
         computed[name] = {"zeta_at_2": z(2), "zeta_at_minus_1": z(-1)}
     results = [_claim(
         claim="zeta-consistency",
@@ -445,9 +444,9 @@ def _claim_zeta_battery(profile):
     )]
     ambient = order.full_poset("B", 3)
     bad = None
-    for w in ambient.elements:
-        sizes = ambient.subposet(
-            list(order.bits(ambient.below[ambient.index[w]]))).rank_sizes()
+    for i, w in enumerate(ambient.elements):
+        ranks = [ambient.rank[j] for j in order.bits(ambient.below[i])]
+        sizes = tuple(map(ranks.count, range(ambient.rank[i] + 1)))
         if sizes != sizes[::-1]:
             bad = (format_cycles(w), sizes)
             break

@@ -12,6 +12,7 @@ from math import comb
 import pytest
 
 from absorder import (
+    Poset,
     annular_mixing_facts,
     appendix_ideal_checks,
     build_cycle_flip_interval,
@@ -215,8 +216,8 @@ def test_10_euler_characteristics_three_ways():
 
 def test_11_proper_parts_are_cohen_macaulay():
     p2 = full_poset("S", 2)
-    point = p2.subposet([i for i in range(len(p2)) if p2.rank[i] > 0],
-                        "proper part")
+    point = Poset([w for i, w in enumerate(p2.elements) if p2.rank[i] > 0],
+                  "S", "proper part")
     probes = [order_complex(point, strip="none")]
     for n in (3, 4):
         probes.append(order_complex(full_poset("S", n), strip="endpoints"))

@@ -11,7 +11,9 @@ for every m come from one sweep, Moebius numbers come from the Hall
 recursion on an open interval, a poset's bottom and top from its lowest
 and highest element's masks, lower covers from the orbits of an element,
 and the balanced profile and the Moebius product from the cycle type.
-Each is compared here with the route it replaces.
+Each is compared here with the route it replaces.  The oracles that hold
+for any poset also run on `_induced` posets, whose member sets need not be
+convex; `_induced` is checked against `abs_leq` first.
 """
 
 import itertools
@@ -53,9 +55,63 @@ from absorder import (
 )
 from absorder import invariants, labeling, lattice, topology
 from absorder.labeling import ELReport
-from absorder.order import _lower_covers, bits
+from absorder.order import Poset, _graded, _lower_covers, bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
 from absorder.topology import HomologyProfile, IdealCheck, _normalized
+
+
+# --- the order induced on any member set --------------------------------------
+
+def _induced(p, keep, label):
+    """The order `p` induces on the members `keep`, convex or not, as a
+    poset of its own with ranks from 0: `p`'s masks restricted to them."""
+    keep = sorted(set(keep))
+    where = {i: a for a, i in enumerate(keep)}
+
+    def restrict(mask):
+        out = 0
+        for i in bits(mask):
+            if i in where:
+                out |= 1 << where[i]
+        return out
+
+    sub = Poset.__new__(Poset)
+    sub.elements = [p.elements[i] for i in keep]
+    sub.kind, sub.label, sub.n = p.kind, label, p.n
+    base = min((p.rank[i] for i in keep), default=0)
+    sub.rank = [p.rank[i] - base for i in keep]
+    sub.index = {w: a for a, w in enumerate(sub.elements)}
+    sub.below = [restrict(p.below[i]) for i in keep]
+    sub.above = [restrict(p.above[i]) for i in keep]
+    sub.hasse_up = []
+    for a, up in enumerate(sub.above):
+        strict = up ^ (1 << a)
+        sub.hasse_up.append([j for j in bits(strict)
+                             if strict & sub.below[j] == 1 << j])
+    return sub
+
+
+def test_induced_order_matches_abs_leq_on_nonconvex_sets():
+    rng = random.Random(20260816)
+    for kind, n in (("B", 3), ("D", 4), ("S", 4)):
+        ambient = full_poset(kind, n)
+        for _ in range(6):
+            keep = rng.sample(range(len(ambient)),
+                              rng.randint(1, len(ambient) // 2))
+            sub = _induced(ambient, keep, "sample")
+            members = sub.elements
+            assert members == [ambient.elements[i] for i in sorted(keep)]
+            assert min(sub.rank) == 0
+            leq = [[abs_leq(u, v, kind) for v in members] for u in members]
+            for i in range(len(sub)):
+                assert sub.below[i] == sum(1 << j for j in range(len(sub))
+                                           if leq[j][i])
+                assert sub.above[i] == sum(1 << j for j in range(len(sub))
+                                           if leq[i][j])
+                strict_up = [j for j in range(len(sub)) if j != i and leq[i][j]]
+                assert sub.hasse_up[i] == [
+                    j for j in strict_up
+                    if not any(leq[m][j] for m in strict_up if m != j)]
 
 
 # --- Cohen-Macaulay gaps keyed by conjugacy class ---------------------------
@@ -231,7 +287,7 @@ def _lattice_cases():
     rng = random.Random(20261021)
     for k in range(20):
         keep = rng.sample(range(len(b3)), rng.randint(6, 30))
-        cases.append(b3.subposet(keep, label=f"sample {k}"))
+        cases.append(_induced(b3, keep, f"sample {k}"))
     return cases
 
 
@@ -321,7 +377,7 @@ def _el_cases(labeler):
         rng = random.Random(20261022)
         for k in range(8):
             keep = rng.sample(range(len(b3)), rng.randint(10, 40))
-            cases.append(b3.subposet(keep, label=f"sample {k}"))
+            cases.append(_induced(b3, keep, f"sample {k}"))
     return cases
 
 
@@ -353,8 +409,8 @@ def test_verify_el_compares_first_sequences_of_one_length():
              "[1,-4,-2,3]"]
     e, (a, b, c, i, y) = identity(4), [parse_cycles(s, 4) for s in names]
     iv = build_interval(e, y, "B")
-    p = iv.subposet([iv.index[w] for w in (e, a, b, c, i, y)],
-                    label="chains of two lengths")
+    p = _induced(iv, [iv.index[w] for w in (e, a, b, c, i, y)],
+                 "chains of two lengths")
     labels = {(e, a): 2, (a, i): 3, (e, b): 2, (b, c): 3, (c, i): 1,
               (i, y): 4}
     labeler = lambda u, v: labels[u, v]  # noqa: E731
@@ -666,7 +722,7 @@ def test_antichain_gaps_match_the_oracle_without_elimination(
     def no_call(*args):
         raise AssertionError("an antichain gap was eliminated or keyed")
 
-    for attr in ("_homology_from_faces", "build_interval", "cycle_type"):
+    for attr in ("_homology_from_faces", "cycle_type"):
         monkeypatch.setattr(topology, attr, no_call)
     polys = {(lo, hi): gap(lo, hi) for lo, hi in flat}
     monkeypatch.undo()
@@ -718,7 +774,7 @@ def test_fiber_identity_matches_the_pairwise_check():
     rng = random.Random(20261025)
     for k in range(24):
         keep = rng.sample(range(len(b3)), rng.randint(4, 40))
-        cases.append(b3.subposet(keep, label=f"sample {k}"))
+        cases.append(_induced(b3, keep, f"sample {k}"))
     verdicts = []
     for p in cases:
         for i in range(1, p.n + 1):
@@ -742,7 +798,7 @@ def _ideal_checks_per_fiber(kind, n):
         ideal = build_ideal(gens, kind)
         checks.append(IdealCheck(
             name, len(ideal), ideal.height(), expected_rank,
-            ideal.is_graded_by_rank(),
+            _graded(ideal, (1 << len(ideal)) - 1),
             cm_check(order_complex(ideal, strip="endpoints"))))
         members.append(set(ideal.elements))
 
@@ -855,8 +911,8 @@ def test_multichain_sweep_matches_the_recursion_for_each_m():
 def test_annular_mixing_facts_match_the_recursion(k):
     interval = invariants.build_cycle_flip_interval(k, 1)
     mixing = set(invariants.mixing_indices(interval, k))
-    rest = interval.subposet(
-        [i for i in range(len(interval)) if i not in mixing], "mixing-free")
+    rest = _induced(interval, [i for i in range(len(interval))
+                               if i not in mixing], "mixing-free")
     facts = invariants.annular_mixing_facts(k)
     assert facts.ok() and facts.cardinality == len(mixing)
     assert facts.multichain_counts == {
@@ -899,7 +955,7 @@ def _hall_cases():
             w = rng.randrange(len(b3))
             below = list(bits(b3.below[w]))
             keep = [w] + rng.sample(below, rng.randint(0, len(below)))
-        cases.append(b3.subposet(keep, label=f"sample {k}"))
+        cases.append(_induced(b3, keep, f"sample {k}"))
     return cases
 
 

@@ -4,6 +4,7 @@ from absorder.order import (
     Poset,
     ResourceGuardError,
     _fibers,
+    _graded,
     abs_leq,
     build_ideal,
     bits,
@@ -59,7 +60,7 @@ def test_poset_shape():
     assert p.height() == 2
     assert p.bottom() is not None and p.top() is None
     assert not p.is_bounded()
-    assert p.is_graded_by_rank()
+    assert _graded(p, (1 << len(p)) - 1)
     assert len(_maximal_of(p, (1 << len(p)) - 1)) == 3
 
 
@@ -190,14 +191,6 @@ def test_cover_lifting_small_scopes():
 def test_fiber_ideal_identity_small_scopes():
     assert fiber_ideal_identity_ok(full_poset("S", 3))
     assert fiber_ideal_identity_ok(coxeter_ideal(3, "B"))
-
-
-def test_subposet_reranks_from_zero():
-    p = full_poset("B", 2)
-    top = p.index[parse_cycles("[1,2]", 2)]
-    members = [i for i in range(len(p)) if p.leq(i, top) and p.rank[i] >= 1]
-    sub = p.subposet(members)
-    assert min(sub.rank) == 0
 
 
 def test_to_dot_mentions_every_element():

@@ -1,8 +1,8 @@
 """The cover-built Poset against the definitional order, and its reach.
 
-`Poset` closes the covers of a convex set; `subposet` restricts masks.
-Both are compared here with the all-pairs `abs_leq` relation and the
-`covers` generator, which share no code with either.
+`Poset` closes the covers of a convex set.  It is compared here with the
+all-pairs `abs_leq` relation and the `covers` generator, which share no
+code with it.
 """
 
 import random
@@ -118,29 +118,9 @@ def test_building_makes_no_abs_leq_call(monkeypatch):
     coxeter_ideal(4, "B")
     build_ideal(b3.elements[-3:], "B")
     Poset(list(b3.elements), "B", "direct")
-    b3.subposet(range(0, len(b3), 2))
     assert calls == []
     build_interval(b3.elements[1], b3.elements[-1], "B")
     assert len(calls) == 1  # only the u <= v precondition
-
-
-def test_subposet_is_the_induced_order_on_nonconvex_sets():
-    rng = random.Random(SEED)
-    for kind, n in (("B", 3), ("D", 4), ("S", 4)):
-        ambient = full_poset(kind, n)
-        for _ in range(6):
-            keep = rng.sample(range(len(ambient)), rng.randint(1, len(ambient) // 2))
-            sub = ambient.subposet(keep, label="sample")
-            assert sub.elements == [ambient.elements[i] for i in sorted(keep)]
-            assert min(sub.rank) == 0
-            below = _oracle_below(sub)
-            assert sub.below == below
-            assert sub.above == _transpose(below)
-            for i in range(len(sub)):
-                strict_up = [j for j in range(len(sub)) if j != i and sub.leq(i, j)]
-                expected = [j for j in strict_up
-                            if not any(sub.leq(m, j) for m in strict_up if m != j)]
-                assert sub.hasse_up[i] == expected
 
 
 @pytest.mark.parametrize("kind,n", [("B", 5), ("S", 7), ("D", 5)])

@@ -1,10 +1,11 @@
 """Orbit-count reflection length and the shared downward search.
 
-`absolute_length`, `gamma` and D-membership count orbits in one walk over
-the image tuple; they are compared here with `cycle_decomposition`, which
-builds the cycles.  The shared search behind `build_ideal` is compared with
-separate per-generator searches and with the `abs_leq` filter of the whole
-group, and its guard is checked at the first rank it must refuse.
+`absolute_length`, `_orbit_counts` and D-membership count orbits in one
+walk over the image tuple; they are compared here with
+`cycle_decomposition`, which builds the cycles.  The shared search behind
+`build_ideal` is compared with separate per-generator searches and with the
+`abs_leq` filter of the whole group, and its guard is checked at the first
+rank it must refuse.
 """
 
 import random
@@ -23,11 +24,11 @@ from absorder.order import (
 )
 from absorder.signed import (
     SignedPermutation,
+    _orbit_counts,
     absolute_length,
     balanced_cycle,
     coxeter_elements,
     cycle_decomposition,
-    gamma,
     group_elements,
     identity,
     is_member,
@@ -44,7 +45,8 @@ def _random_signed(rng, n):
 def _check_against_cycles(w, kind):
     dec = cycle_decomposition(w)
     assert absolute_length(w, kind) == sum(c.reflection_length for c in dec.cycles)
-    assert gamma(w) == len(dec.paired) + len(dec.fixed_points)
+    assert _orbit_counts(w) == (len(dec.paired) + len(dec.fixed_points),
+                                len(dec.balanced))
     assert is_member(w, "D") == (len(dec.balanced) % 2 == 0)
 
 

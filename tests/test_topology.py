@@ -108,8 +108,8 @@ def test_vertices_are_labelled_from_the_top_down():
     vertices = [v for (v,) in c.faces_by_dim[0]]
     ranks = [iv.rank[c.vertex_index(v)] for v in vertices]
     assert ranks == sorted(ranks, reverse=True)
-    assert (c.vertex_name(vertices[0]), c.vertex_name(vertices[-1])) == (
-        "[1][2][3][4]", "e")
+    names = [format_cycles(iv.elements[c.vertex_index(v)]) for v in vertices]
+    assert (names[0], names[-1]) == ("[1][2][3][4]", "e")
     # every face runs from its top down
     assert all(ranks[a] > ranks[b] for a, b in c.faces_by_dim[1])
 
@@ -153,6 +153,12 @@ def _faces_by_index(c):
             for faces in c.faces_by_dim]
 
 
+def _on_members(p, keep, strip):
+    """The order complex of the members `keep` of `p`, a mask on `p`."""
+    return topology._mask_complex(p, sum(1 << i for i in set(keep)), strip,
+                                  "members")
+
+
 def _oracle_complexes():
     four_flips = build_interval(identity(4), parse_cycles("[1][2][3][4]", 4), "D")
     cases = [
@@ -162,21 +168,20 @@ def _oracle_complexes():
         ("four-flips-D4-none", order_complex(four_flips, strip="none")),
         ("empty", order_complex(full_poset("S", 2), strip="endpoints")),
     ]
-    # Random subsets of B4 mostly fail at the empty face; subsets of an
-    # interval [e, w] kept with both ends are double cones, which pass
-    # there and mostly fail at a link further on.
+    # Random member sets of B4, masks on it, mostly fail at the empty
+    # face; members of an interval [e, w] kept with both ends are double
+    # cones, which pass there and mostly fail at a link further on.
     b4 = full_poset("B", 4)
     tops = [i for i in range(len(b4)) if b4.rank[i] == 4]
     rng = random.Random(20261018)
     for k in range(12):
         keep = rng.sample(range(len(b4)), rng.randint(12, 40))
-        sub = b4.subposet(keep, label=f"sample {k}")
-        cases.append((f"subposet-B4-{k}", order_complex(sub, strip="none")))
+        cases.append((f"members-B4-{k}", _on_members(b4, keep, "none")))
         w = rng.choice(tops)
         inside = [i for i in bits(b4.below[w]) if i not in (0, w)]
         keep = rng.sample(inside, rng.randint(8, 30)) + [0, w]
-        sub = b4.subposet(keep, label=f"bounded sample {k}")
-        cases.append((f"bounded-subposet-B4-{k}", order_complex(sub, strip="none")))
+        cases.append((f"bounded-members-B4-{k}",
+                      _on_members(b4, keep, "none")))
     return cases
 
 
@@ -410,15 +415,14 @@ def _subdivided_rp2():
 
 
 def test_torsion_answers_on_random_subposets_of_b4():
-    # induced subposets, mostly not convex; eliminated in poset-index
-    # order, 3 of these met a pivot of 2 with every map over the torsion
-    # guard.  The reference reads that order, where it fills in least.
+    # member sets of B4, mostly not convex, as masks on it; eliminated in
+    # poset-index order, 3 of these met a pivot of 2 with every map over the
+    # torsion guard.  The reference reads that order, where it fills in least.
     b4 = full_poset("B", 4)
     rng = random.Random(11)
     for k in range(150):
-        keep = rng.sample(range(len(b4)), rng.randint(30, 250))
-        c = order_complex(b4.subposet(keep, label=f"sample {k}"),
-                          strip="endpoints")
+        c = _on_members(b4, rng.sample(range(len(b4)), rng.randint(30, 250)),
+                        "endpoints")
         assert torsion_profile(c) == _torsion_by_boundary_maps(
             _faces_by_index(c), dense=False), k
 
@@ -677,10 +681,23 @@ def test_cm_check_eliminates_each_interval_class_once(monkeypatch):
     assert len(calls) <= 1 + 11 + 280
 
 
+def test_cm_check_builds_no_poset(monkeypatch):
+    # every gap is a mask on the complex's own poset, the class intervals
+    # included
+    c = order_complex(coxeter_ideal(4, "B"), strip="endpoints")
+
+    def no_build(*args):
+        raise AssertionError("cm_check built a poset")
+
+    monkeypatch.setattr(order.Poset, "__init__", no_build)
+    assert cm_check(c).ok
+
+
 def test_cm_check_matches_links_on_stripped_subposets():
-    # intervals [e, w] of B4 less a few rank-2 elements, stripped of both
-    # ends: gaps at the open ends and between members are smaller than the
-    # group intervals they lie in, and must be eliminated on their own
+    # intervals [e, w] of B4 less a few rank-2 elements, masks on B4
+    # stripped of both ends: gaps at the open ends and between members are
+    # smaller than the group intervals they lie in, and must be eliminated
+    # on their own
     b4 = full_poset("B", 4)
     tops = [i for i in range(len(b4)) if b4.rank[i] == 4]
     rng = random.Random(20261019)
@@ -689,22 +706,19 @@ def test_cm_check_matches_links_on_stripped_subposets():
         below = list(bits(b4.below[rng.choice(tops)]))
         drop = rng.sample([i for i in below if b4.rank[i] == 2],
                           rng.randint(1, 6))
-        sub = b4.subposet([i for i in below if i not in drop],
-                          label=f"sample {k}")
-        c = order_complex(sub, strip="endpoints")
+        c = _on_members(b4, [i for i in below if i not in drop], "endpoints")
         reports.append(cm_check(c).to_json())
         assert reports[-1] == _links_from_scratch(c), k
     assert 3 <= sum(r["ok"] for r in reports) <= 9
 
 
 def test_cm_check_matches_links_when_the_ends_are_kept():
-    # the D4 four-flip interval less one interior element, ends kept: a gap
-    # with an open end holds the kept bottom or top, so it is not the group
-    # interval (e, w) even when it has as many elements
+    # the D4 four-flip interval less one interior element, a mask on it
+    # with its ends kept: a gap with an open end holds the kept bottom or
+    # top, so it lies in no group interval
     iv = build_interval(identity(4), parse_cycles("[1][2][3][4]", 4), "D")
     for z in range(1, len(iv) - 1, 3):
-        sub = iv.subposet([i for i in range(len(iv)) if i != z], label="sub")
-        c = order_complex(sub, strip="none")
+        c = _on_members(iv, [i for i in range(len(iv)) if i != z], "none")
         assert cm_check(c).to_json() == _links_from_scratch(c), z
 
 
@@ -732,8 +746,6 @@ def test_ideal_battery_builds_one_ambient_and_projects_once(kind, n,
     monkeypatch.setattr(order, "project_pi", counting_project_pi)
     checks = appendix_ideal_checks(coxeter_ideal(n, kind))
     assert all(c.ok() for c in checks)
-    # the other posets are the group intervals that key cm_check's gaps
-    assert [label for label in labels if label != "interval"] == [
-        "coxeter-ideal"]
+    assert labels == ["coxeter-ideal"]
     assert sorted(projected, key=lambda w: w.images) == sorted(
         coxeter_ideal(n, kind).elements, key=lambda w: w.images)

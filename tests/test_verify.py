@@ -4,7 +4,8 @@ from dataclasses import fields
 
 import pytest
 
-from absorder import ClaimResult, order, run_verify_suite, topology, verify
+from absorder import (ClaimResult, invariants, order, run_verify_suite,
+                      topology, verify)
 from absorder.topology import HomologyProfile
 
 QUICK_CLAIMS = [r.claim for r in run_verify_suite(profile="quick").results]
@@ -87,18 +88,26 @@ def test_a_wrong_top_betti_number_fails_the_homology_claims(monkeypatch):
 @pytest.mark.parametrize("profile,ambients", [("quick", 3), ("full", 7)])
 def test_fiber_machinery_builds_each_ambient_once(monkeypatch, profile,
                                                   ambients):
-    # the other builds are the class intervals of the link criterion
     built = []
     init = order.Poset.__init__
 
     def counting(self, elements, kind, label):
         init(self, elements, kind, label)
-        if label != "interval":
-            built.append((kind, self.n))
+        built.append((kind, self.n))
 
     monkeypatch.setattr(order.Poset, "__init__", counting)
     assert all(r.verdict for r in verify._claim_fiber_machinery(profile))
     assert len(built) == len(set(built)) == ambients
+
+
+def test_zeta_consistency_reports_a_wrong_mobius_number(monkeypatch):
+    # the claim reads the Moebius number itself, so a wrong one fails the
+    # claim instead of tripping the census's own consistency check
+    right = invariants.mobius
+    monkeypatch.setattr(invariants, "mobius", lambda p: right(p) + 1)
+    claims = {r.claim: r for r in verify._claim_zeta_battery("quick")}
+    assert not claims["zeta-consistency"].verdict
+    assert claims["palindromic-interval-ranks"].verdict
 
 
 def test_lower_cover_rule_is_a_full_profile_claim_that_sees_a_wrong_rule(
