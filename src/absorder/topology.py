@@ -31,11 +31,15 @@ TORSION_GUARD = 250_000
 class SimplicialComplex:
     """Faces grouped by dimension, over the vertex set of a host poset.
 
-    Every face tuple is sorted ascending.  `indices[v]` is the poset index
-    of vertex v: an order complex labels its members in rank-descending
-    order (see `_chains_in_mask`).  None means v is poset index v, as for
-    hand-built complexes.  `homology` keeps its profile here, so each
-    complex is eliminated once.
+    The complex must be flag, its faces the cliques of its edges, as an
+    order complex is: `homology` raises ValueError for one that is not
+    flag below its top dimension.  Every face tuple is sorted ascending,
+    and each dimension lists its faces in ascending lexicographic order;
+    the elimination sizes its neighbour masks by the last vertex listed.
+    `indices[v]` is the poset index of vertex v: an order complex labels
+    its members in rank-descending order (see `_chains_in_mask`).  None
+    means v is poset index v, as for hand-built complexes.  `homology`
+    keeps its profile here, so each complex is eliminated once.
     """
 
     def __init__(self, poset: Poset, member_mask: int, faces_by_dim: list,
@@ -170,16 +174,11 @@ def _subtract(col: dict, v, pivot: dict) -> None:
             col.pop(r, None)
 
 
-def _cofaces(face: tuple, common: int, upper: set | dict | None):
-    """(face with u inserted at k, (-1)^k) for the vertices u of `common`,
-    highest first: all of them, or those giving a face in `upper`."""
-    while common:
-        u = common.bit_length() - 1
-        common ^= 1 << u
+def _cofaces(face: tuple, common: int):
+    """(face with u inserted at k, (-1)^k) for the vertices u of `common`."""
+    for u in bits(common):
         k = bisect(face, u)
-        coface = face[:k] + (u,) + face[k:]
-        if upper is None or coface in upper:
-            yield coface, -1 if k & 1 else 1
+        yield face[:k] + (u,) + face[k:], -1 if k & 1 else 1
 
 
 def _neighbours(faces_by_dim: list) -> list:
@@ -202,65 +201,59 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
 
     Columns are implicit (as in Ripser, Bauer 2021).  A coface of s inserts
     a common neighbour u of its vertices at a position growing with u, so in
-    the sorted lists the lowest row of column s is s plus the highest u
-    giving a face, the key of its pivot.  A column whose lowest row is no
-    pivot yet is kept as its face and built only when a later column
-    reduces against it.  An order complex labels its vertices in
-    rank-descending order, so u is a member below the chain's bottom when
-    there is one; s then is the only face whose lowest row is s + (u,),
-    and in an ideal nearly every column is kept at once.  In a flag
-    complex, such as an order complex, each common neighbour gives a face:
-    if the d-faces are the cliques of their size and the common neighbours
-    above the last vertex of each number f_(d+1) in all, so are the
-    (d+1)-faces.  From the first d where they do not, cofaces are tested
-    against the set of (d+1)-faces.
+    the sorted lists the lowest row of column s is s plus its highest u, the
+    key of its pivot.  A column whose lowest row is no pivot yet is kept as
+    its face and built only when a later column reduces against it.  An
+    order complex labels its vertices in rank-descending order, so u is a
+    member below the chain's bottom when there is one; s then is the only
+    face whose lowest row is s + (u,), and in an ideal nearly every column
+    is kept at once.  Each common neighbour gives a face only in a flag
+    complex, such as an order complex: if the d-faces are the cliques of
+    their size and the common neighbours above the last vertex of each
+    number f_(d+1) in all, so are the (d+1)-faces.  Where they do not,
+    ValueError is raised.
 
     The profile records whether every pivot normalised was +-1.  A column
     kept as its face has a lowest entry of +-1 already, so only reduced
-    columns are looked at, and only those of a dimension that is kept.
+    columns are looked at.
     """
     if not faces_by_dim or not faces_by_dim[0]:
         return HomologyProfile((), unit_pivots=True)
     get = _neighbours(faces_by_dim).__getitem__
     ranks = [1] + [0] * len(faces_by_dim)
     cleared = {faces_by_dim[0][-1]}
-    flag, unit_pivots, d = True, True, 0
-    while d < len(faces_by_dim) - 1:
-        upper = None if flag else set(faces_by_dim[d + 1])
-        pivots, extensions, units = {}, 0, True
+    unit_pivots = True
+    for d in range(len(faces_by_dim) - 1):
+        pivots, extensions = {}, 0
         for face in faces_by_dim[d]:
             common = reduce(and_, map(get, face))
             extensions += (common >> face[-1] + 1).bit_count()
             if face in cleared or not common:
                 continue
-            if upper is None:  # the highest common neighbour gives a face
-                u = common.bit_length() - 1
-                k = bisect(face, u)
-                low = face[:k] + (u,) + face[k:]
-            else:
-                low = next(_cofaces(face, common, upper), (None,))[0]
+            u = common.bit_length() - 1
+            k = bisect(face, u)
+            low = face[:k] + (u,) + face[k:]
             if low not in pivots:
-                if low is not None:
-                    pivots[low] = face
+                pivots[low] = face
                 continue
-            col = dict(_cofaces(face, common, upper))
+            col = dict(_cofaces(face, common))
             while low in pivots:
                 pivot = pivots[low]
                 if type(pivot) is tuple:
                     pivot = pivots[low] = _normalized(dict(_cofaces(
-                        pivot, reduce(and_, map(get, pivot)), upper)), low)
+                        pivot, reduce(and_, map(get, pivot)))), low)
                 _subtract(col, col[low], pivot)
                 low = max(col, default=None)
             if low is not None:
-                units = units and col[low] in (1, -1)
+                unit_pivots = unit_pivots and col[low] in (1, -1)
                 pivots[low] = _normalized(col, low)
-        if flag and extensions != len(faces_by_dim[d + 1]):
-            flag = False  # and this d again, with `upper`
-            continue
+        if extensions != len(faces_by_dim[d + 1]):
+            raise ValueError(
+                f"not a flag complex at dimension {d}: {extensions} common "
+                f"neighbours above the last vertices of its faces, "
+                f"{len(faces_by_dim[d + 1])} faces of dimension {d + 1}")
         ranks[d + 1] = len(pivots)
         cleared = pivots
-        unit_pivots = unit_pivots and units
-        d += 1
     betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
                   for d, faces in enumerate(faces_by_dim))
     return HomologyProfile(betti, unit_pivots)
@@ -587,7 +580,7 @@ def torsion_profile(c: SimplicialComplex) -> dict:
     for d in range(1, len(faces)):
         row = {face: k for k, face in enumerate(faces[d])}
         columns = [{row[coface]: sign for coface, sign in _cofaces(
-                        face, reduce(and_, map(get, face)), row)}
+                        face, reduce(and_, map(get, face)))}
                    for face in faces[d - 1]]
         out[d] = [v for v in _smith_normal_form_diagonal(columns, len(row))
                   if v > 1]

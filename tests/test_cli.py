@@ -213,6 +213,19 @@ def test_topology_torsion_guard_exits_before_eliminating(capsys, monkeypatch):
             "Smith form, more than the guard 250000") in capsys.readouterr().err
 
 
+def test_uncertified_d4_coxeter_ideal_torsion_exits_at_the_guard(capsys):
+    # the stripped D4 Coxeter ideal meets a pivot other than +-1, so every
+    # map goes dense, and the first is over the guard
+    assert main(["topology", "--group", "D", "--n", "4", "--ideal", "coxeter",
+                 "--torsion"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource guard: torsion guard exceeded at dimension 1: a boundary "
+        "map of 178x2604 entries for the dense Smith form, more than the "
+        "guard 250000\n")
+
+
 @pytest.mark.parametrize("cm", [[], ["--cm"]])
 def test_topology_torsion_eliminates_the_complex_once(capsys, monkeypatch, cm):
     # the link criterion eliminates its gaps too, all smaller than the
@@ -295,7 +308,7 @@ def test_seed_only_where_it_is_read(capsys, argv):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_seed_accepted_by_topology_and_verify(capsys):
+def test_seed_accepted_by_verify(capsys):
     assert main(["verify", "--profile", "quick", "--seed", "3"]) == 0
 
 

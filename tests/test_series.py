@@ -127,11 +127,14 @@ def test_convolve_matches_the_double_loop():
 
 def test_consistency_checks_raise_under_python_optimise():
     # `python -O` strips assert statements: both checks must still raise,
-    # and torsion must still come out of the unit-pivot certificate (the
-    # stripped B3) and of the dense fallback (RP^2)
+    # homology must still refuse a complex that is not flag, and torsion
+    # must still come out of the unit-pivot certificate (the stripped B3)
+    # and of the dense fallback (the barycentric subdivision of RP^2)
     code = """if True:
+        import itertools
         from fractions import Fraction
-        from absorder import full_poset, order_complex, torsion_profile
+        from absorder import (full_poset, homology, order_complex,
+                              torsion_profile)
         from absorder.invariants import InvariantReport
         from absorder.series import FormalPowerSeries, _extract_euler
         from absorder.topology import SimplicialComplex
@@ -145,11 +148,23 @@ def test_consistency_checks_raise_under_python_optimise():
                 print("no error:", check())
             except AssertionError as exc:
                 print("AssertionError:", exc)
+        def closure(tops):
+            return [sorted({f for t in tops
+                            for f in itertools.combinations(t, k)})
+                    for k in range(1, max(map(len, tops)) + 1)]
+
+        hollow = closure([(0, 1, 2, 3), (4, 5), (4, 6), (5, 6)])
+        try:
+            print("no error:", homology(SimplicialComplex(None, 0, hollow)))
+        except ValueError as exc:
+            print("ValueError:", exc)
         rp2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
                (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
-        edges = sorted({t[:k] + t[k + 1:] for t in rp2 for k in range(3)})
-        faces = [[(v,) for v in range(6)], edges, sorted(rp2)]
-        print(torsion_profile(SimplicialComplex(None, 0, faces)))
+        cells = [cell for faces in closure(rp2) for cell in faces]
+        index = {cell: k for k, cell in enumerate(cells)}
+        flags = [tuple(index[tuple(sorted(p[:k]))] for k in (1, 2, 3))
+                 for t in rp2 for p in itertools.permutations(t)]
+        print(torsion_profile(SimplicialComplex(None, 0, closure(flags))))
         print(torsion_profile(order_complex(full_poset("B", 3),
                                             strip="endpoints")))
     """
@@ -159,6 +174,8 @@ def test_consistency_checks_raise_under_python_optimise():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert all(line.startswith("AssertionError: ") for line in lines[:2]), lines
-    assert lines[2:] == ["{1: [], 2: [2]}", "{1: [], 2: []}"]
+    assert lines[2].startswith(
+        "ValueError: not a flag complex at dimension 1: "), lines
+    assert lines[3:] == ["{1: [], 2: [2]}", "{1: [], 2: []}"]

@@ -15,6 +15,7 @@ from absorder import (
     coxeter_ideal,
     format_cycles,
     full_poset,
+    group_elements,
     homology,
     identity,
     order_complex,
@@ -23,6 +24,7 @@ from absorder import (
 )
 from absorder import order, topology
 from absorder.order import bits
+from absorder.signed import cycle_type
 from absorder.topology import (SimplicialComplex, _chains_in_mask,
                                _homology_from_faces, _normalized, _subtract,
                                _smith_normal_form_diagonal)
@@ -250,48 +252,49 @@ def test_torsion_free_small_complex(monkeypatch):
     assert torsion_profile(c) == {1: []}
 
 
-# the six-vertex real projective plane; over Q its coboundaries reduce to
-# pivots of 2
+# the six-vertex real projective plane, whose barycentric subdivision
+# meets a pivot of 2 over Q
 _RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
         (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
 
 
 def _rp2():
-    """The six-vertex triangulation of the real projective plane."""
-    edges = sorted({t[:k] + t[k + 1:] for t in _RP2 for k in range(3)})
-    return SimplicialComplex(None, 0, [[(v,) for v in range(6)], edges,
-                                       sorted(_RP2)], label="RP^2")
+    """The barycentric subdivision of the six-vertex real projective plane:
+    a flag complex on 31 vertices with H_1 = Z/2."""
+    return SimplicialComplex(None, 0, _subdivided(_closure(_RP2)),
+                             label="RP^2")
 
 
 def test_torsion_guard_refuses_before_eliminating(monkeypatch):
-    # the maps of RP^2 are 6x15 and 15x10: at a guard of 150 both go to the
-    # dense form, at 149 dimension 2 is refused before either does
+    # the maps of RP^2 are 31x90 and 90x60: at a guard of 5,400 both go to
+    # the dense form, at 5,399 dimension 2 is refused before either does
     c = _rp2()
-    monkeypatch.setattr(topology, "TORSION_GUARD", 150)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 5400)
     assert torsion_profile(c) == {1: [], 2: [2]}
     monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
-    monkeypatch.setattr(topology, "TORSION_GUARD", 149)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 5399)
     with pytest.raises(ResourceGuardError,
-                       match=r"dimension 2: a boundary map of 15x10 entries "
+                       match=r"dimension 2: a boundary map of 90x60 entries "
                              r"for the dense Smith form, more than the guard "
-                             r"149$"):
+                             r"5399$"):
         torsion_profile(c)
 
 
 def test_residual_over_the_guard_raises_before_the_dense_form(monkeypatch):
     # no elimination of RP^2 meets only unit pivots, so each whole map is
-    # left to the dense form; its 6x15 map at dimension 1 trips a guard of 89
+    # left to the dense form; its 31x90 map at dimension 1 trips a guard of
+    # 2,789
     c = _rp2()
     assert not homology(c).unit_pivots
-    monkeypatch.setattr(topology, "TORSION_GUARD", 90)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 2790)
     monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
     with pytest.raises(ResourceGuardError, match="dimension 2: "):
         torsion_profile(c)
-    monkeypatch.setattr(topology, "TORSION_GUARD", 89)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 2789)
     with pytest.raises(ResourceGuardError,
-                       match=r"dimension 1: a boundary map of 6x15 entries "
+                       match=r"dimension 1: a boundary map of 31x90 entries "
                              r"for the dense Smith form, more than the guard "
-                             r"89$"):
+                             r"2789$"):
         torsion_profile(c)
 
 
@@ -304,7 +307,7 @@ def test_stripped_s5_is_torsion_free_within_the_guard():
 def test_real_projective_plane_has_two_torsion():
     # H_1 = Z/2
     c = _rp2()
-    assert len(c.faces_by_dim[1]) == 15
+    assert c.f_vector() == (31, 90, 60)
     assert homology(c).reduced_betti == (0, 0, 0)
     assert not homology(c).unit_pivots
     assert torsion_profile(c) == {1: [], 2: [2]}
@@ -388,30 +391,23 @@ def test_torsion_matches_the_smith_form_of_boundary_maps():
 
 
 def test_torsion_matches_the_dense_smith_form_on_random_complexes():
-    # a random complex around RP^2 often meets a pivot of 2 and takes the
-    # dense fallback
+    # the subdivision of a random complex around RP^2 often meets a pivot
+    # of 2 and takes the dense fallback.  Subdividing changes no homology
+    # group, so the dense form runs on the smaller complex drawn; the
+    # subdivision's own maps are checked with unit pivots first.
     rng = random.Random(20261018)
     with_torsion = fallback = 0
     for k in range(600):
-        faces = _random_complex(rng)
+        raw = _random_complex(rng)
+        faces = _subdivided(raw)
         c = SimplicialComplex(None, 0, faces, label=f"random {k}")
-        dense = _torsion_by_boundary_maps(faces, dense=True)
-        assert torsion_profile(c) == dense, (k, faces)
+        dense = _torsion_by_boundary_maps(raw, dense=True)
+        assert torsion_profile(c) == dense == _torsion_by_boundary_maps(
+            faces, dense=False), (k, raw)
         with_torsion += any(dense.values())
         fallback += not homology(c).unit_pivots
     assert with_torsion >= 50
     assert fallback >= 50
-
-
-def _subdivided_rp2():
-    """The maximal chains of the face poset of RP^2, on 31 vertices: an
-    order complex, so a flag complex, with H_1 = Z/2."""
-    cells = sorted({cell for t in _RP2 for k in (1, 2, 3)
-                    for cell in itertools.combinations(t, k)},
-                   key=lambda cell: (len(cell), cell))
-    index = {cell: i for i, cell in enumerate(cells)}
-    return [(index[t[a:a + 1]], index[tuple(sorted((t[a], t[b])))], index[t])
-            for t in _RP2 for a, b in itertools.permutations(range(3), 2)]
 
 
 def test_torsion_answers_on_random_subposets_of_b4():
@@ -427,17 +423,26 @@ def test_torsion_answers_on_random_subposets_of_b4():
             _faces_by_index(c), dense=False), k
 
 
-def test_a_redone_dimension_keeps_the_pivots_met_below_it():
-    # the subdivided RP^2 meets a pivot of 2 below dimension 2; a hollow
-    # and a solid tetrahedron beside it make the complex not flag at
-    # dimension 2, which is then eliminated a second time
-    rp2 = _subdivided_rp2()
-    beside = [*itertools.combinations(range(31, 35), 3), (35, 36, 37, 38)]
-    for tops, torsion in ((rp2, {1: [], 2: [2]}),
-                          (rp2 + beside, {1: [], 2: [2], 3: []})):
-        c = SimplicialComplex(None, 0, _closure(tops))
-        assert torsion_profile(c) == torsion == _torsion_by_boundary_maps(
-            c.faces_by_dim, dense=True)
+@pytest.mark.parametrize("tops,d,cliques,faces", [
+    (lambda: [(0, 1, 2, 3), (4, 5), (4, 6), (5, 6)], 1, 5, 4),
+    (lambda: [(0, 1, 2, 3, 4), *itertools.combinations(range(5, 9), 3)],
+     2, 6, 5),
+    (lambda: _rp2().faces_by_dim[2] + [
+        *itertools.combinations(range(31, 35), 3), (35, 36, 37, 38)], 2, 2, 1),
+], ids=["hollow-triangle", "hollow-tetrahedron", "rp2-beside-tetrahedra"])
+def test_homology_refuses_a_complex_not_flag_below_its_top(tops, d, cliques,
+                                                           faces):
+    # a clique that is no face below a dimension that exists, beside a
+    # 3-simplex, a 4-simplex, or RP^2 and a solid tetrahedron: the
+    # elimination reads cofaces off the cliques, so it must refuse, also
+    # after meeting a pivot of 2 (RP^2) and for torsion
+    c = SimplicialComplex(None, 0, _closure(tops()))
+    message = (f"not a flag complex at dimension {d}: {cliques} common "
+               f"neighbours above the last vertices of its faces, "
+               f"{faces} faces of dimension {d + 1}$")
+    for call in (homology, torsion_profile):
+        with pytest.raises(ValueError, match=message):
+            call(c)
 
 
 def test_homology_is_eliminated_once_per_complex(monkeypatch):
@@ -611,6 +616,17 @@ def _random_complex(rng):
     return _closure(tops)
 
 
+def _subdivided(faces_by_dim):
+    """Faces by dimension of the barycentric subdivision: the chains of
+    faces under inclusion, the k-th face listed being vertex k.  An order
+    complex, so a flag complex, with the same homology groups."""
+    cells = [face for dim_faces in faces_by_dim for face in dim_faces]
+    index = {cell: k for k, cell in enumerate(cells)}
+    return _closure([index[tuple(sorted(flag[:k]))]
+                     for k in range(1, len(flag) + 1)]
+                    for cell in cells for flag in itertools.permutations(cell))
+
+
 def _closure(tops):
     """Faces by dimension, each sorted, of the complex the `tops` generate."""
     faces = set()
@@ -633,6 +649,25 @@ def test_ranks_match_the_reference_on_order_complexes():
         assert _ranks_from_betti(faces) == _oracle_ranks(faces), p.label
         maps += len(faces) - 1
     assert maps == 14
+    # the intervals `cm_check` eliminates once per class, one [e, w] per
+    # signed cycle type of B4 and D4, with and without its ends (five are
+    # empty when stripped), all with the unit-pivot certificate of torsion
+    complexes = 0
+    for kind in ("B", "D"):
+        types = {}
+        for w in group_elements(kind, 4):
+            types.setdefault(cycle_type(w), w)
+        for w in types.values():
+            iv = build_interval(identity(4), w, kind)
+            for strip in ("endpoints", "none"):
+                c = order_complex(iv, strip=strip)
+                faces, name = c.faces_by_dim, (kind, format_cycles(w), strip)
+                assert not faces or (
+                    _ranks_from_betti(faces) == _oracle_ranks(faces)), name
+                assert homology(c).unit_pivots, name
+                complexes += 1
+                maps += max(len(faces) - 1, 0)
+    assert (complexes, maps) == (62, 14 + 107)
 
 
 def test_ranks_match_the_reference_on_random_complexes(monkeypatch):
@@ -647,7 +682,7 @@ def test_ranks_match_the_reference_on_random_complexes(monkeypatch):
     rng = random.Random(20261018)
     low_homology = zero_columns = 0
     for k in range(200):
-        faces = _random_complex(rng)
+        faces = _subdivided(_random_complex(rng))
         non_unit.append(False)
         assert _ranks_from_betti(faces) == _oracle_ranks(faces), (k, faces)
         low_homology += any(_homology_from_faces(faces).reduced_betti[:-1])
