@@ -421,16 +421,6 @@ class AnnularMixingFacts:
             and self.multichain_counts == self.multichain_formula
         )
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "cardinality": self.cardinality,
-            "cardinality_formula": self.cardinality_formula,
-            "multichain_counts": {str(m): c for m, c in self.multichain_counts.items()},
-            "multichain_formula": {str(m): c for m, c in self.multichain_formula.items()},
-            "ok": self.ok(),
-        }
-
 
 def annular_mixing_facts(k: int) -> AnnularMixingFacts:
     """Check the two mixing-set formulas by brute force.

@@ -9,8 +9,8 @@ existence over a whole group at once.
 
 from dataclasses import dataclass
 
-from .order import (Poset, _greatest, _least, _resolve, bits,
-                    elements_below, full_poset)
+from .order import (Poset, _greatest, _least, _resolve, bits, build_ideal,
+                    full_poset)
 from .signed import SignedPermutation, is_hook, is_member, mu_partition
 
 
@@ -140,12 +140,9 @@ def prediction_scan(kind: str, n: int) -> ScanReport:
 
 def maximal_common_lower_bounds(u: SignedPermutation, v: SignedPermutation,
                                 kind: str = "B") -> list:
-    """Maximal elements lying below both u and v in the group order.
-
-    Built on the intersection of the two principal ideals, which is enough:
-    maximality only needs comparisons against other common lower bounds.
-    """
-    common = elements_below(u, kind) & elements_below(v, kind)
-    sub = Poset(common, kind=kind, label="common lower bounds")
-    return [sub.elements[i] for i in _maximal_of(sub, (1 << len(sub)) - 1)]
+    """Maximal elements lying below both u and v in the group order: the
+    maximal members of the mask below both in the ideal they generate."""
+    p = build_ideal([u, v], kind)
+    i, j = p.index[u], p.index[v]
+    return [p.elements[t] for t in _maximal_of(p, p.below[i] & p.below[j])]
 

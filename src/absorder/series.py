@@ -141,10 +141,6 @@ class FormalPowerSeries:
         body = " + ".join(terms) if terms else "0"
         return f"<series {body} + O(t^{self.order + 1})>"
 
-    def to_json(self) -> dict:
-        return {"order": self.order,
-                "coeffs": [str(c) for c in self.coeffs]}
-
 
 def catalan_series(order: int) -> FormalPowerSeries:
     """Sum of Catalan numbers times t^n; satisfies C = 1 + t*C^2."""

@@ -18,14 +18,14 @@ Canonical form of a cycle word: rotate so the entry of smallest absolute
 value comes first, and take that entry positive.  Composition is right
 to left: (u * v)(i) = u(v(i)).
 
-Reflection length and the D-membership test only need how many orbits
-are paired and how many balanced, so they count them in one walk over
-the image tuple (`_orbit_counts`); the tests compare them with
-`cycle_decomposition`, which like `cycle_type` and the lower covers walks
-`_orbits`.  A reflection lies below w exactly when its root lies in the
-moved space of w (Carter 1972; Brady and Watt 2002): the sign flip [i]
-when i is in a balanced orbit, ((i, +-j)) when i and +-j share an orbit
-or i and j both lie in balanced orbits.
+One walk over the image tuple, `_orbits`, reads every element's orbits:
+reflection length and the D-membership test count how many are paired
+and how many balanced, and `cycle_decomposition`, `cycle_type` and the
+lower covers list them.  The tests compare the length with the fewest
+reflections whose product is w.  A reflection lies below w exactly when
+its root lies in the moved space of w (Carter 1972; Brady and Watt
+2002): the sign flip [i] when i is in a balanced orbit, ((i, +-j)) when
+i and +-j share an orbit or i and j both lie in balanced orbits.
 """
 
 from __future__ import annotations
@@ -159,9 +159,12 @@ def _orbits(w: SignedPermutation):
         orbit, x = [start], images[start - 1]
         while x != start and x != -start:
             orbit.append(x)
-            x = images[x - 1] if x > 0 else -images[-x - 1]
-        for a in orbit:
-            seen[abs(a)] = True
+            if x > 0:
+                seen[x] = True
+                x = images[x - 1]
+            else:
+                seen[-x] = True
+                x = -images[-x - 1]
         yield orbit, x != start
 
 
@@ -301,33 +304,6 @@ def _check_kind(kind):
         raise ValueError(f"unknown group kind {kind!r}")
 
 
-def _orbit_counts(w: SignedPermutation) -> tuple:
-    """(paired, balanced): how many orbits of w are of each sort.
-
-    One walk over the image tuple: an orbit that returns to +start is
-    paired (fixed points included), one that reaches -start is balanced.
-    """
-    images = w.images
-    seen = [False] * (len(images) + 1)
-    paired = balanced = 0
-    for start in range(1, len(images) + 1):
-        if seen[start]:
-            continue
-        x = images[start - 1]
-        while x != start and x != -start:
-            if x > 0:
-                seen[x] = True
-                x = images[x - 1]
-            else:
-                seen[-x] = True
-                x = -images[-x - 1]
-        if x == start:
-            paired += 1
-        else:
-            balanced += 1
-    return paired, balanced
-
-
 def cycle_type(w: SignedPermutation) -> tuple:
     """The B_n conjugacy class of w: sorted paired and balanced orbit
     lengths, fixed points as paired 1-cycles."""
@@ -344,7 +320,7 @@ def is_member(w: SignedPermutation, kind: str) -> bool:
         return True
     if kind == "S":
         return all(j > 0 for j in w.images)
-    return _orbit_counts(w)[1] % 2 == 0
+    return sum(balanced for _, balanced in _orbits(w)) % 2 == 0
 
 
 def absolute_length(w: SignedPermutation, kind: str = "B") -> int:
@@ -352,15 +328,17 @@ def absolute_length(w: SignedPermutation, kind: str = "B") -> int:
 
     The same count is correct for all three groups; for S_n every cycle is
     paired and for D_n the length is the restriction of the B_n length.
-    The paired and balanced orbits are counted in one walk over the images
-    (`_orbit_counts`), which also settles D-membership; an element outside
-    the kind raises ValueError.
+    The paired and balanced orbits are counted off `_orbits`, which also
+    settles D-membership; an element outside the kind raises ValueError.
     """
     _check_kind(kind)
-    paired, balanced = _orbit_counts(w)
+    orbits = balanced = 0
+    for _, is_balanced in _orbits(w):
+        orbits += 1
+        balanced += is_balanced
     if kind == "D" and balanced % 2 or kind == "S" and not is_member(w, "S"):
         raise ValueError(f"{w!r} is not in kind {kind}")
-    return w.n - paired
+    return w.n - orbits + balanced
 
 
 def reflection_set(kind: str, n: int) -> tuple:

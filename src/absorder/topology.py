@@ -35,10 +35,11 @@ class SimplicialComplex:
     order complex is: `homology` raises ValueError for one that is not
     flag below its top dimension.  Every face tuple is sorted ascending,
     and each dimension lists its faces in ascending lexicographic order;
-    the elimination sizes its neighbour masks by the last vertex listed.
+    the elimination sizes its neighbour masks by the last vertex listed,
+    and `homology` refuses a vertex list that is not ascending.
     `indices[v]` is the poset index of vertex v: an order complex labels
-    its members in rank-descending order (see `_chains_in_mask`).  None
-    means v is poset index v, as for hand-built complexes.  `homology`
+    its members in rank-descending order (see `_chains_in_mask`).
+    Hand-built complexes, with no host poset, leave it None.  `homology`
     keeps its profile here, so each complex is eliminated once.
     """
 
@@ -59,9 +60,6 @@ class SimplicialComplex:
 
     def face_count(self) -> int:
         return sum(len(faces) for faces in self.faces_by_dim)
-
-    def vertex_index(self, v: int) -> int:
-        return v if self.indices is None else self.indices[v]
 
     def to_json(self) -> dict:
         return {
@@ -261,8 +259,16 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
 
 def homology(c: SimplicialComplex) -> HomologyProfile:
     """Reduced rational Betti numbers and the reduced Euler characteristic,
-    eliminated on the first call and kept on the complex."""
+    eliminated on the first call and kept on the complex.  The vertices
+    must be listed in ascending order, as `_neighbours` and clearing
+    assume; ValueError otherwise."""
     if c._homology is None:
+        vertices = c.faces_by_dim[0] if c.faces_by_dim else []
+        for a, b in zip(vertices, vertices[1:]):
+            if a >= b:
+                raise ValueError(
+                    f"the vertices of {c.label!r} must be listed in "
+                    f"ascending order: {a[0]} comes before {b[0]}")
         c._homology = _homology_from_faces(c.faces_by_dim)
     return c._homology
 
@@ -397,7 +403,7 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     gap = _gap_polys(c, whole)
 
     def by_index(faces):  # poset indices, ascending: the lower end first
-        return sorted(tuple(sorted(map(c.vertex_index, f))) for f in faces)
+        return sorted(tuple(sorted(c.indices[v] for v in f)) for f in faces)
 
     vertices, edges = map(by_index, (c.faces_by_dim + [[], []])[:2])
     one_open = itertools.chain.from_iterable(((None, v), (v, None))

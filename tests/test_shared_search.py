@@ -1,8 +1,11 @@
 """Orbit-count reflection length and the shared downward search.
 
-`absolute_length`, `_orbit_counts` and D-membership count orbits in one
-walk over the image tuple; they are compared here with
-`cycle_decomposition`, which builds the cycles.  The shared search behind
+`absolute_length` and D-membership count the orbits that `_orbits` walks;
+they are compared here with `cycle_decomposition`, which builds the
+cycles, and with their definitions: the fewest reflections whose product
+is the element, found by breadth-first search from the identity, and the
+elements of B_n that such a search over D_n's reflections reaches.  The
+shared search behind
 `build_ideal` is compared with separate per-generator searches and with the
 `abs_leq` filter of the whole group, and its guard is checked at the first
 rank it must refuse.
@@ -24,14 +27,15 @@ from absorder.order import (
 )
 from absorder.signed import (
     SignedPermutation,
-    _orbit_counts,
     absolute_length,
     balanced_cycle,
     coxeter_elements,
     cycle_decomposition,
     group_elements,
+    group_order,
     identity,
     is_member,
+    reflection_set,
 )
 
 SEED = 20261018
@@ -45,21 +49,49 @@ def _random_signed(rng, n):
 def _check_against_cycles(w, kind):
     dec = cycle_decomposition(w)
     assert absolute_length(w, kind) == sum(c.reflection_length for c in dec.cycles)
-    assert _orbit_counts(w) == (len(dec.paired) + len(dec.fixed_points),
-                                len(dec.balanced))
     assert is_member(w, "D") == (len(dec.balanced) % 2 == 0)
 
 
 @pytest.mark.parametrize("kind,n", [("S", 5), ("B", 4), ("D", 4)])
-def test_orbit_counts_match_cycle_decomposition(kind, n):
+def test_length_matches_cycle_decomposition(kind, n):
     for w in group_elements(kind, n):
         _check_against_cycles(w, kind)
 
 
-def test_orbit_counts_match_on_seeded_b7_elements():
+def test_length_matches_on_seeded_b7_elements():
     rng = random.Random(SEED)
     for _ in range(500):
         _check_against_cycles(_random_signed(rng, 7), "B")
+
+
+def _reflection_distances(kind, n):
+    """Each element's distance from e in the Cayley graph of the kind's
+    reflections: the fewest reflections whose product is the element."""
+    reflections = reflection_set(kind, n)
+    distance = {identity(n): 0}
+    frontier = [identity(n)]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for t in reflections:
+                wt = w * t
+                if wt not in distance:
+                    distance[wt] = distance[w] + 1
+                    nxt.append(wt)
+        frontier = nxt
+    return distance
+
+
+@pytest.mark.parametrize("kind,n", [("S", 5), ("B", 4), ("D", 4), ("B", 5),
+                                    ("D", 5)])
+def test_length_is_the_fewest_reflections(kind, n):
+    distance = _reflection_distances(kind, n)
+    assert len(distance) == group_order(kind, n)
+    for w, d in distance.items():
+        assert absolute_length(w, kind) == d, w
+    if kind == "D":
+        for w in group_elements("B", n):
+            assert is_member(w, "D") == (w in distance), w
 
 
 def test_length_still_rejects_elements_outside_the_kind():

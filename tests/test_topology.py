@@ -108,9 +108,9 @@ def test_vertices_are_labelled_from_the_top_down():
     iv = build_interval(identity(4), parse_cycles("[1][2][3][4]", 4), "D")
     c = order_complex(iv, strip="none")
     vertices = [v for (v,) in c.faces_by_dim[0]]
-    ranks = [iv.rank[c.vertex_index(v)] for v in vertices]
+    ranks = [iv.rank[c.indices[v]] for v in vertices]
     assert ranks == sorted(ranks, reverse=True)
-    names = [format_cycles(iv.elements[c.vertex_index(v)]) for v in vertices]
+    names = [format_cycles(iv.elements[c.indices[v]]) for v in vertices]
     assert (names[0], names[-1]) == ("[1][2][3][4]", "e")
     # every face runs from its top down
     assert all(ranks[a] > ranks[b] for a, b in c.faces_by_dim[1])
@@ -151,7 +151,7 @@ def _links_from_scratch(c):
 def _faces_by_index(c):
     """The faces of an order complex over poset indices, each ascending
     and each dimension sorted: the order in which `cm_check` walks them."""
-    return [sorted(tuple(sorted(map(c.vertex_index, face))) for face in faces)
+    return [sorted(tuple(sorted(c.indices[v] for v in face)) for face in faces)
             for faces in c.faces_by_dim]
 
 
@@ -694,6 +694,34 @@ def test_ranks_match_the_reference_on_random_complexes(monkeypatch):
     assert low_homology >= 100
     assert zero_columns >= 100
     assert sum(non_unit) >= 20
+
+
+def test_homology_refuses_a_vertex_list_out_of_order():
+    # the neighbour masks are sized by the last vertex listed and clearing
+    # starts from it, so `homology` (and through it `torsion_profile`)
+    # refuses such a list; sorted again, each keeps its Betti numbers
+    hollow = [[(2,), (0,), (1,)], [(0, 1), (0, 2), (1, 2)]]
+    for call in (homology, torsion_profile):
+        with pytest.raises(ValueError, match="^the vertices of 'complex' must "
+                           "be listed in ascending order: 2 comes before 0$"):
+            call(SimplicialComplex(None, 0, hollow))
+    hollow[0].sort()
+    assert homology(SimplicialComplex(None, 0, hollow)).reduced_betti == (0, 1)
+    rng = random.Random(3)
+    refused = 0
+    for k in range(50):
+        faces = _subdivided(_random_complex(rng))
+        shuffled = rng.sample(faces[0], len(faces[0]))
+        if shuffled != faces[0]:
+            with pytest.raises(ValueError, match="must be listed in ascending"):
+                homology(SimplicialComplex(None, 0, [shuffled] + faces[1:]))
+            refused += 1
+        ranks = _oracle_ranks(faces)
+        c = SimplicialComplex(None, 0, [sorted(shuffled)] + faces[1:])
+        assert homology(c).reduced_betti == tuple(
+            len(dim_faces) - ranks[d] - ranks[d + 1]
+            for d, dim_faces in enumerate(faces)), k
+    assert refused >= 45
 
 
 def test_cm_check_eliminates_each_interval_class_once(monkeypatch):
