@@ -91,16 +91,10 @@ def _cmd_lattice_scan(args) -> int:
 
 def _cmd_invariants(args) -> int:
     if args.family:
-        if args.family == "coxeter":
-            closed = invariants.closed_form_coxeter_interval(args.n)
-            built = invariants.build_coxeter_interval(args.n)
-        elif args.family == "flip":
-            closed = invariants.closed_form_flip_interval(args.n)
-            built = invariants.build_flip_interval(args.n)
-        else:
-            closed = invariants.closed_form_cycle_flip_interval(args.k, args.r)
-            built = invariants.build_cycle_flip_interval(args.k, args.r)
-        census = invariants.census(built)
+        closed_form, build = invariants.FAMILIES[args.family]
+        sizes = (args.k, args.r) if args.family == "cycle-flip" else (args.n,)
+        closed = closed_form(*sizes)
+        census = invariants.census(build(*sizes))
         agree = closed.matches(census)
         if args.format == "json":
             print(json.dumps({"closed_form": closed.to_json(),
@@ -215,19 +209,20 @@ def _unread_option(args) -> str | None:
 
 
 def _rank(text: str) -> int:
-    """The --n argument: a nonnegative integer."""
+    """The --n and --upto arguments: a nonnegative integer."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"the rank must be a nonnegative integer, got {text!r}")
     return int(text)
 
 
-def _add_common(sub, top=False):
+def _add_common(sub, formats, top=False):
     sub.add_argument("--group", choices=("S", "B", "D"), default="B")
     sub.add_argument("--n", type=_rank, required=True)
     if top:
         sub.add_argument("--top", help="top element in cycle notation")
         sub.add_argument("--bottom", help="bottom element (default identity)")
+    sub.add_argument("--format", choices=formats, default="table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,18 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("poset", help="render a whole group poset")
-    _add_common(sub)
-    sub.add_argument("--format", choices=POSET_FORMATS, default="table")
+    _add_common(sub, POSET_FORMATS)
     sub.set_defaults(handler=_cmd_poset)
 
     sub = subs.add_parser("interval", help="render a closed interval")
-    _add_common(sub, top=True)
-    sub.add_argument("--format", choices=POSET_FORMATS, default="table")
+    _add_common(sub, POSET_FORMATS, top=True)
     sub.set_defaults(handler=_cmd_poset)
 
     sub = subs.add_parser("ideal", help="render an order ideal")
-    _add_common(sub)
-    sub.add_argument("--format", choices=POSET_FORMATS, default="table")
+    _add_common(sub, POSET_FORMATS)
     which = sub.add_mutually_exclusive_group(required=True)
     which.add_argument("--coxeter", action="store_true",
                        help="ideal generated by all maximal cycles")
@@ -259,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_ideal)
 
     sub = subs.add_parser("check-el", help="verify an edge labeling")
-    _add_common(sub, top=True)
-    sub.add_argument("--format", choices=FORMATS, default="table")
+    _add_common(sub, FORMATS, top=True)
     sub.add_argument("--labeling",
                      choices=("letter", "collapsed", "join-position"),
                      default="letter")
@@ -268,23 +259,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("lattice-scan",
                           help="compare lattice predictions with brute force")
-    _add_common(sub)
-    sub.add_argument("--format", choices=FORMATS, default="table")
+    _add_common(sub, FORMATS)
     sub.set_defaults(handler=_cmd_lattice_scan)
 
     sub = subs.add_parser("invariants",
                           help="census a poset, or confront a closed form")
-    _add_common(sub, top=True)
-    sub.add_argument("--format", choices=FORMATS, default="table")
-    sub.add_argument("--family", choices=("coxeter", "flip", "cycle-flip"))
+    _add_common(sub, FORMATS, top=True)
+    sub.add_argument("--family", choices=invariants.FAMILIES)
     sub.add_argument("--k", type=int)
     sub.add_argument("--r", type=int)
     sub.set_defaults(handler=_cmd_invariants)
 
     sub = subs.add_parser("topology",
                           help="homology and Cohen-Macaulay checks")
-    _add_common(sub, top=True)
-    sub.add_argument("--format", choices=FORMATS, default="table")
+    _add_common(sub, FORMATS, top=True)
     sub.add_argument("--ideal", choices=("coxeter",),
                      help="use the maximal-cycle ideal instead of an interval")
     sub.add_argument("--strip", choices=("none", "endpoints"),
@@ -295,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("gf", help="generating-function predictions")
     sub.add_argument("--family", choices=("sym", "hyper"), required=True)
-    sub.add_argument("--upto", type=int, required=True)
+    sub.add_argument("--upto", type=_rank, required=True)
     sub.add_argument("--crosscheck", action="store_true")
     sub.add_argument("--format", choices=FORMATS, default="table")
     sub.set_defaults(handler=_cmd_gf)
 
     sub = subs.add_parser("verify", help="run the claim suite")
-    sub.add_argument("--profile", choices=("quick", "full"), default="quick")
+    sub.add_argument("--profile", choices=verify.PROFILES, default="quick")
     sub.add_argument("--inject-fault", metavar="CLAIM",
                      help="deliberately falsify one claim's verdict")
     sub.add_argument("--format", choices=FORMATS, default="table")

@@ -81,14 +81,8 @@ class RationalPolynomial:
         return int(value) if value.denominator == 1 else value
 
     def __add__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            other = RationalPolynomial([other])
-        a, b = self.coefficients, other.coefficients
-        size = max(len(a), len(b))
-        return RationalPolynomial([
-            (a[d] if d < len(a) else 0) + (b[d] if d < len(b) else 0)
-            for d in range(size)
-        ])
+        return RationalPolynomial([a + b for a, b in itertools.zip_longest(
+            self.coefficients, other.coefficients, fillvalue=0)])
 
     def __mul__(self, other):
         if not isinstance(other, RationalPolynomial):
@@ -225,13 +219,17 @@ class InvariantReport:
                 and z.leading() * factorial(z.degree()) != self.max_chains):
             raise AssertionError("zeta's leading term is not the chain count")
 
-    def matches(self, other: "InvariantReport") -> bool:
-        """Field-by-field equality, skipping fields absent on either side."""
-        for field in ("cardinality", "rank_sizes", "max_chains", "mobius_bottom_top", "zeta"):
-            a, b = getattr(self, field), getattr(other, field)
-            if a is not None and b is not None and a != b:
-                return False
-        return True
+    def views(self, census: "InvariantReport") -> tuple:
+        """Json views of this closed form and of a census, both restricted
+        to the fields the closed form gives: the one comparison rule."""
+        expected = {k: v for k, v in self.to_json().items() if v is not None}
+        computed = {k: census.to_json().get(k) for k in expected}
+        return expected, computed
+
+    def matches(self, census: "InvariantReport") -> bool:
+        """Whether the two views of `views` are equal."""
+        expected, computed = self.views(census)
+        return expected == computed
 
     def to_json(self) -> dict:
         return {
@@ -390,6 +388,15 @@ def build_flip_interval(n: int) -> Poset:
 
 def build_cycle_flip_interval(k: int, r: int) -> Poset:
     return build_interval(identity(k + r), cycle_flip_top(k, r), "B")
+
+
+# Each family's closed form and the builder of its interval, both called
+# with the family's sizes: n, or k and r for cycle-flip.
+FAMILIES = {
+    "coxeter": (closed_form_coxeter_interval, build_coxeter_interval),
+    "flip": (closed_form_flip_interval, build_flip_interval),
+    "cycle-flip": (closed_form_cycle_flip_interval, build_cycle_flip_interval),
+}
 
 
 def mixing_indices(p: Poset, k: int) -> list:

@@ -277,8 +277,7 @@ class Poset:
         return bool(self.below[j] >> i & 1)
 
     def rank_sizes(self) -> tuple:
-        top = max(self.rank, default=0)
-        sizes = [0] * (top + 1)
+        sizes = [0] * (self.height() + 1)
         for r in self.rank:
             sizes[r] += 1
         return tuple(sizes)

@@ -4,7 +4,10 @@ Each claim states what is being compared and computes both sides from
 scratch as text.  A claim passes exactly when computed equals expected: the
 verdict is derived from the two texts and never recorded apart from them.
 The quick profile stays at sizes that finish in seconds; the full profile
-runs everything at the sizes the package is committed to.  Fault injection
+runs everything at the sizes the package is committed to.  They differ only
+in `SCOPES`: each row names what it scopes and holds its value under each
+of `PROFILES`, in order (False in quick for a claim only full runs), and
+each claim section reads its profile's column.  Fault injection
 deliberately alters one claim's computed text so callers can watch a
 failure propagate to a nonzero exit.
 """
@@ -16,6 +19,36 @@ from . import invariants, labeling, lattice, order, series, topology
 from .signed import format_cycles, parse_cycles
 
 DEFAULT_SEED = 20260816
+PROFILES = ("quick", "full")
+SCOPES = {
+    "coxeter-interval-invariants": (3, 4),  # largest n
+    "flip-interval-invariants": (3, 5),  # largest n
+    "cycle-flip-interval-invariants": (3, 5),  # largest k + r
+    "annular-mixing-counts": ([1, 2], [1, 2, 3, 4]),  # k
+    "hook-lattice-scan-signed": (3, 4),  # n
+    "even-lattice-scan": (3, 4),  # n
+    "even-three-lower-bounds": (False, True),
+    "letter-labeling-el": (2, 4),  # n
+    "canonical-chain-labels": (3, 4),  # n
+    "flip-interval-el": (3, 4),  # largest n
+    "euler-three-way-plain": (range(3, 5), range(3, 6)),  # n
+    "euler-three-way-signed": (range(2, 4), range(2, 5)),  # n
+    "proper-part-cm": ([("S", 3), ("B", 2)],
+                       [("S", 3), ("S", 4), ("B", 2), ("B", 3), ("B", 4)]),
+    "coxeter-ideal-torsion-free": (False, True),  # on the cm scopes
+    "cover-pattern-agreement": (3, 4),  # n
+    "lower-cover-rule": (False, True),
+    "noncrossing-order-agreement": (4, 5),  # n
+    "rank-generating-function": (3, 4),  # largest n
+    "zeta-consistency intervals": (3, 4),  # largest n
+    "zeta-consistency cycle-flip": ([(1, 1), (1, 2), (2, 1)],
+                                    [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1),
+                                     (1, 3)]),  # (k, r)
+    "fiber-ideal-ranks": ([("S", 3), ("B", 2)],
+                          [("S", 3), ("S", 4), ("S", 5), ("B", 2), ("B", 3),
+                           ("B", 4)]),
+    "fiber-projection-laws": ([3], [2, 3, 4]),  # n
+}
 
 
 @dataclass
@@ -52,42 +85,30 @@ class VerificationSuiteReport:
         }
 
 
-def _dump(value) -> str:
-    return json.dumps(value, sort_keys=True, default=str)
-
-
 def _claim(claim, statement, parameters, expected, computed) -> ClaimResult:
-    """The one way to state a claim; non-string sides are dumped as json."""
-    text = [side if isinstance(side, str) else _dump(side)
+    """The one way to state a claim.  A computed side of None means the
+    expected text held; non-string sides are dumped as json."""
+    if computed is None:
+        computed = expected
+    text = [side if isinstance(side, str)
+            else json.dumps(side, sort_keys=True, default=str)
             for side in (expected, computed)]
     return ClaimResult(claim, statement, parameters, *text)
 
 
-def _report_pair(closed_report, census_report):
-    """Json views of the two reports, restricted to the closed form's fields."""
-    expected = {k: v for k, v in closed_report.to_json().items()
-                if v is not None}
-    computed = {k: census_report.to_json().get(k) for k in expected}
-    return expected, computed
-
-
-def _claim_interval_invariants(profile):
-    families = {
-        "coxeter": (invariants.build_coxeter_interval,
-                    invariants.closed_form_coxeter_interval, 3, 4),
-        "flip": (invariants.build_flip_interval,
-                 invariants.closed_form_flip_interval, 3, 5),
-    }
+def _claim_interval_invariants(scope):
     out = []
-    for name, (build, closed, quick, full) in families.items():
-        ns = list(range(1, (quick if profile == "quick" else full) + 1))
+    for name in ("coxeter", "flip"):
+        closed, build = invariants.FAMILIES[name]
+        claim = f"{name}-interval-invariants"
+        ns = list(range(1, scope[claim] + 1))
         expected = {}
         computed = {}
         for n in ns:
-            expected[n], computed[n] = _report_pair(
-                closed(n), invariants.census(build(n)))
+            expected[n], computed[n] = closed(n).views(
+                invariants.census(build(n)))
         out.append(_claim(
-            claim=f"{name}-interval-invariants",
+            claim=claim,
             statement=(f"census of the {name} interval matches the closed "
                        "forms for cardinality, rank sizes, chain count, "
                        "first-to-last Mobius value, and zeta polynomial"),
@@ -98,16 +119,16 @@ def _claim_interval_invariants(profile):
     return out
 
 
-def _claim_cycle_flip(profile):
-    top = 3 if profile == "quick" else 5
+def _claim_cycle_flip(scope):
+    closed, build = invariants.FAMILIES["cycle-flip"]
+    top = scope["cycle-flip-interval-invariants"]
     pairs = [(k, r) for k in range(1, top) for r in range(1, top)
              if k + r <= top]
     expected = {}
     computed = {}
     for k, r in pairs:
-        expected[f"{k},{r}"], computed[f"{k},{r}"] = _report_pair(
-            invariants.closed_form_cycle_flip_interval(k, r),
-            invariants.census(invariants.build_cycle_flip_interval(k, r)))
+        expected[f"{k},{r}"], computed[f"{k},{r}"] = closed(k, r).views(
+            invariants.census(build(k, r)))
     results = [_claim(
         claim="cycle-flip-interval-invariants",
         statement=("census of the cycle-plus-flips interval matches the "
@@ -117,8 +138,8 @@ def _claim_cycle_flip(profile):
         expected=expected,
         computed=computed,
     )]
-    literal = invariants.closed_form_cycle_flip_interval(1, 1, literal_boundary=True)
-    actual = invariants.census(invariants.build_cycle_flip_interval(1, 1))
+    literal = closed(1, 1, literal_boundary=True)
+    actual = invariants.census(build(1, 1))
     results.append(_claim(
         claim="cycle-flip-literal-boundary",
         statement=("taking the depth-zero and depth-one seeds literally as 1 "
@@ -133,8 +154,8 @@ def _claim_cycle_flip(profile):
     return results
 
 
-def _claim_annular(profile):
-    ks = [1, 2] if profile == "quick" else [1, 2, 3, 4]
+def _claim_annular(scope):
+    ks = scope["annular-mixing-counts"]
     expected = {}
     computed = {}
     for k in ks:
@@ -154,29 +175,25 @@ def _claim_annular(profile):
     )]
 
 
-def _claim_lattice_scans(profile):
+def _claim_lattice_scans(scope):
     out = []
-    n_b = 3 if profile == "quick" else 4
-    report = lattice.prediction_scan("B", n_b)
-    out.append(_claim(
-        claim="hook-lattice-scan-signed",
-        statement=("an interval below a signed element is a lattice exactly "
-                   "when its balanced-length profile is a hook"),
-        parameters={"n": n_b},
-        expected=f"0 mismatches over {report.checked} elements",
-        computed=f"{len(report.mismatches)} mismatches over {report.checked} elements",
-    ))
-    n_d = 3 if profile == "quick" else 4
-    report = lattice.prediction_scan("D", n_d)
-    out.append(_claim(
-        claim="even-lattice-scan",
-        statement=("inside the even subgroup the lattice profiles are "
-                   "exactly empty, (k,1), and (1,1,1,1)"),
-        parameters={"n": n_d},
-        expected=f"0 mismatches over {report.checked} elements",
-        computed=f"{len(report.mismatches)} mismatches over {report.checked} elements",
-    ))
-    if profile != "quick":
+    for claim, kind, statement in (
+        ("hook-lattice-scan-signed", "B",
+         "an interval below a signed element is a lattice exactly when its "
+         "balanced-length profile is a hook"),
+        ("even-lattice-scan", "D",
+         "inside the even subgroup the lattice profiles are exactly empty, "
+         "(k,1), and (1,1,1,1)"),
+    ):
+        report = lattice.prediction_scan(kind, scope[claim])
+        out.append(_claim(
+            claim=claim,
+            statement=statement,
+            parameters={"n": scope[claim]},
+            expected=f"0 mismatches over {report.checked} elements",
+            computed=f"{len(report.mismatches)} mismatches over {report.checked} elements",
+        ))
+    if scope["even-three-lower-bounds"]:
         u = parse_cycles("[1][2][3][4]", 5)
         v = parse_cycles("[1][2][3][5]", 5)
         out.append(_claim(
@@ -192,9 +209,9 @@ def _claim_lattice_scans(profile):
     return out
 
 
-def _claim_el(profile):
+def _claim_el(scope):
     out = []
-    n = 2 if profile == "quick" else 4
+    n = scope["letter-labeling-el"]
     report = labeling.verify_el(order.full_poset("B", n))
     out.append(_claim(
         claim="letter-labeling-el",
@@ -203,10 +220,9 @@ def _claim_el(profile):
                    "chain and it is lexicographically first"),
         parameters={"n": n, "intervals": report.intervals_checked},
         expected="EL on all intervals",
-        computed="EL on all intervals" if report.ok
-        else f"failure at {report.failure}",
+        computed=None if report.ok else f"failure at {report.failure}",
     ))
-    n = 3 if profile == "quick" else 4
+    n = scope["canonical-chain-labels"]
     ambient = order.full_poset("B", n)
 
     def chain_labels(w):
@@ -222,40 +238,35 @@ def _claim_el(profile):
                    "by that element's sorted letter multiset"),
         parameters={"n": n, "elements": len(ambient)},
         expected="labels match the letter multiset for every element",
-        computed="labels match the letter multiset for every element"
-        if mismatch is None else f"mismatch at {mismatch}",
+        computed=None if mismatch is None else f"mismatch at {mismatch}",
     ))
     return out
 
 
-def _claim_alt_labelings(profile):
-    top = 3 if profile == "quick" else 4
+def _claim_alt_labelings(scope):
+    top = scope["flip-interval-el"]
+    flips = [invariants.build_flip_interval(n) for n in range(1, top + 1)]
     out = []
     for name, make in (
         ("collapsed-reflection", lambda p: labeling.collapsed_reflection_label),
         ("join-position", labeling.join_position_labeler),
     ):
-        bad = None
-        for n in range(1, top + 1):
-            p = invariants.build_flip_interval(n)
-            labeler = make(p)
-            rep = labeling.verify_el(p, labeler=labeler)
-            if not rep.ok:
-                bad = (n, rep.failure)
-                break
+        reports = (labeling.verify_el(p, labeler=make(p)) for p in flips)
+        bad = next(((n, rep.failure) for n, rep in enumerate(reports, 1)
+                    if not rep.ok), None)
         out.append(_claim(
             claim=f"flip-interval-el-{name}",
             statement=(f"the {name.replace('-', ' ')} labeling is EL on the "
                        "interval below the product of all sign flips"),
             parameters={"n": list(range(1, top + 1))},
             expected="EL on all flip intervals",
-            computed="EL on all flip intervals" if bad is None
+            computed=None if bad is None
             else f"failure at n={bad[0]}: {bad[1]}",
         ))
     return out
 
 
-def _claim_disconnected(profile):
+def _claim_disconnected(scope):
     iv = order.build_interval(parse_cycles("e", 4),
                               parse_cycles("[1][2][3][4]", 4), "D")
     cm = topology.cm_check(topology.order_complex(iv, strip="endpoints"))
@@ -272,33 +283,33 @@ def _claim_disconnected(profile):
     )]
 
 
-def _claim_euler_three_way(profile):
-    """The two Euler claims, then proper-part-cm and, in the full profile,
+def _claim_euler_three_way(scope):
+    """The two Euler claims, then proper-part-cm and, where the scope asks,
     coxeter-ideal-torsion-free, from one stripped complex per scope, whose
     elimination `topology.homology` keeps for the link criterion and the
     torsion check."""
     out = []
-    cm_scopes = ([("S", 3), ("B", 2)] if profile == "quick"
-                 else [("S", 3), ("S", 4), ("B", 2), ("B", 3), ("B", 4)])
+    cm_scopes = scope["proper-part-cm"]
     cm_expected = {}
     cm_computed = {}
     torsion = {}
     # below rank 3 the plain poset is bounded, endpoint stripping empties
     # it, and the prediction describes the bottom-stripped complex instead
     families = [
-        ("plain", "S", range(3, 5) if profile == "quick" else range(3, 6),
-         series.predicted_chi_sym, lambda n: order.full_poset("S", n),
+        ("plain", "S", series.predicted_chi_sym,
+         lambda n: order.full_poset("S", n),
          "give the same reduced Euler characteristic for the stripped "
          "plain-group complexes"),
-        ("signed", "B", range(2, 4) if profile == "quick" else range(2, 5),
-         series.predicted_chi_hyper, lambda n: order.coxeter_ideal(n, "B"),
+        ("signed", "B", series.predicted_chi_hyper,
+         lambda n: order.coxeter_ideal(n, "B"),
          "agree on the stripped coxeter-ideal complexes of the signed groups"),
     ]
-    for name, kind, scope, predict, build, conclusion in families:
-        predictions = predict(max(scope))
+    for name, kind, predict, build, conclusion in families:
+        ns = scope[f"euler-three-way-{name}"]
+        predictions = predict(max(ns))
         expected = {}
         computed = {}
-        for n in scope:
+        for n in ns:
             p = build(n)
             c = topology.order_complex(p, strip="endpoints")
             h = topology.homology(c)
@@ -309,7 +320,7 @@ def _claim_euler_three_way(profile):
                 cm_computed[key] = {"cm": topology.cm_check(c).ok,
                                     "concentrated": h.concentrated_in_top(),
                                     "top_betti": h.reduced_betti[-1]}
-                if profile != "quick":
+                if scope["coxeter-ideal-torsion-free"]:
                     torsion[key] = {str(d): factors for d, factors in
                                     topology.torsion_profile(c).items()
                                     if factors}
@@ -324,7 +335,7 @@ def _claim_euler_three_way(profile):
             claim=f"euler-three-way-{name}",
             statement=("series prediction, boundary-rank homology, and signed "
                        f"chain counting {conclusion}"),
-            parameters={"n": list(scope)},
+            parameters={"n": list(ns)},
             expected=expected,
             computed=computed,
         ))
@@ -338,7 +349,7 @@ def _claim_euler_three_way(profile):
         expected=cm_expected,
         computed=cm_computed,
     ))
-    if profile != "quick":
+    if scope["coxeter-ideal-torsion-free"]:
         out.append(_claim(
             claim="coxeter-ideal-torsion-free",
             statement=("the stripped plain-group and coxeter-ideal complexes "
@@ -351,9 +362,9 @@ def _claim_euler_three_way(profile):
     return out
 
 
-def _claim_order_agreement(profile):
+def _claim_order_agreement(scope):
     out = []
-    n = 3 if profile == "quick" else 4
+    n = scope["cover-pattern-agreement"]
     ambient = order.full_poset("B", n)
     bad = next((format_cycles(w) for w in ambient.elements
                 if order.covers(w, "B") != order.covers_by_pattern(w)), None)
@@ -363,12 +374,11 @@ def _claim_order_agreement(profile):
                    "cover generation by trying every reflection"),
         parameters={"n": n, "elements": len(ambient)},
         expected="identical cover sets for every element",
-        computed="identical cover sets for every element" if bad is None
-        else f"mismatch at {bad}",
+        computed=None if bad is None else f"mismatch at {bad}",
     ))
-    if profile != "quick":
-        groups = {"B4": ambient, "D4": order.full_poset("D", 4),
-                  "S5": order.full_poset("S", 5)}
+    if scope["lower-cover-rule"]:
+        groups = {f"{kind}{n}": order.full_poset(kind, n)
+                  for kind, n in (("B", 4), ("D", 4), ("S", 5))}
         bad = next((f"{key} {format_cycles(w)}" for key, p in groups.items()
                     for w, up in zip(p.elements, p.hasse_up)
                     if {p.elements[j] for j in up} != order.covers(w, p.kind)),
@@ -379,10 +389,9 @@ def _claim_order_agreement(profile):
                        "Watt) are the covers found by trying each reflection"),
             parameters={"groups": list(groups)},
             expected="identical covers for every element",
-            computed="identical covers for every element" if bad is None
-            else f"mismatch at {bad}",
+            computed=None if bad is None else f"mismatch at {bad}",
         ))
-    n = 4 if profile == "quick" else 5
+    n = scope["noncrossing-order-agreement"]
     plain = order.full_poset("S", n)
     bad = next(((format_cycles(u), format_cycles(v))
                 for u in plain.elements for v in plain.elements
@@ -394,14 +403,13 @@ def _claim_order_agreement(profile):
                     "define the same order on the plain group"),
         parameters={"n": n, "pairs": len(plain) ** 2},
         expected="orders agree on all pairs",
-        computed="orders agree on all pairs" if bad is None
-        else f"disagreement at {bad}",
+        computed=None if bad is None else f"disagreement at {bad}",
     ))
-    scope = 3 if profile == "quick" else 4
+    top = scope["rank-generating-function"]
     expected = {}
     computed = {}
     for kind in ("S", "B", "D"):
-        for n in range(2, scope + 1):
+        for n in range(2, top + 1):
             key = f"{kind}{n}"
             expected[key] = list(invariants.rank_generating_function(kind, n))
             computed[key] = list(order.full_poset(kind, n).rank_sizes())
@@ -409,21 +417,19 @@ def _claim_order_agreement(profile):
         claim="rank-generating-function",
         statement=("group rank sizes match the product formula over the "
                    "degree exponents"),
-        parameters={"kinds": ["S", "B", "D"], "n_upto": scope},
+        parameters={"kinds": ["S", "B", "D"], "n_upto": top},
         expected=expected,
         computed=computed,
     ))
     return out
 
 
-def _claim_zeta_battery(profile):
-    tops = 3 if profile == "quick" else 4
+def _claim_zeta_battery(scope):
     posets = []
-    for n in range(1, tops + 1):
+    for n in range(1, scope["zeta-consistency intervals"] + 1):
         posets.append((f"coxeter-{n}", invariants.build_coxeter_interval(n)))
         posets.append((f"flip-{n}", invariants.build_flip_interval(n)))
-    for k, r in [(1, 1), (1, 2), (2, 1)] + ([(2, 2), (3, 1), (1, 3)]
-                                            if profile != "quick" else []):
+    for k, r in scope["zeta-consistency cycle-flip"]:
         posets.append((f"cycle-flip-{k}-{r}",
                        invariants.build_cycle_flip_interval(k, r)))
     expected = {}
@@ -455,17 +461,16 @@ def _claim_zeta_battery(profile):
         statement="every rank-3 signed interval has palindromic rank sizes",
         parameters={"n": 3},
         expected="palindromic for every element",
-        computed="palindromic for every element" if bad is None
+        computed=None if bad is None
         else f"not palindromic below {bad[0]}: {bad[1]}",
     ))
     return results
 
 
-def _claim_fiber_machinery(profile):
+def _claim_fiber_machinery(scope):
     out = []
-    scopes = ([("S", 3), ("B", 2)] if profile == "quick"
-              else [("S", 3), ("S", 4), ("S", 5), ("B", 2), ("B", 3), ("B", 4)])
-    ns = [3] if profile == "quick" else [2, 3, 4]
+    scopes = scope["fiber-ideal-ranks"]
+    ns = scope["fiber-projection-laws"]
     # each Coxeter ideal of kind S (all of S_n) or B, built once
     ambient = {(kind, n): order.coxeter_ideal(n, kind) for kind, n in
                {*scopes, *((kind, n) for n in ns for kind in "SB")}}
@@ -508,15 +513,15 @@ def _claim_fiber_machinery(profile):
     return out
 
 
-def _claim_series_identity(profile):
+def _claim_series_identity(scope):
     return [_claim(
         claim="flip-exponential-identity",
         statement=("exp of the alternating Catalan log-series equals its "
                    "closed product form through order 10"),
         parameters={"order": 10},
         expected="coefficients agree through order 10",
-        computed="coefficients agree through order 10"
-        if series.flip_exponential_identity_ok(10) else "coefficient mismatch",
+        computed=None if series.flip_exponential_identity_ok(10)
+        else "coefficient mismatch",
     )]
 
 
@@ -545,17 +550,17 @@ def run_verify_suite(profile: str = "quick", seed: int = DEFAULT_SEED,
     derived verdict fails, proving that a wrong value cannot produce a
     clean exit.
     """
-    if profile not in ("quick", "full"):
+    if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
+    column = PROFILES.index(profile)
+    scope = {row: values[column] for row, values in SCOPES.items()}
     results = []
     for section in CLAIM_SECTIONS:
-        results.extend(section(profile))
+        results.extend(section(scope))
     if fault is not None:
-        matched = [r for r in results if r.claim == fault]
-        if not matched:
-            known = ", ".join(r.claim for r in results)
-            raise ValueError(
-                f"unknown claim id {fault!r}; this profile produced: {known}")
-        for r in matched:
-            r.computed += " [injected fault]"
+        known = [r.claim for r in results]
+        if fault not in known:
+            raise ValueError(f"unknown claim id {fault!r}; this profile "
+                             f"produced: {', '.join(known)}")
+        results[known.index(fault)].computed += " [injected fault]"
     return VerificationSuiteReport(profile, seed, results)

@@ -291,6 +291,15 @@ def test_negative_or_bad_rank_is_a_usage_error(capsys, value):
     assert "rank must be a nonnegative integer" in capsys.readouterr().err
 
 
+def test_negative_gf_order_is_a_usage_error_naming_the_option(capsys):
+    # --upto is parsed like --n, so argparse names the option it rejects
+    with pytest.raises(SystemExit) as exc:
+        main(["gf", "--family", "sym", "--upto", "-1"])
+    assert exc.value.code == 2
+    assert ("argument --upto: the rank must be a nonnegative integer"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv", [
     ["poset", "--n", "2"],
     ["interval", "--n", "2", "--top", "[1,2]"],

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from absorder.invariants import (
+    InvariantReport,
     RationalPolynomial,
     annular_mixing_facts,
     build_coxeter_interval,
@@ -143,6 +144,22 @@ def test_cycle_flip_literal_boundary_fails():
 def test_cycle_flip_degenerate_cycle_delegates_to_flips():
     closed = closed_form_cycle_flip_interval(0, 3)
     assert closed.matches(closed_form_flip_interval(3))
+
+
+def test_matches_compares_the_views_on_the_closed_form_fields():
+    # the cycle-flip closed form gives no rank sizes, so its views leave
+    # them out; a census lacking a field the closed form gives does not
+    # match, where skipping None on either side would have matched it
+    closed = closed_form_cycle_flip_interval(2, 1)
+    report = census(build_cycle_flip_interval(2, 1))
+    expected, computed = closed.views(report)
+    assert "rank_sizes" not in expected and expected == computed
+    assert closed.matches(report)
+    flips = closed_form_flip_interval(2)
+    partial = InvariantReport(flips.cardinality, flips.rank_sizes, None,
+                              None, None)
+    assert not flips.matches(partial)
+    assert partial.matches(flips)
 
 
 def test_annular_mixing_counts():

@@ -1,5 +1,6 @@
 """The claim-by-claim verification suite."""
 
+import json
 from dataclasses import fields
 
 import pytest
@@ -9,6 +10,108 @@ from absorder import (ClaimResult, invariants, order, run_verify_suite,
 from absorder.topology import HomologyProfile
 
 QUICK_CLAIMS = [r.claim for r in run_verify_suite(profile="quick").results]
+
+
+def _column(profile):
+    """The profile's column of the scope table, row name to value."""
+    column = verify.PROFILES.index(profile)
+    return {row: values[column] for row, values in verify.SCOPES.items()}
+
+
+# The ordered claim ids and parameters each profile reports, so that no
+# edit of the scope table changes what a profile checks unnoticed.
+_CM_FULL = [["S", 3], ["S", 4], ["B", 2], ["B", 3], ["B", 4]]
+_INTERVALS = ["coxeter-1", "flip-1", "coxeter-2", "flip-2", "coxeter-3",
+              "flip-3"]
+PINNED = {
+    "quick": [
+        ("coxeter-interval-invariants", {"n": [1, 2, 3]}),
+        ("flip-interval-invariants", {"n": [1, 2, 3]}),
+        ("cycle-flip-interval-invariants",
+         {"pairs": [[1, 1], [1, 2], [2, 1]]}),
+        ("cycle-flip-literal-boundary", {"k": 1, "r": 1}),
+        ("annular-mixing-counts", {"k": [1, 2]}),
+        ("hook-lattice-scan-signed", {"n": 3}),
+        ("even-lattice-scan", {"n": 3}),
+        ("letter-labeling-el", {"n": 2, "intervals": 19}),
+        ("canonical-chain-labels", {"n": 3, "elements": 48}),
+        ("flip-interval-el-collapsed-reflection", {"n": [1, 2, 3]}),
+        ("flip-interval-el-join-position", {"n": [1, 2, 3]}),
+        ("disconnected-even-interval",
+         {"interval": "(e, [1][2][3][4])", "kind": "D"}),
+        ("euler-three-way-plain", {"n": [3, 4]}),
+        ("euler-three-way-signed", {"n": [2, 3]}),
+        ("proper-part-cm", {"scopes": [["S", 3], ["B", 2]]}),
+        ("cover-pattern-agreement", {"n": 3, "elements": 48}),
+        ("noncrossing-order-agreement", {"n": 4, "pairs": 576}),
+        ("rank-generating-function",
+         {"kinds": ["S", "B", "D"], "n_upto": 3}),
+        ("zeta-consistency", {"posets": _INTERVALS + [
+            "cycle-flip-1-1", "cycle-flip-1-2", "cycle-flip-2-1"]}),
+        ("palindromic-interval-ranks", {"n": 3}),
+        ("fiber-ideal-ranks", {"scopes": [["S", 3], ["B", 2]]}),
+        ("fiber-projection-laws", {"n": [3]}),
+        ("flip-exponential-identity", {"order": 10}),
+    ],
+    "full": [
+        ("coxeter-interval-invariants", {"n": [1, 2, 3, 4]}),
+        ("flip-interval-invariants", {"n": [1, 2, 3, 4, 5]}),
+        ("cycle-flip-interval-invariants",
+         {"pairs": [[1, 1], [1, 2], [1, 3], [1, 4], [2, 1], [2, 2], [2, 3],
+                    [3, 1], [3, 2], [4, 1]]}),
+        ("cycle-flip-literal-boundary", {"k": 1, "r": 1}),
+        ("annular-mixing-counts", {"k": [1, 2, 3, 4]}),
+        ("hook-lattice-scan-signed", {"n": 4}),
+        ("even-lattice-scan", {"n": 4}),
+        ("even-three-lower-bounds",
+         {"u": "[1][2][3][4]", "v": "[1][2][3][5]"}),
+        ("letter-labeling-el", {"n": 4, "intervals": 10041}),
+        ("canonical-chain-labels", {"n": 4, "elements": 384}),
+        ("flip-interval-el-collapsed-reflection", {"n": [1, 2, 3, 4]}),
+        ("flip-interval-el-join-position", {"n": [1, 2, 3, 4]}),
+        ("disconnected-even-interval",
+         {"interval": "(e, [1][2][3][4])", "kind": "D"}),
+        ("euler-three-way-plain", {"n": [3, 4, 5]}),
+        ("euler-three-way-signed", {"n": [2, 3, 4]}),
+        ("proper-part-cm", {"scopes": _CM_FULL}),
+        ("coxeter-ideal-torsion-free", {"scopes": _CM_FULL}),
+        ("cover-pattern-agreement", {"n": 4, "elements": 384}),
+        ("lower-cover-rule", {"groups": ["B4", "D4", "S5"]}),
+        ("noncrossing-order-agreement", {"n": 5, "pairs": 14400}),
+        ("rank-generating-function",
+         {"kinds": ["S", "B", "D"], "n_upto": 4}),
+        ("zeta-consistency", {"posets": _INTERVALS + [
+            "coxeter-4", "flip-4", "cycle-flip-1-1", "cycle-flip-1-2",
+            "cycle-flip-2-1", "cycle-flip-2-2", "cycle-flip-3-1",
+            "cycle-flip-1-3"]}),
+        ("palindromic-interval-ranks", {"n": 3}),
+        ("fiber-ideal-ranks", {"scopes": [["S", 3], ["S", 4], ["S", 5],
+                                          ["B", 2], ["B", 3], ["B", 4]]}),
+        ("fiber-projection-laws", {"n": [2, 3, 4]}),
+        ("flip-exponential-identity", {"order": 10}),
+    ],
+}
+
+
+@pytest.mark.parametrize("profile", verify.PROFILES)
+def test_each_profile_pins_its_claims_and_reads_every_scope_row(
+        monkeypatch, profile):
+    # a row no section reads in some profile is dead, and fails here
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, row):
+            read.add(row)
+            return super().__getitem__(row)
+
+    monkeypatch.setattr(verify, "CLAIM_SECTIONS", [
+        lambda scope, section=section: section(Recording(scope))
+        for section in verify.CLAIM_SECTIONS])
+    report = run_verify_suite(profile=profile)
+    assert report.ok()
+    assert [(r.claim, json.loads(json.dumps(r.parameters)))
+            for r in report.results] == PINNED[profile]
+    assert read == set(verify.SCOPES)
 
 
 def test_quick_profile_all_claims_pass():
@@ -96,7 +199,7 @@ def test_fiber_machinery_builds_each_ambient_once(monkeypatch, profile,
         built.append((kind, self.n))
 
     monkeypatch.setattr(order.Poset, "__init__", counting)
-    assert all(r.verdict for r in verify._claim_fiber_machinery(profile))
+    assert all(r.verdict for r in verify._claim_fiber_machinery(_column(profile)))
     assert len(built) == len(set(built)) == ambients
 
 
@@ -105,7 +208,8 @@ def test_zeta_consistency_reports_a_wrong_mobius_number(monkeypatch):
     # claim instead of tripping the census's own consistency check
     right = invariants.mobius
     monkeypatch.setattr(invariants, "mobius", lambda p: right(p) + 1)
-    claims = {r.claim: r for r in verify._claim_zeta_battery("quick")}
+    claims = {r.claim: r for r in
+              verify._claim_zeta_battery(_column("quick"))}
     assert not claims["zeta-consistency"].verdict
     assert claims["palindromic-interval-ranks"].verdict
 
@@ -113,7 +217,8 @@ def test_zeta_consistency_reports_a_wrong_mobius_number(monkeypatch):
 def test_lower_cover_rule_is_a_full_profile_claim_that_sees_a_wrong_rule(
         monkeypatch):
     assert "lower-cover-rule" not in QUICK_CLAIMS
-    claims = {r.claim: r for r in verify._claim_order_agreement("full")}
+    claims = {r.claim: r for r in
+              verify._claim_order_agreement(_column("full"))}
     assert claims["lower-cover-rule"].verdict
     right = order._lower_covers
 
@@ -121,14 +226,16 @@ def test_lower_cover_rule_is_a_full_profile_claim_that_sees_a_wrong_rule(
         return right(w, kind)[1:]
 
     monkeypatch.setattr(order, "_lower_covers", one_short)
-    claims = {r.claim: r for r in verify._claim_order_agreement("full")}
+    claims = {r.claim: r for r in
+              verify._claim_order_agreement(_column("full"))}
     assert not claims["lower-cover-rule"].verdict
     assert claims["lower-cover-rule"].computed.startswith("mismatch at B4")
 
 
 def test_torsion_claim_is_a_full_profile_claim_that_sees_torsion(monkeypatch):
     assert "coxeter-ideal-torsion-free" not in QUICK_CLAIMS
-    claims = {r.claim: r for r in verify._claim_euler_three_way("full")}
+    claims = {r.claim: r for r in
+              verify._claim_euler_three_way(_column("full"))}
     claim = claims["coxeter-ideal-torsion-free"]
     assert claim.verdict
     assert claim.parameters["scopes"] == [["S", 3], ["S", 4], ["B", 2],
@@ -139,6 +246,7 @@ def test_torsion_claim_is_a_full_profile_claim_that_sees_torsion(monkeypatch):
         return {**right(c), 2: [2]}
 
     monkeypatch.setattr(topology, "torsion_profile", two_torsion)
-    claims = {r.claim: r for r in verify._claim_euler_three_way("full")}
+    claims = {r.claim: r for r in
+              verify._claim_euler_three_way(_column("full"))}
     assert not claims["coxeter-ideal-torsion-free"].verdict
     assert '"B4": {"2": [2]}' in claims["coxeter-ideal-torsion-free"].computed
