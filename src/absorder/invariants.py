@@ -95,9 +95,6 @@ class RationalPolynomial:
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalPolynomial) and self.coefficients == other.coefficients
 
-    def __hash__(self):
-        return hash(self.coefficients)
-
     def __repr__(self) -> str:
         return f"RationalPolynomial({[str(c) for c in self.coefficients]})"
 
@@ -223,8 +220,8 @@ class InvariantReport:
         """Json views of this closed form and of a census, both restricted
         to the fields the closed form gives: the one comparison rule."""
         expected = {k: v for k, v in self.to_json().items() if v is not None}
-        computed = {k: census.to_json().get(k) for k in expected}
-        return expected, computed
+        computed = census.to_json()
+        return expected, {k: computed.get(k) for k in expected}
 
     def matches(self, census: "InvariantReport") -> bool:
         """Whether the two views of `views` are equal."""

@@ -83,9 +83,6 @@ class FormalPowerSeries:
         return (isinstance(other, FormalPowerSeries)
                 and self.order == other.order and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.coeffs, self.order))
-
     def agrees_with(self, other, upto: int) -> bool:
         if upto > min(self.order, other.order):
             raise ValueError("comparison beyond both truncations")

@@ -434,4 +434,6 @@ def exponents(kind: str, n: int) -> tuple:
         return tuple(range(1, n))
     if kind == "B":
         return tuple(range(1, 2 * n, 2))
+    if n < 2:  # D_0 and D_1 are trivial
+        return ()
     return tuple(range(1, 2 * n - 2, 2)) + (n - 1,)

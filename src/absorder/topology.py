@@ -10,8 +10,8 @@ homology concentrated in its top dimension.
 import itertools
 from bisect import bisect
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import and_
 
@@ -22,9 +22,9 @@ from .signed import (balanced_cycle, cycle_decomposition, cycle_type,
                      format_cycles, paired_cycle)
 
 FACE_GUARD = 5_000_000
-# Most entries, rows x columns, of one boundary map that `torsion_profile`
-# hands to the dense Smith normal form; only complexes whose elimination met
-# a pivot other than +-1 go there.
+# Most entries, rows x columns, of the residual that the homology elimination
+# hands to the dense Smith normal form; only the columns it defers, those
+# left with a lowest entry other than +-1, go there.
 TORSION_GUARD = 250_000
 
 
@@ -132,11 +132,12 @@ def order_complex(p: Poset, strip: str = "none",
 
 @dataclass
 class HomologyProfile:
-    """Reduced Betti numbers over Q.  `unit_pivots`, which equality and
-    the JSON view leave out, says the elimination met only +-1 pivots."""
+    """Reduced Betti numbers over Q.  `torsion`, which equality and the
+    JSON view leave out, maps each d >= 1 to the invariant factors above 1
+    of the boundary map d."""
 
     reduced_betti: tuple
-    unit_pivots: bool = field(default=False, compare=False)
+    torsion: dict = field(default_factory=dict, compare=False)
 
     @property
     def euler(self) -> int:
@@ -153,13 +154,8 @@ class HomologyProfile:
 
 
 def _normalized(col: dict, pivot_row) -> dict:
-    pv = col[pivot_row]
-    if pv == 1:
-        return col
-    if pv == -1:
-        return {r: -v for r, v in col.items()}
-    return {r: Fraction(v, pv) if isinstance(v, int) else v / pv
-            for r, v in col.items()}
+    """The column scaled to 1 at its +-1 pivot row."""
+    return col if col[pivot_row] == 1 else {r: -v for r, v in col.items()}
 
 
 def _subtract(col: dict, v, pivot: dict) -> None:
@@ -188,8 +184,18 @@ def _neighbours(faces_by_dim: list) -> list:
     return neighbours
 
 
+def _pivot(pivots: dict, low: tuple, get) -> dict:
+    """The pivot column of row `low`, built from its face on first use."""
+    pivot = pivots[low]
+    if type(pivot) is tuple:
+        pivot = pivots[low] = _normalized(dict(_cofaces(
+            pivot, reduce(and_, map(get, pivot)))), low)
+    return pivot
+
+
 def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
-    """Reduced Betti numbers over Q, by cohomology with clearing.
+    """Reduced Betti numbers over Q and torsion over Z, by cohomology with
+    clearing.
 
     The coboundaries delta^d are reduced for d = 0, 1, ... by lowest-row
     pivots, skipping the pivot rows of delta^(d-1) (Chen and Kerber): a
@@ -211,18 +217,26 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     number f_(d+1) in all, so are the (d+1)-faces.  Where they do not,
     ValueError is raised.
 
-    The profile records whether every pivot normalised was +-1.  A column
-    kept as its face has a lowest entry of +-1 already, so only reduced
-    columns are looked at.
+    A column becomes a pivot only when its lowest entry is +-1, as a column
+    kept as its face has, so every column operation is unimodular and
+    clearing holds over Z (the cocycle's +-1 in row i makes column i an
+    integer combination of earlier ones).  Any other reduced column is
+    deferred, and at the end of its dimension cleared on every pivot row,
+    highest first, from a heap.  The residual left is zero on every pivot
+    row and the pivots are unitriangular on theirs, so the Smith form of
+    delta^d is ones for the pivots and that of the residual, from
+    `_smith_normal_form_diagonal` once TORSION_GUARD admits its rows x
+    columns.  Its factors add to the rank; those above 1 are the torsion of
+    the boundary map d + 1, the transpose of delta^d.
     """
     if not faces_by_dim or not faces_by_dim[0]:
-        return HomologyProfile((), unit_pivots=True)
+        return HomologyProfile(())
     get = _neighbours(faces_by_dim).__getitem__
     ranks = [1] + [0] * len(faces_by_dim)
     cleared = {faces_by_dim[0][-1]}
-    unit_pivots = True
+    torsion = {}
     for d in range(len(faces_by_dim) - 1):
-        pivots, extensions = {}, 0
+        pivots, extensions, deferred = {}, 0, []
         for face in faces_by_dim[d]:
             common = reduce(and_, map(get, face))
             extensions += (common >> face[-1] + 1).bit_count()
@@ -236,32 +250,55 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
                 continue
             col = dict(_cofaces(face, common))
             while low in pivots:
-                pivot = pivots[low]
-                if type(pivot) is tuple:
-                    pivot = pivots[low] = _normalized(dict(_cofaces(
-                        pivot, reduce(and_, map(get, pivot)))), low)
-                _subtract(col, col[low], pivot)
+                _subtract(col, col[low], _pivot(pivots, low, get))
                 low = max(col, default=None)
-            if low is not None:
-                unit_pivots = unit_pivots and col[low] in (1, -1)
+            if low is None:
+                continue
+            if col[low] in (1, -1):
                 pivots[low] = _normalized(col, low)
+            else:
+                deferred.append(col)
         if extensions != len(faces_by_dim[d + 1]):
             raise ValueError(
                 f"not a flag complex at dimension {d}: {extensions} common "
                 f"neighbours above the last vertices of its faces, "
                 f"{len(faces_by_dim[d + 1])} faces of dimension {d + 1}")
-        ranks[d + 1] = len(pivots)
+        factors = []
+        if deferred:
+            for col in deferred:  # rows negated: the heap pops the highest
+                rows = [tuple(-v for v in r) for r in col if r in pivots]
+                heapify(rows)
+                while rows:
+                    low = tuple(-v for v in heappop(rows))
+                    if low in col:
+                        pivot = _pivot(pivots, low, get)
+                        _subtract(col, col[low], pivot)
+                        for r in pivot.keys() & pivots.keys():
+                            heappush(rows, tuple(-v for v in r))
+            index = {r: k for k, r in enumerate(
+                dict.fromkeys(itertools.chain.from_iterable(deferred)))}
+            if len(index) * len(deferred) > TORSION_GUARD:
+                raise ResourceGuardError(
+                    f"torsion guard exceeded at dimension {d + 1}: a residual "
+                    f"of {len(index)}x{len(deferred)} entries for the dense "
+                    f"Smith form, more than the guard {TORSION_GUARD}")
+            factors = _smith_normal_form_diagonal(
+                [{index[r]: v for r, v in col.items()} for col in deferred],
+                len(index))
+        ranks[d + 1] = len(pivots) + len(factors)
+        torsion[d + 1] = [v for v in factors if v > 1]
         cleared = pivots
     betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
                   for d, faces in enumerate(faces_by_dim))
-    return HomologyProfile(betti, unit_pivots)
+    return HomologyProfile(betti, torsion)
 
 
 def homology(c: SimplicialComplex) -> HomologyProfile:
-    """Reduced rational Betti numbers and the reduced Euler characteristic,
-    eliminated on the first call and kept on the complex.  The vertices
-    must be listed in ascending order, as `_neighbours` and clearing
-    assume; ValueError otherwise."""
+    """Reduced rational Betti numbers, the reduced Euler characteristic and
+    the torsion, eliminated on the first call and kept on the complex.  The
+    vertices must be listed in ascending order, as `_neighbours` and
+    clearing assume; ValueError otherwise.  ResourceGuardError when a
+    residual is over TORSION_GUARD."""
     if c._homology is None:
         vertices = c.faces_by_dim[0] if c.faces_by_dim else []
         for a, b in zip(vertices, vertices[1:]):
@@ -422,8 +459,8 @@ def cm_check(c: SimplicialComplex) -> CMReport:
 
 
 def _smith_normal_form_diagonal(columns: list, rows: int) -> list:
-    """Invariant factors of an integer matrix, by dense elimination;
-    `torsion_profile` runs it on whole boundary maps."""
+    """Invariant factors of an integer matrix, by dense elimination; the
+    homology elimination runs it on the residual of its deferred columns."""
     mat = [[0] * len(columns) for _ in range(rows)]
     for j, col in enumerate(columns):
         for r, v in col.items():
@@ -462,15 +499,10 @@ def _smith_normal_form_diagonal(columns: list, rows: int) -> list:
             continue
         diag.append(abs(mat[top][top]))
         top += 1
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(diag) - 1):
-            if diag[k + 1] % diag[k]:
-                a, b = diag[k], diag[k + 1]
-                g = gcd(a, b)
-                diag[k], diag[k + 1] = g, a * b // g
-                changed = True
+    for k in range(len(diag)):  # gcd forward, lcm back: a divisor chain
+        for j in range(k + 1, len(diag)):
+            g = gcd(diag[k], diag[j])
+            diag[k], diag[j] = g, diag[k] * diag[j] // g
     return diag
 
 
@@ -559,35 +591,7 @@ def appendix_ideal_checks(ambient: Poset) -> list:
 
 
 def torsion_profile(c: SimplicialComplex) -> dict:
-    """Torsion coefficients of each boundary map, {d: [factors > 1]}.
-
-    All empty means the integral homology is free.  When the elimination
-    `homology` keeps met only +-1 pivots, that is the answer: every column
-    operation was unimodular, and a column skipped by clearing is an
-    integer combination of earlier ones, its clearing cocycle having
-    leading entry +-1.  So each coboundary delta^(d-1) reduces over Z to
-    columns with distinct +-1 lowest entries, and its Smith form, that of
-    its transpose the boundary map d, is all ones.  Otherwise each
-    delta^(d-1), built by `_cofaces`, goes to the dense Smith normal form,
-    once TORSION_GUARD admits rows x columns of every one of them.
-    """
-    faces = c.faces_by_dim
-    if homology(c).unit_pivots:
-        return {d: [] for d in range(1, len(faces))}
-    for d in range(1, len(faces)):
-        rows, cols = len(faces[d - 1]), len(faces[d])
-        if rows * cols > TORSION_GUARD:
-            raise ResourceGuardError(
-                f"torsion guard exceeded at dimension {d}: a boundary map of "
-                f"{rows}x{cols} entries for the dense Smith form, more than "
-                f"the guard {TORSION_GUARD}")
-    get = _neighbours(faces).__getitem__
-    out = {}
-    for d in range(1, len(faces)):
-        row = {face: k for k, face in enumerate(faces[d])}
-        columns = [{row[coface]: sign for coface, sign in _cofaces(
-                        face, reduce(and_, map(get, face)))}
-                   for face in faces[d - 1]]
-        out[d] = [v for v in _smith_normal_form_diagonal(columns, len(row))
-                  if v > 1]
-    return out
+    """Torsion coefficients of each boundary map, {d: [factors > 1]}, as
+    the elimination `homology` keeps found them; all empty means the
+    integral homology is free."""
+    return homology(c).torsion

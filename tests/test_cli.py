@@ -190,40 +190,40 @@ def test_topology_with_torsion(capsys):
 
 
 def test_topology_torsion_guard_exits_before_eliminating(capsys, monkeypatch):
-    # stripped S5 meets only unit pivots, so no dense form runs; without
-    # that certificate its maps of 119x1570 and 1570x4260 entries go dense,
-    # and the second is refused before the first starts
+    # stripped S5 defers no column, so no dense form runs; the stripped D4
+    # Coxeter ideal defers two at dimension 3, a residual of 182x2 entries
+    # that a guard of 363 refuses before the dense form starts
+    def no_dense_form(*args):
+        raise AssertionError("the dense Smith form ran before the guard")
+
+    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", no_dense_form)
     assert main(["topology", "--group", "S", "--n", "5", "--torsion",
                  "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["torsion"] == {"1": [], "2": [], "3": []}
 
-    eliminate = topology._homology_from_faces
-
-    def uncertified(faces_by_dim):
-        return topology.HomologyProfile(eliminate(faces_by_dim).reduced_betti)
-
-    def no_dense_form(*args):
-        raise AssertionError("the dense Smith form ran before the guard")
-
-    monkeypatch.setattr(topology, "_homology_from_faces", uncertified)
-    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", no_dense_form)
-    assert main(["topology", "--group", "S", "--n", "5", "--torsion"]) == 3
-    assert ("dimension 2: a boundary map of 1570x4260 entries for the dense "
-            "Smith form, more than the guard 250000") in capsys.readouterr().err
-
-
-def test_uncertified_d4_coxeter_ideal_torsion_exits_at_the_guard(capsys):
-    # the stripped D4 Coxeter ideal meets a pivot other than +-1, so every
-    # map goes dense, and the first is over the guard
+    monkeypatch.setattr(topology, "TORSION_GUARD", 363)
     assert main(["topology", "--group", "D", "--n", "4", "--ideal", "coxeter",
                  "--torsion"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "resource guard: torsion guard exceeded at dimension 1: a boundary "
-        "map of 178x2604 entries for the dense Smith form, more than the "
-        "guard 250000\n")
+        "resource guard: torsion guard exceeded at dimension 3: a residual "
+        "of 182x2 entries for the dense Smith form, more than the guard "
+        "363\n")
+
+
+def test_d4_coxeter_ideal_torsion_answers_from_the_residual(capsys):
+    # the stripped D4 Coxeter ideal meets pivots other than +-1; its two
+    # deferred columns leave a residual whose Smith form gives (Z/2)^2
+    assert main(["topology", "--group", "D", "--n", "4", "--ideal", "coxeter",
+                 "--torsion"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "homology: {'reduced_betti': [0, 0, 1, 340], 'euler': -339}",
+        "chi_by_counting: -339",
+        "torsion: {'1': [], '2': [], '3': [2, 2]}",
+    ]
 
 
 @pytest.mark.parametrize("cm", [[], ["--cm"]])

@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -176,9 +177,10 @@ def test_annular_mixing_counts():
 
 
 def test_rank_generating_function_matches_rank_sizes():
-    for kind, n in (("S", 4), ("B", 3), ("B", 4), ("D", 4)):
+    # from n = 0: D_0 and D_1 are trivial, with no exponents and one element
+    for kind, n in itertools.product("SBD", range(5)):
         assert (rank_generating_function(kind, n)
-                == full_poset(kind, n).rank_sizes())
+                == full_poset(kind, n).rank_sizes()), (kind, n)
 
 
 def test_census_unbounded_poset_has_no_zeta():

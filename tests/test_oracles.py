@@ -20,6 +20,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -57,7 +58,7 @@ from absorder import invariants, labeling, lattice, topology
 from absorder.labeling import ELReport
 from absorder.order import Poset, _graded, _lower_covers, bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
-from absorder.topology import HomologyProfile, IdealCheck, _normalized
+from absorder.topology import HomologyProfile, IdealCheck
 
 
 # --- the order induced on any member set --------------------------------------
@@ -446,6 +447,14 @@ def _boundary_columns(faces_by_dim, d):
              for k in range(d + 1)} for face in faces_by_dim[d]]
 
 
+def _normalized(col, pivot_row):
+    """`col` divided by its entry in `pivot_row`, over the rationals."""
+    pv = col[pivot_row]
+    if pv in (1, -1):
+        return {r: v * pv for r, v in col.items()}
+    return {r: Fraction(v) / pv for r, v in col.items()}
+
+
 def _homology_by_boundary_matrices(faces_by_dim):
     """Cohomology with clearing on explicit columns: every boundary map is
     built and transposed, and each column's lowest row found by max."""
@@ -530,7 +539,7 @@ LABEL_ORDER_CASES = {
 
 def _same_as_the_index_walk(p, mask):
     """The chains of `mask` under both walks agree after mapping, and so do
-    their Betti numbers and whether their eliminations met only +-1."""
+    their Betti numbers and torsion."""
     indices, faces = topology._chains_in_mask(p, mask)
     ranks = [p.rank[v] for v in indices]
     assert ranks == sorted(ranks, reverse=True)
@@ -540,7 +549,7 @@ def _same_as_the_index_walk(p, mask):
     new_profile = topology._homology_from_faces(faces)
     old_profile = topology._homology_from_faces(old)
     assert new_profile == old_profile
-    assert new_profile.unit_pivots == old_profile.unit_pivots
+    assert new_profile.torsion == old_profile.torsion
     return new_profile
 
 
@@ -549,8 +558,8 @@ def test_rank_descending_labels_match_the_index_walk(name):
     p = LABEL_ORDER_CASES[name]()
     profile = _same_as_the_index_walk(
         p, topology._strip_mask(p, "endpoints", (1 << len(p)) - 1))
-    # the D4 Coxeter ideal meets a pivot other than +-1 in either order
-    assert profile.unit_pivots is (name != "coxeter-ideal-D4")
+    # only the D4 Coxeter ideal has torsion, the same in either order
+    assert any(profile.torsion.values()) is (name == "coxeter-ideal-D4")
 
 
 def test_rank_descending_labels_match_the_index_walk_on_random_submasks():

@@ -128,8 +128,8 @@ def test_convolve_matches_the_double_loop():
 def test_consistency_checks_raise_under_python_optimise():
     # `python -O` strips assert statements: both checks must still raise,
     # homology must still refuse a complex that is not flag, and torsion
-    # must still come out of the unit-pivot certificate (the stripped B3)
-    # and of the dense fallback (the barycentric subdivision of RP^2)
+    # must still come out of the elimination, with no column deferred (the
+    # stripped B3) and with one (the barycentric subdivision of RP^2)
     code = """if True:
         import itertools
         from fractions import Fraction

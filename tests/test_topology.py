@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -26,7 +27,7 @@ from absorder import order, topology
 from absorder.order import bits
 from absorder.signed import cycle_type
 from absorder.topology import (SimplicialComplex, _chains_in_mask,
-                               _homology_from_faces, _normalized, _subtract,
+                               _homology_from_faces, _subtract,
                                _smith_normal_form_diagonal)
 
 
@@ -228,8 +229,10 @@ def test_elimination_work_stays_at_its_counts(monkeypatch, build, cofaces,
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(topology, name, counting)
+    # and no column is deferred to the dense form
+    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
     c = order_complex(build(), strip="endpoints")
-    assert homology(c).unit_pivots
+    homology(c)
     assert calls["_cofaces"] <= cofaces and calls["_subtract"] <= subtracts
 
 
@@ -242,13 +245,26 @@ def _no_dense_form(*args):
     raise AssertionError("the dense Smith form ran")
 
 
+def _recording_residuals(monkeypatch):
+    """The (rows, columns) of each residual the kernel hands to the dense
+    form from now on; it gets one only for a dimension that defers."""
+    residuals = []
+    dense = _smith_normal_form_diagonal
+
+    def recording(columns, rows):
+        residuals.append((rows, len(columns)))
+        return dense(columns, rows)
+
+    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", recording)
+    return residuals
+
+
 def test_torsion_free_small_complex(monkeypatch):
-    # the elimination behind the Betti numbers met only unit pivots, so no
+    # the elimination behind the Betti numbers defers no column, so no
     # dense form runs and no guard applies
     c = order_complex(coxeter_ideal(2, "B"), strip="endpoints")
     monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
     monkeypatch.setattr(topology, "TORSION_GUARD", 0)
-    assert homology(c).unit_pivots
     assert torsion_profile(c) == {1: []}
 
 
@@ -266,36 +282,30 @@ def _rp2():
 
 
 def test_torsion_guard_refuses_before_eliminating(monkeypatch):
-    # the maps of RP^2 are 31x90 and 90x60: at a guard of 5,400 both go to
-    # the dense form, at 5,399 dimension 2 is refused before either does
+    # RP^2 defers one column at dimension 2 and leaves it a 1x1 residual:
+    # a guard of 1 admits it, a guard of 0 refuses it before the dense form
     c = _rp2()
-    monkeypatch.setattr(topology, "TORSION_GUARD", 5400)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 1)
     assert torsion_profile(c) == {1: [], 2: [2]}
     monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
-    monkeypatch.setattr(topology, "TORSION_GUARD", 5399)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 0)
     with pytest.raises(ResourceGuardError,
-                       match=r"dimension 2: a boundary map of 90x60 entries "
-                             r"for the dense Smith form, more than the guard "
-                             r"5399$"):
-        torsion_profile(c)
+                       match=r"dimension 2: a residual of 1x1 entries for the "
+                             r"dense Smith form, more than the guard 0$"):
+        torsion_profile(_rp2())
 
 
 def test_residual_over_the_guard_raises_before_the_dense_form(monkeypatch):
-    # no elimination of RP^2 meets only unit pivots, so each whole map is
-    # left to the dense form; its 31x90 map at dimension 1 trips a guard of
-    # 2,789
+    # the Betti numbers come from the same pass, so `homology` refuses too,
+    # and keeps nothing on the complex: with the guard back, both answer
     c = _rp2()
-    assert not homology(c).unit_pivots
-    monkeypatch.setattr(topology, "TORSION_GUARD", 2790)
-    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
-    with pytest.raises(ResourceGuardError, match="dimension 2: "):
-        torsion_profile(c)
-    monkeypatch.setattr(topology, "TORSION_GUARD", 2789)
-    with pytest.raises(ResourceGuardError,
-                       match=r"dimension 1: a boundary map of 31x90 entries "
-                             r"for the dense Smith form, more than the guard "
-                             r"2789$"):
-        torsion_profile(c)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 0)
+    for call in (homology, torsion_profile):
+        with pytest.raises(ResourceGuardError, match="a residual of 1x1 "):
+            call(c)
+    monkeypatch.undo()
+    assert homology(c).reduced_betti == (0, 0, 0)
+    assert torsion_profile(c) == {1: [], 2: [2]}
 
 
 def test_stripped_s5_is_torsion_free_within_the_guard():
@@ -304,13 +314,14 @@ def test_stripped_s5_is_torsion_free_within_the_guard():
     assert torsion_profile(c) == {1: [], 2: [], 3: []}
 
 
-def test_real_projective_plane_has_two_torsion():
-    # H_1 = Z/2
+def test_real_projective_plane_has_two_torsion(monkeypatch):
+    # H_1 = Z/2, from the one column the elimination defers
+    residuals = _recording_residuals(monkeypatch)
     c = _rp2()
     assert c.f_vector() == (31, 90, 60)
     assert homology(c).reduced_betti == (0, 0, 0)
-    assert not homology(c).unit_pivots
     assert torsion_profile(c) == {1: [], 2: [2]}
+    assert residuals == [(1, 1)]
 
 
 def _boundary_columns(faces_by_dim, d):
@@ -318,6 +329,15 @@ def _boundary_columns(faces_by_dim, d):
     row_index = {face: k for k, face in enumerate(faces_by_dim[d - 1])}
     return [{row_index[face[:k] + face[k + 1:]]: (-1) ** k
              for k in range(d + 1)} for face in faces_by_dim[d]]
+
+
+def _normalized(col, pivot_row):
+    """`col` divided by its entry in `pivot_row`, over the rationals; the
+    references' own, so the kernel's integral one is not their oracle."""
+    pv = col[pivot_row]
+    if pv in (1, -1):
+        return {r: v * pv for r, v in col.items()}
+    return {r: Fraction(v) / pv for r, v in col.items()}
 
 
 def _reduce(col, pivots):
@@ -374,8 +394,9 @@ def _boundary_maps():
 
 def test_torsion_matches_the_smith_form_of_boundary_maps():
     # the dense form of explicit boundary maps on the smaller complexes; on
-    # stripped S5 and the B4 Coxeter ideal, unit pivots first, checked
-    # against the dense form here and on the random complexes below
+    # stripped S5 and the B4 and D4 Coxeter ideals, unit pivots first,
+    # checked against the dense form here and on the random complexes below;
+    # the D4 ideal defers columns, and both find (Z/2)^2
     maps = 0
     for name, c in _boundary_maps():
         faces = c.faces_by_dim
@@ -384,30 +405,33 @@ def test_torsion_matches_the_smith_form_of_boundary_maps():
         assert _torsion_by_boundary_maps(faces, dense=False) == dense, name
         maps += len(dense)
     assert maps == 8
-    for p in (full_poset("S", 5), coxeter_ideal(4, "B")):
+    for p, top in ((full_poset("S", 5), []), (coxeter_ideal(4, "B"), []),
+                   (coxeter_ideal(4, "D"), [2, 2])):
         c = order_complex(p, strip="endpoints")
         assert torsion_profile(c) == _torsion_by_boundary_maps(
-            c.faces_by_dim, dense=False) == {1: [], 2: [], 3: []}, p.label
+            c.faces_by_dim, dense=False) == {1: [], 2: [], 3: top}, p.label
 
 
-def test_torsion_matches_the_dense_smith_form_on_random_complexes():
+def test_torsion_matches_the_dense_smith_form_on_random_complexes(
+        monkeypatch):
     # the subdivision of a random complex around RP^2 often meets a pivot
-    # of 2 and takes the dense fallback.  Subdividing changes no homology
+    # of 2 and defers a column to the dense form.  Subdividing changes no homology
     # group, so the dense form runs on the smaller complex drawn; the
     # subdivision's own maps are checked with unit pivots first.
     rng = random.Random(20261018)
-    with_torsion = fallback = 0
+    with_torsion = deferring = 0
     for k in range(600):
         raw = _random_complex(rng)
         faces = _subdivided(raw)
         c = SimplicialComplex(None, 0, faces, label=f"random {k}")
         dense = _torsion_by_boundary_maps(raw, dense=True)
+        residuals = _recording_residuals(monkeypatch)
         assert torsion_profile(c) == dense == _torsion_by_boundary_maps(
             faces, dense=False), (k, raw)
         with_torsion += any(dense.values())
-        fallback += not homology(c).unit_pivots
+        deferring += bool(residuals)
     assert with_torsion >= 50
-    assert fallback >= 50
+    assert deferring >= 50
 
 
 def test_torsion_answers_on_random_subposets_of_b4():
@@ -639,7 +663,7 @@ def _closure(tops):
     return [sorted(dim_faces) for dim_faces in by_dim]
 
 
-def test_ranks_match_the_reference_on_order_complexes():
+def test_ranks_match_the_reference_on_order_complexes(monkeypatch):
     four_flips = build_interval(identity(4), parse_cycles("[1][2][3][4]", 4), "D")
     posets = (full_poset("B", 3), full_poset("S", 4), full_poset("S", 5),
               coxeter_ideal(3, "B"), coxeter_ideal(4, "B"), four_flips)
@@ -651,7 +675,8 @@ def test_ranks_match_the_reference_on_order_complexes():
     assert maps == 14
     # the intervals `cm_check` eliminates once per class, one [e, w] per
     # signed cycle type of B4 and D4, with and without its ends (five are
-    # empty when stripped), all with the unit-pivot certificate of torsion
+    # empty when stripped), none deferring a column to the dense form
+    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
     complexes = 0
     for kind in ("B", "D"):
         types = {}
@@ -664,27 +689,21 @@ def test_ranks_match_the_reference_on_order_complexes():
                 faces, name = c.faces_by_dim, (kind, format_cycles(w), strip)
                 assert not faces or (
                     _ranks_from_betti(faces) == _oracle_ranks(faces)), name
-                assert homology(c).unit_pivots, name
+                assert not any(homology(c).torsion.values()), name
                 complexes += 1
                 maps += max(len(faces) - 1, 0)
     assert (complexes, maps) == (62, 14 + 107)
 
 
 def test_ranks_match_the_reference_on_random_complexes(monkeypatch):
-    # the reference binds its own `_normalized`; only the new path records
-    non_unit = []
-
-    def recording(col, pivot_row):
-        non_unit[-1] |= any(abs(v) > 1 for v in col.values())
-        return _normalized(col, pivot_row)
-
-    monkeypatch.setattr(topology, "_normalized", recording)
+    # the reference reads no residual; only the kernel's deferrals record
     rng = random.Random(20261018)
-    low_homology = zero_columns = 0
+    low_homology = zero_columns = deferring = 0
     for k in range(200):
         faces = _subdivided(_random_complex(rng))
-        non_unit.append(False)
+        residuals = _recording_residuals(monkeypatch)
         assert _ranks_from_betti(faces) == _oracle_ranks(faces), (k, faces)
+        deferring += bool(residuals)
         low_homology += any(_homology_from_faces(faces).reduced_betti[:-1])
         cofaces = {face[:i] + face[i + 1:]
                    for dim_faces in faces[1:] for face in dim_faces
@@ -693,7 +712,7 @@ def test_ranks_match_the_reference_on_random_complexes(monkeypatch):
                             for dim_faces in faces[:-1] for face in dim_faces)
     assert low_homology >= 100
     assert zero_columns >= 100
-    assert sum(non_unit) >= 20
+    assert deferring >= 20
 
 
 def test_homology_refuses_a_vertex_list_out_of_order():
