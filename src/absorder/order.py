@@ -59,21 +59,22 @@ def covers(w: SignedPermutation, kind: str = "B") -> set:
     return out
 
 
-def _lower_covers(w: SignedPermutation, kind: str = "B") -> list:
-    """The products w*t of length l(w) - 1, t a reflection of the kind.
+def _lower_covers(images: tuple, kind: str = "B") -> list:
+    """The image tuples of the products w*t of length l(w) - 1, for w with
+    image tuple `images` and t a reflection of the kind.
 
     By the orbit rule (see `signed`): [i] for i in a balanced orbit,
     ((a, b)) for signed letters a, b of one paired orbit, and ((i, +-j))
     for i, j in balanced orbits.  No other product is built."""
     def swap(a, b):
         # w times the reflection exchanging a with b (and -a with -b)
-        new = list(w.images)
-        new[abs(a) - 1] = w(b) if a > 0 else -w(b)
-        new[abs(b) - 1] = w(a) if b > 0 else -w(a)
-        return SignedPermutation(new)
+        new, i, j = list(images), abs(a) - 1, abs(b) - 1
+        sign = 1 if (a > 0) == (b > 0) else -1
+        new[i], new[j] = sign * images[j], sign * images[i]
+        return tuple(new)
 
     out, balanced = [], []
-    for orbit, is_balanced in _orbits(w):
+    for orbit, is_balanced in _orbits(images):
         if is_balanced:
             balanced += [abs(a) for a in orbit]
         else:
@@ -232,34 +233,36 @@ class Poset:
     (including i itself); `above` is the transpose.  Ranks are reflection
     lengths shifted so the minimum is 0, and indices ascend with rank.
 
-    The element set must be convex: with x <= z <= y and x, y in the set,
-    z is in it too.  Whole groups, intervals and ideals all are.  The order
-    is graded by length and each cover multiplies by a single reflection,
-    so on a convex set it is the transitive closure of the lower covers,
-    which `_lower_covers` reads off each element's orbits (Carter; Brady
-    and Watt).  Any other member set is kept as a mask on a convex
-    `Poset`: its `below` and `above` masks, cut to the members, are the
-    induced order.
+    `covers` maps each member's image tuple to the image tuples of its
+    lower covers, as `elements_below` records them; the member set must
+    be convex: with x <= z <= y and x, y in it, z is in it too.  Whole
+    groups, intervals and ideals all are.  The order is graded by length
+    and each cover multiplies by a single reflection, so on a convex set
+    it is the transitive closure of the lower covers that are members.
+    Any other member set is kept as a mask on a convex `Poset`: its
+    `below` and `above` masks, cut to the members, are the induced order.
     """
 
     __slots__ = ("elements", "kind", "label", "n", "rank", "index",
                  "below", "above", "hasse_up")
 
-    def __init__(self, elements, kind: str, label: str):
-        lengths = {w: absolute_length(w, kind) for w in elements}
-        self.elements = sorted(elements, key=lambda w: (lengths[w], w.images))
+    def __init__(self, covers: dict, kind: str, label: str):
+        ranked = sorted((absolute_length(w, kind), w.images, w)
+                        for w in map(SignedPermutation, covers))
+        self.elements = [w for _, _, w in ranked]
         self.kind = kind
         self.label = label
         self.n = self.elements[0].n if self.elements else 0
-        base = min(lengths.values()) if lengths else 0
-        self.rank = [lengths[w] - base for w in self.elements]
+        base = ranked[0][0] if ranked else 0
+        self.rank = [length - base for length, _, _ in ranked]
         self.index = {w: i for i, w in enumerate(self.elements)}
+        position = {z: i for i, (_, z, _) in enumerate(ranked)}
         k = len(self.elements)
         below = [1 << j for j in range(k)]
         self.hasse_up = [[] for _ in range(k)]
-        for j, wj in enumerate(self.elements):
-            for z in _lower_covers(wj, kind):
-                i = self.index.get(z)
+        for j, (_, zj, _) in enumerate(ranked):
+            for z in covers[zj]:
+                i = position.get(z)
                 if i is not None:
                     below[j] |= below[i]
                     self.hasse_up[i].append(j)
@@ -383,8 +386,10 @@ def _hall_mobius(p: Poset, mask: int) -> int:
     return -1 - sum(mu.values())
 
 
-def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> set:
-    """The principal ideal {z : z <= v}, by downward cover search.
+def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> dict:
+    """The principal ideal {z : z <= v}, by downward cover search: a dict
+    from each member's image tuple to its lower covers' image tuples, filled
+    when the member is expanded, which is what a `Poset` is built from.
 
     Level d of the search holds elements of length l(v) - d, and the next
     level their lower covers, read off their orbits by `_lower_covers`
@@ -397,17 +402,19 @@ def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> set:
     ResourceGuardError once `seen` holds more than POSET_GUARD elements.
     """
     absolute_length(v, kind)  # ValueError outside the kind
+    top = v.images
     if seen is None:
-        seen = set()
-    elif v in seen:
+        seen = {}
+    elif top in seen:
         return seen
-    seen.add(v)
-    frontier = [v]
+    seen[top] = None
+    frontier = [top]
     while frontier:
         nxt = []
         for z in frontier:
-            fresh = [zt for zt in _lower_covers(z, kind) if zt not in seen]
-            seen.update(fresh)
+            seen[z] = lower = _lower_covers(z, kind)
+            fresh = [zt for zt in lower if zt not in seen]
+            seen.update(dict.fromkeys(fresh))
             nxt += fresh
             if len(seen) > POSET_GUARD:
                 raise ResourceGuardError(
@@ -421,13 +428,15 @@ def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> set:
 def build_interval(u: SignedPermutation, v: SignedPermutation, kind: str = "B") -> Poset:
     """The closed interval [u, v] as a Poset (rank 0 at u).
 
-    Given u <= v, z lies in [u, v] exactly when u^{-1} z lies in
-    [e, u^{-1} v], so left multiplication by u carries one onto the other.
+    Given u <= v, z is in [u, v] exactly when u^{-1} z is in [e, u^{-1} v], so
+    left multiplication by u carries one, with its covers, onto the other.
     """
     if not abs_leq(u, v, kind):
         raise ValueError(f"{u!r} is not below {v!r} in kind {kind}")
-    members = [u * z for z in elements_below(u.inverse() * v, kind)]
-    return Poset(members, kind, "interval")
+    record = elements_below(u.inverse() * v, kind)
+    moved = {z: (u * SignedPermutation(z)).images for z in record}
+    return Poset({moved[z]: [moved[c] for c in lower]
+                  for z, lower in record.items()}, kind, "interval")
 
 
 def build_ideal(generators, kind: str = "B", label: str = "ideal") -> Poset:
@@ -437,10 +446,13 @@ def build_ideal(generators, kind: str = "B", label: str = "ideal") -> Poset:
     the ideal is visited once however many generators lie above it, and
     the whole search is bounded by POSET_GUARD.
     """
-    members = set()
+    members, n = {}, None
     for g in generators:
         if not is_member(g, kind):
             raise ValueError(f"generator {g!r} is not in kind {kind}")
+        n = g.n if n is None else n
+        if g.n != n:
+            raise ValueError(f"generators of ranks {n} and {g.n} in one ideal")
         elements_below(g, kind, members)
     return Poset(members, kind, label)
 
@@ -466,7 +478,8 @@ def full_poset(kind: str, n: int) -> Poset:
             f"full_poset({kind}, {n}) has {size} elements, more than the "
             f"guard {POSET_GUARD}"
         )
-    return Poset(list(group_elements(kind, n)), kind, "full")
+    return Poset({w.images: _lower_covers(w.images, kind)
+                  for w in group_elements(kind, n)}, kind, "full")
 
 
 def project_pi(w: SignedPermutation, i: int) -> SignedPermutation:

@@ -61,8 +61,11 @@ class SignedPermutation:
         return -self.images[-i - 1]
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Composition: (u * v)(i) = u(v(i))."""
+        """Composition: (u * v)(i) = u(v(i)), of two elements of one rank."""
         images = self.images
+        if len(images) != len(other.images):
+            raise ValueError(f"cannot compose signed permutations of ranks "
+                             f"{len(images)} and {len(other.images)}")
         return SignedPermutation([images[x - 1] if x > 0 else -images[-x - 1]
                                   for x in other.images])
 
@@ -147,11 +150,10 @@ def _canonical_word(word):
     return tuple(word)
 
 
-def _orbits(w: SignedPermutation):
-    """Yield (orbit, balanced) for each orbit of w up to negation: the
-    letters from the least unseen start until the walk returns to +start
-    (paired, fixed points included) or reaches -start (balanced)."""
-    images = w.images
+def _orbits(images: tuple):
+    """Yield (orbit, balanced) for each orbit up to negation of `images`:
+    the letters from the least unseen start until the walk returns to
+    +start (paired, fixed points included) or reaches -start (balanced)."""
     seen = [False] * (len(images) + 1)
     for start in range(1, len(images) + 1):
         if seen[start]:
@@ -176,7 +178,7 @@ def cycle_decomposition(w: SignedPermutation) -> CycleDecomposition:
     1-cycles [i] (sign flips) count as nontrivial cycles.
     """
     cycles, fixed = [], []
-    for orbit, balanced in _orbits(w):
+    for orbit, balanced in _orbits(w.images):
         if balanced or len(orbit) > 1:
             kind = "balanced" if balanced else "paired"
             cycles.append(Cycle(kind, _canonical_word(tuple(orbit))))
@@ -308,7 +310,7 @@ def cycle_type(w: SignedPermutation) -> tuple:
     """The B_n conjugacy class of w: sorted paired and balanced orbit
     lengths, fixed points as paired 1-cycles."""
     paired, balanced = [], []
-    for orbit, is_balanced in _orbits(w):
+    for orbit, is_balanced in _orbits(w.images):
         (balanced if is_balanced else paired).append(len(orbit))
     return tuple(sorted(paired)), tuple(sorted(balanced))
 
@@ -320,7 +322,7 @@ def is_member(w: SignedPermutation, kind: str) -> bool:
         return True
     if kind == "S":
         return all(j > 0 for j in w.images)
-    return sum(balanced for _, balanced in _orbits(w)) % 2 == 0
+    return sum(balanced for _, balanced in _orbits(w.images)) % 2 == 0
 
 
 def absolute_length(w: SignedPermutation, kind: str = "B") -> int:
@@ -333,7 +335,7 @@ def absolute_length(w: SignedPermutation, kind: str = "B") -> int:
     """
     _check_kind(kind)
     orbits = balanced = 0
-    for _, is_balanced in _orbits(w):
+    for _, is_balanced in _orbits(w.images):
         orbits += 1
         balanced += is_balanced
     if kind == "D" and balanced % 2 or kind == "S" and not is_member(w, "S"):

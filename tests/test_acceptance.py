@@ -54,6 +54,7 @@ from absorder import (
     verify_el,
     zeta_polynomial,
 )
+from absorder.order import _lower_covers
 
 
 def test_01_noncrossing_census_matches_closed_forms():
@@ -216,7 +217,8 @@ def test_10_euler_characteristics_three_ways():
 
 def test_11_proper_parts_are_cohen_macaulay():
     p2 = full_poset("S", 2)
-    point = Poset([w for i, w in enumerate(p2.elements) if p2.rank[i] > 0],
+    point = Poset({w.images: _lower_covers(w.images, "S")
+                   for i, w in enumerate(p2.elements) if p2.rank[i] > 0},
                   "S", "proper part")
     probes = [order_complex(point, strip="none")]
     for n in (3, 4):

@@ -19,7 +19,7 @@ from absorder import (
 )
 from absorder import lattice, order
 from absorder.order import abs_leq, elements_below
-from absorder.signed import group_elements
+from absorder.signed import SignedPermutation, group_elements
 
 
 def test_meet_and_join_on_a_lattice_interval():
@@ -171,7 +171,8 @@ def test_three_maximal_lower_bounds_spot_check():
 
 def _maximal_by_filter(u, v, kind):
     """Maximal common lower bounds by filtering u's ideal with `abs_leq`."""
-    common = [w for w in elements_below(u, kind) if abs_leq(w, v, kind)]
+    common = [w for w in map(SignedPermutation, elements_below(u, kind))
+              if abs_leq(w, v, kind)]
     return {w for w in common
             if not any(x != w and abs_leq(w, x, kind) for x in common)}
 

@@ -5,6 +5,7 @@ from absorder.order import (
     ResourceGuardError,
     _fibers,
     _graded,
+    _lower_covers,
     abs_leq,
     build_ideal,
     bits,
@@ -20,7 +21,8 @@ from absorder.order import (
     sn_leq_noncrossing,
 )
 from absorder.lattice import _maximal_of
-from absorder.signed import format_cycles, group_order, identity, parse_cycles
+from absorder.signed import (SignedPermutation, format_cycles, group_order,
+                             identity, parse_cycles)
 from absorder.topology import appendix_ideal_checks
 
 
@@ -66,8 +68,9 @@ def test_poset_shape():
 
 def test_bottom_requires_domination():
     # two incomparable elements: unique shortest is not below the other
-    sub = Poset([parse_cycles("[1]", 2), parse_cycles("[1,2]", 2),
-                 parse_cycles("[2]", 2)], "B", "test")
+    members = [parse_cycles(text, 2) for text in ("[1]", "[1,2]", "[2]")]
+    sub = Poset({w.images: _lower_covers(w.images, "B") for w in members},
+                "B", "test")
     assert sub.bottom() is None
 
 
@@ -83,6 +86,21 @@ def test_interval_rejects_incomparable_ends():
         build_interval(parse_cycles("[1]", 2), parse_cycles("((1,2))", 2), "B")
 
 
+@pytest.mark.parametrize("refused,ranks", [
+    (lambda: build_interval(identity(3), parse_cycles("[1,2]", 2), "B"),
+     "3 and 2"),
+    (lambda: abs_leq(parse_cycles("[1]", 3), parse_cycles("[1]", 2)),
+     "3 and 2"),
+    (lambda: build_interval(identity(2), parse_cycles("[1,2,3]", 3), "B"),
+     "2 and 3"),
+    (lambda: build_ideal([parse_cycles("[1]", 2), parse_cycles("[1]", 3)],
+                         "B"), "2 and 3"),
+], ids=["interval-lower-top", "abs-leq", "interval-higher-top", "ideal"])
+def test_mixed_ranks_are_refused(refused, ranks):
+    with pytest.raises(ValueError, match=f"ranks {ranks}"):
+        refused()
+
+
 def test_chain_counts_triangle():
     iv = build_interval(identity(2), parse_cycles("[1,2]", 2), "B")
     counts = iv.chain_counts()
@@ -95,7 +113,7 @@ def test_chain_counts_triangle():
 def test_elements_below_is_principal_ideal():
     w = parse_cycles("[1][2]", 2)
     below = elements_below(w, "B")
-    assert {format_cycles(z) for z in below} == {
+    assert {format_cycles(SignedPermutation(z)) for z in below} == {
         "e", "[1]", "[2]", "((1,2))", "((1,-2))", "[1][2]"}
 
 

@@ -106,6 +106,34 @@ def test_interval_members_are_those_between_the_endpoints():
             assert set(build_interval(u, v, kind).elements) == between
 
 
+def test_cover_walk_work_stays_at_its_counts(monkeypatch):
+    # the search records each element's lower covers and the Poset reads
+    # that record, so every builder makes one `_lower_covers` call per
+    # element (the interval's calls run on [e, u^-1 v], of the same size)
+    rng = random.Random(SEED)
+    ambients = {kind: full_poset(kind, 4) for kind in "SBD"}
+    pairs = {kind: _seeded_pair(p, rng) for kind, p in ambients.items()}
+    gens = {kind: rng.sample(p.elements, 3) for kind, p in ambients.items()}
+    calls = []
+    right = order._lower_covers
+
+    def counting(images, kind="B"):
+        calls.append(images)
+        return right(images, kind)
+
+    monkeypatch.setattr(order, "_lower_covers", counting)
+    for kind, ambient in ambients.items():
+        e, top = ambient.elements[0], ambient.elements[-1]
+        for build in (lambda: full_poset(kind, 4),
+                      lambda: build_interval(e, top, kind),
+                      lambda: build_interval(*pairs[kind], kind),
+                      lambda: build_ideal(gens[kind], kind),
+                      lambda: coxeter_ideal(4, kind)):
+            calls.clear()
+            p = build()
+            assert len(calls) == len(set(calls)) == len(p), (kind, p.label)
+
+
 def test_building_makes_no_abs_leq_call(monkeypatch):
     calls = []
 
@@ -117,7 +145,8 @@ def test_building_makes_no_abs_leq_call(monkeypatch):
     b3 = full_poset("B", 3)
     coxeter_ideal(4, "B")
     build_ideal(b3.elements[-3:], "B")
-    Poset(list(b3.elements), "B", "direct")
+    Poset({w.images: order._lower_covers(w.images, "B") for w in b3.elements},
+          "B", "direct")
     assert calls == []
     build_interval(b3.elements[1], b3.elements[-1], "B")
     assert len(calls) == 1  # only the u <= v precondition

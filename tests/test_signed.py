@@ -38,6 +38,11 @@ def test_composition_applies_right_factor_first():
     assert w(3) == -3 and w(1) == 2
 
 
+def test_composition_refuses_mixed_ranks():
+    with pytest.raises(ValueError, match="ranks 3 and 2"):
+        parse_cycles("[1]", 3) * parse_cycles("[1,2]", 2)
+
+
 def test_inverse():
     w = parse_cycles("((1,-2,3))", 3)
     assert w * w.inverse() == identity(3)
