@@ -15,7 +15,7 @@ run `census`, compare reports.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -187,19 +187,16 @@ def zeta_polynomial(p: Poset) -> RationalPolynomial:
     return poly
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(namedtuple(
+        "InvariantReport",
+        "cardinality rank_sizes max_chains mobius_bottom_top zeta")):
     """Census of one poset: counts plus the classic polynomial invariants.
 
     Fields left as None are not applicable (unbounded posets) or not given
     by the closed form that produced the report.
     """
 
-    cardinality: int
-    rank_sizes: tuple | None
-    max_chains: int | None
-    mobius_bottom_top: int | None
-    zeta: RationalPolynomial | None
+    __slots__ = ()
 
     def check(self) -> None:
         """Internal consistency identities; raises AssertionError on failure."""
@@ -408,16 +405,13 @@ def mixing_indices(p: Poset, k: int) -> list:
     return picked
 
 
-@dataclass
-class AnnularMixingFacts:
+class AnnularMixingFacts(namedtuple(
+        "AnnularMixingFacts", "k cardinality cardinality_formula "
+        "multichain_counts multichain_formula")):
     """Enumerated vs closed-form facts for the block-mixing elements below
     a balanced k-cycle with one extra sign flip."""
 
-    k: int
-    cardinality: int
-    cardinality_formula: int
-    multichain_counts: dict
-    multichain_formula: dict
+    __slots__ = ()
 
     def ok(self) -> bool:
         return (

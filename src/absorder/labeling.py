@@ -13,7 +13,7 @@ by the underlying reflection with signs collapsed, one by joins against a
 fixed total order of all reflections.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lattice import join
 from .order import Poset, ResourceGuardError, bits
@@ -132,12 +132,9 @@ def join_position_labeler(p: Poset):
     return label
 
 
-@dataclass
-class ELReport:
-    ok: bool
-    intervals_checked: int
-    chains_checked: int
-    failure: dict | None
+class ELReport(namedtuple("ELReport",
+                          "ok intervals_checked chains_checked failure")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         data = {

@@ -7,7 +7,7 @@ inside the even subgroup the admissible profiles collapse to (), (k,1) and
 existence over a whole group at once.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .order import (Poset, _greatest, _least, _resolve, bits, build_ideal,
                     full_poset)
@@ -30,10 +30,8 @@ def join(p: Poset, x, y):
     return None if b is None else p.elements[b]
 
 
-@dataclass
-class LatticeVerdict:
-    is_lattice: bool
-    witness: dict | None
+class LatticeVerdict(namedtuple("LatticeVerdict", "is_lattice witness")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         data = {"is_lattice": self.is_lattice}
@@ -91,12 +89,8 @@ def predict_lattice(w: SignedPermutation, kind: str = "B") -> bool:
     raise ValueError(f"no lattice prediction for kind {kind!r}")
 
 
-@dataclass
-class ScanReport:
-    kind: str
-    n: int
-    checked: int
-    mismatches: list
+class ScanReport(namedtuple("ScanReport", "kind n checked mismatches")):
+    __slots__ = ()
 
     def ok(self) -> bool:
         return not self.mismatches

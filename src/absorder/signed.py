@@ -31,7 +31,7 @@ i and +-j share an orbit or i and j both lie in balanced orbits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class CycleNotationError(ValueError):
@@ -92,16 +92,15 @@ def identity(n: int) -> SignedPermutation:
     return SignedPermutation(range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(namedtuple("Cycle", "kind entries")):
     """A canonical cycle word; kind is 'balanced' or 'paired'."""
 
-    kind: str
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("balanced", "paired"):
-            raise ValueError(f"unknown cycle kind {self.kind!r}")
+    def __new__(cls, kind: str, entries: tuple):
+        if kind not in ("balanced", "paired"):
+            raise ValueError(f"unknown cycle kind {kind!r}")
+        return super().__new__(cls, kind, entries)
 
     @property
     def length(self) -> int:
@@ -124,12 +123,11 @@ class Cycle:
         return f"(({inner}))"
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(namedtuple("CycleDecomposition",
+                                    "cycles fixed_points")):
     """Disjoint cycle form: nontrivial cycles plus the fixed points."""
 
-    cycles: tuple
-    fixed_points: frozenset
+    __slots__ = ()
 
     @property
     def balanced(self) -> tuple:

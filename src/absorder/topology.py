@@ -9,7 +9,7 @@ homology concentrated in its top dimension.
 
 import itertools
 from bisect import bisect
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -130,14 +130,25 @@ def order_complex(p: Poset, strip: str = "none",
     return _mask_complex(p, (1 << len(p)) - 1, strip, p.label, face_guard)
 
 
-@dataclass
-class HomologyProfile:
+class HomologyProfile(namedtuple("HomologyProfile", "reduced_betti torsion")):
     """Reduced Betti numbers over Q.  `torsion`, which equality and the
     JSON view leave out, maps each d >= 1 to the invariant factors above 1
-    of the boundary map d."""
+    of the boundary map d; each profile has its own dict.  Equality reads
+    the Betti numbers alone, so a profile is unhashable."""
 
-    reduced_betti: tuple
-    torsion: dict = field(default_factory=dict, compare=False)
+    __slots__ = ()
+    __hash__ = None
+
+    def __new__(cls, reduced_betti: tuple, torsion: dict | None = None):
+        return super().__new__(cls, reduced_betti,
+                               {} if torsion is None else torsion)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, HomologyProfile)
+                and self.reduced_betti == other.reduced_betti)
+
+    def __ne__(self, other) -> bool:  # tuple's own would read the torsion
+        return not self == other
 
     @property
     def euler(self) -> int:
@@ -319,20 +330,16 @@ def chain_euler_characteristic(p: Poset, strip: str = "none") -> int:
     return _hall_mobius(p, _strip_mask(p, strip, (1 << len(p)) - 1))
 
 
-@dataclass
-class CMReport:
+class CMReport(namedtuple(
+        "CMReport",
+        "ok mode faces_checked failing_face failing_betti homology")):
     """The outcome of `cm_check`; `mode` is always "all" (every link).
 
     `homology` is the complex's own, the link of the empty face; it is not
     part of the JSON report.
     """
 
-    ok: bool
-    mode: str
-    faces_checked: int
-    failing_face: tuple | None
-    failing_betti: tuple | None
-    homology: HomologyProfile
+    __slots__ = ()
 
     def to_json(self) -> dict:
         data = {"ok": self.ok, "mode": self.mode,
@@ -506,14 +513,9 @@ def _smith_normal_form_diagonal(columns: list, rows: int) -> list:
     return diag
 
 
-@dataclass
-class IdealCheck:
-    name: str
-    size: int
-    rank: int
-    expected_rank: int
-    graded: bool
-    cm: CMReport
+class IdealCheck(namedtuple("IdealCheck",
+                            "name size rank expected_rank graded cm")):
+    __slots__ = ()
 
     def ok(self) -> bool:
         return self.rank == self.expected_rank and self.graded and self.cm.ok

@@ -13,7 +13,7 @@ failure propagate to a nonzero exit.
 """
 
 import json
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from . import invariants, labeling, lattice, order, series, topology
 from .signed import format_cycles, parse_cycles
@@ -51,27 +51,21 @@ SCOPES = {
 }
 
 
-@dataclass
-class ClaimResult:
-    claim: str
-    statement: str
-    parameters: dict
-    expected: str
-    computed: str
+class ClaimResult(namedtuple("ClaimResult",
+                             "claim statement parameters expected computed")):
+    __slots__ = ()
 
     @property
     def verdict(self) -> bool:
         return self.expected == self.computed
 
     def to_json(self) -> dict:
-        return {**asdict(self), "verdict": self.verdict}
+        return {**self._asdict(), "verdict": self.verdict}
 
 
-@dataclass
-class VerificationSuiteReport:
-    profile: str
-    seed: int
-    results: list
+class VerificationSuiteReport(namedtuple("VerificationSuiteReport",
+                                         "profile seed results")):
+    __slots__ = ()
 
     def ok(self) -> bool:
         return all(r.verdict for r in self.results)
@@ -562,5 +556,7 @@ def run_verify_suite(profile: str = "quick", seed: int = DEFAULT_SEED,
         if fault not in known:
             raise ValueError(f"unknown claim id {fault!r}; this profile "
                              f"produced: {', '.join(known)}")
-        results[known.index(fault)].computed += " [injected fault]"
+        i = known.index(fault)
+        results[i] = results[i]._replace(
+            computed=results[i].computed + " [injected fault]")
     return VerificationSuiteReport(profile, seed, results)
