@@ -29,12 +29,11 @@ class LabelingError(ValueError):
 
 
 def support_size_label(a: SignedPermutation, b: SignedPermutation) -> int:
-    """Largest letter moved by a^-1 b."""
-    t = a.inverse() * b
-    moved = [i for i in range(1, t.n + 1) if t(i) != i]
-    if not moved:
-        raise LabelingError("label of a loop edge is undefined")
-    return max(moved)
+    """Largest letter moved by a^-1 b: the largest i with a(i) != b(i)."""
+    for i in range(len(a.images), 0, -1):
+        if a.images[i - 1] != b.images[i - 1]:
+            return i
+    raise LabelingError("label of a loop edge is undefined")
 
 
 def c_sequence(w: SignedPermutation) -> tuple:
@@ -159,7 +158,9 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
     Paths are counted first: the first y with more than CHAIN_GUARD raises
     ResourceGuardError before any edge from x is labeled.  Each y keeps the
     increasing label sequences of [x, y] and its least sequence of each
-    length (an appended label keeps the order only within one length).
+    length, the least (sequence one shorter at a lower cover i, label of
+    i y) joined into one tuple (an appended label keeps the order only
+    within one length; an induced poset may have chains of two lengths).
     """
     if labeler is None:
         labeler = support_size_label
@@ -188,23 +189,26 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
                     f"interval [{p.elements[x]!r}, {p.elements[y]!r}] exceeds "
                     f"{CHAIN_GUARD} maximal chains"
                 )
-        first, rising = {x: [()]}, {x: [()]}
+        first, rising = {x: {0: ()}}, {x: [()]}
         for y in tops:
             intervals += 1
             chains_total += paths[y]
-            firsts, climbs = [], []
+            least, climbs = {}, []
             for i in lower_covers[y]:
                 if i in paths:
-                    step = (edge_label(i, y),)
-                    firsts += [seq + step for seq in first[i]]
-                    climbs += [seq + step for seq in rising[i]
-                               if not seq or seq[-1] < step[0]]
-            first[y] = [*{len(s): s for s in sorted(firsts)[::-1]}.values()]
+                    step = edge_label(i, y)
+                    for size, seq in first[i].items():
+                        if size not in least or (seq, step) < least[size]:
+                            least[size] = seq, step
+                    climbs += [seq + (step,) for seq in rising[i]
+                               if not seq or seq[-1] < step]
+            first[y] = {size + 1: seq + (step,)
+                        for size, (seq, step) in least.items()}
             rising[y] = climbs
             reason = None
             if len(climbs) != 1:
                 reason = f"{len(climbs)} strictly increasing chains"
-            elif min(first[y]) != climbs[0]:
+            elif min(first[y].values()) != climbs[0]:
                 reason = "increasing chain is not lexicographically first"
             if reason is not None:
                 ending = {x: [()]}

@@ -58,12 +58,15 @@ def _meet_failure(p: Poset, members: list):
 
     Lower bounds are taken in all of p, so for the members below one
     element of p this decides whether the interval under it is a lattice.
-    Each pair costs one mask comparison (`order._greatest`).
+    Each pair costs one mask comparison (`order._greatest`, inlined: all
+    common lower bounds lie below the highest-indexed one).
     """
+    below = p.below
     for a, i in enumerate(members):
         for j in members[a + 1:]:
-            if _greatest(p, p.below[i] & p.below[j]) is None:
-                tops = _maximal_of(p, p.below[i] & p.below[j])
+            common = below[i] & below[j]
+            if not common or common & ~below[common.bit_length() - 1]:
+                tops = _maximal_of(p, common)
                 return {
                     "x": repr(p.elements[i]),
                     "y": repr(p.elements[j]),

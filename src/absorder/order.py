@@ -483,16 +483,15 @@ def full_poset(kind: str, n: int) -> Poset:
 
 
 def project_pi(w: SignedPermutation, i: int) -> SignedPermutation:
-    """Delete +-i from the cycle of w containing it (fixing i afterwards)."""
+    """Delete +-i from the cycle of w containing it (fixing i afterwards):
+    the letter sent to +-i is sent on to +-w(i), read off the images."""
     if not 1 <= i <= w.n:
         raise ValueError(f"index {i} out of range")
-    dec = cycle_decomposition(w)
-    words = []
-    for c in dec.cycles:
-        entries = tuple(a for a in c.entries if abs(a) != i)
-        if entries:
-            words.append((c.kind, entries))
-    return from_cycles(words, w.n)
+    images = list(w.images)
+    j = next(j for j, x in enumerate(images) if x == i or x == -i)
+    images[j] = images[i - 1] if images[j] > 0 else -images[i - 1]
+    images[i - 1] = i
+    return SignedPermutation(images)
 
 
 def _fibers(ambient: Poset, i: int) -> dict:
