@@ -25,6 +25,7 @@ from .signed import (
     coxeter_elements,
     group_elements,
     group_order,
+    identity,
     is_member,
     reflection_set,
 )
@@ -65,25 +66,30 @@ def _lower_covers(images: tuple, kind: str = "B") -> list:
 
     By the orbit rule (see `signed`): [i] for i in a balanced orbit,
     ((a, b)) for signed letters a, b of one paired orbit, and ((i, +-j))
-    for i, j in balanced orbits.  No other product is built."""
-    def swap(a, b):
-        # w times the reflection exchanging a with b (and -a with -b)
-        new, i, j = list(images), abs(a) - 1, abs(b) - 1
-        sign = 1 if (a > 0) == (b > 0) else -1
-        new[i], new[j] = sign * images[j], sign * images[i]
-        return tuple(new)
-
+    for i, j in balanced orbits.  No other product is built, and each is
+    built inline: for t exchanging i with s j (s = +-1), w*t holds s w(j)
+    at i and s w(i) at j."""
     out, balanced = [], []
     for orbit, is_balanced in _orbits(images):
         if is_balanced:
-            balanced += [abs(a) for a in orbit]
-        else:
-            out += [swap(a, b) for p, a in enumerate(orbit) for b in orbit[p + 1:]]
+            balanced += [abs(a) - 1 for a in orbit]
+            continue
+        letters = [(abs(a) - 1, 1 if a > 0 else -1) for a in orbit]
+        for p, (i, si) in enumerate(letters):
+            for j, sj in letters[p + 1:]:
+                new, s = list(images), si * sj
+                new[i], new[j] = s * images[j], s * images[i]
+                out.append(tuple(new))
     for p, i in enumerate(balanced):
         if kind == "B":
-            out.append(swap(i, -i))
+            new = list(images)
+            new[i] = -images[i]
+            out.append(tuple(new))
         for j in balanced[p + 1:]:
-            out += [swap(i, j), swap(i, -j)]
+            for s in (1, -1):
+                new = list(images)
+                new[i], new[j] = s * images[j], s * images[i]
+                out.append(tuple(new))
     return out
 
 
@@ -429,11 +435,14 @@ def build_interval(u: SignedPermutation, v: SignedPermutation, kind: str = "B") 
     """The closed interval [u, v] as a Poset (rank 0 at u).
 
     Given u <= v, z is in [u, v] exactly when u^{-1} z is in [e, u^{-1} v], so
-    left multiplication by u carries one, with its covers, onto the other.
+    left multiplication by u carries one, with its covers, onto the other;
+    from the identity, the record of [e, v] is taken as it is.
     """
     if not abs_leq(u, v, kind):
         raise ValueError(f"{u!r} is not below {v!r} in kind {kind}")
     record = elements_below(u.inverse() * v, kind)
+    if u == identity(u.n):
+        return Poset(record, kind, "interval")
     moved = {z: (u * SignedPermutation(z)).images for z in record}
     return Poset({moved[z]: [moved[c] for c in lower]
                   for z, lower in record.items()}, kind, "interval")

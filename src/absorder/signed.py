@@ -404,16 +404,16 @@ def coxeter_elements(kind: str, n: int):
 
 
 def group_elements(kind: str, n: int):
-    """Iterate over every element of the group (desk scale only)."""
+    """Iterate over every element of the group (desk scale only), signs
+    fastest.  D_n keeps the sign vectors with evenly many -1: a balanced
+    orbit changes sign an odd number of times, a paired one evenly."""
     _check_kind(kind)
+    signs = [(1,) * n] if kind == "S" else list(itertools.product((1, -1), repeat=n))
+    if kind == "D":
+        signs = [s for s in signs if s.count(-1) % 2 == 0]
     for perm in itertools.permutations(range(1, n + 1)):
-        if kind == "S":
-            yield SignedPermutation(perm)
-            continue
-        for signs in itertools.product((1, -1), repeat=n):
-            w = SignedPermutation(s * a for s, a in zip(signs, perm))
-            if kind == "B" or is_member(w, "D"):
-                yield w
+        for sign in signs:
+            yield SignedPermutation(s * a for s, a in zip(sign, perm))
 
 
 def group_order(kind: str, n: int) -> int:

@@ -1,10 +1,10 @@
 """Order complexes, exact simplicial homology, and Cohen-Macaulay checks.
 
 The complex of a poset has the poset's chains as faces.  Homology is
-computed over the rationals with exact sparse elimination, so Betti numbers
-are certificates, not floating-point estimates.  The Cohen-Macaulay test is
-the link criterion: every link, the empty face included, must have reduced
-homology concentrated in its top dimension.
+computed over the integers with exact sparse elimination, so Betti numbers
+and torsion are certificates, not floating-point estimates.  The
+Cohen-Macaulay test is the link criterion: every link, the empty face
+included, must have reduced homology concentrated in its top dimension.
 """
 
 import itertools

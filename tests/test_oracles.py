@@ -45,6 +45,7 @@ from absorder import (
     from_cycles,
     full_poset,
     identity,
+    is_member,
     join,
     join_position_labeler,
     meet,
@@ -57,7 +58,7 @@ from absorder import (
     support_size_label,
     verify_el,
 )
-from absorder import invariants, labeling, lattice, topology
+from absorder import invariants, labeling, lattice, signed, topology
 from absorder.labeling import ELReport
 from absorder.order import Poset, _graded, _lower_covers, bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
@@ -1015,6 +1016,48 @@ def test_lower_covers_match_every_reflection_product(kind, n):
         got = _lower_covers(w.images, kind)
         assert len(got) == len(set(got)), format_cycles(w)
         assert set(got) == _lower_covers_by_trial(w, kind), format_cycles(w)
+
+
+def _lower_covers_by_swaps(images, kind):
+    """The orbit rule with one call per product, as the covers were built
+    before each product was built inline."""
+    def swap(a, b):
+        new, i, j = list(images), abs(a) - 1, abs(b) - 1
+        sign = 1 if (a > 0) == (b > 0) else -1
+        new[i], new[j] = sign * images[j], sign * images[i]
+        return tuple(new)
+
+    out, balanced = [], []
+    for orbit, is_balanced in signed._orbits(images):
+        if is_balanced:
+            balanced += [abs(a) for a in orbit]
+        else:
+            out += [swap(a, b) for p, a in enumerate(orbit) for b in orbit[p + 1:]]
+    for p, i in enumerate(balanced):
+        if kind == "B":
+            out.append(swap(i, -i))
+        for j in balanced[p + 1:]:
+            out += [swap(i, j), swap(i, -j)]
+    return out
+
+
+@pytest.mark.parametrize("kind", "BD")
+def test_lower_covers_keep_the_order_of_the_swap_rule(kind):
+    for n in range(6):
+        for w in group_elements(kind, n):
+            assert _lower_covers(w.images, kind) == \
+                _lower_covers_by_swaps(w.images, kind), format_cycles(w)
+
+
+# --- the group by sign vectors -------------------------------------------------
+
+@pytest.mark.parametrize("kind", "SD")
+def test_enumeration_matches_the_membership_filter_of_b(kind):
+    # D_n keeps the sign vectors with evenly many -1 and S_n the positive
+    # one, where they were filtered out of B_n by `is_member`
+    for n in range(6):
+        assert list(group_elements(kind, n)) == \
+            [w for w in group_elements("B", n) if is_member(w, kind)], n
 
 
 # --- balanced profiles and Moebius products from the cycle type ---------------

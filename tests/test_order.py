@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from absorder.order import (
@@ -158,12 +160,46 @@ def translate_interval(u, v, kind="B"):
     return mapping, ok
 
 
+def _translate_case(kind, draw):
+    """Endpoints u < v, u not the identity: the literal B3 pair, or a seeded
+    u in the group of rank 4 with a seeded v of top rank above it."""
+    if draw is None:
+        return parse_cycles("((1,2))", 3), parse_cycles("[1,2,3]", 3)
+    rng = random.Random(20261019 + draw)
+    ambient = full_poset(kind, 4)
+    i = rng.choice([k for k, r in enumerate(ambient.rank) if 0 < r < 4])
+    tops = [j for j in bits(ambient.above[i]) if ambient.rank[j] == 4]
+    return ambient.elements[i], ambient.elements[rng.choice(tops)]
+
+
+def _left_translate(u, p):
+    """The Poset on u z for z in p, covered as p is, built afresh."""
+    moved = [(u * z).images for z in p.elements]
+    lower = {z: [] for z in moved}
+    for i, ups in enumerate(p.hasse_up):
+        for j in ups:
+            lower[moved[j]].append(moved[i])
+    return Poset(lower, p.kind, p.label)
+
+
+TRANSLATE_CASES = [("B", None)] + [(kind, draw) for kind in "BD"
+                                   for draw in range(3)]
+
+
 def test_translate_interval_is_isomorphism():
-    u = parse_cycles("((1,2))", 3)
-    v = parse_cycles("[1,2,3]", 3)
-    mapping, ok = translate_interval(u, v, "B")
-    assert ok
-    assert len(mapping) == len(build_interval(u, v, "B"))
+    for kind, draw in TRANSLATE_CASES:
+        u, v = _translate_case(kind, draw)
+        mapping, ok = translate_interval(u, v, kind)
+        assert ok, (kind, draw)
+        source = build_interval(u, v, kind)
+        assert len(mapping) == len(source)
+        # [u, v] is the left translate by u of [e, u^-1 v], whose cover
+        # record is taken as it is
+        target = build_interval(identity(u.n), u.inverse() * v, kind)
+        translate = _left_translate(u, target)
+        for field in ("elements", "rank", "below", "above", "hasse_up"):
+            assert getattr(source, field) == getattr(translate, field), \
+                (kind, draw, field)
 
 
 def test_projection_deletes_letter():

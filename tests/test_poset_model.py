@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from absorder import order
+from absorder import order, signed
 from absorder.invariants import (build_coxeter_interval, build_flip_interval,
                                  rank_generating_function)
 from absorder.order import (
@@ -25,7 +25,8 @@ from absorder.order import (
     coxeter_ideal,
     full_poset,
 )
-from absorder.signed import group_order
+from absorder.signed import (SignedPermutation, balanced_cycle,
+                             group_elements, group_order, identity)
 
 SEED = 20260816
 
@@ -150,6 +151,37 @@ def test_building_makes_no_abs_leq_call(monkeypatch):
     assert calls == []
     build_interval(b3.elements[1], b3.elements[-1], "B")
     assert len(calls) == 1  # only the u <= v precondition
+
+
+def test_enumerating_d4_walks_no_orbit(monkeypatch):
+    # D_n keeps the sign vectors with evenly many -1, where every element
+    # of B_n was built and its orbits walked (384 walks for D4)
+    calls = []
+    right = signed._orbits
+
+    def counting(images):
+        calls.append(images)
+        return right(images)
+
+    monkeypatch.setattr(signed, "_orbits", counting)
+    assert len(list(group_elements("D", 4))) == group_order("D", 4)
+    assert calls == []
+
+
+def test_interval_from_the_identity_is_not_translated(monkeypatch):
+    # the u <= v test and u^-1 v are the only products; translating the
+    # 252 members of [e, c] by e made 254
+    calls = []
+    right = SignedPermutation.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return right(self, other)
+
+    monkeypatch.setattr(SignedPermutation, "__mul__", counting)
+    p = build_interval(identity(5), balanced_cycle((1, 2, 3, 4, 5), 5), "B")
+    assert len(p) == 252
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("kind,n", [("B", 5), ("S", 7), ("D", 5)])
