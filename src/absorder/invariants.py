@@ -17,10 +17,10 @@ run `census`, compare reports.
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 
 from .order import Poset, _hall_mobius, _resolve, bits, build_interval
-from .series import _convolve
+from .series import _convolve, _scaled
 from .signed import (
     SignedPermutation,
     balanced_cycle,
@@ -54,19 +54,29 @@ class RationalPolynomial:
 
     @classmethod
     def from_points(cls, points) -> "RationalPolynomial":
-        """Lagrange interpolation through (x, y) pairs with distinct x."""
-        total = [Fraction(0)] * len(points)
-        for i, (xi, yi) in enumerate(points):
-            basis = [Fraction(1)]
-            scale = Fraction(yi)
-            for j, (xj, _) in enumerate(points):
-                if i == j:
-                    continue
-                basis = _convolve(basis, (-xj, 1), len(basis) + 1)
-                scale /= xi - xj
-            for d, c in enumerate(basis):
-                total[d] += scale * c
-        return cls(total)
+        """Lagrange interpolation through (x, y) pairs with distinct x, on
+        plain integers: over the lcm denominator q of the x, x_i = X_i / q,
+        and the basis polynomial of x_i is prod_(j != i) (q t - X_j), with
+        integer coefficients, over the integer prod_(j != i) (X_i - X_j).
+        The bases, weighted by the y numerators, are summed over the lcm of
+        those products, and only the sum's coefficients are Fractions.  A
+        repeated x raises ValueError naming it."""
+        xs, q = _scaled([Fraction(x) for x, _ in points])
+        ys, dy = _scaled([Fraction(y) for _, y in points])
+        for i, x in enumerate(xs):
+            if x in xs[:i]:
+                raise ValueError(
+                    f"interpolation points repeat x = {Fraction(x, q)}")
+        dens = [prod(xi - xj for xj in xs if xj != xi) for xi in xs]
+        common = lcm(*dens)
+        total = [0] * len(xs)
+        for xi, y, den in zip(xs, ys, dens):
+            basis = [y * (common // den)]
+            for xj in xs:
+                if xj != xi:
+                    basis = _convolve(basis, (-xj, q), len(basis) + 1)
+            total = [a + b for a, b in zip(total, basis)]
+        return cls([Fraction(c, common * dy) for c in total])
 
     def degree(self) -> int:
         return len(self.coefficients) - 1

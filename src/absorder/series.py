@@ -8,7 +8,7 @@ pretends to more precision than it has.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .order import ResourceGuardError
 
@@ -26,6 +26,13 @@ def _convolve(a, b, size: int) -> list:
     return out
 
 
+def _scaled(coeffs) -> tuple:
+    """(numerators, d): the coefficients as integers over their lcm
+    denominator d, so that coeffs[k] = numerators[k] / d."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 class FormalPowerSeries:
     """A power series known through degree `order`, inclusive."""
 
@@ -34,7 +41,8 @@ class FormalPowerSeries:
     def __init__(self, coeffs, order: int):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        values = [Fraction(c) for c in coeffs[:order + 1]]
+        values = [c if type(c) is Fraction else Fraction(c)
+                  for c in coeffs[:order + 1]]
         values += [Fraction(0)] * (order + 1 - len(values))
         self.coeffs = tuple(values)
         self.order = order
@@ -71,11 +79,19 @@ class FormalPowerSeries:
         return FormalPowerSeries([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other):
+        """The product with a scalar, or with a series to the lesser of the
+        two truncations: the integer numerators of both over their lcm
+        denominators are convolved, and each product coefficient is one
+        Fraction over the product of the two lcms."""
         if isinstance(other, (int, Fraction)):
             return FormalPowerSeries([c * other for c in self.coeffs],
                                      self.order)
         n = self._common(other)
-        return FormalPowerSeries(_convolve(self.coeffs, other.coeffs, n + 1), n)
+        a, da = _scaled(self.coeffs[:n + 1])
+        b, db = _scaled(other.coeffs[:n + 1])
+        d = da * db
+        return FormalPowerSeries(
+            [Fraction(c, d) for c in _convolve(a, b, n + 1)], n)
 
     __rmul__ = __mul__
 
@@ -107,27 +123,49 @@ class FormalPowerSeries:
         return FormalPowerSeries(self.coeffs[k:], self.order - k)
 
     def exp(self) -> "FormalPowerSeries":
-        """exp of a series with zero constant term, by the f' = g'f recurrence."""
+        """exp of a series with zero constant term, by the f' = g'f recurrence
+        on plain integers.
+
+        With g = c / d (c the numerators over the lcm denominator d) and
+        exp(g) = sum_n e_n t^n / (n! d^n), the recurrence
+        (n + 1) f_(n+1) = sum_k (k + 1) g_(k+1) f_(n-k) becomes
+        e_(n+1) = sum_k (k + 1) c_(k+1) d^k n! / (n - k)! e_(n-k), e_0 = 1,
+        and only the output coefficients are Fractions.
+        """
         if self.coeffs[0]:
             raise ValueError("exp needs a zero constant term")
-        out = [Fraction(1)] + [Fraction(0)] * self.order
+        c, d = _scaled(self.coeffs)
+        weights = [(k + 1) * c[k + 1] * d ** k for k in range(self.order)]
+        e = [1]
         for n in range(self.order):
-            acc = Fraction(0)
+            acc, falling = 0, 1  # falling = n! / (n - k)!
             for k in range(n + 1):
-                acc += (k + 1) * self.coeffs[k + 1] * out[n - k]
-            out[n + 1] = acc / (n + 1)
-        return FormalPowerSeries(out, self.order)
+                acc += weights[k] * falling * e[n - k]
+                falling *= n - k
+            e.append(acc)
+        return FormalPowerSeries([Fraction(x, factorial(n) * d ** n)
+                                  for n, x in enumerate(e)], self.order)
 
     def sqrt(self) -> "FormalPowerSeries":
-        """Square root of a series with constant term one."""
+        """Square root of a series with constant term one, on plain integers.
+
+        With f = c / d (c the numerators over the lcm denominator d) and its
+        root r = 1 + sum_(n>=1) s_n t^n / (2^(2n-1) d^n), the recurrence
+        2 r_n = f_n - sum_(0<k<n) r_k r_(n-k) becomes
+        s_n = c_n 4^(n-1) d^(n-1) - sum_(0<k<n) s_k s_(n-k), and only the
+        output coefficients are Fractions.
+        """
         if self.coeffs[0] != 1:
             raise ValueError("sqrt needs constant term one")
-        out = [Fraction(1)] + [Fraction(0)] * self.order
+        c, d = _scaled(self.coeffs)
+        s, out, power = [0], [Fraction(1)], 1  # power = 4^(n-1) d^(n-1)
         for n in range(1, self.order + 1):
-            acc = self.coeffs[n]
+            acc = c[n] * power
             for k in range(1, n):
-                acc -= out[k] * out[n - k]
-            out[n] = acc / 2
+                acc -= s[k] * s[n - k]
+            s.append(acc)
+            out.append(Fraction(acc, 2 * d * power))
+            power *= 4 * d
         return FormalPowerSeries(out, self.order)
 
     def __repr__(self):

@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import and_
+from operator import and_, itemgetter
 
 from .order import (Poset, ResourceGuardError, _fibers, _graded, _greatest,
                     _hall_mobius, _least, bits)
@@ -217,9 +217,13 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     Columns are implicit (as in Ripser, Bauer 2021).  A coface of s inserts
     a common neighbour u of its vertices at a position growing with u, so in
     the sorted lists the lowest row of column s is s plus its highest u, the
-    key of its pivot.  A column whose lowest row is no pivot yet is kept as
-    its face and built only when a later column reduces against it.  An
-    order complex labels its vertices in rank-descending order, so u is a
+    key of its pivot.  The scan intersects the neighbour masks of each
+    distinct prefix s[:-1] once, for the run of faces that share it (a run
+    in the lexicographic lists), so each face costs one more intersection,
+    with the mask of its last vertex; a highest u above that vertex is
+    appended with no search.  A column whose lowest row is no pivot yet is
+    kept as its face and built only when a later column reduces against it.
+    An order complex labels its vertices in rank-descending order, so u is a
     member below the chain's bottom when there is one; s then is the only
     face whose lowest row is s + (u,), and in an ideal nearly every column
     is kept at once.  Each common neighbour gives a face only in a flag
@@ -242,33 +246,43 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     """
     if not faces_by_dim or not faces_by_dim[0]:
         return HomologyProfile(())
-    get = _neighbours(faces_by_dim).__getitem__
+    neighbours = _neighbours(faces_by_dim)
+    get = neighbours.__getitem__
     ranks = [1] + [0] * len(faces_by_dim)
     cleared = {faces_by_dim[0][-1]}
     torsion = {}
     for d in range(len(faces_by_dim) - 1):
         pivots, extensions, deferred = {}, 0, []
-        for face in faces_by_dim[d]:
-            common = reduce(and_, map(get, face))
-            extensions += (common >> face[-1] + 1).bit_count()
-            if face in cleared or not common:
-                continue
-            u = common.bit_length() - 1
-            k = bisect(face, u)
-            low = face[:k] + (u,) + face[k:]
-            if low not in pivots:
-                pivots[low] = face
-                continue
-            col = dict(_cofaces(face, common))
-            while low in pivots:
-                _subtract(col, col[low], _pivot(pivots, low, get))
-                low = max(col, default=None)
-            if low is None:
-                continue
-            if col[low] in (1, -1):
-                pivots[low] = _normalized(col, low)
-            else:
-                deferred.append(col)
+        # runs of faces that share all vertices but the last
+        for prefix, faces in itertools.groupby(faces_by_dim[d],
+                                               itemgetter(slice(-1))):
+            shared = reduce(and_, map(get, prefix), -1)
+            for face in faces:
+                last = face[-1]
+                common = shared & neighbours[last]
+                above = common >> last + 1
+                extensions += above.bit_count()
+                if face in cleared or not common:
+                    continue
+                u = common.bit_length() - 1
+                if above:
+                    low = face + (u,)
+                else:
+                    k = bisect(face, u)
+                    low = face[:k] + (u,) + face[k:]
+                if low not in pivots:
+                    pivots[low] = face
+                    continue
+                col = dict(_cofaces(face, common))
+                while low in pivots:
+                    _subtract(col, col[low], _pivot(pivots, low, get))
+                    low = max(col, default=None)
+                if low is None:
+                    continue
+                if col[low] in (1, -1):
+                    pivots[low] = _normalized(col, low)
+                else:
+                    deferred.append(col)
         if extensions != len(faces_by_dim[d + 1]):
             raise ValueError(
                 f"not a flag complex at dimension {d}: {extensions} common "

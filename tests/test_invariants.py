@@ -41,6 +41,16 @@ def test_polynomial_interpolation_and_evaluation():
     assert poly(Fraction(1, 2)) == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("points,repeated", [
+    ([(1, 1), (2, 4), (1, 5)], "1"),
+    ([(Fraction(1, 2), 0), (0, 1), (Fraction(2, 4), 3)], "1/2"),
+    ([(-3, 0), (Fraction(-6, 2), 0)], "-3"),
+])
+def test_interpolation_refuses_a_repeated_x_naming_it(points, repeated):
+    with pytest.raises(ValueError, match=f"repeat x = {repeated}$"):
+        RationalPolynomial.from_points(points)
+
+
 def test_polynomial_arithmetic():
     p = RationalPolynomial([1, 1])      # 1 + t
     q = RationalPolynomial([0, 0, 2])   # 2t^2

@@ -10,9 +10,11 @@ ideals and cover lifting are masks on one ambient poset, multichain counts
 for every m come from one sweep, Moebius numbers come from the Hall
 recursion on an open interval, a poset's bottom and top from its lowest
 and highest element's masks, lower covers from the orbits of an element,
-the balanced profile and the Moebius product from the cycle type, and the
-projection deleting a letter and the letter label from the image tuples.
-Each is compared here with the route it replaces.  The oracles that hold
+the balanced profile and the Moebius product from the cycle type, the
+projection deleting a letter and the letter label from the image tuples,
+and power-series exp, sqrt and products and Lagrange interpolation from
+integer numerators over one common denominator.  Each is compared here
+with the route it replaces.  The oracles that hold
 for any poset also run on `_induced` posets, whose member sets need not be
 convex; `_induced` is checked against `abs_leq` first.
 """
@@ -27,6 +29,7 @@ from math import comb
 import pytest
 
 from absorder import (
+    FormalPowerSeries,
     LabelingError,
     ResourceGuardError,
     abs_leq,
@@ -1154,3 +1157,119 @@ def test_letter_label_matches_the_product():
     for w in _seeded_elements(5, 20, rng):
         with pytest.raises(LabelingError, match="loop edge"):
             support_size_label(w, w)
+
+
+# --- power series and interpolation on plain integers -------------------------
+
+def _exp_by_fractions(coeffs, order):
+    """exp by the f' = g'f recurrence over Fractions, term by term."""
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(order):
+        acc = Fraction(0)
+        for k in range(n + 1):
+            acc += (k + 1) * coeffs[k + 1] * out[n - k]
+        out[n + 1] = acc / (n + 1)
+    return out
+
+
+def _sqrt_by_fractions(coeffs, order):
+    """The square root by 2 r_n = f_n - sum_(0<k<n) r_k r_(n-k)."""
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        acc = coeffs[n]
+        for k in range(1, n):
+            acc -= out[k] * out[n - k]
+        out[n] = acc / 2
+    return out
+
+
+def _product_by_fractions(a, b, order):
+    """The Cauchy product through degree `order`, over Fractions."""
+    return [sum((a[k] * b[n - k] for k in range(n + 1)), Fraction(0))
+            for n in range(order + 1)]
+
+
+def _lagrange_by_fractions(points):
+    """Sum of y_i prod_(j != i) (t - x_j) / (x_i - x_j) over Fractions."""
+    total = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, scale = [Fraction(1)], Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if i != j:
+                basis = [(basis[k - 1] if k else 0)
+                         - (basis[k] * xj if k < len(basis) else 0)
+                         for k in range(len(basis) + 1)]
+                scale /= Fraction(xi) - Fraction(xj)
+        for k, c in enumerate(basis):
+            total[k] += scale * c
+    return total
+
+
+def _random_coefficients(rng, order):
+    """Negative, zero, integer and non-integer coefficients, or all zero."""
+    if rng.random() < 0.1:
+        return [Fraction(0)] * (order + 1)
+    return [Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 6, 7, 12)))
+            if rng.random() < 0.8 else Fraction(0) for _ in range(order + 1)]
+
+
+def _random_series_cases(seed):
+    rng = random.Random(seed)
+    for order in list(range(31)) * 4:
+        yield order, _random_coefficients(rng, order)
+
+
+def test_exp_matches_the_fraction_recurrence():
+    for order, coeffs in _random_series_cases(20261101):
+        coeffs[0] = Fraction(0)
+        got = FormalPowerSeries(coeffs, order).exp()
+        assert list(got.coeffs) == _exp_by_fractions(coeffs, order), (
+            order, coeffs)
+
+
+def test_sqrt_matches_the_fraction_recurrence():
+    for order, coeffs in _random_series_cases(20261102):
+        coeffs[0] = Fraction(1)
+        got = FormalPowerSeries(coeffs, order).sqrt()
+        assert list(got.coeffs) == _sqrt_by_fractions(coeffs, order), (
+            order, coeffs)
+
+
+def test_product_matches_the_fraction_convolution_at_mixed_orders():
+    rng = random.Random(20261103)
+    for order, a in _random_series_cases(20261104):
+        other = rng.randint(0, 30)
+        b = _random_coefficients(rng, other)
+        common = min(order, other)
+        got = FormalPowerSeries(a, order) * FormalPowerSeries(b, other)
+        assert got.order == common
+        assert list(got.coeffs) == _product_by_fractions(a, b, common), (
+            a, b)
+
+
+def test_exp_and_sqrt_keep_their_refusals():
+    for c in (1, -1, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="exp needs a zero constant term"):
+            FormalPowerSeries([c, 1, 2], 2).exp()
+    for c in (0, 2, -1, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="sqrt needs constant term one"):
+            FormalPowerSeries([c, 1, 2], 2).sqrt()
+
+
+def test_interpolation_matches_the_fraction_lagrange_form():
+    rng = random.Random(20261105)
+    for size in list(range(10)) * 12:
+        xs = set()
+        while len(xs) < size:
+            xs.add(Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 5))))
+        xs = [x if x.denominator > 1 or rng.random() < 0.5 else int(x)
+              for x in rng.sample(sorted(xs), size)]
+        points = [(x, rng.choice((rng.randint(-10 ** 6, 10 ** 6),
+                                  Fraction(rng.randint(-99, 99),
+                                           rng.randint(1, 20)))))
+                  for x in xs]
+        got = invariants.RationalPolynomial.from_points(points)
+        expected = invariants.RationalPolynomial(_lagrange_by_fractions(points))
+        assert got == expected, points
+        for x, y in points:
+            assert got(x) == y
