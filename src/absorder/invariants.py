@@ -17,10 +17,10 @@ run `census`, compare reports.
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial
 
 from .order import Poset, _hall_mobius, _resolve, bits, build_interval
-from .series import _convolve, _scaled
+from .series import _convolve
 from .signed import (
     SignedPermutation,
     balanced_cycle,
@@ -51,32 +51,6 @@ class RationalPolynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coefficients = tuple(coeffs)
-
-    @classmethod
-    def from_points(cls, points) -> "RationalPolynomial":
-        """Lagrange interpolation through (x, y) pairs with distinct x, on
-        plain integers: over the lcm denominator q of the x, x_i = X_i / q,
-        and the basis polynomial of x_i is prod_(j != i) (q t - X_j), with
-        integer coefficients, over the integer prod_(j != i) (X_i - X_j).
-        The bases, weighted by the y numerators, are summed over the lcm of
-        those products, and only the sum's coefficients are Fractions.  A
-        repeated x raises ValueError naming it."""
-        xs, q = _scaled([Fraction(x) for x, _ in points])
-        ys, dy = _scaled([Fraction(y) for _, y in points])
-        for i, x in enumerate(xs):
-            if x in xs[:i]:
-                raise ValueError(
-                    f"interpolation points repeat x = {Fraction(x, q)}")
-        dens = [prod(xi - xj for xj in xs if xj != xi) for xi in xs]
-        common = lcm(*dens)
-        total = [0] * len(xs)
-        for xi, y, den in zip(xs, ys, dens):
-            basis = [y * (common // den)]
-            for xj in xs:
-                if xj != xi:
-                    basis = _convolve(basis, (-xj, q), len(basis) + 1)
-            total = [a + b for a, b in zip(total, basis)]
-        return cls([Fraction(c, common * dy) for c in total])
 
     def degree(self) -> int:
         return len(self.coefficients) - 1
@@ -114,30 +88,25 @@ class RationalPolynomial:
 
 def binomial_polynomial(scale: int, k: int) -> RationalPolynomial:
     """binom(scale*m, k) as a polynomial in m."""
-    poly = RationalPolynomial([Fraction(1, factorial(k))])
+    coeffs = [1]
     for i in range(k):
-        poly = poly * RationalPolynomial([-i, scale])
-    return poly
+        coeffs = _convolve(coeffs, (-i, scale), i + 2)
+    return RationalPolynomial([Fraction(c, factorial(k)) for c in coeffs])
 
 
-def _multichain_counts(p: Poset, mask: int = -1):
-    """multichain_count for m = 1, 2, ... of the members of `mask` (all of
-    p by default), from one sweep: counts ending at each member are summed
-    below it for the next m; a non-member has nothing below it."""
-    yield 1
-    below_lists = [list(bits(below & mask)) if mask >> i & 1 else []
-                   for i, below in enumerate(p.below)]
-    counts = [mask >> i & 1 for i in range(len(p))]
-    while True:
-        yield sum(counts)
-        counts = [sum([counts[i] for i in below]) for below in below_lists]
+def _multichains(counts: list, m: int) -> int:
+    """Multichains x_1 <= ... <= x_{m-1} from counts[k] k-element chains:
+    each on k distinct members is one of binom(m-2, k-1) compositions."""
+    if m == 1:
+        return 1
+    return sum(c * comb(m - 2, k - 1) for k, c in enumerate(counts) if k)
 
 
 def multichain_count(p: Poset, m: int) -> int:
     """Number of multichains x_1 <= x_2 <= ... <= x_{m-1} in p."""
     if m < 1:
         raise ValueError("multichain length parameter must be >= 1")
-    return next(itertools.islice(_multichain_counts(p), m - 1, None))
+    return _multichains(p.chain_counts(), m)
 
 
 def mobius(p: Poset, x=None, y=None) -> int:
@@ -179,22 +148,29 @@ def mobius_element(w: SignedPermutation) -> int:
 
 
 def zeta_polynomial(p: Poset) -> RationalPolynomial:
-    """Zeta polynomial of a bounded poset, by exact interpolation.
+    """Zeta polynomial of a bounded poset, sum_k c_k binom(m-2, k-1) over
+    its c_k chains of k elements (Stanley, EC1 3.12).
 
-    Multichain counts are swept for m = 1..d+2 (d = top rank) and the
-    unique degree <= d+1 interpolant is formed; the degree must come out
-    exactly d, which doubles as a structural sanity check.
+    The basis is built on integers over the one denominator d! (d = top
+    rank): (d! / (k-1)!) (m-2)(m-3)...(m-k), and only the sum's
+    coefficients are Fractions.  The longest chain must have d+1 elements,
+    so that the degree is exactly d, which doubles as a structural sanity
+    check.
     """
     if not p.is_bounded():
         raise ValueError("zeta polynomial needs a bounded poset")
-    d = p.height()
-    points = list(zip(range(1, d + 3), _multichain_counts(p)))
-    poly = RationalPolynomial.from_points(points)
-    if poly.degree() != d:
+    d, counts = p.height(), p.chain_counts()
+    if len(counts) != d + 2:
         raise AssertionError(
-            f"zeta degree {poly.degree()} != poset height {d} for {p.label}"
+            f"zeta degree {len(counts) - 2} != poset height {d} for {p.label}"
         )
-    return poly
+    total, falling = [0] * (d + 1), [1]
+    for k in range(1, d + 2):
+        weight = counts[k] * (factorial(d) // factorial(k - 1))
+        for i, c in enumerate(falling):
+            total[i] += weight * c
+        falling = _convolve(falling, (-k - 1, 1), k + 1)
+    return RationalPolynomial([Fraction(c, factorial(d)) for c in total])
 
 
 class InvariantReport(namedtuple(
@@ -263,13 +239,12 @@ def closed_form_coxeter_interval(n: int) -> InvariantReport:
     """Formulas for the interval below one balanced n-cycle (no poset built)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    zeta = RationalPolynomial.from_points([(m, comb(m * n, n)) for m in range(n + 1)])
     report = InvariantReport(
         cardinality=comb(2 * n, n),
         rank_sizes=tuple(comb(n, k) ** 2 for k in range(n + 1)),
         max_chains=n ** n,
         mobius_bottom_top=(-1) ** n * comb(2 * n - 1, n),
-        zeta=zeta,
+        zeta=binomial_polynomial(n, n),
     )
     report.check()
     return report
@@ -441,9 +416,9 @@ def annular_mixing_facts(k: int) -> AnnularMixingFacts:
         raise ValueError("need k >= 1")
     interval = build_cycle_flip_interval(k, 1)
     mixing = sum(1 << i for i in mixing_indices(interval, k))
-    sweeps = zip(range(1, 7), _multichain_counts(interval),
-                 _multichain_counts(interval, ~mixing))
-    counts = {m: whole - rest for m, whole, rest in sweeps}
+    whole, rest = interval.chain_counts(), interval.chain_counts(~mixing)
+    counts = {m: _multichains(whole, m) - _multichains(rest, m)
+              for m in range(1, 7)}
     formula = {m: 2 * comb(m * k, k + 1) for m in counts}
     return AnnularMixingFacts(
         k=k,

@@ -14,6 +14,7 @@ reductions cheap at desk scale.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 
 from .signed import (
     SignedPermutation,
@@ -174,20 +175,7 @@ def _embedded_cycle(cycle_entries, target_word) -> bool:
 def _noncrossing(pos_a, pos_b) -> bool:
     """No alternation i < j < k < l cyclically with i,k from a and j,l from b."""
     anchors = sorted(pos_a)
-    gaps = set()
-    for q in sorted(pos_b):
-        lo = 0
-        hi = len(anchors)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if anchors[mid] < q:
-                lo = mid + 1
-            else:
-                hi = mid
-        gaps.add(lo % len(anchors))
-        if len(gaps) > 1:
-            return False
-    return True
+    return len({bisect_left(anchors, q) % len(anchors) for q in pos_b}) <= 1
 
 
 def sn_leq_noncrossing(u: SignedPermutation, v: SignedPermutation) -> bool:
@@ -303,20 +291,18 @@ class Poset:
     def is_bounded(self) -> bool:
         return self.bottom() is not None and self.top() is not None
 
-    def chain_counts(self) -> list:
-        """counts[j] = number of chains of j elements, j >= 0."""
-        k = len(self.elements)
-        ending = [{1: 1} for _ in range(k)]
-        counts = [1, k]
-        for j in range(k):
-            for i in bits(self.below[j] ^ (1 << j)):
-                for size, cnt in ending[i].items():
-                    ending[j][size + 1] = ending[j].get(size + 1, 0) + cnt
-        top_size = max((max(d) for d in ending if d), default=1)
-        for size in range(2, top_size + 1):
-            counts.append(sum(d.get(size, 0) for d in ending))
-        while counts and counts[-1] == 0:
-            counts.pop()
+    def chain_counts(self, mask: int = -1) -> list:
+        """counts[j] = number of chains of j members of `mask` (all of the
+        poset by default), j >= 0, up to the longest.  One sweep: the
+        chains of each size ending at each member are summed strictly below
+        it for the next size; a non-member has nothing below it."""
+        below_lists = [list(bits(below & mask & ~(1 << i))) if mask >> i & 1
+                       else [] for i, below in enumerate(self.below)]
+        ending = [mask >> i & 1 for i in range(len(self))]
+        counts = [1]
+        while total := sum(ending):
+            counts.append(total)
+            ending = [sum([ending[i] for i in below]) for below in below_lists]
         return counts
 
     def maximal_chain_count(self) -> int:

@@ -131,24 +131,16 @@ def order_complex(p: Poset, strip: str = "none",
 
 
 class HomologyProfile(namedtuple("HomologyProfile", "reduced_betti torsion")):
-    """Reduced Betti numbers over Q.  `torsion`, which equality and the
-    JSON view leave out, maps each d >= 1 to the invariant factors above 1
-    of the boundary map d; each profile has its own dict.  Equality reads
-    the Betti numbers alone, so a profile is unhashable."""
+    """Reduced Betti numbers over Q.  `torsion`, which the JSON view leaves
+    out, maps each d >= 1 to the invariant factors above 1 of the boundary
+    map d; each profile has its own dict.  Equality compares both fields,
+    and the dict makes a profile unhashable."""
 
     __slots__ = ()
-    __hash__ = None
 
     def __new__(cls, reduced_betti: tuple, torsion: dict | None = None):
         return super().__new__(cls, reduced_betti,
                                {} if torsion is None else torsion)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HomologyProfile)
-                and self.reduced_betti == other.reduced_betti)
-
-    def __ne__(self, other) -> bool:  # tuple's own would read the torsion
-        return not self == other
 
     @property
     def euler(self) -> int:

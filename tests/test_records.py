@@ -41,9 +41,11 @@ def test_cycles_and_decompositions_are_hashable_values():
         (Cycle("balanced", (1, 2)),), frozenset({3}))
 
 
-def test_homology_profile_equality_ignores_torsion():
-    assert HomologyProfile((0, 1), {1: [2]}) == HomologyProfile((0, 1))
-    assert not HomologyProfile((0, 1), {1: [2]}) != HomologyProfile((0, 1))
+def test_homology_profile_equality_compares_torsion():
+    assert HomologyProfile((0, 1), {1: [2]}) != HomologyProfile((0, 1))
+    assert not HomologyProfile((0, 1), {1: [2]}) == HomologyProfile((0, 1))
+    assert HomologyProfile((0, 1), {1: [2]}) == HomologyProfile((0, 1), {1: [2]})
+    assert HomologyProfile((0, 1)) == HomologyProfile((0, 1), {})
     assert HomologyProfile((0, 1)) != HomologyProfile((1, 0))
     with pytest.raises(TypeError):
         hash(HomologyProfile((0, 1)))
