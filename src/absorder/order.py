@@ -536,14 +536,16 @@ def fiber_ideal_identity_ok(ambient: Poset, i: int | None = None) -> bool:
     generated by the fiber: f^{-1}(<q>) = <f^{-1}(q)> for every point q.
 
     The fiber map sends w to its projection and whether it moves i.  Points
-    are ordered componentwise (abs_leq on projections, then the moved
-    flag), so abs_leq runs once per pair of distinct projections.
+    are ordered componentwise: projections b <= q as in `abs_leq`, l(b) <=
+    l(q) and l(b) + l(b^-1 q) = l(q), each length and inverse found once.
     """
     image = _fibers(ambient, ambient.n if i is None else i)
-    for base, fibers in image.items():
+    points = [(b, absolute_length(b, ambient.kind), b.inverse(), masks)
+              for b, masks in image.items()]
+    for q, lq, _, fibers in points:
         lower = [0, 0]
-        for b, masks in image.items():
-            if abs_leq(b, base, ambient.kind):
+        for _, lb, inverse, masks in points:
+            if lb <= lq and lb + absolute_length(inverse * q, "B") == lq:
                 lower = [lower[0] | masks[0], lower[1] | masks[1]]
         for moved, fiber in enumerate(fibers):
             generated = 0

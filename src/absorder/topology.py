@@ -7,10 +7,11 @@ Cohen-Macaulay test is the link criterion: every link, the empty face
 included, must have reduced homology concentrated in its top dimension.
 """
 
+import gc
 import itertools
 from bisect import bisect
 from collections import namedtuple
-from functools import reduce
+from functools import reduce, wraps
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import and_, itemgetter
@@ -28,6 +29,21 @@ FACE_GUARD = 5_000_000
 TORSION_GUARD = 250_000
 
 
+def _collector_paused(f):
+    """f with the cyclic collector paused, then left as the caller had it:
+    the kernels below make millions of tuples and dicts but no cycles."""
+    @wraps(f)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return f(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
 class SimplicialComplex:
     """Faces grouped by dimension, over the vertex set of a host poset.
 
@@ -38,7 +54,8 @@ class SimplicialComplex:
     the elimination sizes its neighbour masks by the last vertex listed,
     and `homology` refuses a vertex list that is not ascending.
     `indices[v]` is the poset index of vertex v: an order complex labels
-    its members in rank-descending order (see `_chains_in_mask`).
+    its members in rank-descending order, ties broken by the reversed image
+    tuple (see `_chains_in_mask`).
     Hand-built complexes, with no host poset, leave it None.  `homology`
     keeps its profile here, so each complex is eliminated once.
     """
@@ -69,18 +86,21 @@ class SimplicialComplex:
         }
 
 
+@_collector_paused
 def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD):
     """(indices, faces_by_dim): all chains of the members of
     `mask`, grouped by size - 1, over vertex labels 0, 1, ... that ascend
-    as rank descends, ties broken by poset index; `indices[v]` is the
-    poset index of label v.
+    as rank descends, ties broken by the image tuple read from the last
+    letter back, (w(n), ..., w(1)); `indices[v]` is the poset index of
+    label v.
 
     Level by level from the empty chain, each chain is extended by the
     members below its lowest element (hence below all of it; every member
     for the empty chain) in ascending label order, which keeps every level
     lexicographic.  The guard is checked before each level is built.
     """
-    indices = sorted(bits(mask), key=lambda v: (-p.rank[v], v))
+    indices = sorted(bits(mask), key=lambda v: (-p.rank[v],
+                                                p.elements[v].images[::-1]))
     label = {v: k for k, v in enumerate(indices)}
     below = [sorted(label[u] for u in bits(p.below[v] & mask & ~(1 << v)))
              for v in indices]
@@ -196,6 +216,7 @@ def _pivot(pivots: dict, low: tuple, get) -> dict:
     return pivot
 
 
+@_collector_paused
 def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     """Reduced Betti numbers over Q and torsion over Z, by cohomology with
     clearing.
@@ -218,11 +239,13 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     An order complex labels its vertices in rank-descending order, so u is a
     member below the chain's bottom when there is one; s then is the only
     face whose lowest row is s + (u,), and in an ideal nearly every column
-    is kept at once.  Each common neighbour gives a face only in a flag
-    complex, such as an order complex: if the d-faces are the cliques of
-    their size and the common neighbours above the last vertex of each
-    number f_(d+1) in all, so are the (d+1)-faces.  Where they do not,
-    ValueError is raised.
+    is kept at once; ties in rank broken by the reversed image tuple make
+    other lowest rows collide far less than ties by poset index.  Built
+    columns are dropped when their dimension ends: clearing reads rows.
+    Each common neighbour gives a face only in a flag complex, such as an
+    order complex: if the d-faces are the cliques of their size and the
+    common neighbours above the last vertex of each number f_(d+1) in all,
+    so are the (d+1)-faces.  Where they do not, ValueError is raised.
 
     A column becomes a pivot only when its lowest entry is +-1, as a column
     kept as its face has, so every column operation is unimodular and
@@ -304,6 +327,8 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
                 len(index))
         ranks[d + 1] = len(pivots) + len(factors)
         torsion[d + 1] = [v for v in factors if v > 1]
+        for low in pivots:  # in place: clearing reads the rows alone
+            pivots[low] = None
         cleared = pivots
     betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
                   for d, faces in enumerate(faces_by_dim))
@@ -420,6 +445,7 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
     return gap
 
 
+@_collector_paused
 def cm_check(c: SimplicialComplex) -> CMReport:
     """Link criterion for Cohen-Macaulayness over the rationals.
 

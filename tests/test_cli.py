@@ -191,8 +191,8 @@ def test_topology_with_torsion(capsys):
 
 def test_topology_torsion_guard_exits_before_eliminating(capsys, monkeypatch):
     # stripped S5 defers no column, so no dense form runs; the stripped D4
-    # Coxeter ideal defers two at dimension 3, a residual of 182x2 entries
-    # that a guard of 363 refuses before the dense form starts
+    # Coxeter ideal defers three at dimension 3, a residual of 98x3 entries
+    # that a guard of 293 refuses before the dense form starts
     def no_dense_form(*args):
         raise AssertionError("the dense Smith form ran before the guard")
 
@@ -202,19 +202,19 @@ def test_topology_torsion_guard_exits_before_eliminating(capsys, monkeypatch):
     data = json.loads(capsys.readouterr().out)
     assert data["torsion"] == {"1": [], "2": [], "3": []}
 
-    monkeypatch.setattr(topology, "TORSION_GUARD", 363)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 293)
     assert main(["topology", "--group", "D", "--n", "4", "--ideal", "coxeter",
                  "--torsion"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "resource guard: torsion guard exceeded at dimension 3: a residual "
-        "of 182x2 entries for the dense Smith form, more than the guard "
-        "363\n")
+        "of 98x3 entries for the dense Smith form, more than the guard "
+        "293\n")
 
 
 def test_d4_coxeter_ideal_torsion_answers_from_the_residual(capsys):
-    # the stripped D4 Coxeter ideal meets pivots other than +-1; its two
+    # the stripped D4 Coxeter ideal meets pivots other than +-1; its three
     # deferred columns leave a residual whose Smith form gives (Z/2)^2
     assert main(["topology", "--group", "D", "--n", "4", "--ideal", "coxeter",
                  "--torsion"]) == 0

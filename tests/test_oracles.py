@@ -5,7 +5,8 @@ antichain gaps off their size, `meet`, `join` and `_meet_failure` decide
 existence by one mask comparison, `verify_el` keeps label states up from a
 bottom in one walk, homology builds a coboundary column only when a
 reduction needs it, chains come out sorted level by level over labels
-descending in rank, the fiber law compares distinct projections, fiber
+descending in rank with ties broken by the reversed image tuple, the fiber
+law compares distinct projections by lengths and inverses found once, fiber
 ideals and cover lifting are masks on one ambient poset, chains of every
 size come from one sweep and zeta polynomials and multichain counts from
 them, Moebius numbers come from the Hall recursion on an open interval, a
@@ -63,7 +64,7 @@ from absorder import (
 )
 from absorder import invariants, labeling, lattice, signed, topology
 from absorder.labeling import ELReport
-from absorder.order import Poset, _graded, _lower_covers, bits
+from absorder.order import Poset, _fibers, _graded, _lower_covers, bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
 from absorder.topology import HomologyProfile, IdealCheck
 
@@ -590,6 +591,60 @@ def test_rank_descending_labels_match_the_index_walk_on_random_submasks():
             _same_as_the_index_walk(p, mask)
 
 
+def _by_rank_then_index(c):
+    """The faces of the order complex `c` over the labels it had when ties
+    within a rank were broken by poset index, not by the reversed image
+    tuple: each face ascending, each dimension sorted."""
+    p = c.poset
+    label = {v: k for k, v in enumerate(
+        sorted(c.indices, key=lambda v: (-p.rank[v], v)))}
+    return [sorted(tuple(sorted(label[c.indices[v]] for v in face))
+                   for face in faces) for faces in c.faces_by_dim]
+
+
+def _same_under_index_ties(c):
+    """Betti numbers and torsion of `c` equal those of its relabelling by
+    poset index within each rank; returns the profile and whether the two
+    label orders differ."""
+    p = c.poset
+    assert c.indices == sorted(
+        c.indices, key=lambda v: (-p.rank[v], p.elements[v].images[::-1]))
+    relabelled = _by_rank_then_index(c)
+    profile = topology._homology_from_faces(c.faces_by_dim)
+    assert profile == topology._homology_from_faces(relabelled), c.label
+    return profile, relabelled != c.faces_by_dim
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_reversed_image_ties_keep_the_homology_of_each_class_interval(kind):
+    # one [e, w] per signed cycle type of B4 and D4, with its ends and
+    # without: the same Betti numbers and torsion under either tie-break
+    types = {}
+    for w in group_elements(kind, 4):
+        types.setdefault(cycle_type(w), w)
+    moved = 0
+    for w in types.values():
+        iv = build_interval(identity(4), w, kind)
+        for strip in ("endpoints", "none"):
+            profile, differ = _same_under_index_ties(
+                order_complex(iv, strip=strip))
+            assert not any(profile.torsion.values())
+            moved += differ
+    assert moved > 0
+
+
+@pytest.mark.parametrize("kind,n,torsion", [
+    ("S", 4, {}), ("S", 5, {}), ("B", 3, {}), ("B", 4, {}),
+    ("D", 4, {3: [2, 2]}),
+], ids=["S4", "S5", "B3", "B4", "D4"])
+def test_reversed_image_ties_keep_the_homology_of_coxeter_ideals(kind, n,
+                                                                 torsion):
+    profile, differ = _same_under_index_ties(
+        order_complex(coxeter_ideal(n, kind), strip="endpoints"))
+    assert {d: f for d, f in profile.torsion.items() if f} == torsion
+    assert differ
+
+
 def _homology_posets():
     return [full_poset("S", 4), full_poset("S", 5), full_poset("B", 3),
             full_poset("D", 4), coxeter_ideal(3, "B"), coxeter_ideal(4, "B")]
@@ -804,6 +859,43 @@ def test_fiber_identity_matches_the_pairwise_check():
             assert verdicts[-1] is _fiber_identity_by_pairs(p, i), (p.label, i)
     assert verdicts[:17] == [True] * 17
     assert verdicts.count(False) >= 20
+
+
+def _fiber_identity_by_abs_leq(ambient, i=None):
+    """The fiber law with `abs_leq` called on each pair of distinct
+    projections, each call computing both lengths and the inverse again."""
+    image = _fibers(ambient, ambient.n if i is None else i)
+    for base, fibers in image.items():
+        lower = [0, 0]
+        for b, masks in image.items():
+            if abs_leq(b, base, ambient.kind):
+                lower = [lower[0] | masks[0], lower[1] | masks[1]]
+        for moved, fiber in enumerate(fibers):
+            generated = 0
+            for g in bits(fiber):
+                generated |= ambient.below[g]
+            if fiber and generated != lower[0] | (lower[1] if moved else 0):
+                return False
+    return True
+
+
+def test_fiber_identity_matches_the_abs_leq_route():
+    # S3-S5 and the B2-B4 Coxeter ideals keep the law for every deleted
+    # letter; seeded subsets of S4, mostly not ideals, often break it
+    cases = [full_poset("S", n) for n in (3, 4, 5)]
+    cases += [coxeter_ideal(n, "B") for n in (2, 3, 4)]
+    s4 = cases[1]
+    rng = random.Random(20261019)
+    samples = [_induced(s4, rng.sample(range(len(s4)), rng.randint(4, 16)),
+                        f"sample {k}") for k in range(12)]
+    verdicts = []
+    for p in cases + samples:
+        for i in range(1, p.n + 1):
+            verdicts.append(fiber_ideal_identity_ok(p, i))
+            assert verdicts[-1] is _fiber_identity_by_abs_leq(p, i), (
+                p.label, i)
+    assert verdicts[:21] == [True] * 21
+    assert verdicts.count(False) >= 10
 
 
 # --- fiber ideals and cover lifting as masks on one ambient -------------------

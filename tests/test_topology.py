@@ -1,5 +1,6 @@
 """Order complexes, homology, Cohen-Macaulay checks, torsion, ideal battery."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -215,14 +216,19 @@ def test_cm_failure_walk_is_pinned(top, strip, checked, face, betti):
 
 
 @pytest.mark.parametrize("build,cofaces,subtracts", [
-    (lambda: coxeter_ideal(4, "B"), 1343, 947),
-    (lambda: full_poset("S", 5), 432, 300),
-], ids=["coxeter-ideal-B4", "S5"])
+    (lambda: coxeter_ideal(4, "B"), 616, 408),
+    (lambda: full_poset("S", 5), 151, 98),
+    (lambda: build_interval(identity(5), parse_cycles("[1,2,3,4,5]", 5), "B"),
+     0, 0),
+], ids=["coxeter-ideal-B4", "S5", "coxeter-interval-B5"])
 def test_elimination_work_stays_at_its_counts(monkeypatch, build, cofaces,
                                               subtracts):
     # labels in rank-descending order pair nearly every column with its
-    # lowest coface at once; in poset-index order these complexes took
-    # 3,280 and 702 built columns, 3,249 and 607 column subtractions
+    # lowest coface at once, and ties broken by the reversed image tuple
+    # make lowest cofaces collide less: with ties broken by poset index
+    # these complexes took 1,343, 432 and 24 built columns and 947, 300 and
+    # 12 column subtractions, and in poset-index order the first two took
+    # 3,280 and 702 built columns, 3,249 and 607 subtractions
     calls = {"_cofaces": 0, "_subtract": 0}
     for name in calls:
         def counting(*args, _name=name, _f=getattr(topology, name)):
@@ -260,6 +266,45 @@ def test_the_scan_intersects_each_face_prefix_once(monkeypatch):
     assert sum(map(len, scanned)) == 21_440 and prefixes < 6_000
     assert 0 < calls["built"] < 2_000
     assert calls["reduce"] == prefixes + calls["built"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_collector_is_left_as_the_caller_had_it(monkeypatch, enabled):
+    # chain enumeration, the elimination and the gap pass run with the
+    # cyclic collector paused, and hand it back as they found it, also when
+    # a guard refuses
+    seen = set()
+
+    def recording(f):
+        def call(*args):
+            seen.add(gc.isenabled())
+            return f(*args)
+        return call
+
+    for name in ("bits", "_subtract", "cycle_type"):
+        monkeypatch.setattr(topology, name, recording(getattr(topology, name)))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        c = order_complex(full_poset("S", 5), strip="endpoints")
+        assert gc.isenabled() is enabled
+        homology(c)
+        assert gc.isenabled() is enabled
+        assert cm_check(order_complex(coxeter_ideal(3, "B"),
+                                      strip="endpoints")).ok
+        assert gc.isenabled() is enabled
+        with pytest.raises(ResourceGuardError, match="face guard"):
+            order_complex(full_poset("B", 3), face_guard=10)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(topology, "TORSION_GUARD", 0)
+        d4 = coxeter_ideal(4, "D")
+        for call in (homology, cm_check):
+            with pytest.raises(ResourceGuardError, match="torsion guard"):
+                call(order_complex(d4, strip="endpoints"))
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == {False}
 
 
 def test_face_guard_trips():
@@ -422,10 +467,11 @@ def test_torsion_matches_the_smith_form_of_boundary_maps():
     # the dense form of explicit boundary maps on the smaller complexes; on
     # stripped S5 and the B4 and D4 Coxeter ideals, unit pivots first,
     # checked against the dense form here and on the random complexes below;
-    # the D4 ideal defers columns, and both find (Z/2)^2
+    # the D4 ideal defers columns, and both find (Z/2)^2; the references
+    # read the faces over poset indices, where they fill in least
     maps = 0
     for name, c in _boundary_maps():
-        faces = c.faces_by_dim
+        faces = _faces_by_index(c)
         dense = _torsion_by_boundary_maps(faces, dense=True)
         assert torsion_profile(c) == dense, name
         assert _torsion_by_boundary_maps(faces, dense=False) == dense, name
@@ -435,7 +481,7 @@ def test_torsion_matches_the_smith_form_of_boundary_maps():
                    (coxeter_ideal(4, "D"), [2, 2])):
         c = order_complex(p, strip="endpoints")
         assert torsion_profile(c) == _torsion_by_boundary_maps(
-            c.faces_by_dim, dense=False) == {1: [], 2: [], 3: top}, p.label
+            _faces_by_index(c), dense=False) == {1: [], 2: [], 3: top}, p.label
 
 
 def test_torsion_matches_the_dense_smith_form_on_random_complexes(
@@ -693,10 +739,14 @@ def test_ranks_match_the_reference_on_order_complexes(monkeypatch):
     four_flips = build_interval(identity(4), parse_cycles("[1][2][3][4]", 4), "D")
     posets = (full_poset("B", 3), full_poset("S", 4), full_poset("S", 5),
               coxeter_ideal(3, "B"), coxeter_ideal(4, "B"), four_flips)
+    # the reference reads the faces over poset indices, where it fills in
+    # least; the ranks do not depend on the labels
     maps = 0
     for p in posets:
-        faces = order_complex(p, strip="endpoints").faces_by_dim
-        assert _ranks_from_betti(faces) == _oracle_ranks(faces), p.label
+        c = order_complex(p, strip="endpoints")
+        faces = c.faces_by_dim
+        assert _ranks_from_betti(faces) == _oracle_ranks(
+            _faces_by_index(c)), p.label
         maps += len(faces) - 1
     assert maps == 14
     # the intervals `cm_check` eliminates once per class, one [e, w] per
@@ -713,8 +763,8 @@ def test_ranks_match_the_reference_on_order_complexes(monkeypatch):
             for strip in ("endpoints", "none"):
                 c = order_complex(iv, strip=strip)
                 faces, name = c.faces_by_dim, (kind, format_cycles(w), strip)
-                assert not faces or (
-                    _ranks_from_betti(faces) == _oracle_ranks(faces)), name
+                assert not faces or (_ranks_from_betti(faces)
+                                     == _oracle_ranks(_faces_by_index(c))), name
                 assert not any(homology(c).torsion.values()), name
                 complexes += 1
                 maps += max(len(faces) - 1, 0)
