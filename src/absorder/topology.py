@@ -13,8 +13,9 @@ from bisect import bisect
 from collections import namedtuple
 from functools import reduce, wraps
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from math import gcd
-from operator import and_, itemgetter
+from operator import and_
 
 from .order import (Poset, ResourceGuardError, _fibers, _graded, _greatest,
                     _hall_mobius, _least, bits)
@@ -31,7 +32,7 @@ TORSION_GUARD = 250_000
 
 def _collector_paused(f):
     """f with the cyclic collector paused, then left as the caller had it:
-    the kernels below make millions of tuples and dicts but no cycles."""
+    the kernels below make many containers but no cycles."""
     @wraps(f)
     def paused(*args, **kwargs):
         enabled = gc.isenabled()
@@ -44,15 +45,31 @@ def _collector_paused(f):
     return paused
 
 
+def _width(levels: list) -> int:
+    """Bits per vertex of packed faces: the bit length of the largest
+    vertex label, at least 1."""
+    return max(levels[0], default=0).bit_length() or 1 if levels else 1
+
+
+def _unpacked(face: int, shifts: range) -> list:
+    """The vertex labels of `face` at the bit offsets `shifts`, first to
+    last; a d-face packed w bits a label has them at range(w*d, -1, -w)."""
+    tail = (1 << -shifts.step) - 1
+    return [face >> s & tail for s in shifts]
+
+
 class SimplicialComplex:
     """Faces grouped by dimension, over the vertex set of a host poset.
 
     The complex must be flag, its faces the cliques of its edges, as an
     order complex is: `homology` raises ValueError for one that is not
-    flag below its top dimension.  Every face tuple is sorted ascending,
-    and each dimension lists its faces in ascending lexicographic order;
-    the elimination sizes its neighbour masks by the last vertex listed,
-    and `homology` refuses a vertex list that is not ascending.
+    flag below its top dimension.  Each face, an ascending vertex tuple, is
+    one int, its labels packed `_width` bits each, the first most
+    significant, so integer order is lexicographic; `levels[d]` lists the
+    d-faces ascending.  `faces_by_dim` is the tuple view, unpacked on each
+    read; faces given as tuples, as hand-built complexes give them, are
+    packed once here.  The elimination sizes its neighbour masks by the
+    last vertex listed; `homology` refuses a vertex list out of order.
     `indices[v]` is the poset index of vertex v: an order complex labels
     its members in rank-descending order, ties broken by the reversed image
     tuple (see `_chains_in_mask`).
@@ -60,23 +77,33 @@ class SimplicialComplex:
     keeps its profile here, so each complex is eliminated once.
     """
 
-    def __init__(self, poset: Poset, member_mask: int, faces_by_dim: list,
+    def __init__(self, poset: Poset, member_mask: int, faces: list,
                  label: str = "complex", indices: list | None = None):
+        if faces and faces[0] and type(faces[0][0]) is tuple:
+            w = _width([list(map(max, faces[0]))])
+            faces = [[reduce(lambda a, v: a << w | v, face, 0)
+                      for face in level] for level in faces]
         self.poset = poset
         self.member_mask = member_mask
-        self.faces_by_dim = faces_by_dim
+        self.levels = faces
         self.label = label
         self.indices = indices
         self._homology = None
 
+    @property
+    def faces_by_dim(self) -> list:
+        w = _width(self.levels)
+        return [[tuple(_unpacked(face, range(w * d, -1, -w)))
+                 for face in faces] for d, faces in enumerate(self.levels)]
+
     def dim(self) -> int:
-        return len(self.faces_by_dim) - 1
+        return len(self.levels) - 1
 
     def f_vector(self) -> tuple:
-        return tuple(len(faces) for faces in self.faces_by_dim)
+        return tuple(len(faces) for faces in self.levels)
 
     def face_count(self) -> int:
-        return sum(len(faces) for faces in self.faces_by_dim)
+        return sum(len(faces) for faces in self.levels)
 
     def to_json(self) -> dict:
         return {
@@ -87,37 +114,40 @@ class SimplicialComplex:
 
 
 @_collector_paused
-def _chains_in_mask(p: Poset, mask: int, face_guard: int = FACE_GUARD):
-    """(indices, faces_by_dim): all chains of the members of
-    `mask`, grouped by size - 1, over vertex labels 0, 1, ... that ascend
-    as rank descends, ties broken by the image tuple read from the last
-    letter back, (w(n), ..., w(1)); `indices[v]` is the poset index of
-    label v.
+def _chains_in_mask(p: Poset, mask: int, face_guard: int | None = None):
+    """(indices, levels): all chains of the members of `mask`, packed as
+    `SimplicialComplex` keeps them and grouped by size - 1, over labels
+    0, 1, ... that ascend as rank descends, ties broken by the image tuple
+    read from the last letter back, (w(n), ..., w(1)); `indices[v]` is the
+    poset index of label v.
 
-    Level by level from the empty chain, each chain is extended by the
-    members below its lowest element (hence below all of it; every member
-    for the empty chain) in ascending label order, which keeps every level
-    lexicographic.  The guard is checked before each level is built.
+    Level by level from the empty chain, 0, each chain c becomes c << w | v
+    for the members v below its lowest element, its last label (every
+    member for the empty chain), in ascending order: every level ascends.
+    The guard, FACE_GUARD when none is given, is checked before each level
+    is built.
     """
+    face_guard = FACE_GUARD if face_guard is None else face_guard
     indices = sorted(bits(mask), key=lambda v: (-p.rank[v],
                                                 p.elements[v].images[::-1]))
     label = {v: k for k, v in enumerate(indices)}
     below = [sorted(label[u] for u in bits(p.below[v] & mask & ~(1 << v)))
              for v in indices]
-    faces_by_dim, chains, total = [], [()], 0
+    w = (len(indices) - 1).bit_length() or 1
+    tail = (1 << w) - 1  # the bits of a chain's last label
+    levels, chains, downs, total = [], [0], [range(len(indices))], 0
     while True:
-        downs = [below[chain[-1]] if chain else range(len(indices))
-                 for chain in chains]
         total += sum(map(len, downs))
         if total > face_guard:
             raise ResourceGuardError(
                 f"face guard exceeded: the poset {p.label!r} has more than "
                 f"the guard {face_guard} chains")
-        chains = [chain + (v,) for chain, down in zip(chains, downs)
+        chains = [c | v for c, down in zip(map(w.__rlshift__, chains), downs)
                   for v in down]
         if not chains:
-            return indices, faces_by_dim
-        faces_by_dim.append(chains)
+            return indices, levels
+        levels.append(chains)
+        downs = [below[c & tail] for c in chains]
 
 
 def _strip_mask(p: Poset, strip: str, mask: int) -> int:
@@ -136,16 +166,16 @@ def _strip_mask(p: Poset, strip: str, mask: int) -> int:
 
 
 def _mask_complex(p: Poset, mask: int, strip: str, name: str,
-                  face_guard: int = FACE_GUARD) -> SimplicialComplex:
+                  face_guard: int | None = None) -> SimplicialComplex:
     """The chain complex of the members of `mask` kept under `strip`."""
     kept = _strip_mask(p, strip, mask)
-    indices, faces = _chains_in_mask(p, kept, face_guard)
-    return SimplicialComplex(p, kept, faces, indices=indices,
+    indices, levels = _chains_in_mask(p, kept, face_guard)
+    return SimplicialComplex(p, kept, levels, indices=indices,
                              label=f"chains of {name} (strip={strip})")
 
 
 def order_complex(p: Poset, strip: str = "none",
-                  face_guard: int = FACE_GUARD) -> SimplicialComplex:
+                  face_guard: int | None = None) -> SimplicialComplex:
     """The chain complex of a poset, optionally with endpoints removed."""
     return _mask_complex(p, (1 << len(p)) - 1, strip, p.label, face_guard)
 
@@ -191,35 +221,41 @@ def _subtract(col: dict, v, pivot: dict) -> None:
             col.pop(r, None)
 
 
-def _cofaces(face: tuple, common: int):
-    """(face with u inserted at k, (-1)^k) for the vertices u of `common`."""
+def _cofaces(face: int, shifts: range, common: int):
+    """(face with u inserted at k, (-1)^k) for the vertices u of `common`;
+    `shifts` are the offsets of the vertices of `face`."""
+    vertices, w = _unpacked(face, shifts), -shifts.step
     for u in bits(common):
-        k = bisect(face, u)
-        yield face[:k] + (u,) + face[k:], -1 if k & 1 else 1
+        k = bisect(vertices, u)
+        s = w * (len(vertices) - k)  # the bits of the labels above u
+        yield ((face >> s << w | u) << s | face & (1 << s) - 1,
+               -1 if k & 1 else 1)
 
 
-def _neighbours(faces_by_dim: list) -> list:
+def _neighbours(levels: list, w: int) -> list:
     """The bit mask of each vertex's neighbours along the edges."""
-    neighbours = [0] * (faces_by_dim[0][-1][0] + 1)
-    for a, b in faces_by_dim[1] if len(faces_by_dim) > 1 else ():
+    neighbours = [0] * (levels[0][-1] + 1)
+    for a, b in map(divmod, levels[1] if len(levels) > 1 else (),
+                    repeat(1 << w)):
         neighbours[a] |= 1 << b
         neighbours[b] |= 1 << a
     return neighbours
 
 
-def _pivot(pivots: dict, low: tuple, get) -> dict:
-    """The pivot column of row `low`, built from its face on first use."""
+def _pivot(pivots: dict, low: int, get, shifts: range) -> dict:
+    """The pivot column of row `low`, built on first use from its face,
+    whose vertices lie at the offsets `shifts`."""
     pivot = pivots[low]
-    if type(pivot) is tuple:
-        pivot = pivots[low] = _normalized(dict(_cofaces(
-            pivot, reduce(and_, map(get, pivot)))), low)
+    if type(pivot) is int:
+        pivot = pivots[low] = _normalized(dict(_cofaces(pivot, shifts, reduce(
+            and_, map(get, _unpacked(pivot, shifts))))), low)
     return pivot
 
 
 @_collector_paused
-def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
+def _homology_from_faces(levels: list) -> HomologyProfile:
     """Reduced Betti numbers over Q and torsion over Z, by cohomology with
-    clearing.
+    clearing, from the packed faces of `SimplicialComplex.levels`.
 
     The coboundaries delta^d are reduced for d = 0, 1, ... by lowest-row
     pivots, skipping the pivot rows of delta^(d-1) (Chen and Kerber): a
@@ -227,15 +263,16 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     i of delta^d is a combination of earlier columns, by induction of kept
     ones.  The augmentation (ranks[0] = 1) clears the last vertex.
 
-    Columns are implicit (as in Ripser, Bauer 2021).  A coface of s inserts
-    a common neighbour u of its vertices at a position growing with u, so in
-    the sorted lists the lowest row of column s is s plus its highest u, the
-    key of its pivot.  The scan intersects the neighbour masks of each
-    distinct prefix s[:-1] once, for the run of faces that share it (a run
-    in the lexicographic lists), so each face costs one more intersection,
-    with the mask of its last vertex; a highest u above that vertex is
-    appended with no search.  A column whose lowest row is no pivot yet is
-    kept as its face and built only when a later column reduces against it.
+    Columns are implicit and keyed, like rows, by packed faces (as Ripser,
+    Bauer 2021, keys simplices by integers).  A coface of s inserts a common
+    neighbour u of its vertices at a position growing with u, so the lowest
+    row of column s is s plus its highest u, the key of its pivot.  The scan
+    intersects the neighbour masks of each distinct prefix s >> w once, for
+    the run of faces sharing it, so each face costs one more intersection,
+    with the mask of its last vertex; a highest u above that vertex gives
+    s << w | u, one below it is spliced in by shifts.  A column whose lowest
+    row is no pivot yet is kept as its face and built, unpacked once, only
+    when a later column reduces against it.
     An order complex labels its vertices in rank-descending order, so u is a
     member below the chain's bottom when there is one; s then is the only
     face whose lowest row is s + (u,), and in an ideal nearly every column
@@ -259,21 +296,25 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
     columns.  Its factors add to the rank; those above 1 are the torsion of
     the boundary map d + 1, the transpose of delta^d.
     """
-    if not faces_by_dim or not faces_by_dim[0]:
+    if not levels or not levels[0]:
         return HomologyProfile(())
-    neighbours = _neighbours(faces_by_dim)
+    w = _width(levels)
+    tail = (1 << w) - 1  # the bits of a face's last vertex
+    neighbours = _neighbours(levels, w)
     get = neighbours.__getitem__
-    ranks = [1] + [0] * len(faces_by_dim)
-    cleared = {faces_by_dim[0][-1]}
+    ranks = [1] + [0] * len(levels)
+    cleared = {levels[0][-1]}
     torsion = {}
-    for d in range(len(faces_by_dim) - 1):
+    for d in range(len(levels) - 1):
+        shifts = range(w * d, -1, -w)
         pivots, extensions, deferred = {}, 0, []
         # runs of faces that share all vertices but the last
-        for prefix, faces in itertools.groupby(faces_by_dim[d],
-                                               itemgetter(slice(-1))):
-            shared = reduce(and_, map(get, prefix), -1)
+        for prefix, faces in itertools.groupby(levels[d], w.__rrshift__):
+            shared = -1
+            for s in shifts[1:]:
+                shared &= neighbours[prefix >> s & tail]
             for face in faces:
-                last = face[-1]
+                last = face & tail
                 common = shared & neighbours[last]
                 above = common >> last + 1
                 extensions += above.bit_count()
@@ -281,16 +322,18 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
                     continue
                 u = common.bit_length() - 1
                 if above:
-                    low = face + (u,)
-                else:
-                    k = bisect(face, u)
-                    low = face[:k] + (u,) + face[k:]
+                    low = face << w | u
+                else:  # s: the bits of the vertices above u
+                    s = w
+                    while face >> s & tail > u:
+                        s += w
+                    low = (face >> s << w | u) << s | face & (1 << s) - 1
                 if low not in pivots:
                     pivots[low] = face
                     continue
-                col = dict(_cofaces(face, common))
+                col = dict(_cofaces(face, shifts, common))
                 while low in pivots:
-                    _subtract(col, col[low], _pivot(pivots, low, get))
+                    _subtract(col, col[low], _pivot(pivots, low, get, shifts))
                     low = max(col, default=None)
                 if low is None:
                     continue
@@ -298,23 +341,23 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
                     pivots[low] = _normalized(col, low)
                 else:
                     deferred.append(col)
-        if extensions != len(faces_by_dim[d + 1]):
+        if extensions != len(levels[d + 1]):
             raise ValueError(
                 f"not a flag complex at dimension {d}: {extensions} common "
                 f"neighbours above the last vertices of its faces, "
-                f"{len(faces_by_dim[d + 1])} faces of dimension {d + 1}")
+                f"{len(levels[d + 1])} faces of dimension {d + 1}")
         factors = []
         if deferred:
             for col in deferred:  # rows negated: the heap pops the highest
-                rows = [tuple(-v for v in r) for r in col if r in pivots]
+                rows = [-r for r in col if r in pivots]
                 heapify(rows)
                 while rows:
-                    low = tuple(-v for v in heappop(rows))
+                    low = -heappop(rows)
                     if low in col:
-                        pivot = _pivot(pivots, low, get)
+                        pivot = _pivot(pivots, low, get, shifts)
                         _subtract(col, col[low], pivot)
                         for r in pivot.keys() & pivots.keys():
-                            heappush(rows, tuple(-v for v in r))
+                            heappush(rows, -r)
             index = {r: k for k, r in enumerate(
                 dict.fromkeys(itertools.chain.from_iterable(deferred)))}
             if len(index) * len(deferred) > TORSION_GUARD:
@@ -331,7 +374,7 @@ def _homology_from_faces(faces_by_dim: list) -> HomologyProfile:
             pivots[low] = None
         cleared = pivots
     betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
-                  for d, faces in enumerate(faces_by_dim))
+                  for d, faces in enumerate(levels))
     return HomologyProfile(betti, torsion)
 
 
@@ -342,13 +385,13 @@ def homology(c: SimplicialComplex) -> HomologyProfile:
     clearing assume; ValueError otherwise.  ResourceGuardError when a
     residual is over TORSION_GUARD."""
     if c._homology is None:
-        vertices = c.faces_by_dim[0] if c.faces_by_dim else []
+        vertices = c.levels[0] if c.levels else []
         for a, b in zip(vertices, vertices[1:]):
             if a >= b:
                 raise ValueError(
                     f"the vertices of {c.label!r} must be listed in "
-                    f"ascending order: {a[0]} comes before {b[0]}")
-        c._homology = _homology_from_faces(c.faces_by_dim)
+                    f"ascending order: {a} comes before {b}")
+        c._homology = _homology_from_faces(c.levels)
     return c._homology
 
 
@@ -485,7 +528,9 @@ def cm_check(c: SimplicialComplex) -> CMReport:
 
     one_open = itertools.chain.from_iterable(((None, v), (v, None))
                                              for v in at)
-    spans = ((at[lo], at[hi]) for hi, lo in (c.faces_by_dim + [[], []])[1]
+    edges = map(divmod, (c.levels + [[], []])[1],
+                repeat(1 << _width(c.levels)))
+    spans = ((at[lo], at[hi]) for hi, lo in edges
              if p.rank[at[hi]] - p.rank[at[lo]] > 2)
     distinct = itertools.chain([(None, None)], one_open, spans)
     if any(any(gap(lo, hi)[:-1]) for lo, hi in distinct):

@@ -5,7 +5,8 @@ antichain gaps off their size, `meet`, `join` and `_meet_failure` decide
 existence by one mask comparison, `verify_el` keeps label states up from a
 bottom in one walk, homology builds a coboundary column only when a
 reduction needs it, chains come out sorted level by level over labels
-descending in rank with ties broken by the reversed image tuple, the fiber
+descending in rank with ties broken by the reversed image tuple, each
+packed into one int and read back as the tuple it packs, the fiber
 law compares distinct projections by lengths and inverses found once, fiber
 ideals and cover lifting are masks on one ambient poset, chains of every
 size come from one sweep and zeta polynomials and multichain counts from
@@ -66,7 +67,7 @@ from absorder import invariants, labeling, lattice, signed, topology
 from absorder.labeling import ELReport
 from absorder.order import Poset, _fibers, _graded, _lower_covers, bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
-from absorder.topology import HomologyProfile, IdealCheck
+from absorder.topology import HomologyProfile, IdealCheck, SimplicialComplex
 
 
 # --- the order induced on any member set --------------------------------------
@@ -205,6 +206,16 @@ def _by_index(indices, faces_by_dim):
     `indices` gives them, each dimension sorted."""
     return [sorted(tuple(sorted(indices[v] for v in face)) for face in faces)
             for faces in faces_by_dim]
+
+
+def _packed(faces_by_dim):
+    """Tuple faces by dimension packed as the homology kernel reads them."""
+    return SimplicialComplex(None, 0, faces_by_dim).levels
+
+
+def _tuples(levels):
+    """Packed faces by dimension read back as vertex tuples."""
+    return SimplicialComplex(None, 0, levels).faces_by_dim
 
 
 def _edges_by_index(c):
@@ -560,14 +571,15 @@ LABEL_ORDER_CASES = {
 def _same_as_the_index_walk(p, mask):
     """The chains of `mask` under both walks agree after mapping, and so do
     their Betti numbers and torsion."""
-    indices, faces = topology._chains_in_mask(p, mask)
+    indices, levels = topology._chains_in_mask(p, mask)
     ranks = [p.rank[v] for v in indices]
     assert ranks == sorted(ranks, reverse=True)
+    faces = _tuples(levels)
     assert all(level == sorted(level) for level in faces)
     old = _chains_by_index(p, mask)
     assert _by_index(indices, faces) == old
-    new_profile = topology._homology_from_faces(faces)
-    old_profile = topology._homology_from_faces(old)
+    new_profile = topology._homology_from_faces(levels)
+    old_profile = topology._homology_from_faces(_packed(old))
     assert new_profile == old_profile
     assert new_profile.torsion == old_profile.torsion
     return new_profile
@@ -610,8 +622,9 @@ def _same_under_index_ties(c):
     assert c.indices == sorted(
         c.indices, key=lambda v: (-p.rank[v], p.elements[v].images[::-1]))
     relabelled = _by_rank_then_index(c)
-    profile = topology._homology_from_faces(c.faces_by_dim)
-    assert profile == topology._homology_from_faces(relabelled), c.label
+    profile = topology._homology_from_faces(c.levels)
+    assert profile == topology._homology_from_faces(
+        _packed(relabelled)), c.label
     return profile, relabelled != c.faces_by_dim
 
 
@@ -654,10 +667,10 @@ def _homology_posets():
 def test_homology_matches_boundary_matrix_elimination(strip):
     profiles = []
     for p in _homology_posets():
-        faces = order_complex(p, strip=strip).faces_by_dim
-        profiles.append(topology._homology_from_faces(faces))
+        c = order_complex(p, strip=strip)
+        profiles.append(topology._homology_from_faces(c.levels))
         assert profiles[-1].reduced_betti == _homology_by_boundary_matrices(
-            faces).reduced_betti, p.label
+            c.faces_by_dim).reduced_betti, p.label
     # stripped, D4 has homology below its top dimension; with their ends
     # kept, all six complexes are cones
     assert sum(not h.concentrated_in_top() for h in profiles) == (
@@ -673,10 +686,11 @@ def test_homology_and_chains_match_on_random_submasks():
         for k in range(40):
             density = rng.uniform(0.1, 0.5)
             mask = sum(1 << i for i in range(len(p)) if rng.random() < density)
-            indices, faces = topology._chains_in_mask(p, mask)
+            indices, levels = topology._chains_in_mask(p, mask)
+            faces = _tuples(levels)
             assert _by_index(indices, faces) == _chains_by_stack_and_sort(
                 p, mask), (p.label, k)
-            profile = topology._homology_from_faces(faces)
+            profile = topology._homology_from_faces(levels)
             assert profile.reduced_betti == _homology_by_boundary_matrices(
                 faces).reduced_betti, (p.label, k)
             low_homology += not profile.concentrated_in_top()
@@ -727,10 +741,10 @@ def test_homology_matches_boundary_matrix_elimination_on_non_flag_complexes():
         faces = _random_non_flag_complex(rng)
         if _skips_a_common_neighbour(faces):
             with pytest.raises(ValueError, match="^not a flag complex at "):
-                topology._homology_from_faces(faces)
+                topology._homology_from_faces(_packed(faces))
             refused += 1
             continue
-        profile = topology._homology_from_faces(faces)
+        profile = topology._homology_from_faces(_packed(faces))
         assert profile.reduced_betti == _homology_by_boundary_matrices(
             faces).reduced_betti, (k, faces)
         low_homology += not profile.concentrated_in_top()
@@ -738,11 +752,74 @@ def test_homology_matches_boundary_matrix_elimination_on_non_flag_complexes():
     assert low_homology >= 20
 
 
+PACKING_CASES = {
+    "B3": lambda: full_poset("B", 3),
+    "D4": lambda: full_poset("D", 4),
+    "S5": lambda: full_poset("S", 5),
+    "coxeter-ideal-B4": lambda: coxeter_ideal(4, "B"),
+    "flips-D4": lambda: build_interval(
+        identity(4), parse_cycles("[1][2][3][4]", 4), "D"),
+}
+
+
+def _same_as_the_tuple_walk(c):
+    """The tuple view of `c` holds the chains the stack walk finds, each
+    face and each dimension ascending, and packs back to its levels."""
+    faces = c.faces_by_dim
+    assert _by_index(c.indices, faces) == _chains_by_stack_and_sort(
+        c.poset, c.member_mask), c.label
+    assert all(level == sorted(level) for level in c.levels)
+    assert all(level == sorted(level) and all(
+        all(a < b for a, b in zip(face, face[1:])) for face in level)
+        for level in faces)
+    assert _packed(faces) == c.levels
+
+
+@pytest.mark.parametrize("strip", ["endpoints", "none"])
+@pytest.mark.parametrize("name", PACKING_CASES)
+def test_packed_faces_read_back_as_the_tuple_chains(name, strip):
+    _same_as_the_tuple_walk(order_complex(PACKING_CASES[name](), strip=strip))
+
+
+@pytest.mark.parametrize("strip", ["endpoints", "none"])
+def test_packed_faces_read_back_as_the_tuple_chains_on_random_masks(strip):
+    rng = random.Random(20261030)
+    for p in (full_poset("B", 3), full_poset("S", 5), coxeter_ideal(4, "B")):
+        for k in range(15):
+            density = rng.uniform(0.1, 0.6)
+            mask = sum(1 << i for i in range(len(p)) if rng.random() < density)
+            _same_as_the_tuple_walk(
+                topology._mask_complex(p, mask, strip, f"{p.label} {k}"))
+
+
+def test_faces_packed_past_64_bits_keep_their_betti_numbers():
+    # labels of 10,000 and up take 14 bits each, so a 4-face packs into 70:
+    # S5 with its ends and random member sets of it, relabelled in order
+    rng = random.Random(20261031)
+    p = full_poset("S", 5)
+    masks = [(1 << len(p)) - 1] + [
+        sum(1 << i for i in range(len(p)) if rng.random() < 0.5)
+        for _ in range(12)]
+    wide = low_homology = 0
+    for mask in masks:
+        faces = [[tuple(10_000 + 3 * v for v in face) for face in level]
+                 for level in topology._mask_complex(p, mask, "none",
+                                                     "S5").faces_by_dim]
+        c = SimplicialComplex(None, 0, faces)
+        wide += len(c.levels) == 5 and c.levels[4][-1].bit_length() > 64
+        profile = topology.homology(c)
+        assert profile.reduced_betti == _homology_by_boundary_matrices(
+            faces).reduced_betti, mask
+        low_homology += any(profile.reduced_betti)
+    assert wide >= 5 and low_homology >= 3
+
+
 def test_face_guard_trips_one_past_the_guard_with_the_same_message():
     p = full_poset("B", 3)
     mask = topology._strip_mask(p, "endpoints", (1 << len(p)) - 1)
     total = sum(map(len, topology._chains_in_mask(p, mask)[1]))
-    assert _by_index(*topology._chains_in_mask(p, mask, face_guard=total)) == (
+    indices, levels = topology._chains_in_mask(p, mask, face_guard=total)
+    assert _by_index(indices, _tuples(levels)) == (
         _chains_by_stack_and_sort(p, mask))
     with pytest.raises(ResourceGuardError) as expected:
         _chains_by_stack_and_sort(p, mask, face_guard=total - 1)
@@ -755,13 +832,14 @@ def test_face_guard_trips_one_past_the_guard_with_the_same_message():
 
 def test_face_guard_refuses_a_level_before_building_it():
     # stripped B4: a guard of f_0 = 383 refuses the 9,658 edges, so the call
-    # must never hold them (freed 2-tuples are reused, hence B4, not B3)
+    # must never hold them (B4, not B3, so that they outweigh the labels);
+    # 9 bits a label, each edge packs into an int below 2^18
     p = full_poset("B", 4)
     mask = topology._strip_mask(p, "endpoints", (1 << len(p)) - 1)
     f_0 = mask.bit_count()
     f_1 = sum((p.above[v] & mask).bit_count() - 1 for v in bits(mask))
     assert (f_0, f_1) == (383, 9658)
-    edge_bytes = f_1 * (8 + sys.getsizeof((0, 0)))
+    edge_bytes = f_1 * (8 + sys.getsizeof(1 << 17))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceGuardError, match=f"the guard {f_0} "):

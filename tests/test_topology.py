@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -243,29 +244,38 @@ def test_elimination_work_stays_at_its_counts(monkeypatch, build, cofaces,
 
 
 def test_the_scan_intersects_each_face_prefix_once(monkeypatch):
-    # the neighbour masks of a face's vertices but its last are intersected
-    # once for the run of faces sharing them; one intersection per face,
-    # 21,440 in dimensions 0-2, was the cost before
-    calls = {"reduce": 0, "built": 0}
+    # the neighbour masks of a face's vertices but its last are read once
+    # for the run of faces sharing them, and each face reads the mask of
+    # its last vertex; a column built later reads those of all its
+    # vertices.  Reading a face's every vertex, 21,440 faces in dimensions
+    # 0-2, was the cost before
+    calls = {"reads": 0, "built": 0, "built_reads": 0}
 
-    def counting_reduce(*args, _f=topology.reduce):
-        calls["reduce"] += 1
-        return _f(*args)
+    class CountingMasks(list):
+        def __getitem__(self, v):
+            calls["reads"] += 1
+            return list.__getitem__(self, v)
 
-    def counting_pivot(pivots, low, get, _f=topology._pivot):
-        calls["built"] += type(pivots[low]) is tuple
-        return _f(pivots, low, get)
+    def counting_neighbours(*args, _f=topology._neighbours):
+        return CountingMasks(_f(*args))
 
-    monkeypatch.setattr(topology, "reduce", counting_reduce)
+    def counting_pivot(pivots, low, get, shifts, _f=topology._pivot):
+        if type(pivots[low]) is int:
+            calls["built"] += 1
+            calls["built_reads"] += len(shifts)
+        return _f(pivots, low, get, shifts)
+
+    monkeypatch.setattr(topology, "_neighbours", counting_neighbours)
     monkeypatch.setattr(topology, "_pivot", counting_pivot)
-    faces_by_dim = order_complex(coxeter_ideal(4, "B"),
-                                 strip="endpoints").faces_by_dim
-    _homology_from_faces(faces_by_dim)
-    scanned = faces_by_dim[:-1]
-    prefixes = sum(len({face[:-1] for face in faces}) for faces in scanned)
-    assert sum(map(len, scanned)) == 21_440 and prefixes < 6_000
+    c = order_complex(coxeter_ideal(4, "B"), strip="endpoints")
+    _homology_from_faces(c.levels)
+    scanned = c.faces_by_dim[:-1]
+    prefixes = [{face[:-1] for face in faces} for faces in scanned]
+    faces = sum(map(len, scanned))
+    assert faces == 21_440 and sum(map(len, prefixes)) < 6_000
     assert 0 < calls["built"] < 2_000
-    assert calls["reduce"] == prefixes + calls["built"]
+    assert calls["reads"] == (faces + calls["built_reads"] + sum(
+        len(prefix) for level in prefixes for prefix in level))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -310,6 +320,32 @@ def test_the_collector_is_left_as_the_caller_had_it(monkeypatch, enabled):
 def test_face_guard_trips():
     with pytest.raises(ResourceGuardError):
         order_complex(full_poset("B", 3), strip="endpoints", face_guard=10)
+
+
+def test_face_guard_is_read_at_each_call(monkeypatch):
+    # with no guard given, chain enumeration reads FACE_GUARD as it stands,
+    # also for the gaps `cm_check` eliminates (B4's rank-3 intervals)
+    c = order_complex(coxeter_ideal(4, "B"), strip="endpoints")
+    monkeypatch.setattr(topology, "FACE_GUARD", 10)
+    with pytest.raises(ResourceGuardError,
+                       match="'full' has more than the guard 10 chains$"):
+        order_complex(full_poset("B", 3), strip="endpoints")
+    with pytest.raises(ResourceGuardError, match="the guard 10 chains$"):
+        cm_check(c)
+
+
+def test_homology_of_the_b4_coxeter_ideal_stays_small():
+    # its 33,728 faces packed one int each: the chains and the elimination
+    # together peak near 3.0 MB, where vertex tuples took 4.5-4.9 MB
+    p = coxeter_ideal(4, "B")
+    tracemalloc.start()
+    try:
+        assert homology(order_complex(p, strip="endpoints")).reduced_betti == (
+            0, 0, 0, 1105)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_600_000
 
 
 def _no_dense_form(*args):
@@ -545,17 +581,17 @@ def test_homology_is_eliminated_once_per_complex(monkeypatch):
     calls = []
     eliminate = topology._homology_from_faces
 
-    def counting(faces_by_dim):
-        calls.append(faces_by_dim)
-        return eliminate(faces_by_dim)
+    def counting(levels):
+        calls.append(levels)
+        return eliminate(levels)
 
     monkeypatch.setattr(topology, "_homology_from_faces", counting)
     rp2, cone = _rp2(), order_complex(coxeter_ideal(2, "B"), strip="none")
     for c in (rp2, cone, rp2, cone):
-        assert homology(c) == eliminate(c.faces_by_dim)
+        assert homology(c) == eliminate(c.levels)
         assert torsion_profile(c) == ({1: [], 2: [2]} if c is rp2
                                       else {1: [], 2: []})
-    assert calls == [rp2.faces_by_dim, cone.faces_by_dim]
+    assert calls == [rp2.levels, cone.levels]
 
 
 def _random_matrix(rng):
@@ -687,9 +723,11 @@ def _rank_sparse(columns):
 
 def _ranks_from_betti(faces):
     """The boundary ranks behind `_homology_from_faces`, recovered from its
-    Betti numbers: b_d = f_d - r_d - r_(d+1), with r_0 = 1."""
+    Betti numbers on the faces packed: b_d = f_d - r_d - r_(d+1), with
+    r_0 = 1."""
     ranks = [1]
-    for d, b in enumerate(_homology_from_faces(faces).reduced_betti):
+    for d, b in enumerate(homology(SimplicialComplex(None, 0, faces))
+                          .reduced_betti):
         ranks.append(len(faces[d]) - ranks[d] - b)
     return ranks
 
@@ -780,7 +818,8 @@ def test_ranks_match_the_reference_on_random_complexes(monkeypatch):
         residuals = _recording_residuals(monkeypatch)
         assert _ranks_from_betti(faces) == _oracle_ranks(faces), (k, faces)
         deferring += bool(residuals)
-        low_homology += any(_homology_from_faces(faces).reduced_betti[:-1])
+        low_homology += any(homology(SimplicialComplex(None, 0, faces))
+                            .reduced_betti[:-1])
         cofaces = {face[:i] + face[i + 1:]
                    for dim_faces in faces[1:] for face in dim_faces
                    for i in range(len(face))}
