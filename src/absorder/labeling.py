@@ -136,14 +136,7 @@ class ELReport(namedtuple("ELReport",
     __slots__ = ()
 
     def to_json(self) -> dict:
-        data = {
-            "ok": self.ok,
-            "intervals_checked": self.intervals_checked,
-            "chains_checked": self.chains_checked,
-        }
-        if self.failure is not None:
-            data["failure"] = self.failure
-        return data
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
 def verify_el(p: Poset, labeler=None) -> ELReport:

@@ -34,10 +34,7 @@ class LatticeVerdict(namedtuple("LatticeVerdict", "is_lattice witness")):
     __slots__ = ()
 
     def to_json(self) -> dict:
-        data = {"is_lattice": self.is_lattice}
-        if self.witness is not None:
-            data["witness"] = self.witness
-        return data
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
 def is_lattice(p: Poset) -> LatticeVerdict:
@@ -99,13 +96,7 @@ class ScanReport(namedtuple("ScanReport", "kind n checked mismatches")):
         return not self.mismatches
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "checked": self.checked,
-            "mismatches": self.mismatches,
-            "ok": self.ok(),
-        }
+        return {**self._asdict(), "ok": self.ok()}
 
 
 def prediction_scan(kind: str, n: int) -> ScanReport:

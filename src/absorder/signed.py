@@ -138,20 +138,12 @@ class CycleDecomposition(namedtuple("CycleDecomposition",
         return tuple(c for c in self.cycles if c.kind == "paired")
 
 
-def _canonical_word(word):
-    """Rotate/negate a cycle word so min |entry| leads with positive sign."""
-    k = len(word)
-    lead = min(range(k), key=lambda i: abs(word[i]))
-    word = word[lead:] + word[:lead]
-    if word[0] < 0:
-        word = tuple(-a for a in word)
-    return tuple(word)
-
-
 def _orbits(images: tuple):
     """Yield (orbit, balanced) for each orbit up to negation of `images`:
     the letters from the least unseen start until the walk returns to
-    +start (paired, fixed points included) or reaches -start (balanced)."""
+    +start (paired, fixed points included) or reaches -start (balanced).
+    Every smaller letter was seen, so start is the orbit's least |letter|,
+    positive: each orbit is a canonical word, yielded by ascending start."""
     seen = [False] * (len(images) + 1)
     for start in range(1, len(images) + 1):
         if seen[start]:
@@ -173,16 +165,16 @@ def cycle_decomposition(w: SignedPermutation) -> CycleDecomposition:
 
     A balanced cycle is an orbit of w on {±1,...,±n} that is closed under
     negation; a paired cycle is one of a mirrored orbit pair.  Balanced
-    1-cycles [i] (sign flips) count as nontrivial cycles.
+    1-cycles [i] (sign flips) count as nontrivial cycles.  The cycles are
+    canonical words, in ascending order of their least letter.
     """
     cycles, fixed = [], []
     for orbit, balanced in _orbits(w.images):
         if balanced or len(orbit) > 1:
             kind = "balanced" if balanced else "paired"
-            cycles.append(Cycle(kind, _canonical_word(tuple(orbit))))
+            cycles.append(Cycle(kind, tuple(orbit)))
         else:
             fixed.append(orbit[0])
-    cycles.sort(key=lambda c: min(c.support))
     return CycleDecomposition(tuple(cycles), frozenset(fixed))
 
 

@@ -64,12 +64,10 @@ class SimplicialComplex:
     The complex must be flag, its faces the cliques of its edges, as an
     order complex is: `homology` raises ValueError for one that is not
     flag below its top dimension.  Each face, an ascending vertex tuple, is
-    one int, its labels packed `_width` bits each, the first most
-    significant, so integer order is lexicographic; `levels[d]` lists the
-    d-faces ascending.  `faces_by_dim` is the tuple view, unpacked on each
-    read; faces given as tuples, as hand-built complexes give them, are
-    packed once here.  The elimination sizes its neighbour masks by the
-    last vertex listed; `homology` refuses a vertex list out of order.
+    given and kept as one int, its labels packed `_width` bits each, the
+    first most significant, so integer order is lexicographic; `levels[d]`
+    lists the d-faces ascending.  The elimination sizes its neighbour masks
+    by the last vertex listed; `homology` refuses a vertex list out of order.
     `indices[v]` is the poset index of vertex v: an order complex labels
     its members in rank-descending order, ties broken by the reversed image
     tuple (see `_chains_in_mask`).
@@ -79,22 +77,12 @@ class SimplicialComplex:
 
     def __init__(self, poset: Poset, member_mask: int, faces: list,
                  label: str = "complex", indices: list | None = None):
-        if faces and faces[0] and type(faces[0][0]) is tuple:
-            w = _width([list(map(max, faces[0]))])
-            faces = [[reduce(lambda a, v: a << w | v, face, 0)
-                      for face in level] for level in faces]
         self.poset = poset
         self.member_mask = member_mask
         self.levels = faces
         self.label = label
         self.indices = indices
         self._homology = None
-
-    @property
-    def faces_by_dim(self) -> list:
-        w = _width(self.levels)
-        return [[tuple(_unpacked(face, range(w * d, -1, -w)))
-                 for face in faces] for d, faces in enumerate(self.levels)]
 
     def dim(self) -> int:
         return len(self.levels) - 1
@@ -521,21 +509,22 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     """
     whole = homology(c)
     gap = _gap_polys(c, whole)
-    p, at = c.poset, c.indices
+    p, at, w = c.poset, c.indices, _width(c.levels)
 
-    def by_index(faces):  # poset indices, ascending: the lower end first
-        return sorted(tuple(sorted(at[v] for v in f)) for f in faces)
+    def by_index(d, faces):  # poset indices, ascending: the lower end first
+        shifts = range(w * d, -1, -w)
+        return sorted(tuple(sorted(at[v] for v in _unpacked(f, shifts)))
+                      for f in faces)
 
     one_open = itertools.chain.from_iterable(((None, v), (v, None))
                                              for v in at)
-    edges = map(divmod, (c.levels + [[], []])[1],
-                repeat(1 << _width(c.levels)))
+    edges = map(divmod, (c.levels + [[], []])[1], repeat(1 << w))
     spans = ((at[lo], at[hi]) for hi, lo in edges
              if p.rank[at[hi]] - p.rank[at[lo]] > 2)
     distinct = itertools.chain([(None, None)], one_open, spans)
     if any(any(gap(lo, hi)[:-1]) for lo, hi in distinct):
-        faces = itertools.chain.from_iterable(map(by_index,
-                                                  [[()]] + c.faces_by_dim))
+        faces = itertools.chain([()], itertools.chain.from_iterable(
+            itertools.starmap(by_index, enumerate(c.levels))))
         for checked, face in enumerate(faces, 1):
             ends = (None,) + face + (None,)
             betti = reduce(_poly_mul, map(gap, ends, ends[1:]))[1:]
@@ -601,15 +590,7 @@ class IdealCheck(namedtuple("IdealCheck",
         return self.rank == self.expected_rank and self.graded and self.cm.ok
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "size": self.size,
-            "rank": self.rank,
-            "expected_rank": self.expected_rank,
-            "graded": self.graded,
-            "cm": self.cm.to_json(),
-            "ok": self.ok(),
-        }
+        return {**self._asdict(), "cm": self.cm.to_json(), "ok": self.ok()}
 
 
 def _checked_ideal(name: str, ambient: Poset, mask: int,

@@ -435,7 +435,7 @@ def _claim_zeta_battery(scope):
         computed[name] = {"zeta_at_2": z(2), "zeta_at_minus_1": z(-1)}
     results = [_claim(
         claim="zeta-consistency",
-        statement=("the interpolated zeta polynomial returns the cardinality "
+        statement=("the chain-count zeta polynomial returns the cardinality "
                    "at 2 and the first-to-last Mobius value at -1 on every "
                    "bounded interval in the battery"),
         parameters={"posets": [name for name, _ in posets]},

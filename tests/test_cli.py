@@ -233,9 +233,9 @@ def test_topology_torsion_eliminates_the_complex_once(capsys, monkeypatch, cm):
     eliminated = []
     eliminate = topology._homology_from_faces
 
-    def counting(faces_by_dim):
-        eliminated.append(tuple(map(len, faces_by_dim)))
-        return eliminate(faces_by_dim)
+    def counting(levels):
+        eliminated.append(tuple(map(len, levels)))
+        return eliminate(levels)
 
     monkeypatch.setattr(topology, "_homology_from_faces", counting)
     assert main(["topology", "--group", "S", "--n", "4", "--torsion",

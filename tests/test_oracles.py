@@ -68,6 +68,7 @@ from absorder.labeling import ELReport
 from absorder.order import Poset, _fibers, _graded, _lower_covers, bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
 from absorder.topology import HomologyProfile, IdealCheck, SimplicialComplex
+from packing import packed, tuples
 
 
 # --- the order induced on any member set --------------------------------------
@@ -208,19 +209,9 @@ def _by_index(indices, faces_by_dim):
             for faces in faces_by_dim]
 
 
-def _packed(faces_by_dim):
-    """Tuple faces by dimension packed as the homology kernel reads them."""
-    return SimplicialComplex(None, 0, faces_by_dim).levels
-
-
-def _tuples(levels):
-    """Packed faces by dimension read back as vertex tuples."""
-    return SimplicialComplex(None, 0, levels).faces_by_dim
-
-
 def _edges_by_index(c):
     """The gaps between the two ends of an edge, lower end first."""
-    return _by_index(c.indices, c.faces_by_dim[1:2])[0]
+    return _by_index(c.indices, tuples(c.levels)[1:2])[0]
 
 
 @pytest.mark.parametrize("name", GAP_CASES)
@@ -248,9 +239,9 @@ def test_cm_check_eliminates_each_one_sided_class_once(monkeypatch):
     calls = []
     eliminate = topology._homology_from_faces
 
-    def counting(faces_by_dim):
-        calls.append(len(faces_by_dim))
-        return eliminate(faces_by_dim)
+    def counting(levels):
+        calls.append(len(levels))
+        return eliminate(levels)
 
     c = order_complex(coxeter_ideal(4, "B"), strip="endpoints")
     types = {cycle_type(c.poset.elements[v]) for v in bits(c.member_mask)}
@@ -574,12 +565,12 @@ def _same_as_the_index_walk(p, mask):
     indices, levels = topology._chains_in_mask(p, mask)
     ranks = [p.rank[v] for v in indices]
     assert ranks == sorted(ranks, reverse=True)
-    faces = _tuples(levels)
+    faces = tuples(levels)
     assert all(level == sorted(level) for level in faces)
     old = _chains_by_index(p, mask)
     assert _by_index(indices, faces) == old
     new_profile = topology._homology_from_faces(levels)
-    old_profile = topology._homology_from_faces(_packed(old))
+    old_profile = topology._homology_from_faces(packed(old))
     assert new_profile == old_profile
     assert new_profile.torsion == old_profile.torsion
     return new_profile
@@ -611,7 +602,7 @@ def _by_rank_then_index(c):
     label = {v: k for k, v in enumerate(
         sorted(c.indices, key=lambda v: (-p.rank[v], v)))}
     return [sorted(tuple(sorted(label[c.indices[v]] for v in face))
-                   for face in faces) for faces in c.faces_by_dim]
+                   for face in faces) for faces in tuples(c.levels)]
 
 
 def _same_under_index_ties(c):
@@ -624,8 +615,8 @@ def _same_under_index_ties(c):
     relabelled = _by_rank_then_index(c)
     profile = topology._homology_from_faces(c.levels)
     assert profile == topology._homology_from_faces(
-        _packed(relabelled)), c.label
-    return profile, relabelled != c.faces_by_dim
+        packed(relabelled)), c.label
+    return profile, relabelled != tuples(c.levels)
 
 
 @pytest.mark.parametrize("kind", ["B", "D"])
@@ -670,7 +661,7 @@ def test_homology_matches_boundary_matrix_elimination(strip):
         c = order_complex(p, strip=strip)
         profiles.append(topology._homology_from_faces(c.levels))
         assert profiles[-1].reduced_betti == _homology_by_boundary_matrices(
-            c.faces_by_dim).reduced_betti, p.label
+            tuples(c.levels)).reduced_betti, p.label
     # stripped, D4 has homology below its top dimension; with their ends
     # kept, all six complexes are cones
     assert sum(not h.concentrated_in_top() for h in profiles) == (
@@ -687,7 +678,7 @@ def test_homology_and_chains_match_on_random_submasks():
             density = rng.uniform(0.1, 0.5)
             mask = sum(1 << i for i in range(len(p)) if rng.random() < density)
             indices, levels = topology._chains_in_mask(p, mask)
-            faces = _tuples(levels)
+            faces = tuples(levels)
             assert _by_index(indices, faces) == _chains_by_stack_and_sort(
                 p, mask), (p.label, k)
             profile = topology._homology_from_faces(levels)
@@ -741,10 +732,10 @@ def test_homology_matches_boundary_matrix_elimination_on_non_flag_complexes():
         faces = _random_non_flag_complex(rng)
         if _skips_a_common_neighbour(faces):
             with pytest.raises(ValueError, match="^not a flag complex at "):
-                topology._homology_from_faces(_packed(faces))
+                topology._homology_from_faces(packed(faces))
             refused += 1
             continue
-        profile = topology._homology_from_faces(_packed(faces))
+        profile = topology._homology_from_faces(packed(faces))
         assert profile.reduced_betti == _homology_by_boundary_matrices(
             faces).reduced_betti, (k, faces)
         low_homology += not profile.concentrated_in_top()
@@ -765,14 +756,14 @@ PACKING_CASES = {
 def _same_as_the_tuple_walk(c):
     """The tuple view of `c` holds the chains the stack walk finds, each
     face and each dimension ascending, and packs back to its levels."""
-    faces = c.faces_by_dim
+    faces = tuples(c.levels)
     assert _by_index(c.indices, faces) == _chains_by_stack_and_sort(
         c.poset, c.member_mask), c.label
     assert all(level == sorted(level) for level in c.levels)
     assert all(level == sorted(level) and all(
         all(a < b for a, b in zip(face, face[1:])) for face in level)
         for level in faces)
-    assert _packed(faces) == c.levels
+    assert packed(faces) == c.levels
 
 
 @pytest.mark.parametrize("strip", ["endpoints", "none"])
@@ -803,9 +794,9 @@ def test_faces_packed_past_64_bits_keep_their_betti_numbers():
     wide = low_homology = 0
     for mask in masks:
         faces = [[tuple(10_000 + 3 * v for v in face) for face in level]
-                 for level in topology._mask_complex(p, mask, "none",
-                                                     "S5").faces_by_dim]
-        c = SimplicialComplex(None, 0, faces)
+                 for level in tuples(topology._mask_complex(
+                     p, mask, "none", "S5").levels)]
+        c = SimplicialComplex(None, 0, packed(faces))
         wide += len(c.levels) == 5 and c.levels[4][-1].bit_length() > 64
         profile = topology.homology(c)
         assert profile.reduced_betti == _homology_by_boundary_matrices(
@@ -819,7 +810,7 @@ def test_face_guard_trips_one_past_the_guard_with_the_same_message():
     mask = topology._strip_mask(p, "endpoints", (1 << len(p)) - 1)
     total = sum(map(len, topology._chains_in_mask(p, mask)[1]))
     indices, levels = topology._chains_in_mask(p, mask, face_guard=total)
-    assert _by_index(indices, _tuples(levels)) == (
+    assert _by_index(indices, tuples(levels)) == (
         _chains_by_stack_and_sort(p, mask))
     with pytest.raises(ResourceGuardError) as expected:
         _chains_by_stack_and_sort(p, mask, face_guard=total - 1)

@@ -20,6 +20,7 @@ from absorder import (
 from absorder.series import _convolve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def test_series_arithmetic_basics():
@@ -138,6 +139,7 @@ def test_consistency_checks_raise_under_python_optimise():
         from absorder.invariants import InvariantReport
         from absorder.series import FormalPowerSeries, _extract_euler
         from absorder.topology import SimplicialComplex
+        from packing import packed
         checks = [
             lambda: InvariantReport(5, (1, 1), None, None, None).check(),
             lambda: _extract_euler(
@@ -155,7 +157,8 @@ def test_consistency_checks_raise_under_python_optimise():
 
         hollow = closure([(0, 1, 2, 3), (4, 5), (4, 6), (5, 6)])
         try:
-            print("no error:", homology(SimplicialComplex(None, 0, hollow)))
+            print("no error:",
+                  homology(SimplicialComplex(None, 0, packed(hollow))))
         except ValueError as exc:
             print("ValueError:", exc)
         rp2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
@@ -164,12 +167,14 @@ def test_consistency_checks_raise_under_python_optimise():
         index = {cell: k for k, cell in enumerate(cells)}
         flags = [tuple(index[tuple(sorted(p[:k]))] for k in (1, 2, 3))
                  for t in rp2 for p in itertools.permutations(t)]
-        print(torsion_profile(SimplicialComplex(None, 0, closure(flags))))
+        print(torsion_profile(SimplicialComplex(None, 0,
+                                              packed(closure(flags)))))
         print(torsion_profile(order_complex(full_poset("B", 3),
                                             strip="endpoints")))
     """
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, TESTS] + ([path] if path else [])))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

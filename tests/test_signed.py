@@ -79,6 +79,18 @@ def test_canonical_word_starts_at_minimal_positive_letter():
     assert dec.cycles[0].entries[0] > 0
 
 
+@pytest.mark.parametrize("kind,n", [("S", 5), ("B", 4), ("D", 4)])
+def test_cycle_words_are_canonical_over_the_whole_group(kind, n):
+    # each word starts at its least letter, positive, and the cycles ascend
+    # by least letter, as the orbit walk finds them with no re-pass
+    for w in group_elements(kind, n):
+        cycles = cycle_decomposition(w).cycles
+        leads = [c.entries[0] for c in cycles]
+        assert leads == [min(c.support) for c in cycles], w.images
+        assert leads == sorted(leads), w.images
+        assert parse_cycles(format_cycles(w), n) == w
+
+
 def test_format_parse_round_trip():
     for text in ("e", "[1]", "((1,2))[3]", "[1,-7]((2,-6,-5))[3]", "[1][2]"):
         n = 7

@@ -31,6 +31,7 @@ from absorder.signed import cycle_type
 from absorder.topology import (SimplicialComplex, _chains_in_mask,
                                _homology_from_faces, _subtract,
                                _smith_normal_form_diagonal)
+from packing import packed, tuples
 
 
 def test_stripped_coxeter_ideal_two_letters():
@@ -110,13 +111,34 @@ def test_disconnected_even_interval():
 def test_vertices_are_labelled_from_the_top_down():
     iv = build_interval(identity(4), parse_cycles("[1][2][3][4]", 4), "D")
     c = order_complex(iv, strip="none")
-    vertices = [v for (v,) in c.faces_by_dim[0]]
+    faces = tuples(c.levels)
+    vertices = [v for (v,) in faces[0]]
     ranks = [iv.rank[c.indices[v]] for v in vertices]
     assert ranks == sorted(ranks, reverse=True)
     names = [format_cycles(iv.elements[c.indices[v]]) for v in vertices]
     assert (names[0], names[-1]) == ("[1][2][3][4]", "e")
     # every face runs from its top down
-    assert all(ranks[a] > ranks[b] for a, b in c.faces_by_dim[1])
+    assert all(ranks[a] > ranks[b] for a, b in faces[1])
+
+
+def test_a_failing_cm_check_unpacks_no_face_before_its_verdict(monkeypatch):
+    # the stripped D4 Coxeter ideal fails at the empty face, whose link is
+    # the complex itself: with its homology kept, the walk reports that
+    # before unpacking any of the 15,238 faces
+    c = order_complex(coxeter_ideal(4, "D"), strip="endpoints")
+    homology(c)
+    calls = []
+
+    def counting(face, shifts, _f=topology._unpacked):
+        calls.append(face)
+        return _f(face, shifts)
+
+    monkeypatch.setattr(topology, "_unpacked", counting)
+    report = cm_check(c)
+    assert (report.ok, report.failing_face, report.faces_checked) == (
+        False, (), 1)
+    assert report.failing_betti == (0, 0, 1, 340)
+    assert calls == [] and c.face_count() == 15_238
 
 
 def test_cm_holds_on_stripped_plain_poset():
@@ -155,7 +177,7 @@ def _faces_by_index(c):
     """The faces of an order complex over poset indices, each ascending
     and each dimension sorted: the order in which `cm_check` walks them."""
     return [sorted(tuple(sorted(c.indices[v] for v in face)) for face in faces)
-            for faces in c.faces_by_dim]
+            for faces in tuples(c.levels)]
 
 
 def _on_members(p, keep, strip):
@@ -269,7 +291,7 @@ def test_the_scan_intersects_each_face_prefix_once(monkeypatch):
     monkeypatch.setattr(topology, "_pivot", counting_pivot)
     c = order_complex(coxeter_ideal(4, "B"), strip="endpoints")
     _homology_from_faces(c.levels)
-    scanned = c.faces_by_dim[:-1]
+    scanned = tuples(c.levels)[:-1]
     prefixes = [{face[:-1] for face in faces} for faces in scanned]
     faces = sum(map(len, scanned))
     assert faces == 21_440 and sum(map(len, prefixes)) < 6_000
@@ -384,7 +406,7 @@ _RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
 def _rp2():
     """The barycentric subdivision of the six-vertex real projective plane:
     a flag complex on 31 vertices with H_1 = Z/2."""
-    return SimplicialComplex(None, 0, _subdivided(_closure(_RP2)),
+    return SimplicialComplex(None, 0, packed(_subdivided(_closure(_RP2))),
                              label="RP^2")
 
 
@@ -531,7 +553,7 @@ def test_torsion_matches_the_dense_smith_form_on_random_complexes(
     for k in range(600):
         raw = _random_complex(rng)
         faces = _subdivided(raw)
-        c = SimplicialComplex(None, 0, faces, label=f"random {k}")
+        c = SimplicialComplex(None, 0, packed(faces), label=f"random {k}")
         dense = _torsion_by_boundary_maps(raw, dense=True)
         residuals = _recording_residuals(monkeypatch)
         assert torsion_profile(c) == dense == _torsion_by_boundary_maps(
@@ -559,7 +581,7 @@ def test_torsion_answers_on_random_subposets_of_b4():
     (lambda: [(0, 1, 2, 3), (4, 5), (4, 6), (5, 6)], 1, 5, 4),
     (lambda: [(0, 1, 2, 3, 4), *itertools.combinations(range(5, 9), 3)],
      2, 6, 5),
-    (lambda: _rp2().faces_by_dim[2] + [
+    (lambda: _subdivided(_closure(_RP2))[2] + [
         *itertools.combinations(range(31, 35), 3), (35, 36, 37, 38)], 2, 2, 1),
 ], ids=["hollow-triangle", "hollow-tetrahedron", "rp2-beside-tetrahedra"])
 def test_homology_refuses_a_complex_not_flag_below_its_top(tops, d, cliques,
@@ -568,7 +590,7 @@ def test_homology_refuses_a_complex_not_flag_below_its_top(tops, d, cliques,
     # 3-simplex, a 4-simplex, or RP^2 and a solid tetrahedron: the
     # elimination reads cofaces off the cliques, so it must refuse, also
     # after meeting a pivot of 2 (RP^2) and for torsion
-    c = SimplicialComplex(None, 0, _closure(tops()))
+    c = SimplicialComplex(None, 0, packed(_closure(tops())))
     message = (f"not a flag complex at dimension {d}: {cliques} common "
                f"neighbours above the last vertices of its faces, "
                f"{faces} faces of dimension {d + 1}$")
@@ -726,7 +748,7 @@ def _ranks_from_betti(faces):
     Betti numbers on the faces packed: b_d = f_d - r_d - r_(d+1), with
     r_0 = 1."""
     ranks = [1]
-    for d, b in enumerate(homology(SimplicialComplex(None, 0, faces))
+    for d, b in enumerate(homology(SimplicialComplex(None, 0, packed(faces)))
                           .reduced_betti):
         ranks.append(len(faces[d]) - ranks[d] - b)
     return ranks
@@ -782,7 +804,7 @@ def test_ranks_match_the_reference_on_order_complexes(monkeypatch):
     maps = 0
     for p in posets:
         c = order_complex(p, strip="endpoints")
-        faces = c.faces_by_dim
+        faces = tuples(c.levels)
         assert _ranks_from_betti(faces) == _oracle_ranks(
             _faces_by_index(c)), p.label
         maps += len(faces) - 1
@@ -800,7 +822,7 @@ def test_ranks_match_the_reference_on_order_complexes(monkeypatch):
             iv = build_interval(identity(4), w, kind)
             for strip in ("endpoints", "none"):
                 c = order_complex(iv, strip=strip)
-                faces, name = c.faces_by_dim, (kind, format_cycles(w), strip)
+                faces, name = tuples(c.levels), (kind, format_cycles(w), strip)
                 assert not faces or (_ranks_from_betti(faces)
                                      == _oracle_ranks(_faces_by_index(c))), name
                 assert not any(homology(c).torsion.values()), name
@@ -818,7 +840,7 @@ def test_ranks_match_the_reference_on_random_complexes(monkeypatch):
         residuals = _recording_residuals(monkeypatch)
         assert _ranks_from_betti(faces) == _oracle_ranks(faces), (k, faces)
         deferring += bool(residuals)
-        low_homology += any(homology(SimplicialComplex(None, 0, faces))
+        low_homology += any(homology(SimplicialComplex(None, 0, packed(faces)))
                             .reduced_betti[:-1])
         cofaces = {face[:i] + face[i + 1:]
                    for dim_faces in faces[1:] for face in dim_faces
@@ -838,9 +860,10 @@ def test_homology_refuses_a_vertex_list_out_of_order():
     for call in (homology, torsion_profile):
         with pytest.raises(ValueError, match="^the vertices of 'complex' must "
                            "be listed in ascending order: 2 comes before 0$"):
-            call(SimplicialComplex(None, 0, hollow))
+            call(SimplicialComplex(None, 0, packed(hollow)))
     hollow[0].sort()
-    assert homology(SimplicialComplex(None, 0, hollow)).reduced_betti == (0, 1)
+    assert homology(SimplicialComplex(None, 0, packed(hollow))
+                    ).reduced_betti == (0, 1)
     rng = random.Random(3)
     refused = 0
     for k in range(50):
@@ -848,10 +871,11 @@ def test_homology_refuses_a_vertex_list_out_of_order():
         shuffled = rng.sample(faces[0], len(faces[0]))
         if shuffled != faces[0]:
             with pytest.raises(ValueError, match="must be listed in ascending"):
-                homology(SimplicialComplex(None, 0, [shuffled] + faces[1:]))
+                homology(SimplicialComplex(None, 0,
+                                           packed([shuffled] + faces[1:])))
             refused += 1
         ranks = _oracle_ranks(faces)
-        c = SimplicialComplex(None, 0, [sorted(shuffled)] + faces[1:])
+        c = SimplicialComplex(None, 0, packed([sorted(shuffled)] + faces[1:]))
         assert homology(c).reduced_betti == tuple(
             len(dim_faces) - ranks[d] - ranks[d + 1]
             for d, dim_faces in enumerate(faces)), k
@@ -862,9 +886,9 @@ def test_cm_check_eliminates_each_interval_class_once(monkeypatch):
     calls = []
     eliminate = topology._homology_from_faces
 
-    def counting(faces_by_dim):
-        calls.append(len(faces_by_dim))
-        return eliminate(faces_by_dim)
+    def counting(levels):
+        calls.append(len(levels))
+        return eliminate(levels)
 
     def no_walk(*args):
         raise AssertionError("walked the faces although every gap passes")
