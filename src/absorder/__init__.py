@@ -8,8 +8,6 @@ checks the implementation against independently computed values.
 
 from .signed import (
     SignedPermutation,
-    Cycle,
-    CycleDecomposition,
     CycleNotationError,
     absolute_length,
     balanced_cycle,

@@ -382,8 +382,8 @@ def mixing_indices(p: Poset, k: int) -> list:
     """Indices of elements having a cycle that meets both 1..k and k+1."""
     picked = []
     for idx, w in enumerate(p.elements):
-        for cyc in cycle_decomposition(w).cycles:
-            support = cyc.support
+        for _, entries in cycle_decomposition(w):
+            support = {abs(a) for a in entries}
             if k + 1 in support and any(entry <= k for entry in support):
                 picked.append(idx)
                 break

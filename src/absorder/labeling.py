@@ -39,9 +39,9 @@ def support_size_label(a: SignedPermutation, b: SignedPermutation) -> int:
 def c_sequence(w: SignedPermutation) -> tuple:
     """Sorted letters of w: all balanced letters, paired letters minus anchors."""
     values = []
-    for cyc in cycle_decomposition(w).cycles:
-        start = 1 if cyc.kind == "paired" else 0
-        values.extend(abs(a) for a in cyc.entries[start:])
+    for kind, entries in cycle_decomposition(w):
+        start = 1 if kind == "paired" else 0
+        values.extend(abs(a) for a in entries[start:])
     return tuple(sorted(values))
 
 
@@ -53,20 +53,20 @@ def canonical_chain(w: SignedPermutation) -> list:
     which inserts the letters one by one in the order and sign they carry
     in w.
     """
-    dec = cycle_decomposition(w)
+    cycles = cycle_decomposition(w)
     seq = c_sequence(w)
     chain = []
     for j in range(len(seq) + 1):
         keep = set(seq[:j])
         words = []
-        for cyc in dec.cycles:
-            if cyc.kind == "balanced":
-                sub = tuple(a for a in cyc.entries if abs(a) in keep)
+        for kind, entries in cycles:
+            if kind == "balanced":
+                sub = tuple(a for a in entries if abs(a) in keep)
                 if sub:
                     words.append(("balanced", sub))
             else:
-                sub = (cyc.entries[0],) + tuple(
-                    a for a in cyc.entries[1:] if abs(a) in keep
+                sub = (entries[0],) + tuple(
+                    a for a in entries[1:] if abs(a) in keep
                 )
                 if len(sub) > 1:
                     words.append(("paired", sub))
@@ -85,13 +85,13 @@ def reflection_order(n: int) -> list:
 
 def reflection_signature(t: SignedPermutation) -> tuple:
     """Sort key realizing the reflection order, usable as an edge label."""
-    dec = cycle_decomposition(t)
-    if len(dec.cycles) != 1 or dec.cycles[0].reflection_length != 1:
+    cycles = cycle_decomposition(t)
+    kind, entries = cycles[0] if len(cycles) == 1 else (None, ())
+    if (kind, len(entries)) not in (("balanced", 1), ("paired", 2)):
         raise LabelingError(f"{t!r} is not a reflection")
-    cyc = dec.cycles[0]
-    if cyc.kind == "balanced":
-        return (0, cyc.entries[0], 0)
-    i, j = cyc.entries
+    if kind == "balanced":
+        return (0, entries[0], 0)
+    i, j = entries
     return (1 if j > 0 else 2, i, abs(j))
 
 

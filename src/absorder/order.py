@@ -128,10 +128,11 @@ def covers_by_pattern(w: SignedPermutation) -> set:
     the 1-cycle case of the first and last moves.
     """
     n = w.n
-    dec = cycle_decomposition(w)
-    balanced = [c.entries for c in dec.balanced]
-    paired = [c.entries for c in dec.paired] + [(i,) for i in sorted(dec.fixed_points)]
-    words = [("balanced", b) for b in balanced] + [("paired", p) for p in paired]
+    words = cycle_decomposition(w)
+    moved = {abs(a) for _, entries in words for a in entries}
+    words += tuple(("paired", (i,)) for i in range(1, n + 1) if i not in moved)
+    balanced = [entries for kind, entries in words if kind == "balanced"]
+    paired = [entries for kind, entries in words if kind == "paired"]
 
     out = set()
     for p in paired:
@@ -188,18 +189,17 @@ def sn_leq_noncrossing(u: SignedPermutation, v: SignedPermutation) -> bool:
     for w, name in ((u, "u"), (v, "v")):
         if not is_member(w, "S"):
             raise ValueError(f"{name} is not sign-free")
-    vdec = cycle_decomposition(v)
-    vcycles = [c.entries for c in vdec.cycles]
+    vcycles = [entries for _, entries in cycle_decomposition(v)]
     host = {}
-    for cyc in cycle_decomposition(u).cycles:
+    for _, entries in cycle_decomposition(u):
         parent = None
         for idx, word in enumerate(vcycles):
-            if cyc.support <= set(word):
+            if set(entries) <= set(word):
                 parent = idx
                 break
-        if parent is None or not _embedded_cycle(cyc.entries, vcycles[parent]):
+        if parent is None or not _embedded_cycle(entries, vcycles[parent]):
             return False
-        host.setdefault(parent, []).append(cyc.entries)
+        host.setdefault(parent, []).append(entries)
     for idx, members in host.items():
         word = vcycles[idx]
         position = {a: i for i, a in enumerate(word)}

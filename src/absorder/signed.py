@@ -14,9 +14,12 @@ Cycle conventions used throughout:
 * a balanced cycle [a1,...,ak] is the single 2k-cycle
   (a1 ... ak -a1 ... -ak); its reflection length is k.
 
-Canonical form of a cycle word: rotate so the entry of smallest absolute
-value comes first, and take that entry positive.  Composition is right
-to left: (u * v)(i) = u(v(i)).
+The one cycle format is the word pair (kind, entries), kind 'balanced'
+or 'paired': `cycle_decomposition` returns such words, `from_cycles`
+reads them, `format_cycles` writes them as text and `parse_cycles` reads
+them back.  Canonical form of a word: rotate so the entry of smallest
+absolute value comes first, and take that entry positive.  Composition is
+right to left: (u * v)(i) = u(v(i)).
 
 One walk over the image tuple, `_orbits`, reads every element's orbits:
 reflection length and the D-membership test count how many are paired
@@ -31,7 +34,6 @@ i and +-j share an orbit or i and j both lie in balanced orbits.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 
 
 class CycleNotationError(ValueError):
@@ -92,52 +94,6 @@ def identity(n: int) -> SignedPermutation:
     return SignedPermutation(range(1, n + 1))
 
 
-class Cycle(namedtuple("Cycle", "kind entries")):
-    """A canonical cycle word; kind is 'balanced' or 'paired'."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, entries: tuple):
-        if kind not in ("balanced", "paired"):
-            raise ValueError(f"unknown cycle kind {kind!r}")
-        return super().__new__(cls, kind, entries)
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    @property
-    def reflection_length(self) -> int:
-        if self.kind == "balanced":
-            return len(self.entries)
-        return len(self.entries) - 1
-
-    @property
-    def support(self) -> frozenset:
-        return frozenset(abs(a) for a in self.entries)
-
-    def __str__(self) -> str:
-        inner = ",".join(str(a) for a in self.entries)
-        if self.kind == "balanced":
-            return f"[{inner}]"
-        return f"(({inner}))"
-
-
-class CycleDecomposition(namedtuple("CycleDecomposition",
-                                    "cycles fixed_points")):
-    """Disjoint cycle form: nontrivial cycles plus the fixed points."""
-
-    __slots__ = ()
-
-    @property
-    def balanced(self) -> tuple:
-        return tuple(c for c in self.cycles if c.kind == "balanced")
-
-    @property
-    def paired(self) -> tuple:
-        return tuple(c for c in self.cycles if c.kind == "paired")
-
-
 def _orbits(images: tuple):
     """Yield (orbit, balanced) for each orbit up to negation of `images`:
     the letters from the least unseen start until the walk returns to
@@ -160,41 +116,39 @@ def _orbits(images: tuple):
         yield orbit, x != start
 
 
-def cycle_decomposition(w: SignedPermutation) -> CycleDecomposition:
-    """Split w into balanced and paired cycles (fixed points set aside).
+def cycle_decomposition(w: SignedPermutation) -> tuple:
+    """The cycle words of w as (kind, entries) pairs, fixed points left out,
+    so that `from_cycles(cycle_decomposition(w), w.n) == w`.
 
     A balanced cycle is an orbit of w on {±1,...,±n} that is closed under
     negation; a paired cycle is one of a mirrored orbit pair.  Balanced
-    1-cycles [i] (sign flips) count as nontrivial cycles.  The cycles are
-    canonical words, in ascending order of their least letter.
+    1-cycles [i] (sign flips) count as nontrivial cycles.  The words are
+    canonical, in ascending order of their least letter.
     """
-    cycles, fixed = [], []
-    for orbit, balanced in _orbits(w.images):
-        if balanced or len(orbit) > 1:
-            kind = "balanced" if balanced else "paired"
-            cycles.append(Cycle(kind, tuple(orbit)))
-        else:
-            fixed.append(orbit[0])
-    return CycleDecomposition(tuple(cycles), frozenset(fixed))
+    return tuple(("balanced" if balanced else "paired", tuple(orbit))
+                 for orbit, balanced in _orbits(w.images)
+                 if balanced or len(orbit) > 1)
 
 
 def from_cycles(words, n: int) -> SignedPermutation:
     """Build a signed permutation from disjoint cycle words.
 
-    `words` is an iterable of (kind, entries) pairs.  Supports must be
-    disjoint and contained in {1..n}.
+    `words` is an iterable of (kind, entries) pairs, kind 'balanced' or
+    'paired', whose letters lie in {1..n} and repeat nowhere (ValueError).
     """
     images = list(range(1, n + 1))
     used = set()
     for kind, entries in words:
+        if kind not in ("balanced", "paired"):
+            raise ValueError(f"unknown cycle kind {kind!r}")
         entries = tuple(entries)
-        if not entries:
-            continue
-        for a in entries:
+        for k, a in enumerate(entries):
             if a == 0 or abs(a) > n:
                 raise ValueError(f"entry {a} out of range for n={n}")
             if abs(a) in used:
-                raise ValueError(f"entry {abs(a)} appears in two cycles")
+                where = ("more than once" if abs(a) in map(abs, entries[:k])
+                         else "in two cycles")
+                raise ValueError(f"entry {abs(a)} appears {where}")
             used.add(abs(a))
         for i, a in enumerate(entries):
             if i + 1 < len(entries):
@@ -220,10 +174,11 @@ def paired_cycle(entries, n: int) -> SignedPermutation:
 
 def format_cycles(w: SignedPermutation) -> str:
     """Serialize in cycle notation; the identity prints as 'e'."""
-    dec = cycle_decomposition(w)
-    if not dec.cycles:
-        return "e"
-    return "".join(str(c) for c in dec.cycles)
+    text = ""
+    for kind, entries in cycle_decomposition(w):
+        inner = ",".join(map(str, entries))
+        text += f"[{inner}]" if kind == "balanced" else f"(({inner}))"
+    return text or "e"
 
 
 def _parse_int(text, pos):

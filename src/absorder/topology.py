@@ -641,7 +641,7 @@ def appendix_ideal_checks(ambient: Poset) -> list:
     for flavor, target, expected_rank in targets:
         fixed, moved = fibers[target]
         gens = [g for g in bits(fixed | moved)
-                if len(cycle_decomposition(ambient.elements[g]).cycles) == 1]
+                if len(cycle_decomposition(ambient.elements[g])) == 1]
         checks.append(_checked_ideal(f"{flavor} long-cycle fiber ideal",
                                      ambient, generated(gens), expected_rank))
     for ui, u in enumerate(ambient.elements):

@@ -1,11 +1,17 @@
-"""Packed faces for the tests, written apart from `absorder.topology`.
+"""Faces for the tests, written apart from `absorder.topology`.
 
 `SimplicialComplex` takes and keeps each face, an ascending vertex tuple,
 as one int: its labels w bits each, the first most significant, w the bit
 length of the largest vertex label (at least 1).  `packed` and `tuples`
 convert between that form and tuples by dimension, with no code of the
-package, so the tests that use them check the package against them.
+package, so the tests that use them check the package against them.  The
+tuple faces are what the reference homologies read: `closure` builds a
+complex from its top faces, `by_index` relabels one by poset indices, and
+`boundary_columns` and `normalized` give the columns they eliminate.
 """
+
+import itertools
+from fractions import Fraction
 
 
 def _label_bits(largest: int) -> int:
@@ -36,3 +42,39 @@ def tuples(levels: list) -> list:
     w = _label_bits(max(levels[0], default=0))
     return [[tuple(face // 2 ** (w * k) % 2 ** w for k in range(d, -1, -1))
              for face in level] for d, level in enumerate(levels)]
+
+
+def closure(tops) -> list:
+    """Faces by dimension, each sorted, of the complex the `tops` generate."""
+    faces = set()
+    for top in tops:
+        for k in range(1, len(top) + 1):
+            faces.update(itertools.combinations(sorted(top), k))
+    by_dim = [[] for _ in range(max(map(len, faces)))]
+    for face in faces:
+        by_dim[len(face) - 1].append(face)
+    return [sorted(dim_faces) for dim_faces in by_dim]
+
+
+def by_index(indices, faces_by_dim) -> list:
+    """Faces over vertex labels as ascending tuples of the poset indices
+    `indices` gives them, each dimension sorted: the order in which
+    `cm_check` walks them."""
+    return [sorted(tuple(sorted(indices[v] for v in face)) for face in faces)
+            for faces in faces_by_dim]
+
+
+def boundary_columns(faces_by_dim, d) -> list:
+    """The boundary map from d-faces to (d-1)-faces, as row->sign columns."""
+    row_index = {face: k for k, face in enumerate(faces_by_dim[d - 1])}
+    return [{row_index[face[:k] + face[k + 1:]]: (-1) ** k
+             for k in range(d + 1)} for face in faces_by_dim[d]]
+
+
+def normalized(col, pivot_row) -> dict:
+    """`col` divided by its entry in `pivot_row`, over the rationals; the
+    references' own, so the kernel's integral one is not their oracle."""
+    pv = col[pivot_row]
+    if pv in (1, -1):
+        return {r: v * pv for r, v in col.items()}
+    return {r: Fraction(v) / pv for r, v in col.items()}

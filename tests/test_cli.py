@@ -425,6 +425,18 @@ def _absorder_process(*argv):
                             env=env)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def test_verify_json_matches_the_golden_file_byte_for_byte(profile):
+    # an intended change of verify's output rewrites tests/golden/ and says so
+    proc = _absorder_process("verify", "--profile", profile, "--format", "json")
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    assert out == (GOLDEN / f"verify_{profile}.json").read_bytes()
+
+
 def test_python_dash_m_runs_the_cli():
     proc = _absorder_process("poset", "--group", "S", "--n", "3",
                              "--format", "json")

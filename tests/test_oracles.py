@@ -68,7 +68,8 @@ from absorder.labeling import ELReport
 from absorder.order import Poset, _fibers, _graded, _lower_covers, bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
 from absorder.topology import HomologyProfile, IdealCheck, SimplicialComplex
-from packing import packed, tuples
+from packing import (boundary_columns, by_index, closure, normalized,
+                     packed, tuples)
 
 
 # --- the order induced on any member set --------------------------------------
@@ -202,16 +203,9 @@ def _direct_gap(c, lo, hi):
         topology._chains_in_mask(p, mask)[1]))
 
 
-def _by_index(indices, faces_by_dim):
-    """Faces over vertex labels as ascending tuples of the poset indices
-    `indices` gives them, each dimension sorted."""
-    return [sorted(tuple(sorted(indices[v] for v in face)) for face in faces)
-            for faces in faces_by_dim]
-
-
 def _edges_by_index(c):
     """The gaps between the two ends of an edge, lower end first."""
-    return _by_index(c.indices, tuples(c.levels)[1:2])[0]
+    return by_index(c.indices, tuples(c.levels)[1:2])[0]
 
 
 @pytest.mark.parametrize("name", GAP_CASES)
@@ -462,21 +456,6 @@ def test_el_chain_guard_trips_before_any_chain_is_labeled(monkeypatch):
 
 # --- homology by lowest cofaces ----------------------------------------------
 
-def _boundary_columns(faces_by_dim, d):
-    """The boundary map from d-faces to (d-1)-faces, as row->sign columns."""
-    row_index = {face: k for k, face in enumerate(faces_by_dim[d - 1])}
-    return [{row_index[face[:k] + face[k + 1:]]: (-1) ** k
-             for k in range(d + 1)} for face in faces_by_dim[d]]
-
-
-def _normalized(col, pivot_row):
-    """`col` divided by its entry in `pivot_row`, over the rationals."""
-    pv = col[pivot_row]
-    if pv in (1, -1):
-        return {r: v * pv for r, v in col.items()}
-    return {r: Fraction(v) / pv for r, v in col.items()}
-
-
 def _homology_by_boundary_matrices(faces_by_dim):
     """Cohomology with clearing on explicit columns: every boundary map is
     built and transposed, and each column's lowest row found by max."""
@@ -486,7 +465,7 @@ def _homology_by_boundary_matrices(faces_by_dim):
     cleared = {len(faces_by_dim[0]) - 1}
     for d in range(len(faces_by_dim) - 1):
         columns = [{} for _ in faces_by_dim[d]]
-        for i, col in enumerate(_boundary_columns(faces_by_dim, d + 1)):
+        for i, col in enumerate(boundary_columns(faces_by_dim, d + 1)):
             for r, v in col.items():
                 columns[r][i] = v
         pivots = {}
@@ -500,7 +479,7 @@ def _homology_by_boundary_matrices(faces_by_dim):
                         del col[r]
                 low = max(col, default=None)
             if low is not None:
-                pivots[low] = _normalized(col, low)
+                pivots[low] = normalized(col, low)
         ranks[d + 1] = len(pivots)
         cleared = pivots
     betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
@@ -568,7 +547,7 @@ def _same_as_the_index_walk(p, mask):
     faces = tuples(levels)
     assert all(level == sorted(level) for level in faces)
     old = _chains_by_index(p, mask)
-    assert _by_index(indices, faces) == old
+    assert by_index(indices, faces) == old
     new_profile = topology._homology_from_faces(levels)
     old_profile = topology._homology_from_faces(packed(old))
     assert new_profile == old_profile
@@ -679,7 +658,7 @@ def test_homology_and_chains_match_on_random_submasks():
             mask = sum(1 << i for i in range(len(p)) if rng.random() < density)
             indices, levels = topology._chains_in_mask(p, mask)
             faces = tuples(levels)
-            assert _by_index(indices, faces) == _chains_by_stack_and_sort(
+            assert by_index(indices, faces) == _chains_by_stack_and_sort(
                 p, mask), (p.label, k)
             profile = topology._homology_from_faces(levels)
             assert profile.reduced_betti == _homology_by_boundary_matrices(
@@ -692,21 +671,8 @@ def _random_non_flag_complex(rng):
     """The face closure of random top faces on 5-9 vertices: where the
     edges of a triangle come from different tops, the triangle is no face."""
     vertices = rng.randint(5, 9)
-    return _closure(sorted(rng.sample(range(vertices), rng.choice(
+    return closure(sorted(rng.sample(range(vertices), rng.choice(
         (1, 2, 2, 3, 3, 4)))) for _ in range(rng.randint(2, 10)))
-
-
-def _closure(tops):
-    """Faces by dimension, each sorted, of the complex the sorted `tops`
-    generate."""
-    faces = set()
-    for top in tops:
-        for k in range(1, len(top) + 1):
-            faces.update(itertools.combinations(top, k))
-    by_dim = [[] for _ in range(max(map(len, faces)))]
-    for face in faces:
-        by_dim[len(face) - 1].append(face)
-    return [sorted(dim_faces) for dim_faces in by_dim]
 
 
 def _skips_a_common_neighbour(faces_by_dim):
@@ -757,7 +723,7 @@ def _same_as_the_tuple_walk(c):
     """The tuple view of `c` holds the chains the stack walk finds, each
     face and each dimension ascending, and packs back to its levels."""
     faces = tuples(c.levels)
-    assert _by_index(c.indices, faces) == _chains_by_stack_and_sort(
+    assert by_index(c.indices, faces) == _chains_by_stack_and_sort(
         c.poset, c.member_mask), c.label
     assert all(level == sorted(level) for level in c.levels)
     assert all(level == sorted(level) and all(
@@ -810,7 +776,7 @@ def test_face_guard_trips_one_past_the_guard_with_the_same_message():
     mask = topology._strip_mask(p, "endpoints", (1 << len(p)) - 1)
     total = sum(map(len, topology._chains_in_mask(p, mask)[1]))
     indices, levels = topology._chains_in_mask(p, mask, face_guard=total)
-    assert _by_index(indices, tuples(levels)) == (
+    assert by_index(indices, tuples(levels)) == (
         _chains_by_stack_and_sort(p, mask))
     with pytest.raises(ResourceGuardError) as expected:
         _chains_by_stack_and_sort(p, mask, face_guard=total - 1)
@@ -994,7 +960,7 @@ def _ideal_checks_per_fiber(kind, n):
         for flavor, target, expected_rank in targets:
             check(f"{flavor} long-cycle fiber ideal",
                   [v for v in group.elements
-                   if len(cycle_decomposition(v).cycles) == 1
+                   if len(cycle_decomposition(v)) == 1
                    and project_pi(v, n) == target], expected_rank)
     ambient = coxeter_ideal(n, kind)
     for u in coxeter_ideal(n - 1, kind).elements:
@@ -1298,20 +1264,20 @@ def test_enumeration_matches_the_membership_filter_of_b(kind):
 # --- balanced profiles and Moebius products from the cycle type ---------------
 
 def _mu_partition_by_decomposition(w):
-    return tuple(sorted((c.length for c in cycle_decomposition(w).balanced),
-                        reverse=True))
+    return tuple(sorted((len(entries) for kind, entries in cycle_decomposition(w)
+                         if kind == "balanced"), reverse=True))
 
 
 def _mobius_element_by_decomposition(w):
-    dec = cycle_decomposition(w)
-    balanced = sum(1 for cyc in dec.cycles if cyc.kind == "balanced")
+    words = cycle_decomposition(w)
+    balanced = sum(1 for kind, _ in words if kind == "balanced")
     if balanced > 1:
         raise ValueError(
             "product form needs at most one balanced cycle, got %d" % balanced)
     value = 1
-    for cyc in dec.cycles:
-        m = len(cyc.entries)
-        if cyc.kind == "balanced":
+    for kind, entries in words:
+        m = len(entries)
+        if kind == "balanced":
             value *= (-1) ** m * comb(2 * m - 1, m)
         else:
             value *= (-1) ** (m - 1) * invariants.catalan(m - 1)
@@ -1341,10 +1307,10 @@ def test_cycle_type_reads_match_the_decomposition(kind):
 def _project_pi_by_cycles(w, i):
     """Delete +-i from the cycle word holding it and rebuild from cycles."""
     words = []
-    for c in cycle_decomposition(w).cycles:
-        entries = tuple(a for a in c.entries if abs(a) != i)
+    for kind, entries in cycle_decomposition(w):
+        entries = tuple(a for a in entries if abs(a) != i)
         if entries:
-            words.append((c.kind, entries))
+            words.append((kind, entries))
     return from_cycles(words, w.n)
 
 

@@ -1,14 +1,14 @@
 """Orbit-count reflection length and the shared downward search.
 
-`absolute_length` and D-membership count the orbits that `_orbits` walks;
-they are compared here with `cycle_decomposition`, which builds the
-cycles, and with their definitions: the fewest reflections whose product
+`absolute_length` and D-membership count the orbits that `_orbits` walks.
+Their reference is their definition: the fewest reflections whose product
 is the element, found by breadth-first search from the identity, and the
-elements of B_n that such a search over D_n's reflections reaches.  The
-shared search behind
-`build_ideal` is compared with separate per-generator searches and with the
-`abs_leq` filter of the whole group, and its guard is checked at the first
-rank it must refuse.
+elements of B_n that such a search over D_n's reflections reaches.  They
+are also read off the words of `cycle_decomposition`, which come from the
+same `_orbits` walk and so are a consistency check, not a reference.  The
+shared search behind `build_ideal` is compared with separate per-generator
+searches and with the `abs_leq` filter of the whole group, and its guard is
+checked at the first rank it must refuse.
 """
 
 import random
@@ -47,9 +47,11 @@ def _random_signed(rng, n):
 
 
 def _check_against_cycles(w, kind):
-    dec = cycle_decomposition(w)
-    assert absolute_length(w, kind) == sum(c.reflection_length for c in dec.cycles)
-    assert is_member(w, "D") == (len(dec.balanced) % 2 == 0)
+    # a balanced word costs one reflection per letter, a paired one less
+    words = cycle_decomposition(w)
+    assert absolute_length(w, kind) == sum(len(entries) - (k == "paired")
+                                           for k, entries in words)
+    assert is_member(w, "D") == (sum(k == "balanced" for k, _ in words) % 2 == 0)
 
 
 @pytest.mark.parametrize("kind,n", [("S", 5), ("B", 4), ("D", 4)])

@@ -64,31 +64,34 @@ def test_paired_cycle_orbit():
 
 def test_decomposition_splits_kinds_and_fixed_points():
     w = parse_cycles("[1,-7][3]((2,-6,-5))", 7)
-    dec = cycle_decomposition(w)
-    kinds = [(c.kind, c.entries) for c in dec.cycles]
-    assert kinds == [("balanced", (1, -7)), ("paired", (2, -6, -5)),
-                     ("balanced", (3,))]
-    assert dec.fixed_points == frozenset({4})
+    words = cycle_decomposition(w)
+    assert words == (("balanced", (1, -7)), ("paired", (2, -6, -5)),
+                     ("balanced", (3,)))
+    # the fixed point 4 is left out
+    assert set(range(1, 8)) - {abs(a) for _, e in words for a in e} == {4}
     assert absolute_length(w, "B") == 2 + 2 + 1
 
 
 def test_canonical_word_starts_at_minimal_positive_letter():
     w = from_cycles([("paired", (5, -2, 4))], 5)
-    dec = cycle_decomposition(w)
-    assert dec.cycles[0].entries[0] == 2
-    assert dec.cycles[0].entries[0] > 0
+    (kind, entries), = cycle_decomposition(w)
+    assert kind == "paired"
+    assert entries[0] == 2
+    assert entries[0] > 0
 
 
 @pytest.mark.parametrize("kind,n", [("S", 5), ("B", 4), ("D", 4)])
 def test_cycle_words_are_canonical_over_the_whole_group(kind, n):
     # each word starts at its least letter, positive, and the cycles ascend
-    # by least letter, as the orbit walk finds them with no re-pass
+    # by least letter, as the orbit walk finds them with no re-pass; the
+    # words rebuild the element
     for w in group_elements(kind, n):
-        cycles = cycle_decomposition(w).cycles
-        leads = [c.entries[0] for c in cycles]
-        assert leads == [min(c.support) for c in cycles], w.images
+        words = cycle_decomposition(w)
+        leads = [entries[0] for _, entries in words]
+        assert leads == [min(map(abs, entries)) for _, entries in words], w.images
         assert leads == sorted(leads), w.images
         assert parse_cycles(format_cycles(w), n) == w
+        assert from_cycles(words, n) == w
 
 
 def test_format_parse_round_trip():
@@ -101,6 +104,10 @@ def test_format_parse_round_trip():
 def test_parse_rejects_garbage():
     with pytest.raises(CycleNotationError):
         parse_cycles("[1,1]", 3)
+    with pytest.raises(CycleNotationError, match="entry 1 appears more than once"):
+        parse_cycles("((1,1))", 3)
+    with pytest.raises(CycleNotationError, match="entry 1 appears in two cycles"):
+        parse_cycles("((1,2))[1]", 3)
     with pytest.raises(CycleNotationError):
         parse_cycles("((1,9))", 3)
     with pytest.raises(CycleNotationError):
@@ -173,9 +180,10 @@ def test_identity_formatting():
 
 
 def _cycle_type_from_decomposition(w):
-    dec = cycle_decomposition(w)
-    paired = [c.length for c in dec.paired] + [1] * len(dec.fixed_points)
-    balanced = [c.length for c in dec.balanced]
+    words = cycle_decomposition(w)
+    fixed = w.n - sum(len(entries) for _, entries in words)
+    paired = [len(e) for kind, e in words if kind == "paired"] + [1] * fixed
+    balanced = [len(e) for kind, e in words if kind == "balanced"]
     return tuple(sorted(paired)), tuple(sorted(balanced))
 
 

@@ -4,7 +4,6 @@ import gc
 import itertools
 import random
 import tracemalloc
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -31,7 +30,8 @@ from absorder.signed import cycle_type
 from absorder.topology import (SimplicialComplex, _chains_in_mask,
                                _homology_from_faces, _subtract,
                                _smith_normal_form_diagonal)
-from packing import packed, tuples
+from packing import (boundary_columns, by_index, closure, normalized,
+                     packed, tuples)
 
 
 def test_stripped_coxeter_ideal_two_letters():
@@ -158,7 +158,7 @@ def _links_from_scratch(c):
     p = c.poset
     comparable = {v: (p.below[v] | p.above[v]) & c.member_mask & ~(1 << v)
                   for v in bits(c.member_mask)}
-    faces = [()] + [face for dim_faces in _faces_by_index(c)
+    faces = [()] + [face for dim_faces in by_index(c.indices, tuples(c.levels))
                     for face in dim_faces]
     for checked, face in enumerate(faces, 1):
         mask = c.member_mask
@@ -171,13 +171,6 @@ def _links_from_scratch(c):
                                      for v in face],
                     "failing_betti": list(profile.reduced_betti)}
     return {"ok": True, "mode": "all", "faces_checked": len(faces)}
-
-
-def _faces_by_index(c):
-    """The faces of an order complex over poset indices, each ascending
-    and each dimension sorted: the order in which `cm_check` walks them."""
-    return [sorted(tuple(sorted(c.indices[v] for v in face)) for face in faces)
-            for faces in tuples(c.levels)]
 
 
 def _on_members(p, keep, strip):
@@ -406,7 +399,7 @@ _RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
 def _rp2():
     """The barycentric subdivision of the six-vertex real projective plane:
     a flag complex on 31 vertices with H_1 = Z/2."""
-    return SimplicialComplex(None, 0, packed(_subdivided(_closure(_RP2))),
+    return SimplicialComplex(None, 0, packed(_subdivided(closure(_RP2))),
                              label="RP^2")
 
 
@@ -453,22 +446,6 @@ def test_real_projective_plane_has_two_torsion(monkeypatch):
     assert residuals == [(1, 1)]
 
 
-def _boundary_columns(faces_by_dim, d):
-    """The boundary map from d-faces to (d-1)-faces, as row->sign columns."""
-    row_index = {face: k for k, face in enumerate(faces_by_dim[d - 1])}
-    return [{row_index[face[:k] + face[k + 1:]]: (-1) ** k
-             for k in range(d + 1)} for face in faces_by_dim[d]]
-
-
-def _normalized(col, pivot_row):
-    """`col` divided by its entry in `pivot_row`, over the rationals; the
-    references' own, so the kernel's integral one is not their oracle."""
-    pv = col[pivot_row]
-    if pv in (1, -1):
-        return {r: v * pv for r, v in col.items()}
-    return {r: Fraction(v) / pv for r, v in col.items()}
-
-
 def _reduce(col, pivots):
     """Clear, in place, every pivot row of `col`; `pivots` maps a pivot row
     to its column, normalised to 1 there and zero on earlier pivot rows."""
@@ -497,7 +474,7 @@ def _smith_by_unit_pivots(columns, rows):
             col = _reduce(dict(col), pivots)
             prow = next((r for r, v in col.items() if v in (1, -1)), None)
             if prow is not None:
-                pivots[prow] = _normalized(col, prow)
+                pivots[prow] = normalized(col, prow)
                 found = True
             elif col:
                 residual.append(col)
@@ -509,7 +486,7 @@ def _smith_by_unit_pivots(columns, rows):
 
 def _torsion_by_boundary_maps(faces, dense):
     smith = _smith_normal_form_diagonal if dense else _smith_by_unit_pivots
-    return {d: [v for v in smith(_boundary_columns(faces, d), len(faces[d - 1]))
+    return {d: [v for v in smith(boundary_columns(faces, d), len(faces[d - 1]))
                 if v > 1] for d in range(1, len(faces))}
 
 
@@ -529,7 +506,7 @@ def test_torsion_matches_the_smith_form_of_boundary_maps():
     # read the faces over poset indices, where they fill in least
     maps = 0
     for name, c in _boundary_maps():
-        faces = _faces_by_index(c)
+        faces = by_index(c.indices, tuples(c.levels))
         dense = _torsion_by_boundary_maps(faces, dense=True)
         assert torsion_profile(c) == dense, name
         assert _torsion_by_boundary_maps(faces, dense=False) == dense, name
@@ -538,8 +515,9 @@ def test_torsion_matches_the_smith_form_of_boundary_maps():
     for p, top in ((full_poset("S", 5), []), (coxeter_ideal(4, "B"), []),
                    (coxeter_ideal(4, "D"), [2, 2])):
         c = order_complex(p, strip="endpoints")
+        faces = by_index(c.indices, tuples(c.levels))
         assert torsion_profile(c) == _torsion_by_boundary_maps(
-            _faces_by_index(c), dense=False) == {1: [], 2: [], 3: top}, p.label
+            faces, dense=False) == {1: [], 2: [], 3: top}, p.label
 
 
 def test_torsion_matches_the_dense_smith_form_on_random_complexes(
@@ -574,14 +552,14 @@ def test_torsion_answers_on_random_subposets_of_b4():
         c = _on_members(b4, rng.sample(range(len(b4)), rng.randint(30, 250)),
                         "endpoints")
         assert torsion_profile(c) == _torsion_by_boundary_maps(
-            _faces_by_index(c), dense=False), k
+            by_index(c.indices, tuples(c.levels)), dense=False), k
 
 
 @pytest.mark.parametrize("tops,d,cliques,faces", [
     (lambda: [(0, 1, 2, 3), (4, 5), (4, 6), (5, 6)], 1, 5, 4),
     (lambda: [(0, 1, 2, 3, 4), *itertools.combinations(range(5, 9), 3)],
      2, 6, 5),
-    (lambda: _subdivided(_closure(_RP2))[2] + [
+    (lambda: _subdivided(closure(_RP2))[2] + [
         *itertools.combinations(range(31, 35), 3), (35, 36, 37, 38)], 2, 2, 1),
 ], ids=["hollow-triangle", "hollow-tetrahedron", "rp2-beside-tetrahedra"])
 def test_homology_refuses_a_complex_not_flag_below_its_top(tops, d, cliques,
@@ -590,7 +568,7 @@ def test_homology_refuses_a_complex_not_flag_below_its_top(tops, d, cliques,
     # 3-simplex, a 4-simplex, or RP^2 and a solid tetrahedron: the
     # elimination reads cofaces off the cliques, so it must refuse, also
     # after meeting a pivot of 2 (RP^2) and for torsion
-    c = SimplicialComplex(None, 0, packed(_closure(tops())))
+    c = SimplicialComplex(None, 0, packed(closure(tops())))
     message = (f"not a flag complex at dimension {d}: {cliques} common "
                f"neighbours above the last vertices of its faces, "
                f"{faces} faces of dimension {d + 1}$")
@@ -738,7 +716,7 @@ def _rank_sparse(columns):
                     break
             if prow is None:
                 prow = next(iter(col))
-            pivots[prow] = _normalized(col, prow)
+            pivots[prow] = normalized(col, prow)
             rank += 1
     return rank
 
@@ -755,7 +733,7 @@ def _ranks_from_betti(faces):
 
 
 def _oracle_ranks(faces):
-    return [1] + [_rank_sparse(_boundary_columns(faces, d))
+    return [1] + [_rank_sparse(boundary_columns(faces, d))
                   for d in range(1, len(faces))] + [0]
 
 
@@ -769,7 +747,7 @@ def _random_complex(rng):
         tops += [[place[v] for v in triangle] for triangle in _RP2]
     for _ in range(rng.randint(1, 12)):
         tops.append(rng.sample(range(vertices), rng.choice((1, 2, 2, 3, 3, 4))))
-    return _closure(tops)
+    return closure(tops)
 
 
 def _subdivided(faces_by_dim):
@@ -778,21 +756,9 @@ def _subdivided(faces_by_dim):
     complex, so a flag complex, with the same homology groups."""
     cells = [face for dim_faces in faces_by_dim for face in dim_faces]
     index = {cell: k for k, cell in enumerate(cells)}
-    return _closure([index[tuple(sorted(flag[:k]))]
-                     for k in range(1, len(flag) + 1)]
-                    for cell in cells for flag in itertools.permutations(cell))
-
-
-def _closure(tops):
-    """Faces by dimension, each sorted, of the complex the `tops` generate."""
-    faces = set()
-    for top in tops:
-        for k in range(1, len(top) + 1):
-            faces.update(itertools.combinations(sorted(top), k))
-    by_dim = [[] for _ in range(max(map(len, faces)))]
-    for face in faces:
-        by_dim[len(face) - 1].append(face)
-    return [sorted(dim_faces) for dim_faces in by_dim]
+    return closure([index[tuple(sorted(flag[:k]))]
+                    for k in range(1, len(flag) + 1)]
+                   for cell in cells for flag in itertools.permutations(cell))
 
 
 def test_ranks_match_the_reference_on_order_complexes(monkeypatch):
@@ -806,7 +772,7 @@ def test_ranks_match_the_reference_on_order_complexes(monkeypatch):
         c = order_complex(p, strip="endpoints")
         faces = tuples(c.levels)
         assert _ranks_from_betti(faces) == _oracle_ranks(
-            _faces_by_index(c)), p.label
+            by_index(c.indices, faces)), p.label
         maps += len(faces) - 1
     assert maps == 14
     # the intervals `cm_check` eliminates once per class, one [e, w] per
@@ -824,7 +790,7 @@ def test_ranks_match_the_reference_on_order_complexes(monkeypatch):
                 c = order_complex(iv, strip=strip)
                 faces, name = tuples(c.levels), (kind, format_cycles(w), strip)
                 assert not faces or (_ranks_from_betti(faces)
-                                     == _oracle_ranks(_faces_by_index(c))), name
+                                     == _oracle_ranks(by_index(c.indices, faces))), name
                 assert not any(homology(c).torsion.values()), name
                 complexes += 1
                 maps += max(len(faces) - 1, 0)
