@@ -21,12 +21,20 @@ POSET_FORMATS = ("json", "dot", "table")
 def _build_poset(args) -> order.Poset:
     if getattr(args, "ideal", None) == "coxeter":
         return order.coxeter_ideal(args.n, args.group)
+    if getattr(args, "gen", None):
+        return order.build_ideal(
+            [parse_cycles(text, args.n) for text in args.gen], args.group)
     if getattr(args, "top", None):
         top = parse_cycles(args.top, args.n)
         bottom = (parse_cycles(args.bottom, args.n)
                   if getattr(args, "bottom", None) else identity(args.n))
         return order.build_interval(bottom, top, args.group)
     return order.full_poset(args.group, args.n)
+
+
+def _emit(fmt: str, data, table) -> None:
+    """`data` as indented JSON, or else the lines of `table`."""
+    print(json.dumps(data, indent=2) if fmt == "json" else "\n".join(table))
 
 
 def _emit_poset(p: order.Poset, fmt: str) -> None:
@@ -46,16 +54,6 @@ def _cmd_poset(args) -> int:
     return 0
 
 
-def _cmd_ideal(args) -> int:
-    if args.coxeter:
-        p = order.coxeter_ideal(args.n, args.group)
-    else:
-        gens = [parse_cycles(text, args.n) for text in args.gen]
-        p = order.build_ideal(gens, args.group)
-    _emit_poset(p, args.format)
-    return 0
-
-
 def _cmd_check_el(args) -> int:
     p = _build_poset(args)
     if args.labeling == "letter":
@@ -65,27 +63,21 @@ def _cmd_check_el(args) -> int:
     else:
         labeler = labeling.join_position_labeler(p)
     report = labeling.verify_el(p, labeler=labeler)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        verdict = "EL" if report.ok else "not EL"
-        print(f"{p.label}: {verdict} under the {args.labeling} labeling "
-              f"({report.intervals_checked} intervals, "
-              f"{report.chains_checked} chains)")
-        if not report.ok:
-            print(f"  failure: {report.failure}")
+    verdict = "EL" if report.ok else "not EL"
+    _emit(args.format, report.to_json(), [
+        f"{p.label}: {verdict} under the {args.labeling} labeling "
+        f"({report.intervals_checked} intervals, "
+        f"{report.chains_checked} chains)"]
+        + ([] if report.ok else [f"  failure: {report.failure}"]))
     return 0 if report.ok else 1
 
 
 def _cmd_lattice_scan(args) -> int:
     report = lattice.prediction_scan(args.group, args.n)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(f"kind {report.kind}, rank {report.n}: {report.checked} "
-              f"intervals, {len(report.mismatches)} prediction mismatches")
-        for miss in report.mismatches:
-            print(f"  {miss}")
+    _emit(args.format, report.to_json(), [
+        f"kind {report.kind}, rank {report.n}: {report.checked} "
+        f"intervals, {len(report.mismatches)} prediction mismatches"]
+        + [f"  {miss}" for miss in report.mismatches])
     return 0 if report.ok() else 1
 
 
@@ -96,21 +88,14 @@ def _cmd_invariants(args) -> int:
         closed = closed_form(*sizes)
         census = invariants.census(build(*sizes))
         agree = closed.matches(census)
-        if args.format == "json":
-            print(json.dumps({"closed_form": closed.to_json(),
-                              "census": census.to_json(),
-                              "agree": agree}, indent=2))
-        else:
-            print("closed form:", closed.to_json())
-            print("census:     ", census.to_json())
-            print("agree:", agree)
+        _emit(args.format, {"closed_form": closed.to_json(),
+                            "census": census.to_json(), "agree": agree},
+              [f"closed form: {closed.to_json()}",
+               f"census:      {census.to_json()}", f"agree: {agree}"])
         return 0 if agree else 1
     p = _build_poset(args)
-    report = invariants.census(p)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(f"{p.label}: {report.to_json()}")
+    report = invariants.census(p).to_json()
+    _emit(args.format, report, [f"{p.label}: {report}"])
     return 0
 
 
@@ -132,11 +117,8 @@ def _cmd_topology(args) -> int:
     if args.torsion:
         payload["torsion"] = {str(d): factors for d, factors in
                               topology.torsion_profile(complex_).items()}
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    _emit(args.format, payload,
+          [f"{key}: {value}" for key, value in payload.items()])
     return 0 if ok else 1
 
 
@@ -156,33 +138,26 @@ def _cmd_gf(args) -> int:
                 build(n), strip="endpoints")
             rows[n]["computed"] = computed
             ok = ok and computed == chi
-    if args.format == "json":
-        print(json.dumps({"family": args.family, "rows": rows, "ok": ok},
-                         indent=2))
-    else:
-        for n, row in rows.items():
-            line = f"  rank {n}: predicted {row['predicted']}"
-            if "computed" in row:
-                line += f", computed {row['computed']}"
-            print(line)
-        print("ok:", ok)
+    _emit(args.format, {"family": args.family, "rows": rows, "ok": ok},
+          [f"  rank {n}: predicted {row['predicted']}"
+           + (f", computed {row['computed']}" if "computed" in row else "")
+           for n, row in rows.items()] + [f"ok: {ok}"])
     return 0 if ok else 1
 
 
 def _cmd_verify(args) -> int:
     report = verify.run_verify_suite(profile=args.profile, seed=args.seed,
                                      fault=args.inject_fault)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for r in report.results:
-            flag = "PASS" if r.verdict else "FAIL"
-            print(f"[{flag}] {r.claim}: {r.statement}")
-            if not r.verdict:
-                print(f"       expected: {r.expected}")
-                print(f"       computed: {r.computed}")
-        print(f"{'all claims hold' if report.ok() else 'CLAIMS FAILED'} "
-              f"(profile {report.profile}, seed {report.seed})")
+    table = []
+    for r in report.results:
+        table.append(f"[{'PASS' if r.verdict else 'FAIL'}] {r.claim}: "
+                     f"{r.statement}")
+        if not r.verdict:
+            table += [f"       expected: {r.expected}",
+                      f"       computed: {r.computed}"]
+    table.append(f"{'all claims hold' if report.ok() else 'CLAIMS FAILED'} "
+                 f"(profile {report.profile}, seed {report.seed})")
+    _emit(args.format, report.to_json(), table)
     return 0 if report.ok() else 1
 
 
@@ -244,11 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("ideal", help="render an order ideal")
     _add_common(sub, POSET_FORMATS)
     which = sub.add_mutually_exclusive_group(required=True)
-    which.add_argument("--coxeter", action="store_true",
-                       help="ideal generated by all maximal cycles")
+    which.add_argument("--coxeter", dest="ideal", action="store_const",
+                       const="coxeter", help="ideal generated by all maximal cycles")
     which.add_argument("--gen", action="append",
                        help="generator in cycle notation (repeatable)")
-    sub.set_defaults(handler=_cmd_ideal)
+    sub.set_defaults(handler=_cmd_poset)
 
     sub = subs.add_parser("check-el", help="verify an edge labeling")
     _add_common(sub, FORMATS, top=True)

@@ -71,9 +71,7 @@ class FormalPowerSeries:
             [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n)
 
     def __sub__(self, other):
-        n = self._common(other)
-        return FormalPowerSeries(
-            [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n)
+        return self + -other
 
     def __neg__(self):
         return FormalPowerSeries([-c for c in self.coeffs], self.order)

@@ -34,6 +34,7 @@ i and +-j share an orbit or i and j both lie in balanced orbits.
 from __future__ import annotations
 
 import itertools
+from math import prod
 
 
 class CycleNotationError(ValueError):
@@ -364,13 +365,8 @@ def group_elements(kind: str, n: int):
 
 
 def group_order(kind: str, n: int) -> int:
-    import math
-
-    if kind == "S":
-        return math.factorial(n)
-    if kind == "B":
-        return (2 ** n) * math.factorial(n)
-    return (2 ** max(n - 1, 0)) * math.factorial(n)
+    """|W|, the product of the degrees e_i + 1."""
+    return prod(e + 1 for e in exponents(kind, n))
 
 
 def exponents(kind: str, n: int) -> tuple:

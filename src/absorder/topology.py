@@ -12,7 +12,6 @@ import itertools
 from bisect import bisect
 from collections import namedtuple
 from functools import reduce, wraps
-from heapq import heapify, heappop, heappush
 from itertools import repeat
 from math import gcd
 from operator import and_
@@ -26,7 +25,8 @@ from .signed import (balanced_cycle, cycle_decomposition, cycle_type,
 FACE_GUARD = 5_000_000
 # Most entries, rows x columns, of the residual that the homology elimination
 # hands to the dense Smith normal form; only the columns it defers, those
-# left with a lowest entry other than +-1, go there.
+# left with a lowest entry other than +-1, go there, and of those only the
+# ones left when the unit pass has taken every column with a +-1 entry.
 TORSION_GUARD = 250_000
 
 
@@ -276,13 +276,17 @@ def _homology_from_faces(levels: list) -> HomologyProfile:
     kept as its face has, so every column operation is unimodular and
     clearing holds over Z (the cocycle's +-1 in row i makes column i an
     integer combination of earlier ones).  Any other reduced column is
-    deferred, and at the end of its dimension cleared on every pivot row,
-    highest first, from a heap.  The residual left is zero on every pivot
-    row and the pivots are unitriangular on theirs, so the Smith form of
-    delta^d is ones for the pivots and that of the residual, from
-    `_smith_normal_form_diagonal` once TORSION_GUARD admits its rows x
-    columns.  Its factors add to the rank; those above 1 are the torsion of
-    the boundary map d + 1, the transpose of delta^d.
+    deferred, and at the end of its dimension cleared in one sweep over the
+    pivot rows, highest first: a pivot has no entry above its own row, so a
+    row once cleared is never filled again.  The residual left is zero on
+    every pivot row and the pivots are unitriangular on theirs, so the Smith
+    form of delta^d is ones for the pivots and that of the residual.  While
+    a residual column holds a +-1 in some row, that is one more factor 1:
+    the column goes, and the row is cleared from the others.  What is left,
+    empty columns dropped, goes to `_smith_normal_form_diagonal` once
+    TORSION_GUARD admits its rows x columns.  The factors add to the rank;
+    those above 1 are the torsion of the boundary map d + 1, the transpose
+    of delta^d.
     """
     if not levels or not levels[0]:
         return HomologyProfile(())
@@ -336,16 +340,21 @@ def _homology_from_faces(levels: list) -> HomologyProfile:
                 f"{len(levels[d + 1])} faces of dimension {d + 1}")
         factors = []
         if deferred:
-            for col in deferred:  # rows negated: the heap pops the highest
-                rows = [-r for r in col if r in pivots]
-                heapify(rows)
-                while rows:
-                    low = -heappop(rows)
+            for low in sorted(pivots, reverse=True):
+                for col in deferred:
                     if low in col:
-                        pivot = _pivot(pivots, low, get, shifts)
-                        _subtract(col, col[low], pivot)
-                        for r in pivot.keys() & pivots.keys():
-                            heappush(rows, -r)
+                        _subtract(col, col[low],
+                                  _pivot(pivots, low, get, shifts))
+            while unit := next(((k, r) for k, col in enumerate(deferred)
+                                for r, v in col.items() if v * v == 1), None):
+                k, r = unit
+                col = deferred.pop(k)
+                for other in deferred:
+                    if r in other:
+                        _subtract(other, other[r] * col[r], col)
+                factors.append(1)
+            deferred = [col for col in deferred if col]
+        if deferred:
             index = {r: k for k, r in enumerate(
                 dict.fromkeys(itertools.chain.from_iterable(deferred)))}
             if len(index) * len(deferred) > TORSION_GUARD:
@@ -353,7 +362,7 @@ def _homology_from_faces(levels: list) -> HomologyProfile:
                     f"torsion guard exceeded at dimension {d + 1}: a residual "
                     f"of {len(index)}x{len(deferred)} entries for the dense "
                     f"Smith form, more than the guard {TORSION_GUARD}")
-            factors = _smith_normal_form_diagonal(
+            factors += _smith_normal_form_diagonal(
                 [{index[r]: v for r, v in col.items()} for col in deferred],
                 len(index))
         ranks[d + 1] = len(pivots) + len(factors)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -143,11 +144,16 @@ def test_group_orders_and_enumeration():
     assert group_order("S", 4) == 24
     assert group_order("B", 3) == 48
     assert group_order("D", 4) == 192
-    for kind, n in (("S", 4), ("B", 3), ("D", 4)):
+    for kind, n in itertools.product("SBD", range(6)):
         elements = list(group_elements(kind, n))
         assert len(elements) == group_order(kind, n)
         assert len(set(elements)) == len(elements)
         assert all(is_member(w, kind) for w in elements)
+
+
+def test_group_order_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown group kind"):
+        group_order("X", 3)
 
 
 def test_exponents():
