@@ -19,12 +19,11 @@ from .signed import (
     group_elements,
     group_order,
     identity,
-    is_hook,
     is_member,
-    mu_partition,
     paired_cycle,
     parse_cycles,
     reflection_set,
+    signed_cycle_types,
 )
 from .order import (
     Poset,

@@ -3,15 +3,16 @@
 A closed interval of the signed-group order is a lattice exactly when the
 multiset of balanced-cycle lengths of its top element is a hook partition;
 inside the even subgroup the admissible profiles collapse to (), (k,1) and
-(1,1,1,1).  `prediction_scan` confronts those predictions with brute-force meet
-existence over a whole group at once.
+(1,1,1,1).  `prediction_scan` confronts those predictions with brute-force
+meet existence on one interval [e, w] per conjugacy class.
 """
 
 from collections import namedtuple
 
 from .order import (Poset, _greatest, _least, _resolve, bits, build_ideal,
-                    full_poset)
-from .signed import SignedPermutation, is_hook, is_member, mu_partition
+                    build_interval)
+from .signed import (SignedPermutation, cycle_type, identity, is_member,
+                     signed_cycle_types)
 
 
 def _maximal_of(p: Poset, mask: int) -> list:
@@ -46,22 +47,20 @@ def is_lattice(p: Poset) -> LatticeVerdict:
     """
     if not p.is_bounded():
         raise ValueError("lattice check needs a bounded poset")
-    witness = _meet_failure(p, list(range(len(p))))
+    witness = _meet_failure(p)
     return LatticeVerdict(witness is None, witness)
 
 
-def _meet_failure(p: Poset, members: list):
-    """Witness for the first pair of members without a meet in p, or None.
+def _meet_failure(p: Poset):
+    """Witness for the first pair of elements of p without a meet, or None.
 
-    Lower bounds are taken in all of p, so for the members below one
-    element of p this decides whether the interval under it is a lattice.
     Each pair costs one mask comparison (`order._greatest`, inlined: all
     common lower bounds lie below the highest-indexed one).
     """
     below = p.below
-    for a, i in enumerate(members):
-        for j in members[a + 1:]:
-            common = below[i] & below[j]
+    for i, below_i in enumerate(below):
+        for j in range(i + 1, len(below)):
+            common = below_i & below[j]
             if not common or common & ~below[common.bit_length() - 1]:
                 tops = _maximal_of(p, common)
                 return {
@@ -81,11 +80,11 @@ def predict_lattice(w: SignedPermutation, kind: str = "B") -> bool:
     """
     if not is_member(w, kind):
         raise ValueError(f"element is not of kind {kind}")
-    mu = mu_partition(w)
+    mu = cycle_type(w)[1]  # ascending: a hook is (1, ..., 1, k)
     if kind == "B":
-        return is_hook(mu)
+        return all(part == 1 for part in mu[:-1])
     if kind == "D":
-        return mu == () or mu == (1, 1, 1, 1) or (len(mu) == 2 and mu[1] == 1)
+        return mu in ((), (1, 1, 1, 1)) or len(mu) == 2 and mu[0] == 1
     raise ValueError(f"no lattice prediction for kind {kind!r}")
 
 
@@ -100,30 +99,26 @@ class ScanReport(namedtuple("ScanReport", "kind n checked mismatches")):
 
 
 def prediction_scan(kind: str, n: int) -> ScanReport:
-    """Compare predict_lattice with brute force over every interval [e, w].
+    """Compare predict_lattice with brute force on [e, w] for one w of each
+    conjugacy class (isomorphic intervals), counted at its size in `checked`.
 
-    Works inside one ambient group poset, so each interval check is a pure
-    bitmask pass; mismatching elements are reported with their witnesses.
-    Only kinds B and D have a prediction; `full_poset`'s POSET_GUARD bounds
-    the group.
+    Only kinds B and D have a prediction, asked before anything is built;
+    POSET_GUARD bounds each interval.
     """
-    if kind not in ("B", "D"):
-        raise ValueError(f"no lattice prediction for kind {kind!r}")
-    ambient = full_poset(kind, n)
-    mismatches = []
-    for wi, w in enumerate(ambient.elements):
+    checked, mismatches = 0, []
+    for ctype, w, size in signed_cycle_types(kind, n):
         predicted = predict_lattice(w, kind)
-        witness = _meet_failure(ambient, list(bits(ambient.below[wi])))
-        found = witness is None
-        if found != predicted:
+        witness = _meet_failure(build_interval(identity(n), w, kind))
+        if (witness is None) != predicted:
             mismatches.append({
                 "w": repr(w),
-                "profile": list(mu_partition(w)),
+                "profile": list(ctype[1][::-1]),
                 "predicted": predicted,
-                "is_lattice": found,
+                "is_lattice": witness is None,
                 "witness": witness,
             })
-    return ScanReport(kind, n, len(ambient), mismatches)
+        checked += size
+    return ScanReport(kind, n, checked, mismatches)
 
 
 def maximal_common_lower_bounds(u: SignedPermutation, v: SignedPermutation,

@@ -34,7 +34,7 @@ i and +-j share an orbit or i and j both lie in balanced orbits.
 from __future__ import annotations
 
 import itertools
-from math import prod
+from math import factorial, prod
 
 
 class CycleNotationError(ValueError):
@@ -247,9 +247,11 @@ def parse_cycles(text: str, n: int) -> SignedPermutation:
 KINDS = ("S", "B", "D")
 
 
-def _check_kind(kind):
+def _check_kind(kind, n=0):
     if kind not in KINDS:
         raise ValueError(f"unknown group kind {kind!r}")
+    if n < 0:
+        raise ValueError(f"negative rank {n}")
 
 
 def cycle_type(w: SignedPermutation) -> tuple:
@@ -295,7 +297,7 @@ def reflection_set(kind: str, n: int) -> tuple:
     B_n: the n sign flips [i] plus ((i,j)) and ((i,-j)) for i<j (n^2 total);
     D_n drops the sign flips; S_n keeps only the plain transpositions.
     """
-    _check_kind(kind)
+    _check_kind(kind, n)
     refs = []
     if kind == "B":
         refs.extend(balanced_cycle((i,), n) for i in range(1, n + 1))
@@ -307,16 +309,6 @@ def reflection_set(kind: str, n: int) -> tuple:
     return tuple(refs)
 
 
-def mu_partition(w: SignedPermutation) -> tuple:
-    """Lengths of the balanced cycles of w, weakly decreasing."""
-    return cycle_type(w)[1][::-1]
-
-
-def is_hook(mu: tuple) -> bool:
-    """True when mu is empty or of the form (k, 1, 1, ..., 1)."""
-    return all(part == 1 for part in mu[1:])
-
-
 def coxeter_elements(kind: str, n: int):
     """Yield the Coxeter elements, deduplicated as permutations.
 
@@ -325,7 +317,7 @@ def coxeter_elements(kind: str, n: int):
     trivial groups S_0, S_1, B_0, D_0 and D_1 have one Coxeter element, the
     identity, the product of their empty set of simple reflections.
     """
-    _check_kind(kind)
+    _check_kind(kind, n)
     if n < (1 if kind == "B" else 2):
         yield identity(n)
         return
@@ -355,7 +347,7 @@ def group_elements(kind: str, n: int):
     """Iterate over every element of the group (desk scale only), signs
     fastest.  D_n keeps the sign vectors with evenly many -1: a balanced
     orbit changes sign an odd number of times, a paired one evenly."""
-    _check_kind(kind)
+    _check_kind(kind, n)
     signs = [(1,) * n] if kind == "S" else list(itertools.product((1, -1), repeat=n))
     if kind == "D":
         signs = [s for s in signs if s.count(-1) % 2 == 0]
@@ -372,7 +364,7 @@ def group_order(kind: str, n: int) -> int:
 def exponents(kind: str, n: int) -> tuple:
     """Exponents e_1..e_n; the rank sizes of Abs are the coefficients of
     prod_i (1 + e_i t)."""
-    _check_kind(kind)
+    _check_kind(kind, n)
     if kind == "S":
         return tuple(range(1, n))
     if kind == "B":
@@ -380,3 +372,37 @@ def exponents(kind: str, n: int) -> tuple:
     if n < 2:  # D_0 and D_1 are trivial
         return ()
     return tuple(range(1, 2 * n - 2, 2)) + (n - 1,)
+
+
+def _partitions(n: int, most: int | None = None):
+    """The partitions of n into parts of at most `most`, largest first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, most or n), 0, -1):
+        yield from ((first,) + rest for rest in _partitions(n - first, first))
+
+
+def signed_cycle_types(kind: str, n: int):
+    """Yield (type, representative, class_size) for each conjugacy class of
+    S_n (kind S) or B_n (kind B), or each B_n class in D_n (kind D: evenly
+    many balanced cycles; B_n conjugation preserves D's order too).
+
+    `type` is `cycle_type`'s; the representative lays the paired, then the
+    balanced cycles on consecutive letters.  The size is |W| over the
+    centraliser: prod m^a a! over the a m-cycles of S_n, prod (2m)^a a!
+    over the paired and over the balanced m-cycles of B_n.  Most balanced
+    letters come first, largest part first, so B_n's Coxeter class leads.
+    """
+    _check_kind(kind, n)
+    scale = 1 if kind == "S" else 2  # |S_n| = n!, |B_n| = 2^n n!
+    for k in range(0 if kind == "S" else n, -1, -1):
+        for balanced, paired in itertools.product(_partitions(k), _partitions(n - k)):
+            if kind == "D" and len(balanced) % 2:
+                continue
+            words, centraliser, letters = [], 1, itertools.count(1)
+            for word_kind, parts in (("paired", paired), ("balanced", balanced)):
+                for i, m in enumerate(parts):  # the a-th m-cycle: scale m a
+                    words.append((word_kind, tuple(itertools.islice(letters, m))))
+                    centraliser *= scale * m * parts[:i + 1].count(m)
+            yield ((paired[::-1], balanced[::-1]), from_cycles(words, n),
+                   scale ** n * factorial(n) // centraliser)

@@ -10,7 +10,7 @@ included, must have reduced homology concentrated in its top dimension.
 import gc
 import itertools
 from bisect import bisect
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import reduce, wraps
 from itertools import repeat
 from math import gcd
@@ -20,7 +20,7 @@ from .order import (Poset, ResourceGuardError, _fibers, _graded, _greatest,
                     _hall_mobius, _least, bits)
 from .series import _convolve
 from .signed import (balanced_cycle, cycle_decomposition, cycle_type,
-                     format_cycles, paired_cycle)
+                     format_cycles, paired_cycle, signed_cycle_types)
 
 FACE_GUARD = 5_000_000
 # Most entries, rows x columns, of the residual that the homology elimination
@@ -427,14 +427,11 @@ def _poly_mul(a: tuple, b: tuple) -> tuple:
 
 
 def _conjugation_invariant(p: Poset, mask: int) -> bool:
-    """Whether conjugating each member by each simple generator (adjacent
-    transpositions, and for kinds B and D the sign change of 1) lands on a
-    member; then g M g^-1 = M for the whole group, as M is finite."""
-    gens = [paired_cycle((i, i + 1), p.n) for i in range(1, p.n)]
-    gens += [balanced_cycle((1,), p.n)] if p.kind != "S" and p.n else []
-    # a conjugate outside p gets index len(p), a bit no mask has
-    return all(mask >> p.index.get(s * p.elements[i] * s, len(p)) & 1
-               for i in bits(mask) for s in gens)
+    """Whether the members are a union of conjugacy classes (of S_n for
+    kind S, else of B_n): as many of each cycle type as its class holds."""
+    sizes = {t: size for t, _, size in signed_cycle_types(p.kind, p.n)}
+    counts = Counter(cycle_type(p.elements[i]) for i in bits(mask))
+    return all(sizes[t] == count for t, count in counts.items())
 
 
 def _poly_of(h: HomologyProfile) -> tuple:
@@ -446,7 +443,7 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
     p = c.poset
     polys = {(None, None): _poly_of(whole)}
     classes, sides = {}, {}
-    invariant = None
+    invariant = _conjugation_invariant(p, c.member_mask)
     bottom, top = (end if end is not None and not c.member_mask >> end & 1
                    else None for end in (p.bottom(), p.top()))
 
@@ -454,7 +451,6 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
         return _poly_of(_homology_from_faces(_chains_in_mask(p, mask)[1]))
 
     def gap(lo, hi) -> tuple:
-        nonlocal invariant
         if (lo, hi) not in polys:
             mask = c.member_mask
             if lo is not None:
@@ -463,8 +459,6 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
                 mask &= p.below[hi] & ~(1 << hi)
             x, y = bottom if lo is None else lo, top if hi is None else hi
             if x is None or y is None:
-                if invariant is None:
-                    invariant = _conjugation_invariant(p, c.member_mask)
                 end = hi if lo is None else lo  # below end iff lo is None
                 key = ((lo is None, cycle_type(p.elements[end])) if invariant
                        else (lo, hi))
@@ -511,10 +505,10 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     never fails, so the pass over distinct gaps skips those edges.
 
     A gap open at one end, (x, open) or (open, y), lies in no interval.
-    When the member set M is closed under conjugation (decided once, when
-    such a gap first occurs), g carries (x, open) onto (g x g^-1, open)
-    inside M, so each side and cycle type of the end is eliminated once;
-    for any other M each such gap is eliminated apart.
+    When the member set M is closed under conjugation (decided once, by
+    class counts), g carries (x, open) onto (g x g^-1, open) inside M, so
+    each side and cycle type of the end is eliminated once; for any other
+    M each such gap is eliminated apart.
     """
     whole = homology(c)
     gap = _gap_polys(c, whole)

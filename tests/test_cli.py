@@ -84,7 +84,7 @@ def test_check_el_collapsed_on_flip_interval(capsys):
 def test_lattice_scan_and_guard(capsys):
     assert main(["lattice-scan", "--group", "B", "--n", "3"]) == 0
     capsys.readouterr()
-    assert main(["lattice-scan", "--group", "B", "--n", "6"]) == 3
+    assert main(["lattice-scan", "--group", "B", "--n", "8"]) == 3
     assert "resource guard" in capsys.readouterr().err
     assert main(["lattice-scan", "--group", "S", "--n", "3"]) == 2
     assert "no lattice prediction" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Meets, joins, lattice detection, and the interval lattice scans."""
 
 import random
+import time
 
 import pytest
 
@@ -17,9 +18,10 @@ from absorder import (
     predict_lattice,
     prediction_scan,
 )
-from absorder import lattice, order
-from absorder.order import abs_leq, elements_below
-from absorder.signed import SignedPermutation, group_elements
+from absorder import lattice, order, signed
+from absorder.order import abs_leq, bits, elements_below
+from absorder.signed import (SignedPermutation, cycle_type, group_elements,
+                             group_order)
 
 
 def test_meet_and_join_on_a_lattice_interval():
@@ -124,19 +126,22 @@ def test_prediction_scan_even_small():
 
 def test_prediction_scan_guard(monkeypatch):
     def no_elements(*args):
-        raise AssertionError("elements generated past the guard")
+        raise AssertionError("a whole group was enumerated")
 
     with monkeypatch.context() as patched:
         patched.setattr(order, "group_elements", no_elements)
-        with pytest.raises(ResourceGuardError, match="46080 elements"):
-            prediction_scan("B", 6)
-        with pytest.raises(ResourceGuardError, match="23040 elements"):
-            prediction_scan("D", 6)
-    monkeypatch.setattr(order, "POSET_GUARD", 48)
+        patched.setattr(signed, "group_elements", no_elements)
+        start = time.perf_counter()
+        # the Coxeter class leads: binom(16, 8) = 12870 elements below it
+        with pytest.raises(ResourceGuardError, match="from \\[1,2,3,4,5,6,7,8\\]"):
+            prediction_scan("B", 8)
+        assert time.perf_counter() - start < 2
+    monkeypatch.setattr(order, "POSET_GUARD", 20)
     assert prediction_scan("B", 3).checked == 48
-    monkeypatch.setattr(order, "POSET_GUARD", 47)
+    monkeypatch.setattr(order, "POSET_GUARD", 19)
     with pytest.raises(ResourceGuardError,
-                       match="48 elements, more than the guard 47$"):
+                       match="from \\[1,2,3\\] in kind B reached 20 elements, "
+                             "more than the guard 19$"):
         prediction_scan("B", 3)
 
 
@@ -144,9 +149,63 @@ def test_prediction_scan_rejects_kind_s_before_building(monkeypatch):
     def no_poset(*args):
         raise AssertionError("built a poset for a kind with no prediction")
 
-    monkeypatch.setattr(lattice, "full_poset", no_poset)
+    monkeypatch.setattr(lattice, "build_interval", no_poset)
     with pytest.raises(ValueError, match="no lattice prediction for kind 'S'"):
         prediction_scan("S", 3)
+
+
+def _meet_failure_among(p, members):
+    """Witness for the first pair of members without a meet, lower bounds
+    taken in all of p: for the members below one element of p, whether the
+    interval under it is a lattice."""
+    below = p.below
+    for a, i in enumerate(members):
+        for j in members[a + 1:]:
+            common = below[i] & below[j]
+            if not common or common & ~below[common.bit_length() - 1]:
+                return p.elements[i], p.elements[j]
+    return None
+
+
+def _whole_group_scan(kind, n):
+    """The scan `prediction_scan` reduces: every element's interval, as the
+    members below it in the whole group; the cycle types that mismatch."""
+    ambient = full_poset(kind, n)
+    mismatched = set()
+    for i, w in enumerate(ambient.elements):
+        found = _meet_failure_among(ambient, list(bits(ambient.below[i]))) is None
+        if found != lattice.predict_lattice(w, kind):
+            mismatched.add(cycle_type(w))
+    return len(ambient), mismatched
+
+
+def _scan_types(kind, n):
+    report = prediction_scan(kind, n)
+    return report.checked, {cycle_type(parse_cycles(m["w"], n))
+                            for m in report.mismatches}
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in "BD"
+                                    for n in range(2, 6)])
+def test_one_interval_per_class_matches_the_whole_group_scan(kind, n):
+    assert _scan_types(kind, n) == _whole_group_scan(kind, n) == (
+        group_order(kind, n), set())
+
+
+def test_a_wrong_rule_mismatches_the_same_classes_on_both_routes(monkeypatch):
+    right = lattice.predict_lattice
+
+    def wrong(w, kind="B"):
+        balanced = cycle_type(w)[1]
+        if kind == "B":
+            return len(balanced) <= 1
+        return right(w, kind) and balanced != (1, 1, 1, 1)
+
+    monkeypatch.setattr(lattice, "predict_lattice", wrong)
+    for kind in "BD":
+        checked, mismatched = _scan_types(kind, 4)
+        assert mismatched
+        assert (checked, mismatched) == _whole_group_scan(kind, 4)
 
 
 def test_prediction_scan_even_rank_five():

@@ -54,7 +54,6 @@ from absorder import (
     join,
     join_position_labeler,
     meet,
-    mu_partition,
     order_complex,
     paired_cycle,
     parse_cycles,
@@ -319,15 +318,19 @@ def test_meet_and_join_match_the_maximal_and_minimal_bounds():
                     p.elements[tops[0]] if len(tops) == 1 else None)
                 assert join(p, i, j) == (
                     p.elements[bottoms[0]] if len(bottoms) == 1 else None)
-        members = list(range(len(p)))
-        witness = lattice._meet_failure(p, members)
-        assert witness == _meet_failure_by_maximal(p, members), p.label
+        witness = lattice._meet_failure(p)
+        assert witness == _meet_failure_by_maximal(p, range(len(p))), p.label
         subposets_with_failures += witness is not None
-        for top in range(len(p)):
-            members = list(bits(p.below[top]))
-            assert (lattice._meet_failure(p, members)
-                    == _meet_failure_by_maximal(p, members))
     assert subposets_with_failures >= 10
+
+
+def test_meet_failure_of_each_interval_matches_the_members_below_its_top():
+    for ambient in _lattice_cases()[:3]:
+        e = identity(ambient.n)
+        for top, w in enumerate(ambient.elements):
+            interval = build_interval(e, w, ambient.kind)
+            assert (lattice._meet_failure(interval) == _meet_failure_by_maximal(
+                ambient, list(bits(ambient.below[top])))), w
 
 
 # --- EL by label states, one walk per bottom ---------------------------------
@@ -1295,7 +1298,7 @@ def _outcome(f, w):
 def test_cycle_type_reads_match_the_decomposition(kind):
     refused = 0
     for w in group_elements(kind, 4):
-        assert mu_partition(w) == _mu_partition_by_decomposition(w), w
+        assert cycle_type(w)[1][::-1] == _mu_partition_by_decomposition(w), w
         got = _outcome(invariants.mobius_element, w)
         assert got == _outcome(_mobius_element_by_decomposition, w), w
         refused += isinstance(got, str)

@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from absorder import coxeter_ideal, full_poset, predict_lattice, signed
 from absorder.signed import (
     CycleNotationError,
     SignedPermutation,
@@ -17,12 +19,11 @@ from absorder.signed import (
     group_elements,
     group_order,
     identity,
-    is_hook,
     is_member,
-    mu_partition,
     paired_cycle,
     parse_cycles,
     reflection_set,
+    signed_cycle_types,
 )
 
 
@@ -172,12 +173,53 @@ def test_coxeter_elements_have_rank_length():
 
 
 def test_mu_partition_and_hooks():
+    # the balanced profile is the second half of the cycle type, ascending
     w = parse_cycles("[1,-5][2,7][6]((3,4))", 8)
-    assert mu_partition(w) == (2, 2, 1)
-    assert mu_partition(parse_cycles("((1,2))", 3)) == ()
-    assert mu_partition(parse_cycles("[1,2,3]", 3)) == (3,)
-    assert is_hook(()) and is_hook((4,)) and is_hook((3, 1, 1))
-    assert not is_hook((2, 2)) and not is_hook((3, 2, 1))
+    assert cycle_type(w)[1] == (1, 2, 2)
+    assert cycle_type(parse_cycles("((1,2))", 3))[1] == ()
+    assert cycle_type(parse_cycles("[1,2,3]", 3))[1] == (3,)
+    hooks = ("((1,2))", "[1,2,3,4]", "[1,2,3][4][5]")
+    others = ("[1,2][3,4]", "[1,2,3][4,5][6]")
+    for text, expected in [(t, True) for t in hooks] + [(t, False) for t in others]:
+        assert predict_lattice(parse_cycles(text, 6), "B") is expected, text
+
+
+def test_negative_ranks_are_refused():
+    for call in (lambda: group_order("B", -1),
+                 lambda: exponents("S", -1),
+                 lambda: list(group_elements("D", -2)),
+                 lambda: list(coxeter_elements("B", -1)),
+                 lambda: reflection_set("S", -1),
+                 lambda: list(signed_cycle_types("B", -1)),
+                 lambda: coxeter_ideal(-1, "B"),
+                 lambda: full_poset("S", -1),
+                 lambda: full_poset("B", -1)):
+        with pytest.raises(ValueError, match="negative rank -[12]$"):
+            call()
+
+
+@pytest.mark.parametrize("kind,n", list(itertools.product("SBD", range(6))))
+def test_signed_cycle_types_match_counting(kind, n):
+    table = list(signed_cycle_types(kind, n))
+    counts = Counter(cycle_type(w) for w in group_elements(kind, n))
+    assert [t for t, _, _ in table] == list(dict.fromkeys(t for t, _, _ in table))
+    assert {t: size for t, _, size in table} == counts
+    for t, representative, _ in table:
+        assert cycle_type(representative) == t
+        assert is_member(representative, kind)
+
+
+def test_signed_cycle_types_sum_to_the_group_order(monkeypatch):
+    def no_elements(*args):
+        raise AssertionError("a whole group was enumerated")
+
+    monkeypatch.setattr(signed, "group_elements", no_elements)
+    for kind, n in (("B", 6), ("D", 6), ("S", 7)):
+        table = list(signed_cycle_types(kind, n))
+        assert sum(size for _, _, size in table) == group_order(kind, n)
+    # the Coxeter class leads: one balanced n-cycle, or (n-1, 1) in D_n
+    assert next(signed_cycle_types("B", 6))[0] == ((), (6,))
+    assert next(signed_cycle_types("D", 6))[0] == ((), (1, 5))
 
 
 def test_identity_formatting():

@@ -60,8 +60,8 @@ PINNED = {
                     [3, 1], [3, 2], [4, 1]]}),
         ("cycle-flip-literal-boundary", {"k": 1, "r": 1}),
         ("annular-mixing-counts", {"k": [1, 2, 3, 4]}),
-        ("hook-lattice-scan-signed", {"n": 4}),
-        ("even-lattice-scan", {"n": 4}),
+        ("hook-lattice-scan-signed", {"n": 5}),
+        ("even-lattice-scan", {"n": 5}),
         ("even-three-lower-bounds",
          {"u": "[1][2][3][4]", "v": "[1][2][3][5]"}),
         ("letter-labeling-el", {"n": 4, "intervals": 10041}),
