@@ -28,7 +28,7 @@ SCOPES = {
     "hook-lattice-scan-signed": (3, 5),  # n
     "even-lattice-scan": (3, 5),  # n
     "even-three-lower-bounds": (False, True),
-    "letter-labeling-el": (2, 4),  # n
+    "letter-labeling-el": (2, 5),  # n
     "canonical-chain-labels": (3, 4),  # n
     "flip-interval-el": (3, 4),  # largest n
     "euler-three-way-plain": (range(3, 5), range(3, 6)),  # n

@@ -3,11 +3,12 @@
 `cm_check` keys the gaps open at one end by conjugacy class and reads
 antichain gaps off their size, `meet`, `join` and `_meet_failure` decide
 existence by one mask comparison, `verify_el` keeps label states up from a
-bottom in one walk, homology builds a coboundary column only when a
-reduction needs it, chains come out sorted level by level over labels
-descending in rank with ties broken by the reversed image tuple, each
-packed into one int and read back as the tuple it packs, the fiber
-law compares distinct projections by lengths and inverses found once, fiber
+bottom in one walk (from e alone on a lower set of the group), homology
+builds a coboundary column only when a reduction needs it, chains come out
+sorted level by level over labels descending in rank with ties broken by
+the reversed image tuple, each packed into one int and read back as the
+tuple it packs, the fiber law compares distinct projections by lengths and
+inverses found once, fiber
 ideals and cover lifting are masks on one ambient poset, chains of every
 size come from one sweep and zeta polynomials and multichain counts from
 them, Moebius numbers come from the Hall recursion on an open interval, a
@@ -455,6 +456,89 @@ def test_el_chain_guard_trips_before_any_chain_is_labeled(monkeypatch):
     with pytest.raises(ResourceGuardError) as got:
         verify_el(p)
     assert str(got.value) == str(expected.value)
+
+
+def _hasse_lower_covers(p):
+    return [[i for i, ups in enumerate(p.hasse_up) if j in ups]
+            for j in range(len(p))]
+
+
+def _lower_set_by_abs_leq(p):
+    """Whether p holds e and every group element below one of its members."""
+    members = set(p.elements)
+    return identity(p.n) in members and all(
+        z in members for z in group_elements(p.kind, p.n)
+        if any(abs_leq(z, w, p.kind) for w in p.elements))
+
+
+def _not_lower_sets_of_b3():
+    """Induced subposets of B3 with bottom e that are not lower sets: B3
+    without [1][3], whose upper covers miss a lower cover, and
+    [e, [1][2][3]] without its rank 2, whose lower-cover counts all match
+    the group's but whose top covers the atoms."""
+    b3 = full_poset("B", 3)
+    gone = b3.index[parse_cycles("[1][3]", 3)]
+    missing = _induced(b3, [i for i in range(len(b3)) if i != gone],
+                       "B3 without [1][3]")
+    top = b3.index[parse_cycles("[1][2][3]", 3)]
+    skipping = _induced(b3, [i for i in bits(b3.below[top])
+                             if b3.rank[i] != 2], "rank 2 skipped")
+    return missing, skipping
+
+
+def test_only_lower_sets_of_the_group_walk_from_e_alone():
+    # each half of the precondition alone rejects one of the two subposets
+    missing, skipping = _not_lower_sets_of_b3()
+    assert _graded(missing, (1 << len(missing)) - 1)
+    assert not _graded(skipping, (1 << len(skipping)) - 1)
+    assert all(len(lower) == len(_lower_covers(w.images, "B"))
+               for lower, w in zip(_hasse_lower_covers(skipping),
+                                   skipping.elements))
+    b3 = full_poset("B", 3)
+    rng = random.Random(20261020)
+    cases = [missing, skipping, b3, full_poset("S", 4), full_poset("D", 4),
+             build_interval(identity(4), parse_cycles("[1,2,3,4]", 4), "B"),
+             coxeter_ideal(3, "B")]
+    cases += [build_ideal(rng.sample(b3.elements, 3), "B") for _ in range(4)]
+    cases += [_induced(b3, [0] + rng.sample(range(1, len(b3)), k), "sample")
+              for k in (8, 16, 32)]
+    for p in cases:
+        assert (labeling._group_lower_set(p, _hasse_lower_covers(p))
+                == _lower_set_by_abs_leq(p)), p.label
+    # B3 without [1][3] fails above [3] only, where a walk from e is blind
+    for p, bottom in ((missing, "[3]"), (skipping, "e")):
+        report = verify_el(p)
+        assert report == _verify_el_per_interval(p, support_size_label)
+        assert report.failure["bottom"] == bottom
+
+
+def test_other_labelers_walk_from_every_element():
+    # negated on the covers out of [3], the letter label fails above [3]
+    # only, which a lower set's walk from e alone would not see
+    b3, flip = full_poset("B", 3), parse_cycles("[3]", 3)
+
+    def label(a, b):
+        return support_size_label(a, b) * (-1 if a == flip else 1)
+
+    report = verify_el(b3, labeler=label)
+    assert report == _verify_el_per_interval(b3, label)
+    assert report.failure["bottom"] == "[3]"
+
+
+def test_walk_from_e_labels_each_hasse_edge_once(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return support_size_label(a, b)
+
+    monkeypatch.setattr(labeling, "support_size_label", counted)
+    for p in (full_poset("B", 3), full_poset("S", 4)):
+        calls.clear()
+        report = verify_el(p)
+        assert report.ok
+        assert report == _verify_el_per_interval(p, support_size_label)
+        assert len(calls) == len(set(calls)) == sum(map(len, p.hasse_up))
 
 
 # --- homology by lowest cofaces ----------------------------------------------

@@ -64,7 +64,7 @@ PINNED = {
         ("even-lattice-scan", {"n": 5}),
         ("even-three-lower-bounds",
          {"u": "[1][2][3][4]", "v": "[1][2][3][5]"}),
-        ("letter-labeling-el", {"n": 4, "intervals": 10041}),
+        ("letter-labeling-el", {"n": 5, "intervals": 326979}),
         ("canonical-chain-labels", {"n": 4, "elements": 384}),
         ("flip-interval-el-collapsed-reflection", {"n": [1, 2, 3, 4]}),
         ("flip-interval-el-join-position", {"n": [1, 2, 3, 4]}),
