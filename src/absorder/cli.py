@@ -17,6 +17,13 @@ from .signed import format_cycles, identity, parse_cycles
 FORMATS = ("json", "table")
 POSET_FORMATS = ("json", "dot", "table")
 
+# --labeling choices: each name's labeler for a poset.
+LABELINGS = {
+    "letter": lambda p: labeling.support_size_label,
+    "collapsed": lambda p: labeling.collapsed_reflection_label,
+    "join-position": labeling.join_position_labeler,
+}
+
 
 def _build_poset(args) -> order.Poset:
     if getattr(args, "ideal", None) == "coxeter":
@@ -32,21 +39,34 @@ def _build_poset(args) -> order.Poset:
     return order.full_poset(args.group, args.n)
 
 
+def _print(text: str) -> None:
+    """The one print of a report.  A reader such as `head` may close the
+    pipe first: the rest then goes into os.devnull, as in the Python
+    documentation's recipe for SIGPIPE, so the command still exits with
+    its handler's code and prints nothing on stderr."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(fmt: str, data, table) -> None:
     """`data` as indented JSON, or else the lines of `table`."""
-    print(json.dumps(data, indent=2) if fmt == "json" else "\n".join(table))
+    _print(json.dumps(data, indent=2) if fmt == "json" else "\n".join(table))
 
 
 def _emit_poset(p: order.Poset, fmt: str) -> None:
     if fmt == "json":
-        print(p.to_json())
+        _print(p.to_json())
     elif fmt == "dot":
-        print(p.to_dot())
+        _print(p.to_dot())
     else:
-        print(f"{p.label}: kind {p.kind}, {len(p)} elements, "
-              f"rank sizes {p.rank_sizes()}")
-        for i, w in enumerate(p.elements):
-            print(f"  rank {p.rank[i]}: {format_cycles(w)}")
+        _print("\n".join([f"{p.label}: kind {p.kind}, {len(p)} elements, "
+                          f"rank sizes {p.rank_sizes()}"]
+                         + [f"  rank {r}: {format_cycles(w)}"
+                            for r, w in zip(p.rank, p.elements)]))
 
 
 def _cmd_poset(args) -> int:
@@ -56,13 +76,7 @@ def _cmd_poset(args) -> int:
 
 def _cmd_check_el(args) -> int:
     p = _build_poset(args)
-    if args.labeling == "letter":
-        labeler = labeling.support_size_label
-    elif args.labeling == "collapsed":
-        labeler = labeling.collapsed_reflection_label
-    else:
-        labeler = labeling.join_position_labeler(p)
-    report = labeling.verify_el(p, labeler=labeler)
+    report = labeling.verify_el(p, labeler=LABELINGS[args.labeling](p))
     verdict = "EL" if report.ok else "not EL"
     _emit(args.format, report.to_json(), [
         f"{p.label}: {verdict} under the {args.labeling} labeling "
@@ -123,11 +137,9 @@ def _cmd_topology(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    predict, ranks, build = {
-        "sym": (series.predicted_chi_sym, range(3, 6),
-                lambda n: order.full_poset("S", n)),
-        "hyper": (series.predicted_chi_hyper, range(2, 5),
-                  lambda n: order.coxeter_ideal(n, "B")),
+    predict, ranks, kind = {
+        "sym": (series.predicted_chi_sym, range(3, 6), "S"),
+        "hyper": (series.predicted_chi_hyper, range(2, 5), "B"),
     }[args.family]
     rows = {}
     ok = True
@@ -135,7 +147,7 @@ def _cmd_gf(args) -> int:
         rows[n] = {"predicted": chi}
         if args.crosscheck and n in ranks:
             computed = topology.chain_euler_characteristic(
-                build(n), strip="endpoints")
+                order.coxeter_ideal(n, kind), strip="endpoints")
             rows[n]["computed"] = computed
             ok = ok and computed == chi
     _emit(args.format, {"family": args.family, "rows": rows, "ok": ok},
@@ -227,9 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("check-el", help="verify an edge labeling")
     _add_common(sub, FORMATS, top=True)
-    sub.add_argument("--labeling",
-                     choices=("letter", "collapsed", "join-position"),
-                     default="letter")
+    sub.add_argument("--labeling", choices=LABELINGS, default="letter")
     sub.set_defaults(handler=_cmd_check_el)
 
     sub = subs.add_parser("lattice-scan",
@@ -274,57 +284,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _ClosedPipeGuard:
-    """Stdout that goes on into os.devnull once its reader has gone.
-
-    A reader such as `head` may close the pipe before a command is done.
-    The rest of the output is dropped, as in the Python documentation's
-    recipe for SIGPIPE, but the command still runs to its end, so it exits
-    with the code its handler returns and prints nothing on stderr.
-    """
-
-    def __init__(self, stream):
-        self._stream = stream
-
-    def _call(self, method, *args):
-        try:
-            return method(*args)
-        except BrokenPipeError:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, self._stream.fileno())
-            os.close(devnull)
-            return method(*args)
-
-    def write(self, text):
-        return self._call(self._stream.write, text)
-
-    def flush(self):
-        return self._call(self._stream.flush)
-
-    def __getattr__(self, name):
-        return getattr(self._stream, name)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     unread = _unread_option(args)
     if unread:
         parser.error(unread)
-    stdout = sys.stdout
-    sys.stdout = _ClosedPipeGuard(stdout)
     try:
-        code = args.handler(args)
+        return args.handler(args)
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
-        code = 3
+        return 3
     except ValueError as exc:  # LabelingError and CycleNotationError too
         print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    finally:
-        sys.stdout.flush()
-        sys.stdout = stdout
-    return code
+        return 2
 
 
 if __name__ == "__main__":

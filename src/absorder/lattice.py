@@ -3,11 +3,12 @@
 A closed interval of the signed-group order is a lattice exactly when the
 multiset of balanced-cycle lengths of its top element is a hook partition;
 inside the even subgroup the admissible profiles collapse to (), (k,1) and
-(1,1,1,1).  `prediction_scan` confronts those predictions with brute-force
-meet existence on one interval [e, w] per conjugacy class.
+(1,1,1,1).  `prediction_scan` tests those predictions on one interval
+[e, w] per conjugacy class, testing meets of pairs of lower covers only.
 """
 
 from collections import namedtuple
+from itertools import combinations
 
 from .order import (Poset, _greatest, _least, _resolve, bits, build_ideal,
                     build_interval)
@@ -39,11 +40,11 @@ class LatticeVerdict(namedtuple("LatticeVerdict", "is_lattice witness")):
 
 
 def is_lattice(p: Poset) -> LatticeVerdict:
-    """Meet-existence check over all pairs of a bounded poset.
+    """Meet-existence check of a bounded poset.
 
     In a finite bounded poset all meets exist iff all joins exist, so only
-    meets are scanned.  The witness names the first pair with two or more
-    maximal common lower bounds.
+    meets are tested.  The witness is a pair of lower covers of one element
+    with no meet (`_meet_failure`).
     """
     if not p.is_bounded():
         raise ValueError("lattice check needs a bounded poset")
@@ -52,22 +53,27 @@ def is_lattice(p: Poset) -> LatticeVerdict:
 
 
 def _meet_failure(p: Poset):
-    """Witness for the first pair of elements of p without a meet, or None.
+    """Witness for the first failing pair of lower covers of one element of
+    p, elements in index order, then of a top adjoined to p; or None.
 
-    Each pair costs one mask comparison (`order._greatest`, inlined: all
-    common lower bounds lie below the highest-indexed one).
+    That suffices, by induction up p with the top adjoined: if every pair
+    below each x' < x has a meet, take a, b < x and lower covers y >= a,
+    z >= b of x.  If y = z the pair lies below y; else m = y ^ z exists,
+    then k = a ^ m below y and b ^ k below z.  Every common lower bound of
+    a and b lies below m and k, so below b ^ k, which is thus a ^ b.
     """
-    below = p.below
-    for i, below_i in enumerate(below):
-        for j in range(i + 1, len(below)):
-            common = below_i & below[j]
-            if not common or common & ~below[common.bit_length() - 1]:
-                tops = _maximal_of(p, common)
-                return {
-                    "x": repr(p.elements[i]),
-                    "y": repr(p.elements[j]),
-                    "maximal_lower_bounds": sorted(repr(p.elements[t]) for t in tops),
-                }
+    covered = [[] for _ in p.elements] + [
+        [i for i, up in enumerate(p.hasse_up) if not up]]
+    for i, up in enumerate(p.hasse_up):
+        for j in up:
+            covered[j].append(i)
+    for lower in covered:
+        for i, j in combinations(lower, 2):
+            common = p.below[i] & p.below[j]
+            if _greatest(p, common) is None:
+                return {"x": repr(p.elements[i]), "y": repr(p.elements[j]),
+                        "maximal_lower_bounds": sorted(
+                            repr(p.elements[t]) for t in _maximal_of(p, common))}
     return None
 
 

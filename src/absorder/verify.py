@@ -291,20 +291,18 @@ def _claim_euler_three_way(scope):
     # it, and the prediction describes the bottom-stripped complex instead
     families = [
         ("plain", "S", series.predicted_chi_sym,
-         lambda n: order.full_poset("S", n),
          "give the same reduced Euler characteristic for the stripped "
          "plain-group complexes"),
         ("signed", "B", series.predicted_chi_hyper,
-         lambda n: order.coxeter_ideal(n, "B"),
          "agree on the stripped coxeter-ideal complexes of the signed groups"),
     ]
-    for name, kind, predict, build, conclusion in families:
+    for name, kind, predict, conclusion in families:
         ns = scope[f"euler-three-way-{name}"]
         predictions = predict(max(ns))
         expected = {}
         computed = {}
         for n in ns:
-            p = build(n)
+            p = order.coxeter_ideal(n, kind)
             c = topology.order_complex(p, strip="endpoints")
             h = topology.homology(c)
             if (kind, n) in cm_scopes:

@@ -465,3 +465,14 @@ def test_closed_pipe_keeps_the_handler_exit_code():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_reader_closing_after_the_table_header_is_not_an_error():
+    # The B5 table (about 94 kB) outgrows the pipe buffer as well.
+    proc = _absorder_process("poset", "--group", "B", "--n", "5")
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert first.startswith(b"full: kind B, 3840 elements, ")
+    assert err == b""

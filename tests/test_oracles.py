@@ -284,8 +284,8 @@ def _minimal_of(p, mask):
 
 
 def _meet_failure_by_maximal(p, members):
-    """The scan `_meet_failure` replaces: list the maximal common lower
-    bounds of each incomparable pair."""
+    """The all-pairs scan `_meet_failure` replaces: list the maximal common
+    lower bounds of each incomparable pair."""
     for a, i in enumerate(members):
         for j in members[a + 1:]:
             if p.leq(i, j) or p.leq(j, i):
@@ -320,9 +320,24 @@ def test_meet_and_join_match_the_maximal_and_minimal_bounds():
                 assert join(p, i, j) == (
                     p.elements[bottoms[0]] if len(bottoms) == 1 else None)
         witness = lattice._meet_failure(p)
-        assert witness == _meet_failure_by_maximal(p, range(len(p))), p.label
+        _assert_same_verdict(p, witness,
+                             _meet_failure_by_maximal(p, range(len(p))))
         subposets_with_failures += witness is not None
     assert subposets_with_failures >= 10
+
+
+def _assert_same_verdict(p, witness, by_maximal):
+    """`_meet_failure`'s witness fails where the all-pairs scan finds a
+    failing pair, and names a pair of p with other than one maximal common
+    lower bound, listed as `_maximal_of` lists them."""
+    assert (witness is None) == (by_maximal is None), p.label
+    if witness is not None:
+        where = {repr(w): i for i, w in enumerate(p.elements)}
+        i, j = where[witness["x"]], where[witness["y"]]
+        tops = _maximal_of(p, p.below[i] & p.below[j])
+        assert len(tops) != 1, p.label
+        assert witness["maximal_lower_bounds"] == sorted(
+            repr(p.elements[t]) for t in tops), p.label
 
 
 def test_meet_failure_of_each_interval_matches_the_members_below_its_top():
@@ -330,8 +345,25 @@ def test_meet_failure_of_each_interval_matches_the_members_below_its_top():
         e = identity(ambient.n)
         for top, w in enumerate(ambient.elements):
             interval = build_interval(e, w, ambient.kind)
-            assert (lattice._meet_failure(interval) == _meet_failure_by_maximal(
-                ambient, list(bits(ambient.below[top])))), w
+            _assert_same_verdict(
+                interval, lattice._meet_failure(interval),
+                _meet_failure_by_maximal(ambient,
+                                         list(bits(ambient.below[top]))))
+
+
+def test_meet_failure_reaches_the_only_pair_of_lower_covers_of_the_top():
+    # the bowtie e < ((1,3)), ((2,4)) < x, y < [1,2][3,4] induced from the
+    # D4 interval: only x and y, the top's one pair of lower covers, fail
+    interval = build_interval(identity(4), parse_cycles("[1,2][3,4]", 4), "D")
+    witness = lattice._meet_failure(interval)
+    keep = [interval.index[parse_cycles(text, 4)] for text in
+            ("e", "((1,3))", "((2,4))", witness["x"], witness["y"],
+             "[1,2][3,4]")]
+    bowtie = _induced(interval, keep, "bowtie")
+    assert [len(up) for up in bowtie.hasse_up] == [2, 2, 2, 1, 1, 0]
+    assert lattice._meet_failure(bowtie) == witness
+    _assert_same_verdict(bowtie, witness,
+                         _meet_failure_by_maximal(bowtie, range(6)))
 
 
 # --- EL by label states, one walk per bottom ---------------------------------

@@ -133,7 +133,11 @@ def test_coxeter_ideal_sizes():
 
 @pytest.mark.parametrize("n", range(6))
 def test_coxeter_ideal_of_a_symmetric_group_is_all_of_it(n):
-    assert set(coxeter_ideal(n, "S").elements) == set(full_poset("S", n).elements)
+    # the same elements in the same order: gf --crosscheck and verify's
+    # Euler claims build S_n as its Coxeter ideal
+    ideal, group = coxeter_ideal(n, "S"), full_poset("S", n)
+    assert ideal.elements == group.elements
+    assert ideal.hasse_up == group.hasse_up
 
 
 def test_trivial_groups_have_the_identity_as_coxeter_element():
