@@ -10,19 +10,13 @@ import os
 import sys
 
 from . import invariants, labeling, lattice, order, series, topology, verify
+from .labeling import LABELERS
 from .order import ResourceGuardError
 from .signed import format_cycles, identity, parse_cycles
 
 # --format choices: only the poset renderers print DOT.
 FORMATS = ("json", "table")
 POSET_FORMATS = ("json", "dot", "table")
-
-# --labeling choices: each name's labeler for a poset.
-LABELINGS = {
-    "letter": lambda p: labeling.support_size_label,
-    "collapsed": lambda p: labeling.collapsed_reflection_label,
-    "join-position": labeling.join_position_labeler,
-}
 
 
 def _build_poset(args) -> order.Poset:
@@ -76,7 +70,7 @@ def _cmd_poset(args) -> int:
 
 def _cmd_check_el(args) -> int:
     p = _build_poset(args)
-    report = labeling.verify_el(p, labeler=LABELINGS[args.labeling](p))
+    report = labeling.verify_el(p, labeler=LABELERS[args.labeling](p))
     verdict = "EL" if report.ok else "not EL"
     _emit(args.format, report.to_json(), [
         f"{p.label}: {verdict} under the {args.labeling} labeling "
@@ -239,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("check-el", help="verify an edge labeling")
     _add_common(sub, FORMATS, top=True)
-    sub.add_argument("--labeling", choices=LABELINGS, default="letter")
+    sub.add_argument("--labeling", choices=LABELERS, default="letter")
     sub.set_defaults(handler=_cmd_check_el)
 
     sub = subs.add_parser("lattice-scan",

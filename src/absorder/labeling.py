@@ -131,6 +131,14 @@ def join_position_labeler(p: Poset):
     return label
 
 
+# Each `check-el --labeling` name's labeler for a poset.
+LABELERS = {
+    "letter": lambda p: support_size_label,
+    "collapsed": lambda p: collapsed_reflection_label,
+    "join-position": join_position_labeler,
+}
+
+
 class ELReport(namedtuple("ELReport",
                           "ok intervals_checked chains_checked failure")):
     __slots__ = ()

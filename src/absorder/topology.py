@@ -23,10 +23,9 @@ from .signed import (balanced_cycle, cycle_decomposition, cycle_type,
                      format_cycles, paired_cycle, signed_cycle_types)
 
 FACE_GUARD = 5_000_000
-# Most entries, rows x columns, of the residual that the homology elimination
-# hands to the dense Smith normal form; only the columns it defers, those
-# left with a lowest entry other than +-1, go there, and of those only the
-# ones left when the unit pass has taken every column with a +-1 entry.
+# Most entries, rows x columns, of what is left of the residual of the
+# homology elimination, the columns it defers, when `_smith_form` meets a
+# pivot other than +-1 there.
 TORSION_GUARD = 250_000
 
 
@@ -280,11 +279,8 @@ def _homology_from_faces(levels: list) -> HomologyProfile:
     pivot rows, highest first: a pivot has no entry above its own row, so a
     row once cleared is never filled again.  The residual left is zero on
     every pivot row and the pivots are unitriangular on theirs, so the Smith
-    form of delta^d is ones for the pivots and that of the residual.  While
-    a residual column holds a +-1 in some row, that is one more factor 1:
-    the column goes, and the row is cleared from the others.  What is left,
-    empty columns dropped, goes to `_smith_normal_form_diagonal` once
-    TORSION_GUARD admits its rows x columns.  The factors add to the rank;
+    form of delta^d is ones for the pivots and `_smith_form` of the
+    residual, which TORSION_GUARD bounds.  The factors add to the rank;
     those above 1 are the torsion of the boundary map d + 1, the transpose
     of delta^d.
     """
@@ -345,26 +341,7 @@ def _homology_from_faces(levels: list) -> HomologyProfile:
                     if low in col:
                         _subtract(col, col[low],
                                   _pivot(pivots, low, get, shifts))
-            while unit := next(((k, r) for k, col in enumerate(deferred)
-                                for r, v in col.items() if v * v == 1), None):
-                k, r = unit
-                col = deferred.pop(k)
-                for other in deferred:
-                    if r in other:
-                        _subtract(other, other[r] * col[r], col)
-                factors.append(1)
-            deferred = [col for col in deferred if col]
-        if deferred:
-            index = {r: k for k, r in enumerate(
-                dict.fromkeys(itertools.chain.from_iterable(deferred)))}
-            if len(index) * len(deferred) > TORSION_GUARD:
-                raise ResourceGuardError(
-                    f"torsion guard exceeded at dimension {d + 1}: a residual "
-                    f"of {len(index)}x{len(deferred)} entries for the dense "
-                    f"Smith form, more than the guard {TORSION_GUARD}")
-            factors += _smith_normal_form_diagonal(
-                [{index[r]: v for r, v in col.items()} for col in deferred],
-                len(index))
+            factors = _smith_form(deferred, d + 1)
         ranks[d + 1] = len(pivots) + len(factors)
         torsion[d + 1] = [v for v in factors if v > 1]
         for low in pivots:  # in place: clearing reads the rows alone
@@ -537,52 +514,49 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     return CMReport(True, "all", 1 + c.face_count(), None, None, whole)
 
 
-def _smith_normal_form_diagonal(columns: list, rows: int) -> list:
-    """Invariant factors of an integer matrix, by dense elimination; the
-    homology elimination runs it on the residual of its deferred columns."""
-    mat = [[0] * len(columns) for _ in range(rows)]
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            mat[r][j] = v
-    diag = []
-    top = 0
-    while True:
-        found = None
-        for i in range(top, len(mat)):
-            for j in range(top, len(mat[0]) if mat else 0):
-                if mat[i][j]:
-                    if found is None or abs(mat[i][j]) < abs(mat[found[0]][found[1]]):
-                        found = (i, j)
-        if found is None:
-            break
-        i, j = found
-        mat[top], mat[i] = mat[i], mat[top]
-        for row in mat:
-            row[top], row[j] = row[j], row[top]
-        dirty = False
-        for i in range(top + 1, len(mat)):
-            q = mat[i][top] // mat[top][top]
-            if q:
-                for j in range(top, len(mat[0])):
-                    mat[i][j] -= q * mat[top][j]
-            if mat[i][top]:
-                dirty = True
-        for j in range(top + 1, len(mat[0])):
-            q = mat[top][j] // mat[top][top]
-            if q:
-                for i in range(top, len(mat)):
-                    mat[i][j] -= q * mat[i][top]
-            if mat[top][j]:
-                dirty = True
-        if dirty:
+def _smith_form(columns: list, dim: int) -> list:
+    """Invariant factors of the integer matrix with these {row: value}
+    columns, reduced in place; `dim` names the boundary map in the guard.
+
+    The pivot is the first entry a of least |a| in scan order, columns in
+    turn, so every +-1 is taken before any larger entry.  Row r of a is
+    cleared from the other columns by col[r] // a times the pivot.  While
+    any of them keeps an entry in row r, the pivot goes back unchanged: a
+    row operation is valid only once row r is zero elsewhere.  Then the
+    pivot's other entries are reduced modulo a; the remainders, if any,
+    go back with a in row r, else |a| is one factor.  Each return leaves a
+    nonzero entry below |a|, so the least entry falls until a factor is
+    found.  TORSION_GUARD bounds rows x columns of what is left at each
+    pivot other than +-1.  The factors are made a divisor chain at the end.
+    """
+    factors = []
+    while columns := [col for col in columns if col]:
+        k, r = min(((k, r) for k, col in enumerate(columns) for r in col),
+                   key=lambda kr: abs(columns[kr[0]][kr[1]]))
+        pivot = columns[k]
+        a = pivot[r]
+        if a * a > 1:
+            rows = len(set().union(*columns))
+            if rows * len(columns) > TORSION_GUARD:
+                raise ResourceGuardError(
+                    f"torsion guard exceeded at dimension {dim}: a residual "
+                    f"of {rows}x{len(columns)} entries for the Smith form, "
+                    f"more than the guard {TORSION_GUARD}")
+        others = [col for col in columns if col is not pivot]
+        for col in others:
+            if r in col:
+                _subtract(col, col[r] // a, pivot)
+        if any(r in col for col in others):
             continue
-        diag.append(abs(mat[top][top]))
-        top += 1
-    for k in range(len(diag)):  # gcd forward, lcm back: a divisor chain
-        for j in range(k + 1, len(diag)):
-            g = gcd(diag[k], diag[j])
-            diag[k], diag[j] = g, diag[k] * diag[j] // g
-    return diag
+        rest = {s: v % a for s, v in pivot.items() if v % a}
+        columns[k] = {**rest, r: a} if rest else {}
+        if not rest:
+            factors.append(abs(a))
+    for k in range(len(factors)):  # gcd forward, lcm back: a divisor chain
+        for j in range(k + 1, len(factors)):
+            g = gcd(factors[k], factors[j])
+            factors[k], factors[j] = g, factors[k] * factors[j] // g
+    return factors
 
 
 class IdealCheck(namedtuple("IdealCheck",

@@ -241,10 +241,9 @@ def _claim_alt_labelings(scope):
     top = scope["flip-interval-el"]
     flips = [invariants.build_flip_interval(n) for n in range(1, top + 1)]
     out = []
-    for name, make in (
-        ("collapsed-reflection", lambda p: labeling.collapsed_reflection_label),
-        ("join-position", labeling.join_position_labeler),
-    ):
+    for name, cli_name in (("collapsed-reflection", "collapsed"),
+                           ("join-position", "join-position")):
+        make = labeling.LABELERS[cli_name]
         reports = (labeling.verify_el(p, labeler=make(p)) for p in flips)
         bad = next(((n, rep.failure) for n, rep in enumerate(reports, 1)
                     if not rep.ok), None)

@@ -190,13 +190,11 @@ def test_topology_with_torsion(capsys):
 
 
 def test_topology_torsion_guard_exits_before_eliminating(capsys, monkeypatch):
-    # stripped S5 defers no column, so no dense form runs; the stripped D4
-    # Coxeter ideal defers three at dimension 3, a residual of 98x3 entries
-    # that a guard of 293 refuses before the dense form starts
-    def no_dense_form(*args):
-        raise AssertionError("the dense Smith form ran before the guard")
-
-    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", no_dense_form)
+    # stripped S5 defers no column, so it answers at a guard of 0; the
+    # stripped D4 Coxeter ideal defers three at dimension 3, and its first
+    # pivot other than +-1 leaves a residual of 98x3 entries, which a
+    # guard of 293 refuses
+    monkeypatch.setattr(topology, "TORSION_GUARD", 0)
     assert main(["topology", "--group", "S", "--n", "5", "--torsion",
                  "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -209,7 +207,7 @@ def test_topology_torsion_guard_exits_before_eliminating(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == (
         "resource guard: torsion guard exceeded at dimension 3: a residual "
-        "of 98x3 entries for the dense Smith form, more than the guard "
+        "of 98x3 entries for the Smith form, more than the guard "
         "293\n")
 
 

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import re
 import tracemalloc
 from math import gcd
 
@@ -28,8 +29,8 @@ from absorder import order, topology
 from absorder.order import bits
 from absorder.signed import cycle_type
 from absorder.topology import (SimplicialComplex, _chains_in_mask,
-                               _homology_from_faces, _subtract,
-                               _smith_normal_form_diagonal)
+                               _homology_from_faces, _smith_form,
+                               _subtract)
 from packing import (boundary_columns, by_index, closure, normalized,
                      packed, tuples)
 
@@ -251,8 +252,8 @@ def test_elimination_work_stays_at_its_counts(monkeypatch, build, cofaces,
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(topology, name, counting)
-    # and no column is deferred to the dense form
-    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
+    # and each answers at a torsion guard of 0: no pivot other than +-1
+    monkeypatch.setattr(topology, "TORSION_GUARD", 0)
     c = order_complex(build(), strip="endpoints")
     homology(c)
     assert calls["_cofaces"] <= cofaces and calls["_subtract"] <= subtracts
@@ -363,29 +364,32 @@ def test_homology_of_the_b4_coxeter_ideal_stays_small():
     assert peak < 3_600_000
 
 
-def _no_dense_form(*args):
-    raise AssertionError("the dense Smith form ran")
-
-
 def _recording_residuals(monkeypatch):
-    """The (rows, columns) of each residual the kernel hands to the dense
-    form from now on; it gets one only for a dimension that defers."""
+    """The (rows, columns) of what `_smith_form` has left at its first
+    pivot other than +-1, for each residual the kernel hands it from now
+    on: read off the message a guard of 0 raises there, on a copy, before
+    the run itself.  A residual that only units reduce records nothing."""
     residuals = []
-    dense = _smith_normal_form_diagonal
 
-    def recording(columns, rows):
-        residuals.append((rows, len(columns)))
-        return dense(columns, rows)
+    def recording(columns, dim):
+        guard, topology.TORSION_GUARD = topology.TORSION_GUARD, 0
+        try:
+            _smith_form([dict(col) for col in columns], dim)
+        except ResourceGuardError as e:
+            residuals.append(tuple(map(int, re.search(
+                r"residual of (\d+)x(\d+) entries", str(e)).groups())))
+        finally:
+            topology.TORSION_GUARD = guard
+        return _smith_form(columns, dim)
 
-    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", recording)
+    monkeypatch.setattr(topology, "_smith_form", recording)
     return residuals
 
 
 def test_torsion_free_small_complex(monkeypatch):
-    # the elimination behind the Betti numbers defers no column, so no
-    # dense form runs and no guard applies
+    # the elimination behind the Betti numbers defers no column, so it
+    # answers at a torsion guard of 0
     c = order_complex(coxeter_ideal(2, "B"), strip="endpoints")
-    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
     monkeypatch.setattr(topology, "TORSION_GUARD", 0)
     assert torsion_profile(c) == {1: []}
 
@@ -404,16 +408,15 @@ def _rp2():
 
 
 def test_torsion_guard_refuses_before_eliminating(monkeypatch):
-    # RP^2 defers one column at dimension 2 and leaves it a 1x1 residual:
-    # a guard of 1 admits it, a guard of 0 refuses it before the dense form
+    # RP^2 defers one column at dimension 2 and leaves it a 1x1 residual,
+    # its pivot 2: a guard of 1 admits it, a guard of 0 refuses it
     c = _rp2()
     monkeypatch.setattr(topology, "TORSION_GUARD", 1)
     assert torsion_profile(c) == {1: [], 2: [2]}
-    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
     monkeypatch.setattr(topology, "TORSION_GUARD", 0)
     with pytest.raises(ResourceGuardError,
                        match=r"dimension 2: a residual of 1x1 entries for the "
-                             r"dense Smith form, more than the guard 0$"):
+                             r"Smith form, more than the guard 0$"):
         torsion_profile(_rp2())
 
 
@@ -459,11 +462,11 @@ def _reduce(col, pivots):
     return col
 
 
-def _smith_by_unit_pivots(columns, rows):
-    """Invariant factors by sparse elimination on unit pivots, the dense
-    form running on the columns left with no unit entry.
+def _smith_by_unit_pivots(columns, dim):
+    """Invariant factors by sparse elimination on unit pivots, one column
+    at a time, `_smith_form` running on the columns left with no unit entry.
 
-    The reference for maps too large for the dense form alone: reducing by
+    The reference for maps too large for `_smith_form` alone: reducing by
     an integer multiple of a column normalised to 1 is unimodular, and once
     the residual is zero on every pivot row the Smith form splits.
     """
@@ -479,15 +482,15 @@ def _smith_by_unit_pivots(columns, rows):
             elif col:
                 residual.append(col)
         todo = residual
-    used = {r: k for k, r in enumerate(sorted({r for col in todo for r in col}))}
-    rest = [{used[r]: v for r, v in col.items()} for col in todo]
-    return [1] * len(pivots) + _smith_normal_form_diagonal(rest, len(used))
+    return [1] * len(pivots) + _smith_form(todo, dim)
 
 
-def _torsion_by_boundary_maps(faces, dense):
-    smith = _smith_normal_form_diagonal if dense else _smith_by_unit_pivots
-    return {d: [v for v in smith(boundary_columns(faces, d), len(faces[d - 1]))
-                if v > 1] for d in range(1, len(faces))}
+def _torsion_by_boundary_maps(faces, whole):
+    """Torsion of each boundary map, by `_smith_form` on the whole map, or
+    by unit pivots first."""
+    smith = _smith_form if whole else _smith_by_unit_pivots
+    return {d: [v for v in smith(boundary_columns(faces, d), d) if v > 1]
+            for d in range(1, len(faces))}
 
 
 def _boundary_maps():
@@ -499,44 +502,46 @@ def _boundary_maps():
 
 
 def test_torsion_matches_the_smith_form_of_boundary_maps():
-    # the dense form of explicit boundary maps on the smaller complexes; on
-    # stripped S5 and the B4 and D4 Coxeter ideals, unit pivots first,
-    # checked against the dense form here and on the random complexes below;
-    # the D4 ideal defers columns, and both find (Z/2)^2; the references
-    # read the faces over poset indices, where they fill in least
+    # `_smith_form` of whole explicit boundary maps on the smaller
+    # complexes; on stripped S5 and the B4 and D4 Coxeter ideals, unit
+    # pivots first, checked against whole maps here and on the random
+    # complexes below; the D4 ideal defers columns, and both find (Z/2)^2;
+    # the references read the faces over poset indices, where they fill in
+    # least
     maps = 0
     for name, c in _boundary_maps():
         faces = by_index(c.indices, tuples(c.levels))
-        dense = _torsion_by_boundary_maps(faces, dense=True)
-        assert torsion_profile(c) == dense, name
-        assert _torsion_by_boundary_maps(faces, dense=False) == dense, name
-        maps += len(dense)
+        whole = _torsion_by_boundary_maps(faces, whole=True)
+        assert torsion_profile(c) == whole, name
+        assert _torsion_by_boundary_maps(faces, whole=False) == whole, name
+        maps += len(whole)
     assert maps == 8
     for p, top in ((full_poset("S", 5), []), (coxeter_ideal(4, "B"), []),
                    (coxeter_ideal(4, "D"), [2, 2])):
         c = order_complex(p, strip="endpoints")
         faces = by_index(c.indices, tuples(c.levels))
         assert torsion_profile(c) == _torsion_by_boundary_maps(
-            faces, dense=False) == {1: [], 2: [], 3: top}, p.label
+            faces, whole=False) == {1: [], 2: [], 3: top}, p.label
 
 
 def test_torsion_matches_the_dense_smith_form_on_random_complexes(
         monkeypatch):
     # the subdivision of a random complex around RP^2 often meets a pivot
-    # of 2 and defers a column to the dense form.  Subdividing changes no homology
-    # group, so the dense form runs on the smaller complex drawn; the
-    # subdivision's own maps are checked with unit pivots first.
+    # of 2 and leaves its residual a pivot other than +-1.  Subdividing
+    # changes no homology group, so `_smith_form` runs on the whole maps of
+    # the smaller complex drawn; the subdivision's own maps are checked
+    # with unit pivots first.
     rng = random.Random(20261018)
     with_torsion = deferring = 0
     for k in range(600):
         raw = _random_complex(rng)
         faces = _subdivided(raw)
         c = SimplicialComplex(None, 0, packed(faces), label=f"random {k}")
-        dense = _torsion_by_boundary_maps(raw, dense=True)
+        whole = _torsion_by_boundary_maps(raw, whole=True)
         residuals = _recording_residuals(monkeypatch)
-        assert torsion_profile(c) == dense == _torsion_by_boundary_maps(
-            faces, dense=False), (k, raw)
-        with_torsion += any(dense.values())
+        assert torsion_profile(c) == whole == _torsion_by_boundary_maps(
+            faces, whole=False), (k, raw)
+        with_torsion += any(whole.values())
         deferring += bool(residuals)
     assert with_torsion >= 50
     assert deferring >= 50
@@ -552,14 +557,13 @@ def test_torsion_answers_on_random_subposets_of_b4():
         c = _on_members(b4, rng.sample(range(len(b4)), rng.randint(30, 250)),
                         "endpoints")
         assert torsion_profile(c) == _torsion_by_boundary_maps(
-            by_index(c.indices, tuples(c.levels)), dense=False), k
+            by_index(c.indices, tuples(c.levels)), whole=False), k
 
 
 def _betti_by_boundary_maps(faces):
     """Reduced Betti numbers from the ranks of the boundary maps, the
     augmentation of rank 1 below the vertices."""
-    ranks = [1] + [len(_smith_by_unit_pivots(boundary_columns(faces, d),
-                                             len(faces[d - 1])))
+    ranks = [1] + [len(_smith_by_unit_pivots(boundary_columns(faces, d), d))
                    for d in range(1, len(faces))] + [0]
     return tuple(len(f) - ranks[d] - ranks[d + 1] for d, f in enumerate(faces))
 
@@ -569,15 +573,24 @@ def test_unit_entries_of_the_residual_never_reach_the_dense_form(
         monkeypatch, seed):
     # random members of the D4 Coxeter ideal whose deferred columns, once
     # cleared, hold a +-1: two columns (seed 193) or one.  Each such entry
-    # is an invariant factor 1, so the residual empties before the dense form.
+    # is an invariant factor 1, taken before any larger pivot, so the
+    # residual empties with no other pivot: each answers at a guard of 0.
     ideal = coxeter_ideal(4, "D")
     rng = random.Random(seed)
     c = _on_members(ideal, rng.sample(range(len(ideal)), rng.randint(20, 90)),
                     "none")
     faces = by_index(c.indices, tuples(c.levels))
-    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
+    handed = []
+
+    def counting(columns, dim):
+        handed.append(sum(map(bool, columns)))
+        return _smith_form(columns, dim)
+
+    monkeypatch.setattr(topology, "_smith_form", counting)
+    monkeypatch.setattr(topology, "TORSION_GUARD", 0)
     assert homology(c).reduced_betti == _betti_by_boundary_maps(faces)
-    assert torsion_profile(c) == _torsion_by_boundary_maps(faces, dense=False)
+    assert torsion_profile(c) == _torsion_by_boundary_maps(faces, whole=False)
+    assert sum(handed) == (2 if seed == 193 else 1)
 
 
 @pytest.mark.parametrize("tops,d,cliques,faces", [
@@ -669,10 +682,10 @@ def test_smith_normal_form_matches_determinantal_divisors():
     with_torsion = 0
     for k in range(300):
         columns, rows = _random_matrix(rng)
-        dense = _smith_normal_form_diagonal(columns, rows)
-        assert dense == _by_determinantal_divisors(columns, rows), (
+        factors = _smith_form([dict(col) for col in columns], 1)
+        assert factors == _by_determinantal_divisors(columns, rows), (
             k, columns, rows)
-        with_torsion += any(v > 1 for v in dense)
+        with_torsion += any(v > 1 for v in factors)
     assert with_torsion >= 50
 
 
@@ -687,9 +700,17 @@ def test_cm_report_carries_the_complex_homology():
 
 def test_smith_normal_form_units():
     # diag(2,3) has invariant factors 1,6
-    assert _smith_normal_form_diagonal([{0: 2}, {1: 3}], 2) == [1, 6]
+    assert _smith_form([{0: 2}, {1: 3}], 1) == [1, 6]
     # [[2,4],[4,2]]: gcd 2, det -12
-    assert _smith_normal_form_diagonal([{0: 2, 1: 4}, {0: 4, 1: 2}], 2) == [2, 6]
+    assert _smith_form([{0: 2, 1: 4}, {0: 4, 1: 2}], 1) == [2, 6]
+    # 1x2 [2 3]: row 0 keeps a 1 in the second column, so the pivot 2 goes
+    # back unchanged and the 1 is taken
+    assert _smith_form([{0: 2}, {0: 3}], 1) == [1]
+    # 2x1 [2; 3]: the remainder 1 of row 1 goes back with the pivot 2
+    assert _smith_form([{0: 2, 1: 3}], 1) == [1]
+    # diag(4, 6): two factors found apart, made a divisor chain
+    assert _smith_form([{0: 4}, {1: 6}], 1) == [2, 12]
+    assert _smith_form([], 1) == _smith_form([{}, {}], 1) == []
 
 
 def test_ideal_battery_plain_three_letters():
@@ -802,8 +823,8 @@ def test_ranks_match_the_reference_on_order_complexes(monkeypatch):
     assert maps == 14
     # the intervals `cm_check` eliminates once per class, one [e, w] per
     # signed cycle type of B4 and D4, with and without its ends (five are
-    # empty when stripped), none deferring a column to the dense form
-    monkeypatch.setattr(topology, "_smith_normal_form_diagonal", _no_dense_form)
+    # empty when stripped), each answering at a torsion guard of 0
+    monkeypatch.setattr(topology, "TORSION_GUARD", 0)
     complexes = 0
     for kind in ("B", "D"):
         types = {}
