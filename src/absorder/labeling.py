@@ -16,7 +16,7 @@ fixed total order of all reflections.
 from collections import namedtuple
 
 from .lattice import join
-from .order import Poset, ResourceGuardError, _graded, _lower_covers, bits
+from .order import Poset, ResourceGuardError, _group_lower_set, bits
 from .signed import (SignedPermutation, cycle_decomposition, from_cycles,
                      reflection_set)
 
@@ -187,7 +187,7 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
         for j in ups:
             lower_covers[j].append(i)
     reduced = (labeler in (support_size_label, collapsed_reflection_label)
-               and _group_lower_set(p, lower_covers))
+               and _group_lower_set(p, (1 << len(p)) - 1))
     intervals = 0
     chains_total = 0
     for x in range(1 if reduced else len(p)):
@@ -243,11 +243,3 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
         chains_total = sum(ending) - len(p)
     return ELReport(True, intervals, chains_total, None)
 
-
-def _group_lower_set(p: Poset, lower_covers: list) -> bool:
-    """Whether p is a lower set of its group: its Hasse edges climb one
-    rank and each member has as many lower covers in p as in the group
-    (index 0 has none, so it is e), which are then its group covers."""
-    return (len(p) > 0 and _graded(p, (1 << len(p)) - 1)
-            and all(len(lower) == len(_lower_covers(w.images, p.kind))
-                    for lower, w in zip(lower_covers, p.elements)))

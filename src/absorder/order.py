@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import Counter
 
 from .signed import (
     SignedPermutation,
     _orbits,
     absolute_length,
     cycle_decomposition,
+    cycle_type,
     format_cycles,
     from_cycles,
     coxeter_elements,
@@ -302,7 +304,7 @@ class Poset:
         counts = [1]
         while total := sum(ending):
             counts.append(total)
-            ending = [sum([ending[i] for i in below]) for below in below_lists]
+            ending = [sum(map(ending.__getitem__, b)) for b in below_lists]
         return counts
 
     def maximal_chain_count(self) -> int:
@@ -366,6 +368,25 @@ def _graded(p: Poset, mask: int) -> bool:
     """Whether every Hasse edge between members of `mask` climbs one rank."""
     return all(p.rank[j] == p.rank[i] + 1 for i in bits(mask)
                for j in p.hasse_up[i] if mask >> j & 1)
+
+
+def _lower_cover_count(w: SignedPermutation, kind: str) -> int:
+    """len(_lower_covers(w.images, kind)) off the orbits: k(k-1)/2 per
+    paired k-orbit, and b^2 in kind B or b(b-1) over b balanced letters."""
+    paired, balanced = cycle_type(w)
+    b = sum(balanced)
+    return sum(k * (k - 1) // 2 for k in paired) + b * (b - (kind != "B"))
+
+
+def _group_lower_set(p: Poset, mask: int) -> bool:
+    """Whether the members of `mask` are a lower set of their group: each
+    Hasse edge between them climbs one rank and each has `_lower_cover_count`
+    lower covers among them, its group covers, so the lowest is e."""
+    count = Counter(j for i in bits(mask) for j in p.hasse_up[i]
+                    if mask >> j & 1)
+    return mask > 0 and _graded(p, mask) and all(
+        count[j] == _lower_cover_count(p.elements[j], p.kind)
+        for j in bits(mask))
 
 
 def _hall_mobius(p: Poset, mask: int) -> int:

@@ -17,7 +17,7 @@ from math import gcd
 from operator import and_
 
 from .order import (Poset, ResourceGuardError, _fibers, _graded, _greatest,
-                    _hall_mobius, _least, bits)
+                    _group_lower_set, _hall_mobius, _least, bits)
 from .series import _convolve
 from .signed import (balanced_cycle, cycle_decomposition, cycle_type,
                      format_cycles, paired_cycle, signed_cycle_types)
@@ -403,16 +403,21 @@ def _poly_mul(a: tuple, b: tuple) -> tuple:
     return tuple(_convolve(a, b, len(a) + len(b) - 1))
 
 
-def _conjugation_invariant(p: Poset, mask: int) -> bool:
-    """Whether the members are a union of conjugacy classes (of S_n for
-    kind S, else of B_n): as many of each cycle type as its class holds."""
+def _conjugation_invariant(p: Poset, types: dict) -> bool:
+    """Whether the members, keys of `types` with their cycle types, are a
+    union of conjugacy classes (of S_n for kind S, else of B_n)."""
     sizes = {t: size for t, _, size in signed_cycle_types(p.kind, p.n)}
-    counts = Counter(cycle_type(p.elements[i]) for i in bits(mask))
-    return all(sizes[t] == count for t, count in counts.items())
+    return all(sizes[t] == k for t, k in Counter(types.values()).items())
 
 
 def _poly_of(h: HomologyProfile) -> tuple:
     return (0,) + h.reduced_betti if h.reduced_betti else (1,)
+
+
+def _stripped_ends(c: SimplicialComplex) -> tuple:
+    """The bottom and top of the host that `c` leaves out, else None."""
+    return tuple(end if end is not None and not c.member_mask >> end & 1
+                 else None for end in (c.poset.bottom(), c.poset.top()))
 
 
 def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
@@ -420,9 +425,10 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
     p = c.poset
     polys = {(None, None): _poly_of(whole)}
     classes, sides = {}, {}
-    invariant = _conjugation_invariant(p, c.member_mask)
-    bottom, top = (end if end is not None and not c.member_mask >> end & 1
-                   else None for end in (p.bottom(), p.top()))
+    types = {v: cycle_type(p.elements[v]) for v in bits(c.member_mask)}
+    invariant = _conjugation_invariant(p, types)
+    bottom, top = _stripped_ends(c)
+    at_e = bottom is not None and not cycle_decomposition(p.elements[bottom])
 
     def eliminate(mask: int) -> tuple:
         return _poly_of(_homology_from_faces(_chains_in_mask(p, mask)[1]))
@@ -437,15 +443,15 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
             x, y = bottom if lo is None else lo, top if hi is None else hi
             if x is None or y is None:
                 end = hi if lo is None else lo  # below end iff lo is None
-                key = ((lo is None, cycle_type(p.elements[end])) if invariant
-                       else (lo, hi))
+                key = (lo is None, types[end]) if invariant else (lo, hi)
                 if key not in sides:
                     sides[key] = eliminate(mask)
                 polys[lo, hi] = sides[key]
             elif p.rank[y] - p.rank[x] <= 2:
                 polys[lo, hi] = (0, mask.bit_count() - 1) if mask else (1,)
             elif mask == p.above[x] & p.below[y] & ~(1 << x | 1 << y):
-                key = cycle_type(p.elements[x].inverse() * p.elements[y])
+                key = (types[y] if lo is None and at_e else
+                       cycle_type(p.elements[x].inverse() * p.elements[y]))
                 if key not in classes:
                     classes[key] = eliminate(mask)
                 polys[lo, hi] = classes[key]
@@ -474,12 +480,15 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     open end stands for a stripped bottom or top).  The host is convex, so
     that is the group interval, which x^-1 carries onto (e, x^-1 y); one
     signed cycle type is one conjugacy class of S_n (kind S) or of B_n (an
-    automorphism of D's order too), so the first gap of each type that is
-    all of its interval is eliminated in place, and later ones reuse it.  A
-    gap with fewer members is eliminated apart.  When y is at most two
-    ranks above x the gap lies in one rank, an antichain: k points have
-    P = (k - 1) t and no points P = 1, with no elimination; such a gap
-    never fails, so the pass over distinct gaps skips those edges.
+    automorphism of D's order too), so the first gap of each type (of y
+    when x = e) that is all of its interval is eliminated in place, and
+    later ones reuse it; one with fewer members is eliminated apart.  When
+    y is at most two ranks above x the gap is an antichain: k points have
+    P = (k - 1) t and none P = 1, with no elimination; it never fails, so
+    the pass over distinct gaps skips those edges.  It skips every (x, y)
+    with x a member, once the others pass, when members and stripped ends
+    are a lower set of the group (`_group_lower_set`): z = x^-1 y <= y
+    (Brady and Watt), so (x, y) is the gap below the member z.
 
     A gap open at one end, (x, open) or (open, y), lies in no interval.
     When the member set M is closed under conjugation (decided once, by
@@ -496,13 +505,17 @@ def cm_check(c: SimplicialComplex) -> CMReport:
         return sorted(tuple(sorted(at[v] for v in _unpacked(f, shifts)))
                       for f in faces)
 
-    one_open = itertools.chain.from_iterable(((None, v), (v, None))
-                                             for v in at)
+    bottom, top = _stripped_ends(c)
+    gaps = [(None, None)] + [(None, v) for v in at] + [(v, None) for v in at]
+    cut = len(gaps) - (top is not None) * len(at)  # (v, top) is two-ended
     edges = map(divmod, (c.levels + [[], []])[1], repeat(1 << w))
-    spans = ((at[lo], at[hi]) for hi, lo in edges
-             if p.rank[at[hi]] - p.rank[at[lo]] > 2)
-    distinct = itertools.chain([(None, None)], one_open, spans)
-    if any(any(gap(lo, hi)[:-1]) for lo, hi in distinct):
+    spans = itertools.chain(gaps[cut:], (
+        (at[lo], at[hi]) for hi, lo in edges
+        if p.rank[at[hi]] - p.rank[at[lo]] > 2))
+    lower = c.member_mask | sum(1 << v for v in (bottom, top) if v is not None)
+    if any(any(gap(*ends)[:-1]) for ends in gaps[:cut]) or not (
+            bottom is not None and _group_lower_set(p, lower)) and any(
+            any(gap(*ends)[:-1]) for ends in spans):
         faces = itertools.chain([()], itertools.chain.from_iterable(
             itertools.starmap(by_index, enumerate(c.levels))))
         for checked, face in enumerate(faces, 1):

@@ -1,7 +1,9 @@
 """The structural checks' shortcuts against their definitional routes.
 
-`cm_check` keys the gaps open at one end by conjugacy class and reads
-antichain gaps off their size, `meet`, `join` and `_meet_failure` decide
+`cm_check` keys the gaps open at one end by conjugacy class, reads
+antichain gaps off their size and, on a lower set of the group, reads each
+span (x, y) as the gap below x^-1 y, the lower-set test counts covers off
+the orbits, `meet`, `join` and `_meet_failure` decide
 existence by one mask comparison, `verify_el` keeps label states up from a
 bottom in one walk (from e alone on a lower set of the group), homology
 builds a coboundary column only when a reduction needs it, chains come out
@@ -63,7 +65,7 @@ from absorder import (
     support_size_label,
     verify_el,
 )
-from absorder import invariants, labeling, lattice, signed, topology
+from absorder import invariants, labeling, lattice, order, signed, topology
 from absorder.labeling import ELReport
 from absorder.order import Poset, _fibers, _graded, _lower_covers, bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
@@ -169,8 +171,14 @@ def test_conjugation_invariant_matches_closure_under_the_group(kind, n):
         # B_n-conjugation preserves D's order too
         verdicts.append(_closed_under_conjugation(
             p, mask, "S" if kind == "S" else "B"))
-        assert topology._conjugation_invariant(p, mask) is verdicts[-1]
+        assert topology._conjugation_invariant(
+            p, _types(p, mask)) is verdicts[-1]
     assert sum(verdicts) >= 8 and verdicts.count(False) >= 8
+
+
+def _types(p, mask):
+    """Each member's cycle type, the table `_gap_polys` keeps."""
+    return {v: cycle_type(p.elements[v]) for v in bits(mask)}
 
 
 def _paired_four_cycle_ideal():
@@ -190,6 +198,9 @@ GAP_CASES = {
     "coxeter-ideal-B4": (lambda: coxeter_ideal(4, "B"), "endpoints"),
     "D4": (lambda: full_poset("D", 4), "endpoints"),
     "paired-four-cycles": (_paired_four_cycle_ideal, "endpoints"),
+    "B5-above-a-reflection": (lambda: build_interval(
+        parse_cycles("((1,2))", 5), parse_cycles("[1,2,3,4,5]", 5), "B"),
+        "endpoints"),
 }
 
 
@@ -226,7 +237,7 @@ def test_an_s_invariant_ideal_of_b4_is_not_keyed_by_signed_class():
     mask = order_complex(p, strip="endpoints").member_mask
     assert _closed_under_conjugation(p, mask, "S")
     assert not _closed_under_conjugation(p, mask, "B")
-    assert not topology._conjugation_invariant(p, mask)
+    assert not topology._conjugation_invariant(p, _types(p, mask))
 
 
 def test_cm_check_eliminates_each_one_sided_class_once(monkeypatch):
@@ -246,9 +257,8 @@ def test_cm_check_eliminates_each_one_sided_class_once(monkeypatch):
     assert len(calls) <= 1 + 11 + len(types)
 
 
-def test_cm_check_reads_each_distinct_gap_once(monkeypatch):
-    # edge gaps at most two ranks high are skipped: each is an antichain,
-    # checked here never to fail, on a CM complex and on D4, which is not
+def _counting_reads(monkeypatch):
+    """The gaps `cm_check` reads, in order, once `_gap_polys` is wrapped."""
     reads = []
     gap_polys = topology._gap_polys
 
@@ -257,6 +267,14 @@ def test_cm_check_reads_each_distinct_gap_once(monkeypatch):
         return lambda lo, hi: reads.append((lo, hi)) or gap(lo, hi)
 
     monkeypatch.setattr(topology, "_gap_polys", counting)
+    return reads
+
+
+def test_cm_check_reads_each_distinct_gap_once(monkeypatch):
+    # edge gaps at most two ranks high are antichains, checked here never to
+    # fail, on a CM complex and on D4, which is not; on the lower set that
+    # the stripped B4 Coxeter ideal is, no edge gap is read at all
+    reads = _counting_reads(monkeypatch)
     for name in ("D4", "coxeter-ideal-B4"):
         build, strip = GAP_CASES[name]
         c = order_complex(build(), strip=strip)
@@ -267,10 +285,104 @@ def test_cm_check_reads_each_distinct_gap_once(monkeypatch):
             assert not any(_direct_gap(c, lo, hi)[:-1]), (name, lo, hi)
         reads.clear()
         assert cm_check(c).ok is (name != "D4")
-    # the last, CM, complex reads every distinct gap but the skipped once
+    # the last, CM, complex reads the empty face's gap and the gaps below
+    # and above each vertex, each once
     f = c.f_vector()
-    assert len(reads) == len(set(reads)) == 1 + 2 * f[0] + f[1] - len(skipped)
+    assert len(reads) == len(set(reads)) == 1 + 2 * f[0] == 561
     assert not set(reads) & set(skipped)
+
+
+_LOWER_SET_CASES = [name for name in GAP_CASES
+                    if name not in ("S4-ends-kept", "B5-above-a-reflection")]
+
+
+def _two_ended_spans(c):
+    """The gaps `cm_check` skips on a lower set of the group: the edges
+    more than two ranks high, and each vertex's gap up to a stripped top."""
+    p, (_, top) = c.poset, topology._stripped_ends(c)
+    edges = _edges_by_index(c) if c.dim() > 0 else []
+    spans = [(lo, hi) for lo, hi in edges if p.rank[hi] - p.rank[lo] > 2]
+    return spans + ([(v, None) for v in bits(c.member_mask)]
+                    if top is not None else [])
+
+
+@pytest.mark.parametrize("name", _LOWER_SET_CASES)
+def test_each_span_of_a_lower_set_is_a_gap_below_a_member(name):
+    build, strip = GAP_CASES[name]
+    c = order_complex(build(), strip=strip)
+    p = c.poset
+    assert order._group_lower_set(p, c.member_mask | 1)
+    spans = _two_ended_spans(c)
+    assert bool(spans) is (p.height() > 3), name  # stripped, rank > 2 apart
+    for lo, hi in spans:
+        z = p.index[p.elements[lo].inverse() * p.elements[hi]]
+        assert c.member_mask >> z & 1, (name, lo, hi)
+        assert _direct_gap(c, lo, hi) == _direct_gap(c, None, z), (name, lo, hi)
+
+
+def test_each_gap_up_to_a_stripped_top_is_a_gap_below_a_member():
+    top = parse_cycles("[1,2,3,4]", 4)
+    c = order_complex(build_interval(identity(4), top, "B"), strip="endpoints")
+    p = c.poset
+    assert topology._stripped_ends(c) == (0, len(p) - 1)
+    assert order._group_lower_set(p, (1 << len(p)) - 1)
+    for v in bits(c.member_mask):
+        z = p.index[p.elements[v].inverse() * top]
+        assert c.member_mask >> z & 1
+        assert _direct_gap(c, v, None) == _direct_gap(c, None, z), v
+
+
+def test_cm_check_skips_spans_only_on_a_lower_set(monkeypatch):
+    # an interval of B5 above a reflection, S4 with its ends kept and the
+    # two induced subposets of B3 that are not lower sets read every span;
+    # the stripped B4 Coxeter ideal and [e, [1,2,3,4]] read none
+    reads = _counting_reads(monkeypatch)
+    cases = [(GAP_CASES[name][0](), GAP_CASES[name][1], False)
+             for name in ("B5-above-a-reflection", "S4-ends-kept")]
+    cases += [(p, "endpoints", False) for p in _not_lower_sets_of_b3()]
+    cases += [(coxeter_ideal(4, "B"), "endpoints", True),
+              (build_interval(identity(4), parse_cycles("[1,2,3,4]", 4),
+                              "B"), "endpoints", True)]
+    for p, strip, lower_set in cases:
+        c = order_complex(p, strip=strip)
+        spans = _two_ended_spans(c)
+        reads.clear()
+        assert cm_check(c).ok, p.label
+        assert spans or p.label in ("B3 without [1][3]", "rank 2 skipped")
+        if lower_set:
+            assert spans and not set(spans) & set(reads), p.label
+        else:
+            assert set(spans) <= set(reads), p.label
+
+
+def test_lower_set_test_does_not_trust_the_cover_builder(monkeypatch):
+    # the covers of every w with w(n) < 0 lose one: the poset is built
+    # from them, but the count off the orbits rejects it, so verify_el
+    # walks from every element; [3] loses its only cover, e, so there is no
+    # bottom to strip and cm_check, failing at once, never asks
+    right = order._lower_covers
+
+    def one_short(images, kind="B"):
+        covers = right(images, kind)
+        return covers[1:] if images[-1] < 0 else covers
+
+    monkeypatch.setattr(order, "_lower_covers", one_short)
+    p = full_poset("B", 3)
+    assert not order._group_lower_set(p, (1 << len(p)) - 1)
+    asked = []
+
+    def recording(poset, mask):
+        asked.append(order._group_lower_set(poset, mask))
+        return asked[-1]
+
+    for module in (labeling, topology):
+        monkeypatch.setattr(module, "_group_lower_set", recording)
+    report = verify_el(p)
+    assert report == _verify_el_per_interval(p, support_size_label)
+    assert asked == [False]
+    c = order_complex(p, strip="endpoints")
+    assert p.bottom() is None and not cm_check(c).ok
+    assert asked == [False]
 
 
 # --- one lattice test ---------------------------------------------------------
@@ -535,7 +647,7 @@ def test_only_lower_sets_of_the_group_walk_from_e_alone():
     cases += [_induced(b3, [0] + rng.sample(range(1, len(b3)), k), "sample")
               for k in (8, 16, 32)]
     for p in cases:
-        assert (labeling._group_lower_set(p, _hasse_lower_covers(p))
+        assert (order._group_lower_set(p, (1 << len(p)) - 1)
                 == _lower_set_by_abs_leq(p)), p.label
     # B3 without [1][3] fails above [3] only, where a walk from e is blind
     for p, bottom in ((missing, "[3]"), (skipping, "e")):
@@ -1367,6 +1479,13 @@ def test_lower_covers_keep_the_order_of_the_swap_rule(kind):
         for w in group_elements(kind, n):
             assert _lower_covers(w.images, kind) == \
                 _lower_covers_by_swaps(w.images, kind), format_cycles(w)
+
+
+@pytest.mark.parametrize("kind,n", [("S", 5), ("B", 4), ("D", 5)])
+def test_lower_cover_count_off_the_orbits_matches_the_built_covers(kind, n):
+    for w in group_elements(kind, n):
+        assert order._lower_cover_count(w, kind) == len(
+            _lower_covers(w.images, kind)), format_cycles(w)
 
 
 # --- the group by sign vectors -------------------------------------------------

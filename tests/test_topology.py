@@ -420,7 +420,7 @@ def test_torsion_guard_refuses_before_eliminating(monkeypatch):
         torsion_profile(_rp2())
 
 
-def test_residual_over_the_guard_raises_before_the_dense_form(monkeypatch):
+def test_residual_over_the_guard_raises_before_the_smith_form(monkeypatch):
     # the Betti numbers come from the same pass, so `homology` refuses too,
     # and keeps nothing on the complex: with the guard back, both answer
     c = _rp2()
@@ -524,7 +524,7 @@ def test_torsion_matches_the_smith_form_of_boundary_maps():
             faces, whole=False) == {1: [], 2: [], 3: top}, p.label
 
 
-def test_torsion_matches_the_dense_smith_form_on_random_complexes(
+def test_torsion_matches_the_smith_form_of_whole_maps_on_random_complexes(
         monkeypatch):
     # the subdivision of a random complex around RP^2 often meets a pivot
     # of 2 and leaves its residual a pivot other than +-1.  Subdividing
@@ -569,7 +569,7 @@ def _betti_by_boundary_maps(faces):
 
 
 @pytest.mark.parametrize("seed", [193, 668, 2948])
-def test_unit_entries_of_the_residual_never_reach_the_dense_form(
+def test_unit_entries_of_the_residual_answer_at_a_zero_guard(
         monkeypatch, seed):
     # random members of the D4 Coxeter ideal whose deferred columns, once
     # cleared, hold a +-1: two columns (seed 193) or one.  Each such entry
