@@ -131,10 +131,11 @@ def _cmd_topology(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    predict, ranks, kind = {
-        "sym": (series.predicted_chi_sym, range(3, 6), "S"),
-        "hyper": (series.predicted_chi_hyper, range(2, 5), "B"),
+    predict, scope, kind = {
+        "sym": (series.predicted_chi_sym, "euler-three-way-plain", "S"),
+        "hyper": (series.predicted_chi_hyper, "euler-three-way-signed", "B"),
     }[args.family]
+    ranks = verify.SCOPES[scope][verify.PROFILES.index("full")]
     rows = {}
     ok = True
     for n, chi in predict(args.upto).items():

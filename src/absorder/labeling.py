@@ -30,8 +30,8 @@ class LabelingError(ValueError):
 
 def support_size_label(a: SignedPermutation, b: SignedPermutation) -> int:
     """Largest letter moved by a^-1 b: the largest i with a(i) != b(i)."""
-    for i in range(len(a.images), 0, -1):
-        if a.images[i - 1] != b.images[i - 1]:
+    for i in range(len(a), 0, -1):
+        if a[i - 1] != b[i - 1]:
             return i
     raise LabelingError("label of a loop edge is undefined")
 

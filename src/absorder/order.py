@@ -63,9 +63,9 @@ def covers(w: SignedPermutation, kind: str = "B") -> set:
     return out
 
 
-def _lower_covers(images: tuple, kind: str = "B") -> list:
-    """The image tuples of the products w*t of length l(w) - 1, for w with
-    image tuple `images` and t a reflection of the kind.
+def _lower_covers(w: tuple, kind: str = "B") -> list:
+    """The image tuples of the products w*t of length l(w) - 1, for w given
+    as an element or its image tuple and t a reflection of the kind.
 
     By the orbit rule (see `signed`): [i] for i in a balanced orbit,
     ((a, b)) for signed letters a, b of one paired orbit, and ((i, +-j))
@@ -73,25 +73,25 @@ def _lower_covers(images: tuple, kind: str = "B") -> list:
     built inline: for t exchanging i with s j (s = +-1), w*t holds s w(j)
     at i and s w(i) at j."""
     out, balanced = [], []
-    for orbit, is_balanced in _orbits(images):
+    for orbit, is_balanced in _orbits(w):
         if is_balanced:
             balanced += [abs(a) - 1 for a in orbit]
             continue
         letters = [(abs(a) - 1, 1 if a > 0 else -1) for a in orbit]
         for p, (i, si) in enumerate(letters):
             for j, sj in letters[p + 1:]:
-                new, s = list(images), si * sj
-                new[i], new[j] = s * images[j], s * images[i]
+                new, s = list(w), si * sj
+                new[i], new[j] = s * w[j], s * w[i]
                 out.append(tuple(new))
     for p, i in enumerate(balanced):
         if kind == "B":
-            new = list(images)
-            new[i] = -images[i]
+            new = list(w)
+            new[i] = -w[i]
             out.append(tuple(new))
         for j in balanced[p + 1:]:
             for s in (1, -1):
-                new = list(images)
-                new[i], new[j] = s * images[j], s * images[i]
+                new = list(w)
+                new[i], new[j] = s * w[j], s * w[i]
                 out.append(tuple(new))
     return out
 
@@ -229,8 +229,9 @@ class Poset:
     (including i itself); `above` is the transpose.  Ranks are reflection
     lengths shifted so the minimum is 0, and indices ascend with rank.
 
-    `covers` maps each member's image tuple to the image tuples of its
-    lower covers, as `elements_below` records them; the member set must
+    `covers` maps each member (an element or its image tuple) to the image
+    tuples of its lower covers, as `elements_below` records them; `index`
+    finds a member from either.  The member set must
     be convex: with x <= z <= y and x, y in it, z is in it too.  Whole
     groups, intervals and ideals all are.  The order is graded by length
     and each cover multiplies by a single reflection, so on a convex set
@@ -243,22 +244,20 @@ class Poset:
                  "below", "above", "hasse_up")
 
     def __init__(self, covers: dict, kind: str, label: str):
-        ranked = sorted((absolute_length(w, kind), w.images, w)
-                        for w in map(SignedPermutation, covers))
-        self.elements = [w for _, _, w in ranked]
+        ranked = sorted((absolute_length(z, kind), z) for z in covers)
+        self.elements = [SignedPermutation(z) for _, z in ranked]
         self.kind = kind
         self.label = label
         self.n = self.elements[0].n if self.elements else 0
         base = ranked[0][0] if ranked else 0
-        self.rank = [length - base for length, _, _ in ranked]
+        self.rank = [length - base for length, _ in ranked]
         self.index = {w: i for i, w in enumerate(self.elements)}
-        position = {z: i for i, (_, z, _) in enumerate(ranked)}
         k = len(self.elements)
         below = [1 << j for j in range(k)]
         self.hasse_up = [[] for _ in range(k)]
-        for j, (_, zj, _) in enumerate(ranked):
+        for j, (_, zj) in enumerate(ranked):
             for z in covers[zj]:
-                i = position.get(z)
+                i = self.index.get(z)
                 if i is not None:
                     below[j] |= below[i]
                     self.hasse_up[i].append(j)
@@ -344,7 +343,7 @@ class Poset:
 
 
 def _resolve(p: Poset, x) -> int:
-    """The index of x in p, x given as an element or as an index."""
+    """The index of x in p, x given as an element, its tuple or an index."""
     i = x if isinstance(x, int) else p.index.get(x)
     if i is None or not 0 <= i < len(p):
         raise ValueError(f"{x!r} is not an element of {p.label}")
@@ -371,7 +370,7 @@ def _graded(p: Poset, mask: int) -> bool:
 
 
 def _lower_cover_count(w: SignedPermutation, kind: str) -> int:
-    """len(_lower_covers(w.images, kind)) off the orbits: k(k-1)/2 per
+    """len(_lower_covers(w, kind)) off the orbits: k(k-1)/2 per
     paired k-orbit, and b^2 in kind B or b(b-1) over b balanced letters."""
     paired, balanced = cycle_type(w)
     b = sum(balanced)
@@ -415,13 +414,12 @@ def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> dict:
     ResourceGuardError once `seen` holds more than POSET_GUARD elements.
     """
     absolute_length(v, kind)  # ValueError outside the kind
-    top = v.images
     if seen is None:
         seen = {}
-    elif top in seen:
+    elif v in seen:
         return seen
-    seen[top] = None
-    frontier = [top]
+    seen[v] = None
+    frontier = [v]
     while frontier:
         nxt = []
         for z in frontier:
@@ -450,7 +448,7 @@ def build_interval(u: SignedPermutation, v: SignedPermutation, kind: str = "B") 
     record = elements_below(u.inverse() * v, kind)
     if u == identity(u.n):
         return Poset(record, kind, "interval")
-    moved = {z: (u * SignedPermutation(z)).images for z in record}
+    moved = {z: u * z for z in record}
     return Poset({moved[z]: [moved[c] for c in lower]
                   for z, lower in record.items()}, kind, "interval")
 
@@ -494,8 +492,8 @@ def full_poset(kind: str, n: int) -> Poset:
             f"full_poset({kind}, {n}) has {size} elements, more than the "
             f"guard {POSET_GUARD}"
         )
-    return Poset({w.images: _lower_covers(w.images, kind)
-                  for w in group_elements(kind, n)}, kind, "full")
+    return Poset({w: _lower_covers(w, kind) for w in group_elements(kind, n)},
+                 kind, "full")
 
 
 def project_pi(w: SignedPermutation, i: int) -> SignedPermutation:
@@ -503,7 +501,7 @@ def project_pi(w: SignedPermutation, i: int) -> SignedPermutation:
     the letter sent to +-i is sent on to +-w(i), read off the images."""
     if not 1 <= i <= w.n:
         raise ValueError(f"index {i} out of range")
-    images = list(w.images)
+    images = list(w)
     j = next(j for j, x in enumerate(images) if x == i or x == -i)
     images[j] = images[i - 1] if images[j] > 0 else -images[i - 1]
     images[i - 1] = i

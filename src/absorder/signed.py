@@ -1,8 +1,9 @@
 """Signed permutations: the arithmetic core behind S_n, B_n and D_n.
 
 An element of the hyperoctahedral group B_n is a permutation w of
-{-n, ..., -1, 1, ..., n} satisfying w(-i) = -w(i).  It is stored as the
-tuple (w(1), ..., w(n)); the negative half is implied.  The symmetric
+{-n, ..., -1, 1, ..., n} satisfying w(-i) = -w(i).  It is the tuple
+(w(1), ..., w(n)) itself, a `SignedPermutation` (a tuple subclass), and
+equals and hashes as it; the negative half is implied.  The symmetric
 group S_n sits inside B_n as the sign-free elements, and D_n as the
 elements with an even number of balanced cycles, so one representation
 serves all three groups.
@@ -45,47 +46,36 @@ class CycleNotationError(ValueError):
         self.position = position
 
 
-class SignedPermutation:
-    """A signed permutation, hashable and immutable."""
+class SignedPermutation(tuple):
+    """A signed permutation w, which is its image tuple (w(1), ..., w(n))."""
 
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        self.images = tuple(images)
+    __slots__ = ()
 
     @property
     def n(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, i: int) -> int:
         """Apply to a signed point i with 1 <= |i| <= n."""
-        if i > 0:
-            return self.images[i - 1]
-        return -self.images[-i - 1]
+        return self[i - 1] if i > 0 else -self[-i - 1]
 
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Composition: (u * v)(i) = u(v(i)), of two elements of one rank."""
-        images = self.images
-        if len(images) != len(other.images):
+    def __mul__(self, other) -> "SignedPermutation":
+        """Composition: (u * v)(i) = u(v(i)), of two elements of one rank;
+        v may be given as its image tuple."""
+        if len(self) != len(other):
             raise ValueError(f"cannot compose signed permutations of ranks "
-                             f"{len(images)} and {len(other.images)}")
-        return SignedPermutation([images[x - 1] if x > 0 else -images[-x - 1]
-                                  for x in other.images])
+                             f"{len(self)} and {len(other)}")
+        return SignedPermutation([self[x - 1] if x > 0 else -self[-x - 1]
+                                  for x in other])
 
     def inverse(self) -> "SignedPermutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images, start=1):
+        inv = [0] * len(self)
+        for i, j in enumerate(self, start=1):
             if j > 0:
                 inv[j - 1] = i
             else:
                 inv[-j - 1] = -i
         return SignedPermutation(inv)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignedPermutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def __repr__(self) -> str:
         return format_cycles(self)
@@ -127,7 +117,7 @@ def cycle_decomposition(w: SignedPermutation) -> tuple:
     canonical, in ascending order of their least letter.
     """
     return tuple(("balanced" if balanced else "paired", tuple(orbit))
-                 for orbit, balanced in _orbits(w.images)
+                 for orbit, balanced in _orbits(w)
                  if balanced or len(orbit) > 1)
 
 
@@ -258,7 +248,7 @@ def cycle_type(w: SignedPermutation) -> tuple:
     """The B_n conjugacy class of w: sorted paired and balanced orbit
     lengths, fixed points as paired 1-cycles."""
     paired, balanced = [], []
-    for orbit, is_balanced in _orbits(w.images):
+    for orbit, is_balanced in _orbits(w):
         (balanced if is_balanced else paired).append(len(orbit))
     return tuple(sorted(paired)), tuple(sorted(balanced))
 
@@ -269,8 +259,8 @@ def is_member(w: SignedPermutation, kind: str) -> bool:
     if kind == "B":
         return True
     if kind == "S":
-        return all(j > 0 for j in w.images)
-    return sum(balanced for _, balanced in _orbits(w.images)) % 2 == 0
+        return all(j > 0 for j in w)
+    return sum(balanced for _, balanced in _orbits(w)) % 2 == 0
 
 
 def absolute_length(w: SignedPermutation, kind: str = "B") -> int:
@@ -283,12 +273,12 @@ def absolute_length(w: SignedPermutation, kind: str = "B") -> int:
     """
     _check_kind(kind)
     orbits = balanced = 0
-    for _, is_balanced in _orbits(w.images):
+    for _, is_balanced in _orbits(w):
         orbits += 1
         balanced += is_balanced
     if kind == "D" and balanced % 2 or kind == "S" and not is_member(w, "S"):
         raise ValueError(f"{w!r} is not in kind {kind}")
-    return w.n - orbits + balanced
+    return len(w) - orbits + balanced
 
 
 def reflection_set(kind: str, n: int) -> tuple:

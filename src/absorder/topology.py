@@ -14,7 +14,7 @@ from collections import Counter, namedtuple
 from functools import reduce, wraps
 from itertools import repeat
 from math import gcd
-from operator import and_
+from operator import and_, or_
 
 from .order import (Poset, ResourceGuardError, _fibers, _graded, _greatest,
                     _group_lower_set, _hall_mobius, _least, bits)
@@ -115,8 +115,7 @@ def _chains_in_mask(p: Poset, mask: int, face_guard: int | None = None):
     is built.
     """
     face_guard = FACE_GUARD if face_guard is None else face_guard
-    indices = sorted(bits(mask), key=lambda v: (-p.rank[v],
-                                                p.elements[v].images[::-1]))
+    indices = sorted(bits(mask), key=lambda v: (-p.rank[v], p.elements[v][::-1]))
     label = {v: k for k, v in enumerate(indices)}
     below = [sorted(label[u] for u in bits(p.below[v] & mask & ~(1 << v)))
              for v in indices]
@@ -512,7 +511,8 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     spans = itertools.chain(gaps[cut:], (
         (at[lo], at[hi]) for hi, lo in edges
         if p.rank[at[hi]] - p.rank[at[lo]] > 2))
-    lower = c.member_mask | sum(1 << v for v in (bottom, top) if v is not None)
+    lower = reduce(or_, (1 << v for v in (bottom, top) if v is not None),
+                   c.member_mask)
     if any(any(gap(*ends)[:-1]) for ends in gaps[:cut]) or not (
             bottom is not None and _group_lower_set(p, lower)) and any(
             any(gap(*ends)[:-1]) for ends in spans):

@@ -217,7 +217,7 @@ def test_10_euler_characteristics_three_ways():
 
 def test_11_proper_parts_are_cohen_macaulay():
     p2 = full_poset("S", 2)
-    point = Poset({w.images: _lower_covers(w.images, "S")
+    point = Poset({w: _lower_covers(w, "S")
                    for i, w in enumerate(p2.elements) if p2.rank[i] > 0},
                   "S", "proper part")
     probes = [order_complex(point, strip="none")]

@@ -145,7 +145,7 @@ def _seeded_masks(p, rng, count):
     s_n = list(group_elements("S", p.n))
     keys = [cycle_type]
     if p.kind != "S":
-        keys.append(lambda w: min((g * w * g.inverse()).images for g in s_n))
+        keys.append(lambda w: min(g * w * g.inverse() for g in s_n))
     masks = []
     for key in keys:
         classes = {}
@@ -186,7 +186,7 @@ def _paired_four_cycle_ideal():
     closed under conjugation by S_4 but not by B_4."""
     w = parse_cycles("((1,-2,3,-4))", 4)
     gens = {g * w * g.inverse() for g in group_elements("S", 4)}
-    return build_ideal(sorted(gens, key=lambda v: v.images), "B",
+    return build_ideal(sorted(gens), "B",
                        label="S4-conjugates of ((1,-2,3,-4))")
 
 
@@ -635,7 +635,7 @@ def test_only_lower_sets_of_the_group_walk_from_e_alone():
     missing, skipping = _not_lower_sets_of_b3()
     assert _graded(missing, (1 << len(missing)) - 1)
     assert not _graded(skipping, (1 << len(skipping)) - 1)
-    assert all(len(lower) == len(_lower_covers(w.images, "B"))
+    assert all(len(lower) == len(_lower_covers(w, "B"))
                for lower, w in zip(_hasse_lower_covers(skipping),
                                    skipping.elements))
     b3 = full_poset("B", 3)
@@ -821,7 +821,7 @@ def _same_under_index_ties(c):
     label orders differ."""
     p = c.poset
     assert c.indices == sorted(
-        c.indices, key=lambda v: (-p.rank[v], p.elements[v].images[::-1]))
+        c.indices, key=lambda v: (-p.rank[v], p.elements[v][::-1]))
     relabelled = _by_rank_then_index(c)
     profile = topology._homology_from_faces(c.levels)
     assert profile == topology._homology_from_faces(
@@ -1195,7 +1195,7 @@ def _ideal_checks_per_fiber(kind, n):
                    and project_pi(v, n) == target], expected_rank)
     ambient = coxeter_ideal(n, kind)
     for u in coxeter_ideal(n - 1, kind).elements:
-        u = SignedPermutation(u.images + (n,))
+        u = SignedPermutation(u + (n,))
         check(f"fiber ideal over {format_cycles(u)}",
               [v for v in ambient.elements if project_pi(v, n) == u],
               absolute_length(u, kind) + 1)
@@ -1437,7 +1437,7 @@ def _lower_covers_by_trial(w, kind):
     """The image tuples of every product w*t by a reflection of the kind,
     kept when its length is one less than that of w."""
     length = absolute_length(w, "B") - 1
-    return {(w * t).images for t in reflection_set(kind, w.n)
+    return {w * t for t in reflection_set(kind, w.n)
             if absolute_length(w * t, "B") == length}
 
 
@@ -1445,7 +1445,7 @@ def _lower_covers_by_trial(w, kind):
                                     for n in range(5)] + [("B", 5)])
 def test_lower_covers_match_every_reflection_product(kind, n):
     for w in group_elements(kind, n):
-        got = _lower_covers(w.images, kind)
+        got = _lower_covers(w, kind)
         assert len(got) == len(set(got)), format_cycles(w)
         assert set(got) == _lower_covers_by_trial(w, kind), format_cycles(w)
 
@@ -1477,15 +1477,15 @@ def _lower_covers_by_swaps(images, kind):
 def test_lower_covers_keep_the_order_of_the_swap_rule(kind):
     for n in range(6):
         for w in group_elements(kind, n):
-            assert _lower_covers(w.images, kind) == \
-                _lower_covers_by_swaps(w.images, kind), format_cycles(w)
+            assert _lower_covers(w, kind) == \
+                _lower_covers_by_swaps(w, kind), format_cycles(w)
 
 
 @pytest.mark.parametrize("kind,n", [("S", 5), ("B", 4), ("D", 5)])
 def test_lower_cover_count_off_the_orbits_matches_the_built_covers(kind, n):
     for w in group_elements(kind, n):
         assert order._lower_cover_count(w, kind) == len(
-            _lower_covers(w.images, kind)), format_cycles(w)
+            _lower_covers(w, kind)), format_cycles(w)
 
 
 # --- the group by sign vectors -------------------------------------------------

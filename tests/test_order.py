@@ -71,7 +71,7 @@ def test_poset_shape():
 def test_bottom_requires_domination():
     # two incomparable elements: unique shortest is not below the other
     members = [parse_cycles(text, 2) for text in ("[1]", "[1,2]", "[2]")]
-    sub = Poset({w.images: _lower_covers(w.images, "B") for w in members},
+    sub = Poset({w: _lower_covers(w, "B") for w in members},
                 "B", "test")
     assert sub.bottom() is None
 
@@ -178,7 +178,7 @@ def _translate_case(kind, draw):
 
 def _left_translate(u, p):
     """The Poset on u z for z in p, covered as p is, built afresh."""
-    moved = [(u * z).images for z in p.elements]
+    moved = [u * z for z in p.elements]
     lower = {z: [] for z in moved}
     for i, ups in enumerate(p.hasse_up):
         for j in ups:

@@ -17,6 +17,7 @@ from absorder.order import (
     POSET_GUARD,
     Poset,
     ResourceGuardError,
+    _resolve,
     abs_leq,
     bits,
     build_ideal,
@@ -26,7 +27,8 @@ from absorder.order import (
     full_poset,
 )
 from absorder.signed import (SignedPermutation, balanced_cycle,
-                             group_elements, group_order, identity)
+                             group_elements, group_order, identity,
+                             parse_cycles)
 
 SEED = 20260816
 
@@ -146,7 +148,7 @@ def test_building_makes_no_abs_leq_call(monkeypatch):
     b3 = full_poset("B", 3)
     coxeter_ideal(4, "B")
     build_ideal(b3.elements[-3:], "B")
-    Poset({w.images: order._lower_covers(w.images, "B") for w in b3.elements},
+    Poset({w: order._lower_covers(w, "B") for w in b3.elements},
           "B", "direct")
     assert calls == []
     build_interval(b3.elements[1], b3.elements[-1], "B")
@@ -201,3 +203,27 @@ def test_full_poset_guard_refuses_before_generating(monkeypatch, kind, n):
     with pytest.raises(ResourceGuardError, match=str(group_order(kind, n))):
         full_poset(kind, n)
     assert time.perf_counter() - start < 1.0
+
+
+BUILDERS = {
+    "full-B3": lambda: full_poset("B", 3),
+    "interval-from-e": lambda: build_interval(
+        identity(4), parse_cycles("[1,2,3][4]", 4), "B"),
+    "interval-from-u": lambda: build_interval(
+        parse_cycles("((1,2))", 4), parse_cycles("[1,2,3,4]", 4), "B"),
+    "ideal": lambda: build_ideal([parse_cycles("[1,2]((3,4))", 4),
+                                  parse_cycles("((1,-3,4))", 4)], "B"),
+    "coxeter-ideal-D4": lambda: coxeter_ideal(4, "D"),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_every_builder_yields_elements_found_from_their_tuples(name):
+    p = BUILDERS[name]()
+    assert len(p.index) == len(p) > 1
+    for i, w in enumerate(p.elements):
+        assert type(w) is SignedPermutation, name
+        plain = tuple(w)
+        assert type(plain) is tuple
+        assert p.index[w] == p.index[plain] == i
+        assert _resolve(p, w) == _resolve(p, plain) == i

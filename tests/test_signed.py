@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from absorder import coxeter_ideal, full_poset, predict_lattice, signed
+from absorder import (build_ideal, build_interval, coxeter_ideal, full_poset,
+                      predict_lattice, signed)
 from absorder.signed import (
     CycleNotationError,
     SignedPermutation,
@@ -31,6 +32,37 @@ def test_images_and_negation():
     w = SignedPermutation((2, -1, 3))
     assert w(1) == 2 and w(2) == -1 and w(3) == 3
     assert w(-1) == -2 and w(-2) == 1
+
+
+def test_an_element_is_its_image_tuple():
+    w = SignedPermutation((2, -1, 3))
+    assert isinstance(w, tuple) and w == (2, -1, 3)
+    assert hash(w) == hash((2, -1, 3))
+    assert {w: "w"}[(2, -1, 3)] == "w" and {(2, -1, 3)} == {w}
+    assert len(w) == w.n == 3
+    assert type(w[1:]) is tuple and w[1:] == (-1, 3)
+    assert type(w[::-1]) is tuple and w[::-1] == (3, -1, 2)
+    assert type(2 * w) is tuple and type(w + (4,)) is tuple
+
+
+def test_an_element_composes_with_a_plain_tuple():
+    u = SignedPermutation((2, 1))
+    assert u * (2, 1) == identity(2)
+    assert type(u * (2, 1)) is SignedPermutation
+    assert u * (-1, 2) == u * SignedPermutation((-1, 2)) == (-2, 1)
+    with pytest.raises(ValueError):
+        u * (1, 2, 3)
+
+
+def test_the_rank_zero_identity_builds_every_rank_zero_poset():
+    e = identity(0)
+    assert e == () and not e and e.n == 0 and repr(e) == "e"
+    assert absolute_length(e) == 0 and e.inverse() == e * e == e
+    for kind in "SBD":
+        for p in (full_poset(kind, 0), coxeter_ideal(0, kind),
+                  build_interval(e, e, kind), build_ideal([e], kind)):
+            assert p.elements == [e] and p.rank == [0] and p.n == 0
+            assert type(p.elements[0]) is SignedPermutation
 
 
 def test_composition_applies_right_factor_first():
@@ -90,8 +122,8 @@ def test_cycle_words_are_canonical_over_the_whole_group(kind, n):
     for w in group_elements(kind, n):
         words = cycle_decomposition(w)
         leads = [entries[0] for _, entries in words]
-        assert leads == [min(map(abs, entries)) for _, entries in words], w.images
-        assert leads == sorted(leads), w.images
+        assert leads == [min(map(abs, entries)) for _, entries in words], w
+        assert leads == sorted(leads), w
         assert parse_cycles(format_cycles(w), n) == w
         assert from_cycles(words, n) == w
 

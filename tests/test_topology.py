@@ -26,6 +26,7 @@ from absorder import (
     torsion_profile,
 )
 from absorder import order, topology
+from absorder.cli import main
 from absorder.order import bits
 from absorder.signed import cycle_type
 from absorder.topology import (SimplicialComplex, _chains_in_mask,
@@ -140,6 +141,21 @@ def test_a_failing_cm_check_unpacks_no_face_before_its_verdict(monkeypatch):
         False, (), 1)
     assert report.failing_betti == (0, 0, 1, 340)
     assert calls == [] and c.face_count() == 15_238
+
+
+@pytest.mark.parametrize("args", [
+    ["--group", "B", "--n", "0"],
+    ["--group", "S", "--n", "1"],
+    ["--group", "B", "--n", "2", "--top", "e"],
+    ["--group", "B", "--n", "2", "--top", "[1]", "--bottom", "[1]"],
+])
+def test_cm_check_of_a_one_element_host_checks_the_empty_face(capsys, args):
+    # the stripped bottom and top are one element there, so one bit
+    assert main(["topology", *args, "--cm"]) == 0
+    assert "cm: {'ok': True, 'mode': 'all', 'faces_checked': 1}" in \
+        capsys.readouterr().out.splitlines()
+    report = cm_check(order_complex(full_poset("B", 0), strip="endpoints"))
+    assert report.ok and report.faces_checked == 1
 
 
 def test_cm_holds_on_stripped_plain_poset():
@@ -980,5 +996,5 @@ def test_ideal_battery_builds_one_ambient_and_projects_once(kind, n,
     checks = appendix_ideal_checks(coxeter_ideal(n, kind))
     assert all(c.ok() for c in checks)
     assert labels == ["coxeter-ideal"]
-    assert sorted(projected, key=lambda w: w.images) == sorted(
-        coxeter_ideal(n, kind).elements, key=lambda w: w.images)
+    assert sorted(projected) == sorted(
+        coxeter_ideal(n, kind).elements)
