@@ -14,6 +14,7 @@ fixed total order of all reflections.
 """
 
 from collections import namedtuple
+from functools import cache
 
 from .lattice import join
 from .order import Poset, ResourceGuardError, _group_lower_set, bits
@@ -155,7 +156,8 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
     strictly lexicographically smaller than every other sequence.
 
     The maximal chains of [x, y] are the Hasse paths from x to y, which stay
-    inside [x, y]; one walk up from x, in ascending index, serves every y.
+    inside [x, y]; one walk up from x, in ascending index and reading lower
+    covers off `hasse_down`, serves every y, and each edge is labeled once.
     Paths are counted first: the first y with more than CHAIN_GUARD raises
     ResourceGuardError before any edge from x is labeled.  Each y keeps the
     increasing label sequences of [x, y] and its least sequence of each
@@ -173,19 +175,7 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
     """
     if labeler is None:
         labeler = support_size_label
-    label_cache = {}
-
-    def edge_label(i: int, j: int):
-        got = label_cache.get((i, j))
-        if got is None:
-            got = labeler(p.elements[i], p.elements[j])
-            label_cache[(i, j)] = got
-        return got
-
-    lower_covers = [[] for _ in range(len(p))]
-    for i, ups in enumerate(p.hasse_up):
-        for j in ups:
-            lower_covers[j].append(i)
+    edge_label = cache(lambda i, j: labeler(p.elements[i], p.elements[j]))
     reduced = (labeler in (support_size_label, collapsed_reflection_label)
                and _group_lower_set(p, (1 << len(p)) - 1))
     intervals = 0
@@ -194,7 +184,7 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
         tops = list(bits(p.above[x] & ~(1 << x)))
         paths = {x: 1}
         for y in tops:
-            paths[y] = sum(paths.get(i, 0) for i in lower_covers[y])
+            paths[y] = sum(paths.get(i, 0) for i in p.hasse_down[y])
             if paths[y] > CHAIN_GUARD:
                 raise ResourceGuardError(
                     f"interval [{p.elements[x]!r}, {p.elements[y]!r}] exceeds "
@@ -205,7 +195,7 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
             intervals += 1
             chains_total += paths[y]
             least, climbs = {}, []
-            for i in lower_covers[y]:
+            for i in p.hasse_down[y]:
                 if i in paths:
                     step = edge_label(i, y)
                     for size, seq in first[i].items():
@@ -225,7 +215,7 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
                 ending = {x: [()]}
                 for z in bits(p.above[x] & p.below[y] & ~(1 << x)):
                     ending[z] = [seq + (edge_label(i, z),)
-                                 for i in lower_covers[z] if i in ending
+                                 for i in p.hasse_down[z] if i in ending
                                  for seq in ending[i]]
                 failure = {
                     "bottom": repr(p.elements[x]),
@@ -237,7 +227,7 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
                 return ELReport(False, intervals, chains_total, failure)
     if reduced:
         ending = []
-        for lower in lower_covers:
+        for lower in p.hasse_down:
             ending.append(1 + sum(ending[i] for i in lower))
         intervals = sum(up.bit_count() for up in p.above) - len(p)
         chains_total = sum(ending) - len(p)

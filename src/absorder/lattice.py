@@ -62,12 +62,7 @@ def _meet_failure(p: Poset):
     then k = a ^ m below y and b ^ k below z.  Every common lower bound of
     a and b lies below m and k, so below b ^ k, which is thus a ^ b.
     """
-    covered = [[] for _ in p.elements] + [
-        [i for i, up in enumerate(p.hasse_up) if not up]]
-    for i, up in enumerate(p.hasse_up):
-        for j in up:
-            covered[j].append(i)
-    for lower in covered:
+    for lower in p.hasse_down + [_maximal_of(p, (1 << len(p)) - 1)]:
         for i, j in combinations(lower, 2):
             common = p.below[i] & p.below[j]
             if _greatest(p, common) is None:

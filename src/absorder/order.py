@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import Counter
 
 from .signed import (
     SignedPermutation,
@@ -226,8 +225,9 @@ class Poset:
     """A finite convex subset of an absolute order, ranked.
 
     `below[i]` is a bitmask over element indices j with element_j <= element_i
-    (including i itself); `above` is the transpose.  Ranks are reflection
-    lengths shifted so the minimum is 0, and indices ascend with rank.
+    (including i itself); `above` is the transpose, as `hasse_down[i]`, the
+    member lower covers of i ascending, is of `hasse_up`.  Ranks are
+    reflection lengths shifted to start at 0; indices ascend with rank.
 
     `covers` maps each member (an element or its image tuple) to the image
     tuples of its lower covers, as `elements_below` records them; `index`
@@ -241,7 +241,7 @@ class Poset:
     """
 
     __slots__ = ("elements", "kind", "label", "n", "rank", "index",
-                 "below", "above", "hasse_up")
+                 "below", "above", "hasse_up", "hasse_down")
 
     def __init__(self, covers: dict, kind: str, label: str):
         ranked = sorted((absolute_length(z, kind), z) for z in covers)
@@ -261,6 +261,10 @@ class Poset:
                 if i is not None:
                     below[j] |= below[i]
                     self.hasse_up[i].append(j)
+        self.hasse_down = [[] for _ in range(k)]
+        for i, ups in enumerate(self.hasse_up):
+            for j in ups:
+                self.hasse_down[j].append(i)
         above = [1 << i for i in range(k)]
         for i in reversed(range(k)):
             for j in self.hasse_up[i]:
@@ -380,12 +384,10 @@ def _lower_cover_count(w: SignedPermutation, kind: str) -> int:
 def _group_lower_set(p: Poset, mask: int) -> bool:
     """Whether the members of `mask` are a lower set of their group: each
     Hasse edge between them climbs one rank and each has `_lower_cover_count`
-    lower covers among them, its group covers, so the lowest is e."""
-    count = Counter(j for i in bits(mask) for j in p.hasse_up[i]
-                    if mask >> j & 1)
+    members in its `hasse_down`, its group covers, so the lowest is e."""
     return mask > 0 and _graded(p, mask) and all(
-        count[j] == _lower_cover_count(p.elements[j], p.kind)
-        for j in bits(mask))
+        sum(mask >> i & 1 for i in p.hasse_down[j])
+        == _lower_cover_count(p.elements[j], p.kind) for j in bits(mask))
 
 
 def _hall_mobius(p: Poset, mask: int) -> int:
@@ -542,8 +544,8 @@ def cover_lifting_ok(ambient: Poset, i: int | None = None) -> bool:
             fixed, moved = fibers[ambient.elements[b]]
             lower |= fixed | moved
         upper = 0
-        for v in bits(fibers[u][1] & ambient.above[ui]):
-            if ambient.rank[v] == ambient.rank[ui] + 1:
+        for v in ambient.hasse_up[ui]:
+            if fibers[u][1] >> v & 1:
                 upper |= ambient.below[v]
         if lower & ~upper:
             return False

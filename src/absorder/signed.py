@@ -62,6 +62,8 @@ class SignedPermutation(tuple):
     def __mul__(self, other) -> "SignedPermutation":
         """Composition: (u * v)(i) = u(v(i)), of two elements of one rank;
         v may be given as its image tuple."""
+        if not hasattr(other, "__len__"):
+            return NotImplemented
         if len(self) != len(other):
             raise ValueError(f"cannot compose signed permutations of ranks "
                              f"{len(self)} and {len(other)}")

@@ -102,6 +102,7 @@ def _induced(p, keep, label):
         strict = up ^ (1 << a)
         sub.hasse_up.append([j for j in bits(strict)
                              if strict & sub.below[j] == 1 << j])
+    sub.hasse_down = _hasse_lower_covers(sub)
     return sub
 
 

@@ -201,7 +201,8 @@ def test_translate_interval_is_isomorphism():
         # record is taken as it is
         target = build_interval(identity(u.n), u.inverse() * v, kind)
         translate = _left_translate(u, target)
-        for field in ("elements", "rank", "below", "above", "hasse_up"):
+        for field in ("elements", "rank", "below", "above", "hasse_up",
+                      "hasse_down"):
             assert getattr(source, field) == getattr(translate, field), \
                 (kind, draw, field)
 

@@ -29,6 +29,7 @@ from absorder.order import (
 from absorder.signed import (SignedPermutation, balanced_cycle,
                              group_elements, group_order, identity,
                              parse_cycles)
+from test_oracles import _hasse_lower_covers
 
 SEED = 20260816
 
@@ -227,3 +228,19 @@ def test_every_builder_yields_elements_found_from_their_tuples(name):
         assert type(plain) is tuple
         assert p.index[w] == p.index[plain] == i
         assert _resolve(p, w) == _resolve(p, plain) == i
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_every_builder_keeps_lower_covers_as_the_transpose(name):
+    p = BUILDERS[name]()
+    assert p.hasse_down == _hasse_lower_covers(p), name
+
+
+def test_a_record_with_covers_outside_keeps_only_member_lower_covers():
+    # [((1,2)), [1,2,3]] recorded with every lower cover of each member:
+    # those of ((1,2)) and of its upper covers reach e and the atoms
+    members = build_interval(parse_cycles("((1,2))", 3),
+                             parse_cycles("[1,2,3]", 3), "B").elements
+    p = Poset({w: order._lower_covers(w, "B") for w in members}, "B", "record")
+    assert p.hasse_down[0] == [] and p.hasse_down[-1]
+    assert p.hasse_down == _hasse_lower_covers(p)

@@ -54,6 +54,19 @@ def test_an_element_composes_with_a_plain_tuple():
         u * (1, 2, 3)
 
 
+def test_an_element_times_a_number_is_unsupported():
+    # an operand with no length is left to Python, which names both types;
+    # a number on the left still repeats the tuple
+    w = SignedPermutation((2, -1))
+    for k in (2, 2.5):
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) "
+                           rf"for \*: 'SignedPermutation' and "
+                           rf"'{type(k).__name__}'$"):
+            w * k
+    assert 2 * w == (2, -1, 2, -1) and type(2 * w) is tuple
+    assert w * w == (-1, -2) and type(w * w) is SignedPermutation
+
+
 def test_the_rank_zero_identity_builds_every_rank_zero_poset():
     e = identity(0)
     assert e == () and not e and e.n == 0 and repr(e) == "e"
