@@ -127,6 +127,6 @@ def maximal_common_lower_bounds(u: SignedPermutation, v: SignedPermutation,
     """Maximal elements lying below both u and v in the group order: the
     maximal members of the mask below both in the ideal they generate."""
     p = build_ideal([u, v], kind)
-    i, j = p.index[u], p.index[v]
+    i, j = _resolve(p, u), _resolve(p, v)
     return [p.elements[t] for t in _maximal_of(p, p.below[i] & p.below[j])]
 

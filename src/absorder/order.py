@@ -21,7 +21,6 @@ from .signed import (
     _orbits,
     absolute_length,
     cycle_decomposition,
-    cycle_type,
     format_cycles,
     from_cycles,
     coxeter_elements,
@@ -376,18 +375,31 @@ def _graded(p: Poset, mask: int) -> bool:
 def _lower_cover_count(w: SignedPermutation, kind: str) -> int:
     """len(_lower_covers(w, kind)) off the orbits: k(k-1)/2 per
     paired k-orbit, and b^2 in kind B or b(b-1) over b balanced letters."""
-    paired, balanced = cycle_type(w)
-    b = sum(balanced)
-    return sum(k * (k - 1) // 2 for k in paired) + b * (b - (kind != "B"))
+    count = b = 0
+    for orbit, balanced in _orbits(w):
+        if balanced:
+            b += len(orbit)
+        else:
+            count += len(orbit) * (len(orbit) - 1) // 2
+    return count + b * (b - (kind != "B"))
 
 
 def _group_lower_set(p: Poset, mask: int) -> bool:
     """Whether the members of `mask` are a lower set of their group: each
     Hasse edge between them climbs one rank and each has `_lower_cover_count`
-    members in its `hasse_down`, its group covers, so the lowest is e."""
-    return mask > 0 and _graded(p, mask) and all(
-        sum(mask >> i & 1 for i in p.hasse_down[j])
-        == _lower_cover_count(p.elements[j], p.kind) for j in bits(mask))
+    members in its `hasse_down`, its group covers, so the lowest is e.  One
+    pass over the edges checks the ranks and counts the covers."""
+    rank = p.rank
+    for j in bits(mask):
+        count = 0
+        for i in p.hasse_down[j]:
+            if mask >> i & 1:
+                if rank[i] != rank[j] - 1:
+                    return False
+                count += 1
+        if count != _lower_cover_count(p.elements[j], p.kind):
+            return False
+    return mask > 0
 
 
 def _hall_mobius(p: Poset, mask: int) -> int:

@@ -256,9 +256,10 @@ def _homology_from_faces(levels: list) -> HomologyProfile:
     intersects the neighbour masks of each distinct prefix s >> w once, for
     the run of faces sharing it, so each face costs one more intersection,
     with the mask of its last vertex; a highest u above that vertex gives
-    s << w | u, one below it is spliced in by shifts.  A column whose lowest
-    row is no pivot yet is kept as its face and built, unpacked once, only
-    when a later column reduces against it.
+    s << w | u, one below it is spliced in under the vertices above u, the
+    last and those that the prefix's vertex mask holds above u.  A column
+    whose lowest row is no pivot yet is kept as its face and built, unpacked
+    once, only when a later column reduces against it.
     An order complex labels its vertices in rank-descending order, so u is a
     member below the chain's bottom when there is one; s then is the only
     face whose lowest row is s + (u,), and in an ideal nearly every column
@@ -295,39 +296,40 @@ def _homology_from_faces(levels: list) -> HomologyProfile:
     for d in range(len(levels) - 1):
         shifts = range(w * d, -1, -w)
         pivots, extensions, deferred = {}, 0, []
-        # runs of faces that share all vertices but the last
-        for prefix, faces in itertools.groupby(levels[d], w.__rrshift__):
-            shared = -1
-            for s in shifts[1:]:
-                shared &= neighbours[prefix >> s & tail]
-            for face in faces:
-                last = face & tail
-                common = shared & neighbours[last]
-                above = common >> last + 1
+        prefix = -1  # of the run of faces that share all vertices but the last
+        for face in levels[d]:
+            if face >> w != prefix:
+                prefix, shared, held = face >> w, -1, 0
+                for s in shifts[1:]:
+                    v = prefix >> s & tail
+                    shared &= neighbours[v]
+                    held |= 1 << v
+            last = face & tail
+            common = shared & neighbours[last]
+            above = common >> last + 1
+            if above:
                 extensions += above.bit_count()
-                if face in cleared or not common:
-                    continue
-                u = common.bit_length() - 1
-                if above:
-                    low = face << w | u
-                else:  # s: the bits of the vertices above u
-                    s = w
-                    while face >> s & tail > u:
-                        s += w
-                    low = (face >> s << w | u) << s | face & (1 << s) - 1
-                if low not in pivots:
-                    pivots[low] = face
-                    continue
-                col = dict(_cofaces(face, shifts, common))
-                while low in pivots:
-                    _subtract(col, col[low], _pivot(pivots, low, get, shifts))
-                    low = max(col, default=None)
-                if low is None:
-                    continue
-                if col[low] in (1, -1):
-                    pivots[low] = _normalized(col, low)
-                else:
-                    deferred.append(col)
+            if face in cleared or not common:
+                continue
+            u = common.bit_length() - 1
+            if above:
+                low = face << w | u
+            else:  # s: the bits of the vertices above u, the last one's too
+                s = w * ((held >> u).bit_count() + 1)
+                low = (face >> s << w | u) << s | face & (1 << s) - 1
+            if low not in pivots:
+                pivots[low] = face
+                continue
+            col = dict(_cofaces(face, shifts, common))
+            while low in pivots:
+                _subtract(col, col[low], _pivot(pivots, low, get, shifts))
+                low = max(col, default=None)
+            if low is None:
+                continue
+            if col[low] in (1, -1):
+                pivots[low] = _normalized(col, low)
+            else:
+                deferred.append(col)
         if extensions != len(levels[d + 1]):
             raise ValueError(
                 f"not a flag complex at dimension {d}: {extensions} common "

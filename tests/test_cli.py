@@ -414,7 +414,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _absorder_process(*argv):
-    """`python -m absorder ARGV...` in a child process, stdout piped."""
+    """`python -m absorder ARGV...` in a child process, stdout and stderr
+    piped; leaving its `with` block closes both and waits for it."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=SRC + (os.pathsep + path if path else ""))
@@ -446,31 +447,31 @@ def test_python_dash_m_runs_the_cli():
 def test_reader_closing_after_the_first_line_is_not_an_error():
     # The JSON (about 110 kB) outgrows the pipe buffer, so the command is
     # still writing when the reader goes.
-    proc = _absorder_process("poset", "--group", "B", "--n", "4",
-                             "--format", "json")
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    with _absorder_process("poset", "--group", "B", "--n", "4",
+                           "--format", "json") as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert first == b"{\n"
     assert err == b""
 
 
 def test_closed_pipe_keeps_the_handler_exit_code():
-    proc = _absorder_process("verify", "--profile", "quick",
-                             "--inject-fault", "zeta-consistency")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    with _absorder_process("verify", "--profile", "quick",
+                           "--inject-fault", "zeta-consistency") as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     assert err == b""
 
 
 def test_reader_closing_after_the_table_header_is_not_an_error():
     # The B5 table (about 94 kB) outgrows the pipe buffer as well.
-    proc = _absorder_process("poset", "--group", "B", "--n", "5")
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    with _absorder_process("poset", "--group", "B", "--n", "5") as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert first.startswith(b"full: kind B, 3840 elements, ")
     assert err == b""

@@ -228,6 +228,16 @@ def test_three_maximal_lower_bounds_spot_check():
     assert sorted(map(str, bounds)) == ["[1][2]", "[1][3]", "[2][3]"]
 
 
+def test_a_generator_missing_from_the_ideal_is_named(monkeypatch):
+    u = parse_cycles("[1][2][3][4]", 5)
+    v = parse_cycles("[1][2][3][5]", 5)
+    right = lattice.build_ideal
+    monkeypatch.setattr(lattice, "build_ideal",
+                        lambda generators, kind: right(generators[:1], kind))
+    with pytest.raises(ValueError, match=r"^\[1\]\[2\]\[3\]\[5\] is not an "):
+        maximal_common_lower_bounds(u, v, "D")
+
+
 def _maximal_by_filter(u, v, kind):
     """Maximal common lower bounds by filtering u's ideal with `abs_leq`."""
     common = [w for w in map(SignedPermutation, elements_below(u, kind))

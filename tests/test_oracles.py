@@ -3,10 +3,11 @@
 `cm_check` keys the gaps open at one end by conjugacy class, reads
 antichain gaps off their size and, on a lower set of the group, reads each
 span (x, y) as the gap below x^-1 y, the lower-set test counts covers off
-the orbits, `meet`, `join` and `_meet_failure` decide
+the orbits on any mask, `meet`, `join` and `_meet_failure` decide
 existence by one mask comparison, `verify_el` keeps label states up from a
 bottom in one walk (from e alone on a lower set of the group), homology
-builds a coboundary column only when a reduction needs it, chains come out
+builds a coboundary column only when a reduction needs it and splices a
+lowest row by one vertex mask per run of faces, chains come out
 sorted level by level over labels descending in rank with ties broken by
 the reversed image tuple, each packed into one int and read back as the
 tuple it packs, the fiber law compares distinct projections by lengths and
@@ -657,6 +658,37 @@ def test_only_lower_sets_of_the_group_walk_from_e_alone():
         assert report.failure["bottom"] == bottom
 
 
+def _lower_set_by_covers(p, mask):
+    """Whether `mask` holds e and the group's lower covers of each member."""
+    members = {p.elements[i] for i in bits(mask)}
+    return identity(p.n) in members and all(
+        z in members for w in members for z in _lower_covers(w, p.kind))
+
+
+@pytest.mark.parametrize("kind,n", [("B", 3), ("S", 4), ("D", 4)])
+def test_lower_set_test_matches_the_covers_on_partial_masks(kind, n):
+    # random ideals, each less a maximal member, less e, and intervals
+    # [u, v] with u other than e; every mask but the ideals lacks e or a
+    # cover, and the empty mask is no lower set
+    p = full_poset(kind, n)
+    rng = random.Random(20261042)
+    ideals, others = [], [0, (1 << len(p)) - 2]
+    for _ in range(8):
+        ideal = 0
+        for g in rng.sample(range(len(p)), rng.randint(1, 4)):
+            ideal |= p.below[g]
+        top = rng.choice(lattice._maximal_of(p, ideal))
+        u = rng.randrange(1, len(p))
+        v = rng.choice(list(bits(p.above[u])))
+        ideals += [ideal, ideal & ~(1 << top)]
+        others += [ideal & ~1, p.above[u] & p.below[v]]
+    for mask in ideals + others:
+        assert (order._group_lower_set(p, mask)
+                == _lower_set_by_covers(p, mask)), (kind, mask)
+    assert all(order._group_lower_set(p, mask) for mask in ideals if mask)
+    assert not any(order._group_lower_set(p, mask) for mask in others)
+
+
 def test_other_labelers_walk_from_every_element():
     # negated on the covers out of [3], the letter label fails above [3]
     # only, which a lower set's walk from e alone would not see
@@ -939,6 +971,134 @@ def test_homology_matches_boundary_matrix_elimination_on_non_flag_complexes():
         low_homology += not profile.concentrated_in_top()
     assert refused >= 100
     assert low_homology >= 20
+
+
+def _homology_by_grouped_scan(levels):
+    """`topology._homology_from_faces` with its runs grouped by
+    `itertools.groupby` and the splice offset of a highest common neighbour
+    u below the last vertex found by walking down the vertices above u."""
+    if not levels or not levels[0]:
+        return HomologyProfile(())
+    w = topology._width(levels)
+    tail = (1 << w) - 1
+    neighbours = topology._neighbours(levels, w)
+    get = neighbours.__getitem__
+    ranks = [1] + [0] * len(levels)
+    cleared = {levels[0][-1]}
+    torsion = {}
+    for d in range(len(levels) - 1):
+        shifts = range(w * d, -1, -w)
+        pivots, extensions, deferred = {}, 0, []
+        for prefix, faces in itertools.groupby(levels[d], w.__rrshift__):
+            shared = -1
+            for s in shifts[1:]:
+                shared &= neighbours[prefix >> s & tail]
+            for face in faces:
+                last = face & tail
+                common = shared & neighbours[last]
+                above = common >> last + 1
+                extensions += above.bit_count()
+                if face in cleared or not common:
+                    continue
+                u = common.bit_length() - 1
+                if above:
+                    low = face << w | u
+                else:
+                    s = w
+                    while face >> s & tail > u:
+                        s += w
+                    low = (face >> s << w | u) << s | face & (1 << s) - 1
+                if low not in pivots:
+                    pivots[low] = face
+                    continue
+                col = dict(topology._cofaces(face, shifts, common))
+                while low in pivots:
+                    topology._subtract(col, col[low], topology._pivot(
+                        pivots, low, get, shifts))
+                    low = max(col, default=None)
+                if low is None:
+                    continue
+                if col[low] in (1, -1):
+                    pivots[low] = topology._normalized(col, low)
+                else:
+                    deferred.append(col)
+        if extensions != len(levels[d + 1]):
+            raise ValueError(f"not a flag complex at dimension {d}")
+        factors = []
+        if deferred:
+            for low in sorted(pivots, reverse=True):
+                for col in deferred:
+                    if low in col:
+                        topology._subtract(col, col[low], topology._pivot(
+                            pivots, low, get, shifts))
+            factors = topology._smith_form(deferred, d + 1)
+        ranks[d + 1] = len(pivots) + len(factors)
+        torsion[d + 1] = [v for v in factors if v > 1]
+        for low in pivots:
+            pivots[low] = None
+        cleared = pivots
+    betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
+                  for d, faces in enumerate(levels))
+    return HomologyProfile(betti, torsion)
+
+
+def _random_flag_complex(rng):
+    """The cliques of a dense random graph on 11-14 vertices, by dimension."""
+    vertices = rng.randint(11, 14)
+    density = rng.uniform(0.6, 0.75)
+    adjacent = {(a, b) for a, b in itertools.combinations(range(vertices), 2)
+                if rng.random() < density}
+    faces, level = [], [(v,) for v in range(vertices)]
+    while level:
+        faces.append(level)
+        level = [face + (u,) for face in level
+                 for u in range(face[-1] + 1, vertices)
+                 if all((v, u) in adjacent for v in face)]
+    return faces
+
+
+def _splice_depths(faces_by_dim):
+    """The numbers of vertices above the highest common neighbour u of a
+    face, over the faces whose u lies below their last vertex."""
+    edges = faces_by_dim[1] if len(faces_by_dim) > 1 else []
+    adjacent = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}
+    vertices = [v for v, in faces_by_dim[0]]
+    depths = set()
+    for dim_faces in faces_by_dim:
+        for face in dim_faces:
+            common = [u for u in vertices
+                      if all((v, u) in adjacent for v in face)]
+            if common and max(common) < face[-1]:
+                depths.add(sum(v > max(common) for v in face))
+    return depths
+
+
+def test_homology_matches_the_grouped_scan():
+    # the stripped Coxeter ideals, D4's with torsion, and random flag
+    # complexes of dimension 4 and up, where a splice meets every depth
+    levels = [order_complex(coxeter_ideal(n, kind), strip="endpoints").levels
+              for kind, n in (("B", 4), ("S", 5), ("D", 4))]
+    rng = random.Random(20261041)
+    complexes = [_random_flag_complex(rng) for _ in range(20)]
+    assert all(len(faces) >= 5 for faces in complexes)
+    assert all(_splice_depths(faces) == set(range(1, len(faces)))
+               for faces in complexes)
+    levels += map(packed, complexes)
+    profiles = [topology._homology_from_faces(lv) for lv in levels]
+    assert profiles == [_homology_by_grouped_scan(lv) for lv in levels]
+    assert profiles[2].torsion == {1: [], 2: [], 3: [2, 2]}
+    assert sum(not h.concentrated_in_top() for h in profiles[3:]) >= 5
+
+
+def test_torsion_guard_refuses_the_d4_ideal_as_the_grouped_scan(monkeypatch):
+    monkeypatch.setattr(topology, "TORSION_GUARD", 293)
+    levels = order_complex(coxeter_ideal(4, "D"), strip="endpoints").levels
+    refusals = []
+    for scan in (topology._homology_from_faces, _homology_by_grouped_scan):
+        with pytest.raises(ResourceGuardError, match="98x3") as got:
+            scan(levels)
+        refusals.append(str(got.value))
+    assert refusals[0] == refusals[1]
 
 
 PACKING_CASES = {

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from absorder import (ClaimResult, invariants, order, run_verify_suite,
-                      topology, verify)
+from absorder import (ClaimResult, absolute_length, invariants, order,
+                      run_verify_suite, topology, verify)
 from absorder.topology import HomologyProfile
 
 QUICK_CLAIMS = [r.claim for r in run_verify_suite(profile="quick").results]
@@ -229,6 +229,25 @@ def test_lower_cover_rule_is_a_full_profile_claim_that_sees_a_wrong_rule(
               verify._claim_order_agreement(_column("full"))}
     assert not claims["lower-cover-rule"].verdict
     assert claims["lower-cover-rule"].computed.startswith("mismatch at B4")
+
+
+def test_el_claim_fails_on_a_poset_short_of_one_element(monkeypatch):
+    # B5 less its last element is still a lower set and still EL; only the
+    # count of its intervals, against the ideals of the class
+    # representatives, shows the missing element
+    init = order.Poset.__init__
+
+    def short(self, covers, kind, label):
+        last = max(covers, key=lambda z: (absolute_length(z, kind), z))
+        init(self, {z: c for z, c in covers.items() if z != last}, kind,
+             label)
+
+    monkeypatch.setattr(order.Poset, "__init__", short)
+    claim = verify._claim_el(_column("full"))[0]
+    assert claim.claim == "letter-labeling-el"
+    assert not claim.verdict
+    assert claim.computed == ("326728 intervals checked, 326979 by the "
+                              "class sizes")
 
 
 def test_torsion_claim_is_a_full_profile_claim_that_sees_torsion(monkeypatch):
