@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from functools import cache
 
 from .signed import (
     SignedPermutation,
@@ -372,23 +373,21 @@ def _graded(p: Poset, mask: int) -> bool:
                for j in p.hasse_up[i] if mask >> j & 1)
 
 
-def _lower_cover_count(w: SignedPermutation, kind: str) -> int:
-    """len(_lower_covers(w, kind)) off the orbits: k(k-1)/2 per
+@cache
+def _lower_cover_count(t: tuple, kind: str) -> int:
+    """len(_lower_covers(w, kind)), once per cycle type t of w: k(k-1)/2 per
     paired k-orbit, and b^2 in kind B or b(b-1) over b balanced letters."""
-    count = b = 0
-    for orbit, balanced in _orbits(w):
-        if balanced:
-            b += len(orbit)
-        else:
-            count += len(orbit) * (len(orbit) - 1) // 2
-    return count + b * (b - (kind != "B"))
+    paired, balanced = t
+    b = sum(balanced)
+    return sum(k * (k - 1) // 2 for k in paired) + b * (b - (kind != "B"))
 
 
-def _group_lower_set(p: Poset, mask: int) -> bool:
+def _group_lower_set(p: Poset, mask: int, types) -> bool:
     """Whether the members of `mask` are a lower set of their group: each
     Hasse edge between them climbs one rank and each has `_lower_cover_count`
-    members in its `hasse_down`, its group covers, so the lowest is e.  One
-    pass over the edges checks the ranks and counts the covers."""
+    members in its `hasse_down`, its group covers, so the lowest is e;
+    `types[j]` is the cycle type of member j.  One pass over the edges
+    checks the ranks and counts the covers."""
     rank = p.rank
     for j in bits(mask):
         count = 0
@@ -397,7 +396,7 @@ def _group_lower_set(p: Poset, mask: int) -> bool:
                 if rank[i] != rank[j] - 1:
                     return False
                 count += 1
-        if count != _lower_cover_count(p.elements[j], p.kind):
+        if count != _lower_cover_count(types[j], p.kind):
             return False
     return mask > 0
 

@@ -72,25 +72,40 @@ class SimplicialComplex:
     tuple (see `_chains_in_mask`).
     Hand-built complexes, with no host poset, leave it None.  `homology`
     keeps its profile here, so each complex is eliminated once.
+    `counts[d]` is the number of d-faces and `built` the levels built: an
+    order complex defers a top level of dimension 2 or more, read only for
+    its size, which `top()` builds on the first read of `levels`.  A
+    hand-built complex gives every level, counted by their lengths.
     """
 
     def __init__(self, poset: Poset, member_mask: int, faces: list,
-                 label: str = "complex", indices: list | None = None):
+                 label: str = "complex", indices: list | None = None,
+                 counts: list | None = None, top=None):
         self.poset = poset
         self.member_mask = member_mask
-        self.levels = faces
+        self.built = faces
+        self.counts = counts or [len(level) for level in faces]
+        self._top = top
         self.label = label
         self.indices = indices
         self._homology = None
 
+    @property
+    def levels(self) -> list:
+        """Every level of faces, the deferred top built on the first read."""
+        if self._top is not None:
+            self.built.append(self._top())
+            self._top = None
+        return self.built
+
     def dim(self) -> int:
-        return len(self.levels) - 1
+        return len(self.counts) - 1
 
     def f_vector(self) -> tuple:
-        return tuple(len(faces) for faces in self.levels)
+        return tuple(self.counts)
 
     def face_count(self) -> int:
-        return sum(len(faces) for faces in self.levels)
+        return sum(self.counts)
 
     def to_json(self) -> dict:
         return {
@@ -102,17 +117,21 @@ class SimplicialComplex:
 
 @_collector_paused
 def _chains_in_mask(p: Poset, mask: int, face_guard: int | None = None):
-    """(indices, levels): all chains of the members of `mask`, packed as
-    `SimplicialComplex` keeps them and grouped by size - 1, over labels
-    0, 1, ... that ascend as rank descends, ties broken by the image tuple
-    read from the last letter back, (w(n), ..., w(1)); `indices[v]` is the
-    poset index of label v.
+    """(indices, levels, counts, top): the chains of the members of `mask`,
+    packed as `SimplicialComplex` keeps them and grouped by size - 1, over
+    labels 0, 1, ... that ascend as rank descends, ties broken by the image
+    tuple read from the last letter back, (w(n), ..., w(1)); `indices[v]`
+    is the poset index of label v and `counts[d]` the number of d-chains.
 
     Level by level from the empty chain, 0, each chain c becomes c << w | v
     for the members v below its lowest element, its last label (every
     member for the empty chain), in ascending order: every level ascends.
-    The guard, FACE_GUARD when none is given, is checked before each level
-    is built.
+    A level's size sums the members below the last labels of the level
+    before it.  The top level, of chains that all end in a member with
+    nothing below it, is only counted from dimension 2 up: `top()` builds
+    it by the same step (top is None when every level is built).  The
+    guard, FACE_GUARD when none is given, is checked on the total so far
+    before each level is built or counted.
     """
     face_guard = FACE_GUARD if face_guard is None else face_guard
     indices = sorted(bits(mask), key=lambda v: (-p.rank[v], p.elements[v][::-1]))
@@ -121,19 +140,26 @@ def _chains_in_mask(p: Poset, mask: int, face_guard: int | None = None):
              for v in indices]
     w = (len(indices) - 1).bit_length() or 1
     tail = (1 << w) - 1  # the bits of a chain's last label
-    levels, chains, downs, total = [], [0], [range(len(indices))], 0
-    while True:
-        total += sum(map(len, downs))
-        if total > face_guard:
+
+    def step(chains, downs):  # each chain extended by each label in its down
+        return [c | v for c, down in zip(map(w.__rlshift__, chains), downs)
+                for v in down]
+
+    levels, counts, chains, downs = [], [], [0], [range(len(indices))]
+    while size := sum(map(len, downs)):
+        if sum(counts) + size > face_guard:
             raise ResourceGuardError(
                 f"face guard exceeded: the poset {p.label!r} has more than "
                 f"the guard {face_guard} chains")
-        chains = [c | v for c, down in zip(map(w.__rlshift__, chains), downs)
-                  for v in down]
-        if not chains:
-            return indices, levels
+        counts.append(size)
+        if len(levels) > 1 and not any(map(
+                below.__getitem__, itertools.chain.from_iterable(downs))):
+            return indices, levels, counts, lambda: step(
+                chains, [below[c & tail] for c in chains])
+        chains = step(chains, downs)
         levels.append(chains)
         downs = [below[c & tail] for c in chains]
+    return indices, levels, counts, None
 
 
 def _strip_mask(p: Poset, strip: str, mask: int) -> int:
@@ -155,9 +181,9 @@ def _mask_complex(p: Poset, mask: int, strip: str, name: str,
                   face_guard: int | None = None) -> SimplicialComplex:
     """The chain complex of the members of `mask` kept under `strip`."""
     kept = _strip_mask(p, strip, mask)
-    indices, levels = _chains_in_mask(p, kept, face_guard)
-    return SimplicialComplex(p, kept, levels, indices=indices,
-                             label=f"chains of {name} (strip={strip})")
+    indices, levels, counts, top = _chains_in_mask(p, kept, face_guard)
+    label = f"chains of {name} (strip={strip})"
+    return SimplicialComplex(p, kept, levels, label, indices, counts, top)
 
 
 def order_complex(p: Poset, strip: str = "none",
@@ -239,9 +265,11 @@ def _pivot(pivots: dict, low: int, get, shifts: range) -> dict:
 
 
 @_collector_paused
-def _homology_from_faces(levels: list) -> HomologyProfile:
+def _homology_from_faces(levels: list, counts: list) -> HomologyProfile:
     """Reduced Betti numbers over Q and torsion over Z, by cohomology with
-    clearing, from the packed faces of `SimplicialComplex.levels`.
+    clearing, from the packed faces of `SimplicialComplex.built` and the
+    number of faces of each dimension, `counts`: the top dimension, which
+    has no coboundary, is read only for its count, so it need not be built.
 
     The coboundaries delta^d are reduced for d = 0, 1, ... by lowest-row
     pivots, skipping the pivot rows of delta^(d-1) (Chen and Kerber): a
@@ -269,7 +297,9 @@ def _homology_from_faces(levels: list) -> HomologyProfile:
     Each common neighbour gives a face only in a flag complex, such as an
     order complex: if the d-faces are the cliques of their size and the
     common neighbours above the last vertex of each number f_(d+1) in all,
-    so are the (d+1)-faces.  Where they do not, ValueError is raised.
+    so are the (d+1)-faces.  Where the scan's total, over masks, is not
+    `counts[d + 1]`, for an order complex the builder's own count over its
+    member lists, ValueError is raised.
 
     A column becomes a pivot only when its lowest entry is +-1, as a column
     kept as its face has, so every column operation is unimodular and
@@ -290,10 +320,10 @@ def _homology_from_faces(levels: list) -> HomologyProfile:
     tail = (1 << w) - 1  # the bits of a face's last vertex
     neighbours = _neighbours(levels, w)
     get = neighbours.__getitem__
-    ranks = [1] + [0] * len(levels)
+    ranks = [1] + [0] * len(counts)
     cleared = {levels[0][-1]}
     torsion = {}
-    for d in range(len(levels) - 1):
+    for d in range(len(counts) - 1):
         shifts = range(w * d, -1, -w)
         pivots, extensions, deferred = {}, 0, []
         prefix = -1  # of the run of faces that share all vertices but the last
@@ -330,11 +360,11 @@ def _homology_from_faces(levels: list) -> HomologyProfile:
                 pivots[low] = _normalized(col, low)
             else:
                 deferred.append(col)
-        if extensions != len(levels[d + 1]):
+        if extensions != counts[d + 1]:
             raise ValueError(
                 f"not a flag complex at dimension {d}: {extensions} common "
                 f"neighbours above the last vertices of its faces, "
-                f"{len(levels[d + 1])} faces of dimension {d + 1}")
+                f"{counts[d + 1]} faces of dimension {d + 1}")
         factors = []
         if deferred:
             for low in sorted(pivots, reverse=True):
@@ -348,8 +378,7 @@ def _homology_from_faces(levels: list) -> HomologyProfile:
         for low in pivots:  # in place: clearing reads the rows alone
             pivots[low] = None
         cleared = pivots
-    betti = tuple(len(faces) - ranks[d] - ranks[d + 1]
-                  for d, faces in enumerate(levels))
+    betti = tuple(f - ranks[d] - ranks[d + 1] for d, f in enumerate(counts))
     return HomologyProfile(betti, torsion)
 
 
@@ -360,13 +389,13 @@ def homology(c: SimplicialComplex) -> HomologyProfile:
     clearing assume; ValueError otherwise.  ResourceGuardError when a
     residual is over TORSION_GUARD."""
     if c._homology is None:
-        vertices = c.levels[0] if c.levels else []
+        vertices = c.built[0] if c.built else []
         for a, b in zip(vertices, vertices[1:]):
             if a >= b:
                 raise ValueError(
                     f"the vertices of {c.label!r} must be listed in "
                     f"ascending order: {a} comes before {b}")
-        c._homology = _homology_from_faces(c.levels)
+        c._homology = _homology_from_faces(c.built, c.counts)
     return c._homology
 
 
@@ -422,7 +451,8 @@ def _stripped_ends(c: SimplicialComplex) -> tuple:
 
 
 def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
-    """P of each gap (lo, hi) of `cm_check`, memoised; a None end is open."""
+    """(gap, types): `gap(lo, hi)` is P of the gap (lo, hi) of `cm_check`,
+    memoised, a None end open; `types` maps each member to its cycle type."""
     p = c.poset
     polys = {(None, None): _poly_of(whole)}
     classes, sides = {}, {}
@@ -432,7 +462,7 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
     at_e = bottom is not None and not cycle_decomposition(p.elements[bottom])
 
     def eliminate(mask: int) -> tuple:
-        return _poly_of(_homology_from_faces(_chains_in_mask(p, mask)[1]))
+        return _poly_of(_homology_from_faces(*_chains_in_mask(p, mask)[1:3]))
 
     def gap(lo, hi) -> tuple:
         if (lo, hi) not in polys:
@@ -460,7 +490,7 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
                 polys[lo, hi] = eliminate(mask)
         return polys[lo, hi]
 
-    return gap
+    return gap, types
 
 
 @_collector_paused
@@ -498,8 +528,8 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     M each such gap is eliminated apart.
     """
     whole = homology(c)
-    gap = _gap_polys(c, whole)
-    p, at, w = c.poset, c.indices, _width(c.levels)
+    gap, types = _gap_polys(c, whole)
+    p, at, w = c.poset, c.indices, _width(c.built)
 
     def by_index(d, faces):  # poset indices, ascending: the lower end first
         shifts = range(w * d, -1, -w)
@@ -509,17 +539,19 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     bottom, top = _stripped_ends(c)
     gaps = [(None, None)] + [(None, v) for v in at] + [(v, None) for v in at]
     cut = len(gaps) - (top is not None) * len(at)  # (v, top) is two-ended
-    edges = map(divmod, (c.levels + [[], []])[1], repeat(1 << w))
+    edges = map(divmod, (c.built + [[], []])[1], repeat(1 << w))
     spans = itertools.chain(gaps[cut:], (
         (at[lo], at[hi]) for hi, lo in edges
         if p.rank[at[hi]] - p.rank[at[lo]] > 2))
-    lower = reduce(or_, (1 << v for v in (bottom, top) if v is not None),
-                   c.member_mask)
+    stripped = {v: cycle_type(p.elements[v]) for v in (bottom, top)
+                if v is not None}
+    lower = reduce(or_, map((1).__lshift__, stripped), c.member_mask)
     if any(any(gap(*ends)[:-1]) for ends in gaps[:cut]) or not (
-            bottom is not None and _group_lower_set(p, lower)) and any(
+            bottom is not None
+            and _group_lower_set(p, lower, types | stripped)) and any(
             any(gap(*ends)[:-1]) for ends in spans):
         faces = itertools.chain([()], itertools.chain.from_iterable(
-            itertools.starmap(by_index, enumerate(c.levels))))
+            itertools.starmap(by_index, enumerate(c.built[:c.dim()]))))
         for checked, face in enumerate(faces, 1):
             ends = (None,) + face + (None,)
             betti = reduce(_poly_mul, map(gap, ends, ends[1:]))[1:]

@@ -542,9 +542,11 @@ def run_verify_suite(profile: str = "quick", seed: int = DEFAULT_SEED,
     """Run every claim at the given profile; optionally falsify one claim.
 
     Every claim is exhaustive, so `seed` changes no claim; it is only
-    echoed in the report.  The fault hook annotates the named claim's computed text, so its
-    derived verdict fails, proving that a wrong value cannot produce a
-    clean exit.
+    echoed in the report.  A section that raises, as a broken rule can make
+    a consistency check do, gives one failing claim, named after the section,
+    that names the exception; a ResourceGuardError stops the suite.  The
+    fault hook annotates the named claim's computed text, so its derived
+    verdict fails, proving that a wrong value cannot produce a clean exit.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
@@ -552,7 +554,15 @@ def run_verify_suite(profile: str = "quick", seed: int = DEFAULT_SEED,
     scope = {row: values[column] for row, values in SCOPES.items()}
     results = []
     for section in CLAIM_SECTIONS:
-        results.extend(section(scope))
+        try:
+            results.extend(section(scope))
+        except order.ResourceGuardError:
+            raise
+        except Exception as error:
+            name = section.__name__[len("_claim_"):].replace("_", "-")
+            results.append(_claim(
+                name, "the claim section runs to its verdicts", {},
+                "no exception", f"{type(error).__name__}: {error}"))
     if fault is not None:
         known = [r.claim for r in results]
         if fault not in known:

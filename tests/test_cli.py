@@ -231,9 +231,9 @@ def test_topology_torsion_eliminates_the_complex_once(capsys, monkeypatch, cm):
     eliminated = []
     eliminate = topology._homology_from_faces
 
-    def counting(levels):
-        eliminated.append(tuple(map(len, levels)))
-        return eliminate(levels)
+    def counting(levels, counts):
+        eliminated.append(tuple(counts))
+        return eliminate(levels, counts)
 
     monkeypatch.setattr(topology, "_homology_from_faces", counting)
     assert main(["topology", "--group", "S", "--n", "4", "--torsion",

@@ -181,7 +181,7 @@ def _links_from_scratch(c):
         mask = c.member_mask
         for v in face:
             mask &= comparable[v]
-        profile = _homology_from_faces(_chains_in_mask(p, mask)[1])
+        profile = _homology_from_faces(*_chains_in_mask(p, mask)[1:3])
         if not profile.concentrated_in_top():
             return {"ok": False, "mode": "all", "faces_checked": checked,
                     "failing_face": [format_cycles(p.elements[v])
@@ -300,7 +300,7 @@ def test_the_scan_intersects_each_face_prefix_once(monkeypatch):
     monkeypatch.setattr(topology, "_neighbours", counting_neighbours)
     monkeypatch.setattr(topology, "_pivot", counting_pivot)
     c = order_complex(coxeter_ideal(4, "B"), strip="endpoints")
-    _homology_from_faces(c.levels)
+    _homology_from_faces(c.built, c.counts)
     scanned = tuples(c.levels)[:-1]
     prefixes = [{face[:-1] for face in faces} for faces in scanned]
     faces = sum(map(len, scanned))
@@ -635,17 +635,17 @@ def test_homology_is_eliminated_once_per_complex(monkeypatch):
     calls = []
     eliminate = topology._homology_from_faces
 
-    def counting(levels):
-        calls.append(levels)
-        return eliminate(levels)
+    def counting(levels, counts):
+        calls.append((levels, counts))
+        return eliminate(levels, counts)
 
     monkeypatch.setattr(topology, "_homology_from_faces", counting)
     rp2, cone = _rp2(), order_complex(coxeter_ideal(2, "B"), strip="none")
     for c in (rp2, cone, rp2, cone):
-        assert homology(c) == eliminate(c.levels)
+        assert homology(c) == eliminate(c.built, c.counts)
         assert torsion_profile(c) == ({1: [], 2: [2]} if c is rp2
                                       else {1: [], 2: []})
-    assert calls == [rp2.levels, cone.levels]
+    assert calls == [(rp2.built, rp2.counts), (cone.built, cone.counts)]
 
 
 def _random_matrix(rng):
@@ -914,9 +914,9 @@ def test_cm_check_eliminates_each_interval_class_once(monkeypatch):
     calls = []
     eliminate = topology._homology_from_faces
 
-    def counting(levels):
-        calls.append(len(levels))
-        return eliminate(levels)
+    def counting(levels, counts):
+        calls.append(len(counts))
+        return eliminate(levels, counts)
 
     def no_walk(*args):
         raise AssertionError("walked the faces although every gap passes")

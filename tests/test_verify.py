@@ -176,8 +176,8 @@ def test_a_wrong_top_betti_number_fails_the_homology_claims(monkeypatch):
     # the top one with the Mobius number, so neither may pass on wrong ranks
     right = topology._homology_from_faces
 
-    def off_by_one(levels):
-        betti = right(levels).reduced_betti
+    def off_by_one(levels, counts):
+        betti = right(levels, counts).reduced_betti
         return HomologyProfile(betti[:-1] + (betti[-1] + 1,) if betti else ())
 
     monkeypatch.setattr(topology, "_homology_from_faces", off_by_one)
