@@ -18,8 +18,8 @@ from functools import cache
 
 from .lattice import join
 from .order import Poset, ResourceGuardError, _group_lower_set, bits
-from .signed import (SignedPermutation, cycle_decomposition, cycle_type,
-                     from_cycles, reflection_set)
+from .signed import (SignedPermutation, cycle_decomposition, from_cycles,
+                     reflection_set)
 
 # Most maximal chains `verify_el` builds for one interval.
 CHAIN_GUARD = 10 ** 6
@@ -177,8 +177,7 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
         labeler = support_size_label
     edge_label = cache(lambda i, j: labeler(p.elements[i], p.elements[j]))
     reduced = (labeler in (support_size_label, collapsed_reflection_label)
-               and _group_lower_set(p, (1 << len(p)) - 1,
-                                    list(map(cycle_type, p.elements))))
+               and _group_lower_set(p, (1 << len(p)) - 1))
     intervals = 0
     chains_total = 0
     for x in range(1 if reduced else len(p)):

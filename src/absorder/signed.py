@@ -92,7 +92,9 @@ def _orbits(images: tuple):
     the letters from the least unseen start until the walk returns to
     +start (paired, fixed points included) or reaches -start (balanced).
     Every smaller letter was seen, so start is the orbit's least |letter|,
-    positive: each orbit is a canonical word, yielded by ascending start."""
+    positive: each orbit is a canonical word, yielded by ascending start.
+    A walk that reaches a letter it has marked, which only a tuple with a
+    repeated |letter| makes, raises ValueError instead of running on."""
     seen = [False] * (len(images) + 1)
     for start in range(1, len(images) + 1):
         if seen[start]:
@@ -100,12 +102,12 @@ def _orbits(images: tuple):
         orbit, x = [start], images[start - 1]
         while x != start and x != -start:
             orbit.append(x)
-            if x > 0:
-                seen[x] = True
-                x = images[x - 1]
-            else:
-                seen[-x] = True
-                x = -images[-x - 1]
+            a = x if x > 0 else -x
+            if seen[a]:
+                raise ValueError(f"{tuple(images)} is no signed permutation:"
+                                 f" two images share a letter up to sign")
+            seen[a] = True
+            x = images[a - 1] if x > 0 else -images[a - 1]
         yield orbit, x != start
 
 

@@ -72,31 +72,22 @@ class SimplicialComplex:
     tuple (see `_chains_in_mask`).
     Hand-built complexes, with no host poset, leave it None.  `homology`
     keeps its profile here, so each complex is eliminated once.
-    `counts[d]` is the number of d-faces and `built` the levels built: an
-    order complex defers a top level of dimension 2 or more, read only for
-    its size, which `top()` builds on the first read of `levels`.  A
-    hand-built complex gives every level, counted by their lengths.
+    `counts[d]` is the number of d-faces.  An order complex of dimension 2
+    or more only counts its top level, which no reader needs the faces of,
+    so `levels` stops below it; a hand-built complex gives every level,
+    counted by their lengths.
     """
 
-    def __init__(self, poset: Poset, member_mask: int, faces: list,
+    def __init__(self, poset: Poset, member_mask: int, levels: list,
                  label: str = "complex", indices: list | None = None,
-                 counts: list | None = None, top=None):
+                 counts: list | None = None):
         self.poset = poset
         self.member_mask = member_mask
-        self.built = faces
-        self.counts = counts or [len(level) for level in faces]
-        self._top = top
+        self.levels = levels
+        self.counts = counts or [len(level) for level in levels]
         self.label = label
         self.indices = indices
         self._homology = None
-
-    @property
-    def levels(self) -> list:
-        """Every level of faces, the deferred top built on the first read."""
-        if self._top is not None:
-            self.built.append(self._top())
-            self._top = None
-        return self.built
 
     def dim(self) -> int:
         return len(self.counts) - 1
@@ -117,7 +108,7 @@ class SimplicialComplex:
 
 @_collector_paused
 def _chains_in_mask(p: Poset, mask: int, face_guard: int | None = None):
-    """(indices, levels, counts, top): the chains of the members of `mask`,
+    """(indices, levels, counts): the chains of the members of `mask`,
     packed as `SimplicialComplex` keeps them and grouped by size - 1, over
     labels 0, 1, ... that ascend as rank descends, ties broken by the image
     tuple read from the last letter back, (w(n), ..., w(1)); `indices[v]`
@@ -128,10 +119,9 @@ def _chains_in_mask(p: Poset, mask: int, face_guard: int | None = None):
     member for the empty chain), in ascending order: every level ascends.
     A level's size sums the members below the last labels of the level
     before it.  The top level, of chains that all end in a member with
-    nothing below it, is only counted from dimension 2 up: `top()` builds
-    it by the same step (top is None when every level is built).  The
-    guard, FACE_GUARD when none is given, is checked on the total so far
-    before each level is built or counted.
+    nothing below it, is only counted from dimension 2 up, and `levels`
+    stops below it.  The guard, FACE_GUARD when none is given, is checked
+    on the total so far before each level is built or counted.
     """
     face_guard = FACE_GUARD if face_guard is None else face_guard
     indices = sorted(bits(mask), key=lambda v: (-p.rank[v], p.elements[v][::-1]))
@@ -140,11 +130,6 @@ def _chains_in_mask(p: Poset, mask: int, face_guard: int | None = None):
              for v in indices]
     w = (len(indices) - 1).bit_length() or 1
     tail = (1 << w) - 1  # the bits of a chain's last label
-
-    def step(chains, downs):  # each chain extended by each label in its down
-        return [c | v for c, down in zip(map(w.__rlshift__, chains), downs)
-                for v in down]
-
     levels, counts, chains, downs = [], [], [0], [range(len(indices))]
     while size := sum(map(len, downs)):
         if sum(counts) + size > face_guard:
@@ -154,12 +139,12 @@ def _chains_in_mask(p: Poset, mask: int, face_guard: int | None = None):
         counts.append(size)
         if len(levels) > 1 and not any(map(
                 below.__getitem__, itertools.chain.from_iterable(downs))):
-            return indices, levels, counts, lambda: step(
-                chains, [below[c & tail] for c in chains])
-        chains = step(chains, downs)
+            break
+        chains = [c | v for c, down in zip(map(w.__rlshift__, chains), downs)
+                  for v in down]
         levels.append(chains)
         downs = [below[c & tail] for c in chains]
-    return indices, levels, counts, None
+    return indices, levels, counts
 
 
 def _strip_mask(p: Poset, strip: str, mask: int) -> int:
@@ -181,9 +166,9 @@ def _mask_complex(p: Poset, mask: int, strip: str, name: str,
                   face_guard: int | None = None) -> SimplicialComplex:
     """The chain complex of the members of `mask` kept under `strip`."""
     kept = _strip_mask(p, strip, mask)
-    indices, levels, counts, top = _chains_in_mask(p, kept, face_guard)
+    indices, levels, counts = _chains_in_mask(p, kept, face_guard)
     label = f"chains of {name} (strip={strip})"
-    return SimplicialComplex(p, kept, levels, label, indices, counts, top)
+    return SimplicialComplex(p, kept, levels, label, indices, counts)
 
 
 def order_complex(p: Poset, strip: str = "none",
@@ -267,7 +252,7 @@ def _pivot(pivots: dict, low: int, get, shifts: range) -> dict:
 @_collector_paused
 def _homology_from_faces(levels: list, counts: list) -> HomologyProfile:
     """Reduced Betti numbers over Q and torsion over Z, by cohomology with
-    clearing, from the packed faces of `SimplicialComplex.built` and the
+    clearing, from the packed faces of `SimplicialComplex.levels` and the
     number of faces of each dimension, `counts`: the top dimension, which
     has no coboundary, is read only for its count, so it need not be built.
 
@@ -389,13 +374,13 @@ def homology(c: SimplicialComplex) -> HomologyProfile:
     clearing assume; ValueError otherwise.  ResourceGuardError when a
     residual is over TORSION_GUARD."""
     if c._homology is None:
-        vertices = c.built[0] if c.built else []
+        vertices = c.levels[0] if c.levels else []
         for a, b in zip(vertices, vertices[1:]):
             if a >= b:
                 raise ValueError(
                     f"the vertices of {c.label!r} must be listed in "
                     f"ascending order: {a} comes before {b}")
-        c._homology = _homology_from_faces(c.built, c.counts)
+        c._homology = _homology_from_faces(c.levels, c.counts)
     return c._homology
 
 
@@ -451,8 +436,8 @@ def _stripped_ends(c: SimplicialComplex) -> tuple:
 
 
 def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
-    """(gap, types): `gap(lo, hi)` is P of the gap (lo, hi) of `cm_check`,
-    memoised, a None end open; `types` maps each member to its cycle type."""
+    """`gap(lo, hi)`, P of the gap (lo, hi) of `cm_check`, memoised, a None
+    end open."""
     p = c.poset
     polys = {(None, None): _poly_of(whole)}
     classes, sides = {}, {}
@@ -462,7 +447,7 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
     at_e = bottom is not None and not cycle_decomposition(p.elements[bottom])
 
     def eliminate(mask: int) -> tuple:
-        return _poly_of(_homology_from_faces(*_chains_in_mask(p, mask)[1:3]))
+        return _poly_of(_homology_from_faces(*_chains_in_mask(p, mask)[1:]))
 
     def gap(lo, hi) -> tuple:
         if (lo, hi) not in polys:
@@ -490,7 +475,7 @@ def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
                 polys[lo, hi] = eliminate(mask)
         return polys[lo, hi]
 
-    return gap, types
+    return gap
 
 
 @_collector_paused
@@ -505,7 +490,9 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     its top degree, so is every link's (the interval criterion of Bjorner,
     Garsia and Stanley).  Otherwise faces are walked by dimension, the empty
     face first and each dimension in lexicographic order of poset indices,
-    to the first link whose Betti numbers (P from t^1 up) fail.
+    to the first link whose Betti numbers (P from t^1 up) fail.  The gaps
+    lie in the host poset, so a hand-built complex, with none, raises
+    ValueError.
 
     A gap (x, y) lies in the open interval (x, y) of the host poset (an
     open end stands for a stripped bottom or top).  The host is convex, so
@@ -527,9 +514,12 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     each side and cycle type of the end is eliminated once; for any other
     M each such gap is eliminated apart.
     """
+    if c.poset is None:
+        raise ValueError(f"the link check of {c.label!r} needs a host poset: "
+                         f"its gaps are intervals of the host")
     whole = homology(c)
-    gap, types = _gap_polys(c, whole)
-    p, at, w = c.poset, c.indices, _width(c.built)
+    gap = _gap_polys(c, whole)
+    p, at, w = c.poset, c.indices, _width(c.levels)
 
     def by_index(d, faces):  # poset indices, ascending: the lower end first
         shifts = range(w * d, -1, -w)
@@ -539,19 +529,17 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     bottom, top = _stripped_ends(c)
     gaps = [(None, None)] + [(None, v) for v in at] + [(v, None) for v in at]
     cut = len(gaps) - (top is not None) * len(at)  # (v, top) is two-ended
-    edges = map(divmod, (c.built + [[], []])[1], repeat(1 << w))
+    edges = map(divmod, (c.levels + [[], []])[1], repeat(1 << w))
     spans = itertools.chain(gaps[cut:], (
         (at[lo], at[hi]) for hi, lo in edges
         if p.rank[at[hi]] - p.rank[at[lo]] > 2))
-    stripped = {v: cycle_type(p.elements[v]) for v in (bottom, top)
-                if v is not None}
-    lower = reduce(or_, map((1).__lshift__, stripped), c.member_mask)
+    lower = reduce(or_, (1 << v for v in (bottom, top) if v is not None),
+                   c.member_mask)
     if any(any(gap(*ends)[:-1]) for ends in gaps[:cut]) or not (
-            bottom is not None
-            and _group_lower_set(p, lower, types | stripped)) and any(
+            bottom is not None and _group_lower_set(p, lower)) and any(
             any(gap(*ends)[:-1]) for ends in spans):
         faces = itertools.chain([()], itertools.chain.from_iterable(
-            itertools.starmap(by_index, enumerate(c.built[:c.dim()]))))
+            itertools.starmap(by_index, enumerate(c.levels[:c.dim()]))))
         for checked, face in enumerate(faces, 1):
             ends = (None,) + face + (None,)
             betti = reduce(_poly_mul, map(gap, ends, ends[1:]))[1:]

@@ -4,10 +4,12 @@
 as one int: its labels w bits each, the first most significant, w the bit
 length of the largest vertex label (at least 1).  `packed` and `tuples`
 convert between that form and tuples by dimension, with no code of the
-package, so the tests that use them check the package against them.  The
-tuple faces are what the reference homologies read: `closure` builds a
-complex from its top faces, `by_index` relabels one by poset indices, and
-`boundary_columns` and `normalized` give the columns they eliminate.
+package, so the tests that use them check the package against them.  An
+order complex of dimension 2 or more keeps its top level only as a count;
+`every_face` builds it.  The tuple faces are what the reference homologies
+read: `closure` builds a complex from its top faces, `by_index` relabels
+one by poset indices, and `boundary_columns` and `normalized` give the
+columns they eliminate.
 """
 
 import itertools
@@ -42,6 +44,22 @@ def tuples(levels: list) -> list:
     w = _label_bits(max(levels[0], default=0))
     return [[tuple(face // 2 ** (w * k) % 2 ** w for k in range(d, -1, -1))
              for face in level] for d, level in enumerate(levels)]
+
+
+def every_face(levels: list, counts: list) -> list:
+    """Packed levels as tuple faces, and, when `counts` counts one level
+    more, that top level built as a flag complex has it: each face of the
+    level below extended by each vertex after its last that is joined to
+    all of its vertices by edges."""
+    faces = tuples(levels)
+    if len(faces) < len(counts):
+        edges, after = set(faces[1]), {}
+        for a, b in faces[1]:
+            after.setdefault(a, []).append(b)
+        faces.append([face + (u,) for face in faces[-1]
+                      for u in after.get(face[-1], ())
+                      if all((v, u) in edges for v in face[:-1])])
+    return faces
 
 
 def closure(tops) -> list:

@@ -8,8 +8,9 @@ so the claim table is printed and no traceback escapes.
 
 import pytest
 
-from absorder import cli, order, verify
+from absorder import cli, labeling, order, topology, verify
 from absorder.signed import _orbits, absolute_length
+from absorder.topology import HomologyProfile
 
 
 def _poset_short_of_its_top(monkeypatch):
@@ -44,7 +45,29 @@ def _longer_with_two_balanced_cycles(monkeypatch):
     monkeypatch.setattr(order, "absolute_length", longer)
 
 
-# mutant: (patch, {section claim: computed text}, claims that must fail)
+def _least_moved_letter_label(monkeypatch):
+    # the letter label reads the least moved letter, not the largest
+    def least(a, b):
+        return next(i for i in range(1, len(a) + 1) if a[i - 1] != b[i - 1])
+
+    monkeypatch.setattr(labeling, "support_size_label", least)
+
+
+def _top_betti_number_plus_one(monkeypatch):
+    # the elimination reports its top Betti number one too high
+    right = topology._homology_from_faces
+
+    def plus_one(levels, counts):
+        h = right(levels, counts)
+        betti = h.reduced_betti
+        return HomologyProfile(betti[:-1] + (betti[-1] + 1,) if betti else (),
+                               h.torsion)
+
+    monkeypatch.setattr(topology, "_homology_from_faces", plus_one)
+
+
+# mutant: (patch, {section claim: computed text}, claims that must fail);
+# where no claim section raises, these are all the claims that fail
 MUTANTS = {
     "poset-short-of-its-top": (
         _poset_short_of_its_top,
@@ -65,26 +88,31 @@ MUTANTS = {
          for section in ("interval-invariants", "cycle-flip",
                          "zeta-battery")},
         {"cover-pattern-agreement", "rank-generating-function"}),
+    "least-moved-letter-label": (
+        _least_moved_letter_label, {},
+        {"letter-labeling-el", "canonical-chain-labels"}),
+    "top-betti-number-plus-one": (
+        _top_betti_number_plus_one, {},
+        {"euler-three-way-plain", "euler-three-way-signed", "proper-part-cm"}),
 }
 
 
-@pytest.mark.parametrize("name", MUTANTS)
-def test_verify_reports_a_wrong_rule_as_failing_claims(name, monkeypatch,
-                                                       capsys):
+def _fails_its_claims(name, profile, monkeypatch, capsys):
     patch, raised, failing = MUTANTS[name]
     patch(monkeypatch)
-    assert cli.main(["verify", "--profile", "quick"]) == 1
+    assert cli.main(["verify", "--profile", profile]) == 1
     out, err = capsys.readouterr()
     assert err == "" and "Traceback" not in out
     lines = out.splitlines()
-    assert lines[-1] == (f"CLAIMS FAILED (profile quick, "
+    assert lines[-1] == (f"CLAIMS FAILED (profile {profile}, "
                          f"seed {verify.DEFAULT_SEED})")
     verdicts = {}
     for line in lines:
         if line.startswith(("[PASS] ", "[FAIL] ")):
             verdicts[line[7:].split(":")[0]] = line.startswith("[PASS]")
-    assert failing | set(raised) <= {c for c, ok in verdicts.items()
-                                     if not ok}
+    failed = {c for c, ok in verdicts.items() if not ok}
+    assert failing | set(raised) <= failed
+    assert raised or failing == failed
     for section, computed in raised.items():
         at = lines.index(f"[FAIL] {section}: the claim section runs to its "
                          f"verdicts")
@@ -92,6 +120,18 @@ def test_verify_reports_a_wrong_rule_as_failing_claims(name, monkeypatch,
                                         f"       computed: {computed}"]
     # the sections after a raising one still ran
     assert "flip-exponential-identity" in verdicts
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_verify_reports_a_wrong_rule_as_failing_claims(name, monkeypatch,
+                                                       capsys):
+    _fails_its_claims(name, "quick", monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_the_full_profile_reports_a_wrong_rule_as_failing_claims(
+        name, monkeypatch, capsys):
+    _fails_its_claims(name, "full", monkeypatch, capsys)
 
 
 def test_a_guard_in_a_claim_section_still_stops_the_suite(monkeypatch,

@@ -8,7 +8,7 @@ existence by one mask comparison, `verify_el` keeps label states up from a
 bottom in one walk (from e alone on a lower set of the group), homology
 builds a coboundary column only when a reduction needs it and splices a
 lowest row by one vertex mask per run of faces, an order complex's
-top level is counted and built only when read, chains come out
+top level is only counted, chains come out
 sorted level by level over labels descending in rank with ties broken by
 the reversed image tuple, each packed into one int and read back as the
 tuple it packs, the fiber law compares distinct projections by lengths and
@@ -72,8 +72,8 @@ from absorder.labeling import ELReport
 from absorder.order import Poset, _fibers, _graded, _lower_covers, bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
 from absorder.topology import HomologyProfile, IdealCheck, SimplicialComplex
-from packing import (boundary_columns, by_index, closure, normalized,
-                     packed, tuples)
+from packing import (boundary_columns, by_index, closure, every_face,
+                     normalized, packed, tuples)
 
 
 # --- the order induced on any member set --------------------------------------
@@ -184,11 +184,6 @@ def _types(p, mask):
     return {v: cycle_type(p.elements[v]) for v in bits(mask)}
 
 
-def _lower_set(p, mask):
-    """`order._group_lower_set` given the cycle type of every element."""
-    return order._group_lower_set(p, mask, _types(p, (1 << len(p)) - 1))
-
-
 def _eliminate(levels):
     """`topology._homology_from_faces` on every level, each counted by its
     length."""
@@ -196,10 +191,15 @@ def _eliminate(levels):
 
 
 def _every_chain(p, mask, face_guard=None):
-    """`topology._chains_in_mask`'s labels and levels, its deferred top
-    built."""
-    indices, levels, _, top = topology._chains_in_mask(p, mask, face_guard)
-    return indices, levels + [top()] if top else levels
+    """`topology._chains_in_mask`'s labels and its chains as tuple faces,
+    the top level, which it only counts, built by `every_face`."""
+    indices, levels, counts = topology._chains_in_mask(p, mask, face_guard)
+    return indices, every_face(levels, counts)
+
+
+def _every_level(c):
+    """The packed levels of `c`, its top built by `every_face`."""
+    return packed(every_face(c.levels, c.counts))
 
 
 def _paired_four_cycle_ideal():
@@ -232,7 +232,7 @@ def _direct_gap(c, lo, hi):
     if hi is not None:
         mask &= p.below[hi] & ~(1 << hi)
     return topology._poly_of(topology._homology_from_faces(
-        *topology._chains_in_mask(p, mask)[1:3]))
+        *topology._chains_in_mask(p, mask)[1:]))
 
 
 def _edges_by_index(c):
@@ -245,7 +245,7 @@ def test_every_gap_polynomial_matches_its_direct_elimination(name):
     # every gap of every face is a gap of a vertex or an edge
     build, strip = GAP_CASES[name]
     c = order_complex(build(), strip=strip)
-    gap, _ = topology._gap_polys(c, topology.homology(c))
+    gap = topology._gap_polys(c, topology.homology(c))
     vertices = list(bits(c.member_mask))
     ends = ([(None, None)] + [(None, v) for v in vertices]
             + [(v, None) for v in vertices] + _edges_by_index(c))
@@ -284,8 +284,8 @@ def _counting_reads(monkeypatch):
     gap_polys = topology._gap_polys
 
     def counting(c, whole):
-        gap, types = gap_polys(c, whole)
-        return lambda lo, hi: reads.append((lo, hi)) or gap(lo, hi), types
+        gap = gap_polys(c, whole)
+        return lambda lo, hi: reads.append((lo, hi)) or gap(lo, hi)
 
     monkeypatch.setattr(topology, "_gap_polys", counting)
     return reads
@@ -332,7 +332,7 @@ def test_each_span_of_a_lower_set_is_a_gap_below_a_member(name):
     build, strip = GAP_CASES[name]
     c = order_complex(build(), strip=strip)
     p = c.poset
-    assert _lower_set(p, c.member_mask | 1)
+    assert order._group_lower_set(p, c.member_mask | 1)
     spans = _two_ended_spans(c)
     assert bool(spans) is (p.height() > 3), name  # stripped, rank > 2 apart
     for lo, hi in spans:
@@ -346,7 +346,7 @@ def test_each_gap_up_to_a_stripped_top_is_a_gap_below_a_member():
     c = order_complex(build_interval(identity(4), top, "B"), strip="endpoints")
     p = c.poset
     assert topology._stripped_ends(c) == (0, len(p) - 1)
-    assert _lower_set(p, (1 << len(p)) - 1)
+    assert order._group_lower_set(p, (1 << len(p)) - 1)
     for v in bits(c.member_mask):
         z = p.index[p.elements[v].inverse() * top]
         assert c.member_mask >> z & 1
@@ -389,11 +389,11 @@ def test_lower_set_test_does_not_trust_the_cover_builder(monkeypatch):
 
     monkeypatch.setattr(order, "_lower_covers", one_short)
     p = full_poset("B", 3)
-    assert not _lower_set(p, (1 << len(p)) - 1)
+    assert not order._group_lower_set(p, (1 << len(p)) - 1)
     asked = []
 
-    def recording(poset, mask, types):
-        asked.append(order._group_lower_set(poset, mask, types))
+    def recording(poset, mask):
+        asked.append(order._group_lower_set(poset, mask))
         return asked[-1]
 
     for module in (labeling, topology):
@@ -668,7 +668,7 @@ def test_only_lower_sets_of_the_group_walk_from_e_alone():
     cases += [_induced(b3, [0] + rng.sample(range(1, len(b3)), k), "sample")
               for k in (8, 16, 32)]
     for p in cases:
-        assert (_lower_set(p, (1 << len(p)) - 1)
+        assert (order._group_lower_set(p, (1 << len(p)) - 1)
                 == _lower_set_by_abs_leq(p)), p.label
     # B3 without [1][3] fails above [3] only, where a walk from e is blind
     for p, bottom in ((missing, "[3]"), (skipping, "e")):
@@ -702,10 +702,10 @@ def test_lower_set_test_matches_the_covers_on_partial_masks(kind, n):
         ideals += [ideal, ideal & ~(1 << top)]
         others += [ideal & ~1, p.above[u] & p.below[v]]
     for mask in ideals + others:
-        assert (_lower_set(p, mask)
+        assert (order._group_lower_set(p, mask)
                 == _lower_set_by_covers(p, mask)), (kind, mask)
-    assert all(_lower_set(p, mask) for mask in ideals if mask)
-    assert not any(_lower_set(p, mask) for mask in others)
+    assert all(order._group_lower_set(p, mask) for mask in ideals if mask)
+    assert not any(order._group_lower_set(p, mask) for mask in others)
 
 
 def test_other_labelers_walk_from_every_element():
@@ -824,15 +824,14 @@ LABEL_ORDER_CASES = {
 def _same_as_the_index_walk(p, mask):
     """The chains of `mask` under both walks agree after mapping, and so do
     their Betti numbers and torsion."""
-    indices, levels = _every_chain(p, mask)
+    indices, faces = _every_chain(p, mask)
     ranks = [p.rank[v] for v in indices]
     assert ranks == sorted(ranks, reverse=True)
-    faces = tuples(levels)
     assert all(level == sorted(level) for level in faces)
     old = _chains_by_index(p, mask)
     assert by_index(indices, faces) == old
     new_profile = topology._homology_from_faces(
-        *topology._chains_in_mask(p, mask)[1:3])
+        *topology._chains_in_mask(p, mask)[1:])
     old_profile = _eliminate(packed(old))
     assert new_profile == old_profile
     assert new_profile.torsion == old_profile.torsion
@@ -865,7 +864,8 @@ def _by_rank_then_index(c):
     label = {v: k for k, v in enumerate(
         sorted(c.indices, key=lambda v: (-p.rank[v], v)))}
     return [sorted(tuple(sorted(label[c.indices[v]] for v in face))
-                   for face in faces) for faces in tuples(c.levels)]
+                   for face in faces)
+            for faces in every_face(c.levels, c.counts)]
 
 
 def _same_under_index_ties(c):
@@ -878,7 +878,7 @@ def _same_under_index_ties(c):
     relabelled = _by_rank_then_index(c)
     profile = topology.homology(c)
     assert profile == _eliminate(packed(relabelled)), c.label
-    return profile, relabelled != tuples(c.levels)
+    return profile, relabelled != every_face(c.levels, c.counts)
 
 
 @pytest.mark.parametrize("kind", ["B", "D"])
@@ -923,7 +923,7 @@ def test_homology_matches_boundary_matrix_elimination(strip):
         c = order_complex(p, strip=strip)
         profiles.append(topology.homology(c))
         assert profiles[-1].reduced_betti == _homology_by_boundary_matrices(
-            tuples(c.levels)).reduced_betti, p.label
+            every_face(c.levels, c.counts)).reduced_betti, p.label
     # stripped, D4 has homology below its top dimension; with their ends
     # kept, all six complexes are cones
     assert sum(not h.concentrated_in_top() for h in profiles) == (
@@ -939,11 +939,10 @@ def test_homology_and_chains_match_on_random_submasks():
         for k in range(40):
             density = rng.uniform(0.1, 0.5)
             mask = sum(1 << i for i in range(len(p)) if rng.random() < density)
-            indices, levels = _every_chain(p, mask)
-            faces = tuples(levels)
+            indices, faces = _every_chain(p, mask)
             assert by_index(indices, faces) == _chains_by_stack_and_sort(
                 p, mask), (p.label, k)
-            profile = _eliminate(levels)
+            profile = _eliminate(packed(faces))
             assert profile.reduced_betti == _homology_by_boundary_matrices(
                 faces).reduced_betti, (p.label, k)
             low_homology += not profile.concentrated_in_top()
@@ -1095,7 +1094,8 @@ def _splice_depths(faces_by_dim):
 def test_homology_matches_the_grouped_scan():
     # the stripped Coxeter ideals, D4's with torsion, and random flag
     # complexes of dimension 4 and up, where a splice meets every depth
-    levels = [order_complex(coxeter_ideal(n, kind), strip="endpoints").levels
+    levels = [_every_level(order_complex(coxeter_ideal(n, kind),
+                                         strip="endpoints"))
               for kind, n in (("B", 4), ("S", 5), ("D", 4))]
     rng = random.Random(20261041)
     complexes = [_random_flag_complex(rng) for _ in range(20)]
@@ -1111,7 +1111,8 @@ def test_homology_matches_the_grouped_scan():
 
 def test_torsion_guard_refuses_the_d4_ideal_as_the_grouped_scan(monkeypatch):
     monkeypatch.setattr(topology, "TORSION_GUARD", 293)
-    levels = order_complex(coxeter_ideal(4, "D"), strip="endpoints").levels
+    levels = _every_level(order_complex(coxeter_ideal(4, "D"),
+                                        strip="endpoints"))
     refusals = []
     for scan in (_eliminate, _homology_by_grouped_scan):
         with pytest.raises(ResourceGuardError, match="98x3") as got:
@@ -1133,14 +1134,14 @@ PACKING_CASES = {
 def _same_as_the_tuple_walk(c):
     """The tuple view of `c` holds the chains the stack walk finds, each
     face and each dimension ascending, and packs back to its levels."""
-    faces = tuples(c.levels)
+    faces = every_face(c.levels, c.counts)
     assert by_index(c.indices, faces) == _chains_by_stack_and_sort(
         c.poset, c.member_mask), c.label
     assert all(level == sorted(level) for level in c.levels)
     assert all(level == sorted(level) and all(
         all(a < b for a, b in zip(face, face[1:])) for face in level)
         for level in faces)
-    assert packed(faces) == c.levels
+    assert packed(faces)[:len(c.levels)] == c.levels
 
 
 @pytest.mark.parametrize("strip", ["endpoints", "none"])
@@ -1171,8 +1172,7 @@ def test_faces_packed_past_64_bits_keep_their_betti_numbers():
     wide = low_homology = 0
     for mask in masks:
         faces = [[tuple(10_000 + 3 * v for v in face) for face in level]
-                 for level in tuples(topology._mask_complex(
-                     p, mask, "none", "S5").levels)]
+                 for level in _every_chain(p, mask)[1]]
         c = SimplicialComplex(None, 0, packed(faces))
         wide += len(c.levels) == 5 and c.levels[4][-1].bit_length() > 64
         profile = topology.homology(c)
@@ -1186,8 +1186,8 @@ def test_face_guard_trips_one_past_the_guard_with_the_same_message():
     p = full_poset("B", 3)
     mask = topology._strip_mask(p, "endpoints", (1 << len(p)) - 1)
     total = sum(topology._chains_in_mask(p, mask)[2])
-    indices, levels = _every_chain(p, mask, face_guard=total)
-    assert by_index(indices, tuples(levels)) == (
+    indices, faces = _every_chain(p, mask, face_guard=total)
+    assert by_index(indices, faces) == (
         _chains_by_stack_and_sort(p, mask))
     with pytest.raises(ResourceGuardError) as expected:
         _chains_by_stack_and_sort(p, mask, face_guard=total - 1)
@@ -1272,26 +1272,9 @@ def test_the_f_vector_counts_the_chains_by_size(name):
     sizes = p.chain_counts(mask)[1:]
     assert list(c.f_vector()) == sizes and c.face_count() == sum(sizes)
     assert c.to_json()["dim"] == c.dim() == len(sizes) - 1
-    assert [len(level) for level in c.built] == sizes[:len(c.built)]
-    assert len(c.built) == len(sizes) - (len(sizes) > 2), name
+    assert [len(level) for level in c.levels] == sizes[:len(c.levels)]
+    assert len(c.levels) == len(sizes) - (len(sizes) > 2), name
     assert c.dim() == SMALL_DIMS.get(name, c.dim())
-
-
-@pytest.mark.parametrize("name", COUNTED_TOP_CASES)
-def test_the_deferred_top_is_built_on_the_first_read(name):
-    # the faces read back are the chains of a walk of the test's own, and
-    # the elimination gives one profile whether or not the top was read
-    p, mask, c = _complex_of(name)
-    counted = topology.homology(c)
-    levels = c.levels
-    assert levels is c.built and c.levels is levels
-    assert [len(level) for level in levels] == list(c.f_vector())
-    assert by_index(c.indices, tuples(levels)) == _chains_by_stack_and_sort(
-        p, mask)
-    read = topology._mask_complex(p, mask, "none", name)
-    read.levels
-    assert topology.homology(read) == counted
-    assert topology.homology(read).torsion == counted.torsion
 
 
 def _every_level_by_the_stack(c):
@@ -1302,6 +1285,21 @@ def _every_level_by_the_stack(c):
              for level in _chains_by_stack_and_sort(c.poset, c.member_mask)]
     return SimplicialComplex(c.poset, c.member_mask, packed(faces),
                              label=c.label, indices=c.indices)
+
+
+@pytest.mark.parametrize("name", COUNTED_TOP_CASES)
+def test_the_levels_and_a_top_built_here_are_the_chains(name):
+    # the levels and a top level built by `every_face` are the chains of
+    # the stack walk, and the elimination, the top only counted, gives the
+    # profile of the complex with every level built
+    p, mask, c = _complex_of(name)
+    faces = every_face(c.levels, c.counts)
+    assert [len(level) for level in faces] == list(c.f_vector())
+    assert by_index(c.indices, faces) == _chains_by_stack_and_sort(p, mask)
+    every = _every_level_by_the_stack(c)
+    assert packed(faces) == every.levels
+    assert topology.homology(c) == topology.homology(every)
+    assert topology.homology(c).torsion == topology.homology(every).torsion
 
 
 def test_homology_and_cm_check_match_every_level_built_on_random_masks():
@@ -1326,7 +1324,7 @@ def test_homology_and_cm_check_match_every_level_built_on_random_masks():
                     p.label, k)
                 report = cm_check(c)
                 assert report == cm_check(every), (p.label, k)
-                counted += len(c.built) < len(c.counts)
+                counted += len(c.levels) < len(c.counts)
                 walked += not report.ok and report.faces_checked > 1
     assert counted >= 60 and walked >= 10  # 78 of 96 and 13
 
@@ -1343,10 +1341,10 @@ def test_the_face_guard_refuses_at_the_total_with_the_top_counted(build,
     p = build()
     mask = topology._strip_mask(p, strip, (1 << len(p)) - 1)
     total = sum(p.chain_counts(mask)[1:])
-    indices, levels, counts, deferred = topology._chains_in_mask(
+    indices, levels, counts = topology._chains_in_mask(
         p, mask, face_guard=total)
     assert sum(counts) == total and len(counts) == top + 1
-    assert (deferred is None) is (top < 2)
+    assert len(levels) == len(counts) - (top >= 2)
     with pytest.raises(ResourceGuardError, match=f"the guard {total - 1} "):
         topology._chains_in_mask(p, mask, face_guard=total - 1)
 
@@ -1355,13 +1353,13 @@ def test_the_flag_check_reads_the_builders_count():
     # one top face counted too many or too few: the scan's total of common
     # neighbours below the top no longer matches
     c = order_complex(coxeter_ideal(4, "B"), strip="endpoints")
-    assert len(c.built) == 3
+    assert len(c.levels) == 3
     for wrong in (12_287, 12_289):
         with pytest.raises(ValueError, match=(
                 f"^not a flag complex at dimension 2: 12288 common "
                 f"neighbours above the last vertices of its faces, "
                 f"{wrong} faces of dimension 3$")):
-            topology._homology_from_faces(c.built, c.counts[:3] + [wrong])
+            topology._homology_from_faces(c.levels, c.counts[:3] + [wrong])
 
 
 # --- antichain gaps ----------------------------------------------------------
@@ -1374,7 +1372,7 @@ def test_antichain_gaps_match_the_oracle_without_elimination(
     build, strip = GAP_CASES[name]
     c = order_complex(build(), strip=strip)
     p = c.poset
-    gap, _ = topology._gap_polys(c, topology.homology(c))
+    gap = topology._gap_polys(c, topology.homology(c))
     bottom, top = (end if end is not None and not c.member_mask >> end & 1
                    else None for end in (p.bottom(), p.top()))
     vertices = list(bits(c.member_mask))
@@ -1810,7 +1808,7 @@ def test_lower_covers_keep_the_order_of_the_swap_rule(kind):
 @pytest.mark.parametrize("kind,n", [("S", 5), ("B", 4), ("D", 5)])
 def test_lower_cover_count_off_the_orbits_matches_the_built_covers(kind, n):
     for w in group_elements(kind, n):
-        assert order._lower_cover_count(cycle_type(w), kind) == len(
+        assert order._lower_cover_count(w, kind) == len(
             _lower_covers(w, kind)), format_cycles(w)
 
 

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -107,6 +110,32 @@ def test_paired_cycle_orbit():
     w = paired_cycle((1, 2, 3), 3)
     assert w(1) == 2 and w(2) == 3 and w(3) == 1
     assert absolute_length(w, "B") == 2
+
+
+def test_images_that_repeat_a_letter_raise_instead_of_walking_on():
+    # run apart, so that a walk that never returns fails at the timeout
+    # instead of hanging the suite
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from absorder.signed import (SignedPermutation, absolute_length,
+                                     cycle_decomposition)
+        for images, read in (((1, 1), absolute_length), ((1, -1), repr),
+                             ((2, 1, 1), cycle_decomposition),
+                             ((-1, -1), absolute_length)):
+            try:
+                read(SignedPermutation(images))
+            except ValueError as e:
+                print(e)
+    """
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"{images} is no signed permutation: two images share a letter up "
+        f"to sign" for images in ((1, 1), (1, -1), (2, 1, 1), (-1, -1))]
 
 
 def test_decomposition_splits_kinds_and_fixed_points():

@@ -32,8 +32,8 @@ from absorder.signed import cycle_type
 from absorder.topology import (SimplicialComplex, _chains_in_mask,
                                _homology_from_faces, _smith_form,
                                _subtract)
-from packing import (boundary_columns, by_index, closure, normalized,
-                     packed, tuples)
+from packing import (boundary_columns, by_index, closure, every_face,
+                     normalized, packed, tuples)
 
 
 def test_stripped_coxeter_ideal_two_letters():
@@ -175,13 +175,13 @@ def _links_from_scratch(c):
     p = c.poset
     comparable = {v: (p.below[v] | p.above[v]) & c.member_mask & ~(1 << v)
                   for v in bits(c.member_mask)}
-    faces = [()] + [face for dim_faces in by_index(c.indices, tuples(c.levels))
-                    for face in dim_faces]
+    faces = [()] + [face for dim_faces in by_index(
+        c.indices, every_face(c.levels, c.counts)) for face in dim_faces]
     for checked, face in enumerate(faces, 1):
         mask = c.member_mask
         for v in face:
             mask &= comparable[v]
-        profile = _homology_from_faces(*_chains_in_mask(p, mask)[1:3])
+        profile = _homology_from_faces(*_chains_in_mask(p, mask)[1:])
         if not profile.concentrated_in_top():
             return {"ok": False, "mode": "all", "faces_checked": checked,
                     "failing_face": [format_cycles(p.elements[v])
@@ -300,8 +300,8 @@ def test_the_scan_intersects_each_face_prefix_once(monkeypatch):
     monkeypatch.setattr(topology, "_neighbours", counting_neighbours)
     monkeypatch.setattr(topology, "_pivot", counting_pivot)
     c = order_complex(coxeter_ideal(4, "B"), strip="endpoints")
-    _homology_from_faces(c.built, c.counts)
-    scanned = tuples(c.levels)[:-1]
+    _homology_from_faces(c.levels, c.counts)
+    scanned = tuples(c.levels)  # the top is only counted
     prefixes = [{face[:-1] for face in faces} for faces in scanned]
     faces = sum(map(len, scanned))
     assert faces == 21_440 and sum(map(len, prefixes)) < 6_000
@@ -423,6 +423,15 @@ def _rp2():
                              label="RP^2")
 
 
+def test_the_link_check_of_a_complex_with_no_host_poset_is_refused():
+    # the gaps of a link are intervals of the host, which a hand-built
+    # complex has none of
+    with pytest.raises(ValueError, match=(
+            r"^the link check of 'RP\^2' needs a host poset: its gaps are "
+            r"intervals of the host$")):
+        cm_check(_rp2())
+
+
 def test_torsion_guard_refuses_before_eliminating(monkeypatch):
     # RP^2 defers one column at dimension 2 and leaves it a 1x1 residual,
     # its pivot 2: a guard of 1 admits it, a guard of 0 refuses it
@@ -526,7 +535,7 @@ def test_torsion_matches_the_smith_form_of_boundary_maps():
     # least
     maps = 0
     for name, c in _boundary_maps():
-        faces = by_index(c.indices, tuples(c.levels))
+        faces = by_index(c.indices, every_face(c.levels, c.counts))
         whole = _torsion_by_boundary_maps(faces, whole=True)
         assert torsion_profile(c) == whole, name
         assert _torsion_by_boundary_maps(faces, whole=False) == whole, name
@@ -535,7 +544,7 @@ def test_torsion_matches_the_smith_form_of_boundary_maps():
     for p, top in ((full_poset("S", 5), []), (coxeter_ideal(4, "B"), []),
                    (coxeter_ideal(4, "D"), [2, 2])):
         c = order_complex(p, strip="endpoints")
-        faces = by_index(c.indices, tuples(c.levels))
+        faces = by_index(c.indices, every_face(c.levels, c.counts))
         assert torsion_profile(c) == _torsion_by_boundary_maps(
             faces, whole=False) == {1: [], 2: [], 3: top}, p.label
 
@@ -572,8 +581,9 @@ def test_torsion_answers_on_random_subposets_of_b4():
     for k in range(150):
         c = _on_members(b4, rng.sample(range(len(b4)), rng.randint(30, 250)),
                         "endpoints")
+        faces = by_index(c.indices, every_face(c.levels, c.counts))
         assert torsion_profile(c) == _torsion_by_boundary_maps(
-            by_index(c.indices, tuples(c.levels)), whole=False), k
+            faces, whole=False), k
 
 
 def _betti_by_boundary_maps(faces):
@@ -595,7 +605,7 @@ def test_unit_entries_of_the_residual_answer_at_a_zero_guard(
     rng = random.Random(seed)
     c = _on_members(ideal, rng.sample(range(len(ideal)), rng.randint(20, 90)),
                     "none")
-    faces = by_index(c.indices, tuples(c.levels))
+    faces = by_index(c.indices, every_face(c.levels, c.counts))
     handed = []
 
     def counting(columns, dim):
@@ -642,10 +652,10 @@ def test_homology_is_eliminated_once_per_complex(monkeypatch):
     monkeypatch.setattr(topology, "_homology_from_faces", counting)
     rp2, cone = _rp2(), order_complex(coxeter_ideal(2, "B"), strip="none")
     for c in (rp2, cone, rp2, cone):
-        assert homology(c) == eliminate(c.built, c.counts)
+        assert homology(c) == eliminate(c.levels, c.counts)
         assert torsion_profile(c) == ({1: [], 2: [2]} if c is rp2
                                       else {1: [], 2: []})
-    assert calls == [(rp2.built, rp2.counts), (cone.built, cone.counts)]
+    assert calls == [(rp2.levels, rp2.counts), (cone.levels, cone.counts)]
 
 
 def _random_matrix(rng):
@@ -832,7 +842,7 @@ def test_ranks_match_the_reference_on_order_complexes(monkeypatch):
     maps = 0
     for p in posets:
         c = order_complex(p, strip="endpoints")
-        faces = tuples(c.levels)
+        faces = every_face(c.levels, c.counts)
         assert _ranks_from_betti(faces) == _oracle_ranks(
             by_index(c.indices, faces)), p.label
         maps += len(faces) - 1
@@ -850,7 +860,8 @@ def test_ranks_match_the_reference_on_order_complexes(monkeypatch):
             iv = build_interval(identity(4), w, kind)
             for strip in ("endpoints", "none"):
                 c = order_complex(iv, strip=strip)
-                faces, name = tuples(c.levels), (kind, format_cycles(w), strip)
+                faces = every_face(c.levels, c.counts)
+                name = (kind, format_cycles(w), strip)
                 assert not faces or (_ranks_from_betti(faces)
                                      == _oracle_ranks(by_index(c.indices, faces))), name
                 assert not any(homology(c).torsion.values()), name
