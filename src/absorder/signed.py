@@ -56,8 +56,14 @@ class SignedPermutation(tuple):
         return len(self)
 
     def __call__(self, i: int) -> int:
-        """Apply to a signed point i with 1 <= |i| <= n."""
-        return self[i - 1] if i > 0 else -self[-i - 1]
+        """Apply to a signed point i with 1 <= |i| <= n; ValueError for any
+        other i."""
+        try:
+            if i:
+                return self[i - 1] if i > 0 else -self[-i - 1]
+        except IndexError:
+            pass
+        raise ValueError(f"the letter {i} lies outside +-1..+-{len(self)}")
 
     def __mul__(self, other) -> "SignedPermutation":
         """Composition: (u * v)(i) = u(v(i)), of two elements of one rank;
@@ -94,21 +100,35 @@ def _orbits(images: tuple):
     Every smaller letter was seen, so start is the orbit's least |letter|,
     positive: each orbit is a canonical word, yielded by ascending start.
     A walk that reaches a letter it has marked, which only a tuple with a
-    repeated |letter| makes, raises ValueError instead of running on."""
+    repeated |letter| makes, or one outside +-1..+-n (0 is marked from the
+    start, a larger |letter| has no mark), raises ValueError instead of
+    running on or reading past the tuple."""
     seen = [False] * (len(images) + 1)
-    for start in range(1, len(images) + 1):
-        if seen[start]:
-            continue
-        orbit, x = [start], images[start - 1]
-        while x != start and x != -start:
-            orbit.append(x)
-            a = x if x > 0 else -x
-            if seen[a]:
-                raise ValueError(f"{tuple(images)} is no signed permutation:"
-                                 f" two images share a letter up to sign")
-            seen[a] = True
-            x = images[a - 1] if x > 0 else -images[a - 1]
-        yield orbit, x != start
+    seen[0] = True
+    try:
+        for start in range(1, len(images) + 1):
+            if seen[start]:
+                continue
+            orbit, x = [start], images[start - 1]
+            while x != start and x != -start:
+                orbit.append(x)
+                a = x if x > 0 else -x
+                if seen[a]:
+                    raise _no_signed_permutation(images, x)
+                seen[a] = True
+                x = images[a - 1] if x > 0 else -images[a - 1]
+            yield orbit, x != start
+    except IndexError:
+        raise _no_signed_permutation(images, x) from None
+
+
+def _no_signed_permutation(images: tuple, x: int) -> ValueError:
+    """The refusal of `images`, whose orbit walk reached the letter x: one
+    it had marked, or one outside +-1..+-n."""
+    n = len(images)
+    why = ("two images share a letter up to sign" if 0 < abs(x) <= n
+           else f"the letter {x} lies outside +-1..+-{n}")
+    return ValueError(f"{tuple(images)} is no signed permutation: {why}")
 
 
 def cycle_decomposition(w: SignedPermutation) -> tuple:

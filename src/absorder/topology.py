@@ -58,35 +58,26 @@ def _unpacked(face: int, shifts: range) -> list:
 
 
 class SimplicialComplex:
-    """Faces grouped by dimension, over the vertex set of a host poset.
-
-    The complex must be flag, its faces the cliques of its edges, as an
-    order complex is: `homology` raises ValueError for one that is not
-    flag below its top dimension.  Each face, an ascending vertex tuple, is
-    given and kept as one int, its labels packed `_width` bits each, the
-    first most significant, so integer order is lexicographic; `levels[d]`
-    lists the d-faces ascending.  The elimination sizes its neighbour masks
-    by the last vertex listed; `homology` refuses a vertex list out of order.
-    `indices[v]` is the poset index of vertex v: an order complex labels
-    its members in rank-descending order, ties broken by the reversed image
-    tuple (see `_chains_in_mask`).
-    Hand-built complexes, with no host poset, leave it None.  `homology`
-    keeps its profile here, so each complex is eliminated once.
-    `counts[d]` is the number of d-faces.  An order complex of dimension 2
-    or more only counts its top level, which no reader needs the faces of,
-    so `levels` stops below it; a hand-built complex gives every level,
-    counted by their lengths.
+    """The order complex of the members of `mask` on the host `poset` that
+    `strip` keeps, `member_mask` (see `_strip_mask`): their chains by
+    dimension.  `indices[v]` is the poset index of vertex v, labelled
+    0, 1, ... as rank descends, ties broken by the reversed image tuple (see
+    `_chains_in_mask`), so `levels[0]` ascends, as `_homology_from_faces`
+    needs.  Each face, an ascending vertex tuple, is one int, its labels
+    packed `_width` bits each, the first most significant, so integer order
+    is lexicographic; `levels[d]` lists the d-faces ascending and
+    `counts[d]` counts them.  From dimension 2 up the top level, which no
+    reader needs the faces of, is only counted, so `levels` stops below it.
+    `homology` keeps its profile here, so each complex is eliminated once.
     """
 
-    def __init__(self, poset: Poset, member_mask: int, levels: list,
-                 label: str = "complex", indices: list | None = None,
-                 counts: list | None = None):
+    def __init__(self, poset: Poset, mask: int, strip: str, name: str,
+                 face_guard: int | None = None):
         self.poset = poset
-        self.member_mask = member_mask
-        self.levels = levels
-        self.counts = counts or [len(level) for level in levels]
-        self.label = label
-        self.indices = indices
+        self.member_mask = _strip_mask(poset, strip, mask)
+        self.indices, self.levels, self.counts = _chains_in_mask(
+            poset, self.member_mask, face_guard)
+        self.label = f"chains of {name} (strip={strip})"
         self._homology = None
 
     def dim(self) -> int:
@@ -162,19 +153,10 @@ def _strip_mask(p: Poset, strip: str, mask: int) -> int:
     return mask
 
 
-def _mask_complex(p: Poset, mask: int, strip: str, name: str,
-                  face_guard: int | None = None) -> SimplicialComplex:
-    """The chain complex of the members of `mask` kept under `strip`."""
-    kept = _strip_mask(p, strip, mask)
-    indices, levels, counts = _chains_in_mask(p, kept, face_guard)
-    label = f"chains of {name} (strip={strip})"
-    return SimplicialComplex(p, kept, levels, label, indices, counts)
-
-
 def order_complex(p: Poset, strip: str = "none",
                   face_guard: int | None = None) -> SimplicialComplex:
     """The chain complex of a poset, optionally with endpoints removed."""
-    return _mask_complex(p, (1 << len(p)) - 1, strip, p.label, face_guard)
+    return SimplicialComplex(p, (1 << len(p)) - 1, strip, p.label, face_guard)
 
 
 class HomologyProfile(namedtuple("HomologyProfile", "reduced_betti torsion")):
@@ -255,6 +237,9 @@ def _homology_from_faces(levels: list, counts: list) -> HomologyProfile:
     clearing, from the packed faces of `SimplicialComplex.levels` and the
     number of faces of each dimension, `counts`: the top dimension, which
     has no coboundary, is read only for its count, so it need not be built.
+    `levels[0]` must list the vertices 0, 1, ..., k-1 in ascending order,
+    as every order complex does: the neighbour masks are sized by the last
+    vertex and clearing starts from it.
 
     The coboundaries delta^d are reduced for d = 0, 1, ... by lowest-row
     pivots, skipping the pivot rows of delta^(d-1) (Chen and Kerber): a
@@ -369,17 +354,9 @@ def _homology_from_faces(levels: list, counts: list) -> HomologyProfile:
 
 def homology(c: SimplicialComplex) -> HomologyProfile:
     """Reduced rational Betti numbers, the reduced Euler characteristic and
-    the torsion, eliminated on the first call and kept on the complex.  The
-    vertices must be listed in ascending order, as `_neighbours` and
-    clearing assume; ValueError otherwise.  ResourceGuardError when a
-    residual is over TORSION_GUARD."""
+    the torsion, eliminated on the first call and kept on the complex.
+    ResourceGuardError when a residual is over TORSION_GUARD."""
     if c._homology is None:
-        vertices = c.levels[0] if c.levels else []
-        for a, b in zip(vertices, vertices[1:]):
-            if a >= b:
-                raise ValueError(
-                    f"the vertices of {c.label!r} must be listed in "
-                    f"ascending order: {a} comes before {b}")
         c._homology = _homology_from_faces(c.levels, c.counts)
     return c._homology
 
@@ -490,9 +467,7 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     its top degree, so is every link's (the interval criterion of Bjorner,
     Garsia and Stanley).  Otherwise faces are walked by dimension, the empty
     face first and each dimension in lexicographic order of poset indices,
-    to the first link whose Betti numbers (P from t^1 up) fail.  The gaps
-    lie in the host poset, so a hand-built complex, with none, raises
-    ValueError.
+    to the first link whose Betti numbers (P from t^1 up) fail.
 
     A gap (x, y) lies in the open interval (x, y) of the host poset (an
     open end stands for a stripped bottom or top).  The host is convex, so
@@ -514,9 +489,6 @@ def cm_check(c: SimplicialComplex) -> CMReport:
     each side and cycle type of the end is eliminated once; for any other
     M each such gap is eliminated apart.
     """
-    if c.poset is None:
-        raise ValueError(f"the link check of {c.label!r} needs a host poset: "
-                         f"its gaps are intervals of the host")
     whole = homology(c)
     gap = _gap_polys(c, whole)
     p, at, w = c.poset, c.indices, _width(c.levels)
@@ -609,7 +581,7 @@ def _checked_ideal(name: str, ambient: Poset, mask: int,
                    expected_rank: int) -> IdealCheck:
     """Rank, grading and link criterion of the ideal `mask` of `ambient`,
     its bottom and top stripped."""
-    c = _mask_complex(ambient, mask, "endpoints", name)
+    c = SimplicialComplex(ambient, mask, "endpoints", name)
     ranks = [ambient.rank[i] for i in bits(mask)]
     return IdealCheck(name, mask.bit_count(), max(ranks) - min(ranks),
                       expected_rank, _graded(ambient, mask), cm_check(c))

@@ -1,15 +1,16 @@
 """Faces for the tests, written apart from `absorder.topology`.
 
-`SimplicialComplex` takes and keeps each face, an ascending vertex tuple,
-as one int: its labels w bits each, the first most significant, w the bit
-length of the largest vertex label (at least 1).  `packed` and `tuples`
-convert between that form and tuples by dimension, with no code of the
-package, so the tests that use them check the package against them.  An
-order complex of dimension 2 or more keeps its top level only as a count;
-`every_face` builds it.  The tuple faces are what the reference homologies
-read: `closure` builds a complex from its top faces, `by_index` relabels
-one by poset indices, and `boundary_columns` and `normalized` give the
-columns they eliminate.
+`SimplicialComplex` keeps each face, an ascending vertex tuple, as one
+int: its labels w bits each, the first most significant, w the bit length
+of the largest vertex label (at least 1).  `packed` and `tuples` convert
+between that form and tuples by dimension, with no code of the package,
+so the tests that use them check the package against them; a complex
+built by hand reaches the homology kernel through `levels_and_counts`.
+An order complex of dimension 2 or more keeps its top level only as a
+count; `every_face` builds it.  The tuple faces are what the reference
+homologies read: `closure` builds a complex from its top faces,
+`by_index` relabels one by poset indices, and `boundary_columns` and
+`normalized` give the columns they eliminate.
 """
 
 import itertools
@@ -35,6 +36,13 @@ def packed(faces: list) -> list:
             ints.append(value)
         levels.append(ints)
     return levels
+
+
+def levels_and_counts(faces: list) -> tuple:
+    """Tuple faces grouped by dimension, each level sorted and the vertices
+    0, 1, ..., k-1, as `topology._homology_from_faces` takes them: the
+    packed levels and the number of faces of each dimension."""
+    return packed(faces), [len(level) for level in faces]
 
 
 def tuples(levels: list) -> list:

@@ -73,7 +73,7 @@ from absorder.order import Poset, _fibers, _graded, _lower_covers, bits
 from absorder.signed import SignedPermutation, cycle_type, group_elements
 from absorder.topology import HomologyProfile, IdealCheck, SimplicialComplex
 from packing import (boundary_columns, by_index, closure, every_face,
-                     normalized, packed, tuples)
+                     levels_and_counts, normalized, packed, tuples)
 
 
 # --- the order induced on any member set --------------------------------------
@@ -1158,7 +1158,7 @@ def test_packed_faces_read_back_as_the_tuple_chains_on_random_masks(strip):
             density = rng.uniform(0.1, 0.6)
             mask = sum(1 << i for i in range(len(p)) if rng.random() < density)
             _same_as_the_tuple_walk(
-                topology._mask_complex(p, mask, strip, f"{p.label} {k}"))
+                SimplicialComplex(p, mask, strip, f"{p.label} {k}"))
 
 
 def test_faces_packed_past_64_bits_keep_their_betti_numbers():
@@ -1173,9 +1173,9 @@ def test_faces_packed_past_64_bits_keep_their_betti_numbers():
     for mask in masks:
         faces = [[tuple(10_000 + 3 * v for v in face) for face in level]
                  for level in _every_chain(p, mask)[1]]
-        c = SimplicialComplex(None, 0, packed(faces))
-        wide += len(c.levels) == 5 and c.levels[4][-1].bit_length() > 64
-        profile = topology.homology(c)
+        levels, counts = levels_and_counts(faces)
+        wide += len(levels) == 5 and levels[4][-1].bit_length() > 64
+        profile = topology._homology_from_faces(levels, counts)
         assert profile.reduced_betti == _homology_by_boundary_matrices(
             faces).reduced_betti, mask
         low_homology += any(profile.reduced_betti)
@@ -1262,7 +1262,7 @@ SMALL_DIMS = {"one-vertex": 0, "antichain": 0, "two-element-chain": 1,
 
 def _complex_of(name):
     p, mask = COUNTED_TOP_CASES[name]()
-    return p, mask, topology._mask_complex(p, mask, "none", name)
+    return p, mask, SimplicialComplex(p, mask, "none", name)
 
 
 @pytest.mark.parametrize("name", COUNTED_TOP_CASES)
@@ -1278,13 +1278,15 @@ def test_the_f_vector_counts_the_chains_by_size(name):
 
 
 def _every_level_by_the_stack(c):
-    """`c` built again with every level from the stack walk, relabelled as
-    `c` labels its members, so its counts are the lengths of its levels."""
-    label = {v: k for k, v in enumerate(c.indices)}
+    """`c` built again, its levels then replaced by every level from the
+    stack walk, relabelled as `c` labels its members, and its counts by
+    the lengths of those levels."""
+    every = SimplicialComplex(c.poset, c.member_mask, "none", "every level")
+    label = {v: k for k, v in enumerate(every.indices)}
     faces = [sorted(tuple(sorted(label[v] for v in face)) for face in level)
              for level in _chains_by_stack_and_sort(c.poset, c.member_mask)]
-    return SimplicialComplex(c.poset, c.member_mask, packed(faces),
-                             label=c.label, indices=c.indices)
+    every.levels, every.counts = levels_and_counts(faces)
+    return every
 
 
 @pytest.mark.parametrize("name", COUNTED_TOP_CASES)
@@ -1317,7 +1319,7 @@ def test_homology_and_cm_check_match_every_level_built_on_random_masks():
                 for g in rng.sample(range(len(p)), rng.randint(1, 3)):
                     mask |= p.below[g]
             for strip in ("none", "endpoints"):
-                c = topology._mask_complex(p, mask, strip, f"{p.label} {k}")
+                c = SimplicialComplex(p, mask, strip, f"{p.label} {k}")
                 every = _every_level_by_the_stack(c)
                 assert every.counts == c.counts, (p.label, k)
                 assert topology.homology(c) == topology.homology(every), (

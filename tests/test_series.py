@@ -128,18 +128,18 @@ def test_convolve_matches_the_double_loop():
 
 def test_consistency_checks_raise_under_python_optimise():
     # `python -O` strips assert statements: both checks must still raise,
-    # homology must still refuse a complex that is not flag, and torsion
-    # must still come out of the elimination, with no column deferred (the
-    # stripped B3) and with one (the barycentric subdivision of RP^2)
+    # the homology kernel must still refuse faces that are not flag, and
+    # torsion must still come out of the elimination, with no column
+    # deferred (the stripped B3) and with one (the barycentric subdivision
+    # of RP^2)
     code = """if True:
         import itertools
         from fractions import Fraction
-        from absorder import (full_poset, homology, order_complex,
-                              torsion_profile)
+        from absorder import full_poset, order_complex, torsion_profile
         from absorder.invariants import InvariantReport
         from absorder.series import FormalPowerSeries, _extract_euler
-        from absorder.topology import SimplicialComplex
-        from packing import packed
+        from absorder.topology import _homology_from_faces
+        from packing import levels_and_counts
         checks = [
             lambda: InvariantReport(5, (1, 1), None, None, None).check(),
             lambda: _extract_euler(
@@ -158,7 +158,7 @@ def test_consistency_checks_raise_under_python_optimise():
         hollow = closure([(0, 1, 2, 3), (4, 5), (4, 6), (5, 6)])
         try:
             print("no error:",
-                  homology(SimplicialComplex(None, 0, packed(hollow))))
+                  _homology_from_faces(*levels_and_counts(hollow)))
         except ValueError as exc:
             print("ValueError:", exc)
         rp2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
@@ -167,8 +167,8 @@ def test_consistency_checks_raise_under_python_optimise():
         index = {cell: k for k, cell in enumerate(cells)}
         flags = [tuple(index[tuple(sorted(p[:k]))] for k in (1, 2, 3))
                  for t in rp2 for p in itertools.permutations(t)]
-        print(torsion_profile(SimplicialComplex(None, 0,
-                                              packed(closure(flags)))))
+        print(_homology_from_faces(
+            *levels_and_counts(closure(flags))).torsion)
         print(torsion_profile(order_complex(full_poset("B", 3),
                                             strip="endpoints")))
     """

@@ -138,6 +138,48 @@ def test_images_that_repeat_a_letter_raise_instead_of_walking_on():
         f"to sign" for images in ((1, 1), (1, -1), (2, 1, 1), (-1, -1))]
 
 
+def test_letters_outside_the_rank_raise_a_value_error_naming_them():
+    # applied to such a letter, an element names it instead of reading w(n)
+    # off the tuple's end (0) or raising IndexError; an image outside
+    # +-1..+-n stops the orbit walk with the letter named, also 0, which
+    # once gave the repeated-letter message.  Run apart, like the walk of a
+    # repeated letter, so that a walk that runs on fails at the timeout.
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from absorder.signed import (SignedPermutation, absolute_length,
+                                     cycle_decomposition, cycle_type,
+                                     is_member, parse_cycles)
+        w = parse_cycles("((1,2,3))", 3)
+        reads = [(lambda i=i: w(i)) for i in (0, 4, -4)] + [
+            lambda: absolute_length(SignedPermutation((3,))),
+            lambda: absolute_length(SignedPermutation((2, 3)), "S"),
+            lambda: repr(SignedPermutation((0,))),
+            lambda: cycle_type(SignedPermutation((1, -5))),
+            lambda: is_member(SignedPermutation((2, 0)), "D"),
+            lambda: cycle_decomposition(SignedPermutation((-3, 1)))]
+        for read in reads:
+            try:
+                print("no error:", read())
+            except ValueError as e:
+                print(type(e).__name__, e)
+    """
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 0, out.stderr
+    walked = "ValueError ({}) is no signed permutation: the letter {} lies " \
+             "outside +-1..+-{}"
+    assert out.stdout.splitlines() == [
+        "ValueError the letter 0 lies outside +-1..+-3",
+        "ValueError the letter 4 lies outside +-1..+-3",
+        "ValueError the letter -4 lies outside +-1..+-3",
+        walked.format("3,", 3, 1), walked.format("2, 3", 3, 2),
+        walked.format("0,", 0, 1), walked.format("1, -5", -5, 2),
+        walked.format("2, 0", 0, 2), walked.format("-3, 1", -3, 2)]
+
+
 def test_decomposition_splits_kinds_and_fixed_points():
     w = parse_cycles("[1,-7][3]((2,-6,-5))", 7)
     words = cycle_decomposition(w)

@@ -33,7 +33,7 @@ from absorder.topology import (SimplicialComplex, _chains_in_mask,
                                _homology_from_faces, _smith_form,
                                _subtract)
 from packing import (boundary_columns, by_index, closure, every_face,
-                     normalized, packed, tuples)
+                     levels_and_counts, normalized, tuples)
 
 
 def test_stripped_coxeter_ideal_two_letters():
@@ -192,8 +192,28 @@ def _links_from_scratch(c):
 
 def _on_members(p, keep, strip):
     """The order complex of the members `keep` of `p`, a mask on `p`."""
-    return topology._mask_complex(p, sum(1 << i for i in set(keep)), strip,
-                                  "members")
+    return SimplicialComplex(p, sum(1 << i for i in set(keep)), strip,
+                             "members")
+
+
+@pytest.mark.parametrize("strip", ["none", "endpoints"])
+def test_every_order_complex_lists_its_vertices_from_0_in_order(strip):
+    # the precondition of `_homology_from_faces`, which `homology` reads
+    # unchecked: the vertices of an order complex, `levels[0]`, are
+    # 0, 1, ..., k-1 in ascending order, k its members, on random masks of
+    # B3 and B4 and on the empty mask, which has no level
+    rng = random.Random(20261044)
+    for p in (full_poset("B", 3), full_poset("B", 4)):
+        masks = [0, (1 << len(p)) - 1] + [
+            sum(1 << i for i in range(len(p)) if rng.random() < density)
+            for density in [rng.uniform(0.01, 0.4) for _ in range(20)]]
+        for mask in masks:
+            c = SimplicialComplex(p, mask, strip, "random")
+            k = c.member_mask.bit_count()
+            assert sorted(c.indices) == list(bits(c.member_mask))
+            assert (c.levels[0] if c.levels else []) == list(range(k))
+            assert c.f_vector()[:1] == ((k,) if k else ()), (p.label, mask)
+    assert SimplicialComplex(p, 0, strip, "empty").levels == []
 
 
 def _oracle_complexes():
@@ -417,45 +437,42 @@ _RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
 
 
 def _rp2():
-    """The barycentric subdivision of the six-vertex real projective plane:
-    a flag complex on 31 vertices with H_1 = Z/2."""
-    return SimplicialComplex(None, 0, packed(_subdivided(closure(_RP2))),
-                             label="RP^2")
-
-
-def test_the_link_check_of_a_complex_with_no_host_poset_is_refused():
-    # the gaps of a link are intervals of the host, which a hand-built
-    # complex has none of
-    with pytest.raises(ValueError, match=(
-            r"^the link check of 'RP\^2' needs a host poset: its gaps are "
-            r"intervals of the host$")):
-        cm_check(_rp2())
+    """The barycentric subdivision of the six-vertex real projective plane,
+    as the homology kernel takes it: a flag complex on 31 vertices with
+    H_1 = Z/2."""
+    return levels_and_counts(_subdivided(closure(_RP2)))
 
 
 def test_torsion_guard_refuses_before_eliminating(monkeypatch):
     # RP^2 defers one column at dimension 2 and leaves it a 1x1 residual,
     # its pivot 2: a guard of 1 admits it, a guard of 0 refuses it
-    c = _rp2()
     monkeypatch.setattr(topology, "TORSION_GUARD", 1)
-    assert torsion_profile(c) == {1: [], 2: [2]}
+    assert _homology_from_faces(*_rp2()).torsion == {1: [], 2: [2]}
     monkeypatch.setattr(topology, "TORSION_GUARD", 0)
     with pytest.raises(ResourceGuardError,
                        match=r"dimension 2: a residual of 1x1 entries for the "
                              r"Smith form, more than the guard 0$"):
-        torsion_profile(_rp2())
+        _homology_from_faces(*_rp2())
 
 
 def test_residual_over_the_guard_raises_before_the_smith_form(monkeypatch):
-    # the Betti numbers come from the same pass, so `homology` refuses too,
-    # and keeps nothing on the complex: with the guard back, both answer
-    c = _rp2()
+    # the Betti numbers come from the same pass, so they are refused too,
+    # and `homology` keeps nothing on the complex (the stripped D4 Coxeter
+    # ideal, whose residual at dimension 3 is 98x3): with the guard back,
+    # both answer
+    c = order_complex(coxeter_ideal(4, "D"), strip="endpoints")
     monkeypatch.setattr(topology, "TORSION_GUARD", 0)
+    with pytest.raises(ResourceGuardError, match="a residual of 1x1 "):
+        _homology_from_faces(*_rp2())
     for call in (homology, torsion_profile):
-        with pytest.raises(ResourceGuardError, match="a residual of 1x1 "):
+        with pytest.raises(ResourceGuardError, match="a residual of 98x3 "):
             call(c)
     monkeypatch.undo()
-    assert homology(c).reduced_betti == (0, 0, 0)
-    assert torsion_profile(c) == {1: [], 2: [2]}
+    profile = _homology_from_faces(*_rp2())
+    assert profile.reduced_betti == (0, 0, 0)
+    assert profile.torsion == {1: [], 2: [2]}
+    assert homology(c).reduced_betti == (0, 0, 1, 340)
+    assert torsion_profile(c) == {1: [], 2: [], 3: [2, 2]}
 
 
 def test_stripped_s5_is_torsion_free_within_the_guard():
@@ -467,10 +484,11 @@ def test_stripped_s5_is_torsion_free_within_the_guard():
 def test_real_projective_plane_has_two_torsion(monkeypatch):
     # H_1 = Z/2, from the one column the elimination defers
     residuals = _recording_residuals(monkeypatch)
-    c = _rp2()
-    assert c.f_vector() == (31, 90, 60)
-    assert homology(c).reduced_betti == (0, 0, 0)
-    assert torsion_profile(c) == {1: [], 2: [2]}
+    levels, counts = _rp2()
+    assert counts == [31, 90, 60]
+    profile = _homology_from_faces(levels, counts)
+    assert profile.reduced_betti == (0, 0, 0)
+    assert profile.torsion == {1: [], 2: [2]}
     assert residuals == [(1, 1)]
 
 
@@ -561,10 +579,10 @@ def test_torsion_matches_the_smith_form_of_whole_maps_on_random_complexes(
     for k in range(600):
         raw = _random_complex(rng)
         faces = _subdivided(raw)
-        c = SimplicialComplex(None, 0, packed(faces), label=f"random {k}")
         whole = _torsion_by_boundary_maps(raw, whole=True)
         residuals = _recording_residuals(monkeypatch)
-        assert torsion_profile(c) == whole == _torsion_by_boundary_maps(
+        profile = _homology_from_faces(*levels_and_counts(faces))
+        assert profile.torsion == whole == _torsion_by_boundary_maps(
             faces, whole=False), (k, raw)
         with_torsion += any(whole.values())
         deferring += bool(residuals)
@@ -631,14 +649,12 @@ def test_homology_refuses_a_complex_not_flag_below_its_top(tops, d, cliques,
     # a clique that is no face below a dimension that exists, beside a
     # 3-simplex, a 4-simplex, or RP^2 and a solid tetrahedron: the
     # elimination reads cofaces off the cliques, so it must refuse, also
-    # after meeting a pivot of 2 (RP^2) and for torsion
-    c = SimplicialComplex(None, 0, packed(closure(tops())))
+    # after meeting a pivot of 2 (RP^2), before any Betti number or torsion
     message = (f"not a flag complex at dimension {d}: {cliques} common "
                f"neighbours above the last vertices of its faces, "
                f"{faces} faces of dimension {d + 1}$")
-    for call in (homology, torsion_profile):
-        with pytest.raises(ValueError, match=message):
-            call(c)
+    with pytest.raises(ValueError, match=message):
+        _homology_from_faces(*levels_and_counts(closure(tops())))
 
 
 def test_homology_is_eliminated_once_per_complex(monkeypatch):
@@ -650,12 +666,13 @@ def test_homology_is_eliminated_once_per_complex(monkeypatch):
         return eliminate(levels, counts)
 
     monkeypatch.setattr(topology, "_homology_from_faces", counting)
-    rp2, cone = _rp2(), order_complex(coxeter_ideal(2, "B"), strip="none")
-    for c in (rp2, cone, rp2, cone):
+    ideal = order_complex(coxeter_ideal(4, "D"), strip="endpoints")
+    cone = order_complex(coxeter_ideal(2, "B"), strip="none")
+    for c in (ideal, cone, ideal, cone):
         assert homology(c) == eliminate(c.levels, c.counts)
-        assert torsion_profile(c) == ({1: [], 2: [2]} if c is rp2
-                                      else {1: [], 2: []})
-    assert calls == [(rp2.levels, rp2.counts), (cone.levels, cone.counts)]
+        assert torsion_profile(c) == ({1: [], 2: [], 3: [2, 2]}
+                                      if c is ideal else {1: [], 2: []})
+    assert calls == [(ideal.levels, ideal.counts), (cone.levels, cone.counts)]
 
 
 def _random_matrix(rng):
@@ -798,7 +815,7 @@ def _ranks_from_betti(faces):
     Betti numbers on the faces packed: b_d = f_d - r_d - r_(d+1), with
     r_0 = 1."""
     ranks = [1]
-    for d, b in enumerate(homology(SimplicialComplex(None, 0, packed(faces)))
+    for d, b in enumerate(_homology_from_faces(*levels_and_counts(faces))
                           .reduced_betti):
         ranks.append(len(faces[d]) - ranks[d] - b)
     return ranks
@@ -879,7 +896,7 @@ def test_ranks_match_the_reference_on_random_complexes(monkeypatch):
         residuals = _recording_residuals(monkeypatch)
         assert _ranks_from_betti(faces) == _oracle_ranks(faces), (k, faces)
         deferring += bool(residuals)
-        low_homology += any(homology(SimplicialComplex(None, 0, packed(faces)))
+        low_homology += any(_homology_from_faces(*levels_and_counts(faces))
                             .reduced_betti[:-1])
         cofaces = {face[:i] + face[i + 1:]
                    for dim_faces in faces[1:] for face in dim_faces
@@ -891,34 +908,25 @@ def test_ranks_match_the_reference_on_random_complexes(monkeypatch):
     assert deferring >= 20
 
 
-def test_homology_refuses_a_vertex_list_out_of_order():
-    # the neighbour masks are sized by the last vertex listed and clearing
-    # starts from it, so `homology` (and through it `torsion_profile`)
-    # refuses such a list; sorted again, each keeps its Betti numbers
+def test_homology_of_a_vertex_list_sorted_again():
+    # the kernel sizes its neighbour masks by the last vertex listed and
+    # starts clearing from it, so it takes the vertices in ascending order,
+    # as every order complex lists them; lists drawn out of order and
+    # sorted again keep their Betti numbers
     hollow = [[(2,), (0,), (1,)], [(0, 1), (0, 2), (1, 2)]]
-    for call in (homology, torsion_profile):
-        with pytest.raises(ValueError, match="^the vertices of 'complex' must "
-                           "be listed in ascending order: 2 comes before 0$"):
-            call(SimplicialComplex(None, 0, packed(hollow)))
     hollow[0].sort()
-    assert homology(SimplicialComplex(None, 0, packed(hollow))
-                    ).reduced_betti == (0, 1)
+    assert _homology_from_faces(*levels_and_counts(hollow)
+                                ).reduced_betti == (0, 1)
     rng = random.Random(3)
-    refused = 0
     for k in range(50):
         faces = _subdivided(_random_complex(rng))
         shuffled = rng.sample(faces[0], len(faces[0]))
-        if shuffled != faces[0]:
-            with pytest.raises(ValueError, match="must be listed in ascending"):
-                homology(SimplicialComplex(None, 0,
-                                           packed([shuffled] + faces[1:])))
-            refused += 1
         ranks = _oracle_ranks(faces)
-        c = SimplicialComplex(None, 0, packed([sorted(shuffled)] + faces[1:]))
-        assert homology(c).reduced_betti == tuple(
+        profile = _homology_from_faces(
+            *levels_and_counts([sorted(shuffled)] + faces[1:]))
+        assert profile.reduced_betti == tuple(
             len(dim_faces) - ranks[d] - ranks[d + 1]
             for d, dim_faces in enumerate(faces)), k
-    assert refused >= 45
 
 
 def test_cm_check_eliminates_each_interval_class_once(monkeypatch):
