@@ -153,8 +153,7 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify.run_verify_suite(profile=args.profile, seed=args.seed,
-                                     fault=args.inject_fault)
+    report = verify.run_verify_suite(profile=args.profile, seed=args.seed)
     table = []
     for r in report.results:
         table.append(f"[{'PASS' if r.verdict else 'FAIL'}] {r.claim}: "
@@ -270,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run the claim suite")
     sub.add_argument("--profile", choices=verify.PROFILES, default="quick")
-    sub.add_argument("--inject-fault", metavar="CLAIM",
-                     help="deliberately falsify one claim's verdict")
     sub.add_argument("--format", choices=FORMATS, default="table")
     sub.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     sub.set_defaults(handler=_cmd_verify)

@@ -67,23 +67,36 @@ class SignedPermutation(tuple):
 
     def __mul__(self, other) -> "SignedPermutation":
         """Composition: (u * v)(i) = u(v(i)), of two elements of one rank;
-        v may be given as its image tuple."""
+        v may be given as its image tuple.  ValueError if v has a letter
+        outside +-1..+-n or two images sharing a letter up to sign."""
         if not hasattr(other, "__len__"):
             return NotImplemented
         if len(self) != len(other):
             raise ValueError(f"cannot compose signed permutations of ranks "
                              f"{len(self)} and {len(other)}")
-        return SignedPermutation([self[x - 1] if x > 0 else -self[-x - 1]
-                                  for x in other])
+        try:
+            images = [self[x - 1] if x > 0 else -self[-x - 1] for x in other]
+            if 0 not in other and len({*map(abs, other)}) == len(other):
+                return SignedPermutation(images)
+        except IndexError:
+            pass
+        raise _no_signed_permutation(other)
 
     def inverse(self) -> "SignedPermutation":
+        """ValueError if self has a letter outside +-1..+-n or two images
+        sharing a letter up to sign: n writes then leave a slot at 0."""
         inv = [0] * len(self)
-        for i, j in enumerate(self, start=1):
-            if j > 0:
-                inv[j - 1] = i
-            else:
-                inv[-j - 1] = -i
-        return SignedPermutation(inv)
+        try:
+            for i, j in enumerate(self, start=1):
+                if j > 0:
+                    inv[j - 1] = i
+                else:
+                    inv[-j - 1] = -i
+            if 0 not in inv and 0 not in self:
+                return SignedPermutation(inv)
+        except IndexError:
+            pass
+        raise _no_signed_permutation(self)
 
     def __repr__(self) -> str:
         return format_cycles(self)
@@ -122,10 +135,15 @@ def _orbits(images: tuple):
         raise _no_signed_permutation(images, x) from None
 
 
-def _no_signed_permutation(images: tuple, x: int) -> ValueError:
+def _no_signed_permutation(images: tuple,
+                           x: int | None = None) -> ValueError:
     """The refusal of `images`, whose orbit walk reached the letter x: one
-    it had marked, or one outside +-1..+-n."""
+    it had marked, or one outside +-1..+-n.  Without x, the first letter
+    that lies outside or repeats up to sign."""
     n = len(images)
+    if x is None:
+        x = next(a for k, a in enumerate(images)
+                 if not 0 < abs(a) <= n or abs(a) in map(abs, images[:k]))
     why = ("two images share a letter up to sign" if 0 < abs(x) <= n
            else f"the letter {x} lies outside +-1..+-{n}")
     return ValueError(f"{tuple(images)} is no signed permutation: {why}")

@@ -7,9 +7,7 @@ The quick profile stays at sizes that finish in seconds; the full profile
 runs everything at the sizes the package is committed to.  They differ only
 in `SCOPES`: each row names what it scopes and holds its value under each
 of `PROFILES`, in order (False in quick for a claim only full runs), and
-each claim section reads its profile's column.  Fault injection
-deliberately alters one claim's computed text so callers can watch a
-failure propagate to a nonzero exit.
+each claim section reads its profile's column.
 """
 
 import json
@@ -537,16 +535,14 @@ CLAIM_SECTIONS = [
 ]
 
 
-def run_verify_suite(profile: str = "quick", seed: int = DEFAULT_SEED,
-                     fault: str | None = None) -> VerificationSuiteReport:
-    """Run every claim at the given profile; optionally falsify one claim.
+def run_verify_suite(profile: str = "quick",
+                     seed: int = DEFAULT_SEED) -> VerificationSuiteReport:
+    """Run every claim at the given profile.
 
     Every claim is exhaustive, so `seed` changes no claim; it is only
     echoed in the report.  A section that raises, as a broken rule can make
     a consistency check do, gives one failing claim, named after the section,
-    that names the exception; a ResourceGuardError stops the suite.  The
-    fault hook annotates the named claim's computed text, so its derived
-    verdict fails, proving that a wrong value cannot produce a clean exit.
+    that names the exception; a ResourceGuardError stops the suite.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
@@ -563,12 +559,4 @@ def run_verify_suite(profile: str = "quick", seed: int = DEFAULT_SEED,
             results.append(_claim(
                 name, "the claim section runs to its verdicts", {},
                 "no exception", f"{type(error).__name__}: {error}"))
-    if fault is not None:
-        known = [r.claim for r in results]
-        if fault not in known:
-            raise ValueError(f"unknown claim id {fault!r}; this profile "
-                             f"produced: {', '.join(known)}")
-        i = known.index(fault)
-        results[i] = results[i]._replace(
-            computed=results[i].computed + " [injected fault]")
     return VerificationSuiteReport(profile, seed, results)

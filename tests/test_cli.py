@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -264,16 +266,21 @@ def test_verify_quick_profile(capsys):
     assert "pass" in out
 
 
-def test_verify_fault_injection(capsys):
-    code = main(["verify", "--profile", "quick",
-                 "--inject-fault", "zeta-consistency"])
-    assert code == 1
-    assert "injected fault" in capsys.readouterr().out
-
-
-def test_verify_unknown_fault(capsys):
-    assert main(["verify", "--profile", "quick",
-                 "--inject-fault", "no-such-claim"]) == 2
+def test_every_readme_command_exits_as_documented(capsys):
+    # the D4 interval [e, [1][2][3][4]] fails its link check by design
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"\n## Command line\n.*?```\n(.*?)```", readme, re.S)
+    lines = block.group(1).splitlines()
+    assert lines and all(line.startswith("absorder ") for line in lines)
+    codes = {}
+    for line in lines:
+        try:
+            codes[line] = main(shlex.split(line)[1:])
+        except SystemExit as exc:  # argparse's usage errors
+            codes[line] = exc.code
+    capsys.readouterr()
+    failing = 'absorder topology --group D --n 4 --top "[1][2][3][4]" --cm'
+    assert codes == {line: int(line == failing) for line in lines}
 
 
 def test_unknown_subcommand_exits_via_argparse():
@@ -458,8 +465,9 @@ def test_reader_closing_after_the_first_line_is_not_an_error():
 
 
 def test_closed_pipe_keeps_the_handler_exit_code():
-    with _absorder_process("verify", "--profile", "quick",
-                           "--inject-fault", "zeta-consistency") as proc:
+    # the D4 interval [e, [1][2][3][4]] fails its link check: exit 1
+    with _absorder_process("topology", "--group", "D", "--n", "4", "--top",
+                           "[1][2][3][4]", "--cm") as proc:
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1

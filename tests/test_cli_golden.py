@@ -1,7 +1,7 @@
 """The CLI pinned byte for byte: the exit code, stdout and stderr of each
 command in a fixed list, run in-process through `cli.main`.
 
-The list covers every subcommand in each of its formats, a failing claim,
+The list covers every subcommand in each of its formats, a failing check,
 guard refusals and usage errors.  An intended change of the output rewrites
 tests/golden/cli.json and says so:
 
@@ -59,7 +59,6 @@ gf --family sym --upto 6
 gf --family hyper --upto 4 --crosscheck --format json
 gf --family hyper --upto 25
 verify --profile quick
-verify --profile quick --inject-fault zeta-consistency --format json
 """.strip().splitlines()
 
 

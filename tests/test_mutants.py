@@ -6,6 +6,8 @@ failing claim naming the exception, and the rest of the suite still runs,
 so the claim table is printed and no traceback escapes.
 """
 
+import json
+
 import pytest
 
 from absorder import cli, labeling, order, topology, verify
@@ -13,14 +15,29 @@ from absorder.signed import _orbits, absolute_length
 from absorder.topology import HomologyProfile
 
 
+def _longest(covers, kind):
+    return max(covers, key=lambda z: (absolute_length(z, kind), z))
+
+
 def _poset_short_of_its_top(monkeypatch):
     # every Poset loses its longest element, the top of a bounded one
     init = order.Poset.__init__
 
     def short(self, covers, kind, label):
-        last = max(covers, key=lambda z: (absolute_length(z, kind), z))
+        last = _longest(covers, kind)
         init(self, {z: c for z, c in covers.items() if z != last}, kind,
              label)
+
+    monkeypatch.setattr(order.Poset, "__init__", short)
+
+
+def _top_short_of_a_cover(monkeypatch):
+    # every Poset's longest element loses the first lower cover recorded
+    init = order.Poset.__init__
+
+    def short(self, covers, kind, label):
+        last = _longest(covers, kind)
+        init(self, {**covers, last: covers[last][1:]}, kind, label)
 
     monkeypatch.setattr(order.Poset, "__init__", short)
 
@@ -94,6 +111,18 @@ MUTANTS = {
     "top-betti-number-plus-one": (
         _top_betti_number_plus_one, {},
         {"euler-three-way-plain", "euler-three-way-signed", "proper-part-cm"}),
+    "top-short-of-a-cover": (
+        _top_short_of_a_cover,
+        {"alt-labelings": "LabelingError: no reflection joins ((2,-3)) up "
+                          "to [2][3]; labeler only covers intervals of the "
+                          "involution sublattice",
+         "zeta-battery": "ValueError: zeta polynomial needs a bounded poset"},
+        {"coxeter-interval-invariants", "flip-interval-invariants",
+         "cycle-flip-interval-invariants", "hook-lattice-scan-signed",
+         "even-lattice-scan", "letter-labeling-el",
+         "disconnected-even-interval", "euler-three-way-plain",
+         "euler-three-way-signed", "proper-part-cm",
+         "fiber-projection-laws"}),
 }
 
 
@@ -132,6 +161,29 @@ def test_verify_reports_a_wrong_rule_as_failing_claims(name, monkeypatch,
 def test_the_full_profile_reports_a_wrong_rule_as_failing_claims(
         name, monkeypatch, capsys):
     _fails_its_claims(name, "full", monkeypatch, capsys)
+
+
+def test_the_json_report_names_exactly_the_failing_claims(monkeypatch,
+                                                         capsys):
+    # at quick this row fails its claims and raising sections, no others
+    patch, raised, failing = MUTANTS["top-short-of-a-cover"]
+    patch(monkeypatch)
+    assert cli.main(["verify", "--profile", "quick", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert list(report) == ["profile", "seed", "ok", "results"]
+    assert report["ok"] is False
+    results = {r["claim"]: r for r in report["results"]}
+    assert len(results) == len(report["results"])
+    assert {c for c, r in results.items() if not r["verdict"]} == (
+        failing | set(raised))
+    for section, computed in raised.items():
+        assert results[section] == {
+            "claim": section,
+            "statement": "the claim section runs to its verdicts",
+            "parameters": {}, "expected": "no exception",
+            "computed": computed, "verdict": False}
 
 
 def test_a_guard_in_a_claim_section_still_stops_the_suite(monkeypatch,

@@ -114,17 +114,22 @@ def test_paired_cycle_orbit():
 
 def test_images_that_repeat_a_letter_raise_instead_of_walking_on():
     # run apart, so that a walk that never returns fails at the timeout
-    # instead of hanging the suite
+    # instead of hanging the suite; a product or an inverse once returned
+    # a tuple with a letter twice, or with a 0
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     code = """if True:
         import sys
         sys.path.insert(0, sys.argv[1])
         from absorder.signed import (SignedPermutation, absolute_length,
-                                     cycle_decomposition)
+                                     cycle_decomposition, identity)
         for images, read in (((1, 1), absolute_length), ((1, -1), repr),
                              ((2, 1, 1), cycle_decomposition),
-                             ((-1, -1), absolute_length)):
+                             ((-1, -1), absolute_length),
+                             ((1, 1), SignedPermutation.inverse),
+                             ((1, -1), SignedPermutation.inverse),
+                             ((1, 1), identity(2).__mul__),
+                             ((2, -2), identity(2).__mul__)):
             try:
                 read(SignedPermutation(images))
             except ValueError as e:
@@ -135,15 +140,18 @@ def test_images_that_repeat_a_letter_raise_instead_of_walking_on():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         f"{images} is no signed permutation: two images share a letter up "
-        f"to sign" for images in ((1, 1), (1, -1), (2, 1, 1), (-1, -1))]
+        f"to sign" for images in ((1, 1), (1, -1), (2, 1, 1), (-1, -1),
+                                  (1, 1), (1, -1), (1, 1), (2, -2))]
 
 
 def test_letters_outside_the_rank_raise_a_value_error_naming_them():
     # applied to such a letter, an element names it instead of reading w(n)
     # off the tuple's end (0) or raising IndexError; an image outside
     # +-1..+-n stops the orbit walk with the letter named, also 0, which
-    # once gave the repeated-letter message.  Run apart, like the walk of a
-    # repeated letter, so that a walk that runs on fails at the timeout.
+    # once gave the repeated-letter message; a product or an inverse with
+    # such a letter once read off the tuple's end or raised IndexError.
+    # Run apart, like the walk of a repeated letter, so that a walk that
+    # runs on fails at the timeout.
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     code = """if True:
@@ -151,7 +159,7 @@ def test_letters_outside_the_rank_raise_a_value_error_naming_them():
         sys.path.insert(0, sys.argv[1])
         from absorder.signed import (SignedPermutation, absolute_length,
                                      cycle_decomposition, cycle_type,
-                                     is_member, parse_cycles)
+                                     identity, is_member, parse_cycles)
         w = parse_cycles("((1,2,3))", 3)
         reads = [(lambda i=i: w(i)) for i in (0, 4, -4)] + [
             lambda: absolute_length(SignedPermutation((3,))),
@@ -159,7 +167,11 @@ def test_letters_outside_the_rank_raise_a_value_error_naming_them():
             lambda: repr(SignedPermutation((0,))),
             lambda: cycle_type(SignedPermutation((1, -5))),
             lambda: is_member(SignedPermutation((2, 0)), "D"),
-            lambda: cycle_decomposition(SignedPermutation((-3, 1)))]
+            lambda: cycle_decomposition(SignedPermutation((-3, 1))),
+            lambda: identity(2) * (0, 1), lambda: identity(2) * (3, 1),
+            lambda: identity(2) * (1, -3),
+            lambda: SignedPermutation((0, 1)).inverse(),
+            lambda: SignedPermutation((3, 1)).inverse()]
         for read in reads:
             try:
                 print("no error:", read())
@@ -177,7 +189,10 @@ def test_letters_outside_the_rank_raise_a_value_error_naming_them():
         "ValueError the letter -4 lies outside +-1..+-3",
         walked.format("3,", 3, 1), walked.format("2, 3", 3, 2),
         walked.format("0,", 0, 1), walked.format("1, -5", -5, 2),
-        walked.format("2, 0", 0, 2), walked.format("-3, 1", -3, 2)]
+        walked.format("2, 0", 0, 2), walked.format("-3, 1", -3, 2),
+        walked.format("0, 1", 0, 2), walked.format("3, 1", 3, 2),
+        walked.format("1, -3", -3, 2), walked.format("0, 1", 0, 2),
+        walked.format("3, 1", 3, 2)]
 
 
 def test_decomposition_splits_kinds_and_fixed_points():

@@ -132,20 +132,6 @@ def test_report_serializes():
         assert key in first
 
 
-def test_fault_injection_flips_exactly_one_claim():
-    report = run_verify_suite(profile="quick", fault="zeta-consistency")
-    assert not report.ok()
-    bad = [r for r in report.results if not r.verdict]
-    assert len(bad) == 1
-    assert bad[0].claim == "zeta-consistency"
-    assert "injected fault" in bad[0].computed
-
-
-def test_unknown_fault_is_rejected():
-    with pytest.raises(ValueError):
-        run_verify_suite(profile="quick", fault="no-such-claim")
-
-
 def test_unknown_profile_is_rejected():
     with pytest.raises(ValueError):
         run_verify_suite(profile="exhaustive")
@@ -160,15 +146,6 @@ def test_verdict_is_derived_from_the_two_texts():
     result = result._replace(computed="4 vs 5")
     assert not result.verdict
     assert result.to_json()["verdict"] is False
-
-
-@pytest.mark.parametrize("claim", QUICK_CLAIMS)
-def test_fault_injection_fails_exactly_the_named_claim(claim):
-    report = run_verify_suite(profile="quick", fault=claim)
-    assert not report.ok()
-    bad = [r for r in report.results if not r.verdict]
-    assert [r.claim for r in bad] == [claim]
-    assert bad[0].computed == bad[0].expected + " [injected fault]"
 
 
 def test_a_wrong_top_betti_number_fails_the_homology_claims(monkeypatch):
