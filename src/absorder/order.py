@@ -18,6 +18,7 @@ from bisect import bisect_left
 
 from .signed import (
     SignedPermutation,
+    _element,
     _orbits,
     absolute_length,
     cycle_decomposition,
@@ -70,7 +71,7 @@ def _lower_covers(w: tuple, kind: str = "B") -> list:
     for i, j in balanced orbits.  No other product is built, and each is
     built inline: for t exchanging i with s j (s = +-1), w*t holds s w(j)
     at i and s w(i) at j."""
-    out, balanced = [], []
+    out, balanced, images = [], [], list(w)
     for orbit, is_balanced in _orbits(w):
         if is_balanced:
             balanced += [abs(a) - 1 for a in orbit]
@@ -78,18 +79,18 @@ def _lower_covers(w: tuple, kind: str = "B") -> list:
         letters = [(abs(a) - 1, 1 if a > 0 else -1) for a in orbit]
         for p, (i, si) in enumerate(letters):
             for j, sj in letters[p + 1:]:
-                new, s = list(w), si * sj
-                new[i], new[j] = s * w[j], s * w[i]
+                new, s = images[:], si * sj
+                new[i], new[j] = s * images[j], s * images[i]
                 out.append(tuple(new))
     for p, i in enumerate(balanced):
         if kind == "B":
-            new = list(w)
-            new[i] = -w[i]
+            new = images[:]
+            new[i] = -images[i]
             out.append(tuple(new))
         for j in balanced[p + 1:]:
             for s in (1, -1):
-                new = list(w)
-                new[i], new[j] = s * w[j], s * w[i]
+                new = images[:]
+                new[i], new[j] = s * images[j], s * images[i]
                 out.append(tuple(new))
     return out
 
@@ -228,13 +229,13 @@ class Poset:
     member lower covers of i ascending, is of `hasse_up`.  Ranks are
     reflection lengths shifted to start at 0; indices ascend with rank.
 
-    `covers` maps each member (an element or its image tuple) to the image
-    tuples of its lower covers, as `elements_below` records them; `index`
-    finds a member from either.  The member set must
-    be convex: with x <= z <= y and x, y in it, z is in it too.  Whole
-    groups, intervals and ideals all are.  The order is graded by length
-    and each cover multiplies by a single reflection, so on a convex set
-    it is the transitive closure of the lower covers that are members.
+    `covers` maps each member, an element, to the image tuples of its
+    lower covers, as `elements_below` records them; `index` finds a member
+    from either.  The member set must be convex: with x <= z <= y and x, y
+    in it, z is in it too.  Whole groups, intervals and ideals all are.
+    The order is graded by length and each cover multiplies by a single
+    reflection, so on a convex set it is the transitive closure of the
+    lower covers that are members.
     Any other member set is kept as a mask on a convex `Poset`: its
     `below` and `above` masks, cut to the members, are the induced order.
     """
@@ -244,7 +245,7 @@ class Poset:
 
     def __init__(self, covers: dict, kind: str, label: str):
         ranked = sorted((absolute_length(z, kind), z) for z in covers)
-        self.elements = [SignedPermutation(z) for _, z in ranked]
+        self.elements = [z for _, z in ranked]
         self.kind = kind
         self.label = label
         self.n = self.elements[0].n if self.elements else 0
@@ -414,7 +415,7 @@ def _hall_mobius(p: Poset, mask: int) -> int:
 
 def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> dict:
     """The principal ideal {z : z <= v}, by downward cover search: a dict
-    from each member's image tuple to its lower covers' image tuples, filled
+    from each member, an element, to its lower covers' image tuples, filled
     when the member is expanded, which is what a `Poset` is built from.
 
     Level d of the search holds elements of length l(v) - d, and the next
@@ -432,13 +433,13 @@ def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> dict:
         seen = {}
     elif v in seen:
         return seen
-    seen[v] = None
-    frontier = [v]
+    frontier = [_element(v)]
+    seen.update(dict.fromkeys(frontier))
     while frontier:
         nxt = []
         for z in frontier:
             seen[z] = lower = _lower_covers(z, kind)
-            fresh = [zt for zt in lower if zt not in seen]
+            fresh = [_element(zt) for zt in lower if zt not in seen]
             seen.update(dict.fromkeys(fresh))
             nxt += fresh
             if len(seen) > POSET_GUARD:
@@ -519,7 +520,7 @@ def project_pi(w: SignedPermutation, i: int) -> SignedPermutation:
     j = next(j for j, x in enumerate(images) if x == i or x == -i)
     images[j] = images[i - 1] if images[j] > 0 else -images[i - 1]
     images[i - 1] = i
-    return SignedPermutation(images)
+    return _element(images)
 
 
 def _fibers(ambient: Poset, i: int) -> dict:

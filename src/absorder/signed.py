@@ -34,6 +34,7 @@ i and +-j share an orbit or i and j both lie in balanced orbits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import factorial, prod
 
@@ -47,9 +48,22 @@ class CycleNotationError(ValueError):
 
 
 class SignedPermutation(tuple):
-    """A signed permutation w, which is its image tuple (w(1), ..., w(n))."""
+    """A signed permutation w, which is its image tuple (w(1), ..., w(n)),
+    checked to hold each of 1..n once up to sign (ValueError); what the
+    package builds from elements is made unchecked, by `_element`."""
 
     __slots__ = ()
+
+    def __new__(cls, images=()):
+        w = tuple.__new__(cls, images)
+        n = len(w)
+        if sorted(map(abs, w)) != list(range(1, n + 1)):
+            x = next(a for k, a in enumerate(w)
+                     if not 0 < abs(a) <= n or abs(a) in map(abs, w[:k]))
+            why = ("two images share a letter up to sign" if 0 < abs(x) <= n
+                   else f"the letter {x} lies outside +-1..+-{n}")
+            raise ValueError(f"{tuple(w)} is no signed permutation: {why}")
+        return w
 
     @property
     def n(self) -> int:
@@ -67,43 +81,35 @@ class SignedPermutation(tuple):
 
     def __mul__(self, other) -> "SignedPermutation":
         """Composition: (u * v)(i) = u(v(i)), of two elements of one rank;
-        v may be given as its image tuple.  ValueError if v has a letter
-        outside +-1..+-n or two images sharing a letter up to sign."""
+        v may be given as its image tuple, checked as an element is."""
         if not hasattr(other, "__len__"):
             return NotImplemented
         if len(self) != len(other):
             raise ValueError(f"cannot compose signed permutations of ranks "
                              f"{len(self)} and {len(other)}")
-        try:
-            images = [self[x - 1] if x > 0 else -self[-x - 1] for x in other]
-            if 0 not in other and len({*map(abs, other)}) == len(other):
-                return SignedPermutation(images)
-        except IndexError:
-            pass
-        raise _no_signed_permutation(other)
+        if type(other) is not SignedPermutation:
+            other = SignedPermutation(other)
+        return _element([self[x - 1] if x > 0 else -self[-x - 1]
+                         for x in other])
 
     def inverse(self) -> "SignedPermutation":
-        """ValueError if self has a letter outside +-1..+-n or two images
-        sharing a letter up to sign: n writes then leave a slot at 0."""
         inv = [0] * len(self)
-        try:
-            for i, j in enumerate(self, start=1):
-                if j > 0:
-                    inv[j - 1] = i
-                else:
-                    inv[-j - 1] = -i
-            if 0 not in inv and 0 not in self:
-                return SignedPermutation(inv)
-        except IndexError:
-            pass
-        raise _no_signed_permutation(self)
+        for i, j in enumerate(self, start=1):
+            if j > 0:
+                inv[j - 1] = i
+            else:
+                inv[-j - 1] = -i
+        return _element(inv)
 
     def __repr__(self) -> str:
         return format_cycles(self)
 
 
+_element = functools.partial(tuple.__new__, SignedPermutation)
+
+
 def identity(n: int) -> SignedPermutation:
-    return SignedPermutation(range(1, n + 1))
+    return _element(range(1, n + 1))
 
 
 def _orbits(images: tuple):
@@ -112,41 +118,21 @@ def _orbits(images: tuple):
     +start (paired, fixed points included) or reaches -start (balanced).
     Every smaller letter was seen, so start is the orbit's least |letter|,
     positive: each orbit is a canonical word, yielded by ascending start.
-    A walk that reaches a letter it has marked, which only a tuple with a
-    repeated |letter| makes, or one outside +-1..+-n (0 is marked from the
-    start, a larger |letter| has no mark), raises ValueError instead of
-    running on or reading past the tuple."""
+    A plain tuple is made an element first, and so checked as
+    `SignedPermutation(images)` checks it: a walk over an element ends."""
+    if type(images) is not SignedPermutation:
+        images = SignedPermutation(images)
     seen = [False] * (len(images) + 1)
-    seen[0] = True
-    try:
-        for start in range(1, len(images) + 1):
-            if seen[start]:
-                continue
-            orbit, x = [start], images[start - 1]
-            while x != start and x != -start:
-                orbit.append(x)
-                a = x if x > 0 else -x
-                if seen[a]:
-                    raise _no_signed_permutation(images, x)
-                seen[a] = True
-                x = images[a - 1] if x > 0 else -images[a - 1]
-            yield orbit, x != start
-    except IndexError:
-        raise _no_signed_permutation(images, x) from None
-
-
-def _no_signed_permutation(images: tuple,
-                           x: int | None = None) -> ValueError:
-    """The refusal of `images`, whose orbit walk reached the letter x: one
-    it had marked, or one outside +-1..+-n.  Without x, the first letter
-    that lies outside or repeats up to sign."""
-    n = len(images)
-    if x is None:
-        x = next(a for k, a in enumerate(images)
-                 if not 0 < abs(a) <= n or abs(a) in map(abs, images[:k]))
-    why = ("two images share a letter up to sign" if 0 < abs(x) <= n
-           else f"the letter {x} lies outside +-1..+-{n}")
-    return ValueError(f"{tuple(images)} is no signed permutation: {why}")
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        orbit, x = [start], images[start - 1]
+        while x != start and x != -start:
+            orbit.append(x)
+            a = x if x > 0 else -x
+            seen[a] = True
+            x = images[a - 1] if x > 0 else -images[a - 1]
+        yield orbit, x != start
 
 
 def cycle_decomposition(w: SignedPermutation) -> tuple:
@@ -194,7 +180,7 @@ def from_cycles(words, n: int) -> SignedPermutation:
                 images[a - 1] = nxt
             else:
                 images[-a - 1] = -nxt
-    return SignedPermutation(images)
+    return _element(images)
 
 
 def balanced_cycle(entries, n: int) -> SignedPermutation:
@@ -385,7 +371,7 @@ def group_elements(kind: str, n: int):
         signs = [s for s in signs if s.count(-1) % 2 == 0]
     for perm in itertools.permutations(range(1, n + 1)):
         for sign in signs:
-            yield SignedPermutation(s * a for s, a in zip(sign, perm))
+            yield _element(s * a for s, a in zip(sign, perm))
 
 
 def group_order(kind: str, n: int) -> int:

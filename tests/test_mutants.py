@@ -3,7 +3,9 @@
 Each mutant breaks one rule the suite rests on.  `verify` must report it
 as failing claims and exit 1: a claim section that raises becomes one
 failing claim naming the exception, and the rest of the suite still runs,
-so the claim table is printed and no traceback escapes.
+so the claim table is printed and no traceback escapes.  Each row names
+exactly the claims that fail at quick and at full, and the sections that
+raise.
 """
 
 import json
@@ -83,34 +85,51 @@ def _top_betti_number_plus_one(monkeypatch):
     monkeypatch.setattr(topology, "_homology_from_faces", plus_one)
 
 
-# mutant: (patch, {section claim: computed text}, claims that must fail);
-# where no claim section raises, these are all the claims that fail
+# mutant: (patch, {raising section: computed text}, every claim that fails
+# at quick, raised sections included, and the claims that fail at full
+# besides); a raising section raises at each profile where it fails
 MUTANTS = {
     "poset-short-of-its-top": (
         _poset_short_of_its_top,
-        {"zeta-battery": "ValueError: zeta polynomial needs a bounded poset"},
-        {"coxeter-interval-invariants", "letter-labeling-el",
-         "euler-three-way-plain", "euler-three-way-signed",
-         "rank-generating-function", "fiber-projection-laws"}),
+        {"zeta-battery": "ValueError: zeta polynomial needs a bounded poset",
+         "lattice-scans": "ValueError: [1][2][3][5] is not an element of "
+                          "ideal"},
+        {"coxeter-interval-invariants", "flip-interval-invariants",
+         "cycle-flip-interval-invariants", "zeta-battery",
+         "letter-labeling-el", "euler-three-way-plain",
+         "euler-three-way-signed", "cycle-flip-literal-boundary",
+         "rank-generating-function", "annular-mixing-counts",
+         "fiber-projection-laws"},
+        {"lattice-scans", "lower-cover-rule", "proper-part-cm"}),
     "one-lower-cover-short": (
         _one_lower_cover_short,
         {"zeta-battery": "ValueError: zeta polynomial needs a bounded poset"},
-        {"coxeter-interval-invariants", "hook-lattice-scan-signed",
-         "letter-labeling-el", "euler-three-way-signed", "proper-part-cm",
-         "fiber-ideal-ranks", "fiber-projection-laws"}),
+        {"coxeter-interval-invariants", "flip-interval-invariants",
+         "cycle-flip-interval-invariants", "zeta-battery",
+         "hook-lattice-scan-signed", "even-lattice-scan",
+         "letter-labeling-el", "flip-interval-el-join-position",
+         "flip-interval-el-collapsed-reflection",
+         "disconnected-even-interval", "euler-three-way-signed",
+         "cycle-flip-literal-boundary", "proper-part-cm",
+         "annular-mixing-counts", "fiber-ideal-ranks",
+         "fiber-projection-laws"},
+        {"lower-cover-rule"}),
     "longer-with-two-balanced-cycles": (
         _longer_with_two_balanced_cycles,
         {section: "AssertionError: zeta degree 2 != poset height 3 for "
                   "interval"
          for section in ("interval-invariants", "cycle-flip",
                          "zeta-battery")},
-        {"cover-pattern-agreement", "rank-generating-function"}),
+        {"interval-invariants", "cycle-flip", "zeta-battery",
+         "cover-pattern-agreement", "rank-generating-function"},
+        {"lower-cover-rule"}),
     "least-moved-letter-label": (
         _least_moved_letter_label, {},
-        {"letter-labeling-el", "canonical-chain-labels"}),
+        {"letter-labeling-el", "canonical-chain-labels"}, set()),
     "top-betti-number-plus-one": (
         _top_betti_number_plus_one, {},
-        {"euler-three-way-plain", "euler-three-way-signed", "proper-part-cm"}),
+        {"euler-three-way-plain", "euler-three-way-signed", "proper-part-cm"},
+        set()),
     "top-short-of-a-cover": (
         _top_short_of_a_cover,
         {"alt-labelings": "LabelingError: no reflection joins ((2,-3)) up "
@@ -118,17 +137,27 @@ MUTANTS = {
                           "involution sublattice",
          "zeta-battery": "ValueError: zeta polynomial needs a bounded poset"},
         {"coxeter-interval-invariants", "flip-interval-invariants",
-         "cycle-flip-interval-invariants", "hook-lattice-scan-signed",
-         "even-lattice-scan", "letter-labeling-el",
-         "disconnected-even-interval", "euler-three-way-plain",
-         "euler-three-way-signed", "proper-part-cm",
-         "fiber-projection-laws"}),
+         "cycle-flip-interval-invariants", "alt-labelings", "zeta-battery",
+         "hook-lattice-scan-signed", "even-lattice-scan",
+         "letter-labeling-el", "disconnected-even-interval",
+         "euler-three-way-plain", "euler-three-way-signed",
+         "proper-part-cm", "fiber-projection-laws"},
+        {"fiber-ideal-ranks", "lower-cover-rule"}),
 }
+
+SECTION_RUNS = "the claim section runs to its verdicts"
+
+
+def _failing(name, profile):
+    """The claims that fail under the mutant at the profile, and the
+    sections among them that raise."""
+    _, raised, quick, full = MUTANTS[name]
+    failing = quick | full if profile == "full" else quick
+    return failing, {s: c for s, c in raised.items() if s in failing}
 
 
 def _fails_its_claims(name, profile, monkeypatch, capsys):
-    patch, raised, failing = MUTANTS[name]
-    patch(monkeypatch)
+    MUTANTS[name][0](monkeypatch)
     assert cli.main(["verify", "--profile", profile]) == 1
     out, err = capsys.readouterr()
     assert err == "" and "Traceback" not in out
@@ -139,12 +168,13 @@ def _fails_its_claims(name, profile, monkeypatch, capsys):
     for line in lines:
         if line.startswith(("[PASS] ", "[FAIL] ")):
             verdicts[line[7:].split(":")[0]] = line.startswith("[PASS]")
-    failed = {c for c, ok in verdicts.items() if not ok}
-    assert failing | set(raised) <= failed
-    assert raised or failing == failed
+    failing, raised = _failing(name, profile)
+    assert {c for c, ok in verdicts.items() if not ok} == failing
+    assert {line[7:].split(":")[0] for line in lines
+            if line.startswith("[FAIL] ") and line.endswith(SECTION_RUNS)} == (
+        set(raised))
     for section, computed in raised.items():
-        at = lines.index(f"[FAIL] {section}: the claim section runs to its "
-                         f"verdicts")
+        at = lines.index(f"[FAIL] {section}: {SECTION_RUNS}")
         assert lines[at + 1:at + 3] == ["       expected: no exception",
                                         f"       computed: {computed}"]
     # the sections after a raising one still ran
@@ -166,8 +196,7 @@ def test_the_full_profile_reports_a_wrong_rule_as_failing_claims(
 def test_the_json_report_names_exactly_the_failing_claims(monkeypatch,
                                                          capsys):
     # at quick this row fails its claims and raising sections, no others
-    patch, raised, failing = MUTANTS["top-short-of-a-cover"]
-    patch(monkeypatch)
+    MUTANTS["top-short-of-a-cover"][0](monkeypatch)
     assert cli.main(["verify", "--profile", "quick", "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert err == ""
@@ -176,12 +205,11 @@ def test_the_json_report_names_exactly_the_failing_claims(monkeypatch,
     assert report["ok"] is False
     results = {r["claim"]: r for r in report["results"]}
     assert len(results) == len(report["results"])
-    assert {c for c, r in results.items() if not r["verdict"]} == (
-        failing | set(raised))
+    failing, raised = _failing("top-short-of-a-cover", "quick")
+    assert {c for c, r in results.items() if not r["verdict"]} == failing
     for section, computed in raised.items():
         assert results[section] == {
-            "claim": section,
-            "statement": "the claim section runs to its verdicts",
+            "claim": section, "statement": SECTION_RUNS,
             "parameters": {}, "expected": "no exception",
             "computed": computed, "verdict": False}
 

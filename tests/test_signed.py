@@ -115,25 +115,36 @@ def test_paired_cycle_orbit():
 def test_images_that_repeat_a_letter_raise_instead_of_walking_on():
     # run apart, so that a walk that never returns fails at the timeout
     # instead of hanging the suite; a product or an inverse once returned
-    # a tuple with a letter twice, or with a 0
+    # a tuple with a letter twice, or with a 0, and so did a product whose
+    # left factor was such a tuple.  The readers take a plain tuple too,
+    # and check it as an element is checked.
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     code = """if True:
         import sys
         sys.path.insert(0, sys.argv[1])
+        from absorder.order import build_interval, elements_below
         from absorder.signed import (SignedPermutation, absolute_length,
-                                     cycle_decomposition, identity)
-        for images, read in (((1, 1), absolute_length), ((1, -1), repr),
-                             ((2, 1, 1), cycle_decomposition),
-                             ((-1, -1), absolute_length),
-                             ((1, 1), SignedPermutation.inverse),
-                             ((1, -1), SignedPermutation.inverse),
-                             ((1, 1), identity(2).__mul__),
-                             ((2, -2), identity(2).__mul__)):
-            try:
-                read(SignedPermutation(images))
-            except ValueError as e:
-                print(e)
+                                     cycle_decomposition, cycle_type,
+                                     identity, is_member)
+        one = identity(2)
+        wrapped = (((1, 1), absolute_length), ((1, -1), repr),
+                   ((2, 1, 1), cycle_decomposition),
+                   ((-1, -1), absolute_length),
+                   ((1, 1), SignedPermutation.inverse),
+                   ((1, -1), SignedPermutation.inverse),
+                   ((1, 1), one.__mul__), ((2, -2), one.__mul__),
+                   ((1, 1), lambda w: w * one))
+        plain = (((1, 1), absolute_length), ((2, 1, 1), cycle_type),
+                 ((1, -1), lambda t: is_member(t, "D")),
+                 ((-1, -1), elements_below),
+                 ((2, -2), lambda t: build_interval(one, t)))
+        for wrap, reads in ((SignedPermutation, wrapped), (tuple, plain)):
+            for images, read in reads:
+                try:
+                    read(wrap(images))
+                except ValueError as e:
+                    print(e)
     """
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, timeout=20)
@@ -141,7 +152,9 @@ def test_images_that_repeat_a_letter_raise_instead_of_walking_on():
     assert out.stdout.splitlines() == [
         f"{images} is no signed permutation: two images share a letter up "
         f"to sign" for images in ((1, 1), (1, -1), (2, 1, 1), (-1, -1),
-                                  (1, 1), (1, -1), (1, 1), (2, -2))]
+                                  (1, 1), (1, -1), (1, 1), (2, -2), (1, 1),
+                                  (1, 1), (2, 1, 1), (1, -1), (-1, -1),
+                                  (2, -2))]
 
 
 def test_letters_outside_the_rank_raise_a_value_error_naming_them():
@@ -149,14 +162,17 @@ def test_letters_outside_the_rank_raise_a_value_error_naming_them():
     # off the tuple's end (0) or raising IndexError; an image outside
     # +-1..+-n stops the orbit walk with the letter named, also 0, which
     # once gave the repeated-letter message; a product or an inverse with
-    # such a letter once read off the tuple's end or raised IndexError.
-    # Run apart, like the walk of a repeated letter, so that a walk that
-    # runs on fails at the timeout.
+    # such a letter once read off the tuple's end or raised IndexError, and
+    # a product whose left factor held one returned it.  The readers take a
+    # plain tuple too, and check it as an element is checked.  Run apart,
+    # like the walk of a repeated letter, so that a walk that runs on fails
+    # at the timeout.
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     code = """if True:
         import sys
         sys.path.insert(0, sys.argv[1])
+        from absorder.order import build_interval, elements_below
         from absorder.signed import (SignedPermutation, absolute_length,
                                      cycle_decomposition, cycle_type,
                                      identity, is_member, parse_cycles)
@@ -171,7 +187,13 @@ def test_letters_outside_the_rank_raise_a_value_error_naming_them():
             lambda: identity(2) * (0, 1), lambda: identity(2) * (3, 1),
             lambda: identity(2) * (1, -3),
             lambda: SignedPermutation((0, 1)).inverse(),
-            lambda: SignedPermutation((3, 1)).inverse()]
+            lambda: SignedPermutation((3, 1)).inverse(),
+            lambda: SignedPermutation((0, 1)) * identity(2),
+            lambda: SignedPermutation((3, 1)) * identity(2),
+            lambda: absolute_length((3,)), lambda: cycle_type((1, -5)),
+            lambda: is_member((2, 0), "D"), lambda: elements_below((-3, 1)),
+            lambda: build_interval(identity(2), (0, 1)),
+            lambda: build_interval(identity(2), (3, 1))]
         for read in reads:
             try:
                 print("no error:", read())
@@ -192,6 +214,10 @@ def test_letters_outside_the_rank_raise_a_value_error_naming_them():
         walked.format("2, 0", 0, 2), walked.format("-3, 1", -3, 2),
         walked.format("0, 1", 0, 2), walked.format("3, 1", 3, 2),
         walked.format("1, -3", -3, 2), walked.format("0, 1", 0, 2),
+        walked.format("3, 1", 3, 2), walked.format("0, 1", 0, 2),
+        walked.format("3, 1", 3, 2), walked.format("3,", 3, 1),
+        walked.format("1, -5", -5, 2), walked.format("2, 0", 0, 2),
+        walked.format("-3, 1", -3, 2), walked.format("0, 1", 0, 2),
         walked.format("3, 1", 3, 2)]
 
 
