@@ -160,10 +160,11 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
     covers off `hasse_down`, serves every y, and each edge is labeled once.
     Paths are counted first: the first y with more than CHAIN_GUARD raises
     ResourceGuardError before any edge from x is labeled.  Each y keeps the
-    increasing label sequences of [x, y] and its least sequence of each
-    length, the least (sequence one shorter at a lower cover i, label of
-    i y) joined into one tuple (an appended label keeps the order only
-    within one length; an induced poset may have chains of two lengths).
+    increasing label sequences of [x, y] and the least sequence, the least
+    of (least sequence at a lower cover i) + (label of i y,).  Appending a
+    label keeps the order among sequences of one length, and all maximal
+    chains of [x, y] have one length: every Hasse edge of a `Poset` is a
+    recorded cover, one length up.
 
     When the labeler reads only a^-1 b (the letter and collapsed
     reflection labels) and p is a lower set of its group, only the walk
@@ -190,26 +191,24 @@ def verify_el(p: Poset, labeler=None) -> ELReport:
                     f"interval [{p.elements[x]!r}, {p.elements[y]!r}] exceeds "
                     f"{CHAIN_GUARD} maximal chains"
                 )
-        first, rising = {x: {0: ()}}, {x: [()]}
+        first, rising = {x: ()}, {x: [()]}
         for y in tops:
             intervals += 1
             chains_total += paths[y]
-            least, climbs = {}, []
+            least, climbs = (), []
             for i in p.hasse_down[y]:
                 if i in paths:
                     step = edge_label(i, y)
-                    for size, seq in first[i].items():
-                        if size not in least or (seq, step) < least[size]:
-                            least[size] = seq, step
+                    through = first[i] + (step,)
+                    least = min(least or through, through)
                     climbs += [seq + (step,) for seq in rising[i]
                                if not seq or seq[-1] < step]
-            first[y] = {size + 1: seq + (step,)
-                        for size, (seq, step) in least.items()}
+            first[y] = least
             rising[y] = climbs
             reason = None
             if len(climbs) != 1:
                 reason = f"{len(climbs)} strictly increasing chains"
-            elif min(first[y].values()) != climbs[0]:
+            elif least != climbs[0]:
                 reason = "increasing chain is not lexicographically first"
             if reason is not None:
                 ending = {x: [()]}

@@ -229,13 +229,14 @@ class Poset:
     member lower covers of i ascending, is of `hasse_up`.  Ranks are
     reflection lengths shifted to start at 0; indices ascend with rank.
 
-    `covers` maps each member, an element, to the image tuples of its
-    lower covers, as `elements_below` records them; `index` finds a member
-    from either.  The member set must be convex: with x <= z <= y and x, y
-    in it, z is in it too.  Whole groups, intervals and ideals all are.
-    The order is graded by length and each cover multiplies by a single
-    reflection, so on a convex set it is the transitive closure of the
-    lower covers that are members.
+    `__init__` reads the order off a cover record, a dict from each member,
+    an element, to the image tuples of its lower covers, as
+    `elements_below` makes one, and does not keep it; `index` finds a
+    member's index from the element or its image tuple alike.  The member
+    set must be convex: with x <= z <= y and x, y in it, z is in it too.
+    Whole groups, intervals and ideals all are.  The order is graded by
+    length and each cover multiplies by a single reflection, so on a convex
+    set it is the transitive closure of the lower covers that are members.
     Any other member set is kept as a mask on a convex `Poset`: its
     `below` and `above` masks, cut to the members, are the induced order.
     """
@@ -413,28 +414,20 @@ def _hall_mobius(p: Poset, mask: int) -> int:
     return -1 - sum(mu.values())
 
 
-def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> dict:
-    """The principal ideal {z : z <= v}, by downward cover search: a dict
-    from each member, an element, to its lower covers' image tuples, filled
-    when the member is expanded, which is what a `Poset` is built from.
+def elements_below(tops, kind: str = "B") -> dict:
+    """The order ideal below the elements `tops` (a list), by one
+    breadth-first search down the covers that `_lower_covers` reads off the
+    orbits (Carter; Brady and Watt): a dict from each member, an element,
+    to its lower covers' image tuples, filled when the member is expanded,
+    which is what a `Poset` is built from.  No length is computed, and each
+    element is expanded once however many tops lie above it.
 
-    Level d of the search holds elements of length l(v) - d, and the next
-    level their lower covers, read off their orbits by `_lower_covers`
-    (Carter; Brady and Watt), so only l(v) is computed.  Given `seen`, an
-    order ideal owned by the caller (such as the result of earlier calls),
-    the search adds into it and returns it, and never re-expands an
-    element already there, whose ideal is there already: this is how
-    `build_ideal` (and through it `coxeter_ideal`) runs one shared search
-    over all its generators, visiting each element once.  Raises
-    ResourceGuardError once `seen` holds more than POSET_GUARD elements.
+    The callers check that the tops lie in the kind; a top given as a
+    plain tuple is checked as `SignedPermutation` checks it.  Raises
+    ResourceGuardError once the search holds more than POSET_GUARD elements.
     """
-    absolute_length(v, kind)  # ValueError outside the kind
-    if seen is None:
-        seen = {}
-    elif v in seen:
-        return seen
-    frontier = [_element(v)]
-    seen.update(dict.fromkeys(frontier))
+    seen = dict.fromkeys(map(SignedPermutation, tops))
+    frontier = list(seen)
     while frontier:
         nxt = []
         for z in frontier:
@@ -443,10 +436,12 @@ def elements_below(v: SignedPermutation, kind: str = "B", seen=None) -> dict:
             seen.update(dict.fromkeys(fresh))
             nxt += fresh
             if len(seen) > POSET_GUARD:
+                source = (format_cycles(tops[0]) if len(tops) == 1
+                          else f"{len(tops)} tops")
                 raise ResourceGuardError(
-                    f"the downward search from {format_cycles(v)} in kind "
-                    f"{kind} reached {len(seen)} elements, more than the "
-                    f"guard {POSET_GUARD}")
+                    f"the downward search from {source} in kind {kind} "
+                    f"reached {len(seen)} elements, more than the guard "
+                    f"{POSET_GUARD}")
         frontier = nxt
     return seen
 
@@ -460,7 +455,7 @@ def build_interval(u: SignedPermutation, v: SignedPermutation, kind: str = "B") 
     """
     if not abs_leq(u, v, kind):
         raise ValueError(f"{u!r} is not below {v!r} in kind {kind}")
-    record = elements_below(u.inverse() * v, kind)
+    record = elements_below([u.inverse() * v], kind)
     if u == identity(u.n):
         return Poset(record, kind, "interval")
     moved = {z: u * z for z in record}
@@ -469,21 +464,20 @@ def build_interval(u: SignedPermutation, v: SignedPermutation, kind: str = "B") 
 
 
 def build_ideal(generators, kind: str = "B", label: str = "ideal") -> Poset:
-    """The order ideal generated by the given elements.
+    """The order ideal generated by the given elements, of one rank.
 
-    One downward search is shared by all generators, so each element of
+    One downward search starts from all generators, so each element of
     the ideal is visited once however many generators lie above it, and
     the whole search is bounded by POSET_GUARD.
     """
-    members, n = {}, None
+    generators = list(generators)
     for g in generators:
         if not is_member(g, kind):
             raise ValueError(f"generator {g!r} is not in kind {kind}")
-        n = g.n if n is None else n
-        if g.n != n:
-            raise ValueError(f"generators of ranks {n} and {g.n} in one ideal")
-        elements_below(g, kind, members)
-    return Poset(members, kind, label)
+        if len(g) != len(generators[0]):
+            raise ValueError(f"generators of ranks {len(generators[0])} and "
+                             f"{len(g)} in one ideal")
+    return Poset(elements_below(generators, kind), kind, label)
 
 
 def coxeter_ideal(n: int, kind: str = "B") -> Poset:

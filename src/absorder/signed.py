@@ -49,18 +49,22 @@ class CycleNotationError(ValueError):
 
 class SignedPermutation(tuple):
     """A signed permutation w, which is its image tuple (w(1), ..., w(n)),
-    checked to hold each of 1..n once up to sign (ValueError); what the
-    package builds from elements is made unchecked, by `_element`."""
+    checked to hold each of 1..n once up to sign, as an `int` (ValueError);
+    what the package builds from elements is made unchecked, by `_element`."""
 
     __slots__ = ()
 
     def __new__(cls, images=()):
         w = tuple.__new__(cls, images)
         n = len(w)
-        if sorted(map(abs, w)) != list(range(1, n + 1)):
+        if (not set(map(type, w)) <= {int}
+                or sorted(map(abs, w)) != list(range(1, n + 1))):
             x = next(a for k, a in enumerate(w)
-                     if not 0 < abs(a) <= n or abs(a) in map(abs, w[:k]))
-            why = ("two images share a letter up to sign" if 0 < abs(x) <= n
+                     if type(a) is not int or not 0 < abs(a) <= n
+                     or abs(a) in map(abs, w[:k]))
+            why = (f"the letter {x!r} is no integer" if type(x) is not int
+                   else "two images share a letter up to sign"
+                   if 0 < abs(x) <= n
                    else f"the letter {x} lies outside +-1..+-{n}")
             raise ValueError(f"{tuple(w)} is no signed permutation: {why}")
         return w

@@ -207,7 +207,7 @@ def _claim_el(scope):
     n = scope["letter-labeling-el"]
     report = labeling.verify_el(order.full_poset("B", n))
     # the pairs x < y again: |[e, w]| - 1 is constant on each class
-    pairs = sum(size * (len(order.elements_below(rep, "B")) - 1)
+    pairs = sum(size * (len(order.elements_below([rep], "B")) - 1)
                 for _, rep, size in signed_cycle_types("B", n))
     out.append(_claim(
         claim="letter-labeling-el",

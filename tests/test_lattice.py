@@ -240,7 +240,7 @@ def test_a_generator_missing_from_the_ideal_is_named(monkeypatch):
 
 def _maximal_by_filter(u, v, kind):
     """Maximal common lower bounds by filtering u's ideal with `abs_leq`."""
-    common = [w for w in map(SignedPermutation, elements_below(u, kind))
+    common = [w for w in map(SignedPermutation, elements_below([u], kind))
               if abs_leq(w, v, kind)]
     return {w for w in common
             if not any(x != w and abs_leq(w, x, kind) for x in common)}

@@ -85,6 +85,11 @@ def _top_betti_number_plus_one(monkeypatch):
     monkeypatch.setattr(topology, "_homology_from_faces", plus_one)
 
 
+def _noncrossing_always_true(monkeypatch):
+    # cycles of u from one cycle of v count as noncrossing however they sit
+    monkeypatch.setattr(order, "_noncrossing", lambda pos_a, pos_b: True)
+
+
 # mutant: (patch, {raising section: computed text}, every claim that fails
 # at quick, raised sections included, and the claims that fail at full
 # besides); a raising section raises at each profile where it fails
@@ -143,6 +148,8 @@ MUTANTS = {
          "euler-three-way-plain", "euler-three-way-signed",
          "proper-part-cm", "fiber-projection-laws"},
         {"fiber-ideal-ranks", "lower-cover-rule"}),
+    "noncrossing-always-true": (
+        _noncrossing_always_true, {}, {"noncrossing-order-agreement"}, set()),
 }
 
 SECTION_RUNS = "the claim section runs to its verdicts"

@@ -551,27 +551,18 @@ def _verify_el_per_interval(p, labeler, chain_guard=10 ** 6):
     return ELReport(True, intervals, chains_total, None)
 
 
-def _el_cases(labeler):
-    """Whole groups, the B4 Coxeter interval and the B3 flip interval; for
-    the letter labeling, which labels any pair, also seeded subposets of
-    B3, whose Hasse edges need not be covers of the group."""
-    b3 = full_poset("B", 3)
-    cases = [b3, full_poset("S", 4), full_poset("D", 4),
-             build_interval(identity(4), parse_cycles("[1,2,3,4]", 4), "B"),
-             build_interval(identity(3), parse_cycles("[1][2][3]", 3), "B")]
-    if labeler is support_size_label:
-        rng = random.Random(20261022)
-        for k in range(8):
-            keep = rng.sample(range(len(b3)), rng.randint(10, 40))
-            cases.append(_induced(b3, keep, f"sample {k}"))
-    return cases
+def _el_cases():
+    """Whole groups, the B4 Coxeter interval and the B3 flip interval."""
+    return [full_poset("B", 3), full_poset("S", 4), full_poset("D", 4),
+            build_interval(identity(4), parse_cycles("[1,2,3,4]", 4), "B"),
+            build_interval(identity(3), parse_cycles("[1][2][3]", 3), "B")]
 
 
 @pytest.mark.parametrize("labeler", [support_size_label,
                                      collapsed_reflection_label])
 def test_verify_el_matches_per_interval_enumeration(labeler):
     verdicts = []
-    for p in _el_cases(labeler):
+    for p in _el_cases():
         report = verify_el(p, labeler=labeler).to_json()
         assert report == _verify_el_per_interval(p, labeler).to_json(), p.label
         verdicts.append(report["ok"])
@@ -585,25 +576,6 @@ def test_verify_el_matches_per_interval_enumeration_on_flip_intervals():
         labeler = join_position_labeler(p)
         assert (verify_el(p, labeler=labeler).to_json()
                 == _verify_el_per_interval(p, labeler).to_json())
-
-
-def test_verify_el_compares_first_sequences_of_one_length():
-    # in the induced subposet [e, i] has chains labeled (2, 3) and
-    # (2, 3, 1), so [e, y] has first sequence (2, 3, 1, 4), not the
-    # increasing (2, 3, 4) that extends the first sequence (2, 3) of [e, i]
-    names = ["((1,-4))((2,-3))", "[1]", "[1,-4]", "[1,-4]((2,-3))",
-             "[1,-4,-2,3]"]
-    e, (a, b, c, i, y) = identity(4), [parse_cycles(s, 4) for s in names]
-    iv = build_interval(e, y, "B")
-    p = _induced(iv, [iv.index[w] for w in (e, a, b, c, i, y)],
-                 "chains of two lengths")
-    labels = {(e, a): 2, (a, i): 3, (e, b): 2, (b, c): 3, (c, i): 1,
-              (i, y): 4}
-    labeler = lambda u, v: labels[u, v]  # noqa: E731
-    report = verify_el(p, labeler=labeler).to_json()
-    assert report == _verify_el_per_interval(p, labeler).to_json()
-    assert report["failure"]["top"] == repr(y)
-    assert report["failure"]["sequences"][0] == ["2", "3", "1", "4"]
 
 
 def test_el_chain_guard_trips_before_any_chain_is_labeled(monkeypatch):
@@ -1652,8 +1624,14 @@ def _lagrange_by_fractions(points):
 
 
 def _zeta_cases():
-    """The `_el_cases` posets and intervals of all three families."""
-    return _el_cases(support_size_label) + [
+    """The `_el_cases` posets, seeded subposets of B3, whose Hasse edges
+    need not be covers of the group, and intervals of all three families."""
+    cases = _el_cases()
+    rng = random.Random(20261022)
+    for k in range(8):
+        keep = rng.sample(range(len(cases[0])), rng.randint(10, 40))
+        cases.append(_induced(cases[0], keep, f"sample {k}"))
+    return cases + [
         build(n) for n in range(1, 5) for build in (
             invariants.build_coxeter_interval, invariants.build_flip_interval)
     ] + [invariants.build_cycle_flip_interval(k, r)

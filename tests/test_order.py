@@ -114,7 +114,7 @@ def test_chain_counts_triangle():
 
 def test_elements_below_is_principal_ideal():
     w = parse_cycles("[1][2]", 2)
-    below = elements_below(w, "B")
+    below = elements_below([w], "B")
     assert {format_cycles(SignedPermutation(z)) for z in below} == {
         "e", "[1]", "[2]", "((1,2))", "((1,-2))", "[1][2]"}
 
@@ -123,6 +123,8 @@ def test_build_ideal_union():
     p = build_ideal([parse_cycles("[1]", 2), parse_cycles("((1,2))", 2)], "B")
     assert len(p) == 3
     assert p.height() == 1
+    # generators given as image tuples, as `build_interval` takes its ends
+    assert build_ideal([(-1, 2), (2, 1)], "B").elements == p.elements
 
 
 def test_coxeter_ideal_sizes():

@@ -1,11 +1,12 @@
 """The benchmark's contract with the package, checked in the test suite.
 
 `perfbench/tracer.py` wraps each `(owner, attribute)` in its TARGETS with
-`getattr`, and `perfbench/run.py` checks every op's answers against
-`perfbench/references.json`.  A traced function that is deleted or renamed,
-or an answer that drifts, would otherwise break only a benchmark run; these
-tests make such a change fail here instead.  They read `perfbench/` and
-change nothing there.
+`getattr`, `perfbench/run.py` checks every op's answers against
+`perfbench/references.json`, and `perfbench/selftest.py` trips a face
+guard and wraps `Poset.__init__`.  A traced function that is deleted or
+renamed, an answer that drifts or a self-test call that stops working
+would otherwise break only a benchmark run; these tests make such a
+change fail here instead.  They read `perfbench/` and change nothing there.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from absorder import cli
+from absorder import ResourceGuardError, cli, order, topology
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 3
@@ -49,6 +50,14 @@ def test_every_traced_target_exists(targets):
                for owner, attr, _layer, _timed in targets
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_the_self_test_calls_into_the_package_still_work():
+    # the self-test counts a guard trip as a failed op, and builds every
+    # poset twice by wrapping the class's own __init__
+    with pytest.raises(ResourceGuardError):
+        topology.order_complex(order.full_poset("B", 3), face_guard=10)
+    assert callable(vars(order.Poset).get("__init__"))
 
 
 def _cli_op(workloads, name, argv):

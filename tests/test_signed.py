@@ -137,7 +137,7 @@ def test_images_that_repeat_a_letter_raise_instead_of_walking_on():
                    ((1, 1), lambda w: w * one))
         plain = (((1, 1), absolute_length), ((2, 1, 1), cycle_type),
                  ((1, -1), lambda t: is_member(t, "D")),
-                 ((-1, -1), elements_below),
+                 ((-1, -1), lambda t: elements_below([t])),
                  ((2, -2), lambda t: build_interval(one, t)))
         for wrap, reads in ((SignedPermutation, wrapped), (tuple, plain)):
             for images, read in reads:
@@ -164,9 +164,11 @@ def test_letters_outside_the_rank_raise_a_value_error_naming_them():
     # once gave the repeated-letter message; a product or an inverse with
     # such a letter once read off the tuple's end or raised IndexError, and
     # a product whose left factor held one returned it.  The readers take a
-    # plain tuple too, and check it as an element is checked.  Run apart,
-    # like the walk of a repeated letter, so that a walk that runs on fails
-    # at the timeout.
+    # plain tuple too, and check it as an element is checked.  A letter
+    # that only equals an integer is refused too: (2.0, 1) was built and
+    # its length, product and inverse raised TypeError, and (True, 2) was
+    # taken for the identity.  Run apart, like the walk of a repeated
+    # letter, so that a walk that runs on fails at the timeout.
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     code = """if True:
@@ -191,9 +193,12 @@ def test_letters_outside_the_rank_raise_a_value_error_naming_them():
             lambda: SignedPermutation((0, 1)) * identity(2),
             lambda: SignedPermutation((3, 1)) * identity(2),
             lambda: absolute_length((3,)), lambda: cycle_type((1, -5)),
-            lambda: is_member((2, 0), "D"), lambda: elements_below((-3, 1)),
+            lambda: is_member((2, 0), "D"), lambda: elements_below([(-3, 1)]),
             lambda: build_interval(identity(2), (0, 1)),
-            lambda: build_interval(identity(2), (3, 1))]
+            lambda: build_interval(identity(2), (3, 1)),
+            lambda: SignedPermutation((2.0, 1)),
+            lambda: SignedPermutation((True, 2)),
+            lambda: identity(2) * (2.0, 1), lambda: absolute_length((True, 2))]
         for read in reads:
             try:
                 print("no error:", read())
@@ -218,7 +223,10 @@ def test_letters_outside_the_rank_raise_a_value_error_naming_them():
         walked.format("3, 1", 3, 2), walked.format("3,", 3, 1),
         walked.format("1, -5", -5, 2), walked.format("2, 0", 0, 2),
         walked.format("-3, 1", -3, 2), walked.format("0, 1", 0, 2),
-        walked.format("3, 1", 3, 2)]
+        walked.format("3, 1", 3, 2)] + [
+        f"ValueError {images} is no signed permutation: the letter "
+        f"{images[0]} is no integer"
+        for images in ((2.0, 1), (True, 2), (2.0, 1), (True, 2))]
 
 
 def test_decomposition_splits_kinds_and_fixed_points():
