@@ -50,9 +50,9 @@ def canonical_chain(w: SignedPermutation) -> list:
     """The increasing maximal chain of [e, w] under the letter labeling.
 
     Step j keeps the j smallest letters of c(w): every cycle word of w is
-    restricted to the kept letters (paired cycles always keep their anchor),
-    which inserts the letters one by one in the order and sign they carry
-    in w.
+    restricted to the kept letters (a paired word keeps its anchor, its
+    first entry, too, and is dropped when nothing else is left), which
+    inserts the letters one by one in the order and sign they carry in w.
     """
     cycles = cycle_decomposition(w)
     seq = c_sequence(w)
@@ -61,16 +61,10 @@ def canonical_chain(w: SignedPermutation) -> list:
         keep = set(seq[:j])
         words = []
         for kind, entries in cycles:
-            if kind == "balanced":
-                sub = tuple(a for a in entries if abs(a) in keep)
-                if sub:
-                    words.append(("balanced", sub))
-            else:
-                sub = (entries[0],) + tuple(
-                    a for a in entries[1:] if abs(a) in keep
-                )
-                if len(sub) > 1:
-                    words.append(("paired", sub))
+            anchor = entries[0] if kind == "paired" else None
+            sub = tuple(a for a in entries if abs(a) in keep or a == anchor)
+            if len(sub) > (anchor is not None):
+                words.append((kind, sub))
         chain.append(from_cycles(words, w.n))
     return chain
 

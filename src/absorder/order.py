@@ -508,8 +508,8 @@ def full_poset(kind: str, n: int) -> Poset:
 def project_pi(w: SignedPermutation, i: int) -> SignedPermutation:
     """Delete +-i from the cycle of w containing it (fixing i afterwards):
     the letter sent to +-i is sent on to +-w(i), read off the images."""
-    if not 1 <= i <= w.n:
-        raise ValueError(f"index {i} out of range")
+    if type(i) is not int or not 1 <= i <= w.n:
+        raise ValueError(f"index {i!r} out of range")
     images = list(w)
     j = next(j for j, x in enumerate(images) if x == i or x == -i)
     images[j] = images[i - 1] if images[j] > 0 else -images[i - 1]

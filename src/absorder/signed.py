@@ -74,14 +74,11 @@ class SignedPermutation(tuple):
         return len(self)
 
     def __call__(self, i: int) -> int:
-        """Apply to a signed point i with 1 <= |i| <= n; ValueError for any
-        other i."""
-        try:
-            if i:
-                return self[i - 1] if i > 0 else -self[-i - 1]
-        except IndexError:
-            pass
-        raise ValueError(f"the letter {i} lies outside +-1..+-{len(self)}")
+        """Apply to a signed point i, an `int` with 1 <= |i| <= n; ValueError
+        for any other i."""
+        if type(i) is int and 0 < abs(i) <= len(self):
+            return self[i - 1] if i > 0 else -self[-i - 1]
+        raise ValueError(f"the letter {i!r} lies outside +-1..+-{len(self)}")
 
     def __mul__(self, other) -> "SignedPermutation":
         """Composition: (u * v)(i) = u(v(i)), of two elements of one rank;
@@ -154,20 +151,22 @@ def cycle_decomposition(w: SignedPermutation) -> tuple:
 
 
 def from_cycles(words, n: int) -> SignedPermutation:
-    """Build a signed permutation from disjoint cycle words.
-
-    `words` is an iterable of (kind, entries) pairs, kind 'balanced' or
-    'paired', whose letters lie in {1..n} and repeat nowhere (ValueError).
-    """
+    """Build a signed permutation from disjoint cycle words: (kind, entries)
+    pairs, kind 'balanced' or 'paired', each of one or more `int` entries in
+    +-1..+-n, no absolute value twice (ValueError)."""
     images = list(range(1, n + 1))
     used = set()
     for kind, entries in words:
         if kind not in ("balanced", "paired"):
             raise ValueError(f"unknown cycle kind {kind!r}")
         entries = tuple(entries)
+        if not entries:
+            raise ValueError(f"empty {kind} cycle")
         for k, a in enumerate(entries):
-            if a == 0 or abs(a) > n:
-                raise ValueError(f"entry {a} out of range for n={n}")
+            if type(a) is not int or a == 0 or abs(a) > n:
+                raise ValueError(
+                    f"entry {a} out of range for n={n}" if type(a) is int
+                    else f"entry {a!r} is no integer")
             if abs(a) in used:
                 where = ("more than once" if abs(a) in map(abs, entries[:k])
                          else "in two cycles")

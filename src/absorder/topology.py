@@ -413,44 +413,39 @@ def _stripped_ends(c: SimplicialComplex) -> tuple:
 
 
 def _gap_polys(c: SimplicialComplex, whole: HomologyProfile):
-    """`gap(lo, hi)`, P of the gap (lo, hi) of `cm_check`, memoised, a None
-    end open."""
+    """`gap(lo, hi)`, P of the gap (lo, hi) of `cm_check`, a None end open,
+    memoised in one table by the key of what it stands for (see `cm_check`):
+    ("side", below, type), ("class", type) or else the gap itself."""
     p = c.poset
     polys = {(None, None): _poly_of(whole)}
-    classes, sides = {}, {}
     types = {v: cycle_type(p.elements[v]) for v in bits(c.member_mask)}
     invariant = _conjugation_invariant(p, types)
     bottom, top = _stripped_ends(c)
     at_e = bottom is not None and not cycle_decomposition(p.elements[bottom])
 
-    def eliminate(mask: int) -> tuple:
-        return _poly_of(_homology_from_faces(*_chains_in_mask(p, mask)[1:]))
-
     def gap(lo, hi) -> tuple:
-        if (lo, hi) not in polys:
-            mask = c.member_mask
-            if lo is not None:
-                mask &= p.above[lo] & ~(1 << lo)
-            if hi is not None:
-                mask &= p.below[hi] & ~(1 << hi)
-            x, y = bottom if lo is None else lo, top if hi is None else hi
-            if x is None or y is None:
-                end = hi if lo is None else lo  # below end iff lo is None
-                key = (lo is None, types[end]) if invariant else (lo, hi)
-                if key not in sides:
-                    sides[key] = eliminate(mask)
-                polys[lo, hi] = sides[key]
-            elif p.rank[y] - p.rank[x] <= 2:
-                polys[lo, hi] = (0, mask.bit_count() - 1) if mask else (1,)
-            elif mask == p.above[x] & p.below[y] & ~(1 << x | 1 << y):
-                key = (types[y] if lo is None and at_e else
-                       cycle_type(p.elements[x].inverse() * p.elements[y]))
-                if key not in classes:
-                    classes[key] = eliminate(mask)
-                polys[lo, hi] = classes[key]
-            else:
-                polys[lo, hi] = eliminate(mask)
-        return polys[lo, hi]
+        if (lo, hi) in polys:
+            return polys[lo, hi]
+        mask = c.member_mask
+        if lo is not None:
+            mask &= p.above[lo] & ~(1 << lo)
+        if hi is not None:
+            mask &= p.below[hi] & ~(1 << hi)
+        x, y = bottom if lo is None else lo, top if hi is None else hi
+        if x is None or y is None:
+            end = hi if lo is None else lo  # below end iff lo is None
+            key = ("side", lo is None, types[end]) if invariant else (lo, hi)
+        elif p.rank[y] - p.rank[x] <= 2:
+            return (0, mask.bit_count() - 1) if mask else (1,)
+        elif mask == p.above[x] & p.below[y] & ~(1 << x | 1 << y):
+            key = ("class", types[y] if lo is None and at_e else
+                   cycle_type(p.elements[x].inverse() * p.elements[y]))
+        else:
+            key = (lo, hi)
+        if key not in polys:
+            polys[key] = _poly_of(
+                _homology_from_faces(*_chains_in_mask(p, mask)[1:]))
+        return polys[key]
 
     return gap
 

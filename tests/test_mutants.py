@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from absorder import cli, labeling, order, topology, verify
+from absorder import cli, labeling, order, series, topology, verify
 from absorder.signed import _orbits, absolute_length
 from absorder.topology import HomologyProfile
 
@@ -90,6 +90,18 @@ def _noncrossing_always_true(monkeypatch):
     monkeypatch.setattr(order, "_noncrossing", lambda pos_a, pos_b: True)
 
 
+def _sqrt_last_coefficient_plus_one(monkeypatch):
+    # a series' square root has its last coefficient one too high
+    right = series.FormalPowerSeries.sqrt
+
+    def plus_one(self):
+        root = right(self)
+        return series.FormalPowerSeries(
+            root.coeffs[:-1] + (root.coeffs[-1] + 1,), root.order)
+
+    monkeypatch.setattr(series.FormalPowerSeries, "sqrt", plus_one)
+
+
 # mutant: (patch, {raising section: computed text}, every claim that fails
 # at quick, raised sections included, and the claims that fail at full
 # besides); a raising section raises at each profile where it fails
@@ -150,6 +162,10 @@ MUTANTS = {
         {"fiber-ideal-ranks", "lower-cover-rule"}),
     "noncrossing-always-true": (
         _noncrossing_always_true, {}, {"noncrossing-order-agreement"}, set()),
+    "sqrt-last-coefficient-plus-one": (
+        _sqrt_last_coefficient_plus_one, {},
+        {"euler-three-way-signed", "flip-exponential-identity"},
+        {"proper-part-cm"}),
 }
 
 SECTION_RUNS = "the claim section runs to its verdicts"

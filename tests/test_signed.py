@@ -167,17 +167,22 @@ def test_letters_outside_the_rank_raise_a_value_error_naming_them():
     # plain tuple too, and check it as an element is checked.  A letter
     # that only equals an integer is refused too: (2.0, 1) was built and
     # its length, product and inverse raised TypeError, and (True, 2) was
-    # taken for the identity.  Run apart, like the walk of a repeated
+    # taken for the identity.  Applying an element to 2.0, building from a
+    # word holding 1.0 and projecting at 1.0 raised TypeError; applying an
+    # element to True, or projecting at it, read the letter 1; a word
+    # holding True built an image tuple that `SignedPermutation` refuses,
+    # and an empty word built e.  Run apart, like the walk of a repeated
     # letter, so that a walk that runs on fails at the timeout.
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     code = """if True:
         import sys
         sys.path.insert(0, sys.argv[1])
-        from absorder.order import build_interval, elements_below
+        from absorder.order import build_interval, elements_below, project_pi
         from absorder.signed import (SignedPermutation, absolute_length,
                                      cycle_decomposition, cycle_type,
-                                     identity, is_member, parse_cycles)
+                                     from_cycles, identity, is_member,
+                                     parse_cycles)
         w = parse_cycles("((1,2,3))", 3)
         reads = [(lambda i=i: w(i)) for i in (0, 4, -4)] + [
             lambda: absolute_length(SignedPermutation((3,))),
@@ -198,7 +203,13 @@ def test_letters_outside_the_rank_raise_a_value_error_naming_them():
             lambda: build_interval(identity(2), (3, 1)),
             lambda: SignedPermutation((2.0, 1)),
             lambda: SignedPermutation((True, 2)),
-            lambda: identity(2) * (2.0, 1), lambda: absolute_length((True, 2))]
+            lambda: identity(2) * (2.0, 1), lambda: absolute_length((True, 2)),
+            lambda: w(2.0), lambda: w(True),
+            lambda: from_cycles([("paired", (True, 2))], 2),
+            lambda: from_cycles([("balanced", (1.0,))], 2),
+            lambda: from_cycles([("balanced", ())], 2),
+            lambda: project_pi(identity(3), 1.0),
+            lambda: project_pi(identity(3), True)]
         for read in reads:
             try:
                 print("no error:", read())
@@ -226,7 +237,14 @@ def test_letters_outside_the_rank_raise_a_value_error_naming_them():
         walked.format("3, 1", 3, 2)] + [
         f"ValueError {images} is no signed permutation: the letter "
         f"{images[0]} is no integer"
-        for images in ((2.0, 1), (True, 2), (2.0, 1), (True, 2))]
+        for images in ((2.0, 1), (True, 2), (2.0, 1), (True, 2))] + [
+        "ValueError the letter 2.0 lies outside +-1..+-3",
+        "ValueError the letter True lies outside +-1..+-3",
+        "ValueError entry True is no integer",
+        "ValueError entry 1.0 is no integer",
+        "ValueError empty balanced cycle",
+        "ValueError index 1.0 out of range",
+        "ValueError index True out of range"]
 
 
 def test_decomposition_splits_kinds_and_fixed_points():
