@@ -190,8 +190,8 @@ def _unread_option(args) -> str | None:
 
 
 def _rank(text: str) -> int:
-    """The --n and --upto arguments: a nonnegative integer."""
-    if not text.isdecimal():
+    """The --n and --upto arguments: a nonnegative integer in ASCII digits."""
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(
             f"the rank must be a nonnegative integer, got {text!r}")
     return int(text)

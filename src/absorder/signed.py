@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from math import factorial, prod
 
 
@@ -203,61 +204,46 @@ def format_cycles(w: SignedPermutation) -> str:
     return text or "e"
 
 
-def _parse_int(text, pos):
-    start = pos
-    if pos < len(text) and text[pos] in "+-":
-        pos += 1
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == start or not text[start:pos].lstrip("+-"):
-        raise CycleNotationError("expected an integer", start)
-    return int(text[start:pos]), pos
+# after any whitespace: `((`, `))`, an integer in ASCII digits, one other
+# character, or '' at the end of the text
+_TOKEN = re.compile(r"\s*(\(\(|\)\)|([+-]?[0-9]+)|.?)")
+_OPENERS = {"((": ("paired", "))"), "[": ("balanced", "]")}
 
 
 def parse_cycles(text: str, n: int) -> SignedPermutation:
     """Parse cycle notation: balanced `[a1,a2]`, paired `((a1,a2))`, identity `e`.
 
-    Whitespace is allowed between tokens.  Entries must be nonzero, have
-    absolute value at most n, and no absolute value may repeat.
+    Whitespace is allowed between tokens, and entries are written in ASCII
+    digits.  Entries must be nonzero, have absolute value at most n, and
+    no absolute value may repeat.
     """
-    words = []
-    pos = 0
-    stripped = text.strip()
-    if stripped == "e" or stripped == "":
+    if text.strip() in ("", "e"):
         return identity(n)
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        if text.startswith("((", pos):
-            kind, closer = "paired", "))"
-            pos += 2
-        elif text[pos] == "[":
-            kind, closer = "balanced", "]"
-            pos += 1
-        elif text[pos] == "(":
+    words = []
+    tokens = ((m[1], m.start(1), m[2]) for m in _TOKEN.finditer(text))
+    for token, pos, _ in tokens:
+        if not token:
+            break
+        if token == "(":
             raise CycleNotationError("paired cycles need doubled parentheses", pos)
-        else:
+        if token not in _OPENERS:
             raise CycleNotationError(f"unexpected character {text[pos]!r}", pos)
+        kind, closer = _OPENERS[token]
         entries = []
-        while True:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            value, pos = _parse_int(text, pos)
+        for token, pos, number in tokens:
+            if number is None:
+                raise CycleNotationError("expected an integer", pos)
+            value, last = int(number), pos + len(number) - 1
             if value == 0:
-                raise CycleNotationError("cycle entries must be nonzero", pos - 1)
+                raise CycleNotationError("cycle entries must be nonzero", last)
             if abs(value) > n:
-                raise CycleNotationError(f"entry {value} exceeds n={n}", pos - 1)
+                raise CycleNotationError(f"entry {value} exceeds n={n}", last)
             entries.append(value)
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-                continue
-            if text.startswith(closer, pos):
-                pos += len(closer)
+            token, pos, _ = next(tokens)
+            if token == closer:
                 break
-            raise CycleNotationError(f"expected ',' or {closer!r}", pos)
+            if token != ",":
+                raise CycleNotationError(f"expected ',' or {closer!r}", pos)
         words.append((kind, tuple(entries)))
     try:
         return from_cycles(words, n)

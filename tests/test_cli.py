@@ -288,7 +288,7 @@ def test_unknown_subcommand_exits_via_argparse():
         main(["frobnicate"])
 
 
-@pytest.mark.parametrize("value", ["-1", "two"])
+@pytest.mark.parametrize("value", ["-1", "two", "١"])
 def test_negative_or_bad_rank_is_a_usage_error(capsys, value):
     with pytest.raises(SystemExit) as exc:
         main(["poset", "--group", "B", "--n", value])

@@ -5,14 +5,17 @@ as failing claims and exit 1: a claim section that raises becomes one
 failing claim naming the exception, and the rest of the suite still runs,
 so the claim table is printed and no traceback escapes.  Each row names
 exactly the claims that fail at quick and at full, and the sections that
-raise.
+raise; a row whose rule only the full profile reaches must leave quick
+passing.  Every claim of the full report fails under some row.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from absorder import cli, labeling, order, series, topology, verify
+from absorder import (cli, invariants, labeling, lattice, order, series,
+                      topology, verify)
 from absorder.signed import _orbits, absolute_length
 from absorder.topology import HomologyProfile
 
@@ -102,6 +105,51 @@ def _sqrt_last_coefficient_plus_one(monkeypatch):
     monkeypatch.setattr(series.FormalPowerSeries, "sqrt", plus_one)
 
 
+def _zeta_polynomial_plus_one(monkeypatch):
+    # every zeta polynomial has its constant term one too high
+    right = invariants.zeta_polynomial
+
+    def plus_one(p):
+        return right(p) + invariants.RationalPolynomial([1])
+
+    monkeypatch.setattr(invariants, "zeta_polynomial", plus_one)
+
+
+def _top_rank_size_plus_one(monkeypatch):
+    # a poset counts one element too many at its top rank
+    right = order.Poset.rank_sizes
+
+    def plus_one(self):
+        sizes = right(self)
+        return sizes[:-1] + (sizes[-1] + 1,)
+
+    monkeypatch.setattr(order.Poset, "rank_sizes", plus_one)
+
+
+def _one_common_lower_bound_short(monkeypatch):
+    # two elements lose the last of their maximal common lower bounds
+    right = lattice.maximal_common_lower_bounds
+
+    def short(u, v, kind="B"):
+        return right(u, v, kind)[:-1]
+
+    monkeypatch.setattr(lattice, "maximal_common_lower_bounds", short)
+
+
+def _extra_z2_in_the_top_torsion(monkeypatch):
+    # the elimination reports one Z/2 too many in its highest torsion group
+    right = topology._homology_from_faces
+
+    def extra(levels, counts):
+        h = right(levels, counts)
+        if h.torsion:
+            top = max(h.torsion)
+            h.torsion[top] = h.torsion[top] + [2]
+        return h
+
+    monkeypatch.setattr(topology, "_homology_from_faces", extra)
+
+
 # mutant: (patch, {raising section: computed text}, every claim that fails
 # at quick, raised sections included, and the claims that fail at full
 # besides); a raising section raises at each profile where it fails
@@ -166,6 +214,23 @@ MUTANTS = {
         _sqrt_last_coefficient_plus_one, {},
         {"euler-three-way-signed", "flip-exponential-identity"},
         {"proper-part-cm"}),
+    "zeta-polynomial-plus-one": (
+        _zeta_polynomial_plus_one,
+        {section: "AssertionError: zeta(2) is not the cardinality"
+         for section in ("interval-invariants", "cycle-flip")},
+        {"interval-invariants", "cycle-flip", "zeta-consistency"}, set()),
+    "top-rank-size-plus-one": (
+        _top_rank_size_plus_one,
+        {section: "AssertionError: the rank sizes do not sum to the "
+                  "cardinality"
+         for section in ("interval-invariants", "cycle-flip")},
+        {"interval-invariants", "cycle-flip", "palindromic-interval-ranks",
+         "rank-generating-function"}, set()),
+    "one-common-lower-bound-short": (
+        _one_common_lower_bound_short, {}, set(), {"even-three-lower-bounds"}),
+    "extra-z2-in-the-top-torsion": (
+        _extra_z2_in_the_top_torsion, {}, set(),
+        {"coxeter-ideal-torsion-free"}),
 }
 
 SECTION_RUNS = "the claim section runs to its verdicts"
@@ -204,16 +269,40 @@ def _fails_its_claims(name, profile, monkeypatch, capsys):
     assert "flip-exponential-identity" in verdicts
 
 
-@pytest.mark.parametrize("name", MUTANTS)
+@pytest.mark.parametrize("name", [name for name, row in MUTANTS.items()
+                                  if row[2]])
 def test_verify_reports_a_wrong_rule_as_failing_claims(name, monkeypatch,
                                                        capsys):
     _fails_its_claims(name, "quick", monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("name", [name for name, row in MUTANTS.items()
+                                  if not row[2]])
+def test_a_wrong_rule_only_the_full_profile_reaches_passes_quick(
+        name, monkeypatch, capsys):
+    MUTANTS[name][0](monkeypatch)
+    assert cli.main(["verify", "--profile", "quick"]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and not any(line.startswith("[FAIL] ") for line in lines)
+    assert lines[-1] == (f"all claims hold (profile quick, "
+                         f"seed {verify.DEFAULT_SEED})")
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_the_full_profile_reports_a_wrong_rule_as_failing_claims(
         name, monkeypatch, capsys):
     _fails_its_claims(name, "full", monkeypatch, capsys)
+
+
+def test_every_full_claim_fails_under_some_wrong_rule():
+    # a new claim needs a row that fails it; read off the golden report,
+    # so this runs no verify
+    golden = Path(__file__).resolve().parent / "golden" / "verify_full.json"
+    claims = {r["claim"] for r in json.loads(golden.read_bytes())["results"]}
+    failing = set().union(*(quick | full for _, _, quick, full
+                            in MUTANTS.values()))
+    assert claims - failing == set()
 
 
 def test_the_json_report_names_exactly_the_failing_claims(monkeypatch,

@@ -299,6 +299,42 @@ def test_parse_rejects_garbage():
         parse_cycles("(1,2)", 3)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[+-1]", "expected an integer (at position 1)"),
+    ("[]", "expected an integer (at position 1)"),
+    ("[(( 1]", "expected an integer (at position 1)"),
+    ("[1,]", "expected an integer (at position 3)"),
+    ("[0]", "cycle entries must be nonzero (at position 1)"),
+    ("[-0]", "cycle entries must be nonzero (at position 2)"),
+    ("[4]", "entry 4 exceeds n=3 (at position 1)"),
+    ("[-12]", "entry -12 exceeds n=3 (at position 3)"),
+    ("((1,2)", "expected ',' or '))' (at position 5)"),
+    ("[1", "expected ',' or ']' (at position 2)"),
+    ("[1))", "expected ',' or ']' (at position 2)"),
+    ("[1 2]", "expected ',' or ']' (at position 3)"),
+    ("(1,2)", "paired cycles need doubled parentheses (at position 0)"),
+    ("[1]]", "unexpected character ']' (at position 3)"),
+    ("e e", "unexpected character 'e' (at position 0)"),
+    (")", "unexpected character ')' (at position 0)"),
+    ("[1][1]", "entry 1 appears in two cycles (at position 0)"),
+    ("((1,1))", "entry 1 appears more than once (at position 0)"),
+    # entries are ASCII digits: a superscript or Arabic-Indic digit is
+    # no integer
+    ("[²]", "expected an integer (at position 1)"),
+    ("[1²]", "expected ',' or ']' (at position 2)"),
+    ("[١]", "expected an integer (at position 1)"),
+])
+def test_parse_refusals_name_their_position(text, message):
+    with pytest.raises(CycleNotationError) as exc:
+        parse_cycles(text, 3)
+    assert str(exc.value) == message
+
+
+def test_parse_reads_whitespace_between_tokens_and_e():
+    assert parse_cycles(" [ 1 , -2 ] ((3)) ", 3) == balanced_cycle([1, -2], 3)
+    assert parse_cycles(" e ", 3) == parse_cycles("", 3) == identity(3)
+
+
 def test_membership():
     w = parse_cycles("((1,2))", 3)
     assert is_member(w, "S") and is_member(w, "B") and is_member(w, "D")
