@@ -190,11 +190,16 @@ def _unread_option(args) -> str | None:
 
 
 def _rank(text: str) -> int:
-    """The --n and --upto arguments: a nonnegative integer in ASCII digits."""
+    """The --n, --upto, --k and --r arguments: a nonnegative integer in
+    ASCII digits, leading zeros aside no longer than int() reads."""
     if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(
             f"the rank must be a nonnegative integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text.lstrip("0") or "0")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"the rank has {len(text)} digits, too many to read") from None
 
 
 def _add_common(sub, formats, top=False):
@@ -245,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="census a poset, or confront a closed form")
     _add_common(sub, FORMATS, top=True)
     sub.add_argument("--family", choices=invariants.FAMILIES)
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--r", type=int)
+    sub.add_argument("--k", type=_rank)
+    sub.add_argument("--r", type=_rank)
     sub.set_defaults(handler=_cmd_invariants)
 
     sub = subs.add_parser("topology",

@@ -258,10 +258,17 @@ def closed_form_flip_interval(n: int) -> InvariantReport:
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    card = sum(
-        comb(n, 2 * k) * 2 ** (n - k) * double_factorial_odd(k)
-        for k in range(n // 2 + 1)
-    )
+    # one sum over the k-matchings of the n letters: card, chains, mob and
+    # the coefficients of m^(n-k) (m-1)^k in zeta
+    card = chains = mob = 0
+    zeta = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        matchings = comb(n, 2 * k) * double_factorial_odd(k)
+        card += 2 ** (n - k) * matchings
+        chains += matchings
+        mob += 2 ** k * matchings
+        for j in range(k + 1):
+            zeta[n - k + j] += (-1) ** (k - j) * comb(k, j) * matchings
     ranks = tuple(
         sum(
             factorial(n) // (factorial(k) * factorial(r - k) * factorial(n - r - k))
@@ -269,26 +276,12 @@ def closed_form_flip_interval(n: int) -> InvariantReport:
         )
         for r in range(n + 1)
     )
-    chains = factorial(n) * sum(
-        comb(n, 2 * k) * double_factorial_odd(k) for k in range(n // 2 + 1)
-    )
-    mob = (-1) ** n * sum(
-        comb(n, 2 * k) * 2 ** k * double_factorial_odd(k) for k in range(n // 2 + 1)
-    )
-    zeta = RationalPolynomial([0])
-    for k in range(n // 2 + 1):
-        term = RationalPolynomial([1])
-        for _ in range(n - k):
-            term = term * RationalPolynomial([0, 1])
-        for _ in range(k):
-            term = term * RationalPolynomial([-1, 1])
-        zeta = zeta + comb(n, 2 * k) * double_factorial_odd(k) * term
     report = InvariantReport(
         cardinality=card,
         rank_sizes=ranks,
-        max_chains=chains,
-        mobius_bottom_top=mob,
-        zeta=zeta,
+        max_chains=factorial(n) * chains,
+        mobius_bottom_top=(-1) ** n * mob,
+        zeta=RationalPolynomial(zeta),
     )
     report.check()
     return report

@@ -30,6 +30,7 @@ from .signed import (
     identity,
     is_member,
     reflection_set,
+    signed_cycle_types,
 )
 
 
@@ -484,8 +485,15 @@ def coxeter_ideal(n: int, kind: str = "B") -> Poset:
     """The ideal generated by all Coxeter elements.
 
     For S_n this is all of Abs(S_n); for B_n it is the proper ideal of
-    elements lying below some balanced n-cycle.
+    elements lying below some balanced n-cycle.  Refused before any
+    element is generated when the Coxeter class, the first class of
+    `signed_cycle_types`, has more than POSET_GUARD elements.
     """
+    size = next(signed_cycle_types(kind, n))[2]
+    if size > POSET_GUARD:
+        raise ResourceGuardError(
+            f"the Coxeter class of kind {kind} and rank {n} has {size} "
+            f"elements, more than the guard {POSET_GUARD}")
     return build_ideal(coxeter_elements(kind, n), kind, label="coxeter-ideal")
 
 

@@ -173,13 +173,8 @@ def from_cycles(words, n: int) -> SignedPermutation:
                          else "in two cycles")
                 raise ValueError(f"entry {abs(a)} appears {where}")
             used.add(abs(a))
-        for i, a in enumerate(entries):
-            if i + 1 < len(entries):
-                nxt = entries[i + 1]
-            elif kind == "balanced":
-                nxt = -entries[0]
-            else:
-                nxt = entries[0]
+        closing = -entries[0] if kind == "balanced" else entries[0]
+        for a, nxt in zip(entries, entries[1:] + (closing,)):
             if a > 0:
                 images[a - 1] = nxt
             else:
@@ -233,12 +228,14 @@ def parse_cycles(text: str, n: int) -> SignedPermutation:
         for token, pos, number in tokens:
             if number is None:
                 raise CycleNotationError("expected an integer", pos)
-            value, last = int(number), pos + len(number) - 1
-            if value == 0:
+            # an entry with more digits than n exceeds it unread: int() caps digits
+            sign, digits = "-" * (number[0] == "-"), number.lstrip("+-0")
+            last = pos + len(number) - 1
+            if not digits:
                 raise CycleNotationError("cycle entries must be nonzero", last)
-            if abs(value) > n:
-                raise CycleNotationError(f"entry {value} exceeds n={n}", last)
-            entries.append(value)
+            if len(digits) > len(str(n)) or int(digits) > n:
+                raise CycleNotationError(f"entry {sign}{digits} exceeds n={n}", last)
+            entries.append(int(sign + digits))
             token, pos, _ = next(tokens)
             if token == closer:
                 break
@@ -322,32 +319,22 @@ def coxeter_elements(kind: str, n: int):
     S_n: the n-cycles; B_n: the balanced n-cycles; D_n: the products
     [a1,...,a_{n-1}][a_n] of a balanced (n-1)-cycle and a sign flip.  The
     trivial groups S_0, S_1, B_0, D_0 and D_1 have one Coxeter element, the
-    identity, the product of their empty set of simple reflections.
+    identity, the product of their empty set of simple reflections.  The
+    long k-cycle starts at its least letter; the rest of its word is an
+    element of S_{k-1} or B_{k-1}, read on the remaining letters.
     """
     _check_kind(kind, n)
     if n < (1 if kind == "B" else 2):
         yield identity(n)
         return
-    if kind == "S":
-        for rest in itertools.permutations(range(2, n + 1)):
-            yield paired_cycle((1,) + rest, n)
-        return
-    if kind == "B":
-        for rest in itertools.permutations(range(2, n + 1)):
-            for signs in itertools.product((1, -1), repeat=n - 1):
-                yield balanced_cycle((1,) + tuple(s * a for s, a in zip(signs, rest)), n)
-        return
-    seen = set()
-    for single in range(1, n + 1):
-        others = [a for a in range(1, n + 1) if a != single]
-        lead, rest_pool = others[0], others[1:]
-        for rest in itertools.permutations(rest_pool):
-            for signs in itertools.product((1, -1), repeat=len(rest)):
-                word = (lead,) + tuple(s * a for s, a in zip(signs, rest))
-                w = from_cycles([("balanced", word), ("balanced", (single,))], n)
-                if w not in seen:
-                    seen.add(w)
-                    yield w
+    cycle = "paired" if kind == "S" else "balanced"
+    # [1][2] is [2][1]: D_2 takes one flip
+    for flip in (range(1, n + 1 if n > 2 else 2) if kind == "D" else [None]):
+        first, *rest = (a for a in range(1, n + 1) if a != flip)
+        flips = [("balanced", (flip,))] if flip else []
+        for g in group_elements("S" if kind == "S" else "B", len(rest)):
+            word = (first, *(rest[x - 1] if x > 0 else -rest[-x - 1] for x in g))
+            yield from_cycles([(cycle, word)] + flips, n)
 
 
 def group_elements(kind: str, n: int):

@@ -296,6 +296,30 @@ def test_negative_or_bad_rank_is_a_usage_error(capsys, value):
     assert "rank must be a nonnegative integer" in capsys.readouterr().err
 
 
+def test_overlong_rank_is_a_usage_error(capsys):
+    # more digits than int() reads: refused by the rank reader, not argparse
+    with pytest.raises(SystemExit) as exc:
+        main(["poset", "--n", "1" * 5000])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --n: the rank has 5000 digits" in err
+    assert "_rank" not in err
+    assert main(["poset", "--group", "S", "--n", "0" * 5000 + "2"]) == 0
+    assert "2 elements" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option", ["--k", "--r"])
+def test_cycle_flip_sizes_are_read_like_ranks(capsys, option):
+    argv = ["invariants", "--group", "B", "--n", "3", "--family",
+            "cycle-flip", "--k", "1", "--r", "2"]
+    argv[argv.index(option) + 1] = "١"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert (f"argument {option}: the rank must be a nonnegative integer"
+            in capsys.readouterr().err)
+
+
 def test_negative_gf_order_is_a_usage_error_naming_the_option(capsys):
     # --upto is parsed like --n, so argparse names the option it rejects
     with pytest.raises(SystemExit) as exc:
@@ -404,6 +428,20 @@ def test_full_poset_guard_trips_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "resource guard" in err and "46080" in err
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["ideal", "--group", "B", "--n", "9", "--coxeter"], "10321920"),
+    (["topology", "--group", "S", "--n", "12", "--ideal", "coxeter"],
+     "39916800"),
+    (["ideal", "--group", "D", "--n", "10", "--coxeter"], "103219200"),
+])
+def test_coxeter_class_guard_trips_at_once(capsys, argv, size):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "resource guard" in err and "Coxeter class" in err and size in err
 
 
 def test_largest_signed_group_in_reach(capsys):

@@ -323,6 +323,14 @@ def test_parse_rejects_garbage():
     ("[²]", "expected an integer (at position 1)"),
     ("[1²]", "expected ',' or ']' (at position 2)"),
     ("[١]", "expected an integer (at position 1)"),
+    # an entry with more digits than int() reads is still refused in place
+    pytest.param("[" + "1" * 5000 + "]",
+                 f"entry {'1' * 5000} exceeds n=3 (at position 5000)",
+                 id="5000-ones"),
+    pytest.param("[-" + "0" * 5000 + "]",
+                 "cycle entries must be nonzero (at position 5001)",
+                 id="5000-zeros"),
+    ("[+007]", "entry 7 exceeds n=3 (at position 4)"),
 ])
 def test_parse_refusals_name_their_position(text, message):
     with pytest.raises(CycleNotationError) as exc:
@@ -333,6 +341,11 @@ def test_parse_refusals_name_their_position(text, message):
 def test_parse_reads_whitespace_between_tokens_and_e():
     assert parse_cycles(" [ 1 , -2 ] ((3)) ", 3) == balanced_cycle([1, -2], 3)
     assert parse_cycles(" e ", 3) == parse_cycles("", 3) == identity(3)
+
+
+def test_parse_reads_zero_padded_entries():
+    assert parse_cycles("[" + "0" * 5000 + "1]", 3) == balanced_cycle([1], 3)
+    assert parse_cycles("((+02,-003))", 3) == paired_cycle([2, -3], 3)
 
 
 def test_membership():
@@ -389,6 +402,18 @@ def test_coxeter_elements_have_rank_length():
         rank = len(exponents(kind, n))
         assert all(absolute_length(c, kind) == rank for c in cs)
         assert all(is_member(c, kind) for c in cs)
+
+
+@pytest.mark.parametrize("kind,n", [("S", n) for n in range(8)]
+                         + [("B", n) for n in range(6)]
+                         + [("D", n) for n in range(7)])
+def test_coxeter_elements_are_the_leading_class(kind, n):
+    # no element twice, and exactly the class signed_cycle_types lists first
+    # (the size `coxeter_ideal` checks against its guard)
+    t, _, size = next(signed_cycle_types(kind, n))
+    cs = list(coxeter_elements(kind, n))
+    assert len(set(cs)) == len(cs) == size
+    assert set(cs) == {w for w in group_elements(kind, n) if cycle_type(w) == t}
 
 
 def test_mu_partition_and_hooks():
